@@ -229,12 +229,6 @@ class ModelFile:
     sha256: str = ""
     document: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def all_variables(self) -> tuple:
-        if self.theta is not None:
-            return self.chart + (self.theta,)
-        return self.chart
-
 
 def _require(doc: dict, key: str, origin: str):
     if key not in doc:

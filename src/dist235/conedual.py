@@ -25,7 +25,9 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .boxes import Box, as_fraction
-from .distduality import PseudoProductStructure, StructureError
+from .distduality import (
+    PseudoProductStructure, StructureError, _format_point,
+)
 from .scalar import (
     Const, Opaque, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum,
     default_registry, differentiate, evaluate, free_variables, is_zero,
@@ -38,10 +40,6 @@ from .vecfield import (
 )
 
 _SECTION_SEED = 94070
-
-
-def _format_point(point: dict) -> str:
-    return "(" + ", ".join(f"{k}={point[k]}" for k in point) + ")"
 
 
 def _as_expr(value, variables, registry) -> ScalarExpr:
@@ -437,9 +435,18 @@ class OsculatingConditionReport:
         return self.passed
 
 
-@lru_cache(maxsize=64)
 def _bracket_decomposition(family: ConeFamily):
-    """Coefficients of [zeta2, zeta3] over the completed 6-frame."""
+    """Coefficients of [zeta2, zeta3] over the completed 6-frame, with
+    pivots chosen at the family's base point."""
+    return _decomposition_at(family, tuple(sorted(family.base_point.items())),
+                             family.registry)
+
+
+@lru_cache(maxsize=64)
+def _decomposition_at(family: ConeFamily, base_key: tuple,
+                      registry: OpaqueRegistry):
+    # ConeFamily equality ignores the base point and the registry, so both
+    # are part of the key (the registry by identity).
     fields, complement = _full_frame(family)
     bracket = lie_bracket(family.zeta(2), family.zeta(3), family.registry)
     coeffs = symbolic_decompose(bracket, fields, family.base_point,

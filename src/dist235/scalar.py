@@ -642,12 +642,6 @@ class _NormalForm:
     den: tuple
     atom_exprs: tuple   # ((atom_key, ScalarExpr), ...) for rebuilding
 
-    def num_dict(self):
-        return dict(self.num)
-
-    def den_dict(self):
-        return dict(self.den)
-
 
 class _NFBuilder:
     """Folds an expression tree into a normal-form quotient."""
@@ -829,21 +823,6 @@ def free_variables(expr: ScalarExpr) -> set:
     return out
 
 
-def _opaque_free(expr: ScalarExpr) -> bool:
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Opaque):
-            return False
-        if isinstance(node, Sum):
-            stack.extend(node.terms)
-        elif isinstance(node, Prod):
-            stack.extend(node.factors)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # calculus and evaluation
 
@@ -1022,9 +1001,14 @@ def is_zero(expr: ScalarExpr, box: Box,
 
     Opaque-free input is decided exactly from the normal form; otherwise
     at least 32 quasi-random rational points are evaluated and compared
-    against 1e-9 * (1 + max |coefficient|).
+    against 1e-9 * (1 + max |coefficient|).  Coordinates the box fixes
+    (zero-width intervals) are substituted first, so the decision is
+    about the expression on the box, not on the whole chart.
     """
     samples = max(samples, _MIN_SAMPLES)
+    fixed = {name: lo for name, lo, hi in box.intervals if lo == hi}
+    if fixed:
+        expr = substitute(expr, fixed)
     nf = _normal_form(expr, _chart_key(chart), False)
     if not nf.num:
         # opaque atoms may appear in the tree, but if none survive in the

@@ -135,11 +135,6 @@ class VectorField:
     def renamed(self, name: str) -> "VectorField":
         return VectorField(self.chart, self.components, name)
 
-    def compiled(self, registry: Optional[OpaqueRegistry] = None):
-        from .scalar import compile_expr
-        return [compile_expr(c, self.chart.variables, registry)
-                for c in self.components]
-
     def __add__(self, other: "VectorField") -> "VectorField":
         if self.chart != other.chart:
             raise ChartMismatchError("cannot add fields on different charts")

@@ -1,6 +1,7 @@
 """Tests for growth-(2,3,5) verification, prolongation, the correction
 scalar, and the seven-condition certification of the splitting."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -8,17 +9,21 @@ import numpy as np
 import pytest
 
 from dist235.boxes import Box
+from dist235.cli import load_model
+from dist235.conedual import builtin_model, prolong_cone
 from dist235.distduality import (
-    Check235Report, Distribution235, GradingError, GrowthError,
-    PseudoProductStructure, StructureError, _solve_e_pointwise, check_235,
+    _CONDITIONS, Check235Report, ConditionResult, Distribution235,
+    GradingError, GrowthError, PseudoProductReport, PseudoProductStructure,
+    StructureError, _format_point, _solve_e_pointwise, check_235,
     prolong_235, solve_e, symbol_algebra_at, verify_pseudo_product,
 )
+from dist235.linalg import FLOAT_RTOL
 from dist235.scalar import (
     OpaqueRegistry, evaluate, is_zero, parse_expr, to_text,
 )
 from dist235.vecfield import (
-    Chart, ChartError, ChartMismatchError, Frame, field_from_strings,
-    lie_bracket, rank_at, reduce_mod,
+    Chart, ChartError, ChartMismatchError, Frame, coordinate_field,
+    field_from_strings, lie_bracket, rank_at, reduce_mod,
 )
 
 from helpers import random_point
@@ -452,6 +457,156 @@ class TestVerifyPseudoProduct:
         lines = report.summary_lines()
         assert lines[0].endswith("ok")
         assert lines[-1] == "verdict: valid"
+
+
+def reference_verify(structure, box=None, samples=32, rtol=FLOAT_RTOL):
+    """The per-bracket loop verify_pseudo_product replaced, kept as its
+    reference: every membership goes through reduce_mod and every rank
+    through rank_at, re-evaluating the layer frame for each bracket at
+    each point."""
+    box = box if box is not None else structure.box
+    registry = structure.registry
+    flag = structure.flag
+    points = [structure.base_point] + list(box.sample_points(samples))
+    frames = {depth: flag.frames[depth] for depth in range(5)}
+    role_fields = {"K": structure.k_field, "L": structure.l_field}
+
+    splitting_witnesses = []
+    for point in points:
+        for label in ("K", "L"):
+            res = reduce_mod(role_fields[label], frames[0], point, rtol,
+                             registry)
+            if not res.member:
+                splitting_witnesses.append(
+                    f"{label} leaves E at {_format_point(point)}")
+        pair_rank = rank_at((structure.k_field, structure.l_field), point,
+                            rtol, registry)
+        if pair_rank != 2:
+            splitting_witnesses.append(
+                f"K and L have joint rank {pair_rank} at "
+                f"{_format_point(point)}")
+    splitting_ok = not splitting_witnesses
+
+    results = []
+    for index, name, role, depth, target, required in _CONDITIONS:
+        if role == "pair":
+            pairs = [(structure.k_field, structure.l_field)]
+        else:
+            pairs = [(role_fields[role], w) for w in frames[depth].fields]
+        brackets = [(lie_bracket(a, b, registry), a.name or role,
+                     b.name or "w") for a, b in pairs]
+        witnesses = []
+        inclusion_ok = True
+        for bracket_field, a_name, b_name in brackets:
+            for point in points:
+                res = reduce_mod(bracket_field, frames[target], point, rtol,
+                                 registry)
+                if not res.member:
+                    inclusion_ok = False
+                    witnesses.append(
+                        f"[{a_name}, {b_name}] leaves layer {target} at "
+                        f"{_format_point(point)}")
+                    break
+        growth_ok = True
+        if required is not None:
+            extended = frames[depth].fields + tuple(b for b, _, _ in brackets)
+            for point in points:
+                achieved = rank_at(extended, point, rtol, registry)
+                if achieved != required:
+                    growth_ok = False
+                    witnesses.append(
+                        f"rank stalls at {achieved} (need {required}) at "
+                        f"{_format_point(point)}")
+                    break
+        results.append(ConditionResult(
+            index=index, name=name, requires_growth=required,
+            inclusion_ok=inclusion_ok, growth_ok=growth_ok,
+            witnesses=tuple(witnesses)))
+
+    valid = splitting_ok and all(r.passed for r in results)
+    return PseudoProductReport(
+        conditions=tuple(results), splitting_ok=splitting_ok,
+        growth=flag.growth, valid=valid,
+        splitting_witnesses=tuple(splitting_witnesses))
+
+
+@functools.lru_cache(maxsize=None)
+def bundled_structure(name):
+    """The splitting the analyze suite certifies for a bundled model."""
+    if name == "hilbert-cartan":
+        pro = prolong_235(builtin_model(name))
+        return solve_e(pro).structure(pro, name=name)
+    params = load_model(name).expressions if name != "flat-cone" else None
+    return prolong_cone(builtin_model(name, params))
+
+
+def leaving_structure():
+    """The flat splitting with K tilted by x*d/dz: a section of E at the
+    base point (x = 0) only, so K leaves E at most box points."""
+    pro, structure = build_flat_structure()
+    chart = structure.z_chart
+    tilt = coordinate_field(chart, "z") * parse_expr("x", chart.variables)
+    k_field = (structure.k_field + tilt).renamed("K")
+    return PseudoProductStructure.build(
+        chart, structure.e_generators, k_field, structure.l_field,
+        structure.base_point, structure.box, structure.registry,
+        name="leaving")
+
+
+def opaque_structure():
+    """The cubic splitting with the cubic entering through an opaque
+    symbol, so every value is a float and membership is decided with
+    the relative tolerance."""
+    registry = make_registry()
+    eta1 = field_from_strings(
+        BASE_CHART, ["1", "y1", "y2", "0", "y2^2 + a(y1)"],
+        registry=registry, name="eta1")
+    eta2 = field_from_strings(
+        BASE_CHART, ["0", "0", "0", "1", "0"], name="eta2")
+    dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin(),
+                           registry=registry)
+    pro = prolong_235(dist)
+    return solve_e(pro).structure(pro, name="opaque")
+
+
+class TestVerifyMatchesReference:
+    """The point-outer exact rewrite reports exactly what the per-bracket
+    reduce_mod loop reports: verdicts, witnesses and their order."""
+
+    @pytest.mark.parametrize("swap", [False, True],
+                             ids=["valid", "swapped"])
+    @pytest.mark.parametrize("name", ["hilbert-cartan", "flat-cone",
+                                      "noncubic-bc"])
+    def test_bundled_structures(self, name, swap):
+        structure = bundled_structure(name)
+        if swap:
+            structure = structure.swapped()
+        report = verify_pseudo_product(structure)
+        assert report == reference_verify(structure)
+        assert report.valid != swap
+        if swap:
+            assert any(c.witnesses for c in report.conditions)
+
+    def test_splitting_witnesses(self):
+        structure = leaving_structure()
+        report = verify_pseudo_product(structure)
+        assert report == reference_verify(structure)
+        assert not report.splitting_ok
+        assert any(w.startswith("K leaves E at ")
+                   for w in report.splitting_witnesses)
+        assert not any(w.startswith("L leaves E")
+                       for w in report.splitting_witnesses)
+
+    def test_float_values_use_the_tolerance_path(self):
+        structure = opaque_structure()
+        point = structure.box.sample_points(1)[0]
+        assert isinstance(structure.k_field.evaluate_at(
+            point, structure.registry)[4], float)
+        for swap in (False, True):
+            s = structure.swapped() if swap else structure
+            report = verify_pseudo_product(s, samples=8)
+            assert report == reference_verify(s, samples=8)
+            assert report.valid != swap
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,23 @@ class TestIsZero:
         e = parse_expr("a(x1)*x2 - x2*a(x1)", CHART, reg)
         assert is_zero(e, BOX, CHART, reg).status == "provably-zero"
 
+    def test_zero_width_interval_vanishing(self):
+        # x1 is pinned to 0 by the box: x1*x2 vanishes on it, although
+        # its normal form on the chart is nonzero.
+        box = Box((("x1", Fraction(0), Fraction(0)),
+                   ("x2", Fraction(-1), Fraction(1))))
+        e = parse_expr("x1*x2", CHART)
+        assert is_zero(e, box, CHART).status == "provably-zero"
+
+    def test_zero_width_interval_nonzero_has_witness(self):
+        box = Box((("x1", Fraction(1, 2), Fraction(1, 2)),
+                   ("x2", Fraction(-1), Fraction(1))))
+        e = parse_expr("x1*x2 - x2/2 + x2^2", CHART)
+        r = is_zero(e, box, CHART)
+        assert r.status == "nonzero"
+        assert box.contains(r.witness)
+        assert evaluate(e, r.witness) == r.value != 0
+
     def test_soundness_500_random(self):
         # nonzero verdicts carry true witnesses; zero verdicts are exact
         rng = random.Random(5)

@@ -133,6 +133,74 @@ class TestRank:
             Frame(CH5, (eta1, eta1), BASE)
 
 
+def random_frame(rng, n_rows, n_cols, rank):
+    """Rational rows of the given rank: `rank` random rows followed by
+    random rational combinations of them."""
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    basis = [[rational() for _ in range(n_cols)] for _ in range(rank)]
+    rows = [list(row) for row in basis]
+    while len(rows) < n_rows:
+        coeffs = [rational() for _ in basis]
+        rows.append([sum((c * row[j] for c, row in zip(coeffs, basis)),
+                         Fraction(0)) for j in range(n_cols)])
+    rng.shuffle(rows)
+    return rows
+
+
+class TestExactSpan:
+    """The integer echelon behind exact rank and membership agrees with
+    Fraction elimination (nullspace), with exact_rank, and with
+    solve_membership + residual_is_zero."""
+
+    def test_rank_on_random_frames(self):
+        rng = random.Random(71)
+        for _ in range(60):
+            n_cols = rng.randint(1, 6)
+            n_rows = rng.randint(1, 7)
+            rank = rng.randint(0, min(n_rows, n_cols))
+            rows = random_frame(rng, n_rows, n_cols, rank)
+            span = linalg.ExactSpan(rows)
+            expected = n_cols - len(linalg.exact_nullspace(rows))
+            assert span.rank == expected == linalg.exact_rank(rows)
+
+    def test_membership_on_random_frames(self):
+        rng = random.Random(72)
+        members = outsiders = 0
+        for _ in range(60):
+            n_cols = rng.randint(2, 6)
+            rank = rng.randint(1, n_cols)
+            rows = random_frame(rng, rng.randint(rank, rank + 2), n_cols,
+                                rank)
+            span = linalg.ExactSpan(rows)
+            candidates = [
+                random_frame(rng, 1, n_cols, 1)[0],
+                [sum((Fraction(rng.randint(-3, 3)) * row[j] for row in rows),
+                     Fraction(0)) for j in range(n_cols)],
+            ]
+            for vec in candidates:
+                _, residual = linalg.solve_membership(rows, vec)
+                expected = linalg.residual_is_zero(residual, vec)
+                assert span.contains(vec) == expected
+                members += expected
+                outsiders += not expected
+        assert members > 0 and outsiders > 0
+
+    def test_zero_vector_and_zero_row(self):
+        rows = [[Fraction(1, 2), Fraction(0), Fraction(3)],
+                [0, 0, 0],
+                [Fraction(-1), 0, Fraction(-6)]]
+        span = linalg.ExactSpan(rows)
+        assert span.rank == 1 == linalg.exact_rank(rows)
+        assert span.contains([0, 0, 0])
+        assert span.contains([Fraction(1, 3), 0, 2])
+        assert not span.contains([0, 1, 0])
+        empty = linalg.ExactSpan([])
+        assert empty.rank == 0
+        assert empty.contains([0, 0])
+        assert not empty.contains([0, Fraction(1, 7)])
+
+
 class TestDerivedFlag:
     def test_growth_235(self):
         eta1, eta2 = growth_frame()
