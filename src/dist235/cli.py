@@ -30,22 +30,23 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .boxes import Box, as_fraction
-from .conedual import ConeFamily, builtin_model, check_lagrangian, \
-    check_nondegenerate, check_osculating_condition, prolong_cone, solve_U
-from .distduality import Distribution235, PseudoProductStructure, \
-    StructureError, check_235, prolong_235, solve_e, symbol_algebra_at, \
-    verify_pseudo_product
+from .conedual import BUNDLED, STANDARD_ALPHA, STANDARD_CHART, ConeFamily, \
+    _driver_components, check_lagrangian, check_nondegenerate, \
+    check_osculating_condition, default_family_box, prolong_cone, solve_U
+from .distduality import Distribution235, GrowthError, \
+    PseudoProductStructure, default_box, prolong_235, solve_e, \
+    symbol_algebra_at, verify_pseudo_product
 from .paths import cone_system, distribution_system, integrate_biextremal, \
     singular_launch, verify_duality
 from .scalar import OpaqueRegistry, compile_expr, parse_expr, to_text
-from .vecfield import Chart, VectorField
+from .vecfield import Chart, field_from_strings
 
 __all__ = [
     "BUNDLED", "ModelError", "ModelFile", "bundled_document",
@@ -128,64 +129,7 @@ def canonical_json(value) -> str:
 # bundled model documents
 # ---------------------------------------------------------------------------
 
-_X_VARS = ["x1", "x2", "x3", "x4", "x5"]
-_ALPHA = ["0", "-x3", "2*x2", "-x1", "1"]
-
-BUNDLED = {
-    "hilbert-cartan": {
-        "kind": "distribution235",
-        "name": "hilbert-cartan",
-        "chart": ["x", "y", "y1", "y2", "z"],
-        "expressions": {
-            "eta1": ["1", "y1", "y2", "0", "y2^2"],
-            "eta2": ["0", "0", "0", "1", "0"],
-        },
-    },
-    "flat-cone": {
-        "kind": "cone-family",
-        "name": "flat-cone",
-        "chart": list(_X_VARS),
-        "theta": "th",
-        "alpha": list(_ALPHA),
-        "expressions": {
-            "A": "th",
-            "B": "th^2",
-            "S": "th^3",
-            "T": "x3*th - 2*x2*th^2 + x1*th^3",
-        },
-    },
-    "cubic-a": {
-        "kind": "cone-family",
-        "name": "cubic-a",
-        "chart": list(_X_VARS),
-        "theta": "th",
-        "alpha": list(_ALPHA),
-        "expressions": {"a": "x1"},
-        "notes": [
-            "open question: whether a nonzero driver a(x1) is compatible "
-            "with the osculating identity is not asserted either way; "
-            "the osculating-condition entry below records the computed "
-            "outcome for a = x1.",
-        ],
-    },
-    "noncubic-bc": {
-        "kind": "cone-family",
-        "name": "noncubic-bc",
-        "chart": list(_X_VARS),
-        "theta": "th",
-        "alpha": list(_ALPHA),
-        "expressions": {"b": "th^3", "c": "(3/2)*th^4"},
-    },
-    "noncubic-bc-violating": {
-        "kind": "cone-family",
-        "name": "noncubic-bc-violating",
-        "chart": list(_X_VARS),
-        "theta": "th",
-        "alpha": list(_ALPHA),
-        "expressions": {"b": "th^3", "c": "th^4"},
-    },
-}
-
+# `BUNDLED` is defined in `conedual`, beside `builtin_model`.
 
 def bundled_names() -> tuple:
     return tuple(BUNDLED)
@@ -386,8 +330,8 @@ def parse_model(text: str, origin: str = "model") -> ModelFile:
                 _parse_text(text_k, z_vars, registry,
                             f"{origin}: expressions.{key}")
         elif keys in _DRIVER_SETS:
-            if list(chart) != _X_VARS or theta != "th" \
-                    or list(alpha) != _ALPHA:
+            if chart != STANDARD_CHART or theta != "th" \
+                    or alpha != STANDARD_ALPHA:
                 raise ModelError(
                     f"{origin}: parameter-driven cone families use the "
                     "standard chart x1..x5, direction 'th', and the "
@@ -492,63 +436,53 @@ def load_model(path_or_name: str) -> ModelFile:
 # building the geometric objects
 # ---------------------------------------------------------------------------
 
+def _model_box(model: ModelFile, box_scale: Fraction) -> Box:
+    """The box a run builds every object on: the model's box, or the
+    default box of its kind, scaled about its center."""
+    box = model.box
+    if box is None:
+        if model.kind == "cone-family":
+            box = default_family_box(Chart(model.chart), model.theta,
+                                     model.base_point)
+        else:
+            box = default_box(model.base_point)
+    return box.scaled(box_scale)
+
+
 def _build_distribution(model: ModelFile,
-                        box_scale: Fraction) -> Distribution235:
+                        box: Optional[Box]) -> Distribution235:
     chart = Chart(model.chart)
-    fields = {}
-    for key in ("eta1", "eta2"):
-        comps = tuple(
-            parse_expr(text, chart.variables, model.registry)
-            for text in model.expressions[key])
-        fields[key] = VectorField(chart, comps, key)
-    dist = Distribution235(chart, fields["eta1"], fields["eta2"],
-                           dict(model.base_point), box=model.box,
-                           registry=model.registry, name=model.name)
-    if box_scale != 1:
-        dist = Distribution235(chart, fields["eta1"], fields["eta2"],
-                               dict(model.base_point),
-                               box=dist.box.scaled(box_scale),
-                               registry=model.registry, name=model.name)
-    return dist
+    eta1, eta2 = (field_from_strings(chart, model.expressions[key],
+                                     model.registry, key)
+                  for key in ("eta1", "eta2"))
+    return Distribution235(chart, eta1, eta2, dict(model.base_point),
+                           box=box, registry=model.registry,
+                           name=model.name)
 
 
-def _build_family(model: ModelFile, box_scale: Fraction) -> ConeFamily:
+def _build_family(model: ModelFile, box: Optional[Box]) -> ConeFamily:
     keys = set(model.expressions)
     if keys in _DRIVER_SETS:
         template = "cubic-a" if keys == {"a"} else "noncubic-bc"
-        params = {k: model.expressions[k] for k in keys}
-        family = builtin_model(template, params, registry=model.registry)
-        family = replace(family, name=model.name)
+        components = _driver_components(template, model.expressions,
+                                        model.registry)
     else:
-        chart = Chart(model.chart)
-        family = ConeFamily.build(
-            chart, tuple(model.expressions[k] for k in "ABST"),
-            model.alpha, theta=model.theta,
-            base_point=dict(model.base_point), box=model.box,
-            registry=model.registry, name=model.name)
-    if box_scale != 1:
-        family = replace(family, box=family.box.scaled(box_scale))
-    return family
+        components = tuple(model.expressions[k] for k in "ABST")
+    return ConeFamily.build(
+        Chart(model.chart), components, model.alpha, theta=model.theta,
+        base_point=dict(model.base_point), box=box,
+        registry=model.registry, name=model.name)
 
 
-def _build_pseudo(model: ModelFile,
-                  box_scale: Fraction) -> PseudoProductStructure:
+def _build_pseudo(model: ModelFile, box: Box) -> PseudoProductStructure:
     chart = Chart(model.chart)
-    fields = {}
-    for key in ("e1", "e2", "K", "L"):
-        comps = tuple(
-            parse_expr(text, chart.variables, model.registry)
-            for text in model.expressions[key])
-        fields[key] = VectorField(chart, comps, key)
-    box = model.box
-    structure = PseudoProductStructure.build(
-        chart, (fields["e1"], fields["e2"]), fields["K"], fields["L"],
-        dict(model.base_point), box=box, registry=model.registry,
-        name=model.name)
-    if box_scale != 1:
-        structure = replace(structure,
-                            box=structure.box.scaled(box_scale))
-    return structure
+    e1, e2, k_field, l_field = (
+        field_from_strings(chart, model.expressions[key], model.registry,
+                           key)
+        for key in ("e1", "e2", "K", "L"))
+    return PseudoProductStructure.build(
+        chart, (e1, e2), k_field, l_field, dict(model.base_point), box=box,
+        registry=model.registry, name=model.name)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +505,7 @@ class _SuiteRun:
     def __init__(self, model: ModelFile, seed: int, box_scale: Fraction):
         self.model = model
         self.seed = seed
-        self.box_scale = box_scale
+        self.box = _model_box(model, box_scale)
         self.records: list = []
         self.times: list = []
         self.ctx: dict = {}
@@ -607,12 +541,12 @@ class _SuiteRun:
 
     def distribution(self) -> Distribution235:
         return self._memo(
-            "dist", lambda: _build_distribution(self.model, self.box_scale),
+            "dist", lambda: _build_distribution(self.model, self.box),
             "the distribution")
 
     def family(self) -> ConeFamily:
         return self._memo(
-            "family", lambda: _build_family(self.model, self.box_scale),
+            "family", lambda: _build_family(self.model, self.box),
             "the cone family")
 
     def structure(self) -> PseudoProductStructure:
@@ -633,7 +567,7 @@ class _SuiteRun:
                 "structure", lambda: prolong_cone(self.family()),
                 "the splitting")
         return self._memo(
-            "structure", lambda: _build_pseudo(self.model, self.box_scale),
+            "structure", lambda: _build_pseudo(self.model, self.box),
             "the splitting")
 
     def control_system(self):
@@ -752,31 +686,25 @@ class _SuiteRun:
     # -- kind-specific check bodies ---------------------------------------
 
     def check_growth_235(self):
-        model = self.model
-        chart = Chart(model.chart)
-        comps = {
-            key: tuple(parse_expr(text, chart.variables, model.registry)
-                       for text in model.expressions[key])
-            for key in ("eta1", "eta2")}
-        eta1 = VectorField(chart, comps["eta1"], "eta1")
-        eta2 = VectorField(chart, comps["eta2"], "eta2")
-        box = model.box
-        if box is None:
-            box = Box.around(model.base_point, Fraction(1, 4))
-        if self.box_scale != 1:
-            box = box.scaled(self.box_scale)
-        report = check_235(eta1, eta2, dict(model.base_point), box=box,
-                           registry=model.registry)
+        # The growth check is the one the distribution ran when it was
+        # built; a failed one comes back on the GrowthError.
+        try:
+            report = self.distribution().report
+        except _Skip:
+            exc = self.ctx["dist"]
+            if not isinstance(exc, GrowthError):
+                raise exc
+            report = exc.report
         if report.passed:
             return {"status": "pass",
                     "detail": f"growth {report.growth}; ranks constant "
                               "over the box",
                     "witness": None, "residual": None,
-                    "box": _box_json(box)}
+                    "box": _box_json(self.box)}
         return {"status": "fail",
                 "detail": "; ".join(report.failures),
                 "witness": {"failures": list(report.failures)},
-                "residual": None, "box": _box_json(box)}
+                "residual": None, "box": _box_json(self.box)}
 
     def check_prolong_235(self):
         prolonged = self._memo(
@@ -1048,10 +976,10 @@ def trace_lines(model: ModelFile, x0: Optional[dict], theta0: Fraction,
     """Integrate one singular path and return its nodes as canonical
     JSON lines."""
     if model.kind == "distribution235":
-        dist = _build_distribution(model, Fraction(1))
+        dist = _build_distribution(model, model.box)
         system = distribution_system(dist)
     elif model.kind == "cone-family":
-        family = _build_family(model, Fraction(1))
+        family = _build_family(model, model.box)
         system = cone_system(family)
     else:
         raise ModelError(

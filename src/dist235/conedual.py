@@ -26,7 +26,8 @@ from typing import Optional, Sequence
 from . import linalg
 from .boxes import Box, as_fraction
 from .distduality import (
-    PseudoProductStructure, StructureError, _format_point,
+    Distribution235, PseudoProductStructure, StructureError, _format_point,
+    default_box,
 )
 from .scalar import (
     Const, Opaque, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum,
@@ -35,8 +36,9 @@ from .scalar import (
 )
 from .vecfield import (
     Chart, ChartError, DegenerateFrameError, Frame, OneForm, VectorField,
-    check_contact, coordinate_field, exterior_derivative, lie_bracket,
-    pair, rank_at, reduce_mod, symbolic_decompose,
+    check_contact, coordinate_field, exterior_derivative,
+    field_from_strings, lie_bracket, pair, rank_at, reduce_mod,
+    symbolic_decompose,
 )
 
 _SECTION_SEED = 94070
@@ -121,11 +123,7 @@ class ConeFamily:
         if base_point is None:
             base_point = z_chart.origin()
         if box is None:
-            x_part = {v: base_point[v] for v in x_chart.variables}
-            box = Box(Box.around(x_part, Fraction(1, 4)).intervals
-                      + ((theta,
-                          as_fraction(base_point[theta]) - Fraction(1, 2),
-                          as_fraction(base_point[theta]) + Fraction(1, 2)),))
+            box = default_family_box(x_chart, theta, base_point)
 
         family = cls(x_chart=x_chart, theta=theta, components=comps,
                      alpha=alpha, base_point=base_point, box=box,
@@ -195,6 +193,16 @@ class ConeFamily:
             for c in self.zeta(k).components[:5])
         return VectorField(self.x_chart, comps,
                            f"{self.zeta(k).name}@s")
+
+
+def default_family_box(x_chart: Chart, theta: str, base_point: dict) -> Box:
+    """The box used when a family is built without one: half-width 1/4
+    about the base point in the base coordinates, 1/2 in the direction
+    coordinate."""
+    center = as_fraction(base_point[theta])
+    return Box(default_box({v: base_point[v] for v in x_chart.variables})
+               .intervals + ((theta, center - Fraction(1, 2),
+                              center + Fraction(1, 2)),))
 
 
 def cone_generator(family: ConeFamily) -> VectorField:
@@ -574,9 +582,65 @@ def prolong_cone(family: ConeFamily) -> PseudoProductStructure:
 # bundled models
 # ---------------------------------------------------------------------------
 
-_X_CHART = Chart(("x1", "x2", "x3", "x4", "x5"))
-_ALPHA = ("0", "-x3", "2*x2", "-x1", "1")
-_BASE_CHART = Chart(("x", "y", "y1", "y2", "z"))
+# The standard chart and contact form of the parameter-driven families,
+# and the bundled model documents (read as model files by `cli`).
+STANDARD_CHART = ("x1", "x2", "x3", "x4", "x5")
+STANDARD_ALPHA = ("0", "-x3", "2*x2", "-x1", "1")
+
+BUNDLED = {
+    "hilbert-cartan": {
+        "kind": "distribution235",
+        "name": "hilbert-cartan",
+        "chart": ["x", "y", "y1", "y2", "z"],
+        "expressions": {
+            "eta1": ["1", "y1", "y2", "0", "y2^2"],
+            "eta2": ["0", "0", "0", "1", "0"],
+        },
+    },
+    "flat-cone": {
+        "kind": "cone-family",
+        "name": "flat-cone",
+        "chart": list(STANDARD_CHART),
+        "theta": "th",
+        "alpha": list(STANDARD_ALPHA),
+        "expressions": {
+            "A": "th",
+            "B": "th^2",
+            "S": "th^3",
+            "T": "x3*th - 2*x2*th^2 + x1*th^3",
+        },
+    },
+    "cubic-a": {
+        "kind": "cone-family",
+        "name": "cubic-a",
+        "chart": list(STANDARD_CHART),
+        "theta": "th",
+        "alpha": list(STANDARD_ALPHA),
+        "expressions": {"a": "x1"},
+        "notes": [
+            "open question: whether a nonzero driver a(x1) is compatible "
+            "with the osculating identity is not asserted either way; "
+            "the osculating-condition entry below records the computed "
+            "outcome for a = x1.",
+        ],
+    },
+    "noncubic-bc": {
+        "kind": "cone-family",
+        "name": "noncubic-bc",
+        "chart": list(STANDARD_CHART),
+        "theta": "th",
+        "alpha": list(STANDARD_ALPHA),
+        "expressions": {"b": "th^3", "c": "(3/2)*th^4"},
+    },
+    "noncubic-bc-violating": {
+        "kind": "cone-family",
+        "name": "noncubic-bc-violating",
+        "chart": list(STANDARD_CHART),
+        "theta": "th",
+        "alpha": list(STANDARD_ALPHA),
+        "expressions": {"b": "th^3", "c": "th^4"},
+    },
+}
 
 BUILTIN_MODELS = ("flat-cone", "cubic-a", "noncubic-bc", "hilbert-cartan")
 
@@ -592,60 +656,65 @@ def builtin_model(name: str, params: Optional[dict] = None,
       (parameters ``b``, ``c`` with lowest orders at least 3 and 4).
     * ``hilbert-cartan``: the flat growth-(2,3,5) plane field (returns a
       distribution, not a cone family).
-    """
-    from .distduality import Distribution235
 
+    ``flat-cone`` and ``hilbert-cartan`` are built from their documents
+    in `BUNDLED`.
+    """
     if registry is None:
         registry = default_registry()
     params = dict(params or {})
 
-    if name == "hilbert-cartan":
+    if name in ("flat-cone", "hilbert-cartan"):
         if params:
             raise StructureError("this model takes no parameters")
-        eta1 = VectorField(_BASE_CHART, tuple(
-            parse_expr(text, _BASE_CHART.variables, registry)
-            for text in ("1", "y1", "y2", "0", "y2^2")), "eta1")
-        eta2 = VectorField(_BASE_CHART, tuple(
-            parse_expr(text, _BASE_CHART.variables, registry)
-            for text in ("0", "0", "0", "1", "0")), "eta2")
-        return Distribution235(_BASE_CHART, eta1, eta2,
-                               _BASE_CHART.origin(), registry=registry,
-                               name=name)
-
-    z_vars = _X_CHART.variables + ("th",)
-    if name in ("flat-cone", "cubic-a"):
-        if name == "flat-cone":
-            if params:
-                raise StructureError("this model takes no parameters")
-            a = Const(Fraction(0))
-        else:
-            if set(params) != {"a"}:
-                raise StructureError(
-                    "this model takes exactly the parameter 'a'")
-            a = _as_expr(params["a"], z_vars, registry)
-            extra = _free_outside(a, ("x1",))
-            if extra:
-                raise StructureError(
-                    f"parameter 'a' may only involve x1, found {extra}")
-            origin_value = evaluate(a, {"x1": Fraction(0)}, registry)
-            if isinstance(origin_value, Fraction):
-                if origin_value != 0:
-                    raise StructureError(
-                        "parameter 'a' must vanish at the base point")
-            elif abs(float(origin_value)) > 1e-12:
-                raise StructureError(
-                    "parameter 'a' must vanish at the base point")
-        a_text = to_text(a)
-        comp_a = "th"
-        comp_b = f"th^2 + ({a_text})"
-        comp_s = f"th^3 - 3*th*({a_text})"
-        comp_t = (f"x3*th - 2*x2*(th^2 + ({a_text})) "
-                  f"+ x1*(th^3 - 3*th*({a_text}))")
+        doc = BUNDLED[name]
+        chart = Chart(tuple(doc["chart"]))
+        exprs = doc["expressions"]
+        if name == "hilbert-cartan":
+            eta1, eta2 = (field_from_strings(chart, exprs[key], registry, key)
+                          for key in ("eta1", "eta2"))
+            return Distribution235(chart, eta1, eta2, chart.origin(),
+                                   registry=registry, name=name)
         return ConeFamily.build(
-            _X_CHART, (comp_a, comp_b, comp_s, comp_t), _ALPHA,
+            chart, tuple(exprs[key] for key in "ABST"), doc["alpha"],
+            theta=doc["theta"], registry=registry, name=name)
+
+    if name in ("cubic-a", "noncubic-bc"):
+        return ConeFamily.build(
+            Chart(STANDARD_CHART),
+            _driver_components(name, params, registry), STANDARD_ALPHA,
             registry=registry, name=name)
 
-    if name == "noncubic-bc":
+    raise StructureError(
+        f"unknown model {name!r}; available: {', '.join(BUILTIN_MODELS)}")
+
+
+def _driver_components(name: str, params: dict,
+                       registry: OpaqueRegistry) -> tuple:
+    """The components (A, B, S, T) of the parameter-driven family `name`
+    over the standard chart, after checking its parameters: ``a`` for
+    ``cubic-a``, ``b`` and ``c`` for ``noncubic-bc``."""
+    z_vars = STANDARD_CHART + ("th",)
+    if name == "cubic-a":
+        if set(params) != {"a"}:
+            raise StructureError(
+                "this model takes exactly the parameter 'a'")
+        a = _as_expr(params["a"], z_vars, registry)
+        extra = _free_outside(a, ("x1",))
+        if extra:
+            raise StructureError(
+                f"parameter 'a' may only involve x1, found {extra}")
+        origin_value = evaluate(a, {"x1": Fraction(0)}, registry)
+        if isinstance(origin_value, Fraction):
+            if origin_value != 0:
+                raise StructureError(
+                    "parameter 'a' must vanish at the base point")
+        elif abs(float(origin_value)) > 1e-12:
+            raise StructureError(
+                "parameter 'a' must vanish at the base point")
+        a_text = to_text(a)
+        comp_b, comp_s = f"th^2 + ({a_text})", f"th^3 - 3*th*({a_text})"
+    else:
         if set(params) != {"b", "c"}:
             raise StructureError(
                 "this model takes exactly the parameters 'b' and 'c'")
@@ -662,18 +731,11 @@ def builtin_model(name: str, params: Optional[dict] = None,
                 raise StructureError(
                     f"parameter {label!r} has lowest order {order}, "
                     f"need at least {bound}")
-        b_text, c_text = to_text(b), to_text(c)
-        comp_a = "th"
-        comp_b = f"th^2 + ({b_text})"
-        comp_s = f"th^3 + ({c_text})"
-        comp_t = (f"x3*th - 2*x2*(th^2 + ({b_text})) "
-                  f"+ x1*(th^3 + ({c_text}))")
-        return ConeFamily.build(
-            _X_CHART, (comp_a, comp_b, comp_s, comp_t), _ALPHA,
-            registry=registry, name=name)
-
-    raise StructureError(
-        f"unknown model {name!r}; available: {', '.join(BUILTIN_MODELS)}")
+        comp_b = f"th^2 + ({to_text(b)})"
+        comp_s = f"th^3 + ({to_text(c)})"
+    # T makes the standard contact form annihilate the generator.
+    return ("th", comp_b, comp_s,
+            f"x3*th - 2*x2*({comp_b}) + x1*({comp_s})")
 
 
 def _free_outside(expr: ScalarExpr, allowed: tuple) -> tuple:

@@ -13,7 +13,7 @@ checks the graded nilpotent bracket table at a point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -36,7 +36,15 @@ class StructureError(Exception):
 
 
 class GrowthError(StructureError):
-    """A growth vector does not match what the construction requires."""
+    """A growth vector does not match what the construction requires.
+
+    `report` is the failing growth check, when one produced the error.
+    """
+
+    def __init__(self, message: str,
+                 report: Optional[Check235Report] = None):
+        super().__init__(message)
+        self.report = report
 
 
 class GradingError(StructureError):
@@ -49,6 +57,12 @@ _GROWTH_PROLONGED = (2, 3, 4, 5, 6)
 
 def _format_point(point: dict) -> str:
     return "(" + ", ".join(f"{k}={point[k]}" for k in point) + ")"
+
+
+def default_box(base_point: dict) -> Box:
+    """The box used when none is given: half-width 1/4 about the base
+    point in every coordinate."""
+    return Box.around(base_point, Fraction(1, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +104,7 @@ def check_235(eta1: VectorField, eta2: VectorField, base_point: dict,
     if registry is None:
         registry = default_registry()
     if box is None:
-        box = Box.around(base_point, Fraction(1, 4))
+        box = default_box(base_point)
 
     failures = []
     base_rank = rank_at((eta1, eta2), base_point, registry=registry)
@@ -139,13 +153,12 @@ class Distribution235:
         if self.registry is None:
             object.__setattr__(self, "registry", default_registry())
         if self.box is None:
-            object.__setattr__(
-                self, "box", Box.around(self.base_point, Fraction(1, 4)))
+            object.__setattr__(self, "box", default_box(self.base_point))
         report = check_235(self.eta1, self.eta2, self.base_point,
                            box=self.box, registry=self.registry)
         if not report.passed:
             raise GrowthError(
-                f"{self.name}: " + "; ".join(report.failures))
+                f"{self.name}: " + "; ".join(report.failures), report)
         object.__setattr__(self, "_report", report)
 
     @property
@@ -353,7 +366,8 @@ class PseudoProductStructure:
     """A rank-2 plane field E on a 6-chart together with two line fields
     K, L that split it.  `build` validates the splitting and computes the
     weak derived flag of E; `verify_pseudo_product` certifies the seven
-    bracket conditions."""
+    bracket conditions.  Everything `build` validates is symmetric in K
+    and L, and the flag depends on E alone, so `swapped` reuses both."""
 
     z_chart: Chart
     e_generators: tuple
@@ -374,7 +388,7 @@ class PseudoProductStructure:
         if registry is None:
             registry = default_registry()
         if box is None:
-            box = Box.around(base_point, Fraction(1, 4))
+            box = default_box(base_point)
         gens = tuple(e_generators)
         if len(gens) != 2:
             raise StructureError("E needs exactly two generators")
@@ -406,10 +420,8 @@ class PseudoProductStructure:
 
     def swapped(self) -> "PseudoProductStructure":
         """The same plane field with the roles of K and L exchanged."""
-        return PseudoProductStructure.build(
-            self.z_chart, self.e_generators, self.l_field, self.k_field,
-            self.base_point, self.box, self.registry,
-            name=self.name + "-swapped")
+        return replace(self, k_field=self.l_field, l_field=self.k_field,
+                       name=self.name + "-swapped")
 
 
 _CONDITIONS = (
@@ -642,7 +654,7 @@ def solve_e(prolonged: ProlongedDistribution, samples: int = 20,
             "no bracket produces a usable linear coefficient for the "
             "correction scalar at the base point")
     a, b = best
-    e_expr = normalize(Prod((Const(Fraction(-1)), a, _reciprocal(b))),
+    e_expr = normalize(Prod((Const(Fraction(-1)), a, Pow(b, -1))),
                        prolonged.z_chart.variables)
 
     # Consistency: every other equation a_w + e*b_w must vanish.  The
@@ -669,16 +681,6 @@ def solve_e(prolonged: ProlongedDistribution, samples: int = 20,
         "K")
     return SolveEResult(symbolic=True, expression=e_expr, k_field=k_field,
                         l_field=l_field.renamed("L"))
-
-
-def _reciprocal(expr: ScalarExpr) -> ScalarExpr:
-    """Reciprocal that avoids a needless quotient for constants."""
-    if isinstance(expr, Const):
-        if expr.value == 0:
-            raise StructureError("division by an identically zero "
-                                 "linear coefficient")
-        return Const(Fraction(1) / expr.value)
-    return Pow(expr, -1)
 
 
 def _solve_e_pointwise(prolonged: ProlongedDistribution, samples: int,

@@ -115,18 +115,15 @@ def matrix_rank(rows, rtol: float = FLOAT_RTOL) -> int:
     return float_rank(rows, rtol)
 
 
-def _exact_gauss_solve(a_rows, b):
-    """One exact solution of A x = b (A given as rows), or None if
-    inconsistent.  Free variables are set to zero."""
-    n = len(a_rows)
-    if n == 0:
-        return []
-    k = len(a_rows[0])
-    aug = [[Fraction(a_rows[r][c]) for c in range(k)] + [Fraction(b[r])]
-           for r in range(n)]
+def _rref(aug: list, n_cols: int) -> list:
+    """Reduce `Fraction` rows in place to reduced row echelon form,
+    pivoting on the first `n_cols` columns only; returns the pivot
+    columns.  Later columns (an augmented right-hand side) are carried
+    along."""
+    n = len(aug)
     pivots = []
     row = 0
-    for col in range(k):
+    for col in range(n_cols):
         pivot_row = None
         for r in range(row, n):
             if aug[r][col] != 0:
@@ -145,7 +142,20 @@ def _exact_gauss_solve(a_rows, b):
         row += 1
         if row == n:
             break
-    for r in range(row, n):
+    return pivots
+
+
+def _exact_gauss_solve(a_rows, b):
+    """One exact solution of A x = b (A given as rows), or None if
+    inconsistent.  Free variables are set to zero."""
+    n = len(a_rows)
+    if n == 0:
+        return []
+    k = len(a_rows[0])
+    aug = [[Fraction(a_rows[r][c]) for c in range(k)] + [Fraction(b[r])]
+           for r in range(n)]
+    pivots = _rref(aug, k)
+    for r in range(len(pivots), n):
         if aug[r][k] != 0:
             return None
     x = [Fraction(0)] * k
@@ -204,30 +214,9 @@ def exact_nullspace(rows):
     """Basis of the right nullspace of a rational matrix, exact."""
     if not rows:
         return []
-    n = len(rows)
     k = len(rows[0])
     aug = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    row = 0
-    for col in range(k):
-        pivot_row = None
-        for r in range(row, n):
-            if aug[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
+    pivots = _rref(aug, k)
     free = [c for c in range(k) if c not in pivots]
     basis = []
     for fc in free:

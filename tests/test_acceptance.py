@@ -8,10 +8,12 @@ path classification asymmetry, the scalar engine, the parameter-driven
 family ledger, and report determinism.
 """
 
+import hashlib
 import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +32,10 @@ from dist235.scalar import Const, Pow, Prod, Sum, Var, \
 from dist235.vecfield import Chart, VectorField, check_contact, lie_bracket
 
 SEED = 20260822
+# exit code and report SHA-256 of each bundled model at seed 7, recorded
+# for the benchmark when the reports were last changed on purpose
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" \
+    / "reference.json"
 DUALITY_TOL = 1e-6
 CLASSIFY_RTOL = 1e-8
 
@@ -448,6 +454,7 @@ def test_09_parameter_driver_ledger():
 
 def test_10_reports_are_byte_identical(tmp_path):
     start = time.perf_counter()
+    reference = json.loads(REFERENCE.read_text())
     for name in bundled_names():
         blobs = []
         codes = []
@@ -458,6 +465,11 @@ def test_10_reports_are_byte_identical(tmp_path):
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1], f"{name} reports differ between runs"
         assert codes[0] == codes[1]
+        assert hashlib.sha256(blobs[0]).hexdigest() == \
+            reference[name]["sha256"], \
+            f"{name} report differs from the recorded reference"
+        assert codes[0] == reference[name]["exit"]
     _verdict(10, f"two seed-7 runs byte-identical on all "
-                 f"{len(bundled_names())} bundled models",
+                 f"{len(bundled_names())} bundled models and equal to "
+                 "the recorded reports",
              time.perf_counter() - start)

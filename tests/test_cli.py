@@ -1,7 +1,9 @@
 """Command-line layer: model files, check suites, canonical reports."""
 
+import cProfile
 import json
 import math
+import pstats
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,8 @@ from dist235.cli import (
     exit_code, format_text, load_model, main, parse_model, run_suite,
     trace_lines,
 )
+from dist235.distduality import check_235
+from dist235.vecfield import derived_flag
 
 TOL = 1e-9
 
@@ -43,6 +47,19 @@ def pseudo_model(swap=False):
         doc["expressions"]["K"], doc["expressions"]["L"] = \
             doc["expressions"]["L"], doc["expressions"]["K"]
     return parse_model(json.dumps(doc), "pseudo")
+
+
+def call_counts(fn, *functions):
+    """How many times each of `functions` is called while `fn` runs."""
+    profile = cProfile.Profile()
+    profile.runcall(fn)
+    stats = pstats.Stats(profile).stats
+    counts = []
+    for f in functions:
+        code = f.__code__
+        key = (code.co_filename, code.co_firstlineno, code.co_name)
+        counts.append(stats[key][1] if key in stats else 0)
+    return counts
 
 
 def check_named(report, name):
@@ -441,6 +458,52 @@ class TestRunSuite:
         assert report["box"]["x1"] == ["-1/8", "1/8"]
         assert report["box"]["th"] == ["-1/4", "1/4"]
         assert report["box_scale"] == "1/2"
+
+    def test_box_scale_rebuilds_the_family_on_the_scaled_box(self):
+        # alpha(zeta2) = x1^20 * f(x1) = x1^21: numerically zero on the
+        # default box (|x1| <= 1/4), not on the box scaled by 4
+        doc = json.loads(bundled_document("flat-cone"))
+        doc["name"] = "x1-power"
+        doc["opaque"] = [{"name": "f", "evaluator": "u", "derivative": "1"}]
+        doc["expressions"]["T"] += " + x1^20*f(x1)"
+        model = parse_model(json.dumps(doc), "x1-power")
+        check = check_named(run_suite(model, "verify", 0), "family-build")
+        assert check["status"] == "pass"
+        assert "numerically-zero" in check["detail"]
+        report = run_suite(model, "verify", 0, box_scale=Fraction(4))
+        check = check_named(report, "family-build")
+        assert check["status"] == "fail"
+        assert "does not annihilate" in check["detail"]
+
+    def test_growth_check_failure_record(self):
+        doc = json.loads(bundled_document("hilbert-cartan"))
+        doc["expressions"] = {"eta1": ["1", "0", "0", "0", "0"],
+                              "eta2": ["0", "1", "0", "0", "0"]}
+        report = run_suite(parse_model(json.dumps(doc), "abelian"),
+                           "prolong", 0, box_scale=Fraction(2))
+        check = check_named(report, "check-235")
+        assert check["status"] == "fail"
+        assert check["witness"] == {"failures": [check["detail"]]}
+        assert "is (2,), expected (2, 3, 5)" in check["detail"]
+        assert check["box"]["x"] == ["-1/2", "1/2"]
+        assert check_named(report, "prolong-235")["status"] == "error"
+
+    def test_growth_check_error_is_the_construction_error(self):
+        doc = json.loads(bundled_document("hilbert-cartan"))
+        doc["opaque"] = [{"name": "g", "evaluator": "u^-1",
+                          "derivative": "-u^-2"}]
+        doc["expressions"]["eta1"][4] = "g(y2)"
+        report = run_suite(parse_model(json.dumps(doc), "pole"), "verify", 0)
+        check = check_named(report, "check-235")
+        assert check["status"] == "error"
+        assert check["detail"].startswith("ZeroDivisionError: ")
+
+    def test_each_object_is_built_once(self):
+        assert call_counts(lambda: run_suite(hc_model(), "prolong", 7),
+                           check_235, derived_flag) == [1, 3]
+        assert call_counts(lambda: run_suite(flat_cone_model(), "prolong",
+                                             7),
+                           derived_flag) == [1]
 
     def test_clock_collects_wall_times(self):
         clock = []

@@ -609,6 +609,30 @@ class TestVerifyMatchesReference:
             assert report.valid != swap
 
 
+def rebuilt_swap(structure):
+    """Reference for `swapped`: the swapped structure validated and its
+    flag derived again by `PseudoProductStructure.build`."""
+    return PseudoProductStructure.build(
+        structure.z_chart, structure.e_generators, structure.l_field,
+        structure.k_field, structure.base_point, structure.box,
+        structure.registry, name=structure.name + "-swapped")
+
+
+class TestSwapped:
+    @pytest.mark.parametrize("name", ["hilbert-cartan", "flat-cone",
+                                      "noncubic-bc"])
+    def test_swap_reuses_the_flag(self, name):
+        structure = bundled_structure(name)
+        swapped = structure.swapped()
+        assert swapped.flag is structure.flag
+        assert (swapped.k_field, swapped.l_field) == \
+            (structure.l_field, structure.k_field)
+        rebuilt = rebuilt_swap(structure)
+        assert swapped == rebuilt
+        assert verify_pseudo_product(swapped) == \
+            verify_pseudo_product(rebuilt)
+
+
 # ---------------------------------------------------------------------------
 # symbol algebra
 # ---------------------------------------------------------------------------
