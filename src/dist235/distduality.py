@@ -438,44 +438,36 @@ _CONDITIONS = (
 
 
 class _PointValues:
-    """Field values and layer echelons at one point, each computed once.
+    """Field values and layer spans at one point, each computed once.
 
-    Membership and rank are exact when every value involved is rational
-    (an integer echelon of the layer frame, built on first use); otherwise
-    they fall back to `linalg.solve_membership` with a relative tolerance,
-    as `reduce_mod` and `rank_at` do.
+    Membership and rank are decided by `linalg`, exactly when the values
+    are rational and with a relative tolerance otherwise, as `reduce_mod`
+    and `rank_at` do.
     """
 
     def __init__(self, point: dict, registry: OpaqueRegistry, rtol: float):
         self.point = point
         self.registry = registry
         self.rtol = rtol
-        self._values = {}  # id(field) -> (values, all rational)
-        self._spans = {}   # id(frame) -> linalg.ExactSpan
+        self._values = {}  # id(field) -> values
+        self._spans = {}   # id(frame) -> linalg.Span
 
-    def value(self, f: VectorField) -> tuple:
+    def value(self, f: VectorField) -> list:
         key = id(f)
         if key not in self._values:
-            v = f.evaluate_at(self.point, self.registry)
-            self._values[key] = (v, linalg.is_rational_matrix((v,)))
+            self._values[key] = f.evaluate_at(self.point, self.registry)
         return self._values[key]
 
     def member(self, f: VectorField, frame: Frame) -> bool:
-        b, exact = self.value(f)
-        columns = [self.value(w) for w in frame.fields]
-        if exact and all(rational for _, rational in columns):
-            span = self._spans.get(id(frame))
-            if span is None:
-                span = linalg.ExactSpan(v for v, _ in columns)
-                self._spans[id(frame)] = span
-            return span.contains(b)
-        _, residual = linalg.solve_membership(
-            [v for v, _ in columns], b, self.rtol)
-        return linalg.residual_is_zero(residual, b, self.rtol)
+        span = self._spans.get(id(frame))
+        if span is None:
+            span = linalg.Span([self.value(w) for w in frame.fields],
+                               self.rtol)
+            self._spans[id(frame)] = span
+        return span.contains(self.value(f))
 
     def rank(self, fields: Sequence[VectorField]) -> int:
-        return linalg.matrix_rank([self.value(f)[0] for f in fields],
-                                  self.rtol)
+        return linalg.matrix_rank([self.value(f) for f in fields], self.rtol)
 
 
 def verify_pseudo_product(structure: PseudoProductStructure,
@@ -698,15 +690,14 @@ def _solve_e_pointwise(prolonged: ProlongedDistribution, samples: int,
     points = [prolonged.base_point] + list(
         prolonged.box.sample_points(samples))
     for point in points:
-        columns = [f.evaluate_at(point, registry)
-                   for f in prolonged.layer_frame(4).fields]
-        b1 = bracket1.evaluate_at(point, registry)
-        coeffs, residual = linalg.solve_membership(columns, b1, rtol)
-        if not linalg.residual_is_zero(residual, b1, rtol):
+        red = reduce_mod(bracket1, prolonged.layer_frame(4), point, rtol,
+                         registry)
+        if not red.member:
             raise StructureError(
                 "pointwise correction solve is inconsistent at "
                 + _format_point(point))
-        rows.append((tuple(sorted(point.items())), -float(coeffs[-1])))
+        rows.append((tuple(sorted(point.items())),
+                     -float(red.coefficients[-1])))
     warning = ("no closed form produced (symbolic elimination degenerated: "
                + reason + "); values are pointwise samples only")
     return SolveEResult(symbolic=False, expression=None, k_field=None,

@@ -1,9 +1,12 @@
 """Small dense linear algebra over exact rationals with float fallback.
 
-Rank and membership decisions prefer exact arithmetic: rows are scaled
-to integers and eliminated fraction-free, so a rank answer at a rational
-point is exact, not an estimate.  Float matrices fall back to
-partial-pivot elimination with a relative tolerance.
+Every exact answer (rank, membership, residual, solve, nullspace) comes
+from one elimination: rows are scaled to integers and reduced
+fraction-free into a row echelon (`ExactSpan`), so an answer at a
+rational point is exact, not an estimate.  Data with a float entry falls
+back to float rules with a relative tolerance: rank by partial-pivot
+elimination, membership by a least-squares residual, nullspace by SVD.
+No other module chooses between the two.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ class ExactSpan:
     rows by cross-multiplication; dividing every result by its content
     keeps the entries small, as the exact divisions of Bareiss's
     elimination do.  Rank and membership are exact, with no `Fraction`
-    arithmetic.
+    arithmetic; the residual and the reduced row echelon form are read
+    off the echelon rows in `Fraction` arithmetic.
     """
 
     def __init__(self, rows=()):
@@ -76,6 +80,30 @@ class ExactSpan:
     def contains(self, vec) -> bool:
         """True when the rational vector lies in the span."""
         return not any(self._reduce(_integer_row(vec)))
+
+    def residual(self, vec) -> list:
+        """vec minus the combination of echelon rows that clears every
+        pivot column: linear in vec, and zero exactly on the span."""
+        r = [Fraction(x) for x in vec]
+        for col, row in self._echelon:
+            if r[col]:
+                f = r[col] / row[col]
+                r = [x - f * y for x, y in zip(r, row)]
+        return r
+
+    def rref(self) -> list:
+        """The reduced row echelon form, by back-substitution on the
+        echelon: (pivot column, `Fraction` row with 1 at its pivot and 0
+        at every other pivot column), pivots ascending."""
+        reduced = []
+        for col, row in reversed(self._echelon):
+            r = [Fraction(x, row[col]) for x in row]
+            for later, other in reduced:
+                if r[later]:
+                    f = r[later]
+                    r = [x - f * y for x, y in zip(r, other)]
+            reduced.append((col, r))
+        return reduced[::-1]
 
 
 def exact_rank(rows) -> int:
@@ -115,117 +143,81 @@ def matrix_rank(rows, rtol: float = FLOAT_RTOL) -> int:
     return float_rank(rows, rtol)
 
 
-def _rref(aug: list, n_cols: int) -> list:
-    """Reduce `Fraction` rows in place to reduced row echelon form,
-    pivoting on the first `n_cols` columns only; returns the pivot
-    columns.  Later columns (an augmented right-hand side) are carried
-    along."""
-    n = len(aug)
-    pivots = []
-    row = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(row, n):
-            if aug[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    return pivots
-
-
-def _exact_gauss_solve(a_rows, b):
-    """One exact solution of A x = b (A given as rows), or None if
-    inconsistent.  Free variables are set to zero."""
-    n = len(a_rows)
-    if n == 0:
-        return []
-    k = len(a_rows[0])
-    aug = [[Fraction(a_rows[r][c]) for c in range(k)] + [Fraction(b[r])]
-           for r in range(n)]
-    pivots = _rref(aug, k)
-    for r in range(len(pivots), n):
-        if aug[r][k] != 0:
-            return None
+def exact_solve(columns, b):
+    """One rational x with sum_j x_j * columns[j] = b, read from the
+    reduced row echelon form of the augmented matrix with free variables
+    set to 0, or None when b is not in the span of the columns."""
+    k = len(columns)
+    aug = [[c[r] for c in columns] + [b[r]] for r in range(len(b))]
     x = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][k]
+    for col, row in ExactSpan(aug).rref():
+        if col == k:
+            return None
+        x[col] = row[k]
     return x
 
 
-def solve_membership(columns, b, rtol: float = FLOAT_RTOL):
-    """Decompose b over the given column vectors.
-
-    Returns (coefficients, residual): coefficients minimize the residual
-    (exact least squares over rationals when possible), and residual is
-    b - A c.  Membership holds when the residual vanishes (exactly, or
-    below rtol * max(1, |b|) in the float case).
-    """
-    n = len(b)
-    k = len(columns)
-    if k == 0:
-        return [], list(b)
-    rational = is_rational_matrix(columns) and all(
-        isinstance(x, (Fraction, int)) for x in b)
-    if rational:
-        cols = [[Fraction(x) for x in c] for c in columns]
-        bb = [Fraction(x) for x in b]
-        # normal equations: exact least squares (A^T A is invertible for
-        # independent columns; otherwise fall through to consistent solve)
-        ata = [[sum(cols[i][r] * cols[j][r] for r in range(n))
-                for j in range(k)] for i in range(k)]
-        atb = [sum(cols[i][r] * bb[r] for r in range(n)) for i in range(k)]
-        coeffs = _exact_gauss_solve(ata, atb)
-        if coeffs is None:
-            a_rows = [[cols[j][r] for j in range(k)] for r in range(n)]
-            coeffs = _exact_gauss_solve(a_rows, bb)
-            if coeffs is None:
-                coeffs = [Fraction(0)] * k
-        residual = [bb[r] - sum(coeffs[j] * cols[j][r] for j in range(k))
-                    for r in range(n)]
-        return coeffs, residual
-    a = np.array(columns, dtype=float).T
-    bv = np.array([float(x) for x in b])
-    coeffs, *_ = np.linalg.lstsq(a, bv, rcond=None)
-    residual = bv - a @ coeffs
-    return [float(c) for c in coeffs], [float(r) for r in residual]
-
-
-def residual_is_zero(residual, b, rtol: float = FLOAT_RTOL) -> bool:
-    if all(isinstance(x, (Fraction, int)) for x in residual):
-        return all(x == 0 for x in residual)
-    norm_r = math.sqrt(sum(float(x) ** 2 for x in residual))
-    norm_b = math.sqrt(sum(float(x) ** 2 for x in b))
-    return norm_r <= rtol * max(1.0, norm_b)
-
-
 def exact_nullspace(rows):
-    """Basis of the right nullspace of a rational matrix, exact."""
+    """Basis of the right nullspace of a rational matrix, read from its
+    reduced row echelon form: one vector per free column, ascending."""
     if not rows:
         return []
-    k = len(rows[0])
-    aug = [[Fraction(x) for x in row] for row in rows]
-    pivots = _rref(aug, k)
-    free = [c for c in range(k) if c not in pivots]
+    reduced = ExactSpan(rows).rref()
+    pivots = {col for col, _ in reduced}
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * k
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -aug[r][fc]
+    for free in range(len(rows[0])):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * len(rows[0])
+        v[free] = Fraction(1)
+        for col, row in reduced:
+            v[col] = -row[free]
         basis.append(v)
     return basis
+
+
+class Span:
+    """The span of row vectors, for membership and decomposition.
+
+    Rational rows are eliminated once into an `ExactSpan`, against which
+    rational vectors are decided exactly.  A float row or a float vector
+    uses the float rule instead: the least-squares residual r of vec
+    counts as zero when |r| <= rtol * max(1, |vec|).
+    """
+
+    def __init__(self, rows, rtol: float = FLOAT_RTOL):
+        self.rows = list(rows)
+        self.rtol = rtol
+        self._exact = (ExactSpan(self.rows)
+                      if is_rational_matrix(self.rows) else None)
+
+    def _is_exact(self, vec) -> bool:
+        return self._exact is not None and is_rational_matrix((vec,))
+
+    def contains(self, vec) -> bool:
+        if self._is_exact(vec):
+            return self._exact.contains(vec)
+        return self.decompose(vec)[0] is not None
+
+    def decompose(self, vec):
+        """(coefficients, residual) of vec over the rows.  The
+        coefficients c give sum_i c_i * rows[i] = vec (the exact solve,
+        or least squares), or are None when vec is not in the span; the
+        residual is linear in vec and zero exactly on the span."""
+        if self._is_exact(vec):
+            if self._exact.contains(vec):
+                return exact_solve(self.rows, vec), [Fraction(0)] * len(vec)
+            return None, self._exact.residual(vec)
+        a = np.array(self.rows, dtype=float).reshape(len(self.rows),
+                                                     len(vec)).T
+        bv = np.array([float(x) for x in vec])
+        coeffs = np.linalg.lstsq(a, bv, rcond=None)[0]
+        residual = [float(r) for r in bv - a @ coeffs]
+        norm_r = math.sqrt(sum(r ** 2 for r in residual))
+        norm_b = math.sqrt(sum(float(x) ** 2 for x in vec))
+        if norm_r <= self.rtol * max(1.0, norm_b):
+            return [float(c) for c in coeffs], residual
+        return None, residual
 
 
 def float_nullspace(rows, rtol: float = FLOAT_RTOL):
@@ -244,3 +236,10 @@ def float_nullspace(rows, rtol: float = FLOAT_RTOL):
             row = -row
         basis.append([float(x) for x in row])
     return basis
+
+
+def nullspace(rows, rtol: float = FLOAT_RTOL):
+    """Exact nullspace basis of a rational matrix, else the SVD one."""
+    if is_rational_matrix(rows):
+        return exact_nullspace(rows)
+    return float_nullspace(rows, rtol)

@@ -11,7 +11,7 @@ cross-validated numerically.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -20,9 +20,9 @@ from .conedual import ConeFamily
 from .distduality import (
     Distribution235, PseudoProductStructure, StructureError,
 )
-from .linalg import exact_nullspace, float_nullspace
+from .linalg import nullspace
 from .scalar import (
-    Const, OpaqueRegistry, Prod, ScalarExpr, Sum, Var, compile_expr,
+    Const, OpaqueRegistry, Prod, ScalarExpr, Sum, Var, compile_exprs,
     differentiate, evaluate, free_variables, normalize,
 )
 from .vecfield import Chart, ChartError, VectorField, lie_bracket
@@ -40,22 +40,6 @@ _BISECT_TOL = 1e-10
 _COSTATE_FLOOR = 1e-10
 
 _MODES = ("newton", "linear-singular", "fixed")
-
-
-# ---------------------------------------------------------------------------
-# expression compilation
-# ---------------------------------------------------------------------------
-
-def compile_exprs(exprs: Sequence[ScalarExpr], variables: Sequence[str],
-                  registry: Optional[OpaqueRegistry] = None):
-    """Compile a batch of expressions into one callable taking a value
-    sequence ordered like `variables` and returning a list of floats."""
-    fns = tuple(compile_expr(e, variables, registry) for e in exprs)
-
-    def batch(values):
-        return [fn(*values) for fn in fns]
-
-    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +436,7 @@ def _as_control_array(cs: ControlSystem, value) -> np.ndarray:
 
 class _ControlResolver:
     """Per-stage projection of the control onto the constraint manifold,
-    warm-started from the previous resolved value."""
+    warm-started from the control it is given."""
 
     def __init__(self, cs, ham, *, newton_tol, max_newton):
         self.cs = cs
@@ -564,20 +548,22 @@ def integrate_biextremal(cs: ControlSystem, x0, p0, u0, t_end, *,
 
     resolver = _ControlResolver(cs, ham, newton_tol=newton_tol,
                                 max_newton=max_newton)
-    current_u = u_init.copy()
+    residual_rows = []
+    control_rows = []
+    current_u = u_init
 
     def rhs(_t, y):
+        # every stage, of accepted and rejected steps alike, starts from
+        # the control of the last accepted node
         nonlocal current_u
         x, p = y[:m], y[m:]
-        current_u = resolver(x, p, current_u)
+        start = control_rows[-1] if control_rows else u_init
+        current_u = resolver(x, p, start)
         fc = np.concatenate([x, current_u])
         x_dot = np.array(f_fn(fc))
         jac = np.array(jac_fn(fc)).reshape(m, m)
         p_dot = -(p @ jac)
         return np.concatenate([x_dot, p_dot])
-
-    residual_rows = []
-    control_rows = []
 
     def accept(t, y, _f):
         x, p = y[:m], y[m:]
@@ -682,9 +668,7 @@ def _annihilating_costate(rows, prefer_row) -> np.ndarray:
     """A nullspace element of the rows, chosen to maximize the pairing
     with `prefer_row`, unit-normalized.  Exact elimination for rational
     data, otherwise a floating nullspace."""
-    exact = all(isinstance(x, (Fraction, int)) for row in rows
-                for x in row)
-    basis = exact_nullspace(rows) if exact else float_nullspace(rows)
+    basis = nullspace(rows)
     if not basis:
         raise StructureError("the annihilator conditions leave no costate")
     best, best_val = None, -1.0

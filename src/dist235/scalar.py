@@ -27,7 +27,8 @@ __all__ = [
     "ExprError", "ParseError", "UnknownSymbolError", "UndeclaredVariableError",
     "UnregisteredOpaqueError", "ZeroDenominatorError", "MissingAssignmentError",
     "parse_expr", "to_text", "normalize", "differentiate", "substitute",
-    "evaluate", "compile_expr", "is_zero", "min_degree", "const", "free_variables",
+    "evaluate", "compile_expr", "compile_exprs", "is_zero", "min_degree",
+    "const", "free_variables",
 ]
 
 
@@ -594,12 +595,13 @@ def _poly_mul(a, b):
 def _poly_pow(a, k: int):
     result = dict(_POLY_ONE)
     base = a
-    while k > 0:
+    while True:
         if k & 1:
             result = _poly_mul(result, base)
-        base = _poly_mul(base, base)
         k >>= 1
-    return result
+        if not k:
+            return result
+        base = _poly_mul(base, base)
 
 
 def _mono_degree(mono) -> int:
@@ -934,7 +936,19 @@ def evaluate(expr: ScalarExpr, point: dict,
 def compile_expr(expr: ScalarExpr, var_order: Sequence[str],
                  registry: Optional[OpaqueRegistry] = None) -> Callable:
     """Compile to a float function of positional arguments, one per name
-    in var_order.  Used in integrator hot loops."""
+    in var_order."""
+    return _compile((expr,), var_order, registry, batch=False)
+
+
+def compile_exprs(exprs: Sequence[ScalarExpr], var_order: Sequence[str],
+                  registry: Optional[OpaqueRegistry] = None) -> Callable:
+    """Compile a batch of expressions into one function taking a value
+    sequence ordered like var_order and returning the list of their
+    float values.  Used in integrator hot loops."""
+    return _compile(exprs, var_order, registry, batch=True)
+
+
+def _compile(exprs, var_order, registry, batch: bool) -> Callable:
     reg = _registry(registry)
     order = list(var_order)
     opaque_fns = {}
@@ -965,9 +979,14 @@ def compile_expr(expr: ScalarExpr, var_order: Sequence[str],
             return f"{fname}({emit(node.arg)})"
         raise TypeError(f"not a scalar expression: {node!r}")
 
-    body = emit(expr)
-    args = ",".join(f"v{i}" for i in range(len(order)))
-    src = f"def _compiled({args}):\n    return {body}\n"
+    bodies = [emit(e) for e in exprs]
+    args = "".join(f"v{i}," for i in range(len(order)))
+    if batch:
+        unpack = f"    {args} = values\n" if args else ""
+        src = (f"def _compiled(values):\n{unpack}"
+               f"    return [{', '.join(bodies)}]\n")
+    else:
+        src = f"def _compiled({args}):\n    return {bodies[0]}\n"
     namespace = dict(opaque_fns)
     exec(src, namespace)  # noqa: S102 - source is generated locally
     return namespace["_compiled"]

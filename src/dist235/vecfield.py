@@ -263,9 +263,10 @@ def reduce_mod(v: VectorField, frame: Frame, point: dict,
     reg = registry if registry is not None else frame.registry
     columns = frame.matrix_at(point, reg)
     b = v.evaluate_at(point, reg)
-    coeffs, residual = linalg.solve_membership(columns, b, rtol)
-    ok = linalg.residual_is_zero(residual, b, rtol)
-    return ReduceResult(ok, tuple(coeffs) if ok else None, tuple(residual))
+    coeffs, residual = linalg.Span(columns, rtol).decompose(b)
+    member = coeffs is not None
+    return ReduceResult(member, tuple(coeffs) if member else None,
+                        tuple(residual))
 
 
 def symbolic_decompose(v: VectorField, basis: Sequence[VectorField],
@@ -571,6 +572,4 @@ def cauchy_characteristic_at(sub: Frame, ambient: Frame, point: dict,
         n = len(residuals[0])
         for component in range(n):
             rows.append([residuals[i][component] for i in range(k)])
-    if linalg.is_rational_matrix(rows):
-        return linalg.exact_nullspace(rows)
-    return linalg.float_nullspace(rows)
+    return linalg.nullspace(rows)

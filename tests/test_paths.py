@@ -16,6 +16,7 @@ from dist235.conedual import ConeFamily, builtin_model, prolong_cone
 from dist235.distduality import (
     Distribution235, StructureError, prolong_235, solve_e,
 )
+from dist235 import paths
 from dist235.linalg import exact_nullspace
 from dist235.paths import (
     BiExtremalTrace, IntegrationError, SliceSpec, classify_biextremal,
@@ -441,6 +442,30 @@ class TestBiExtremal:
             integrate_biextremal(
                 cs, x0, (0, 0, 1, 0, 0), {"r": 1.0, "th": -1 / 16}, 0.3,
                 max_newton=0)
+
+    def test_warm_start_from_the_last_accepted_node(self, monkeypatch):
+        # The cubic model's singular control turns along the path, and a
+        # tight rtol with a large h_max forces rejected steps; no stage,
+        # of a rejected step or an accepted one, may start the
+        # projection from another stage's control.
+        received = []
+        resolve = paths._ControlResolver.__call__
+
+        def spy(self, x, p, u):
+            received.append(np.array(u, dtype=float))
+            return resolve(self, x, p, u)
+
+        monkeypatch.setattr(paths._ControlResolver, "__call__", spy)
+        cs = distribution_system(cubic_distribution())
+        trace = integrate_biextremal(
+            cs, BASE_CHART.origin(), (0, 1, 0, 0, 1), (1, 0), 1.0,
+            rtol=1e-10, atol=1e-14, h_max=1.0)
+        steps = len(trace.times) - 1
+        assert len(received) > 1 + 6 * steps  # some step was rejected
+        assert np.ptp(trace.controls[:, 1]) > 1e-2
+        assert np.array_equal(received[0], [1.0, 0.0])
+        for u in received[1:]:
+            assert any(np.array_equal(u, c) for c in trace.controls)
 
     def test_singular_rule_rank_guard(self):
         # A costate annihilating both depth-three pairings leaves the

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dist235 import scalar
 from dist235.boxes import Box
 from dist235.scalar import (
     Const, Opaque, OpaqueRegistry, ParseError, Pow, Prod, Sum,
@@ -159,6 +160,35 @@ class TestNormalize:
     def test_strict_mode_rejects_undeclared(self):
         with pytest.raises(UndeclaredVariableError):
             normalize(Var("nope"), CHART, strict=True)
+
+
+class TestPolyPow:
+    # x1 + 2*x2 - 1/3 in the engine's sparse form
+    X1, X2 = (0, 0, "x1"), (0, 1, "x2")
+    POLY = {((X1, 1),): Fraction(1), ((X2, 1),): Fraction(2),
+            (): Fraction(-1, 3)}
+
+    def count_products(self, monkeypatch, k):
+        calls = []
+        real = scalar._poly_mul
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(scalar, "_poly_mul", counting)
+        scalar._poly_pow(self.POLY, k)
+        return len(calls)
+
+    def test_no_square_after_the_last_bit(self, monkeypatch):
+        assert self.count_products(monkeypatch, 1) == 1
+        assert self.count_products(monkeypatch, 5) == 4
+
+    def test_powers_equal_repeated_multiplication(self):
+        expected = dict(scalar._POLY_ONE)
+        for k in range(7):
+            assert scalar._poly_pow(self.POLY, k) == expected
+            expected = scalar._poly_mul(expected, self.POLY)
 
 
 # ---------------------------------------------------------------------------

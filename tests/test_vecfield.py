@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from dist235 import linalg
 from dist235.boxes import Box
@@ -148,10 +149,30 @@ def random_frame(rng, n_rows, n_cols, rank):
     return rows
 
 
+def sympy_matrix(rows, n_cols):
+    return sympy.Matrix(len(rows), n_cols,
+                        [sympy.Rational(x.numerator, x.denominator)
+                         for row in rows for x in map(Fraction, row)])
+
+
+def as_fractions(entries):
+    return [Fraction(int(x.p), int(x.q)) for x in entries]
+
+
+def random_candidates(rng, rows, n_cols):
+    """A random vector (usually outside the span) and an integer
+    combination of the rows (inside it)."""
+    return [
+        random_frame(rng, 1, n_cols, 1)[0],
+        [sum((Fraction(rng.randint(-3, 3)) * row[j] for row in rows),
+             Fraction(0)) for j in range(n_cols)],
+    ]
+
+
 class TestExactSpan:
-    """The integer echelon behind exact rank and membership agrees with
-    Fraction elimination (nullspace), with exact_rank, and with
-    solve_membership + residual_is_zero."""
+    """The integer echelon behind every exact rank, membership, residual,
+    solve and nullspace agrees with sympy's elimination on seeded
+    rational frames, including rank-deficient ones."""
 
     def test_rank_on_random_frames(self):
         rng = random.Random(71)
@@ -161,7 +182,7 @@ class TestExactSpan:
             rank = rng.randint(0, min(n_rows, n_cols))
             rows = random_frame(rng, n_rows, n_cols, rank)
             span = linalg.ExactSpan(rows)
-            expected = n_cols - len(linalg.exact_nullspace(rows))
+            expected = sympy_matrix(rows, n_cols).rank()
             assert span.rank == expected == linalg.exact_rank(rows)
 
     def test_membership_on_random_frames(self):
@@ -173,18 +194,66 @@ class TestExactSpan:
             rows = random_frame(rng, rng.randint(rank, rank + 2), n_cols,
                                 rank)
             span = linalg.ExactSpan(rows)
-            candidates = [
-                random_frame(rng, 1, n_cols, 1)[0],
-                [sum((Fraction(rng.randint(-3, 3)) * row[j] for row in rows),
-                     Fraction(0)) for j in range(n_cols)],
-            ]
-            for vec in candidates:
-                _, residual = linalg.solve_membership(rows, vec)
-                expected = linalg.residual_is_zero(residual, vec)
+            for vec in random_candidates(rng, rows, n_cols):
+                expected = (sympy_matrix(rows + [vec], n_cols).rank()
+                            == sympy_matrix(rows, n_cols).rank())
                 assert span.contains(vec) == expected
+                assert (not any(span.residual(vec))) == expected
                 members += expected
                 outsiders += not expected
         assert members > 0 and outsiders > 0
+
+    def test_residual_is_linear(self):
+        rng = random.Random(73)
+        for _ in range(40):
+            n_cols = rng.randint(2, 6)
+            rank = rng.randint(0, n_cols)
+            span = linalg.ExactSpan(random_frame(rng, rank + 1, n_cols,
+                                                 rank))
+            u, v = random_frame(rng, 2, n_cols, 2)
+            a, b = Fraction(rng.randint(-4, 4), 3), Fraction(rng.randint(1, 5))
+            combo = [a * x + b * y for x, y in zip(u, v)]
+            assert span.residual(combo) == [
+                a * x + b * y
+                for x, y in zip(span.residual(u), span.residual(v))]
+
+    def test_rref_and_nullspace_match_sympy(self):
+        rng = random.Random(74)
+        for _ in range(60):
+            n_cols = rng.randint(1, 6)
+            n_rows = rng.randint(1, 7)
+            rank = rng.randint(0, min(n_rows, n_cols))
+            rows = random_frame(rng, n_rows, n_cols, rank)
+            m = sympy_matrix(rows, n_cols)
+            reduced, pivots = m.rref()
+            assert linalg.ExactSpan(rows).rref() == [
+                (col, as_fractions(reduced.row(i)))
+                for i, col in enumerate(pivots)]
+            assert linalg.exact_nullspace(rows) == [
+                as_fractions(v) for v in m.nullspace()]
+
+    def test_exact_solve_matches_sympy(self):
+        rng = random.Random(75)
+        solved = inconsistent = 0
+        for _ in range(60):
+            n_cols = rng.randint(1, 6)
+            rank = rng.randint(1, n_cols)
+            columns = random_frame(rng, rng.randint(rank, rank + 2), n_cols,
+                                   rank)
+            a = sympy_matrix(columns, n_cols).T
+            for b in random_candidates(rng, columns, n_cols):
+                x = linalg.exact_solve(columns, b)
+                try:
+                    sol, params = a.gauss_jordan_solve(
+                        sympy_matrix([b], n_cols).T)
+                except ValueError:
+                    assert x is None
+                    inconsistent += 1
+                    continue
+                free_zero = sol.subs({t: 0 for t in params})
+                assert x == as_fractions(free_zero)
+                solved += 1
+        assert solved > 0 and inconsistent > 0
 
     def test_zero_vector_and_zero_row(self):
         rows = [[Fraction(1, 2), Fraction(0), Fraction(3)],
@@ -195,10 +264,51 @@ class TestExactSpan:
         assert span.contains([0, 0, 0])
         assert span.contains([Fraction(1, 3), 0, 2])
         assert not span.contains([0, 1, 0])
+        assert span.residual([0, 1, 0]) == [0, 1, 0]
+        assert span.rref() == [(0, [1, 0, 6])]
+        assert linalg.exact_nullspace(rows) == [[0, 1, 0], [-6, 0, 1]]
         empty = linalg.ExactSpan([])
         assert empty.rank == 0
         assert empty.contains([0, 0])
         assert not empty.contains([0, Fraction(1, 7)])
+        assert linalg.exact_solve([], [0, 0]) == []
+        assert linalg.exact_solve([], [0, Fraction(1, 7)]) is None
+
+
+class TestSpan:
+    """Rational data is decided by the echelon, float data by the
+    least-squares rule with its relative tolerance."""
+
+    ROWS = [[Fraction(1), Fraction(2), Fraction(0)],
+            [Fraction(0), Fraction(1), Fraction(1, 3)]]
+
+    def test_rational_vector_is_exact(self):
+        span = linalg.Span(self.ROWS)
+        coeffs, residual = span.decompose([2, 7, 1])
+        assert coeffs == [2, 3] and residual == [0, 0, 0]
+        member = [Fraction(1), Fraction(2), Fraction(10 ** -12)]
+        assert not span.contains(member)
+        coeffs, residual = span.decompose(member)
+        assert coeffs is None
+        assert residual == linalg.ExactSpan(self.ROWS).residual(member)
+
+    def test_float_vector_uses_the_tolerance(self):
+        span = linalg.Span(self.ROWS)
+        assert span.contains([1.0, 2.0, 1e-12])
+        coeffs, _ = span.decompose([2.0, 7.0, 1.0])
+        assert coeffs == [pytest.approx(2.0), pytest.approx(3.0)]
+        assert not span.contains([1.0, 2.0, 1e-3])
+        assert linalg.Span(self.ROWS, rtol=1e-15).decompose(
+            [1.0, 2.0, 1e-12])[0] is None
+
+    def test_nullspace_dispatch(self):
+        assert linalg.nullspace(self.ROWS) == linalg.exact_nullspace(
+            self.ROWS)
+        floats = [[float(x) for x in row] for row in self.ROWS]
+        (v,) = linalg.nullspace(floats)
+        expected = [2 / 3, -1 / 3, 1]
+        norm = sum(x * x for x in expected) ** 0.5
+        assert v == pytest.approx([x / norm for x in expected], rel=1e-9)
 
 
 class TestDerivedFlag:
