@@ -78,9 +78,6 @@ class Box:
                 return lo, hi
         raise KeyError(name)
 
-    def center(self) -> dict:
-        return {name: (lo + hi) / 2 for name, lo, hi in self.intervals}
-
     def scaled(self, factor) -> "Box":
         """Shrink or grow every interval about its center."""
         f = as_fraction(factor)
@@ -92,9 +89,6 @@ class Box:
             r = (hi - lo) / 2 * f
             ivs.append((name, c - r, c + r))
         return Box(tuple(ivs))
-
-    def merged(self, other: "Box") -> "Box":
-        return Box(self.intervals + other.intervals)
 
     def contains(self, point: dict) -> bool:
         for name, lo, hi in self.intervals:

@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from . import linalg
 from .boxes import Box, as_fraction
 from .distduality import (
     Distribution235, PseudoProductStructure, StructureError, _format_point,
@@ -35,10 +34,9 @@ from .scalar import (
     min_degree, normalize, parse_expr, substitute, to_text,
 )
 from .vecfield import (
-    Chart, ChartError, DegenerateFrameError, Frame, OneForm, VectorField,
-    check_contact, coordinate_field, exterior_derivative,
-    field_from_strings, lie_bracket, pair, rank_at, reduce_mod,
-    symbolic_decompose,
+    Chart, ChartError, DegenerateFrameError, Frame, OneForm, PointValues,
+    VectorField, check_contact, coordinate_field, exterior_derivative,
+    field_from_strings, lie_bracket, pair, rank_at, symbolic_decompose,
 )
 
 _SECTION_SEED = 94070
@@ -220,11 +218,10 @@ def cone_frame(family: ConeFamily) -> tuple:
 # non-degeneracy
 # ---------------------------------------------------------------------------
 
-def check_nondegenerate(family: ConeFamily, point: Optional[dict] = None,
-                        samples: int = 8,
-                        rtol: float = linalg.FLOAT_RTOL) -> bool:
+def check_nondegenerate(family: ConeFamily,
+                        point: Optional[dict] = None) -> bool:
     """True when the generator and its three direction-derivatives have
-    rank 4 at the point and along sampled directions through it.
+    rank 4 at the point and along 8 evenly spaced directions through it.
 
     Equivalently: the curve of directions is non-degenerate (no
     osculating subspace collapses) near the point.
@@ -234,13 +231,12 @@ def check_nondegenerate(family: ConeFamily, point: Optional[dict] = None,
     fields = tuple(family.zeta(k) for k in (2, 3, 4, 5))
     lo, hi = family.box.bounds(family.theta)
     theta_values = [point[family.theta]]
-    for i in range(samples):
-        theta_values.append(lo + (hi - lo) * Fraction(2 * i + 1,
-                                                      2 * samples))
+    for i in range(8):
+        theta_values.append(lo + (hi - lo) * Fraction(2 * i + 1, 16))
     for theta in theta_values:
         probe = dict(point)
         probe[family.theta] = theta
-        if rank_at(fields, probe, rtol, family.registry) != 4:
+        if rank_at(fields, probe, family.registry) != 4:
             return False
     return True
 
@@ -269,11 +265,12 @@ class LagrangianReport:
 
 
 def check_lagrangian(family: ConeFamily,
-                     section: Optional[DirectionField] = None,
-                     box: Optional[Box] = None) -> LagrangianReport:
+                     section: Optional[DirectionField] = None
+                     ) -> LagrangianReport:
     """Check that the plane spanned by the generator and its first
     direction-derivative is annihilated by the contact form and isotropic
-    for its exterior derivative."""
+    for its exterior derivative, over the family's box (its base part
+    when a section is given)."""
     registry = family.registry
     alpha = family.lifted_alpha
     d_alpha = exterior_derivative(alpha, registry)
@@ -285,15 +282,13 @@ def check_lagrangian(family: ConeFamily,
         ("tangent plane is isotropic", pair(d_alpha, zeta2, zeta3)),
     )
     if section is None:
-        check_box = box if box is not None else family.box
+        check_box = family.box
         variables = family.z_chart.variables
         exprs = quantities
         section_text = None
     else:
-        x_box = (box if box is not None
-                 else Box(tuple(iv for iv in family.box.intervals
-                                if iv[0] != family.theta)))
-        check_box = x_box
+        check_box = Box(tuple(iv for iv in family.box.intervals
+                              if iv[0] != family.theta))
         variables = family.x_chart.variables
         mapping = {family.theta: section.expr}
         exprs = tuple((name, normalize(substitute(q, mapping), variables))
@@ -360,15 +355,17 @@ def osculating(family: ConeFamily,
             f"[{lo}, {hi}]")
 
     fields = [family.section_field(k, section) for k in (2, 3, 4, 5)]
+    at = PointValues(point, registry)
     frames = []
     for (stage_name, expected), count in zip(_OSCULATING_STAGES, (2, 3, 4)):
         stage_fields = tuple(fields[:count])
-        achieved = rank_at(stage_fields, point, registry=registry)
+        achieved = at.rank(stage_fields)
         if achieved != expected:
             raise StructureError(
                 f"{stage_name} has rank {achieved}, expected {expected} "
                 f"at {_format_point(point)}")
-        frames.append(Frame(family.x_chart, stage_fields, point, registry))
+        frames.append(Frame(family.x_chart, stage_fields, point, registry,
+                            at))
 
     # The third osculating space must not depend on the section: adding
     # the frames of a handful of deterministic alternative sections must
@@ -390,8 +387,7 @@ def osculating(family: ConeFamily,
                 family.x_chart.variables))
         alt_fields = tuple(family.section_field(k, alt)
                            for k in (2, 3, 4, 5))
-        union_rank = rank_at(frames[2].fields + alt_fields, point,
-                             registry=registry)
+        union_rank = at.rank(frames[2].fields + alt_fields)
         if union_rank != 4:
             independent = False
             witnesses.append(
@@ -413,10 +409,10 @@ def _full_frame(family: ConeFamily) -> tuple:
     """(fields, complement): the five zetas completed to a 6-frame by the
     first coordinate field keeping full rank at the base point."""
     zetas = cone_frame(family)
+    at = PointValues(family.base_point, family.registry)
     for var in reversed(family.x_chart.variables):
         candidate = coordinate_field(family.z_chart, var)
-        if rank_at(zetas + (candidate,), family.base_point,
-                   registry=family.registry) == 6:
+        if at.rank(zetas + (candidate,)) == 6:
             return zetas + (candidate,), candidate
     raise DegenerateFrameError(
         "no coordinate field completes the direction frame at the base "
@@ -462,16 +458,15 @@ def _decomposition_at(family: ConeFamily, base_key: tuple,
     return coeffs, complement
 
 
-def check_osculating_condition(family: ConeFamily,
-                               box: Optional[Box] = None
+def check_osculating_condition(family: ConeFamily
                                ) -> OsculatingConditionReport:
     """Check [zeta2, zeta3] = 0 modulo (zeta1, zeta2, zeta3, zeta4)
-    identically over the box.
+    identically over the family's box.
 
     This single identity on the direction space discharges the
     section-wise condition for every direction field at once.
     """
-    box = box if box is not None else family.box
+    box = family.box
     coeffs, complement = _bracket_decomposition(family)
     labels = ("coefficient along the third derivative direction",
               f"coefficient along {complement.name}")
@@ -502,8 +497,7 @@ class SolveUResult:
     report: OsculatingConditionReport
 
 
-def solve_U(family: ConeFamily, self_check_samples: int = 20,
-            rtol: float = linalg.FLOAT_RTOL) -> SolveUResult:
+def solve_U(family: ConeFamily) -> SolveUResult:
     """Solve for U with [zeta2 + U*zeta1, zeta3] = 0 modulo
     (zeta1, zeta2, zeta3).
 
@@ -527,16 +521,15 @@ def solve_U(family: ConeFamily, self_check_samples: int = 20,
               for c1, c2 in zip(zeta1.components, zeta2.components)),
         "L")
     # Self-check: the corrected generator's bracket with zeta3 reduces
-    # into (zeta1, zeta2, zeta3) at sample points.
+    # into (zeta1, zeta2, zeta3) at 20 Halton points of the box.
     low_frame = Frame(family.z_chart,
                       (zeta1, zeta2, family.zeta(3)),
                       family.base_point, family.registry)
     corrected_bracket = lie_bracket(l_field, family.zeta(3),
                                     family.registry)
-    for point in family.box.sample_points(self_check_samples):
-        result = reduce_mod(corrected_bracket, low_frame, point, rtol,
-                            family.registry)
-        if not result.member:
+    for point in family.box.sample_points(20):
+        if not PointValues(point, family.registry).member(
+                corrected_bracket, low_frame):
             raise StructureError(
                 "correction self-check failed: the corrected bracket "
                 f"leaves the low span at {_format_point(point)}")

@@ -26,8 +26,8 @@ from .scalar import (
 )
 from .vecfield import (
     Chart, ChartError, ChartMismatchError, DegenerateFrameError,
-    DistributionFlag, Frame, VectorField, coordinate_field, derived_flag,
-    lie_bracket, rank_at, reduce_mod, symbolic_decompose,
+    DistributionFlag, Frame, PointValues, VectorField, coordinate_field,
+    derived_flag, lie_bracket, reduce_mod, symbolic_decompose,
 )
 
 
@@ -107,7 +107,8 @@ def check_235(eta1: VectorField, eta2: VectorField, base_point: dict,
         box = default_box(base_point)
 
     failures = []
-    base_rank = rank_at((eta1, eta2), base_point, registry=registry)
+    at_base = PointValues(base_point, registry)
+    base_rank = at_base.rank((eta1, eta2))
     if base_rank < 2:
         failures.append(
             f"generators have rank {base_rank} at {_format_point(base_point)}")
@@ -115,7 +116,7 @@ def check_235(eta1: VectorField, eta2: VectorField, base_point: dict,
                               constant_rank=False, stabilized=False,
                               failures=tuple(failures), flag=None)
 
-    frame = Frame(chart, (eta1, eta2), base_point, registry)
+    frame = Frame(chart, (eta1, eta2), base_point, registry, at_base)
     flag = derived_flag(frame, box=box, samples=samples, registry=registry)
     if flag.growth != _GROWTH_235:
         failures.append(
@@ -224,6 +225,7 @@ class ProlongedDistribution:
     @cached_property
     def _layer_frames(self) -> tuple:
         e1, e2, e3, _, _ = self.etas
+        at_base = PointValues(self.base_point, self.registry)
         layers = (
             (self.zeta1, self.zeta2),
             (e1, e2, self.zeta2),
@@ -232,7 +234,7 @@ class ProlongedDistribution:
             (e1, e2, e3, self.w4, self.zeta2, self.complement_field),
         )
         return tuple(Frame(self.z_chart, fields, self.base_point,
-                           self.registry) for fields in layers)
+                           self.registry, at_base) for fields in layers)
 
     def layer_frame(self, depth: int) -> Frame:
         return self._layer_frames[depth]
@@ -384,7 +386,12 @@ class PseudoProductStructure:
               k_field: VectorField, l_field: VectorField, base_point: dict,
               box: Optional[Box] = None,
               registry: Optional[OpaqueRegistry] = None,
-              name: str = "structure") -> "PseudoProductStructure":
+              name: str = "structure",
+              flag: Optional[DistributionFlag] = None
+              ) -> "PseudoProductStructure":
+        """Validate the splitting and derive the weak derived flag of E on
+        the box, or take `flag`, one already derived from these
+        generators on this box."""
         if registry is None:
             registry = default_registry()
         if box is None:
@@ -398,18 +405,22 @@ class PseudoProductStructure:
                     "all fields must live on the same 6-chart")
         if z_chart.dimension != 6:
             raise ChartError("the prolonged chart must be 6-dimensional")
-        e_frame = Frame(z_chart, gens, base_point, registry)
+        at_base = PointValues(base_point, registry)
+        e_frame = Frame(z_chart, gens, base_point, registry, at_base)
         # K and L must be sections of E, independent at the base point.
         for line, label in ((k_field, "K"), (l_field, "L")):
-            res = reduce_mod(line, e_frame, base_point, registry=registry)
+            res = at_base.reduce(line, e_frame)
             if not res.member:
                 raise StructureError(
                     f"{label} generator is not a section of E at the "
                     f"base point (residual {res.residual})")
-        if rank_at((k_field, l_field), base_point, registry=registry) != 2:
+        if at_base.rank((k_field, l_field)) != 2:
             raise StructureError(
                 "K and L generators are dependent at the base point")
-        flag = derived_flag(e_frame, box=box, registry=registry)
+        if flag is None:
+            flag = derived_flag(e_frame, box=box, registry=registry)
+        elif flag.frames[0] != e_frame:
+            raise StructureError("the given flag is not that of E")
         if flag.growth != _GROWTH_PROLONGED:
             raise GrowthError(
                 f"{name}: plane field has growth {flag.growth}, "
@@ -437,43 +448,8 @@ _CONDITIONS = (
 )
 
 
-class _PointValues:
-    """Field values and layer spans at one point, each computed once.
-
-    Membership and rank are decided by `linalg`, exactly when the values
-    are rational and with a relative tolerance otherwise, as `reduce_mod`
-    and `rank_at` do.
-    """
-
-    def __init__(self, point: dict, registry: OpaqueRegistry, rtol: float):
-        self.point = point
-        self.registry = registry
-        self.rtol = rtol
-        self._values = {}  # id(field) -> values
-        self._spans = {}   # id(frame) -> linalg.Span
-
-    def value(self, f: VectorField) -> list:
-        key = id(f)
-        if key not in self._values:
-            self._values[key] = f.evaluate_at(self.point, self.registry)
-        return self._values[key]
-
-    def member(self, f: VectorField, frame: Frame) -> bool:
-        span = self._spans.get(id(frame))
-        if span is None:
-            span = linalg.Span([self.value(w) for w in frame.fields],
-                               self.rtol)
-            self._spans[id(frame)] = span
-        return span.contains(self.value(f))
-
-    def rank(self, fields: Sequence[VectorField]) -> int:
-        return linalg.matrix_rank([self.value(f) for f in fields], self.rtol)
-
-
 def verify_pseudo_product(structure: PseudoProductStructure,
-                          box: Optional[Box] = None, samples: int = 32,
-                          rtol: float = linalg.FLOAT_RTOL
-                          ) -> PseudoProductReport:
+                          samples: int = 32) -> PseudoProductReport:
     """Evaluate the seven bracket conditions of the splitting.
 
     Each condition is checked as an inclusion (every bracket lies in the
@@ -482,17 +458,17 @@ def verify_pseudo_product(structure: PseudoProductStructure,
     together with the smaller layer achieve the larger layer's rank).
     Both checks, and the splitting check that K and L are independent
     sections of E, are sampled: they run at the base point and at
-    `samples` deterministic Halton points of the box.  At each point every
-    field (layer generators, K, L and the brackets) is evaluated once and
-    each layer frame is eliminated once, in exact integer arithmetic when
-    the values are rational.  A failing bracket is witnessed by the first
-    point where it leaves its layer, a stalled condition by the first
-    point where the rank falls short.
+    `samples` deterministic Halton points of the structure's box.  At each
+    point one `PointValues` table evaluates every field (layer generators,
+    K, L and the brackets) once and eliminates each layer frame once, in
+    exact integer arithmetic when the values are rational.  A failing
+    bracket is witnessed by the first point where it leaves its layer, a
+    stalled condition by the first point where the rank falls short.
     """
-    box = box if box is not None else structure.box
     registry = structure.registry
     flag = structure.flag
-    points = [structure.base_point] + list(box.sample_points(samples))
+    points = [structure.base_point] + list(
+        structure.box.sample_points(samples))
     frames = flag.frames[:5]
     k_field, l_field = structure.k_field, structure.l_field
     role_fields = {"K": k_field, "L": l_field}
@@ -511,7 +487,7 @@ def verify_pseudo_product(structure: PseudoProductStructure,
     exits = [[None] * len(group) for group in brackets]
     stalls = [None] * len(_CONDITIONS)
     for point in points:
-        at = _PointValues(point, registry, rtol)
+        at = PointValues(point, registry)
         # Splitting check: K, L sections of E, jointly of rank 2.
         for label in ("K", "L"):
             if not at.member(role_fields[label], frames[0]):
@@ -591,7 +567,8 @@ class SolveEResult:
         return PseudoProductStructure.build(
             prolonged.z_chart, (prolonged.zeta1, prolonged.zeta2),
             self.k_field, self.l_field, prolonged.base_point,
-            prolonged.box, prolonged.registry, name=name)
+            prolonged.box, prolonged.registry, name=name,
+            flag=prolonged.flag)
 
 
 def _correction_pair(prolonged: ProlongedDistribution, w: VectorField,
@@ -609,8 +586,7 @@ def _correction_pair(prolonged: ProlongedDistribution, w: VectorField,
     return coeffs1[complement_index], coeffs2[complement_index]
 
 
-def solve_e(prolonged: ProlongedDistribution, samples: int = 20,
-            rtol: float = linalg.FLOAT_RTOL) -> SolveEResult:
+def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
     """Determine the scalar e with K = zeta1 + e*zeta2 whose bracket with
     every layer-3 frame generator stays in layer 3.
 
@@ -618,8 +594,9 @@ def solve_e(prolonged: ProlongedDistribution, samples: int = 20,
     [zeta1 + e*zeta2, w] is affine in e; the system is solved symbolically
     by exact elimination (pivots chosen nonzero at the base point).  If
     the elimination degenerates, the solver falls back to pointwise
-    sampling and returns the sampled values as a table with a warning
-    instead of inventing a closed form.
+    sampling (the base point and 20 Halton points) and returns the
+    sampled values as a table with a warning instead of inventing a
+    closed form.
     """
     registry = prolonged.registry
     layer3 = prolonged.layer_frame(3)
@@ -631,7 +608,7 @@ def solve_e(prolonged: ProlongedDistribution, samples: int = 20,
         pairs = [_correction_pair(prolonged, w, basis, complement_index)
                  for w in layer3.fields]
     except DegenerateFrameError as exc:
-        return _solve_e_pointwise(prolonged, samples, rtol, str(exc))
+        return _solve_e_pointwise(prolonged, 20, str(exc))
 
     # Pick the equation whose linear coefficient is largest at the base
     # point; for the canonical construction this is the bracket with the
@@ -641,7 +618,7 @@ def solve_e(prolonged: ProlongedDistribution, samples: int = 20,
         mag = abs(float(evaluate(b, prolonged.base_point, registry)))
         if mag > best_mag:
             best, best_mag = (a, b), mag
-    if best is None or best_mag <= rtol:
+    if best is None or best_mag <= linalg.FLOAT_RTOL:
         raise StructureError(
             "no bracket produces a usable linear coefficient for the "
             "correction scalar at the base point")
@@ -676,7 +653,7 @@ def solve_e(prolonged: ProlongedDistribution, samples: int = 20,
 
 
 def _solve_e_pointwise(prolonged: ProlongedDistribution, samples: int,
-                       rtol: float, reason: str) -> SolveEResult:
+                       reason: str) -> SolveEResult:
     """Fallback: sample the correction scalar pointwise over the box.
 
     At each point the bracket of the horizontal generator with w4 is
@@ -690,7 +667,7 @@ def _solve_e_pointwise(prolonged: ProlongedDistribution, samples: int,
     points = [prolonged.base_point] + list(
         prolonged.box.sample_points(samples))
     for point in points:
-        red = reduce_mod(bracket1, prolonged.layer_frame(4), point, rtol,
+        red = reduce_mod(bracket1, prolonged.layer_frame(4), point,
                          registry)
         if not red.member:
             raise StructureError(
@@ -735,9 +712,10 @@ class SymbolAlgebraReport:
 
 
 def symbol_algebra_at(structure: PseudoProductStructure,
-                      point: Optional[dict] = None,
-                      rtol: float = linalg.FLOAT_RTOL) -> SymbolAlgebraReport:
-    """Evaluate the graded bracket table of the splitting at a point."""
+                      point: Optional[dict] = None) -> SymbolAlgebraReport:
+    """Evaluate the graded bracket table of the splitting at a point,
+    against the layer frames of the structure's flag; one `PointValues`
+    table evaluates each field once."""
     registry = structure.registry
     if point is None:
         point = structure.base_point
@@ -747,17 +725,16 @@ def symbol_algebra_at(structure: PseudoProductStructure,
             f"flag growth {flag.growth} does not provide the five graded "
             "layers")
     k, l = structure.k_field, structure.l_field
-    e3 = lie_bracket(k, l, registry).renamed("e3")
-    e4 = lie_bracket(k, e3, registry).renamed("e4")
-    e5 = lie_bracket(k, e4, registry).renamed("e5")
-    e6 = lie_bracket(l, e5, registry).renamed("e6")
+    e3 = lie_bracket(k, l, registry)
+    e4 = lie_bracket(k, e3, registry)
+    e5 = lie_bracket(k, e4, registry)
+    e6 = lie_bracket(l, e5, registry)
 
-    layer_fields = {d: flag.frames[d].fields for d in range(5)}
+    at = PointValues(point, registry)
     entries = []
 
     def grading(name, rep, depth, expected_rank):
-        achieved = rank_at(layer_fields[depth] + (rep,), point, rtol,
-                           registry)
+        achieved = at.rank(flag.frames[depth].fields + (rep,))
         ok = achieved == expected_rank
         detail = (f"rank of layer {depth} plus {name} is {achieved}, "
                   f"expected {expected_rank}")
@@ -765,11 +742,7 @@ def symbol_algebra_at(structure: PseudoProductStructure,
         return ok
 
     def vanishing(name, bracket_field, depth):
-        res = reduce_mod(
-            bracket_field,
-            Frame(structure.z_chart, layer_fields[depth],
-                  structure.base_point, registry),
-            point, rtol, registry)
+        res = at.reduce(bracket_field, flag.frames[depth])
         detail = ("reduces into layer " + str(depth) if res.member else
                   f"residual {tuple(float(r) for r in res.residual)}")
         entries.append((name, res.member, detail))
@@ -784,9 +757,9 @@ def symbol_algebra_at(structure: PseudoProductStructure,
     ok &= vanishing("[L, e4] drops weight", lie_bracket(l, e4, registry), 2)
     ok &= vanishing("[K, e5] drops weight", lie_bracket(k, e5, registry), 3)
 
-    reps = tuple(
-        (f.name, tuple(f.evaluate_at(point, registry)))
-        for f in (k.renamed("e1"), l.renamed("e2"), e3, e4, e5, e6))
+    reps = tuple((name, tuple(at.value(f))) for name, f in (
+        ("e1", k), ("e2", l), ("e3", e3), ("e4", e4), ("e5", e5),
+        ("e6", e6)))
     return SymbolAlgebraReport(
         point=tuple(sorted(point.items())), entries=tuple(entries),
         passed=bool(ok), representatives=reps)

@@ -659,11 +659,6 @@ def singular_path_field(structure: PseudoProductStructure,
     raise StructureError(f"side must be 'K' or 'L', got {side!r}")
 
 
-def _exact_values(fields, point, registry) -> list:
-    return [[evaluate(comp, point, registry) for comp in v.components]
-            for v in fields]
-
-
 def _annihilating_costate(rows, prefer_row) -> np.ndarray:
     """A nullspace element of the rows, chosen to maximize the pairing
     with `prefer_row`, unit-normalized.  Exact elimination for rational
@@ -703,14 +698,14 @@ def lift_fiber(structure: PseudoProductStructure, side: str,
     e3 = lie_bracket(k_field, l_field, registry)
     e4 = lie_bracket(k_field, e3, registry)
     if side == "L":
-        rows = _exact_values((k_field, l_field, e3), z0, registry)
-        prefer = _exact_values((e4,), z0, registry)[0]
+        rows = [f.evaluate_at(z0, registry) for f in (k_field, l_field, e3)]
+        prefer = e4.evaluate_at(z0, registry)
         u0 = (0.0, 1.0)
     else:
         e5 = lie_bracket(k_field, e4, registry)
-        rows = _exact_values((k_field, l_field, e3, e4, e5), z0, registry)
-        prefer = _exact_values(
-            (lie_bracket(l_field, e5, registry),), z0, registry)[0]
+        rows = [f.evaluate_at(z0, registry)
+                for f in (k_field, l_field, e3, e4, e5)]
+        prefer = lie_bracket(l_field, e5, registry).evaluate_at(z0, registry)
         u0 = (1.0, 0.0)
     p0 = _annihilating_costate(rows, prefer)
     cs = prolonged_system(structure, mode="fixed")
@@ -808,10 +803,9 @@ def singular_launch(cs: ControlSystem, x0: dict, theta0):
         family = cs.source
         z0 = dict(x0)
         z0[family.theta] = theta0
-        rows = [row[:5] for row in _exact_values(
-            (family.zeta(2), family.zeta(3)), z0, family.registry)]
-        prefer = [evaluate(c, z0, family.registry)
-                  for c in family.zeta(4).components[:5]]
+        rows = [family.zeta(k).evaluate_at(z0, family.registry)[:5]
+                for k in (2, 3)]
+        prefer = family.zeta(4).evaluate_at(z0, family.registry)[:5]
         p0 = _annihilating_costate(rows, prefer)
         u0 = {cs.control_names[0]: 1.0,
               cs.control_names[1]: float(theta0)}
@@ -820,9 +814,9 @@ def singular_launch(cs: ControlSystem, x0: dict, theta0):
         dist = cs.source
         ratio = as_fraction(theta0)
         mixed = _mixed_depth_field(dist, ratio)
-        rows = _exact_values(
-            (dist.eta1, dist.eta2, dist.eta3, mixed), x0, dist.registry)
-        prefer = _exact_values((dist.eta5,), x0, dist.registry)[0]
+        rows = [f.evaluate_at(x0, dist.registry)
+                for f in (dist.eta1, dist.eta2, dist.eta3, mixed)]
+        prefer = dist.eta5.evaluate_at(x0, dist.registry)
         p0 = _annihilating_costate(rows, prefer)
         norm = float(np.hypot(1.0, float(ratio)))
         u0 = (1.0 / norm, float(ratio) / norm)

@@ -1008,23 +1008,21 @@ class ZeroCheck:
         return self.status in ("provably-zero", "numerically-zero")
 
 
-_MIN_SAMPLES = 32
+_ZERO_SAMPLES = 32
 _NUMERIC_TOL = 1e-9
 
 
 def is_zero(expr: ScalarExpr, box: Box,
             chart: Optional[Sequence[str]] = None,
-            registry: Optional[OpaqueRegistry] = None,
-            samples: int = _MIN_SAMPLES) -> ZeroCheck:
+            registry: Optional[OpaqueRegistry] = None) -> ZeroCheck:
     """Decide whether an expression vanishes identically on a box.
 
     Opaque-free input is decided exactly from the normal form; otherwise
-    at least 32 quasi-random rational points are evaluated and compared
+    32 quasi-random rational points are evaluated and compared
     against 1e-9 * (1 + max |coefficient|).  Coordinates the box fixes
     (zero-width intervals) are substituted first, so the decision is
     about the expression on the box, not on the whole chart.
     """
-    samples = max(samples, _MIN_SAMPLES)
     fixed = {name: lo for name, lo, hi in box.intervals if lo == hi}
     if fixed:
         expr = substitute(expr, fixed)
@@ -1041,8 +1039,8 @@ def is_zero(expr: ScalarExpr, box: Box,
         canon = normalize(expr, chart)
         tried = 0
         skip = 0
-        while tried < 8 * samples:
-            for pt in box.sample_points(samples, skip=skip):
+        while tried < 8 * _ZERO_SAMPLES:
+            for pt in box.sample_points(_ZERO_SAMPLES, skip=skip):
                 tried += 1
                 try:
                     v = evaluate(canon, pt, registry)
@@ -1052,14 +1050,14 @@ def is_zero(expr: ScalarExpr, box: Box,
                     raise MissingAssignmentError(exc.name)
                 if v != 0:
                     return ZeroCheck("nonzero", witness=pt, value=v)
-            skip += samples
+            skip += _ZERO_SAMPLES
         raise ExprError("nonzero normal form but no witness found in box")
     max_coeff = 0.0
     for _, c in nf.num:
         max_coeff = max(max_coeff, abs(float(c)))
     threshold = _NUMERIC_TOL * (1.0 + max_coeff)
     worst_pt, worst_val = None, 0.0
-    for pt in box.sample_points(samples):
+    for pt in box.sample_points(_ZERO_SAMPLES):
         fpt = {k: float(v) for k, v in pt.items()}
         try:
             v = float(evaluate(expr, fpt, registry))

@@ -1,14 +1,17 @@
 """Vector fields, frames, derived flags, and differential forms on charts.
 
 All coefficient arithmetic is symbolic through the scalar engine; rank
-and membership decisions happen pointwise, exactly at rational points.
+and membership decisions happen pointwise, exactly at rational points,
+and every one of them reads a `PointValues` table: each field is
+evaluated once per point and each frame eliminated once per point.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -117,11 +120,6 @@ class VectorField:
                                                    registry))))
         return normalize(Sum(tuple(terms)), self.chart.variables)
 
-    def normalized(self) -> "VectorField":
-        comps = tuple(normalize(c, self.chart.variables)
-                      for c in self.components)
-        return VectorField(self.chart, comps, self.name)
-
     def lifted(self, chart: Chart) -> "VectorField":
         """The same field on an extended chart (zero new components)."""
         n = self.chart.dimension
@@ -183,64 +181,32 @@ def field_from_strings(chart: Chart, texts: Sequence[str],
 
 def lie_bracket(v: VectorField, w: VectorField,
                 registry: Optional[OpaqueRegistry] = None) -> VectorField:
-    """[v, w]^j = sum_i v^i d(w^j)/dx_i - w^i d(v^j)/dx_i, normalized."""
+    """[v, w]^j = sum_i v^i d(w^j)/dx_i - w^i d(v^j)/dx_i, normalized.
+
+    Memoized on the chart, the components of v and w and the registry
+    object (field names play no part), so asking again for a bracket
+    returns the same field object."""
     if v.chart != w.chart:
         raise ChartMismatchError("bracket of fields on different charts")
-    chart_vars = v.chart.variables
+    return _bracket(v.chart, v.components, w.components,
+                    registry if registry is not None else default_registry())
+
+
+@functools.lru_cache(maxsize=256)
+def _bracket(chart: Chart, v: tuple, w: tuple,
+             registry: OpaqueRegistry) -> VectorField:
+    chart_vars = chart.variables
     comps = []
-    for j in range(v.chart.dimension):
+    for j in range(chart.dimension):
         terms = []
         for i, var in enumerate(chart_vars):
-            terms.append(Prod((v.components[i],
-                               differentiate(w.components[j], var,
-                                             chart_vars, registry))))
-            terms.append(Prod((Const(Fraction(-1)), w.components[i],
-                               differentiate(v.components[j], var,
-                                             chart_vars, registry))))
+            terms.append(Prod((v[i], differentiate(w[j], var, chart_vars,
+                                                   registry))))
+            terms.append(Prod((Const(Fraction(-1)), w[i],
+                               differentiate(v[j], var, chart_vars,
+                                             registry))))
         comps.append(normalize(Sum(tuple(terms)), chart_vars))
-    return VectorField(v.chart, tuple(comps))
-
-
-def rank_at(fields: Sequence[VectorField], point: dict,
-            rtol: float = linalg.FLOAT_RTOL,
-            registry: Optional[OpaqueRegistry] = None) -> int:
-    rows = [f.evaluate_at(point, registry) for f in fields]
-    return linalg.matrix_rank(rows, rtol)
-
-
-@dataclass(frozen=True)
-class Frame:
-    """An ordered list of fields required to be independent at the base
-    point."""
-
-    chart: Chart
-    fields: tuple
-    base_point: dict = field(compare=False)
-    registry: Optional[OpaqueRegistry] = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "fields", tuple(self.fields))
-        for f in self.fields:
-            if f.chart != self.chart:
-                raise ChartMismatchError("frame fields live on another chart")
-        r = rank_at(self.fields, self.base_point, registry=self.registry)
-        if r != len(self.fields):
-            raise DegenerateFrameError(
-                f"frame fields have rank {r} < {len(self.fields)} at the "
-                f"base point")
-
-    @property
-    def rank(self) -> int:
-        return len(self.fields)
-
-    def matrix_at(self, point: dict,
-                  registry: Optional[OpaqueRegistry] = None) -> list:
-        reg = registry if registry is not None else self.registry
-        return [f.evaluate_at(point, reg) for f in self.fields]
-
-    def extended(self, *extra: VectorField) -> "Frame":
-        return Frame(self.chart, self.fields + tuple(extra), self.base_point,
-                     self.registry)
+    return VectorField(chart, tuple(comps))
 
 
 @dataclass(frozen=True)
@@ -253,20 +219,95 @@ class ReduceResult:
         return self.member
 
 
+class PointValues:
+    """Field values and frame spans at one point, each computed once.
+
+    Fields and frames are keyed by identity; the table holds every object
+    it keys on, so no `id` is reused while it is alive.  Rank and
+    membership are decided by `linalg`: exactly when the values are
+    rational, with its relative tolerance otherwise.
+    """
+
+    def __init__(self, point: dict,
+                 registry: Optional[OpaqueRegistry] = None):
+        self.point = point
+        self.registry = registry
+        self._values = {}  # id(field) -> (field, values)
+        self._spans = {}   # id(frame) -> (frame, linalg.Span)
+
+    def value(self, f: VectorField) -> list:
+        entry = self._values.get(id(f))
+        if entry is None:
+            entry = (f, f.evaluate_at(self.point, self.registry))
+            self._values[id(f)] = entry
+        return entry[1]
+
+    def rank(self, fields: Sequence[VectorField]) -> int:
+        return linalg.matrix_rank([self.value(f) for f in fields])
+
+    def _span(self, frame: "Frame") -> linalg.Span:
+        entry = self._spans.get(id(frame))
+        if entry is None:
+            entry = (frame,
+                     linalg.Span([self.value(w) for w in frame.fields]))
+            self._spans[id(frame)] = entry
+        return entry[1]
+
+    def member(self, v: VectorField, frame: "Frame") -> bool:
+        return self._span(frame).contains(self.value(v))
+
+    def reduce(self, v: VectorField, frame: "Frame") -> ReduceResult:
+        """Decompose v over the frame: member with coefficients, or a
+        nonzero residual vector."""
+        if v.chart != frame.chart:
+            raise ChartMismatchError("field and frame on different charts")
+        coeffs, residual = self._span(frame).decompose(self.value(v))
+        member = coeffs is not None
+        return ReduceResult(member, tuple(coeffs) if member else None,
+                            tuple(residual))
+
+
+def rank_at(fields: Sequence[VectorField], point: dict,
+            registry: Optional[OpaqueRegistry] = None) -> int:
+    return PointValues(point, registry).rank(fields)
+
+
+@dataclass(frozen=True)
+class Frame:
+    """An ordered list of fields required to be independent at the base
+    point.  `values`, when given, is a `PointValues` table at the base
+    point with the frame's registry, read instead of evaluating anew."""
+
+    chart: Chart
+    fields: tuple
+    base_point: dict = field(compare=False)
+    registry: Optional[OpaqueRegistry] = field(default=None, compare=False)
+    values: InitVar[Optional[PointValues]] = None
+
+    def __post_init__(self, values):
+        object.__setattr__(self, "fields", tuple(self.fields))
+        for f in self.fields:
+            if f.chart != self.chart:
+                raise ChartMismatchError("frame fields live on another chart")
+        if values is None:
+            values = PointValues(self.base_point, self.registry)
+        r = values.rank(self.fields)
+        if r != len(self.fields):
+            raise DegenerateFrameError(
+                f"frame fields have rank {r} < {len(self.fields)} at the "
+                f"base point")
+
+    @property
+    def rank(self) -> int:
+        return len(self.fields)
+
+
 def reduce_mod(v: VectorField, frame: Frame, point: dict,
-               rtol: float = linalg.FLOAT_RTOL,
                registry: Optional[OpaqueRegistry] = None) -> ReduceResult:
     """Decompose v(point) over the frame: member with coefficients, or a
     nonzero residual vector."""
-    if v.chart != frame.chart:
-        raise ChartMismatchError("field and frame on different charts")
     reg = registry if registry is not None else frame.registry
-    columns = frame.matrix_at(point, reg)
-    b = v.evaluate_at(point, reg)
-    coeffs, residual = linalg.Span(columns, rtol).decompose(b)
-    member = coeffs is not None
-    return ReduceResult(member, tuple(coeffs) if member else None,
-                        tuple(residual))
+    return PointValues(point, reg).reduce(v, frame)
 
 
 def symbolic_decompose(v: VectorField, basis: Sequence[VectorField],
@@ -335,7 +376,8 @@ def symbolic_decompose(v: VectorField, basis: Sequence[VectorField],
 @dataclass(frozen=True)
 class DistributionFlag:
     """Weak derived flag of a generating frame: frames of increasing rank,
-    the growth vector, and whether ranks were constant on the sampled box."""
+    the growth vector, and whether ranks were constant on the sampled box.
+    `stabilized` always holds: each pass grows the rank or stops."""
 
     frames: tuple
     growth: tuple
@@ -351,74 +393,63 @@ class DistributionFlag:
         return self.frames[depth]
 
 
-def derived_flag(generators: Frame, max_depth: int = 8,
-                 box: Optional[Box] = None, samples: int = 16,
+def derived_flag(generators: Frame, box: Optional[Box] = None,
+                 samples: int = 16,
                  registry: Optional[OpaqueRegistry] = None) -> DistributionFlag:
-    """Iterate F_{i+1} = F_i + [F_0, F_i] until the rank stabilizes or
-    fills the chart, extending frames in deterministic bracket order."""
+    """Iterate F_{i+1} = F_i + [F_0, F_i] until the rank stops growing or
+    fills the chart, extending frames in deterministic bracket order.
+
+    Each pass grows the rank or stops, so the chart dimension bounds the
+    number of passes.  With a box, the rank of every frame (and, below
+    the full chart, that of the brackets which did not grow the top
+    frame) is checked at `samples` Halton points of it.
+    """
     if registry is None:
         registry = generators.registry
     chart = generators.chart
     base = generators.base_point
+    at_base = PointValues(base, registry)
     frames = [generators]
     growth = [generators.rank]
-    bracket_cache = {}
-    stabilized = False
-    depth = 0
-    while depth < max_depth:
+    while frames[-1].rank < chart.dimension:
         current = frames[-1]
         extended = list(current.fields)
-        grew = False
-        for i, gen in enumerate(generators.fields):
+        for gen in generators.fields:
             for fld in current.fields:
-                key = (i, fld)
-                if key not in bracket_cache:
-                    bracket_cache[key] = lie_bracket(gen, fld, registry)
-                b = bracket_cache[key]
+                b = lie_bracket(gen, fld, registry)
                 if all(c == Const(Fraction(0)) for c in b.components):
                     continue
-                if rank_at(extended + [b], base, registry=registry) \
-                        > len(extended):
+                if at_base.rank(extended + [b]) > len(extended):
                     extended.append(b)
-                    grew = True
-        if not grew:
-            stabilized = True
+        if len(extended) == current.rank:
             break
-        frames.append(Frame(chart, tuple(extended), base, registry))
+        frames.append(Frame(chart, tuple(extended), base, registry,
+                            at_base))
         growth.append(len(extended))
-        depth += 1
-        if len(extended) == chart.dimension:
-            # the next pass could not grow past the chart dimension
-            stabilized = True
-            break
     constant_rank = True
     witnesses = []
     if box is not None:
         top = frames[-1]
-        candidates = []
-        if stabilized and top.rank < chart.dimension:
-            # brackets that failed to grow the span at the base point must
-            # keep failing on the box, else the growth is not constant
-            for i, gen in enumerate(generators.fields):
-                for fld in top.fields:
-                    key = (i, fld)
-                    if key not in bracket_cache:
-                        bracket_cache[key] = lie_bracket(gen, fld, registry)
-                    candidates.append(bracket_cache[key])
+        # brackets that failed to grow the span at the base point must
+        # keep failing on the box, else the growth is not constant
+        candidates = tuple(lie_bracket(gen, fld, registry)
+                           for gen in generators.fields
+                           for fld in top.fields
+                           if top.rank < chart.dimension)
         for pt in box.sample_points(samples):
+            at = PointValues(pt, registry)
             for k, fr in enumerate(frames):
-                r = rank_at(fr.fields, pt, registry=registry)
+                r = at.rank(fr.fields)
                 if r != fr.rank:
                     constant_rank = False
                     witnesses.append((k, tuple(sorted(pt.items())), r))
             if candidates:
-                r = rank_at(list(top.fields) + candidates, pt,
-                            registry=registry)
+                r = at.rank(top.fields + candidates)
                 if r != top.rank:
                     constant_rank = False
                     witnesses.append((len(frames) - 1,
                                       tuple(sorted(pt.items())), r))
-    return DistributionFlag(tuple(frames), tuple(growth), stabilized,
+    return DistributionFlag(tuple(frames), tuple(growth), True,
                             constant_rank, tuple(witnesses))
 
 
@@ -536,13 +567,19 @@ def _perm_sign(perm) -> int:
 
 
 def check_contact(alpha: OneForm, point: dict,
-                  rtol: float = linalg.FLOAT_RTOL,
                   registry: Optional[OpaqueRegistry] = None) -> bool:
-    """True when alpha is a contact form at the point."""
-    vol = contact_volume(alpha, point, registry)
-    if isinstance(vol, Fraction):
-        return vol != 0
-    return abs(vol) > rtol
+    """True when alpha is a contact form at the point: the bordered
+    antisymmetric matrix [[0, alpha], [-alpha^T, d(alpha)]] has rank 6,
+    which holds exactly when alpha ^ d(alpha) ^ d(alpha) is nonzero."""
+    if alpha.chart.dimension != 5:
+        raise ChartError("contact check needs a 5-dimensional chart")
+    d = exterior_derivative(alpha, registry)
+    a = [evaluate(c, point, registry) for c in alpha.components]
+    rows = [[0] + a] + [
+        [-a[i]] + [evaluate(d.coefficient(i, j), point, registry)
+                   for j in range(5)]
+        for i in range(5)]
+    return linalg.matrix_rank(rows) == 6
 
 
 def cauchy_characteristic_at(sub: Frame, ambient: Frame, point: dict,
@@ -556,9 +593,10 @@ def cauchy_characteristic_at(sub: Frame, ambient: Frame, point: dict,
     """
     if sub.chart != ambient.chart:
         raise ChartMismatchError("frames on different charts")
+    at = PointValues(point,
+                     registry if registry is not None else ambient.registry)
     for v in sub.fields:
-        red = reduce_mod(v, ambient, point, registry=registry)
-        if not red.member:
+        if not at.member(v, ambient):
             raise DegenerateFrameError(
                 "sub-frame is not contained in the ambient span at the point")
     rows = []
@@ -567,8 +605,7 @@ def cauchy_characteristic_at(sub: Frame, ambient: Frame, point: dict,
         residuals = []
         for v in sub.fields:
             b = lie_bracket(v, w, registry)
-            red = reduce_mod(b, ambient, point, registry=registry)
-            residuals.append(red.residual)
+            residuals.append(at.reduce(b, ambient).residual)
         n = len(residuals[0])
         for component in range(n):
             rows.append([residuals[i][component] for i in range(k)])

@@ -1,11 +1,14 @@
-"""Shared helpers: seeded random expression trees and rational points."""
+"""Shared helpers: seeded random expression trees and rational points,
+and a recorder of field evaluations."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from dist235.scalar import Const, Opaque, Pow, Prod, Sum, Var
+from dist235.vecfield import VectorField
 
 
 def random_rational(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:
@@ -43,3 +46,25 @@ def random_point(rng: random.Random, variables, span=Fraction(1, 2),
                  grid: int = 64) -> dict:
     return {v: span * Fraction(rng.randint(-grid, grid), grid)
             for v in variables}
+
+
+def record_evaluations(monkeypatch) -> list:
+    """Patch `VectorField.evaluate_at` to append (field, point items) for
+    every evaluation to the returned list (which keeps each field alive,
+    so no id is reused while it is read)."""
+    calls = []
+    original = VectorField.evaluate_at
+
+    def recording(self, point, registry=None):
+        calls.append((self, tuple(sorted(point.items()))))
+        return original(self, point, registry)
+
+    monkeypatch.setattr(VectorField, "evaluate_at", recording)
+    return calls
+
+
+def repeated_evaluations(calls) -> list:
+    """The (field name, point) pairs evaluated more than once."""
+    counts = Counter((id(f), pt) for f, pt in calls)
+    names = {id(f): f.name for f, _ in calls}
+    return [(names[key], pt) for (key, pt), n in counts.items() if n > 1]

@@ -499,8 +499,10 @@ class TestRunSuite:
         assert check["detail"].startswith("ZeroDivisionError: ")
 
     def test_each_object_is_built_once(self):
+        # hilbert-cartan: the flag of its plane field and that of the
+        # prolonged E, which the splitting of `solve_e` reuses
         assert call_counts(lambda: run_suite(hc_model(), "prolong", 7),
-                           check_235, derived_flag) == [1, 3]
+                           check_235, derived_flag) == [1, 2]
         assert call_counts(lambda: run_suite(flat_cone_model(), "prolong",
                                              7),
                            derived_flag) == [1]

@@ -389,7 +389,7 @@ class TestSolveU:
                     family.base_point, family.registry)
         bracket = lie_bracket(result.l_field, family.zeta(3))
         for point in family.box.sample_points(50):
-            reduced = reduce_mod(bracket, low, point, TOL)
+            reduced = reduce_mod(bracket, low, point)
             assert reduced.member
 
     def test_failing_condition_blocks_solve(self):

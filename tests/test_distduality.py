@@ -17,16 +17,15 @@ from dist235.distduality import (
     StructureError, _format_point, _solve_e_pointwise, check_235,
     prolong_235, solve_e, symbol_algebra_at, verify_pseudo_product,
 )
-from dist235.linalg import FLOAT_RTOL
 from dist235.scalar import (
     OpaqueRegistry, evaluate, is_zero, parse_expr, to_text,
 )
 from dist235.vecfield import (
-    Chart, ChartError, ChartMismatchError, Frame, coordinate_field,
-    field_from_strings, lie_bracket, rank_at, reduce_mod,
+    Chart, ChartError, ChartMismatchError, Frame, _bracket,
+    coordinate_field, field_from_strings, lie_bracket, rank_at, reduce_mod,
 )
 
-from helpers import random_point
+from helpers import random_point, record_evaluations, repeated_evaluations
 
 TOL = 1e-9
 SEED = 20260822
@@ -304,7 +303,7 @@ class TestSolveE:
         eta1, eta2 = flat_model()
         dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin())
         pro = prolong_235(dist)
-        result = _solve_e_pointwise(pro, samples=10, rtol=TOL,
+        result = _solve_e_pointwise(pro, samples=10,
                                     reason="forced by test")
         assert not result.symbolic
         assert result.expression is None
@@ -443,6 +442,16 @@ class TestVerifyPseudoProduct:
             PseudoProductStructure.build(
                 chart, (v, w), v, w, chart.origin())
 
+    def test_flag_of_another_plane_field_rejected(self):
+        pro, structure = build_flat_structure()
+        other = prolong_235(Distribution235(
+            BASE_CHART, *cubic_model(), BASE_CHART.origin()))
+        with pytest.raises(StructureError, match="flag"):
+            PseudoProductStructure.build(
+                structure.z_chart, structure.e_generators,
+                structure.k_field, structure.l_field, structure.base_point,
+                structure.box, structure.registry, flag=other.flag)
+
     def test_non_section_k_rejected(self):
         pro, structure = build_flat_structure()
         outsider = pro.etas[2]  # eta3 is not a section of E
@@ -459,28 +468,28 @@ class TestVerifyPseudoProduct:
         assert lines[-1] == "verdict: valid"
 
 
-def reference_verify(structure, box=None, samples=32, rtol=FLOAT_RTOL):
+def reference_verify(structure, samples=32):
     """The per-bracket loop verify_pseudo_product replaced, kept as its
     reference: every membership goes through reduce_mod and every rank
     through rank_at, re-evaluating the layer frame for each bracket at
     each point."""
-    box = box if box is not None else structure.box
     registry = structure.registry
     flag = structure.flag
-    points = [structure.base_point] + list(box.sample_points(samples))
+    points = [structure.base_point] + list(
+        structure.box.sample_points(samples))
     frames = {depth: flag.frames[depth] for depth in range(5)}
     role_fields = {"K": structure.k_field, "L": structure.l_field}
 
     splitting_witnesses = []
     for point in points:
         for label in ("K", "L"):
-            res = reduce_mod(role_fields[label], frames[0], point, rtol,
+            res = reduce_mod(role_fields[label], frames[0], point,
                              registry)
             if not res.member:
                 splitting_witnesses.append(
                     f"{label} leaves E at {_format_point(point)}")
         pair_rank = rank_at((structure.k_field, structure.l_field), point,
-                            rtol, registry)
+                            registry)
         if pair_rank != 2:
             splitting_witnesses.append(
                 f"K and L have joint rank {pair_rank} at "
@@ -499,7 +508,7 @@ def reference_verify(structure, box=None, samples=32, rtol=FLOAT_RTOL):
         inclusion_ok = True
         for bracket_field, a_name, b_name in brackets:
             for point in points:
-                res = reduce_mod(bracket_field, frames[target], point, rtol,
+                res = reduce_mod(bracket_field, frames[target], point,
                                  registry)
                 if not res.member:
                     inclusion_ok = False
@@ -511,7 +520,7 @@ def reference_verify(structure, box=None, samples=32, rtol=FLOAT_RTOL):
         if required is not None:
             extended = frames[depth].fields + tuple(b for b, _, _ in brackets)
             for point in points:
-                achieved = rank_at(extended, point, rtol, registry)
+                achieved = rank_at(extended, point, registry)
                 if achieved != required:
                     growth_ok = False
                     witnesses.append(
@@ -632,6 +641,20 @@ class TestSwapped:
         assert verify_pseudo_product(swapped) == \
             verify_pseudo_product(rebuilt)
 
+    @pytest.mark.parametrize("name", ["hilbert-cartan", "flat-cone",
+                                      "noncubic-bc"])
+    def test_swap_verification_computes_no_new_bracket(self, name):
+        # [L, w] and [K, w] of the swap are [K, w] and [L, w] of the first
+        # verification, and [L, K] is [L, zeta1]: in these models K has
+        # the components of the layer generator zeta1 (e = 0 for
+        # hilbert-cartan; K is the fiber field of a cone family).
+        structure = bundled_structure(name)
+        _bracket.cache_clear()
+        verify_pseudo_product(structure)
+        misses = _bracket.cache_info().misses
+        verify_pseudo_product(structure.swapped())
+        assert _bracket.cache_info().misses == misses
+
 
 # ---------------------------------------------------------------------------
 # symbol algebra
@@ -657,6 +680,23 @@ class TestSymbolAlgebra:
         report = symbol_algebra_at(structure)
         names = [name for name, _ in report.representatives]
         assert names == ["e1", "e2", "e3", "e4", "e5", "e6"]
+
+    @pytest.mark.parametrize("name", ["hilbert-cartan", "flat-cone"])
+    def test_one_table_and_no_frame(self, monkeypatch, name):
+        structure = bundled_structure(name)
+        frames = []
+        validate = Frame.__post_init__
+
+        def counting(self, values):
+            frames.append(self)
+            validate(self, values)
+
+        monkeypatch.setattr(Frame, "__post_init__", counting)
+        calls = record_evaluations(monkeypatch)
+        report = symbol_algebra_at(structure)
+        assert report.passed
+        assert frames == []
+        assert calls and repeated_evaluations(calls) == []
 
     def test_swapped_structure_fails_weight_drop(self):
         # Frozen by hand: with roles exchanged the bracket [L, e3]

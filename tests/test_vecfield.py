@@ -1,22 +1,28 @@
 """Vector fields, brackets, flags, forms: exact pointwise linear algebra."""
 
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from dist235 import linalg
+from dist235 import conedual, distduality, linalg, vecfield
 from dist235.boxes import Box
-from dist235.scalar import Const, Prod, Sum, normalize, parse_expr, to_text
+from dist235.scalar import (
+    Const, OpaqueRegistry, Prod, Sum, normalize, parse_expr, to_text,
+)
 from dist235.vecfield import (
     Chart, ChartError, ChartMismatchError, DegenerateFrameError, Frame,
-    OneForm, VectorField, cauchy_characteristic_at, check_contact,
-    contact_volume, coordinate_field, derived_flag, exterior_derivative,
-    field_from_strings, lie_bracket, pair, rank_at, reduce_mod, zero_field,
+    OneForm, VectorField, _bracket, cauchy_characteristic_at,
+    check_contact, contact_volume, coordinate_field, derived_flag,
+    exterior_derivative, field_from_strings, lie_bracket, pair, rank_at,
+    reduce_mod, zero_field,
 )
 
-from helpers import random_tree
+from helpers import (
+    random_point, random_tree, record_evaluations, repeated_evaluations,
+)
 
 CH5 = Chart(("x", "y", "y1", "y2", "z"))
 BASE = CH5.origin()
@@ -104,6 +110,30 @@ class TestBracket:
                 diff = normalize(Sum((c1, Prod((Const(Fraction(-1)), c2)))),
                                  CH5.variables)
                 assert diff == Const(Fraction(0))
+
+    def test_memoized_on_components_not_names(self):
+        eta1, eta2 = growth_frame()
+        first = lie_bracket(eta1, eta2)
+        misses = _bracket.cache_info().misses
+        again = lie_bracket(eta1.renamed("other"),
+                            VectorField(CH5, eta2.components))
+        assert again is first
+        assert _bracket.cache_info().misses == misses
+
+    def test_registry_is_part_of_the_key(self):
+        # the same opaque name with two derivative rules: f' = 2u, f' = 3u^2
+        registries = []
+        for rule in ("2*u", "3*u^2"):
+            reg = OpaqueRegistry()
+            reg.register("f", evaluator=lambda u: u, derivative=parse_expr(
+                rule, ("u",)))
+            registries.append(reg)
+        dx = coordinate_field(CH5, "x")
+        w = field_from_strings(CH5, ["0", "f(x)", "0", "0", "0"],
+                               registries[0])
+        texts = [to_text(lie_bracket(dx, w, reg).components[1])
+                 for reg in registries]
+        assert texts == ["2*x", "3*x^2"]
 
 
 class TestRank:
@@ -346,6 +376,19 @@ class TestDerivedFlag:
         assert not flag.constant_rank
         assert flag.rank_witnesses
 
+    @pytest.mark.parametrize("box", [None, BOX], ids=["base", "box"])
+    def test_each_field_evaluated_once_per_point(self, monkeypatch, box):
+        eta1, eta2 = growth_frame()
+        frame = Frame(CH5, (eta1, eta2), BASE)
+        calls = record_evaluations(monkeypatch)
+        flag = derived_flag(frame, box=box)
+        assert flag.growth == (2, 3, 5)
+        assert repeated_evaluations(calls) == []
+        # the five flag fields at each of the 16 sample points
+        base = tuple(sorted(BASE.items()))
+        assert sum(pt != base for _, pt in calls) == \
+            (0 if box is None else 16 * 5)
+
 
 class TestReduceMod:
     def test_member(self):
@@ -428,6 +471,32 @@ class TestForms:
                                   for s in ["0", "0", "0", "0", "1"]))
         assert not check_contact(flat, CHX.origin())
 
+    def test_contact_rule_is_relative(self):
+        # The standard form scaled by 1e-4 through an opaque coefficient:
+        # its volume is about 6e-12, yet it is as much a contact form.
+        reg = OpaqueRegistry()
+        reg.register("s", evaluator=lambda u: 1e-4,
+                     derivative=parse_expr("0", ()))
+        alpha = OneForm(CHX, tuple(
+            CHX.parse(f"s(x1)*({c})", reg)
+            for c in ["0", "-x3", "2*x2", "-x1", "1"]))
+        vol = contact_volume(alpha, CHX.origin(), reg)
+        assert isinstance(vol, float) and 0 < abs(vol) < 1e-11
+        assert check_contact(alpha, CHX.origin(), registry=reg)
+
+    def test_contact_decision_matches_the_volume(self):
+        rng = random.Random(4242)
+        verdicts = []
+        for _ in range(100):
+            alpha = OneForm(CHX, tuple(
+                random_tree(rng, CHX.variables[:3], depth=2)
+                for _ in range(5)))
+            point = random_point(rng, CHX.variables)
+            contact = check_contact(alpha, point)
+            assert contact == (contact_volume(alpha, point) != 0)
+            verdicts.append(contact)
+        assert 0 < verdicts.count(False) < len(verdicts)
+
 
 class TestCauchy:
     def test_empty_for_growth_frame_derived(self):
@@ -464,3 +533,22 @@ class TestCauchy:
         with pytest.raises(ChartMismatchError):
             lie_bracket(eta1, field_from_strings(
                 other, ["1", "0", "0", "0", "0"]))
+
+
+def test_no_public_function_takes_rtol():
+    # the one tolerance for rank and membership decisions lives in linalg
+    offenders = []
+    for module in (vecfield, distduality, conedual):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(
+                    obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members = [(f"{name}.{attr}", getattr(obj, attr))
+                           for attr in vars(obj) if not attr.startswith("_")]
+            for label, fn in members:
+                if callable(fn) and "rtol" in inspect.signature(
+                        fn).parameters:
+                    offenders.append(f"{module.__name__}.{label}")
+    assert offenders == []
