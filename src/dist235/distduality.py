@@ -76,7 +76,6 @@ class Check235Report:
     growth: tuple
     passed: bool
     constant_rank: bool
-    stabilized: bool
     failures: tuple = ()
     flag: Optional[DistributionFlag] = field(default=None, compare=False)
 
@@ -113,7 +112,7 @@ def check_235(eta1: VectorField, eta2: VectorField, base_point: dict,
         failures.append(
             f"generators have rank {base_rank} at {_format_point(base_point)}")
         return Check235Report(growth=(base_rank,), passed=False,
-                              constant_rank=False, stabilized=False,
+                              constant_rank=False,
                               failures=tuple(failures), flag=None)
 
     frame = Frame(chart, (eta1, eta2), base_point, registry, at_base)
@@ -130,7 +129,6 @@ def check_235(eta1: VectorField, eta2: VectorField, base_point: dict,
     passed = flag.growth == _GROWTH_235 and flag.constant_rank
     return Check235Report(growth=flag.growth, passed=passed,
                           constant_rank=flag.constant_rank,
-                          stabilized=flag.stabilized,
                           failures=tuple(failures), flag=flag)
 
 

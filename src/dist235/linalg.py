@@ -7,12 +7,17 @@ rational point is exact, not an estimate.  Data with a float entry falls
 back to float rules with a relative tolerance: rank by partial-pivot
 elimination, membership by a least-squares residual, nullspace by SVD.
 No other module chooses between the two.
+
+A row or vector may be passed as a `Row`, which carries its integer
+scaling; a caller that tests one vector many times (`PointValues`)
+scales it once that way.  A plain sequence is scaled where it is used.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -23,16 +28,28 @@ def is_rational_matrix(rows) -> bool:
     return all(isinstance(x, (Fraction, int)) for row in rows for x in row)
 
 
-def _integer_row(row) -> list:
-    """A rational row scaled to coprime integers (the same line)."""
-    fracs = [x if isinstance(x, (Fraction, int)) else Fraction(x)
-             for x in row]
-    lcm = math.lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (lcm // f.denominator) for f in fracs]
+class Row(NamedTuple):
+    """A value vector and the same line scaled to coprime integers, or
+    None in place of those when an entry is a float."""
+
+    values: list
+    ints: Optional[list]
+
+
+def as_row(values) -> Row:
+    """The `Row` of a value vector: its integer scaling, done once."""
+    if not is_rational_matrix((values,)):
+        return Row(values, None)
+    lcm = math.lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (lcm // x.denominator) for x in values]
     g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-    return ints
+    return Row(values, ints)
+
+
+def _row(x) -> Row:
+    return x if isinstance(x, Row) else as_row(x)
 
 
 class ExactSpan:
@@ -50,7 +67,7 @@ class ExactSpan:
     def __init__(self, rows=()):
         self._echelon = []  # (pivot column, integer row), pivots ascending
         for row in rows:
-            v = self._reduce(_integer_row(row))
+            v = self._reduce(_row(row).ints)
             for col, x in enumerate(v):
                 if x:
                     # append and sort rather than bisect.insort: importing
@@ -79,7 +96,7 @@ class ExactSpan:
 
     def contains(self, vec) -> bool:
         """True when the rational vector lies in the span."""
-        return not any(self._reduce(_integer_row(vec)))
+        return not any(self._reduce(_row(vec).ints))
 
     def residual(self, vec) -> list:
         """vec minus the combination of echelon rows that clears every
@@ -138,9 +155,10 @@ def float_rank(rows, rtol: float = FLOAT_RTOL) -> int:
 
 
 def matrix_rank(rows, rtol: float = FLOAT_RTOL) -> int:
-    if is_rational_matrix(rows):
+    rows = [_row(r) for r in rows]
+    if all(r.ints is not None for r in rows):
         return exact_rank(rows)
-    return float_rank(rows, rtol)
+    return float_rank([r.values for r in rows], rtol)
 
 
 def exact_solve(columns, b):
@@ -186,16 +204,15 @@ class Span:
     """
 
     def __init__(self, rows, rtol: float = FLOAT_RTOL):
-        self.rows = list(rows)
+        self.rows = [_row(r) for r in rows]
         self.rtol = rtol
         self._exact = (ExactSpan(self.rows)
-                      if is_rational_matrix(self.rows) else None)
-
-    def _is_exact(self, vec) -> bool:
-        return self._exact is not None and is_rational_matrix((vec,))
+                       if all(r.ints is not None for r in self.rows)
+                       else None)
 
     def contains(self, vec) -> bool:
-        if self._is_exact(vec):
+        vec = _row(vec)
+        if self._exact is not None and vec.ints is not None:
             return self._exact.contains(vec)
         return self.decompose(vec)[0] is not None
 
@@ -204,17 +221,20 @@ class Span:
         coefficients c give sum_i c_i * rows[i] = vec (the exact solve,
         or least squares), or are None when vec is not in the span; the
         residual is linear in vec and zero exactly on the span."""
-        if self._is_exact(vec):
+        vec = _row(vec)
+        values = vec.values
+        if self._exact is not None and vec.ints is not None:
             if self._exact.contains(vec):
-                return exact_solve(self.rows, vec), [Fraction(0)] * len(vec)
-            return None, self._exact.residual(vec)
-        a = np.array(self.rows, dtype=float).reshape(len(self.rows),
-                                                     len(vec)).T
-        bv = np.array([float(x) for x in vec])
+                return (exact_solve([r.values for r in self.rows], values),
+                        [Fraction(0)] * len(values))
+            return None, self._exact.residual(values)
+        a = np.array([r.values for r in self.rows],
+                     dtype=float).reshape(len(self.rows), len(values)).T
+        bv = np.array([float(x) for x in values])
         coeffs = np.linalg.lstsq(a, bv, rcond=None)[0]
         residual = [float(r) for r in bv - a @ coeffs]
         norm_r = math.sqrt(sum(r ** 2 for r in residual))
-        norm_b = math.sqrt(sum(float(x) ** 2 for x in vec))
+        norm_b = math.sqrt(sum(float(x) ** 2 for x in values))
         if norm_r <= self.rtol * max(1.0, norm_b):
             return [float(c) for c in coeffs], residual
         return None, residual

@@ -8,6 +8,12 @@ chart variables and opaque atoms, ordered graded-lexicographically by
 chart declaration order.  No polynomial gcd is cancelled: soundness of
 the zero test needs only that the numerator vanish identically.
 
+The normal form is built in integer arithmetic: each polynomial is an
+integer polynomial over its least integer denominator, with every
+monomial packed into one int of 64-bit exponent fields.  An expression
+whose degree could reach 2^64 raises `ExprError` instead of overflowing
+a field.
+
 Opaque atoms model smooth functions known only through a registry entry
 (numeric evaluator plus derivative rule); everything else is exact.
 """
@@ -15,6 +21,7 @@ Opaque atoms model smooth functions known only through a registry entry
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -537,63 +544,85 @@ def to_text(expr: ScalarExpr) -> str:
 # ---------------------------------------------------------------------------
 # normal form
 #
-# A polynomial is a dict {monomial: Fraction}; a monomial is a sorted
+# The builder folds a tree in integer arithmetic.  A polynomial P is a
+# pair (N, D): N = D*P is a dict {monomial: int}, and D is the least
+# positive integer that makes it so (gcd(content N, D) = 1).  So two
+# pairs are equal exactly when the polynomials are, and `Sum` takes its
+# common-denominator shortcut exactly when the denominators are equal
+# polynomials; the forms are not gcd-cancelled, so that choice shows in
+# them.  A monomial is one int: the builder's k-th atom owns the bit
+# field of width _EXP_BITS at offset k * _EXP_BITS, so multiplying
+# monomials is adding ints.  Each folded subtree carries a bound on the
+# total degree of its numerator and denominator; an `ExprError` is
+# raised before the bound, and so any exponent, could reach 2^_EXP_BITS,
+# so a field never carries into the next.
+#
+# Only at the boundaries (the result of `_normal_form` and the canonical
+# argument of an opaque atom) are polynomials unpacked into sorted tuples
+# of (monomial, Fraction coefficient) pairs, a monomial being a sorted
 # tuple of (atom key, positive exponent) pairs.  Atom keys order chart
 # variables first (by declaration position), then opaque atoms by name
-# and printed argument.
+# and printed argument; terms are graded-lex descending in that order.
 
 _NO_CHART_INDEX = 10**6
 
-_POLY_ONE = {(): Fraction(1)}
+_EXP_BITS = 64
+_EXP_MASK = (1 << _EXP_BITS) - 1
+
+_POLY_ZERO = ({}, 1)
+_POLY_ONE = ({0: 1}, 1)
 
 
-def _poly_zero():
-    return {}
-
-
-def _poly_const(q: Fraction):
-    return {(): q} if q != 0 else {}
+def _poly_reduced(n: dict, d: int):
+    # divide out gcd(content N, D), leaving the least denominator
+    if d != 1:
+        g = math.gcd(d, *n.values())
+        if g != 1:
+            n = {m: c // g for m, c in n.items()}
+            d //= g
+    return n, d
 
 
 def _poly_add(a, b):
-    out = dict(a)
-    for mono, coeff in b.items():
-        s = out.get(mono, Fraction(0)) + coeff
-        if s == 0:
-            out.pop(mono, None)
+    (n1, d1), (n2, d2) = a, b
+    if d1 == d2:
+        out, d, s2 = dict(n1), d1, 1
+    else:
+        d = math.lcm(d1, d2)
+        s1, s2 = d // d1, d // d2
+        out = {m: c * s1 for m, c in n1.items()}
+    get = out.get
+    for m, c in n2.items():
+        s = get(m, 0) + c * s2
+        if s:
+            out[m] = s
         else:
-            out[mono] = s
-    return out
-
-
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    merged = dict(m1)
-    for atom, exp in m2:
-        merged[atom] = merged.get(atom, 0) + exp
-    return tuple(sorted(merged.items()))
+            del out[m]
+    return _poly_reduced(out, d)
 
 
 def _poly_mul(a, b):
-    if not a or not b:
-        return {}
+    (n1, d1), (n2, d2) = a, b
+    if len(n1) == 1 or len(n2) == 1:
+        # a one-term factor (a constant, an atom, a monomial
+        # denominator) is the common case: no two products collide
+        if len(n2) != 1:
+            n1, n2 = n2, n1
+        ((m2, c2),) = n2.items()
+        return _poly_reduced({m + m2: c * c2 for m, c in n1.items()},
+                             d1 * d2)
     out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            mono = _mono_mul(m1, m2)
-            s = out.get(mono, Fraction(0)) + c1 * c2
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-    return out
+    get = out.get
+    for m1, c1 in n1.items():
+        for m2, c2 in n2.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    out = {m: c for m, c in out.items() if c}
+    return _poly_reduced(out, d1 * d2)
 
 
 def _poly_pow(a, k: int):
-    result = dict(_POLY_ONE)
+    result = _POLY_ONE
     base = a
     while True:
         if k & 1:
@@ -604,38 +633,12 @@ def _poly_pow(a, k: int):
         base = _poly_mul(base, base)
 
 
-def _mono_degree(mono) -> int:
-    return sum(exp for _, exp in mono)
-
-
-def _mono_cmp(a, b) -> int:
-    # graded lex: higher total degree first, then higher power of the
-    # earliest atom (in chart declaration order)
-    da, db = _mono_degree(a), _mono_degree(b)
-    if da != db:
-        return 1 if da > db else -1
-    ia = ib = 0
-    while ia < len(a) or ib < len(b):
-        atom_a = a[ia][0] if ia < len(a) else None
-        atom_b = b[ib][0] if ib < len(b) else None
-        if atom_a == atom_b:
-            ea, eb = a[ia][1], b[ib][1]
-            if ea != eb:
-                return 1 if ea > eb else -1
-            ia += 1
-            ib += 1
-        elif atom_b is None or (atom_a is not None and atom_a < atom_b):
-            return 1  # a involves an earlier atom with positive power
-        else:
-            return -1
-    return 0
-
-
-_mono_sort_key = functools.cmp_to_key(_mono_cmp)
-
-
-def _leading_mono(poly):
-    return max(poly, key=_mono_sort_key)
+def _degree_checked(bound: int) -> int:
+    if bound >> _EXP_BITS:
+        raise ExprError(
+            f"exponent overflow: a degree of up to {bound} does not fit "
+            f"the {_EXP_BITS}-bit exponent field")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -646,98 +649,94 @@ class _NormalForm:
 
 
 class _NFBuilder:
-    """Folds an expression tree into a normal-form quotient."""
+    """Folds an expression tree into a normal-form quotient of integer
+    polynomial pairs."""
 
     def __init__(self, chart, strict_chart: bool):
         self.chart = list(chart) if chart is not None else None
         self.strict = strict_chart and chart is not None
         self.atom_exprs = {}
+        self.offsets = {}  # atom key -> bit offset of its exponent field
 
-    def var_atom(self, name: str):
+    def atom(self, key, expr: ScalarExpr) -> int:
+        offset = self.offsets.get(key)
+        if offset is None:
+            offset = self.offsets[key] = _EXP_BITS * len(self.offsets)
+            self.atom_exprs[key] = expr
+        return 1 << offset
+
+    def var_atom(self, var: Var) -> int:
+        name = var.name
         if self.chart is not None and name in self.chart:
             idx = self.chart.index(name)
         elif self.strict:
             raise UndeclaredVariableError(name)
         else:
             idx = _NO_CHART_INDEX
-        key = (0, idx, name)
-        self.atom_exprs.setdefault(key, Var(name))
-        return key
+        return self.atom((0, idx, name), var)
 
-    def opaque_atom(self, name: str, arg: ScalarExpr):
-        canon_arg = self.rebuild_subexpr(arg)
-        key = (1, name, to_text(canon_arg))
-        self.atom_exprs.setdefault(key, Opaque(name, canon_arg))
-        return key
+    def opaque_atom(self, name: str, arg: ScalarExpr) -> int:
+        num, den, _ = self.visit(arg)
+        canon_arg = _quotient_tree(self.sorted_poly(num),
+                                   self.sorted_poly(den), self.atom_exprs)
+        return self.atom((1, name, to_text(canon_arg)),
+                         Opaque(name, canon_arg))
 
-    def rebuild_subexpr(self, arg: ScalarExpr) -> ScalarExpr:
-        num, den = self.visit(arg)
-        return _quotient_tree(_sorted_poly(num), _sorted_poly(den), self.atom_exprs)
+    def sorted_poly(self, poly) -> tuple:
+        """The pair as sorted ((mono, Fraction), ...), graded-lex
+        descending."""
+        n, d = poly
+        atoms = sorted(self.offsets.items())
+        terms = []
+        for m, c in n.items():
+            exps = [(m >> offset) & _EXP_MASK for _, offset in atoms]
+            mono = tuple((key, e) for (key, _), e in zip(atoms, exps) if e)
+            terms.append(((sum(exps), exps), mono, c))
+        terms.sort(key=lambda t: t[0], reverse=True)
+        return tuple((mono, Fraction(c, d)) for _, mono, c in terms)
 
     def visit(self, expr: ScalarExpr):
+        """(numerator, denominator, bound on their total degrees)."""
         if isinstance(expr, Const):
-            return _poly_const(expr.value), dict(_POLY_ONE)
+            q = expr.value
+            return ({0: q.numerator} if q else {}, q.denominator), _POLY_ONE, 0
         if isinstance(expr, Var):
-            atom = self.var_atom(expr.name)
-            return {((atom, 1),): Fraction(1)}, dict(_POLY_ONE)
+            return ({self.var_atom(expr): 1}, 1), _POLY_ONE, 1
         if isinstance(expr, Opaque):
-            atom = self.opaque_atom(expr.name, expr.arg)
-            return {((atom, 1),): Fraction(1)}, dict(_POLY_ONE)
+            mono = self.opaque_atom(expr.name, expr.arg)
+            return ({mono: 1}, 1), _POLY_ONE, 1
         if isinstance(expr, Sum):
-            num, den = _poly_zero(), dict(_POLY_ONE)
+            num, den, deg = _POLY_ZERO, _POLY_ONE, 0
             for t in expr.terms:
-                tn, td = self.visit(t)
+                tn, td, tdeg = self.visit(t)
                 if td == den:
                     num = _poly_add(num, tn)
+                    deg = max(deg, tdeg)
                 else:
+                    deg = _degree_checked(deg + tdeg)
                     num = _poly_add(_poly_mul(num, td), _poly_mul(tn, den))
                     den = _poly_mul(den, td)
-            return num, den
+            return num, den, deg
         if isinstance(expr, Prod):
-            num, den = dict(_POLY_ONE), dict(_POLY_ONE)
+            num, den, deg = _POLY_ONE, _POLY_ONE, 0
             for f in expr.factors:
-                fn, fd = self.visit(f)
+                fn, fd, fdeg = self.visit(f)
+                deg = _degree_checked(deg + fdeg)
                 num = _poly_mul(num, fn)
                 den = _poly_mul(den, fd)
-            return num, den
+            return num, den, deg
         if isinstance(expr, Pow):
-            bn, bd = self.visit(expr.base)
+            bn, bd, bdeg = self.visit(expr.base)
             k = expr.exponent
             if k >= 0:
-                return _poly_pow(bn, k), _poly_pow(bd, k)
-            if not bn:
+                deg = _degree_checked(bdeg * k)
+                return _poly_pow(bn, k), _poly_pow(bd, k), deg
+            if not bn[0]:
                 raise ZeroDenominatorError(
                     "negative power of an identically zero base")
-            return _poly_pow(bd, -k), _poly_pow(bn, -k)
+            deg = _degree_checked(bdeg * -k)
+            return _poly_pow(bd, -k), _poly_pow(bn, -k), deg
         raise TypeError(f"not a scalar expression: {expr!r}")
-
-
-def _content_normalize(num, den):
-    """Scale to integer coefficients with coprime joint content and a
-    positive leading denominator coefficient."""
-    if not den:
-        raise ZeroDenominatorError("denominator normalizes to zero")
-    if not num:
-        return {}, dict(_POLY_ONE)
-    import math
-    lcm = 1
-    for c in list(num.values()) + list(den.values()):
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    gcd = 0
-    for c in list(num.values()) + list(den.values()):
-        gcd = math.gcd(gcd, abs(int(c * lcm)))
-    scale = Fraction(lcm, gcd)
-    num = {m: c * scale for m, c in num.items()}
-    den = {m: c * scale for m, c in den.items()}
-    if den[_leading_mono(den)] < 0:
-        num = {m: -c for m, c in num.items()}
-        den = {m: -c for m, c in den.items()}
-    return num, den
-
-
-def _sorted_poly(poly):
-    return tuple(sorted(poly.items(), key=lambda item: _mono_sort_key(item[0]),
-                        reverse=True))
 
 
 def _atom_expr(atom_key, atom_exprs) -> ScalarExpr:
@@ -781,11 +780,24 @@ def _quotient_tree(sorted_num, sorted_den, atom_exprs) -> ScalarExpr:
 @functools.lru_cache(maxsize=65536)
 def _normal_form(expr: ScalarExpr, chart_key: Optional[tuple],
                  strict: bool) -> _NormalForm:
+    """Numerator and denominator as integer polynomials with coprime
+    joint content and a positive leading denominator coefficient."""
     builder = _NFBuilder(chart_key, strict)
-    num, den = builder.visit(expr)
-    num, den = _content_normalize(num, den)
-    return _NormalForm(_sorted_poly(num), _sorted_poly(den),
-                       tuple(sorted(builder.atom_exprs.items())))
+    (nn, nd), (dn, dd), _ = builder.visit(expr)
+    if not dn:
+        raise ZeroDenominatorError("denominator normalizes to zero")
+    if not nn:
+        num, den = (), (((), Fraction(1)),)
+    else:
+        # (nn/nd) / (dn/dd) = (nn*dd) / (dn*nd), over their joint content
+        num = {m: c * dd for m, c in nn.items()}
+        den = {m: c * nd for m, c in dn.items()}
+        g = math.gcd(*num.values(), *den.values())
+        num, den = builder.sorted_poly((num, g)), builder.sorted_poly((den, g))
+        if den[0][1] < 0:
+            num = tuple((m, -c) for m, c in num)
+            den = tuple((m, -c) for m, c in den)
+    return _NormalForm(num, den, tuple(sorted(builder.atom_exprs.items())))
 
 
 def _chart_key(chart) -> Optional[tuple]:

@@ -223,8 +223,9 @@ class PointValues:
     """Field values and frame spans at one point, each computed once.
 
     Fields and frames are keyed by identity; the table holds every object
-    it keys on, so no `id` is reused while it is alive.  Rank and
-    membership are decided by `linalg`: exactly when the values are
+    it keys on, so no `id` is reused while it is alive.  Each field's
+    values are scaled to an integer row once (a `linalg.Row`), and rank
+    and membership are decided by `linalg`: exactly when the values are
     rational, with its relative tolerance otherwise.
     """
 
@@ -232,36 +233,40 @@ class PointValues:
                  registry: Optional[OpaqueRegistry] = None):
         self.point = point
         self.registry = registry
-        self._values = {}  # id(field) -> (field, values)
-        self._spans = {}   # id(frame) -> (frame, linalg.Span)
+        self._rows = {}   # id(field) -> (field, linalg.Row)
+        self._spans = {}  # id(frame) -> (frame, linalg.Span)
 
-    def value(self, f: VectorField) -> list:
-        entry = self._values.get(id(f))
+    def row(self, f: VectorField) -> linalg.Row:
+        entry = self._rows.get(id(f))
         if entry is None:
-            entry = (f, f.evaluate_at(self.point, self.registry))
-            self._values[id(f)] = entry
+            entry = (f, linalg.as_row(f.evaluate_at(self.point,
+                                                    self.registry)))
+            self._rows[id(f)] = entry
         return entry[1]
 
+    def value(self, f: VectorField) -> list:
+        return self.row(f).values
+
     def rank(self, fields: Sequence[VectorField]) -> int:
-        return linalg.matrix_rank([self.value(f) for f in fields])
+        return linalg.matrix_rank([self.row(f) for f in fields])
 
     def _span(self, frame: "Frame") -> linalg.Span:
         entry = self._spans.get(id(frame))
         if entry is None:
             entry = (frame,
-                     linalg.Span([self.value(w) for w in frame.fields]))
+                     linalg.Span([self.row(w) for w in frame.fields]))
             self._spans[id(frame)] = entry
         return entry[1]
 
     def member(self, v: VectorField, frame: "Frame") -> bool:
-        return self._span(frame).contains(self.value(v))
+        return self._span(frame).contains(self.row(v))
 
     def reduce(self, v: VectorField, frame: "Frame") -> ReduceResult:
         """Decompose v over the frame: member with coefficients, or a
         nonzero residual vector."""
         if v.chart != frame.chart:
             raise ChartMismatchError("field and frame on different charts")
-        coeffs, residual = self._span(frame).decompose(self.value(v))
+        coeffs, residual = self._span(frame).decompose(self.row(v))
         member = coeffs is not None
         return ReduceResult(member, tuple(coeffs) if member else None,
                             tuple(residual))
@@ -376,12 +381,10 @@ def symbolic_decompose(v: VectorField, basis: Sequence[VectorField],
 @dataclass(frozen=True)
 class DistributionFlag:
     """Weak derived flag of a generating frame: frames of increasing rank,
-    the growth vector, and whether ranks were constant on the sampled box.
-    `stabilized` always holds: each pass grows the rank or stops."""
+    the growth vector, and whether ranks were constant on the sampled box."""
 
     frames: tuple
     growth: tuple
-    stabilized: bool
     constant_rank: bool
     rank_witnesses: tuple = ()
 
@@ -449,7 +452,7 @@ def derived_flag(generators: Frame, box: Optional[Box] = None,
                     constant_rank = False
                     witnesses.append((len(frames) - 1,
                                       tuple(sorted(pt.items())), r))
-    return DistributionFlag(tuple(frames), tuple(growth), True,
+    return DistributionFlag(tuple(frames), tuple(growth),
                             constant_rank, tuple(witnesses))
 
 

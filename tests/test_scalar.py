@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from dist235 import scalar
 from dist235.boxes import Box
@@ -14,7 +15,10 @@ from dist235.scalar import (
     min_degree, normalize, parse_expr, substitute, to_text,
 )
 
-from helpers import random_point, random_tree
+from helpers import (
+    normal_form_outcome, random_nf_tree, random_point, random_tree,
+    reference_normal_form,
+)
 
 CHART = ("x1", "x2", "x3", "x4", "x5")
 BOX = Box.around({v: 0 for v in CHART}, Fraction(1, 4))
@@ -160,35 +164,6 @@ class TestNormalize:
     def test_strict_mode_rejects_undeclared(self):
         with pytest.raises(UndeclaredVariableError):
             normalize(Var("nope"), CHART, strict=True)
-
-
-class TestPolyPow:
-    # x1 + 2*x2 - 1/3 in the engine's sparse form
-    X1, X2 = (0, 0, "x1"), (0, 1, "x2")
-    POLY = {((X1, 1),): Fraction(1), ((X2, 1),): Fraction(2),
-            (): Fraction(-1, 3)}
-
-    def count_products(self, monkeypatch, k):
-        calls = []
-        real = scalar._poly_mul
-
-        def counting(a, b):
-            calls.append(1)
-            return real(a, b)
-
-        monkeypatch.setattr(scalar, "_poly_mul", counting)
-        scalar._poly_pow(self.POLY, k)
-        return len(calls)
-
-    def test_no_square_after_the_last_bit(self, monkeypatch):
-        assert self.count_products(monkeypatch, 1) == 1
-        assert self.count_products(monkeypatch, 5) == 4
-
-    def test_powers_equal_repeated_multiplication(self):
-        expected = dict(scalar._POLY_ONE)
-        for k in range(7):
-            assert scalar._poly_pow(self.POLY, k) == expected
-            expected = scalar._poly_mul(expected, self.POLY)
 
 
 # ---------------------------------------------------------------------------
@@ -398,3 +373,217 @@ class TestMinDegree:
         assert min_degree(parse_expr("x1^3*x2 + x1^4", CHART), "x1", CHART) == 3
         assert min_degree(parse_expr("x2 + x1^2", CHART), "x1", CHART) == 0
         assert min_degree(Const(Fraction(0)), "x1", CHART) is None
+
+
+# ---------------------------------------------------------------------------
+# sympy oracle
+#
+# The opaques of make_registry become sympy functions with the same
+# derivative rules (a' = a1, a1' = a2, a2' = 6).  Opaque arguments are
+# brought to sympy's `cancel` form, so two applications of one opaque to
+# equal rational functions are one sympy generator.
+
+def _sympy_function(name, derivative):
+    return type(name, (sympy.Function,),
+                {"fdiff": lambda self, argindex=1: derivative(self.args[0])})
+
+
+_SYMPY_A2 = _sympy_function("a2", lambda u: sympy.Integer(6))
+_SYMPY_A1 = _sympy_function("a1", _SYMPY_A2)
+_SYMPY_A = _sympy_function("a", _SYMPY_A1)
+SYMPY_OPAQUES = {"a": _SYMPY_A, "a1": _SYMPY_A1, "a2": _SYMPY_A2}
+
+
+def to_sympy(expr):
+    if isinstance(expr, Const):
+        return sympy.Rational(expr.value.numerator, expr.value.denominator)
+    if isinstance(expr, Var):
+        return sympy.Symbol(expr.name)
+    if isinstance(expr, Sum):
+        return sympy.Add(*(to_sympy(t) for t in expr.terms))
+    if isinstance(expr, Prod):
+        return sympy.Mul(*(to_sympy(f) for f in expr.factors))
+    if isinstance(expr, Pow):
+        return sympy.Pow(to_sympy(expr.base), expr.exponent)
+    return SYMPY_OPAQUES[expr.name](sympy.cancel(to_sympy(expr.arg)))
+
+
+def oracle_trees(seed, count, opaques=()):
+    """`count` seeded trees over three chart variables whose normal form
+    exists (no identically zero denominator)."""
+    rng = random.Random(seed)
+    trees = []
+    while len(trees) < count:
+        tree = random_nf_tree(rng, CHART[:3], opaques, depth=3)
+        try:
+            normalize(tree, CHART)
+        except ZeroDenominatorError:
+            continue
+        trees.append(tree)
+    return trees
+
+
+class TestSympyOracle:
+    """normalize, differentiate and is_zero against sympy 1.14 as rational
+    functions on seeded random trees."""
+
+    def test_normalize_is_the_same_rational_function(self):
+        for tree in oracle_trees(601, 150, opaques=("a", "a1")):
+            canon = normalize(tree, CHART)
+            assert sympy.cancel(to_sympy(tree) - to_sympy(canon)) == 0, \
+                to_text(tree)
+
+    def test_differentiate_matches_sympy_diff(self):
+        reg = make_registry()
+        x1 = sympy.Symbol("x1")
+        for tree in oracle_trees(602, 120, opaques=("a", "a1", "a2")):
+            try:
+                d = differentiate(tree, "x1", CHART, reg)
+            except ZeroDenominatorError:
+                continue
+            expected = sympy.diff(to_sympy(tree), x1)
+            assert sympy.cancel(to_sympy(d) - expected) == 0, to_text(tree)
+
+    def test_is_zero_decides_like_sympy(self):
+        # half of the trees are t - normalize(t) with a term dropped or
+        # kept, so both verdicts occur often
+        rng = random.Random(603)
+        seen = set()
+        for tree in oracle_trees(604, 160):
+            if rng.random() < 0.5:
+                canon = normalize(tree, CHART)
+                terms = canon.terms if isinstance(canon, Sum) else (canon,)
+                if rng.random() < 0.5 and len(terms) > 1:
+                    terms = terms[1:]
+                tree = Sum((tree, -Sum(terms)))
+            status = is_zero(tree, BOX, CHART).status
+            expected = sympy.cancel(to_sympy(tree)) == 0
+            assert (status == "provably-zero") == expected, to_text(tree)
+            assert status in ("provably-zero", "nonzero")
+            seen.add(status)
+        assert seen == {"provably-zero", "nonzero"}
+
+
+# ---------------------------------------------------------------------------
+# the integer builder against the kept Fraction builder
+
+CHART_SETTINGS = {
+    "no chart": (None, False),
+    "non-strict": (CHART, False),
+    "strict": (CHART, True),
+    "permuted": (("x3", "x1", "x5", "x2", "x4"), False),
+}
+
+
+class TestNormalFormMatchesReference:
+    """`_normal_form` returns the `_NormalForm` the Fraction builder
+    returns, or raises the same error with the same message."""
+
+    @pytest.mark.parametrize("setting", sorted(CHART_SETTINGS))
+    def test_random_trees(self, setting):
+        chart_key, strict = CHART_SETTINGS[setting]
+        rng = random.Random(20261018)
+        # "w" is outside every chart: strict mode rejects it
+        variables = CHART[:3] + ("w",)
+        build = scalar._normal_form.__wrapped__
+        kinds = set()
+        for _ in range(3000):
+            tree = random_nf_tree(rng, variables, ("a", "a1"), depth=4)
+            got = normal_form_outcome(build, tree, chart_key, strict)
+            want = normal_form_outcome(reference_normal_form, tree,
+                                       chart_key, strict)
+            assert got == want, to_text(tree)
+            kinds.add(want[0] if isinstance(want, tuple) else "form")
+        expected = {"form", ZeroDenominatorError}
+        if strict:
+            expected.add(UndeclaredVariableError)
+        assert kinds == expected
+
+    def test_every_normal_form_of_the_bundled_reports(self, monkeypatch,
+                                                      tmp_path):
+        from dist235.cli import bundled_names, main
+        cached = scalar._normal_form
+        calls = {}
+
+        def recording(expr, chart_key, strict):
+            calls[expr, chart_key, strict] = None
+            return cached(expr, chart_key, strict)
+
+        monkeypatch.setattr(scalar, "_normal_form", recording)
+        for name in bundled_names():
+            main(["analyze", name, "--suite", "all", "--seed", "7",
+                  "--out", str(tmp_path / f"{name}.json")])
+        assert len(calls) > 500
+        for expr, chart_key, strict in calls:
+            assert cached.__wrapped__(expr, chart_key, strict) == \
+                reference_normal_form(expr, chart_key, strict), to_text(expr)
+
+    def test_fold_builds_no_fraction(self, monkeypatch):
+        # Fractions appear only at the boundaries: the result of
+        # _normal_form and the arguments of opaque atoms
+        rng = random.Random(20261019)
+        trees = [random_nf_tree(rng, CHART[:3], depth=4) for _ in range(300)]
+        made = []
+        real_new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        folded = 0
+        for tree in trees:
+            try:
+                scalar._NFBuilder(CHART, False).visit(tree)
+            except ZeroDenominatorError:
+                continue
+            folded += 1
+        monkeypatch.undo()
+        assert folded > 200 and made == []
+
+    def test_exponent_overflow_raises(self):
+        # an exponent of 2^64 would carry into the next atom's field:
+        # every way of reaching it raises, and a degree of 2^64 - 1 is
+        # still exact
+        build = scalar._normal_form.__wrapped__
+        x1, x2 = Var("x1"), Var("x2")
+        top = Pow(x1, 2 ** 64 - 1)
+        assert build(top, CHART, False) == \
+            reference_normal_form(top, CHART, False)
+        half = 2 ** 63
+        for tree in (Pow(x1, 2 ** 64), Prod((Pow(x1, half), Pow(x1, half))),
+                     Prod((top, x1)),
+                     Pow(Prod((Pow(x1, 2 ** 32), x2)), -2 ** 32),
+                     Sum((Pow(x1, -half), Pow(Prod((x1, x2)), -half))),
+                     Opaque("a", Pow(x1, 2 ** 70))):
+            with pytest.raises(scalar.ExprError, match="exponent overflow"):
+                build(tree, CHART, False)
+
+
+class TestPolyPow:
+    # x1 + 2*x2 - 1/3 as an integer pair: 3*x1 + 6*x2 - 1 over 3, with
+    # x1 in the first exponent field and x2 in the second
+    X1, X2 = 1, 1 << scalar._EXP_BITS
+    POLY = ({X1: 3, X2: 6, 0: -1}, 3)
+
+    def count_products(self, monkeypatch, k):
+        calls = []
+        real = scalar._poly_mul
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(scalar, "_poly_mul", counting)
+        scalar._poly_pow(self.POLY, k)
+        return len(calls)
+
+    def test_no_square_after_the_last_bit(self, monkeypatch):
+        assert self.count_products(monkeypatch, 1) == 1
+        assert self.count_products(monkeypatch, 5) == 4
+
+    def test_powers_equal_repeated_multiplication(self):
+        expected = scalar._POLY_ONE
+        for k in range(7):
+            assert scalar._poly_pow(self.POLY, k) == expected
+            expected = scalar._poly_mul(expected, self.POLY)
