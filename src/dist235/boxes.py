@@ -113,13 +113,3 @@ class Box:
                 pt[name] = lo + (hi - lo) * u
             points.append(pt)
         return points
-
-    def random_points(self, count: int, rng, grid: int = 4096) -> list[dict]:
-        """Seeded random rational points on a uniform grid in the box."""
-        points = []
-        for _ in range(count):
-            pt = {}
-            for name, lo, hi in self.intervals:
-                pt[name] = lo + (hi - lo) * Fraction(rng.randint(0, grid), grid)
-            points.append(pt)
-        return points

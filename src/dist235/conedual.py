@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from . import linalg
 from .boxes import Box, as_fraction
 from .distduality import (
     Distribution235, PseudoProductStructure, StructureError, _format_point,
@@ -201,11 +202,6 @@ def default_family_box(x_chart: Chart, theta: str, base_point: dict) -> Box:
     return Box(default_box({v: base_point[v] for v in x_chart.variables})
                .intervals + ((theta, center - Fraction(1, 2),
                               center + Fraction(1, 2)),))
-
-
-def cone_generator(family: ConeFamily) -> VectorField:
-    """The moving generator zeta2 of the family."""
-    return family.zeta(2)
 
 
 def cone_frame(family: ConeFamily) -> tuple:
@@ -697,12 +693,10 @@ def _driver_components(name: str, params: dict,
         if extra:
             raise StructureError(
                 f"parameter 'a' may only involve x1, found {extra}")
+        # linalg's rule: exact for a rational value, and relative for a
+        # float, which for one number means exactly 0.0
         origin_value = evaluate(a, {"x1": Fraction(0)}, registry)
-        if isinstance(origin_value, Fraction):
-            if origin_value != 0:
-                raise StructureError(
-                    "parameter 'a' must vanish at the base point")
-        elif abs(float(origin_value)) > 1e-12:
+        if linalg.matrix_rank([[origin_value]]) != 0:
             raise StructureError(
                 "parameter 'a' must vanish at the base point")
         a_text = to_text(a)

@@ -179,12 +179,6 @@ class Distribution235:
         return lie_bracket(self.eta2, self.eta3, self.registry).renamed(
             "eta5")
 
-    @cached_property
-    def full_frame(self) -> Frame:
-        return Frame(self.chart,
-                     (self.eta1, self.eta2, self.eta3, self.eta4, self.eta5),
-                     self.base_point, self.registry)
-
 
 # ---------------------------------------------------------------------------
 # prolongation to the 6-dimensional direction space
@@ -346,19 +340,6 @@ class PseudoProductReport:
 
     def failed_conditions(self) -> tuple:
         return tuple(c.index for c in self.conditions if not c.passed)
-
-    def summary_lines(self) -> tuple:
-        lines = []
-        lines.append("splitting K + L = E: "
-                     + ("ok" if self.splitting_ok else "FAIL"))
-        lines.append(f"flag growth: {self.growth}")
-        for c in self.conditions:
-            verdict = "ok" if c.passed else "FAIL"
-            lines.append(f"condition {c.index} ({c.name}): {verdict}")
-            for w in c.witnesses[:1]:
-                lines.append(f"  witness: {w}")
-        lines.append("verdict: " + ("valid" if self.valid else "INVALID"))
-        return tuple(lines)
 
 
 @dataclass(frozen=True)

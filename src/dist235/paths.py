@@ -354,9 +354,6 @@ class FlowTrace:
     states: np.ndarray = field(compare=False)
     derivatives: np.ndarray = field(compare=False)
 
-    def end_point(self) -> dict:
-        return dict(zip(self.chart.variables, map(float, self.states[-1])))
-
 
 def integrate_flow(flow: VectorField, z0: dict, t_end: float, *,
                    registry: Optional[OpaqueRegistry] = None,

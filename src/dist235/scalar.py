@@ -12,7 +12,13 @@ The normal form is built in integer arithmetic: each polynomial is an
 integer polynomial over its least integer denominator, with every
 monomial packed into one int of 64-bit exponent fields.  An expression
 whose degree could reach 2^64 raises `ExprError` instead of overflowing
-a field.
+a field.  A tree that `normalize` returns carries the integer pair it
+was printed from, when no opaque atom and no undeclared variable is in
+it: folding it again into a larger tree reuses that pair instead of
+expanding the tree, the derivative of such a polynomial (over a
+constant) is taken term by term on the pair, and `evaluate` at a
+rational point computes its value in integers, with one `Fraction`
+built at the end.  `differentiate` is memoized.
 
 Opaque atoms model smooth functions known only through a registry entry
 (numeric evaluator plus derivative rule); everything else is exact.
@@ -22,9 +28,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .boxes import Box, as_fraction
 
@@ -87,6 +93,11 @@ class ScalarExpr:
     """Base class; concrete nodes are the six dataclasses below."""
 
     __slots__ = ()
+
+    # the `_NormalForm` a tree returned by `normalize` was printed from
+    # (see "normal form" below); set on the instance, not a dataclass
+    # field, so equality, hashing and printing ignore it
+    _nf = None
 
     def __add__(self, other):
         return Sum((self, _coerce(other)))
@@ -550,12 +561,15 @@ def to_text(expr: ScalarExpr) -> str:
 # pairs are equal exactly when the polynomials are, and `Sum` takes its
 # common-denominator shortcut exactly when the denominators are equal
 # polynomials; the forms are not gcd-cancelled, so that choice shows in
-# them.  A monomial is one int: the builder's k-th atom owns the bit
-# field of width _EXP_BITS at offset k * _EXP_BITS, so multiplying
-# monomials is adding ints.  Each folded subtree carries a bound on the
-# total degree of its numerator and denominator; an `ExprError` is
-# raised before the bound, and so any exponent, could reach 2^_EXP_BITS,
-# so a field never carries into the next.
+# them.  A monomial is one int in which every atom owns a bit field of
+# width _EXP_BITS, so multiplying monomials is adding ints: the chart
+# variable at position i owns the field at offset i * _EXP_BITS, and
+# other atoms (opaque atoms, variables outside the chart) take the
+# fields after the chart's in the order the builder meets them.  Each
+# folded subtree carries a bound on the total degree of its numerator
+# and denominator; an `ExprError` is raised before the bound, and so any
+# exponent, could reach 2^_EXP_BITS, so a field never carries into the
+# next.
 #
 # Only at the boundaries (the result of `_normal_form` and the canonical
 # argument of an opaque atom) are polynomials unpacked into sorted tuples
@@ -563,6 +577,22 @@ def to_text(expr: ScalarExpr) -> str:
 # tuple of (atom key, positive exponent) pairs.  Atom keys order chart
 # variables first (by declaration position), then opaque atoms by name
 # and printed argument; terms are graded-lex descending in that order.
+#
+# A normal form whose terms hold chart variables only also keeps the
+# pair it was built as (`_Packed`), and the tree `normalize` prints from
+# it carries the normal form (`ScalarExpr._nf`).  Folding the printed
+# tree would give back exactly that pair: the numerator and denominator
+# as integer polynomials over 1, the total degree of the numerator plus
+# that of the denominator as the bound, and the atoms of the terms
+# registered.  The chart fixes where each of those atoms' fields sits,
+# so a builder on the same chart returns the pair as it is, shared and
+# not copied, instead of folding the tree; `strict` plays no part, since
+# it only decides about variables outside the chart.  Opaque atoms are
+# excluded because folding one also registers the atoms of its argument.
+# Evaluating such a tree at a rational point reads the integer terms of
+# the normal form (`_evaluate_exact`), and differentiating one whose
+# denominator is a constant differentiates the integer numerator
+# (`_polynomial_derivative`).
 
 _NO_CHART_INDEX = 10**6
 
@@ -641,11 +671,24 @@ def _degree_checked(bound: int) -> int:
     return bound
 
 
+class _Packed(NamedTuple):
+    """The integer pair of a normal form whose atoms are chart variables,
+    as a fold of its printed tree on `chart_key` returns it."""
+
+    chart_key: Optional[tuple]
+    num: tuple      # (N, 1): the numerator's integer terms
+    den: tuple
+    deg: int        # the fold's bound on the total degree
+    atoms: tuple    # ((atom_key, Var), ...) of the terms, sorted
+
+
 @dataclass(frozen=True)
 class _NormalForm:
     num: tuple          # sorted ((mono, coeff), ...) graded-lex descending
     den: tuple
     atom_exprs: tuple   # ((atom_key, ScalarExpr), ...) for rebuilding
+    packed: Optional[_Packed] = field(default=None, compare=False,
+                                      repr=False)
 
 
 class _NFBuilder:
@@ -653,15 +696,22 @@ class _NFBuilder:
     polynomial pairs."""
 
     def __init__(self, chart, strict_chart: bool):
-        self.chart = list(chart) if chart is not None else None
+        self.chart = tuple(chart) if chart is not None else None
         self.strict = strict_chart and chart is not None
         self.atom_exprs = {}
         self.offsets = {}  # atom key -> bit offset of its exponent field
+        # the first field after the chart variables'
+        self.free_offset = _EXP_BITS * len(self.chart or ())
 
     def atom(self, key, expr: ScalarExpr) -> int:
         offset = self.offsets.get(key)
         if offset is None:
-            offset = self.offsets[key] = _EXP_BITS * len(self.offsets)
+            if key[0] == 0 and key[1] != _NO_CHART_INDEX:
+                offset = _EXP_BITS * key[1]
+            else:
+                offset = self.free_offset
+                self.free_offset += _EXP_BITS
+            self.offsets[key] = offset
             self.atom_exprs[key] = expr
         return 1 << offset
 
@@ -695,6 +745,30 @@ class _NFBuilder:
         terms.sort(key=lambda t: t[0], reverse=True)
         return tuple((mono, Fraction(c, d)) for _, mono, c in terms)
 
+    def pack(self, num: dict, den: dict, sorted_num: tuple,
+             sorted_den: tuple) -> Optional[_Packed]:
+        """The `_Packed` of a normal form with integer terms num/den, or
+        None when an atom outside the chart's fields occurs in them."""
+        bits = 0
+        for m in num:
+            bits |= m
+        for m in den:
+            bits |= m
+        if bits >> (_EXP_BITS * len(self.chart or ())):
+            return None
+        atoms = tuple((key, self.atom_exprs[key])
+                      for key, offset in sorted(self.offsets.items())
+                      if (bits >> offset) & _EXP_MASK)
+        deg = (sum(e for _, e in sorted_num[0][0])
+               + sum(e for _, e in sorted_den[0][0]))
+        den_pair = _POLY_ONE if den == _POLY_ONE[0] else (den, 1)
+        return _Packed(self.chart, (num, 1), den_pair, deg, atoms)
+
+    def reuse(self, packed: _Packed):
+        for key, var in packed.atoms:
+            self.atom(key, var)
+        return packed.num, packed.den, packed.deg
+
     def visit(self, expr: ScalarExpr):
         """(numerator, denominator, bound on their total degrees)."""
         if isinstance(expr, Const):
@@ -705,6 +779,9 @@ class _NFBuilder:
         if isinstance(expr, Opaque):
             mono = self.opaque_atom(expr.name, expr.arg)
             return ({mono: 1}, 1), _POLY_ONE, 1
+        nf = _carried(expr, self.chart)
+        if nf is not None:
+            return self.reuse(nf.packed)
         if isinstance(expr, Sum):
             num, den, deg = _POLY_ZERO, _POLY_ONE, 0
             for t in expr.terms:
@@ -737,6 +814,15 @@ class _NFBuilder:
             deg = _degree_checked(bdeg * -k)
             return _poly_pow(bd, -k), _poly_pow(bn, -k), deg
         raise TypeError(f"not a scalar expression: {expr!r}")
+
+
+def _carried(expr, chart_key) -> Optional[_NormalForm]:
+    """The normal form `expr` was printed from, when its pair was packed
+    on `chart_key`."""
+    nf = getattr(expr, "_nf", None)
+    if nf is not None and nf.packed.chart_key == chart_key:
+        return nf
+    return None
 
 
 def _atom_expr(atom_key, atom_exprs) -> ScalarExpr:
@@ -782,22 +868,42 @@ def _normal_form(expr: ScalarExpr, chart_key: Optional[tuple],
                  strict: bool) -> _NormalForm:
     """Numerator and denominator as integer polynomials with coprime
     joint content and a positive leading denominator coefficient."""
+    nf = _carried(expr, chart_key)
+    if nf is not None:
+        # the fold of a printed tree registers the atoms of its terms only
+        if len(nf.atom_exprs) == len(nf.packed.atoms):
+            return nf
+        return _NormalForm(nf.num, nf.den, nf.packed.atoms, nf.packed)
     builder = _NFBuilder(chart_key, strict)
-    (nn, nd), (dn, dd), _ = builder.visit(expr)
+    num, den, _ = builder.visit(expr)
+    return _finished(builder, num, den)
+
+
+def _finished(builder: _NFBuilder, num_pair, den_pair) -> _NormalForm:
+    """The normal form of the quotient of two pairs folded by `builder`."""
+    (nn, nd), (dn, dd) = num_pair, den_pair
     if not dn:
         raise ZeroDenominatorError("denominator normalizes to zero")
     if not nn:
-        num, den = (), (((), Fraction(1)),)
-    else:
-        # (nn/nd) / (dn/dd) = (nn*dd) / (dn*nd), over their joint content
-        num = {m: c * dd for m, c in nn.items()}
-        den = {m: c * nd for m, c in dn.items()}
-        g = math.gcd(*num.values(), *den.values())
-        num, den = builder.sorted_poly((num, g)), builder.sorted_poly((den, g))
-        if den[0][1] < 0:
-            num = tuple((m, -c) for m, c in num)
-            den = tuple((m, -c) for m, c in den)
-    return _NormalForm(num, den, tuple(sorted(builder.atom_exprs.items())))
+        return _NormalForm((), (((), Fraction(1)),),
+                           tuple(sorted(builder.atom_exprs.items())))
+    # (nn/nd) / (dn/dd) = (nn*dd) / (dn*nd), over their joint content
+    num = {m: c * dd for m, c in nn.items()}
+    den = {m: c * nd for m, c in dn.items()}
+    g = math.gcd(*num.values(), *den.values())
+    if g != 1:
+        num = {m: c // g for m, c in num.items()}
+        den = {m: c // g for m, c in den.items()}
+    sorted_num, sorted_den = builder.sorted_poly((num, 1)), \
+        builder.sorted_poly((den, 1))
+    if sorted_den[0][1] < 0:
+        num = {m: -c for m, c in num.items()}
+        den = {m: -c for m, c in den.items()}
+        sorted_num = tuple((m, -c) for m, c in sorted_num)
+        sorted_den = tuple((m, -c) for m, c in sorted_den)
+    return _NormalForm(sorted_num, sorted_den,
+                       tuple(sorted(builder.atom_exprs.items())),
+                       builder.pack(num, den, sorted_num, sorted_den))
 
 
 def _chart_key(chart) -> Optional[tuple]:
@@ -812,10 +918,17 @@ def normalize(expr: ScalarExpr, chart: Optional[Sequence[str]] = None,
     """Canonical form: expanded numerator over expanded denominator, terms
     in graded-lex order.  Idempotent; equal outputs mean equal functions,
     and equality of two expressions is decided by is_zero of their
-    difference (no polynomial gcd is cancelled here)."""
-    nf = _normal_form(expr, _chart_key(chart), strict)
-    atom_exprs = dict(nf.atom_exprs)
-    return _quotient_tree(nf.num, nf.den, atom_exprs)
+    difference (no polynomial gcd is cancelled here).  The result
+    carries its normal form when that has a `_Packed` pair."""
+    return _printed(_normal_form(expr, _chart_key(chart), strict))
+
+
+def _printed(nf: _NormalForm) -> ScalarExpr:
+    tree = _quotient_tree(nf.num, nf.den, dict(nf.atom_exprs))
+    # an atom root is the very node of the input, so it is left bare
+    if nf.packed is not None and isinstance(tree, (Sum, Prod, Pow)):
+        object.__setattr__(tree, "_nf", nf)
+    return tree
 
 
 def free_variables(expr: ScalarExpr) -> set:
@@ -851,7 +964,17 @@ def differentiate(expr: ScalarExpr, var: str,
     key = _chart_key(chart)
     if key is not None and var not in key:
         raise UndeclaredVariableError(var)
-    reg = _registry(registry)
+    return _derivative(expr, var, key, _registry(registry))
+
+
+@functools.lru_cache(maxsize=4096)
+def _derivative(expr: ScalarExpr, var: str, chart_key: Optional[tuple],
+                reg: OpaqueRegistry) -> ScalarExpr:
+    """`differentiate`, memoized on the registry object too: a registry is
+    write-once, so the rules a derivative used cannot change under it."""
+    nf = _carried(expr, chart_key)
+    if nf is not None and set(nf.packed.den[0]) == {0}:
+        return _printed(_polynomial_derivative(nf.packed, var))
 
     def d(node: ScalarExpr) -> ScalarExpr:
         if isinstance(node, Const):
@@ -877,7 +1000,29 @@ def differentiate(expr: ScalarExpr, var: str,
             return Prod((outer, d(node.arg)))
         raise TypeError(f"not a scalar expression: {node!r}")
 
-    return normalize(d(expr), chart)
+    return normalize(d(expr), chart_key)
+
+
+def _polynomial_derivative(packed: _Packed, var: str) -> _NormalForm:
+    """The normal form of d/d(var) of N/c printed from `packed`, N an
+    integer polynomial and c a constant.
+
+    Every denominator in the fold of the product-rule tree is then a
+    constant, so the fold is a multiple of (dN/d(var), c), and a normal
+    form with a constant denominator is the one pair of coprime content
+    for its polynomial: this is that pair, taken term by term."""
+    builder = _NFBuilder(packed.chart_key, False)
+    (num, _), _, _ = builder.reuse(packed)
+    offset = next((builder.offsets[key] for key, _ in packed.atoms
+                   if key[2] == var), None)
+    derivative = {}
+    if offset is not None:
+        one = 1 << offset
+        for m, c in num.items():
+            e = (m >> offset) & _EXP_MASK
+            if e:
+                derivative[m - one] = c * e
+    return _finished(builder, (derivative, 1), packed.den)
 
 
 def substitute(expr: ScalarExpr, mapping: dict) -> ScalarExpr:
@@ -902,13 +1047,65 @@ def substitute(expr: ScalarExpr, mapping: dict) -> ScalarExpr:
     return walk(expr)
 
 
+def _evaluate_exact(nf: _NormalForm, point: dict) -> Optional[Fraction]:
+    """The value of a tree printed from `nf` at a point whose values of
+    its variables are ints or Fractions, computed in integers: with L
+    the lcm of their denominators and x = X/L, the numerator N of total
+    degree n has N(x) = N~(X)/L^n for an integer N~, and likewise the
+    denominator.  None when a value is missing or not rational (the
+    tree walk then decides); ZeroDivisionError at a pole, as the walk
+    raises at the reciprocal of the denominator."""
+    values = {}
+    scale = 1
+    for key, _ in nf.packed.atoms:
+        v = point.get(key[2])
+        if not isinstance(v, (int, Fraction)):
+            return None
+        values[key] = v
+        scale = math.lcm(scale, v.denominator)
+    for key, v in values.items():
+        values[key] = v.numerator * (scale // v.denominator)
+    num, num_deg = _integer_value(nf.num, values, scale)
+    den, den_deg = _integer_value(nf.den, values, scale)
+    if not den:
+        raise ZeroDivisionError("pole: zero base with negative exponent")
+    if scale != 1:
+        num *= scale ** den_deg
+        den *= scale ** num_deg
+    return Fraction(num, den)
+
+
+def _integer_value(poly: tuple, values: dict, scale: int):
+    """(L^n * P(X/L), n) for a normal-form polynomial P with integer
+    coefficients, n its total degree."""
+    degree = sum(e for _, e in poly[0][0]) if poly else 0
+    total = 0
+    for mono, coeff in poly:
+        term = coeff.numerator
+        d = 0
+        for key, e in mono:
+            term *= values[key] ** e
+            d += e
+        if d != degree:
+            term *= scale ** (degree - d)
+        total += term
+    return total, degree
+
+
 def evaluate(expr: ScalarExpr, point: dict,
              registry: Optional[OpaqueRegistry] = None):
     """Evaluate at a point (dict of variable values).
 
     Returns an exact Fraction when the expression is opaque-free and all
-    used values are rational; otherwise a float.
+    used values are rational; otherwise a float.  A tree `normalize`
+    returned with its normal form is evaluated in integers at such a
+    point; every other case walks the tree.
     """
+    nf = getattr(expr, "_nf", None)
+    if nf is not None:
+        value = _evaluate_exact(nf, point)
+        if value is not None:
+            return value
     reg = _registry(registry)
 
     def ev(node: ScalarExpr):

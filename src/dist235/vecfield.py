@@ -9,7 +9,6 @@ evaluated once per point and each frame eliminated once per point.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
@@ -111,15 +110,6 @@ class VectorField:
                     registry: Optional[OpaqueRegistry] = None) -> list:
         return [evaluate(c, point, registry) for c in self.components]
 
-    def apply_to(self, f: ScalarExpr,
-                 registry: Optional[OpaqueRegistry] = None) -> ScalarExpr:
-        """Directional derivative of a scalar along this field."""
-        terms = []
-        for var, comp in zip(self.chart.variables, self.components):
-            terms.append(Prod((comp, differentiate(f, var, self.chart.variables,
-                                                   registry))))
-        return normalize(Sum(tuple(terms)), self.chart.variables)
-
     def lifted(self, chart: Chart) -> "VectorField":
         """The same field on an extended chart (zero new components)."""
         n = self.chart.dimension
@@ -165,11 +155,6 @@ def coordinate_field(chart: Chart, name: str) -> VectorField:
     comps = tuple(Const(Fraction(1 if j == i else 0))
                   for j in range(chart.dimension))
     return VectorField(chart, comps, name=f"d/d{name}")
-
-
-def zero_field(chart: Chart) -> VectorField:
-    return VectorField(chart, tuple(Const(Fraction(0))
-                                    for _ in range(chart.dimension)))
 
 
 def field_from_strings(chart: Chart, texts: Sequence[str],
@@ -531,42 +516,6 @@ def pair(form, v: VectorField, w: Optional[VectorField] = None) -> ScalarExpr:
             )))))
         return normalize(Sum(tuple(terms)), form.chart.variables)
     raise TypeError(f"not a form: {form!r}")
-
-
-def contact_volume(alpha: OneForm, point: dict,
-                   registry: Optional[OpaqueRegistry] = None):
-    """Value of the 5-form alpha ^ d(alpha) ^ d(alpha) on the coordinate
-    frame at a point of a 5-dimensional chart."""
-    chart = alpha.chart
-    if chart.dimension != 5:
-        raise ChartError("contact check needs a 5-dimensional chart")
-    d = exterior_derivative(alpha, registry)
-    a_vals = [evaluate(c, point, registry) for c in alpha.components]
-    d_vals = {}
-    for i in range(5):
-        for j in range(5):
-            d_vals[(i, j)] = evaluate(d.coefficient(i, j), point, registry)
-    total = 0
-    indices = range(5)
-    for one in indices:
-        rest = [i for i in indices if i != one]
-        for pair_1 in itertools.combinations(rest, 2):
-            pair_2 = tuple(i for i in rest if i not in pair_1)
-            perm = (one,) + pair_1 + pair_2
-            total += (_perm_sign(perm) * a_vals[one]
-                      * d_vals[pair_1] * d_vals[pair_2])
-    return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    p = list(perm)
-    for i in range(len(p)):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], p[i]
-            sign = -sign
-    return sign
 
 
 def check_contact(alpha: OneForm, point: dict,

@@ -1,18 +1,20 @@
 """Shared helpers: seeded random expression trees and rational points,
-a recorder of field evaluations, and the `Fraction` normal-form builder
-kept as the reference of the integer one."""
+a recorder of field evaluations, small oracles the program itself does
+not need, and the `Fraction` normal-form builder kept as the reference
+of the integer one."""
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from collections import Counter
 from fractions import Fraction
 
-from dist235 import scalar
+from dist235 import scalar, vecfield
 from dist235.scalar import Const, Opaque, Pow, Prod, Sum, Var
-from dist235.vecfield import VectorField
+from dist235.vecfield import Frame, VectorField
 
 
 def random_rational(rng: random.Random, span: int = 6, den: int = 4) -> Fraction:
@@ -73,10 +75,161 @@ def random_nf_tree(rng: random.Random, variables, opaques=(),
     return Pow(children[0], rng.randint(-2, 3))
 
 
+def normalized_pieces(rng: random.Random, count: int, charts, variables,
+                      opaques=(), registry=None) -> list:
+    """`count` outputs of `normalize` under charts drawn from `charts`,
+    and now and then the derivative of one: trees that carry their
+    normal form mixed with ones that do not (opaque atoms, variables
+    outside the chart, atom roots).  `registry` holds the opaques."""
+    pieces = []
+    while len(pieces) < count:
+        chart = rng.choice(charts)
+        tree = random_nf_tree(rng, variables, opaques, depth=2)
+        try:
+            piece = scalar.normalize(tree, chart)
+            if chart is not None and rng.random() < 0.3:
+                piece = scalar.differentiate(piece, rng.choice(chart), chart,
+                                             registry)
+        except scalar.ZeroDenominatorError:
+            continue
+        pieces.append(piece)
+    return pieces
+
+
+def random_tree_with_pieces(rng: random.Random, variables, pieces,
+                            opaques=(), depth: int = 2):
+    """A random tree over `pieces` (see `normalized_pieces`), fresh
+    subtrees of `random_nf_tree`, and opaque applications whose
+    arguments are either, nested."""
+    if depth <= 0 or rng.random() < 0.25:
+        roll = rng.random()
+        if roll < 0.5:
+            return rng.choice(pieces)
+        if opaques and roll < 0.7:
+            arg = (rng.choice(pieces) if rng.random() < 0.5 else
+                   random_tree_with_pieces(rng, variables, pieces, opaques,
+                                           min(depth, 2) - 1))
+            return Opaque(rng.choice(list(opaques)), arg)
+        return random_nf_tree(rng, variables, opaques, depth=1)
+    children = [random_tree_with_pieces(rng, variables, pieces, opaques,
+                                        depth - 1)
+                for _ in range(rng.randint(2, 3))]
+    kind = rng.random()
+    if kind < 0.4:
+        return Sum(tuple(children))
+    if kind < 0.8:
+        return Prod(tuple(children))
+    return Pow(children[0], rng.randint(-2, 2))
+
+
+def stripped(tree):
+    """The same tree with no node carrying the normal form `normalize`
+    printed it from."""
+    if isinstance(tree, Sum):
+        return Sum(tuple(stripped(t) for t in tree.terms))
+    if isinstance(tree, Prod):
+        return Prod(tuple(stripped(f) for f in tree.factors))
+    if isinstance(tree, Pow):
+        return Pow(stripped(tree.base), tree.exponent)
+    if isinstance(tree, Opaque):
+        return Opaque(tree.name, stripped(tree.arg))
+    return tree
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Patch owner.name to append one entry to the returned list per
+    call."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def random_point(rng: random.Random, variables, span=Fraction(1, 2),
                  grid: int = 64) -> dict:
     return {v: span * Fraction(rng.randint(-grid, grid), grid)
             for v in variables}
+
+
+def random_box_points(box, count: int, rng: random.Random,
+                      grid: int = 4096) -> list:
+    """Seeded random rational points on a uniform grid in the box."""
+    return [{name: lo + (hi - lo) * Fraction(rng.randint(0, grid), grid)
+             for name, lo, hi in box.intervals}
+            for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+def apply_to(field: VectorField, f, registry=None):
+    """Directional derivative of the scalar f along the field."""
+    variables = field.chart.variables
+    return scalar.normalize(
+        Sum(tuple(Prod((comp, scalar.differentiate(f, var, variables,
+                                                   registry)))
+                  for var, comp in zip(variables, field.components))),
+        variables)
+
+
+def zero_field(chart) -> VectorField:
+    return VectorField(chart, tuple(Const(Fraction(0))
+                                    for _ in range(chart.dimension)))
+
+
+def full_frame(dist) -> Frame:
+    """The frame (eta1, ..., eta5) of a `Distribution235` at its base
+    point."""
+    return Frame(dist.chart,
+                 (dist.eta1, dist.eta2, dist.eta3, dist.eta4, dist.eta5),
+                 dist.base_point, dist.registry)
+
+
+def contact_volume(alpha, point: dict, registry=None):
+    """Value of the 5-form alpha ^ d(alpha) ^ d(alpha) on the coordinate
+    frame at a point of a 5-dimensional chart."""
+    chart = alpha.chart
+    if chart.dimension != 5:
+        raise vecfield.ChartError(
+            "contact check needs a 5-dimensional chart")
+    d = vecfield.exterior_derivative(alpha, registry)
+    a_vals = [scalar.evaluate(c, point, registry) for c in alpha.components]
+    d_vals = {}
+    for i in range(5):
+        for j in range(5):
+            d_vals[(i, j)] = scalar.evaluate(d.coefficient(i, j), point,
+                                             registry)
+    total = 0
+    indices = range(5)
+    for one in indices:
+        rest = [i for i in indices if i != one]
+        for pair_1 in itertools.combinations(rest, 2):
+            pair_2 = tuple(i for i in rest if i not in pair_1)
+            perm = (one,) + pair_1 + pair_2
+            total += (_perm_sign(perm) * a_vals[one]
+                      * d_vals[pair_1] * d_vals[pair_2])
+    return total
+
+
+def _perm_sign(perm) -> int:
+    sign = 1
+    p = list(perm)
+    for i in range(len(p)):
+        while p[i] != i:
+            j = p[i]
+            p[i], p[j] = p[j], p[i]
+            sign = -sign
+    return sign
+
+
+def end_point(trace) -> dict:
+    """The last state of a `FlowTrace`, by coordinate name."""
+    return dict(zip(trace.chart.variables, map(float, trace.states[-1])))
 
 
 def record_evaluations(monkeypatch) -> list:

@@ -10,7 +10,7 @@ import pytest
 from dist235.conedual import (
     BUILTIN_MODELS, ConeFamily, DirectionField, _bracket_decomposition,
     builtin_model, check_lagrangian, check_nondegenerate,
-    check_osculating_condition, cone_frame, cone_generator, osculating,
+    check_osculating_condition, cone_frame, osculating,
     prolong_cone, solve_U,
 )
 from dist235.distduality import (
@@ -18,7 +18,7 @@ from dist235.distduality import (
     verify_pseudo_product,
 )
 from dist235.scalar import (
-    OpaqueRegistry, evaluate, is_zero, parse_expr, to_text,
+    Const, OpaqueRegistry, evaluate, is_zero, parse_expr, to_text,
 )
 from dist235.vecfield import (
     Chart, ChartError, Frame, lie_bracket, pair, rank_at, reduce_mod,
@@ -104,7 +104,7 @@ class TestConeFamilyBuild:
 class TestConeFrame:
     def test_flat_generator_components(self):
         family = builtin_model("flat-cone")
-        zeta2 = cone_generator(family)
+        zeta2 = family.zeta(2)
         assert [to_text(c) for c in zeta2.components] == [
             "1", "th", "th^2", "th^3",
             "x1*th^3 - 2*x2*th^2 + x3*th", "0"]
@@ -489,6 +489,18 @@ class TestBuiltinModels:
     def test_cubic_a_requires_vanishing_at_origin(self):
         with pytest.raises(StructureError, match="vanish"):
             builtin_model("cubic-a", {"a": "x1 + 1"})
+
+    def test_cubic_a_float_value_at_origin_must_be_zero(self):
+        # a float value of `a` at the origin is decided by linalg's rule:
+        # exactly 0.0 passes, and 1e-13 (under the old absolute 1e-12
+        # cut-off) does not
+        reg = OpaqueRegistry()
+        reg.register("f", lambda u: u, derivative=Const(Fraction(1)))
+        reg.register("g", lambda u: u + 1e-13, derivative=Const(Fraction(1)))
+        family = builtin_model("cubic-a", {"a": "f(x1)"}, reg)
+        assert family.name == "cubic-a"
+        with pytest.raises(StructureError, match="vanish"):
+            builtin_model("cubic-a", {"a": "g(x1)"}, reg)
 
     def test_cubic_a_rejects_other_variables(self):
         with pytest.raises(StructureError, match="x1"):

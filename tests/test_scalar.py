@@ -16,8 +16,9 @@ from dist235.scalar import (
 )
 
 from helpers import (
-    normal_form_outcome, random_nf_tree, random_point, random_tree,
-    reference_normal_form,
+    count_calls, normal_form_outcome, normalized_pieces, random_nf_tree,
+    random_point, random_tree, random_tree_with_pieces, reference_normal_form,
+    stripped,
 )
 
 CHART = ("x1", "x2", "x3", "x4", "x5")
@@ -520,9 +521,14 @@ class TestNormalFormMatchesReference:
 
     def test_fold_builds_no_fraction(self, monkeypatch):
         # Fractions appear only at the boundaries: the result of
-        # _normal_form and the arguments of opaque atoms
+        # _normal_form and the arguments of opaque atoms; a reused pair
+        # is one of them only in its normal form
         rng = random.Random(20261019)
         trees = [random_nf_tree(rng, CHART[:3], depth=4) for _ in range(300)]
+        pieces = normalized_pieces(rng, 60, (CHART,), CHART[:3])
+        trees += [random_tree_with_pieces(rng, CHART[:3], pieces)
+                  for _ in range(300)]
+        reused = count_calls(monkeypatch, scalar._NFBuilder, "reuse")
         made = []
         real_new = Fraction.__new__
 
@@ -539,7 +545,7 @@ class TestNormalFormMatchesReference:
                 continue
             folded += 1
         monkeypatch.undo()
-        assert folded > 200 and made == []
+        assert folded > 400 and made == [] and len(reused) > 100
 
     def test_exponent_overflow_raises(self):
         # an exponent of 2^64 would carry into the next atom's field:
@@ -558,6 +564,194 @@ class TestNormalFormMatchesReference:
                      Opaque("a", Pow(x1, 2 ** 70))):
             with pytest.raises(scalar.ExprError, match="exponent overflow"):
                 build(tree, CHART, False)
+
+
+# ---------------------------------------------------------------------------
+# trees that carry the normal form they were printed from
+
+PIECE_CHARTS = (CHART, CHART_SETTINGS["permuted"][0], None)
+
+
+class TestCarriedPairs:
+    """A normalized tree carries its integer pair; folding, differentiating
+    and evaluating it must give what the tree itself gives."""
+
+    @pytest.mark.parametrize("setting", sorted(CHART_SETTINGS))
+    def test_reuse_gives_the_same_fold(self, setting, monkeypatch):
+        chart_key, strict = CHART_SETTINGS[setting]
+        rng = random.Random(20261020)
+        variables = CHART[:3] + ("w",)
+        pieces = normalized_pieces(rng, 200, PIECE_CHARTS, variables,
+                                   ("a", "a1"), make_registry())
+        reused = count_calls(monkeypatch, scalar._NFBuilder, "reuse")
+        build = scalar._normal_form.__wrapped__
+        kinds = set()
+        for _ in range(1500):
+            tree = random_tree_with_pieces(rng, variables, pieces,
+                                           ("a", "a1"))
+            got = normal_form_outcome(build, tree, chart_key, strict)
+            want = normal_form_outcome(reference_normal_form, tree,
+                                       chart_key, strict)
+            assert got == want, to_text(tree)
+            kinds.add(want[0] if isinstance(want, tuple) else "form")
+        assert reused and "form" in kinds and ZeroDenominatorError in kinds
+
+    def test_reused_pair_and_bound_equal_the_fresh_fold(self):
+        rng = random.Random(20261021)
+        pieces = normalized_pieces(rng, 300, PIECE_CHARTS, CHART[:3])
+        checked = 0
+        for chart_key, strict in CHART_SETTINGS.values():
+            for piece in pieces:
+                nf = piece._nf
+                if nf is None or nf.packed.chart_key != chart_key:
+                    continue
+                reused = scalar._NFBuilder(chart_key, strict)
+                fresh = scalar._NFBuilder(chart_key, strict)
+                # (numerator, denominator, degree bound)
+                assert reused.visit(piece) == fresh.visit(stripped(piece))
+                assert reused.atom_exprs == fresh.atom_exprs
+                checked += 1
+        assert checked > 150
+
+    def test_only_opaque_free_chart_forms_carry(self):
+        reg = make_registry()
+        for text, chart, carries in (
+                ("x1^2 + x2/3", CHART, True),
+                ("(x1 + 1)/(x2 - 1)", CHART, True),
+                ("a(x1) + x2", CHART, False),
+                ("a(x1) - a(x1) + x1*x2", CHART, True),
+                ("w*x1 + 1", CHART, False),
+                ("x1*x2 + 1", None, False),
+                ("3/4", CHART, True)):
+            tree = normalize(parse_expr(text, registry=reg), chart)
+            assert (tree._nf is not None) == carries, text
+
+    def test_derivative_on_the_pair_equals_the_product_rule_fold(
+            self, monkeypatch):
+        # the memo is bypassed: an equal tree would return the cached form
+        rng = random.Random(20261022)
+        reg = make_registry()
+        pieces = normalized_pieces(rng, 300, (CHART, PIECE_CHARTS[1]),
+                                   CHART[:3])
+        direct = count_calls(monkeypatch, scalar, "_polynomial_derivative")
+        derive = scalar._derivative.__wrapped__
+        for piece in pieces:
+            chart = piece._nf.packed.chart_key if piece._nf else CHART
+            for var in ("x1", "x3", "x5"):
+                got = derive(piece, var, chart, reg)
+                want = derive(stripped(piece), var, chart, reg)
+                assert got == want, to_text(piece)
+                if got._nf is not None:
+                    assert scalar._normal_form.__wrapped__(got, chart, False) \
+                        == reference_normal_form(got, chart, False)
+        assert len(direct) > 300
+
+    def test_osculating_check_folds_half_as_much(self, monkeypatch):
+        # a count, not a time: the bundled noncubic-bc osculating check on
+        # fresh caches, with pairs carried and with none packed
+        from dist235 import conedual, vecfield
+
+        def clear_caches():
+            for cached in (scalar._normal_form, scalar._derivative,
+                           vecfield._bracket, conedual._decomposition_at):
+                cached.cache_clear()
+
+        def visits(pack):
+            clear_caches()
+            with monkeypatch.context() as patch:
+                patch.setattr(scalar._NFBuilder, "pack", pack)
+                calls = count_calls(patch, scalar._NFBuilder, "visit")
+                family = conedual.builtin_model(
+                    "noncubic-bc", dict(conedual.BUNDLED["noncubic-bc"]
+                                        ["expressions"]))
+                assert conedual.check_osculating_condition(family).passed
+            clear_caches()
+            return len(calls)
+
+        carried = visits(scalar._NFBuilder.pack)
+        bare = visits(lambda self, *args: None)
+        assert 2 * carried <= bare
+
+
+class TestExactEvaluation:
+    """`evaluate` on a carried tree at a rational point computes in
+    integers; every answer must be the tree walk's."""
+
+    @staticmethod
+    def carried_trees(seed, count, opaques=()):
+        rng = random.Random(seed)
+        trees = []
+        while len(trees) < count:
+            tree = random_nf_tree(rng, CHART[:3], opaques, depth=3)
+            try:
+                canon = normalize(tree, CHART)
+            except ZeroDenominatorError:
+                continue
+            if canon._nf is not None or opaques:
+                trees.append(canon)
+        return trees
+
+    @staticmethod
+    def outcome(tree, point, registry=None):
+        try:
+            value = evaluate(tree, point, registry)
+        except ZeroDivisionError as exc:
+            return "pole", str(exc)
+        return type(value), repr(value)
+
+    POINTS = (BOX.sample_points(12)
+              + [{v: 0 for v in CHART},
+                 {"x1": Fraction(1, 3), "x2": 0, "x3": 2, "x4": 0, "x5": 0},
+                 {"x1": -1, "x2": Fraction(-5, 7), "x3": Fraction(9, 4)}])
+
+    def test_rational_points_match_the_tree_walk(self, monkeypatch):
+        exact = count_calls(monkeypatch, scalar, "_integer_value")
+        seen = set()
+        for tree in self.carried_trees(701, 150):
+            walk = stripped(tree)
+            for pt in self.POINTS:
+                got = self.outcome(tree, pt)
+                assert got == self.outcome(walk, pt), (to_text(tree), pt)
+                seen.add(got[0])
+        assert seen == {Fraction, "pole"} and len(exact) > 2000
+
+    def test_float_points_keep_the_walk_bits(self):
+        points = [{k: float(v) for k, v in pt.items()} for pt in self.POINTS]
+        points += [dict(pt, x1=float(pt["x1"]) + 0.1) for pt in self.POINTS]
+        seen = set()
+        for tree in self.carried_trees(702, 100):
+            walk = stripped(tree)
+            for pt in points:
+                got = self.outcome(tree, pt)
+                assert got == self.outcome(walk, pt), (to_text(tree), pt)
+                seen.add(got[0])
+        assert {float, "pole"} <= seen
+
+    def test_opaque_atoms_keep_the_walk_bits(self):
+        reg = make_registry()
+        checked = 0
+        for tree in self.carried_trees(703, 100, opaques=("a", "a1")):
+            if tree._nf is not None:
+                continue
+            walk = stripped(tree)
+            for pt in self.POINTS:
+                assert self.outcome(tree, pt, reg) == \
+                    self.outcome(walk, pt, reg)
+            checked += 1
+        assert checked > 20
+
+    def test_missing_assignment_is_unchanged(self):
+        from dist235.scalar import MissingAssignmentError
+        tree = normalize(parse_expr("x1^2*x3 + x2/(x3 + 1)", CHART), CHART)
+        assert tree._nf is not None
+        for pt in ({"x1": 1}, {"x2": 1, "x3": Fraction(1, 2)},
+                   {"x1": 0.5, "x3": 2}):
+            names = []
+            for t in (tree, stripped(tree)):
+                with pytest.raises(MissingAssignmentError) as info:
+                    evaluate(t, pt)
+                names.append(info.value.name)
+            assert names[0] == names[1]
 
 
 class TestPolyPow:

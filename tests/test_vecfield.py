@@ -15,13 +15,14 @@ from dist235.scalar import (
 from dist235.vecfield import (
     Chart, ChartError, ChartMismatchError, DegenerateFrameError, Frame,
     OneForm, VectorField, _bracket, cauchy_characteristic_at,
-    check_contact, contact_volume, coordinate_field, derived_flag,
+    check_contact, coordinate_field, derived_flag,
     exterior_derivative, field_from_strings, lie_bracket, pair, rank_at,
-    reduce_mod, zero_field,
+    reduce_mod,
 )
 
 from helpers import (
-    random_point, random_tree, record_evaluations, repeated_evaluations,
+    apply_to, contact_volume, random_point, random_tree, record_evaluations,
+    repeated_evaluations, zero_field,
 )
 
 CH5 = Chart(("x", "y", "y1", "y2", "z"))
@@ -105,7 +106,7 @@ class TestBracket:
             w = self._random_field(rng)
             f = random_tree(rng, CH5.variables[:3], depth=2)
             lhs = lie_bracket(v, w * f)
-            rhs = (lie_bracket(v, w) * f) + (w * v.apply_to(f))
+            rhs = (lie_bracket(v, w) * f) + (w * apply_to(v, f))
             for c1, c2 in zip(lhs.components, rhs.components):
                 diff = normalize(Sum((c1, Prod((Const(Fraction(-1)), c2)))),
                                  CH5.variables)
@@ -452,9 +453,9 @@ class TestForms:
                 random_tree(rng, CHX.variables[:3], depth=2)
                 for _ in range(5)))
             lhs = pair(exterior_derivative(alpha), v, w)
-            rhs = Sum((v.apply_to(pair(alpha, w)),
+            rhs = Sum((apply_to(v, pair(alpha, w)),
                        Prod((Const(Fraction(-1)),
-                             w.apply_to(pair(alpha, v)))),
+                             apply_to(w, pair(alpha, v)))),
                        Prod((Const(Fraction(-1)),
                              pair(alpha, lie_bracket(v, w))))))
             diff = normalize(Sum((lhs, Prod((Const(Fraction(-1)), rhs)))),
