@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .boxes import Box, as_fraction
 from .conedual import BUNDLED, STANDARD_ALPHA, STANDARD_CHART, ConeFamily, \
     _driver_components, check_lagrangian, check_nondegenerate, \
@@ -91,7 +89,7 @@ def _emit(value, out: list):
         out.append(json.dumps(str(value)))
     elif isinstance(value, int):
         out.append(str(value))
-    elif isinstance(value, (float, np.floating)):
+    elif isinstance(value, float):
         out.append(_float_text(float(value)))
     elif isinstance(value, dict):
         out.append("{")
@@ -106,7 +104,7 @@ def _emit(value, out: list):
             out.append(":")
             _emit(value[key], out)
         out.append("}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
+    elif isinstance(value, (list, tuple)):
         out.append("[")
         for i, item in enumerate(value):
             if i:

@@ -591,13 +591,17 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
 
     # Pick the equation whose linear coefficient is largest at the base
     # point; for the canonical construction this is the bracket with the
-    # fourth layer generator, whose coefficient is exactly 1.
-    best, best_mag = None, 0.0
+    # fourth layer generator, whose coefficient is exactly 1.  A value is
+    # zero by linalg's rule: exactly 0 for a rational, 0.0 for a float.
+    best, best_mag = None, -1.0
     for a, b in pairs:
-        mag = abs(float(evaluate(b, prolonged.base_point, registry)))
+        value = evaluate(b, prolonged.base_point, registry)
+        if linalg.matrix_rank([[value]]) == 0:
+            continue
+        mag = abs(float(value))
         if mag > best_mag:
             best, best_mag = (a, b), mag
-    if best is None or best_mag <= linalg.FLOAT_RTOL:
+    if best is None:
         raise StructureError(
             "no bracket produces a usable linear coefficient for the "
             "correction scalar at the base point")

@@ -4,9 +4,10 @@ Every exact answer (rank, membership, residual, solve, nullspace) comes
 from one elimination: rows are scaled to integers and reduced
 fraction-free into a row echelon (`ExactSpan`), so an answer at a
 rational point is exact, not an estimate.  Data with a float entry falls
-back to float rules with a relative tolerance: rank by partial-pivot
-elimination, membership by a least-squares residual, nullspace by SVD.
-No other module chooses between the two.
+back to one Householder QR with column pivoting (`_FloatQR`) under a
+relative tolerance: it gives the rank, the least-squares residual that
+decides membership, and an orthonormal nullspace.  No other module
+chooses between the two.
 
 A row or vector may be passed as a `Row`, which carries its integer
 scaling; a caller that tests one vector many times (`PointValues`)
@@ -18,8 +19,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 FLOAT_RTOL = 1e-9
 
@@ -128,30 +127,107 @@ def exact_rank(rows) -> int:
     return ExactSpan(rows).rank
 
 
+def _dot(a, b) -> float:
+    """Sum of the products, added by `math.fsum` (correctly rounded)."""
+    return math.fsum(x * y for x, y in zip(a, b))
+
+
+def _reflect(c: list, k: int, v: list, w: float):
+    """c <- (I - w v v^T) c on the entries k, k+1, ...; in place."""
+    s = w * _dot(v, c[k:])
+    for i, vi in enumerate(v, k):
+        c[i] -= s * vi
+
+
+class _FloatQR:
+    """Householder QR with column pivoting (Golub & Van Loan, *Matrix
+    Computations*, Alg. 5.4.1) of the float matrix A whose columns are
+    the given vectors: A P = Q R, Q = H_0 ... H_{rank-1}.
+
+    Each step moves the remaining column of largest norm to the front,
+    so the diagonal of R does not grow.  The factorization stops at the
+    first diagonal entry |R_kk| <= rtol * |R_00|, and `rank` is the
+    number of steps taken.  A NaN or infinite entry never passes that
+    test, so it raises the rank instead of hiding in a zero.
+    """
+
+    def __init__(self, vectors, length: int, rtol: float = FLOAT_RTOL):
+        cols = [[float(x) for x in v] for v in vectors]
+        # scaled by the largest entry, so no square under- or overflows
+        self.scale = max((abs(x) for c in cols for x in c), default=0.0)
+        if 0.0 < self.scale < math.inf:
+            cols = [[x / self.scale for x in c] for c in cols]
+        else:
+            self.scale = 1.0
+        self.length = length
+        self.perm = list(range(len(cols)))
+        self.reflectors = []  # (k, v, 2 / (v . v)): H_k = I - w v v^T
+        self.r = cols  # column-major; R is read from rows < rank
+        threshold = None
+        for k in range(min(length, len(cols))):
+            norms = [_dot(c[k:], c[k:]) for c in cols[k:]]
+            j = k
+            for i, sq in enumerate(norms):
+                if sq > norms[j - k]:
+                    j = k + i
+            top = math.sqrt(norms[j - k])
+            if threshold is None:
+                threshold = rtol * top if math.isfinite(top) else 0.0
+            if top <= threshold:
+                break
+            cols[k], cols[j] = cols[j], cols[k]
+            self.perm[k], self.perm[j] = self.perm[j], self.perm[k]
+            x = cols[k]
+            alpha = -math.copysign(top, x[k])
+            v = [x[k] - alpha] + x[k + 1:]
+            w = 2.0 / _dot(v, v)
+            for c in cols[k + 1:]:
+                _reflect(c, k, v, w)
+            x[k:] = [alpha] + [0.0] * (length - k - 1)
+            self.reflectors.append((k, v, w))
+
+    @property
+    def rank(self) -> int:
+        return len(self.reflectors)
+
+    def least_squares(self, b) -> list:
+        """Coefficients x minimizing |A x - b|: Q^T b, then
+        back-substitution on the leading rank x rank block of R, with 0
+        for the columns left over."""
+        z = list(b)
+        for k, v, w in self.reflectors:
+            _reflect(z, k, v, w)
+        rank = self.rank
+        y = [0.0] * rank
+        for i in reversed(range(rank)):
+            acc = z[i]
+            for j in range(i + 1, rank):
+                acc -= self.r[j][i] * y[j]
+            y[i] = acc / self.r[i][i]
+        x = [0.0] * len(self.perm)
+        for i in range(rank):
+            x[self.perm[i]] = y[i] / self.scale
+        return x
+
+    def complement(self) -> list:
+        """The columns rank, ..., length-1 of Q: an orthonormal basis of
+        the complement of the numerical column span."""
+        basis = []
+        for j in range(self.rank, self.length):
+            e = [0.0] * self.length
+            e[j] = 1.0
+            for k, v, w in reversed(self.reflectors):
+                _reflect(e, k, v, w)
+            basis.append(e)
+        return basis
+
+
 def float_rank(rows, rtol: float = FLOAT_RTOL) -> int:
-    """Rank by partial-pivot elimination; pivots below rtol * max|entry|
-    of the original matrix count as zero."""
-    a = np.array(rows, dtype=float)
-    if a.size == 0:
+    """Rank by pivoted QR: diagonal entries of R at or below rtol times
+    the largest column norm count as zero."""
+    if not rows:
         return 0
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        return 0
-    threshold = rtol * scale
-    n_rows, n_cols = a.shape
-    rank = 0
-    col = 0
-    while rank < n_rows and col < n_cols:
-        pivot_row = rank + int(np.argmax(np.abs(a[rank:, col])))
-        if abs(a[pivot_row, col]) <= threshold:
-            col += 1
-            continue
-        a[[rank, pivot_row]] = a[[pivot_row, rank]]
-        a[rank + 1:, col:] -= np.outer(a[rank + 1:, col] / a[rank, col],
-                                       a[rank, col:])
-        rank += 1
-        col += 1
-    return rank
+    return _FloatQR(rows, len(rows[0]), rtol).rank
 
 
 def matrix_rank(rows, rtol: float = FLOAT_RTOL) -> int:
@@ -228,38 +304,33 @@ class Span:
                 return (exact_solve([r.values for r in self.rows], values),
                         [Fraction(0)] * len(values))
             return None, self._exact.residual(values)
-        a = np.array([r.values for r in self.rows],
-                     dtype=float).reshape(len(self.rows), len(values)).T
-        bv = np.array([float(x) for x in values])
-        coeffs = np.linalg.lstsq(a, bv, rcond=None)[0]
-        residual = [float(r) for r in bv - a @ coeffs]
-        norm_r = math.sqrt(sum(r ** 2 for r in residual))
-        norm_b = math.sqrt(sum(float(x) ** 2 for x in values))
-        if norm_r <= self.rtol * max(1.0, norm_b):
-            return [float(c) for c in coeffs], residual
+        b = [float(x) for x in values]
+        coeffs = _FloatQR([r.values for r in self.rows], len(b),
+                          self.rtol).least_squares(b)
+        residual = b
+        for c, row in zip(coeffs, self.rows):
+            residual = [x - c * float(y) for x, y in zip(residual, row.values)]
+        if math.sqrt(_dot(residual, residual)) <= \
+                self.rtol * max(1.0, math.sqrt(_dot(b, b))):
+            return coeffs, residual
         return None, residual
 
 
 def float_nullspace(rows, rtol: float = FLOAT_RTOL):
-    """Orthonormal nullspace basis via SVD, sign-fixed for determinism."""
-    a = np.array(rows, dtype=float)
-    if a.size == 0:
+    """Orthonormal nullspace basis: the trailing columns of Q in the
+    pivoted QR of the transpose, each signed so that its entry of
+    largest magnitude is positive."""
+    if not rows or not rows[0]:
         return []
-    _, s, vt = np.linalg.svd(a)
-    tol = rtol * (s[0] if len(s) else 1.0)
-    null_mask = np.ones(vt.shape[0], dtype=bool)
-    null_mask[: len(s)] = s <= tol
     basis = []
-    for row in vt[null_mask]:
-        idx = int(np.argmax(np.abs(row)))
-        if row[idx] < 0:
-            row = -row
-        basis.append([float(x) for x in row])
+    for v in _FloatQR(rows, len(rows[0]), rtol).complement():
+        big = max(range(len(v)), key=lambda i: abs(v[i]))
+        basis.append([-x for x in v] if v[big] < 0 else v)
     return basis
 
 
 def nullspace(rows, rtol: float = FLOAT_RTOL):
-    """Exact nullspace basis of a rational matrix, else the SVD one."""
+    """Exact nullspace basis of a rational matrix, else the QR one."""
     if is_rational_matrix(rows):
         return exact_nullspace(rows)
     return float_nullspace(rows, rtol)

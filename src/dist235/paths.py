@@ -9,11 +9,12 @@ and the leaf/path correspondence between the two sides of a splitting is
 cross-validated numerically.
 """
 
+import bisect
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
-
-import numpy as np
 
 from .boxes import Box, as_fraction
 from .conedual import ConeFamily
@@ -40,6 +41,44 @@ _BISECT_TOL = 1e-10
 _COSTATE_FLOOR = 1e-10
 
 _MODES = ("newton", "linear-singular", "fixed")
+
+
+# Every vector below (state, costate, control, stage) is a tuple of
+# floats, and every reduction is one of these loops, so a result has
+# the same bits wherever it runs (a BLAS dot may fuse multiply-adds).
+
+def _dot(a, b) -> float:
+    """Sum of products, left to right."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+def _norm(a) -> float:
+    return math.sqrt(_dot(a, a))
+
+
+def _max_abs(values) -> float:
+    """The largest |v|, or NaN as soon as one v is NaN."""
+    worst = 0.0
+    for v in values:
+        v = abs(v)
+        if not v <= worst:
+            if v != v:
+                return v
+            worst = v
+    return worst
+
+
+def _at(t: float, fn, *args):
+    """fn(*args), where float arithmetic raising on a division by zero
+    or an overflowing power means a pole: an IntegrationError at t."""
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise IntegrationError(
+            f"a compiled batch hit a pole at t={t:.6g}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +145,11 @@ class ControlSystem:
             if self.rule_fields is None or len(self.rule_fields) != 2:
                 raise StructureError(
                     "linear-singular mode needs the two rule fields")
+
+    @cached_property
+    def prepared(self) -> "PreparedSystem":
+        """The pairing and compiled batches, built on first use."""
+        return PreparedSystem(self)
 
 
 def cone_system(family: ConeFamily, radial: str = "r") -> ControlSystem:
@@ -233,6 +277,32 @@ def hamiltonian(cs: ControlSystem) -> HamiltonianData:
                            h, dh_dx, dh_dp, dh_du)
 
 
+class PreparedSystem:
+    """What integrating a control system needs, built once per system:
+    the pairing, and compiled batches of the dynamics, of their state
+    Jacobian (row by row), of the control constraint dH/du, and of the
+    control rule of the system's mode."""
+
+    def __init__(self, cs: ControlSystem):
+        self.ham = ham = hamiltonian(cs)
+        states, reg = cs.state_chart.variables, cs.registry
+        f_vars = states + cs.control_names
+        self.f_fn = compile_exprs(cs.dynamics, f_vars, reg)
+        self.jac_fn = compile_exprs(
+            tuple(differentiate(comp, v, f_vars, reg)
+                  for comp in cs.dynamics for v in states), f_vars, reg)
+        self.res_fn = compile_exprs(ham.dh_du, ham.variables, reg)
+        if cs.mode == "newton":
+            self.slot = cs.control_names.index(cs.newton_control)
+            g = ham.dh_du[self.slot]
+            gp = differentiate(g, cs.newton_control, ham.variables, reg)
+            self.g_fn = compile_exprs((g, gp), ham.variables, reg)
+        elif cs.mode == "linear-singular":
+            a_field, b_field = cs.rule_fields
+            self.rule_fn = compile_exprs(
+                a_field.components + b_field.components, states, reg)
+
+
 # ---------------------------------------------------------------------------
 # Runge-Kutta machinery (Dormand-Prince 5(4), first-same-as-last)
 # ---------------------------------------------------------------------------
@@ -252,25 +322,47 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 
 
+# the nonzero (coefficient, stage) pairs of each tableau row and weight
+_DP_ROWS = tuple(tuple((a, j) for j, a in enumerate(row) if a != 0.0)
+                 for row in _DP_A)
+_DP_W5 = tuple((b, j) for j, b in enumerate(_DP_B5) if b != 0.0)
+_DP_W4 = tuple((b, j) for j, b in enumerate(_DP_B4) if b != 0.0)
+
+
+def _advance(y, h, weights, ks) -> tuple:
+    out = list(y)
+    for b, j in weights:
+        hb = h * b
+        for i, k in enumerate(ks[j]):
+            out[i] += hb * k
+    return tuple(out)
+
+
 def _dp_stages(rhs, t, y, f, h):
     """One Dormand-Prince step: fifth-order value, embedded fourth-order
     value, and the derivative at the new node (last stage)."""
     ks = [f]
     for stage in range(1, 7):
-        acc = np.zeros_like(y)
-        for j, a in enumerate(_DP_A[stage]):
-            if a != 0.0:
-                acc = acc + a * ks[j]
-        ks.append(np.asarray(rhs(t + _DP_C[stage] * h, y + h * acc),
-                             dtype=float))
-    y5 = y.copy()
-    y4 = y.copy()
-    for b5, b4, k in zip(_DP_B5, _DP_B4, ks):
-        if b5 != 0.0:
-            y5 = y5 + (h * b5) * k
-        if b4 != 0.0:
-            y4 = y4 + (h * b4) * k
-    return y5, y4, ks[6]
+        terms = _DP_ROWS[stage]
+        point = []
+        for i, yi in enumerate(y):
+            acc = 0.0
+            for a, j in terms:
+                acc += a * ks[j][i]
+            point.append(yi + h * acc)
+        t_stage = t + _DP_C[stage] * h
+        ks.append(tuple(_at(t_stage, rhs, t_stage, tuple(point))))
+    return _advance(y, h, _DP_W5, ks), _advance(y, h, _DP_W4, ks), ks[6]
+
+
+def _step_error(y, y5, y4, rtol, atol) -> float:
+    """RMS over the components of the embedded error, each scaled by
+    atol + rtol * max(|y|, |y5|)."""
+    total = 0.0
+    for a, b, c in zip(y, y5, y4):
+        q = (b - c) / (atol + rtol * max(abs(a), abs(b)))
+        total += q * q
+    return math.sqrt(total / len(y))
 
 
 def _integrate(rhs, y0, t_end, *, rtol, atol, h_max=None, fixed_step=None,
@@ -279,36 +371,45 @@ def _integrate(rhs, y0, t_end, *, rtol, atol, h_max=None, fixed_step=None,
     sign).  Returns (times, states, derivatives) at accepted nodes.
 
     With `fixed_step` the interval is covered in equal steps and the
-    error estimate is ignored.  `accept_hook(t, y, f)` runs at every
-    accepted node (including the initial one) and may raise.
+    error estimate only has to be finite.  `accept_hook(t, y, f)` runs
+    at every accepted node (including the initial one) and may raise.
+    A non-finite error estimate, or a pole of rhs or of the hook, raises
+    IntegrationError.
     """
     span = abs(float(t_end))
     if span == 0.0:
         raise IntegrationError("empty integration interval")
     direction = 1.0 if t_end > 0 else -1.0
-    y = np.asarray(y0, dtype=float).copy()
+    y = tuple(float(v) for v in y0)
     t = 0.0
-    f = np.asarray(rhs(t, y), dtype=float)
-    times, states, derivs = [t], [y.copy()], [f.copy()]
+    f = tuple(_at(t, rhs, t, y))
+    times, states, derivs = [t], [y], [f]
     if accept_hook is not None:
-        accept_hook(t, y, f)
+        _at(t, accept_hook, t, y, f)
 
     def record(t_new, y_new, f_new):
         times.append(t_new)
-        states.append(y_new.copy())
-        derivs.append(f_new.copy())
+        states.append(y_new)
+        derivs.append(f_new)
         if accept_hook is not None:
-            accept_hook(t_new, y_new, f_new)
+            _at(t_new, accept_hook, t_new, y_new, f_new)
+
+    def step(t, y, f, h):
+        y5, y4, f_new = _dp_stages(rhs, t, y, f, h)
+        err = _step_error(y, y5, y4, rtol, atol)
+        if not math.isfinite(err):
+            raise IntegrationError(
+                f"non-finite error estimate at t={t:.6g}")
+        return y5, f_new, err
 
     if fixed_step is not None:
         count = max(1, int(round(span / abs(float(fixed_step)))))
         h = direction * span / count
         for i in range(count):
-            y5, _y4, f = _dp_stages(rhs, t, y, f, h)
+            y, f, _err = step(t, y, f, h)
             t = direction * span * (i + 1) / count
-            y = y5
             record(t, y, f)
-        return (np.array(times), np.vstack(states), np.vstack(derivs))
+        return tuple(times), tuple(states), tuple(derivs)
 
     cap = h_max if h_max is not None else span / 16.0
     h = direction * min(span / 16.0, cap)
@@ -323,9 +424,7 @@ def _integrate(rhs, y0, t_end, *, rtol, atol, h_max=None, fixed_step=None,
             h = remaining
         if abs(h) > cap:
             h = direction * cap
-        y5, y4, f_new = _dp_stages(rhs, t, y, f, h)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
+        y5, f_new, err = step(t, y, f, h)
         if err > 1.0:
             h *= max(0.2, 0.9 * err ** -0.2)
             if abs(h) < 1e-15 * span:
@@ -338,7 +437,7 @@ def _integrate(rhs, y0, t_end, *, rtol, atol, h_max=None, fixed_step=None,
         record(t, y, f)
         if err > 0.0:
             h *= min(5.0, max(0.2, 0.9 * err ** -0.2))
-    return (np.array(times), np.vstack(states), np.vstack(derivs))
+    return tuple(times), tuple(states), tuple(derivs)
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +446,14 @@ def _integrate(rhs, y0, t_end, *, rtol, atol, h_max=None, fixed_step=None,
 
 @dataclass(frozen=True)
 class FlowTrace:
-    """Integral curve of a vector field: nodes with exact derivatives."""
+    """Integral curve of a vector field: nodes with exact derivatives.
+    `times` is a tuple of floats; `states` and `derivatives` hold one
+    tuple of floats per node."""
 
     chart: Chart
-    times: np.ndarray = field(compare=False)
-    states: np.ndarray = field(compare=False)
-    derivatives: np.ndarray = field(compare=False)
+    times: tuple = field(compare=False)
+    states: tuple = field(compare=False)
+    derivatives: tuple = field(compare=False)
 
 
 def integrate_flow(flow: VectorField, z0: dict, t_end: float, *,
@@ -364,7 +465,7 @@ def integrate_flow(flow: VectorField, z0: dict, t_end: float, *,
     """Integrate the flow of a vector field from a chart point."""
     chart = flow.chart
     fn = compile_exprs(flow.components, chart.variables, registry)
-    y0 = np.array([float(z0[v]) for v in chart.variables])
+    y0 = tuple(float(z0[v]) for v in chart.variables)
 
     def rhs(_t, y):
         return fn(y)
@@ -382,98 +483,76 @@ def integrate_flow(flow: VectorField, z0: dict, t_end: float, *,
 @dataclass(frozen=True)
 class BiExtremalTrace:
     """A singular trajectory with its costate, resolved controls, and
-    per-node constraint residuals."""
+    per-node constraint residuals.  `times` and `residuals` are tuples
+    of floats; `states`, `costates` and `controls` hold one tuple of
+    floats per node."""
 
     system_name: str
     chart: Chart
     control_names: tuple
-    times: np.ndarray = field(compare=False)
-    states: np.ndarray = field(compare=False)
-    costates: np.ndarray = field(compare=False)
-    controls: np.ndarray = field(compare=False)
-    residuals: np.ndarray = field(compare=False)
+    times: tuple = field(compare=False)
+    states: tuple = field(compare=False)
+    costates: tuple = field(compare=False)
+    controls: tuple = field(compare=False)
+    residuals: tuple = field(compare=False)
     classification: str = "unclassified"
     meta: dict = field(default_factory=dict, compare=False)
 
     @property
     def max_residual(self) -> float:
-        return float(np.max(self.residuals))
+        return _max_abs(self.residuals)
 
     def point(self, index: int) -> dict:
-        return dict(zip(self.chart.variables,
-                        map(float, self.states[index])))
+        return dict(zip(self.chart.variables, self.states[index]))
 
 
-def _as_state_array(chart: Chart, value) -> np.ndarray:
+def _as_vector(names: tuple, value, error, what: str) -> tuple:
+    """A {name: value} point or a sequence in `names` order, as a tuple
+    of floats."""
     if isinstance(value, dict):
-        missing = [v for v in chart.variables if v not in value]
+        missing = [v for v in names if v not in value]
         if missing:
-            raise ChartError(f"point misses coordinates {missing}")
-        return np.array([float(value[v]) for v in chart.variables])
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (chart.dimension,):
-        raise ChartError(
-            f"expected {chart.dimension} state values, got {arr.shape}")
-    return arr.copy()
-
-
-def _as_control_array(cs: ControlSystem, value) -> np.ndarray:
-    if isinstance(value, dict):
-        missing = [u for u in cs.control_names if u not in value]
-        if missing:
-            raise StructureError(f"control misses components {missing}")
-        return np.array([float(value[u]) for u in cs.control_names])
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (len(cs.control_names),):
-        raise StructureError(
-            f"expected {len(cs.control_names)} control values, got "
-            f"{arr.shape}")
-    return arr.copy()
+            raise error(f"{what} misses components {missing}")
+        return tuple(float(value[v]) for v in names)
+    vec = tuple(float(v) for v in value)
+    if len(vec) != len(names):
+        raise error(
+            f"expected {len(names)} {what} values, got {len(vec)}")
+    return vec
 
 
 class _ControlResolver:
     """Per-stage projection of the control onto the constraint manifold,
     warm-started from the control it is given."""
 
-    def __init__(self, cs, ham, *, newton_tol, max_newton):
-        self.cs = cs
+    def __init__(self, cs, *, newton_tol, max_newton):
+        self.prep = cs.prepared
         self.mode = cs.mode
         self.newton_tol = newton_tol
         self.max_newton = max_newton
         self.m = cs.state_chart.dimension
-        if self.mode == "newton":
-            self.slot = cs.control_names.index(cs.newton_control)
-            g = ham.dh_du[self.slot]
-            gp = differentiate(g, cs.newton_control, ham.variables,
-                               cs.registry)
-            self.g_fn = compile_exprs((g, gp), ham.variables, cs.registry)
-        elif self.mode == "linear-singular":
-            a_field, b_field = cs.rule_fields
-            self.rule_fn = compile_exprs(
-                a_field.components + b_field.components,
-                cs.state_chart.variables, cs.registry)
 
     def __call__(self, x, p, u):
         if self.mode == "fixed":
             return u
         if self.mode == "linear-singular":
-            vals = self.rule_fn(x)
-            w_a = float(np.dot(p, vals[:self.m]))
-            w_b = float(np.dot(p, vals[self.m:]))
-            norm = float(np.hypot(w_a, w_b))
-            if norm <= 1e-12 * max(1.0, float(np.linalg.norm(p))):
+            vals = self.prep.rule_fn(x)
+            w_a = _dot(p, vals[:self.m])
+            w_b = _dot(p, vals[self.m:])
+            size = math.hypot(w_a, w_b)
+            if size <= 1e-12 * max(1.0, _norm(p)):
                 raise IntegrationError(
                     "control rule lost rank: both singular pairings "
                     "vanish")
-            candidate = np.array([w_b / norm, -w_a / norm])
-            if float(np.dot(candidate, u)) < 0.0:
-                candidate = -candidate
+            candidate = (w_b / size, -w_a / size)
+            if _dot(candidate, u) < 0.0:
+                candidate = (-candidate[0], -candidate[1])
             return candidate
         # damped scalar Newton on the designated control
-        u = u.copy()
-        scale = max(1.0, float(np.linalg.norm(p)))
+        g_fn, slot = self.prep.g_fn, self.prep.slot
+        scale = max(1.0, _norm(p))
         for _ in range(self.max_newton):
-            g, gp = self.g_fn(np.concatenate([x, p, u]))
+            g, gp = g_fn(x + p + u)
             if abs(g) <= self.newton_tol * scale:
                 return u
             if abs(gp) <= 1e-10 * scale:
@@ -482,9 +561,8 @@ class _ControlResolver:
             step = -g / gp
             lam = 1.0
             while lam >= 1 / 1024:
-                trial = u.copy()
-                trial[self.slot] += lam * step
-                g_new = self.g_fn(np.concatenate([x, p, trial]))[0]
+                trial = u[:slot] + (u[slot] + lam * step,) + u[slot + 1:]
+                g_new = g_fn(x + p + trial)[0]
                 if abs(g_new) <= (1 - lam / 2) * abs(g):
                     u = trial
                     break
@@ -511,39 +589,30 @@ def integrate_biextremal(cs: ControlSystem, x0, p0, u0, t_end, *,
 
     The initial data must satisfy the control-gradient constraint; the
     costate must be nonzero and stay bounded away from zero.  Every
-    accepted node is checked against `constraint_tol`.
+    accepted node is checked against `constraint_tol`.  The system's
+    pairing and compiled batches are built once, on its first
+    integration.
     """
-    ham = hamiltonian(cs)
+    prep = cs.prepared
     m = cs.state_chart.dimension
-    x_init = _as_state_array(cs.state_chart, x0)
-    p_init = np.asarray(p0, dtype=float).copy()
-    if p_init.shape != (m,):
-        raise StructureError(
-            f"expected {m} costate values, got {p_init.shape}")
-    p_scale = float(np.linalg.norm(p_init))
+    x_init = _as_vector(cs.state_chart.variables, x0, ChartError, "state")
+    p_init = _as_vector(prep.ham.costate_names, p0, StructureError,
+                        "costate")
+    p_scale = _norm(p_init)
     if p_scale == 0.0:
         raise StructureError("the costate must be nonzero")
-    u_init = _as_control_array(cs, u0)
-
-    f_vars = cs.state_chart.variables + cs.control_names
-    f_fn = compile_exprs(cs.dynamics, f_vars, cs.registry)
-    jac_exprs = tuple(
-        differentiate(comp, v, f_vars, cs.registry)
-        for comp in cs.dynamics for v in cs.state_chart.variables)
-    jac_fn = compile_exprs(jac_exprs, f_vars, cs.registry)
-    res_fn = compile_exprs(ham.dh_du, ham.variables, cs.registry)
+    u_init = _as_vector(cs.control_names, u0, StructureError, "control")
 
     def residual_of(x, p, u):
-        vals = res_fn(np.concatenate([x, p, u]))
-        return float(np.max(np.abs(vals)))
+        return _max_abs(prep.res_fn(x + p + u))
 
-    initial_residual = residual_of(x_init, p_init, u_init)
-    if initial_residual > constraint_tol * max(1.0, p_scale):
+    initial_residual = _at(0.0, residual_of, x_init, p_init, u_init)
+    if not initial_residual <= constraint_tol * max(1.0, p_scale):
         raise StructureError(
             f"initial data violates the constraint: residual "
             f"{initial_residual:.3e}")
 
-    resolver = _ControlResolver(cs, ham, newton_tol=newton_tol,
+    resolver = _ControlResolver(cs, newton_tol=newton_tol,
                                 max_newton=max_newton)
     residual_rows = []
     control_rows = []
@@ -556,29 +625,27 @@ def integrate_biextremal(cs: ControlSystem, x0, p0, u0, t_end, *,
         x, p = y[:m], y[m:]
         start = control_rows[-1] if control_rows else u_init
         current_u = resolver(x, p, start)
-        fc = np.concatenate([x, current_u])
-        x_dot = np.array(f_fn(fc))
-        jac = np.array(jac_fn(fc)).reshape(m, m)
-        p_dot = -(p @ jac)
-        return np.concatenate([x_dot, p_dot])
+        fc = x + current_u
+        jac = prep.jac_fn(fc)  # row by row: jac[j::m] is column j
+        return (*prep.f_fn(fc), *(-_dot(p, jac[j::m]) for j in range(m)))
 
     def accept(t, y, _f):
         x, p = y[:m], y[m:]
-        p_norm = float(np.linalg.norm(p))
+        p_norm = _norm(p)
         if p_norm < _COSTATE_FLOOR * max(1.0, p_scale):
             raise IntegrationError(
                 f"costate vanished at t={t:.6g}: the path is no longer "
                 "abnormal")
         res = residual_of(x, p, current_u)
-        if res > constraint_tol * max(1.0, p_norm):
+        if not res <= constraint_tol * max(1.0, p_norm):
             raise IntegrationError(
                 f"constraint residual {res:.3e} exceeds "
                 f"{constraint_tol:.1e} at t={t:.6g}")
         residual_rows.append(res)
-        control_rows.append(current_u.copy())
+        control_rows.append(current_u)
 
     times, ys, _derivs = _integrate(
-        rhs, np.concatenate([x_init, p_init]), t_end,
+        rhs, x_init + p_init, t_end,
         rtol=rtol, atol=atol, h_max=h_max, fixed_step=fixed_step,
         accept_hook=accept)
     return BiExtremalTrace(
@@ -586,10 +653,10 @@ def integrate_biextremal(cs: ControlSystem, x0, p0, u0, t_end, *,
         chart=cs.state_chart,
         control_names=cs.control_names,
         times=times,
-        states=ys[:, :m],
-        costates=ys[:, m:],
-        controls=np.vstack(control_rows),
-        residuals=np.array(residual_rows),
+        states=tuple(y[:m] for y in ys),
+        costates=tuple(y[m:] for y in ys),
+        controls=tuple(control_rows),
+        residuals=tuple(residual_rows),
         meta={"mode": cs.mode, "interval": (0.0, float(t_end)),
               "constraint_tol": constraint_tol,
               "steps": len(times) - 1})
@@ -624,15 +691,14 @@ def classify_biextremal(structure: PseudoProductStructure,
     deep_nonzero = True
     for x, p in zip(trace.states, trace.costates):
         vals = fields_fn(x)
-        tol = rtol * float(np.linalg.norm(p))
-        pairings = [float(np.dot(p, vals[i * n:(i + 1) * n]))
-                    for i in range(4)]
-        if max(abs(q) for q in pairings[:3]) > tol:
+        tol = rtol * _norm(p)
+        pairings = [_dot(p, vals[i * n:(i + 1) * n]) for i in range(4)]
+        if not all(abs(q) <= tol for q in pairings[:3]):
             return "unclassified"
-        if abs(pairings[3]) > tol:
-            deep_zero = False
-        else:
+        if abs(pairings[3]) <= tol:
             deep_nonzero = False
+        else:
+            deep_zero = False
     if deep_zero:
         return "totally-irregular"
     if deep_nonzero:
@@ -656,21 +722,22 @@ def singular_path_field(structure: PseudoProductStructure,
     raise StructureError(f"side must be 'K' or 'L', got {side!r}")
 
 
-def _annihilating_costate(rows, prefer_row) -> np.ndarray:
+def _annihilating_costate(rows, prefer_row) -> tuple:
     """A nullspace element of the rows, chosen to maximize the pairing
     with `prefer_row`, unit-normalized.  Exact elimination for rational
     data, otherwise a floating nullspace."""
     basis = nullspace(rows)
     if not basis:
         raise StructureError("the annihilator conditions leave no costate")
+    prefer = [float(b) for b in prefer_row]
     best, best_val = None, -1.0
     for vec in basis:
-        val = abs(sum(float(a) * float(b)
-                      for a, b in zip(vec, prefer_row)))
+        vec = [float(a) for a in vec]
+        val = abs(_dot(vec, prefer))
         if val > best_val:
             best, best_val = vec, val
-    arr = np.array([float(x) for x in best])
-    return arr / np.linalg.norm(arr)
+    size = _norm(best)
+    return tuple(x / size for x in best)
 
 
 def lift_fiber(structure: PseudoProductStructure, side: str,
@@ -740,11 +807,10 @@ class DualityReport:
 
 def _hermite_curves(params, values, slopes):
     """Evaluator for a batch of cubic Hermite interpolants sharing a
-    strictly increasing parameter grid."""
-    params = np.asarray(params)
+    strictly increasing parameter grid; it returns a tuple of floats."""
 
     def at(s):
-        idx = int(np.searchsorted(params, s, side="right") - 1)
+        idx = bisect.bisect_right(params, s) - 1
         idx = min(max(idx, 0), len(params) - 2)
         width = params[idx + 1] - params[idx]
         u = (s - params[idx]) / width
@@ -752,32 +818,44 @@ def _hermite_curves(params, values, slopes):
         h10 = u ** 3 - 2 * u ** 2 + u
         h01 = -2 * u ** 3 + 3 * u ** 2
         h11 = u ** 3 - u ** 2
-        return (h00 * values[idx] + h10 * width * slopes[idx]
-                + h01 * values[idx + 1] + h11 * width * slopes[idx + 1])
+        return tuple(
+            h00 * v0 + h10 * width * s0 + h01 * v1 + h11 * width * s1
+            for v0, s0, v1, s1 in zip(values[idx], slopes[idx],
+                                      values[idx + 1], slopes[idx + 1]))
 
     return at
+
+
+def _sup_distance(curve_a, curve_b, lo, hi, samples) -> float:
+    """The largest coordinate gap between two curves over `samples`
+    evenly spaced parameters in [lo, hi]; NaN when any gap is NaN, so
+    that no tolerance passes it.  The parameters are numpy's linspace:
+    i * step + lo, with hi itself last."""
+    step = (hi - lo) / (samples - 1)
+    grid = [i * step + lo for i in range(samples - 1)] + [hi]
+    return _max_abs(a - b for s in grid
+                    for a, b in zip(curve_a(s), curve_b(s)))
 
 
 def _reparametrized(states, derivs, column):
     """(parameter grid, values, slopes) of a curve re-read as a graph
     over one strictly monotone state column, grid put in increasing
     order."""
-    params = states[:, column]
-    diffs = np.diff(params)
-    if np.all(diffs > 0):
-        order = slice(None)
-    elif np.all(diffs < 0):
-        order = slice(None, None, -1)
+    params = [y[column] for y in states]
+    diffs = [b - a for a, b in zip(params, params[1:])]
+    if all(d > 0 for d in diffs):
+        order = 1
+    elif all(d < 0 for d in diffs):
+        order = -1
     else:
         raise IntegrationError(
             "the reparametrizing coordinate is not strictly monotone "
             "along the curve")
-    speeds = derivs[:, column]
-    if np.any(np.abs(speeds) < 1e-14):
+    if any(abs(f[column]) < 1e-14 for f in derivs):
         raise IntegrationError(
             "the reparametrizing coordinate stalls along the curve")
-    slopes = derivs / speeds[:, None]
-    return params[order], states[order], slopes[order]
+    slopes = [tuple(x / f[column] for x in f) for f in derivs]
+    return params[::order], states[::order], slopes[::order]
 
 
 def _mixed_depth_field(dist: Distribution235, ratio: Fraction) -> VectorField:
@@ -815,8 +893,8 @@ def singular_launch(cs: ControlSystem, x0: dict, theta0):
                 for f in (dist.eta1, dist.eta2, dist.eta3, mixed)]
         prefer = dist.eta5.evaluate_at(x0, dist.registry)
         p0 = _annihilating_costate(rows, prefer)
-        norm = float(np.hypot(1.0, float(ratio)))
-        u0 = (1.0 / norm, float(ratio) / norm)
+        size = math.hypot(1.0, float(ratio))
+        u0 = (1.0 / size, float(ratio) / size)
         return p0, u0
     raise StructureError(
         "the control system does not carry its cone family or "
@@ -893,17 +971,16 @@ def verify_duality(structure: PseudoProductStructure, cs: ControlSystem,
 
     # Project the leaf and compare both legs as graphs over the first
     # state coordinate.
-    leaf_states = leaf_trace.states[:, keep]
-    leaf_derivs = leaf_trace.derivatives[:, keep]
+    leaf_states = [tuple(y[i] for i in keep) for y in leaf_trace.states]
+    leaf_derivs = [tuple(f[i] for i in keep)
+                   for f in leaf_trace.derivatives]
     column = 0
     grid_a, vals_a, slopes_a = _reparametrized(
         leaf_states, leaf_derivs, column)
 
-    f_vars = cs.state_chart.variables + cs.control_names
-    f_fn = compile_exprs(cs.dynamics, f_vars, cs.registry)
-    path_derivs = np.vstack([
-        f_fn(np.concatenate([x, u]))
-        for x, u in zip(path_trace.states, path_trace.controls)])
+    f_fn = cs.prepared.f_fn
+    path_derivs = [tuple(f_fn(x + u))
+                   for x, u in zip(path_trace.states, path_trace.controls)]
     grid_b, vals_b, slopes_b = _reparametrized(
         path_trace.states, path_derivs, column)
 
@@ -913,18 +990,16 @@ def verify_duality(structure: PseudoProductStructure, cs: ControlSystem,
         raise IntegrationError(
             "the two legs share no window in the reparametrizing "
             "coordinate")
-    curve_a = _hermite_curves(grid_a, vals_a, slopes_a)
-    curve_b = _hermite_curves(grid_b, vals_b, slopes_b)
-    sup = 0.0
-    for s in np.linspace(lo, hi, samples):
-        sup = max(sup, float(np.max(np.abs(curve_a(s) - curve_b(s)))))
+    sup = _sup_distance(_hermite_curves(grid_a, vals_a, slopes_a),
+                        _hermite_curves(grid_b, vals_b, slopes_b),
+                        lo, hi, samples)
     return DualityReport(
         passed=sup <= tol,
         sup_distance=sup,
         tol=tol,
         side=side,
         coordinate=state_vars[column],
-        interval=(float(lo), float(hi)),
+        interval=(lo, hi),
         samples=samples,
         meta={"leaf_steps": len(leaf_trace.times) - 1,
               "path_steps": len(path_trace.times) - 1,
@@ -995,8 +1070,8 @@ def leaf_project(flow: VectorField, slice_spec: SliceSpec, z0: dict,
             if prev and prev["gap"] * gap <= 0.0:
                 raise _CrossingFound(dict(
                     t0=prev["t"], y0=prev["y"], f0=prev["f"],
-                    t1=t, y1=y.copy(), f1=f.copy()))
-            prev.update(t=t, y=y.copy(), f=f.copy(), gap=gap)
+                    t1=t, y1=y, f1=f))
+            prev.update(t=t, y=y, f=f, gap=gap)
 
         try:
             integrate_flow(flow, z0, direction * span, registry=registry,
@@ -1006,10 +1081,9 @@ def leaf_project(flow: VectorField, slice_spec: SliceSpec, z0: dict,
             bracket = found.bracket
             width = bracket["t1"] - bracket["t0"]
             curve = _hermite_curves(
-                np.array([0.0, 1.0]),
-                np.vstack([bracket["y0"], bracket["y1"]]),
-                np.vstack([bracket["f0"] * width,
-                           bracket["f1"] * width]))
+                (0.0, 1.0), (bracket["y0"], bracket["y1"]),
+                (tuple(x * width for x in bracket["f0"]),
+                 tuple(x * width for x in bracket["f1"])))
             lo_u, hi_u = 0.0, 1.0
             g_lo = bracket["y0"][idx] - level
             mid = 1.0
@@ -1023,9 +1097,7 @@ def leaf_project(flow: VectorField, slice_spec: SliceSpec, z0: dict,
                     hi_u = mid
                 else:
                     lo_u, g_lo = mid, g_mid
-            point_vals = curve(mid)
-            crossing = dict(zip(chart.variables,
-                                map(float, point_vals)))
+            crossing = dict(zip(chart.variables, curve(mid)))
             transversal_or_raise(crossing)
             crossing[slice_spec.coordinate] = level
             return crossing

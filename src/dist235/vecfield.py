@@ -308,9 +308,9 @@ def symbolic_decompose(v: VectorField, basis: Sequence[VectorField],
 
     The basis must be square (as many fields as chart dimensions) and
     invertible at the base point; each pivot is the remaining entry of
-    largest magnitude there, so every denominator introduced along the way
-    is nonzero at the base point and the result is valid on a neighbourhood
-    of it.
+    largest magnitude among those nonzero there (exactly, for rational
+    values), so every denominator introduced along the way is nonzero at
+    the base point and the result is valid on a neighbourhood of it.
     """
     if registry is None:
         registry = default_registry()
@@ -332,15 +332,19 @@ def symbolic_decompose(v: VectorField, basis: Sequence[VectorField],
     pivot_of_col = {}
     used_rows = set()
     for col in range(n):
-        best_row, best_mag = None, 0.0
+        # linalg's rule decides a zero (exactly 0 for a rational value,
+        # 0.0 for a float); the largest of the other values pivots
+        best_row, best_mag = None, -1.0
         for r in range(n):
             if r in used_rows:
                 continue
             val = evaluate(rows[r][col], base_point, registry)
+            if linalg.matrix_rank([[val]]) == 0:
+                continue
             mag = abs(float(val))
             if mag > best_mag:
                 best_row, best_mag = r, mag
-        if best_row is None or best_mag <= 1e-12:
+        if best_row is None:
             raise DegenerateFrameError(
                 "basis degenerates at the base point "
                 f"(no usable pivot in column {col})")

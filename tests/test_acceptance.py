@@ -10,12 +10,11 @@ family ledger, and report determinism.
 
 import hashlib
 import json
+import math
 import random
 import time
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from dist235.boxes import Box
 from dist235.cli import bundled_document, bundled_names, canonical_json, \
@@ -304,12 +303,13 @@ def _annihilation_residual(structure, trace, fields) -> float:
     for i in range(len(trace.times)):
         point = dict(zip(variables, trace.states[i]))
         costate = trace.costates[i]
-        scale = float(np.linalg.norm(costate))
+        scale = math.sqrt(sum(c * c for c in costate))
         for f in fields:
             values = [float(evaluate(c, point, structure.registry))
                       for c in f.components]
             worst = max(worst,
-                        abs(float(np.dot(costate, values))) / scale)
+                        abs(sum(c * v for c, v in zip(costate, values)))
+                        / scale)
     return worst
 
 
@@ -385,7 +385,7 @@ def test_08_scalar_engine():
             sym = float(evaluate(deriv, point))
         except (ZeroDivisionError, ZeroDenominatorError):
             continue
-        if not (np.isfinite(fd) and np.isfinite(sym)) \
+        if not (math.isfinite(fd) and math.isfinite(sym)) \
                 or max(abs(fd), abs(sym)) > 1e6:
             continue
         scale = max(1.0, abs(fd), abs(sym))

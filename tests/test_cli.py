@@ -3,8 +3,12 @@
 import cProfile
 import json
 import math
+import os
 import pstats
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,8 +104,9 @@ class TestCanonicalJson:
 
     def test_sequences_align(self):
         data = [0.5, 1.5, 2.5]
-        assert canonical_json(np.array(data)) == canonical_json(data)
         assert canonical_json(tuple(data)) == canonical_json(data)
+        # trace rows are tuples of floats inside a tuple
+        assert canonical_json((tuple(data),)) == canonical_json([data])
 
     def test_numpy_scalars(self):
         assert canonical_json(np.float64(0.25)) == "0.25"
@@ -695,3 +700,26 @@ class TestMain:
         path.write_text(json.dumps(doc))
         assert main(["analyze", str(path)]) == 3
         assert "contact form" in capsys.readouterr().err
+
+
+class TestRuntimeImports:
+    def test_analyze_does_not_import_numpy(self):
+        # numpy is a test-time oracle only; a fresh process that runs a
+        # full analysis of a bundled model must never load it
+        import dist235
+
+        src = str(Path(dist235.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        script = (
+            "import sys\n"
+            "from dist235.cli import main\n"
+            "code = main(['analyze', 'hilbert-cartan', '--suite', 'all',"
+            " '--seed', '7'])\n"
+            "print(code, 'numpy' in sys.modules, file=sys.stderr)\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.split()[-2:] == ["0", "False"]
+        assert json.loads(done.stdout)["model"]["name"] == "hilbert-cartan"

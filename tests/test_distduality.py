@@ -299,6 +299,18 @@ class TestSolveE:
             want = 3.0 * float(point["y1"]) * float(point["y2"])
             assert abs(got - want) <= TOL * (1.0 + abs(want))
 
+    def test_small_scale_pivot_solves_symbolically(self):
+        # A pivot is zero only when it is exactly 0: with eta2 scaled by
+        # 10^-7 the frame's pivots fall far below any float cut-off, and
+        # the correction is still solved in closed form.
+        eta1, _ = flat_model()
+        eta2 = field_from_strings(
+            BASE_CHART, ["0", "0", "0", "1/10000000", "0"], name="eta2")
+        dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin())
+        result = solve_e(prolong_235(dist))
+        assert result.symbolic and result.warning is None
+        assert to_text(result.expression) == "0"
+
     def test_pointwise_fallback_reports_table(self):
         # The fallback route never invents a closed form: it returns the
         # sampled values with a warning.

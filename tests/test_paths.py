@@ -8,7 +8,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from dist235.boxes import Box
@@ -40,6 +39,25 @@ SEED = 47110815
 X_CHART = Chart(("x1", "x2", "x3", "x4", "x5"))
 ALPHA = ("0", "-x3", "2*x2", "-x1", "1")
 BASE_CHART = Chart(("x", "y", "y1", "y2", "z"))
+
+
+def allclose(a, b, rtol=1e-5, atol=1e-8) -> bool:
+    """numpy.allclose on flat or nested float sequences of one shape:
+    |a - b| <= atol + rtol * |b| entry by entry."""
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(
+            allclose(x, y, rtol, atol) for x, y in zip(a, b))
+    return abs(a - b) <= atol + rtol * abs(b)
+
+
+def max_abs_gap(rows_a, rows_b) -> float:
+    """The largest |a - b| over matching entries of two node lists."""
+    return max(abs(a - b) for ra, rb in zip(rows_a, rows_b)
+               for a, b in zip(ra, rb))
+
+
+def pairing(a, b) -> float:
+    return sum(float(x) * float(y) for x, y in zip(a, b))
 
 
 def flat_cone_family():
@@ -86,22 +104,22 @@ def annihilator_basis(structure, depth):
     e4 = lie_bracket(k, e3, reg)
     fields = (k, l, e3, e4)[:depth]
     rows = [f.evaluate_at(structure.base_point, reg) for f in fields]
-    return [np.array([float(c) for c in vec])
+    return [tuple(float(c) for c in vec)
             for vec in exact_nullspace(rows)], e4
 
 
 def synthetic_trace(structure, costates):
-    base = np.array([float(structure.base_point[v])
-                     for v in structure.z_chart.variables])
+    base = tuple(float(structure.base_point[v])
+                 for v in structure.z_chart.variables)
     n = len(costates)
     return BiExtremalTrace(
         system_name="synthetic", chart=structure.z_chart,
         control_names=("u1", "u2"),
-        times=np.linspace(0.0, 0.01, n),
-        states=np.vstack([base] * n),
-        costates=np.vstack(costates),
-        controls=np.zeros((n, 2)),
-        residuals=np.zeros(n))
+        times=tuple(0.01 * i / (n - 1) for i in range(n)),
+        states=(base,) * n,
+        costates=tuple(tuple(c) for c in costates),
+        controls=((0.0, 0.0),) * n,
+        residuals=(0.0,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +139,7 @@ class TestCompileExprs:
             point = dict(zip(chart, vals))
             got = fn(vals)
             want = [float(evaluate(e, point)) for e in exprs]
-            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_opaque_functions_bound(self):
         reg = OpaqueRegistry()
@@ -297,14 +315,15 @@ class TestIntegrateFlow:
         trace = integrate_flow(self.growth_field(), {"w": 1}, -1.0)
         assert end_point(trace)["w"] == pytest.approx(
             math.exp(-1), abs=1e-9)
-        assert np.all(np.diff(trace.times) < 0)
+        assert all(b < a for a, b in zip(trace.times, trace.times[1:]))
 
     def test_fixed_step_grid(self):
         trace = integrate_flow(self.growth_field(), {"w": 1}, 1.0,
                                fixed_step=1 / 16)
         assert len(trace.times) == 17
         assert trace.times[-1] == 1.0
-        assert np.allclose(np.diff(trace.times), 1 / 16)
+        assert allclose([b - a for a, b in zip(trace.times, trace.times[1:])],
+                        [1 / 16] * 16)
 
     def test_fifth_order_convergence(self):
         errs = []
@@ -323,11 +342,90 @@ class TestIntegrateFlow:
 
     def test_derivatives_are_exact_rhs(self):
         trace = integrate_flow(self.growth_field(), {"w": 1}, 0.5)
-        assert np.allclose(trace.derivatives, trace.states, atol=0)
+        assert allclose(trace.derivatives, trace.states, atol=0)
 
     def test_empty_interval_rejected(self):
         with pytest.raises(IntegrationError, match="empty"):
             integrate_flow(self.growth_field(), {"w": 1}, 0.0)
+
+
+class TestNonFinite:
+    """NaN fails a numerical leg instead of passing it, and a pole of a
+    compiled batch is an IntegrationError naming its time."""
+
+    GRID = (0.0, 0.5, 1.0)
+    SLOPES = ((1.0, 0.0),) * 3
+
+    def curve(self, middle):
+        values = ((0.0, 1.0), middle, (1.0, 1.0))
+        return paths._hermite_curves(self.GRID, values, self.SLOPES)
+
+    def test_sup_distance_of_finite_curves(self):
+        sup = paths._sup_distance(self.curve((0.5, 1.0)),
+                                  self.curve((0.5, 1.25)), 0.0, 1.0, 11)
+        assert sup == 0.25
+
+    def test_nan_component_fails(self):
+        sup = paths._sup_distance(self.curve((0.5, 1.0)),
+                                  self.curve((0.5, math.nan)), 0.0, 1.0, 11)
+        assert math.isnan(sup)
+        assert not sup <= 1e-6
+
+    def test_all_nan_comparison_fails(self):
+        nan_curve = self.curve((math.nan, math.nan))
+        sup = paths._sup_distance(nan_curve, nan_curve, 0.4, 0.6, 5)
+        assert math.isnan(sup)
+        report = paths.DualityReport(
+            passed=sup <= 1e-6, sup_distance=sup, tol=1e-6, side="K",
+            coordinate="x", interval=(0.4, 0.6), samples=5)
+        assert not report
+        assert report.summary_line().startswith("FAIL")
+
+    @staticmethod
+    def nan_registry():
+        reg = OpaqueRegistry()
+        reg.register("blank", evaluator=lambda u: math.nan,
+                     derivative=parse_expr("0", ("u",)))
+        return reg
+
+    def test_nan_dynamics_raise(self):
+        reg = self.nan_registry()
+        chart = Chart(("w",))
+        flow = VectorField(chart, (parse_expr("blank(w)", ("w",), reg),),
+                           "blank")
+        with pytest.raises(IntegrationError, match="non-finite"):
+            integrate_flow(flow, {"w": 1}, 1.0, registry=reg)
+        with pytest.raises(IntegrationError, match="non-finite"):
+            integrate_flow(flow, {"w": 1}, 1.0, registry=reg,
+                           fixed_step=0.25)
+
+    def test_nan_constraint_residual_raises(self):
+        from dist235.paths import ControlSystem
+
+        reg = self.nan_registry()
+        chart = Chart(("x",))
+        box = Box((("x", Fraction(-1, 4), Fraction(1, 4)),))
+        cs = ControlSystem(
+            state_chart=chart, control_names=("u",),
+            dynamics=(parse_expr("u*blank(x)", ("x", "u"), reg),),
+            mode="fixed", box=box, registry=reg)
+        with pytest.raises(StructureError, match="violates"):
+            integrate_biextremal(cs, {"x": 0}, (1.0,), (1.0,), 0.5)
+
+    def test_pole_at_the_start(self):
+        chart = Chart(("a", "b"))
+        flow = field_from_strings(chart, ["1", "a^-1"], name="pole")
+        with pytest.raises(IntegrationError, match="pole at t=0"):
+            integrate_flow(flow, {"a": 0, "b": 0}, 1.0)
+
+    def test_pole_inside_a_step(self):
+        # a = t - 1/2 reaches the pole of b' = 1/a at a stage of the
+        # second fixed step
+        chart = Chart(("a", "b"))
+        flow = field_from_strings(chart, ["1", "a^-1"], name="pole")
+        with pytest.raises(IntegrationError, match=r"pole at t=0\.5"):
+            integrate_flow(flow, {"a": Fraction(-1, 2), "b": 0}, 1.0,
+                           fixed_step=0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -352,22 +450,20 @@ class TestBiExtremal:
         trace = integrate_biextremal(
             cs, X_CHART.origin(), (0, 0, 1, 0, 0),
             {"r": 1.0, "th": 0.0}, 0.5)
-        line = np.zeros_like(trace.states)
-        line[:, 0] = trace.times
-        assert np.max(np.abs(trace.states - line)) <= TIGHT
-        assert np.max(np.abs(trace.costates
-                             - trace.costates[0])) <= TIGHT
+        line = [(t, 0.0, 0.0, 0.0, 0.0) for t in trace.times]
+        assert max_abs_gap(trace.states, line) <= TIGHT
+        assert max_abs_gap(trace.costates,
+                           [trace.costates[0]] * len(line)) <= TIGHT
         assert trace.max_residual <= TIGHT
-        assert np.max(np.abs(trace.controls[:, 1])) <= 1e-10
+        assert max(abs(u[1]) for u in trace.controls) <= 1e-10
 
     def test_hilbert_cartan_path_is_straight(self):
         cs = distribution_system(hilbert_cartan())
         trace = integrate_biextremal(
             cs, BASE_CHART.origin(), (0, 0, 0, 0, 1), (1, 0), 0.5)
-        line = np.zeros_like(trace.states)
-        line[:, 0] = trace.times
-        assert np.max(np.abs(trace.states - line)) <= TIGHT
-        assert np.max(np.abs(np.abs(trace.controls[:, 0]) - 1)) <= 1e-10
+        line = [(t, 0.0, 0.0, 0.0, 0.0) for t in trace.times]
+        assert max_abs_gap(trace.states, line) <= TIGHT
+        assert max(abs(abs(u[0]) - 1) for u in trace.controls) <= 1e-10
         assert trace.max_residual <= TIGHT
 
     def test_residuals_cover_every_node(self):
@@ -375,9 +471,10 @@ class TestBiExtremal:
         trace = integrate_biextremal(
             cs, X_CHART.origin(), (0, 0, 1, 0, 0),
             {"r": 1.0, "th": 0.0}, 0.25)
-        assert trace.residuals.shape == trace.times.shape
-        assert trace.controls.shape == (len(trace.times), 2)
-        assert trace.max_residual == np.max(trace.residuals)
+        assert len(trace.residuals) == len(trace.times)
+        assert len(trace.controls) == len(trace.times)
+        assert all(len(u) == 2 for u in trace.controls)
+        assert trace.max_residual == max(trace.residuals)
 
     def test_array_and_dict_inputs_agree(self):
         cs = cone_system(flat_cone_family())
@@ -385,8 +482,8 @@ class TestBiExtremal:
                                  {"r": 1.0, "th": 0.0}, 0.25)
         b = integrate_biextremal(cs, [0, 0, 0, 0, 0], (0, 0, 1, 0, 0),
                                  [1.0, 0.0], 0.25)
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.costates, b.costates)
+        assert a.states == b.states
+        assert a.costates == b.costates
 
     def test_missing_state_coordinate_rejected(self):
         cs = cone_system(flat_cone_family())
@@ -427,11 +524,12 @@ class TestBiExtremal:
                   for c in family.zeta(4).components[:5]]
         best = max(basis, key=lambda vec: abs(sum(
             float(a) * float(b) for a, b in zip(vec, prefer))))
-        p0 = np.array([float(v) for v in best])
+        p0 = tuple(float(v) for v in best)
         trace = integrate_biextremal(
             cs, x0, p0, {"r": 1.0, "th": 1 / 16}, 0.3)
-        invariant = trace.controls[:, 1] + trace.states[:, 1]
-        assert np.max(np.abs(invariant - 0.125)) <= 1e-10
+        invariant = [u[1] + x[1]
+                     for u, x in zip(trace.controls, trace.states)]
+        assert max(abs(v - 0.125) for v in invariant) <= 1e-10
 
     def test_newton_iteration_budget_respected(self):
         family = shifted_family()
@@ -454,7 +552,7 @@ class TestBiExtremal:
         resolve = paths._ControlResolver.__call__
 
         def spy(self, x, p, u):
-            received.append(np.array(u, dtype=float))
+            received.append(tuple(u))
             return resolve(self, x, p, u)
 
         monkeypatch.setattr(paths._ControlResolver, "__call__", spy)
@@ -464,10 +562,11 @@ class TestBiExtremal:
             rtol=1e-10, atol=1e-14, h_max=1.0)
         steps = len(trace.times) - 1
         assert len(received) > 1 + 6 * steps  # some step was rejected
-        assert np.ptp(trace.controls[:, 1]) > 1e-2
-        assert np.array_equal(received[0], [1.0, 0.0])
+        turn = [u[1] for u in trace.controls]
+        assert max(turn) - min(turn) > 1e-2
+        assert received[0] == (1.0, 0.0)
         for u in received[1:]:
-            assert any(np.array_equal(u, c) for c in trace.controls)
+            assert u in trace.controls
 
     def test_singular_rule_rank_guard(self):
         # A costate annihilating both depth-three pairings leaves the
@@ -478,10 +577,32 @@ class TestBiExtremal:
                 for f in (dist.eta1, dist.eta2, dist.eta4, dist.eta5)]
         basis = exact_nullspace(rows)
         assert basis
-        p0 = np.array([float(v) for v in basis[0]])
+        p0 = tuple(float(v) for v in basis[0])
         with pytest.raises(IntegrationError, match="lost rank"):
             integrate_biextremal(cs, BASE_CHART.origin(), p0, (1, 0),
                                  0.25)
+
+
+class TestPreparedSystem:
+    def test_built_once_per_system(self, monkeypatch):
+        # The pairing and the compiled batches of a system are built on
+        # its first integration; later launches and the duality
+        # comparison reuse them.  Each leaf flow compiles its own field.
+        built, compiled = [], []
+        real_hamiltonian, real_compile = paths.hamiltonian, \
+            paths.compile_exprs
+        monkeypatch.setattr(paths, "hamiltonian", lambda cs: (
+            built.append(cs), real_hamiltonian(cs))[1])
+        monkeypatch.setattr(paths, "compile_exprs", lambda *args: (
+            compiled.append(args), real_compile(*args))[1])
+        family = flat_cone_family()
+        structure = prolong_cone(family)
+        cs = cone_system(family)
+        for _ in range(3):
+            assert verify_duality(structure, cs, X_CHART.origin(), 0, 0.5)
+        assert len(built) == 1
+        # dynamics, Jacobian, constraint, Newton pair; one leaf per run
+        assert len(compiled) == 4 + 3
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +642,13 @@ class TestLiftsAndClassification:
         basis, e4 = annihilator_basis(structure, 3)
         e4_row = [float(c) for c in
                   e4.evaluate_at(structure.base_point, structure.registry)]
-        shallow = max(basis, key=lambda b: abs(float(np.dot(b, e4_row))))
-        assert abs(float(np.dot(shallow, e4_row))) > TOL
+        shallow = max(basis, key=lambda b: abs(pairing(b, e4_row)))
+        assert abs(pairing(shallow, e4_row)) > TOL
+        size = math.sqrt(pairing(shallow, shallow))
         cs = prolonged_system(structure, mode="fixed")
         with pytest.raises(IntegrationError, match="constraint residual"):
             integrate_biextremal(cs, structure.base_point,
-                                 shallow / np.linalg.norm(shallow),
+                                 tuple(x / size for x in shallow),
                                  (1.0, 0.0), 0.5)
 
     def test_classification_chart_guard(self):
@@ -538,8 +660,7 @@ class TestLiftsAndClassification:
 
     def test_shallow_failure_is_unclassified(self):
         structure = structure_of(hilbert_cartan())
-        bad = np.zeros(6)
-        bad[0] = 1.0  # pairs the K generator
+        bad = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # pairs the K generator
         trace = synthetic_trace(structure, [bad, bad])
         assert classify_biextremal(structure, trace) == "unclassified"
 
@@ -548,12 +669,11 @@ class TestLiftsAndClassification:
         basis3, e4 = annihilator_basis(structure, 3)
         e4_row = [float(c) for c in
                   e4.evaluate_at(structure.base_point, structure.registry)]
-        deep_hit = max(basis3,
-                       key=lambda b: abs(float(np.dot(b, e4_row))))
+        deep_hit = max(basis3, key=lambda b: abs(pairing(b, e4_row)))
         basis4, _ = annihilator_basis(structure, 4)
         deep_miss = basis4[0]
-        assert abs(float(np.dot(deep_hit, e4_row))) > TOL
-        assert abs(float(np.dot(deep_miss, e4_row))) <= TOL
+        assert abs(pairing(deep_hit, e4_row)) > TOL
+        assert abs(pairing(deep_miss, e4_row)) <= TOL
         trace = synthetic_trace(structure, [deep_hit, deep_miss])
         assert classify_biextremal(structure, trace) == "unclassified"
 
@@ -680,9 +800,9 @@ class TestVerifyDuality:
         back = integrate_biextremal(cs, fwd.states[-1],
                                     fwd.costates[-1],
                                     fwd.controls[-1], -0.4)
-        start = np.array([float(x0[v]) for v in BASE_CHART.variables])
-        assert np.max(np.abs(back.states[-1] - start)) <= 1e-10
-        assert np.max(np.abs(back.costates[-1] - p0)) <= 1e-10
+        start = tuple(float(x0[v]) for v in BASE_CHART.variables)
+        assert max_abs_gap([back.states[-1]], [start]) <= 1e-10
+        assert max_abs_gap([back.costates[-1]], [p0]) <= 1e-10
 
     def test_fixed_step_convergence_order(self):
         dist = cubic_distribution()

@@ -4,6 +4,7 @@ import inspect
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -340,6 +341,71 @@ class TestSpan:
         expected = [2 / 3, -1 / 3, 1]
         norm = sum(x * x for x in expected) ** 0.5
         assert v == pytest.approx([x / norm for x in expected], rel=1e-9)
+
+
+class TestFloatQR:
+    """The float fallbacks (one pivoted Householder QR) agree with
+    numpy's SVD rank, least squares and nullspace on seeded matrices,
+    full rank and rank deficient, at scales from 1e-6 to 1e6."""
+
+    @staticmethod
+    def matrices():
+        rng = random.Random(8080)
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            for _ in range(40):
+                n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 8)
+                rank = rng.randint(0, min(n_rows, n_cols))
+                left = np.array([[rng.gauss(0, 1) for _ in range(rank)]
+                                 for _ in range(n_rows)])
+                right = np.array([[rng.gauss(0, 1) for _ in range(n_cols)]
+                                  for _ in range(rank)])
+                a = left.reshape(n_rows, rank) @ right.reshape(rank, n_cols)
+                yield rng, scale * a, rank
+
+    def test_rank(self):
+        for _, a, rank in self.matrices():
+            assert linalg.float_rank(a.tolist()) == rank \
+                == np.linalg.matrix_rank(a)
+
+    def test_membership_residual(self):
+        for rng, a, _ in self.matrices():
+            b = np.array([rng.gauss(0, 1) for _ in range(a.shape[1])])
+            b *= float(np.max(np.abs(a))) or 1.0
+            _, residual = linalg.Span(a.tolist()).decompose(b.tolist())
+            x = np.linalg.lstsq(a.T, b, rcond=None)[0]
+            want = b - a.T @ x
+            size = max(1.0, float(np.linalg.norm(b)))
+            assert np.allclose(residual, want, rtol=0, atol=1e-9 * size)
+            member = a.T @ x
+            coeffs, residual = linalg.Span(a.tolist()).decompose(
+                member.tolist())
+            assert coeffs is not None
+            assert np.allclose(a.T @ np.array(coeffs), member,
+                               rtol=0, atol=1e-9 * size)
+
+    def test_nullspace_span(self):
+        for _, a, rank in self.matrices():
+            basis = linalg.float_nullspace(a.tolist())
+            assert len(basis) == a.shape[1] - rank
+            if not basis:
+                continue
+            got = np.array(basis)
+            assert np.allclose(got @ got.T, np.eye(len(basis)),
+                               atol=1e-12)
+            for v in basis:
+                big = max(range(len(v)), key=lambda i: abs(v[i]))
+                assert v[big] > 0
+            want = np.linalg.svd(a)[2][rank:]
+            # equal spans have equal orthogonal projectors
+            assert np.allclose(got.T @ got, want.T @ want, atol=1e-9)
+
+    def test_non_finite_entries_are_not_zero(self):
+        assert linalg.float_rank([[float("nan")]]) == 1
+        assert linalg.float_rank([[float("inf")]]) == 1
+        assert linalg.float_rank([[1e-300]]) == 1
+        assert linalg.float_rank([[0.0, 0.0]]) == 0
+        assert linalg.Span([[1.0, 0.0]]).decompose(
+            [float("nan"), 0.0])[0] is None
 
 
 class TestDerivedFlag:
