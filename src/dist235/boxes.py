@@ -56,15 +56,15 @@ class Box:
                 raise ValueError(f"empty interval for {name!r}: [{lo}, {hi}]")
 
     @classmethod
-    def around(cls, center: dict, half_width, variables=None) -> "Box":
-        """Box centered at `center` with the given rational half-width."""
+    def around(cls, center: dict, half_width) -> "Box":
+        """Box centered at `center`, in its coordinates and their order,
+        with the given rational half-width."""
         h = as_fraction(half_width)
         if h <= 0:
             raise ValueError("box half-width must be positive")
-        names = list(variables) if variables is not None else list(center)
         ivs = []
-        for name in names:
-            c = as_fraction(center[name])
+        for name, value in center.items():
+            c = as_fraction(value)
             ivs.append((name, c - h, c + h))
         return cls(tuple(ivs))
 

@@ -57,7 +57,6 @@ _VERSION = "0.1.0"
 _KINDS = ("distribution235", "cone-family", "pseudo-product")
 _SUITES = ("verify", "prolong", "duality", "all")
 _DUALITY_T = Fraction(1, 2)
-_DUALITY_TOL = 1e-6
 
 
 class ModelError(Exception):
@@ -169,7 +168,6 @@ class ModelFile:
     notes: tuple = ()
     registry: Optional[OpaqueRegistry] = field(default=None, compare=False)
     sha256: str = ""
-    document: dict = field(default_factory=dict, compare=False)
 
 
 def _require(doc: dict, key: str, origin: str):
@@ -408,8 +406,7 @@ def parse_model(text: str, origin: str = "model") -> ModelFile:
                      for k, v in expressions.items()},
         theta=theta, alpha=alpha, base_point=base_point, box=box,
         notes=notes, registry=registry,
-        sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        document=doc)
+        sha256=hashlib.sha256(text.encode("utf-8")).hexdigest())
 
 
 def load_model(path_or_name: str) -> ModelFile:
@@ -665,7 +662,7 @@ class _SuiteRun:
         system = self.control_system()
         x0, theta0 = self.duality_launch(index)
         report = verify_duality(structure, system, x0, theta0,
-                                float(_DUALITY_T), tol=_DUALITY_TOL)
+                                float(_DUALITY_T))
         point = {var: str(value) for var, value in x0.items()}
         point["theta0"] = str(theta0)
         record = {"residual": report.sup_distance,

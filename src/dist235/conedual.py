@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg
@@ -158,11 +158,8 @@ class ConeFamily:
         generator; zeta(k+1) its k-th direction-derivative."""
         return self._zetas[k - 1]
 
-    @property
+    @cached_property
     def _zetas(self) -> tuple:
-        cached = self.__dict__.get("_zeta_cache")
-        if cached is not None:
-            return cached
         z_chart = self.z_chart
         zeta1 = coordinate_field(z_chart, self.theta).renamed("zeta1")
         comps = (Const(Fraction(1)),) + self.components + (
@@ -176,9 +173,18 @@ class ConeFamily:
                                     self.registry)
                       for c in prev.components),
                 f"zeta{k}"))
-        cached = tuple(fields)
-        self.__dict__["_zeta_cache"] = cached
-        return cached
+        return tuple(fields)
+
+    @cached_property
+    def bracket_decomposition(self) -> tuple:
+        """(coefficients, complement): the coefficients of
+        [zeta2, zeta3] over the 6-frame of the zetas completed by the
+        field `complement`, with pivots chosen at the base point."""
+        fields, complement = _full_frame(self)
+        bracket = lie_bracket(self.zeta(2), self.zeta(3), self.registry)
+        (coeffs,) = symbolic_decompose((bracket,), fields, self.base_point,
+                                       self.registry)
+        return coeffs, complement
 
     def x_part(self, point: dict) -> dict:
         return {v: point[v] for v in self.x_chart.variables}
@@ -435,25 +441,6 @@ class OsculatingConditionReport:
         return self.passed
 
 
-def _bracket_decomposition(family: ConeFamily):
-    """Coefficients of [zeta2, zeta3] over the completed 6-frame, with
-    pivots chosen at the family's base point."""
-    return _decomposition_at(family, tuple(sorted(family.base_point.items())),
-                             family.registry)
-
-
-@lru_cache(maxsize=64)
-def _decomposition_at(family: ConeFamily, base_key: tuple,
-                      registry: OpaqueRegistry):
-    # ConeFamily equality ignores the base point and the registry, so both
-    # are part of the key (the registry by identity).
-    fields, complement = _full_frame(family)
-    bracket = lie_bracket(family.zeta(2), family.zeta(3), family.registry)
-    coeffs = symbolic_decompose(bracket, fields, family.base_point,
-                                family.registry)
-    return coeffs, complement
-
-
 def check_osculating_condition(family: ConeFamily
                                ) -> OsculatingConditionReport:
     """Check [zeta2, zeta3] = 0 modulo (zeta1, zeta2, zeta3, zeta4)
@@ -463,7 +450,7 @@ def check_osculating_condition(family: ConeFamily
     section-wise condition for every direction field at once.
     """
     box = family.box
-    coeffs, complement = _bracket_decomposition(family)
+    coeffs, complement = family.bracket_decomposition
     labels = ("coefficient along the third derivative direction",
               f"coefficient along {complement.name}")
     residuals = []
@@ -507,7 +494,7 @@ def solve_U(family: ConeFamily) -> SolveUResult:
         raise StructureError(
             f"{family.name}: no correction scalar exists, the bracket "
             f"leaves the osculating span ({details})")
-    coeffs, _ = _bracket_decomposition(family)
+    coeffs, _ = family.bracket_decomposition
     z_vars = family.z_chart.variables
     u_expr = normalize(Prod((Const(Fraction(-1)), coeffs[3])), z_vars)
     zeta1, zeta2 = family.zeta(1), family.zeta(2)

@@ -184,6 +184,24 @@ class Distribution235:
 # prolongation to the 6-dimensional direction space
 # ---------------------------------------------------------------------------
 
+def _check_prolonged_flag(flag: DistributionFlag, what: str) -> None:
+    """Raise GrowthError unless the flag grows as (2, 3, 4, 5, 6) at the
+    base point and every layer keeps its rank at the sampled points of
+    the box."""
+    if flag.growth != _GROWTH_PROLONGED:
+        raise GrowthError(
+            f"{what} has growth {flag.growth}, "
+            f"expected {_GROWTH_PROLONGED}")
+    if not flag.constant_rank:
+        layer, point, rank = flag.rank_witnesses[0]
+        point = dict(point)
+        point = {v: point[v] for v in flag.frames[0].chart.variables}
+        raise GrowthError(
+            f"{what} has rank {rank} in layer {layer} at "
+            f"{_format_point(point)}, {flag.growth[layer]} at the base "
+            "point")
+
+
 @dataclass(frozen=True)
 class ProlongedDistribution:
     """The rank-2 plane field E on the 6-chart of fiberwise directions.
@@ -277,10 +295,7 @@ def prolong_235(dist: Distribution235, fiber: str = "t",
 
     frame = Frame(z_chart, (zeta1, zeta2), z_base, registry)
     flag = derived_flag(frame, box=z_box, registry=registry)
-    if flag.growth != _GROWTH_PROLONGED:
-        raise GrowthError(
-            f"prolonged plane field has growth {flag.growth}, "
-            f"expected {_GROWTH_PROLONGED}")
+    _check_prolonged_flag(flag, "prolonged plane field")
 
     prolonged = ProlongedDistribution(
         source=dist, z_chart=z_chart, fiber=fiber, antipodal=antipodal,
@@ -400,10 +415,7 @@ class PseudoProductStructure:
             flag = derived_flag(e_frame, box=box, registry=registry)
         elif flag.frames[0] != e_frame:
             raise StructureError("the given flag is not that of E")
-        if flag.growth != _GROWTH_PROLONGED:
-            raise GrowthError(
-                f"{name}: plane field has growth {flag.growth}, "
-                f"expected {_GROWTH_PROLONGED}")
+        _check_prolonged_flag(flag, f"{name}: plane field")
         return cls(z_chart=z_chart, e_generators=gens, k_field=k_field,
                    l_field=l_field, base_point=base_point, box=box,
                    flag=flag, registry=registry, name=name)
@@ -550,28 +562,16 @@ class SolveEResult:
             flag=prolonged.flag)
 
 
-def _correction_pair(prolonged: ProlongedDistribution, w: VectorField,
-                     basis: Sequence[VectorField], complement_index: int):
-    """The affine pair (a, b) with complement-coordinate of
-    [zeta1 + e*zeta2, w]  =  a + e*b.  The derivative term (w e) * zeta2
-    never contributes: it multiplies a field lying inside layer 3."""
-    registry = prolonged.registry
-    bracket1 = lie_bracket(prolonged.zeta1, w, registry)
-    bracket2 = lie_bracket(prolonged.zeta2, w, registry)
-    coeffs1 = symbolic_decompose(bracket1, basis, prolonged.base_point,
-                                 registry)
-    coeffs2 = symbolic_decompose(bracket2, basis, prolonged.base_point,
-                                 registry)
-    return coeffs1[complement_index], coeffs2[complement_index]
-
-
 def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
     """Determine the scalar e with K = zeta1 + e*zeta2 whose bracket with
     every layer-3 frame generator stays in layer 3.
 
     For each generator w of the layer-3 frame the complement coordinate of
-    [zeta1 + e*zeta2, w] is affine in e; the system is solved symbolically
-    by exact elimination (pivots chosen nonzero at the base point).  If
+    [zeta1 + e*zeta2, w] is a + e*b, with a and b the complement
+    coordinates of [zeta1, w] and [zeta2, w]: the derivative term
+    (w e) * zeta2 never contributes, since zeta2 lies inside layer 3.
+    All these brackets are decomposed in one exact elimination (pivots
+    chosen nonzero at the base point), and the system is solved.  If
     the elimination degenerates, the solver falls back to pointwise
     sampling (the base point and 20 Halton points) and returns the
     sampled values as a table with a warning instead of inventing a
@@ -580,14 +580,17 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
     registry = prolonged.registry
     layer3 = prolonged.layer_frame(3)
     basis = layer3.fields + (prolonged.complement_field,)
-    complement_index = len(basis) - 1
     l_field = prolonged.zeta2
 
+    brackets = [lie_bracket(z, w, registry) for w in layer3.fields
+                for z in (prolonged.zeta1, prolonged.zeta2)]
     try:
-        pairs = [_correction_pair(prolonged, w, basis, complement_index)
-                 for w in layer3.fields]
+        coeffs = symbolic_decompose(brackets, basis, prolonged.base_point,
+                                    registry)
     except DegenerateFrameError as exc:
         return _solve_e_pointwise(prolonged, 20, str(exc))
+    complement = [c[-1] for c in coeffs]
+    pairs = list(zip(complement[::2], complement[1::2]))
 
     # Pick the equation whose linear coefficient is largest at the base
     # point; for the canonical construction this is the bracket with the

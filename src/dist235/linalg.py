@@ -146,12 +146,12 @@ class _FloatQR:
 
     Each step moves the remaining column of largest norm to the front,
     so the diagonal of R does not grow.  The factorization stops at the
-    first diagonal entry |R_kk| <= rtol * |R_00|, and `rank` is the
+    first diagonal entry |R_kk| <= FLOAT_RTOL * |R_00|, and `rank` is the
     number of steps taken.  A NaN or infinite entry never passes that
     test, so it raises the rank instead of hiding in a zero.
     """
 
-    def __init__(self, vectors, length: int, rtol: float = FLOAT_RTOL):
+    def __init__(self, vectors, length: int):
         cols = [[float(x) for x in v] for v in vectors]
         # scaled by the largest entry, so no square under- or overflows
         self.scale = max((abs(x) for c in cols for x in c), default=0.0)
@@ -172,7 +172,7 @@ class _FloatQR:
                     j = k + i
             top = math.sqrt(norms[j - k])
             if threshold is None:
-                threshold = rtol * top if math.isfinite(top) else 0.0
+                threshold = FLOAT_RTOL * top if math.isfinite(top) else 0.0
             if top <= threshold:
                 break
             cols[k], cols[j] = cols[j], cols[k]
@@ -222,19 +222,19 @@ class _FloatQR:
         return basis
 
 
-def float_rank(rows, rtol: float = FLOAT_RTOL) -> int:
-    """Rank by pivoted QR: diagonal entries of R at or below rtol times
-    the largest column norm count as zero."""
+def float_rank(rows) -> int:
+    """Rank by pivoted QR: diagonal entries of R at or below FLOAT_RTOL
+    times the largest column norm count as zero."""
     if not rows:
         return 0
-    return _FloatQR(rows, len(rows[0]), rtol).rank
+    return _FloatQR(rows, len(rows[0])).rank
 
 
-def matrix_rank(rows, rtol: float = FLOAT_RTOL) -> int:
+def matrix_rank(rows) -> int:
     rows = [_row(r) for r in rows]
     if all(r.ints is not None for r in rows):
         return exact_rank(rows)
-    return float_rank([r.values for r in rows], rtol)
+    return float_rank([r.values for r in rows])
 
 
 def exact_solve(columns, b):
@@ -276,12 +276,11 @@ class Span:
     Rational rows are eliminated once into an `ExactSpan`, against which
     rational vectors are decided exactly.  A float row or a float vector
     uses the float rule instead: the least-squares residual r of vec
-    counts as zero when |r| <= rtol * max(1, |vec|).
+    counts as zero when |r| <= FLOAT_RTOL * max(1, |vec|).
     """
 
-    def __init__(self, rows, rtol: float = FLOAT_RTOL):
+    def __init__(self, rows):
         self.rows = [_row(r) for r in rows]
-        self.rtol = rtol
         self._exact = (ExactSpan(self.rows)
                        if all(r.ints is not None for r in self.rows)
                        else None)
@@ -305,32 +304,32 @@ class Span:
                         [Fraction(0)] * len(values))
             return None, self._exact.residual(values)
         b = [float(x) for x in values]
-        coeffs = _FloatQR([r.values for r in self.rows], len(b),
-                          self.rtol).least_squares(b)
+        coeffs = _FloatQR([r.values for r in self.rows],
+                          len(b)).least_squares(b)
         residual = b
         for c, row in zip(coeffs, self.rows):
             residual = [x - c * float(y) for x, y in zip(residual, row.values)]
         if math.sqrt(_dot(residual, residual)) <= \
-                self.rtol * max(1.0, math.sqrt(_dot(b, b))):
+                FLOAT_RTOL * max(1.0, math.sqrt(_dot(b, b))):
             return coeffs, residual
         return None, residual
 
 
-def float_nullspace(rows, rtol: float = FLOAT_RTOL):
+def float_nullspace(rows):
     """Orthonormal nullspace basis: the trailing columns of Q in the
     pivoted QR of the transpose, each signed so that its entry of
     largest magnitude is positive."""
     if not rows or not rows[0]:
         return []
     basis = []
-    for v in _FloatQR(rows, len(rows[0]), rtol).complement():
+    for v in _FloatQR(rows, len(rows[0])).complement():
         big = max(range(len(v)), key=lambda i: abs(v[i]))
         basis.append([-x for x in v] if v[big] < 0 else v)
     return basis
 
 
-def nullspace(rows, rtol: float = FLOAT_RTOL):
+def nullspace(rows):
     """Exact nullspace basis of a rational matrix, else the QR one."""
     if is_rational_matrix(rows):
         return exact_nullspace(rows)
-    return float_nullspace(rows, rtol)
+    return float_nullspace(rows)

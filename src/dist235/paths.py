@@ -37,8 +37,14 @@ _CONSTRAINT_TOL = 1e-9
 _NEWTON_TOL = 1e-12
 _CLASSIFY_RTOL = 1e-8
 _DUALITY_TOL = 1e-6
+_DUALITY_RTOL = 1e-11
+_DUALITY_ATOL = 1e-13
 _BISECT_TOL = 1e-10
 _COSTATE_FLOOR = 1e-10
+_MAX_STEPS = 200000
+
+_RADIAL = "r"
+_CONTROLS = ("u1", "u2")
 
 _MODES = ("newton", "linear-singular", "fixed")
 
@@ -152,23 +158,23 @@ class ControlSystem:
         return PreparedSystem(self)
 
 
-def cone_system(family: ConeFamily, radial: str = "r") -> ControlSystem:
+def cone_system(family: ConeFamily) -> ControlSystem:
     """Control system of a cone family: the states are the base
-    coordinates, the controls are a radial scale and the direction
+    coordinates, the controls are a radial scale `r` and the direction
     coordinate, and the dynamics is the scaled moving generator."""
-    if radial in family.x_chart.variables or radial == family.theta:
+    if _RADIAL in family.x_chart.variables or _RADIAL == family.theta:
         raise ChartError(
-            f"radial control {radial!r} collides with a coordinate")
+            f"radial control {_RADIAL!r} collides with a coordinate")
     generator = family.zeta(2)
     dynamics = tuple(
-        normalize(Prod((Var(radial), comp)),
-                  family.z_chart.variables + (radial,))
+        normalize(Prod((Var(_RADIAL), comp)),
+                  family.z_chart.variables + (_RADIAL,))
         for comp in generator.components[:5])
     state_box = Box(tuple(iv for iv in family.box.intervals
                           if iv[0] != family.theta))
     return ControlSystem(
         state_chart=family.x_chart,
-        control_names=(radial, family.theta),
+        control_names=(_RADIAL, family.theta),
         dynamics=dynamics,
         mode="newton",
         box=state_box,
@@ -178,57 +184,51 @@ def cone_system(family: ConeFamily, radial: str = "r") -> ControlSystem:
         source=family)
 
 
-def distribution_system(dist: Distribution235,
-                        controls: tuple = ("u1", "u2")) -> ControlSystem:
-    """Control system of a rank-2 distribution: dynamics linear in two
-    controls along the generators.  The singular-control rule pairs the
-    costate with the two depth-three brackets."""
-    u1, u2 = controls
+def _linear_system(source, a_field: VectorField, b_field: VectorField,
+                   mode: str) -> ControlSystem:
+    """Dynamics u1 * A + u2 * B on the chart of A and B, linear in the
+    two controls; the singular-control rule pairs the costate with the
+    depth-three brackets [A, [A, B]] and [B, [A, B]]."""
+    chart, registry = a_field.chart, source.registry
+    u1, u2 = (Var(u) for u in _CONTROLS)
     dynamics = tuple(
-        normalize(Sum((Prod((Var(u1), a)), Prod((Var(u2), b)))),
-                  dist.chart.variables + tuple(controls))
-        for a, b in zip(dist.eta1.components, dist.eta2.components))
+        normalize(Sum((Prod((u1, a)), Prod((u2, b)))),
+                  chart.variables + _CONTROLS)
+        for a, b in zip(a_field.components, b_field.components))
+    ab = lie_bracket(a_field, b_field, registry)
+    rule = (lie_bracket(a_field, ab, registry),
+            lie_bracket(b_field, ab, registry))
     return ControlSystem(
-        state_chart=dist.chart,
-        control_names=tuple(controls),
+        state_chart=chart,
+        control_names=_CONTROLS,
         dynamics=dynamics,
-        mode="linear-singular",
-        box=dist.box,
-        registry=dist.registry,
-        name=dist.name,
-        rule_fields=(dist.eta4, dist.eta5),
-        source=dist)
+        mode=mode,
+        box=source.box,
+        registry=registry,
+        name=source.name,
+        rule_fields=rule,
+        source=source)
+
+
+def distribution_system(dist: Distribution235) -> ControlSystem:
+    """Control system of a rank-2 distribution: dynamics linear in the
+    controls `u1`, `u2` along the generators, with the singular-control
+    rule on the depth-three brackets (eta4, eta5)."""
+    return _linear_system(dist, dist.eta1, dist.eta2, "linear-singular")
 
 
 def prolonged_system(structure: PseudoProductStructure,
-                     mode: str = "linear-singular",
-                     controls: tuple = ("u1", "u2")) -> ControlSystem:
+                     mode: str = "linear-singular") -> ControlSystem:
     """Control system of the split plane field on the six-dimensional
-    chart: dynamics linear in two controls along the K- and L-generators.
+    chart: dynamics linear in the controls `u1`, `u2` along the K- and
+    L-generators.
 
     With mode "linear-singular" the resolved control follows the
     singular rule; with mode "fixed" a constant control transports along
     one leaf.
     """
-    u1, u2 = controls
-    k_field, l_field = structure.k_field, structure.l_field
-    dynamics = tuple(
-        normalize(Sum((Prod((Var(u1), a)), Prod((Var(u2), b)))),
-                  structure.z_chart.variables + tuple(controls))
-        for a, b in zip(k_field.components, l_field.components))
-    e3 = lie_bracket(k_field, l_field, structure.registry)
-    rule = (lie_bracket(k_field, e3, structure.registry),
-            lie_bracket(l_field, e3, structure.registry))
-    return ControlSystem(
-        state_chart=structure.z_chart,
-        control_names=tuple(controls),
-        dynamics=dynamics,
-        mode=mode,
-        box=structure.box,
-        registry=structure.registry,
-        name=structure.name,
-        rule_fields=rule,
-        source=structure)
+    return _linear_system(structure, structure.k_field, structure.l_field,
+                          mode)
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +237,13 @@ def prolonged_system(structure: PseudoProductStructure,
 
 @dataclass(frozen=True)
 class HamiltonianData:
-    """The costate pairing H = sum_i p_i F^i with all first partials."""
+    """The costate pairing H = sum_i p_i F^i and its control partials,
+    which the singular constraint dH/du = 0 reads."""
 
     state_names: tuple
     costate_names: tuple
     control_names: tuple
     h: ScalarExpr
-    dh_dx: tuple
-    dh_dp: tuple
     dh_du: tuple
 
     @property
@@ -254,7 +253,7 @@ class HamiltonianData:
 
 def hamiltonian(cs: ControlSystem) -> HamiltonianData:
     """Build the pairing of a costate with the dynamics, plus its exact
-    partial derivatives in states, costates, and controls."""
+    partial derivatives in the controls."""
     states = cs.state_chart.variables
     costates = tuple(f"p{i + 1}" for i in range(len(states)))
     taken = set(states) | set(cs.control_names)
@@ -267,14 +266,9 @@ def hamiltonian(cs: ControlSystem) -> HamiltonianData:
         Sum(tuple(Prod((Var(p), comp))
                   for p, comp in zip(costates, cs.dynamics))),
         variables)
-    dh_dx = tuple(differentiate(h, v, variables, cs.registry)
-                  for v in states)
-    dh_dp = tuple(differentiate(h, v, variables, cs.registry)
-                  for v in costates)
     dh_du = tuple(differentiate(h, v, variables, cs.registry)
                   for v in cs.control_names)
-    return HamiltonianData(states, costates, cs.control_names,
-                           h, dh_dx, dh_dp, dh_du)
+    return HamiltonianData(states, costates, cs.control_names, h, dh_du)
 
 
 class PreparedSystem:
@@ -366,7 +360,7 @@ def _step_error(y, y5, y4, rtol, atol) -> float:
 
 
 def _integrate(rhs, y0, t_end, *, rtol, atol, h_max=None, fixed_step=None,
-               accept_hook=None, max_steps=200000):
+               accept_hook=None):
     """Explicit embedded Runge-Kutta drive from t=0 to t=t_end (either
     sign).  Returns (times, states, derivatives) at accepted nodes.
 
@@ -415,7 +409,7 @@ def _integrate(rhs, y0, t_end, *, rtol, atol, h_max=None, fixed_step=None,
     h = direction * min(span / 16.0, cap)
     steps = 0
     while abs(t) < span * (1 - 1e-14):
-        if steps >= max_steps:
+        if steps >= _MAX_STEPS:
             raise IntegrationError(
                 f"step limit reached at t={t:.6g} (span {span:.6g})")
         steps += 1
@@ -525,10 +519,9 @@ class _ControlResolver:
     """Per-stage projection of the control onto the constraint manifold,
     warm-started from the control it is given."""
 
-    def __init__(self, cs, *, newton_tol, max_newton):
+    def __init__(self, cs, max_newton):
         self.prep = cs.prepared
         self.mode = cs.mode
-        self.newton_tol = newton_tol
         self.max_newton = max_newton
         self.m = cs.state_chart.dimension
 
@@ -553,7 +546,7 @@ class _ControlResolver:
         scale = max(1.0, _norm(p))
         for _ in range(self.max_newton):
             g, gp = g_fn(x + p + u)
-            if abs(g) <= self.newton_tol * scale:
+            if abs(g) <= _NEWTON_TOL * scale:
                 return u
             if abs(gp) <= 1e-10 * scale:
                 raise IntegrationError(
@@ -581,7 +574,6 @@ def integrate_biextremal(cs: ControlSystem, x0, p0, u0, t_end, *,
                          h_max: Optional[float] = None,
                          fixed_step: Optional[float] = None,
                          constraint_tol: float = _CONSTRAINT_TOL,
-                         newton_tol: float = _NEWTON_TOL,
                          max_newton: int = 50) -> BiExtremalTrace:
     """Integrate the constrained costate system: the state follows the
     dynamics, the costate follows the negative state-gradient of the
@@ -612,8 +604,7 @@ def integrate_biextremal(cs: ControlSystem, x0, p0, u0, t_end, *,
             f"initial data violates the constraint: residual "
             f"{initial_residual:.3e}")
 
-    resolver = _ControlResolver(cs, newton_tol=newton_tol,
-                                max_newton=max_newton)
+    resolver = _ControlResolver(cs, max_newton)
     residual_rows = []
     control_rows = []
     current_u = u_init
@@ -667,8 +658,7 @@ def integrate_biextremal(cs: ControlSystem, x0, p0, u0, t_end, *,
 # ---------------------------------------------------------------------------
 
 def classify_biextremal(structure: PseudoProductStructure,
-                        trace: BiExtremalTrace, *,
-                        rtol: float = _CLASSIFY_RTOL) -> str:
+                        trace: BiExtremalTrace) -> str:
     """Classify a trace on the six-dimensional chart by its costate.
 
     regular-singular: the costate annihilates the plane field and its
@@ -691,7 +681,7 @@ def classify_biextremal(structure: PseudoProductStructure,
     deep_nonzero = True
     for x, p in zip(trace.states, trace.costates):
         vals = fields_fn(x)
-        tol = rtol * _norm(p)
+        tol = _CLASSIFY_RTOL * _norm(p)
         pairings = [_dot(p, vals[i * n:(i + 1) * n]) for i in range(4)]
         if not all(abs(q) <= tol for q in pairings[:3]):
             return "unclassified"
@@ -741,8 +731,8 @@ def _annihilating_costate(rows, prefer_row) -> tuple:
 
 
 def lift_fiber(structure: PseudoProductStructure, side: str,
-               z0: Optional[dict] = None, t_end: float = 0.5,
-               **options) -> BiExtremalTrace:
+               z0: Optional[dict] = None,
+               t_end: float = 0.5) -> BiExtremalTrace:
     """Transport a costate along one leaf of the splitting with the
     control held fixed on that leaf's generator.
 
@@ -773,7 +763,7 @@ def lift_fiber(structure: PseudoProductStructure, side: str,
         u0 = (1.0, 0.0)
     p0 = _annihilating_costate(rows, prefer)
     cs = prolonged_system(structure, mode="fixed")
-    return integrate_biextremal(cs, z0, p0, u0, t_end, **options)
+    return integrate_biextremal(cs, z0, p0, u0, t_end)
 
 
 # ---------------------------------------------------------------------------
@@ -904,8 +894,6 @@ def singular_launch(cs: ControlSystem, x0: dict, theta0):
 def verify_duality(structure: PseudoProductStructure, cs: ControlSystem,
                    x0: dict, theta0, t_end: float,
                    tol: float = _DUALITY_TOL, *,
-                   rtol: float = 1e-11, atol: float = 1e-13,
-                   h_max: Optional[float] = None,
                    fixed_step: Optional[float] = None,
                    samples: int = 200) -> DualityReport:
     """Compare the projected leaf through (x0, theta0) with the singular
@@ -943,13 +931,13 @@ def verify_duality(structure: PseudoProductStructure, cs: ControlSystem,
     side = "K" if k_moves else "L"
     leaf = singular_path_field(structure, side)
 
-    if h_max is None and fixed_step is None:
-        h_max = abs(float(t_end)) / 64
-
+    # a fixed step, when given, replaces the step cap
+    h_max = abs(float(t_end)) / 64
     try:
         leaf_trace = integrate_flow(
-            leaf, z0, t_end, registry=structure.registry, rtol=rtol,
-            atol=atol, h_max=h_max, fixed_step=fixed_step)
+            leaf, z0, t_end, registry=structure.registry,
+            rtol=_DUALITY_RTOL, atol=_DUALITY_ATOL, h_max=h_max,
+            fixed_step=fixed_step)
     except IntegrationError as exc:
         raise IntegrationError(f"leaf-flow leg failed: {exc}") from exc
 
@@ -964,8 +952,8 @@ def verify_duality(structure: PseudoProductStructure, cs: ControlSystem,
 
     try:
         path_trace = integrate_biextremal(
-            cs, x0, p0, u0, t_end, rtol=rtol, atol=atol, h_max=h_max,
-            fixed_step=fixed_step)
+            cs, x0, p0, u0, t_end, rtol=_DUALITY_RTOL, atol=_DUALITY_ATOL,
+            h_max=h_max, fixed_step=fixed_step)
     except (IntegrationError, StructureError) as exc:
         raise IntegrationError(f"bi-extremal leg failed: {exc}") from exc
 
@@ -1026,8 +1014,6 @@ class _CrossingFound(Exception):
 
 def leaf_project(flow: VectorField, slice_spec: SliceSpec, z0: dict,
                  t_max: float, *, registry: Optional[OpaqueRegistry] = None,
-                 rtol: float = 1e-10, atol: float = 1e-12,
-                 h_max: Optional[float] = None,
                  bisect_tol: float = _BISECT_TOL) -> dict:
     """Follow the flow from z0 until it crosses the slice; the crossing
     is bisected to `bisect_tol` on the dense step interpolant.
@@ -1044,8 +1030,6 @@ def leaf_project(flow: VectorField, slice_spec: SliceSpec, z0: dict,
     idx = chart.variables.index(slice_spec.coordinate)
     level = float(slice_spec.level)
     span = abs(float(t_max))
-    if h_max is None:
-        h_max = span / 64
 
     def transversal_or_raise(point: dict):
         speed = [float(evaluate(c, point, registry))
@@ -1075,8 +1059,7 @@ def leaf_project(flow: VectorField, slice_spec: SliceSpec, z0: dict,
 
         try:
             integrate_flow(flow, z0, direction * span, registry=registry,
-                           rtol=rtol, atol=atol, h_max=h_max,
-                           accept_hook=hook)
+                           h_max=span / 64, accept_hook=hook)
         except _CrossingFound as found:
             bracket = found.bracket
             width = bracket["t1"] - bracket["t0"]

@@ -41,7 +41,7 @@ __all__ = [
     "UnregisteredOpaqueError", "ZeroDenominatorError", "MissingAssignmentError",
     "parse_expr", "to_text", "normalize", "differentiate", "substitute",
     "evaluate", "compile_expr", "compile_exprs", "is_zero", "min_degree",
-    "const", "free_variables",
+    "free_variables",
 ]
 
 
@@ -171,10 +171,6 @@ class Opaque(ScalarExpr):
     arg: ScalarExpr
 
 
-def const(value) -> Const:
-    return Const(as_fraction(value))
-
-
 def _coerce(x) -> ScalarExpr:
     if isinstance(x, ScalarExpr):
         return x
@@ -228,37 +224,31 @@ def _abs_term(x: ScalarExpr) -> ScalarExpr:
 @dataclass(frozen=True)
 class OpaqueRule:
     evaluator: Callable[[float], float]
-    derivative: Union[str, tuple]  # opaque name, or (template, placeholder)
+    derivative: Union[str, ScalarExpr]  # opaque name, or template in u
 
 
 class OpaqueRegistry:
     """Write-once table of opaque function names.
 
     Each entry supplies a numeric evaluator and a derivative rule: either
-    the name of another opaque, or an expression template in a placeholder
-    variable that gets the application argument substituted in.
+    the name of another opaque, or an expression template in the
+    placeholder variable `u` that gets the application argument
+    substituted in.
     """
 
     def __init__(self):
         self._rules: dict[str, OpaqueRule] = {}
 
     def register(self, name: str, evaluator: Callable[[float], float],
-                 derivative: Union[str, ScalarExpr], placeholder: str = "u"):
+                 derivative: Union[str, ScalarExpr]):
         if name in self._rules:
             raise ExprError(f"opaque {name!r} already registered")
-        if isinstance(derivative, ScalarExpr):
-            rule = OpaqueRule(evaluator, (derivative, placeholder))
-        elif isinstance(derivative, str):
-            rule = OpaqueRule(evaluator, derivative)
-        else:
+        if not isinstance(derivative, (str, ScalarExpr)):
             raise TypeError("derivative must be an opaque name or a template")
-        self._rules[name] = rule
+        self._rules[name] = OpaqueRule(evaluator, derivative)
 
     def __contains__(self, name: str) -> bool:
         return name in self._rules
-
-    def names(self):
-        return sorted(self._rules)
 
     def evaluator(self, name: str) -> Callable[[float], float]:
         try:
@@ -275,8 +265,7 @@ class OpaqueRegistry:
             if rule not in self._rules:
                 raise UnregisteredOpaqueError(rule)
             return Opaque(rule, arg)
-        template, placeholder = rule
-        return substitute(template, {placeholder: arg})
+        return substitute(rule, {"u": arg})
 
 
 _DEFAULT_REGISTRY = OpaqueRegistry()
@@ -586,8 +575,7 @@ def to_text(expr: ScalarExpr) -> str:
 # that of the denominator as the bound, and the atoms of the terms
 # registered.  The chart fixes where each of those atoms' fields sits,
 # so a builder on the same chart returns the pair as it is, shared and
-# not copied, instead of folding the tree; `strict` plays no part, since
-# it only decides about variables outside the chart.  Opaque atoms are
+# not copied, instead of folding the tree.  Opaque atoms are
 # excluded because folding one also registers the atoms of its argument.
 # Evaluating such a tree at a rational point reads the integer terms of
 # the normal form (`_evaluate_exact`), and differentiating one whose
@@ -695,9 +683,8 @@ class _NFBuilder:
     """Folds an expression tree into a normal-form quotient of integer
     polynomial pairs."""
 
-    def __init__(self, chart, strict_chart: bool):
+    def __init__(self, chart):
         self.chart = tuple(chart) if chart is not None else None
-        self.strict = strict_chart and chart is not None
         self.atom_exprs = {}
         self.offsets = {}  # atom key -> bit offset of its exponent field
         # the first field after the chart variables'
@@ -719,8 +706,6 @@ class _NFBuilder:
         name = var.name
         if self.chart is not None and name in self.chart:
             idx = self.chart.index(name)
-        elif self.strict:
-            raise UndeclaredVariableError(name)
         else:
             idx = _NO_CHART_INDEX
         return self.atom((0, idx, name), var)
@@ -864,8 +849,8 @@ def _quotient_tree(sorted_num, sorted_den, atom_exprs) -> ScalarExpr:
 
 
 @functools.lru_cache(maxsize=65536)
-def _normal_form(expr: ScalarExpr, chart_key: Optional[tuple],
-                 strict: bool) -> _NormalForm:
+def _normal_form(expr: ScalarExpr,
+                 chart_key: Optional[tuple]) -> _NormalForm:
     """Numerator and denominator as integer polynomials with coprime
     joint content and a positive leading denominator coefficient."""
     nf = _carried(expr, chart_key)
@@ -874,7 +859,7 @@ def _normal_form(expr: ScalarExpr, chart_key: Optional[tuple],
         if len(nf.atom_exprs) == len(nf.packed.atoms):
             return nf
         return _NormalForm(nf.num, nf.den, nf.packed.atoms, nf.packed)
-    builder = _NFBuilder(chart_key, strict)
+    builder = _NFBuilder(chart_key)
     num, den, _ = builder.visit(expr)
     return _finished(builder, num, den)
 
@@ -913,14 +898,14 @@ def _chart_key(chart) -> Optional[tuple]:
     return tuple(vars_)
 
 
-def normalize(expr: ScalarExpr, chart: Optional[Sequence[str]] = None,
-              strict: bool = False) -> ScalarExpr:
+def normalize(expr: ScalarExpr,
+              chart: Optional[Sequence[str]] = None) -> ScalarExpr:
     """Canonical form: expanded numerator over expanded denominator, terms
     in graded-lex order.  Idempotent; equal outputs mean equal functions,
     and equality of two expressions is decided by is_zero of their
     difference (no polynomial gcd is cancelled here).  The result
     carries its normal form when that has a `_Packed` pair."""
-    return _printed(_normal_form(expr, _chart_key(chart), strict))
+    return _printed(_normal_form(expr, _chart_key(chart)))
 
 
 def _printed(nf: _NormalForm) -> ScalarExpr:
@@ -1011,7 +996,7 @@ def _polynomial_derivative(packed: _Packed, var: str) -> _NormalForm:
     constant, so the fold is a multiple of (dN/d(var), c), and a normal
     form with a constant denominator is the one pair of coprime content
     for its polynomial: this is that pair, taken term by term."""
-    builder = _NFBuilder(packed.chart_key, False)
+    builder = _NFBuilder(packed.chart_key)
     (num, _), _, _ = builder.reuse(packed)
     offset = next((builder.offsets[key] for key, _ in packed.atoms
                    if key[2] == var), None)
@@ -1235,7 +1220,7 @@ def is_zero(expr: ScalarExpr, box: Box,
     fixed = {name: lo for name, lo, hi in box.intervals if lo == hi}
     if fixed:
         expr = substitute(expr, fixed)
-    nf = _normal_form(expr, _chart_key(chart), False)
+    nf = _normal_form(expr, _chart_key(chart))
     if not nf.num:
         # opaque atoms may appear in the tree, but if none survive in the
         # numerator the function is the zero rational function
@@ -1284,7 +1269,7 @@ def min_degree(expr: ScalarExpr, var: str,
     """Lowest power of `var` among numerator terms (None for the zero
     expression).  Pre: the normalized expression is polynomial in `var`
     (the denominator must not involve it)."""
-    nf = _normal_form(expr, _chart_key(chart), False)
+    nf = _normal_form(expr, _chart_key(chart))
     if not nf.num:
         return None
 

@@ -300,34 +300,38 @@ def reduce_mod(v: VectorField, frame: Frame, point: dict,
     return PointValues(point, reg).reduce(v, frame)
 
 
-def symbolic_decompose(v: VectorField, basis: Sequence[VectorField],
-                       base_point: dict,
+def symbolic_decompose(targets: Sequence[VectorField],
+                       basis: Sequence[VectorField], base_point: dict,
                        registry: Optional[OpaqueRegistry] = None) -> tuple:
-    """Coefficient expressions c_i with v = sum_i c_i * basis_i, obtained by
-    symbolic Gaussian elimination.
+    """For each target v, the coefficient expressions c_i with
+    v = sum_i c_i * basis_i, obtained by one symbolic Gauss-Jordan
+    elimination of the basis with every target appended as a column.
 
     The basis must be square (as many fields as chart dimensions) and
     invertible at the base point; each pivot is the remaining entry of
     largest magnitude among those nonzero there (exactly, for rational
     values), so every denominator introduced along the way is nonzero at
     the base point and the result is valid on a neighbourhood of it.
+    Pivots and row factors come from the basis columns alone, so each
+    target's coefficients do not depend on the other targets.
     """
     if registry is None:
         registry = default_registry()
-    chart = v.chart
+    chart = targets[0].chart
     n = chart.dimension
     if len(basis) != n:
         raise DegenerateFrameError(
             "symbolic decomposition needs a square basis "
             f"({len(basis)} fields on a {n}-dimensional chart)")
-    for b in basis:
-        if b.chart != chart:
-            raise ChartMismatchError("basis field on a different chart")
+    columns = tuple(basis) + tuple(targets)
+    for f in columns:
+        if f.chart != chart:
+            raise ChartMismatchError("field on a different chart")
     variables = chart.variables
     # Augmented rows: one per chart component, columns follow the basis
-    # order with the target field appended.
-    rows = [[normalize(b.components[i], variables) for b in basis]
-            + [normalize(v.components[i], variables)]
+    # order with the targets appended.
+    width = len(columns)
+    rows = [[normalize(f.components[i], variables) for f in columns]
             for i in range(n)]
     pivot_of_col = {}
     used_rows = set()
@@ -363,8 +367,9 @@ def symbolic_decompose(v: VectorField, basis: Sequence[VectorField],
             rows[r] = [normalize(
                 Sum((rows[r][j],
                      Prod((Const(Fraction(-1)), factor, rows[best_row][j])))),
-                variables) for j in range(n + 1)]
-    return tuple(rows[pivot_of_col[col]][n] for col in range(n))
+                variables) for j in range(width)]
+    return tuple(tuple(rows[pivot_of_col[col]][j] for col in range(n))
+                 for j in range(n, width))
 
 
 @dataclass(frozen=True)
@@ -376,13 +381,6 @@ class DistributionFlag:
     growth: tuple
     constant_rank: bool
     rank_witnesses: tuple = ()
-
-    @property
-    def top(self) -> Frame:
-        return self.frames[-1]
-
-    def frame(self, depth: int) -> Frame:
-        return self.frames[depth]
 
 
 def derived_flag(generators: Frame, box: Optional[Box] = None,

@@ -347,16 +347,13 @@ def _sorted_poly(poly):
 
 
 class _ReferenceBuilder:
-    def __init__(self, chart, strict_chart: bool):
+    def __init__(self, chart):
         self.chart = list(chart) if chart is not None else None
-        self.strict = strict_chart and chart is not None
         self.atom_exprs = {}
 
     def var_atom(self, name: str):
         if self.chart is not None and name in self.chart:
             idx = self.chart.index(name)
-        elif self.strict:
-            raise scalar.UndeclaredVariableError(name)
         else:
             idx = scalar._NO_CHART_INDEX
         key = (0, idx, name)
@@ -430,18 +427,18 @@ def _content_normalize(num, den):
     return num, den
 
 
-def reference_normal_form(expr, chart_key, strict: bool):
+def reference_normal_form(expr, chart_key):
     """The `_NormalForm` of `expr`, built in `Fraction` arithmetic."""
-    builder = _ReferenceBuilder(chart_key, strict)
+    builder = _ReferenceBuilder(chart_key)
     num, den = _content_normalize(*builder.visit(expr))
     return scalar._NormalForm(_sorted_poly(num), _sorted_poly(den),
                               tuple(sorted(builder.atom_exprs.items())))
 
 
-def normal_form_outcome(build, expr, chart_key, strict: bool):
+def normal_form_outcome(build, expr, chart_key):
     """What `build` gives for expr: its normal form, or the type and
     message of the error it raises."""
     try:
-        return build(expr, chart_key, strict)
+        return build(expr, chart_key)
     except (scalar.ExprError, TypeError) as exc:
         return type(exc), str(exc)

@@ -8,10 +8,9 @@ from fractions import Fraction
 import pytest
 
 from dist235.conedual import (
-    BUILTIN_MODELS, ConeFamily, DirectionField, _bracket_decomposition,
-    builtin_model, check_lagrangian, check_nondegenerate,
-    check_osculating_condition, cone_frame, osculating,
-    prolong_cone, solve_U,
+    BUILTIN_MODELS, ConeFamily, DirectionField, builtin_model,
+    check_lagrangian, check_nondegenerate, check_osculating_condition,
+    cone_frame, osculating, prolong_cone, solve_U,
 )
 from dist235.distduality import (
     Distribution235, StructureError, symbol_algebra_at,
@@ -265,9 +264,10 @@ class TestOsculatingCondition:
 
     def test_decomposition_cached_per_base_point_and_registry(self):
         # ConeFamily equality ignores the base point and the registry, so
-        # the decomposition cache must key them itself: the same
-        # components pivoted at the origin and at x1=1/8, th=1/4 (or with
-        # another registry) are two decompositions, not one cache hit.
+        # the decomposition is cached on the family object, not by
+        # equality: the same components pivoted at the origin and at
+        # x1=1/8, th=1/4 (or with another registry) are two
+        # decompositions, not one cache hit.
         at_origin = builtin_model("noncubic-bc",
                                   {"b": "th^3", "c": "3/2*th^4"})
         base = dict(at_origin.base_point, x1=Fraction(1, 8),
@@ -279,13 +279,13 @@ class TestOsculatingCondition:
             at_origin.x_chart, at_origin.components, at_origin.alpha,
             registry=OpaqueRegistry(), name=at_origin.name)
         assert moved == at_origin == other_registry
-        first = _bracket_decomposition(at_origin)
-        second = _bracket_decomposition(moved)
-        third = _bracket_decomposition(other_registry)
+        first = at_origin.bracket_decomposition
+        second = moved.bracket_decomposition
+        third = other_registry.bracket_decomposition
         assert second is not first and third is not first
         assert third is not second
         # within one family the decomposition is still computed once
-        assert _bracket_decomposition(moved) is second
+        assert moved.bracket_decomposition is second
 
     def test_compliant_bc_passes(self):
         family = builtin_model("noncubic-bc",

@@ -8,9 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dist235 import distduality, vecfield
 from dist235.boxes import Box
 from dist235.cli import load_model
-from dist235.conedual import builtin_model, prolong_cone
+from dist235.conedual import (
+    ConeFamily, builtin_model, check_nondegenerate, prolong_cone,
+)
 from dist235.distduality import (
     _CONDITIONS, Check235Report, ConditionResult, Distribution235,
     GradingError, GrowthError, PseudoProductReport, PseudoProductStructure,
@@ -26,7 +29,8 @@ from dist235.vecfield import (
 )
 
 from helpers import (
-    full_frame, random_point, record_evaluations, repeated_evaluations,
+    count_calls, full_frame, random_point, record_evaluations,
+    repeated_evaluations,
 )
 
 TOL = 1e-9
@@ -214,6 +218,27 @@ class TestProlong:
 # ---------------------------------------------------------------------------
 
 class TestSolveE:
+    def test_one_elimination_for_every_bracket(self, monkeypatch):
+        # the ten brackets [zeta1, w] and [zeta2, w] share one elimination
+        # of the frame, and each target's coefficients are those it gets
+        # alone
+        eta1, eta2 = cubic_model()
+        pro = prolong_235(Distribution235(BASE_CHART, eta1, eta2,
+                                          BASE_CHART.origin()))
+        calls = count_calls(monkeypatch, distduality, "symbolic_decompose")
+        assert to_text(solve_e(pro).expression) == "3*y1*y2"
+        assert len(calls) == 1
+        basis = pro.layer_frame(3).fields + (pro.complement_field,)
+        targets = [lie_bracket(z, w, pro.registry)
+                   for w in pro.layer_frame(3).fields
+                   for z in (pro.zeta1, pro.zeta2)]
+        together = vecfield.symbolic_decompose(
+            targets, basis, pro.base_point, pro.registry)
+        assert len(together) == 10
+        for target, coeffs in zip(targets, together):
+            assert vecfield.symbolic_decompose(
+                (target,), basis, pro.base_point, pro.registry) == (coeffs,)
+
     def test_flat_model_correction_vanishes(self):
         eta1, eta2 = flat_model()
         dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin())
@@ -455,6 +480,24 @@ class TestVerifyPseudoProduct:
         with pytest.raises(GrowthError):
             PseudoProductStructure.build(
                 chart, (v, w), v, w, chart.origin())
+
+    def test_rank_drop_on_the_box_rejected_at_build(self):
+        # A non-degenerate cone family whose plane field grows as
+        # (2, 3, 4, 5, 6) at the origin, while layers 3 and 4 have rank 4
+        # at the first Halton point of its box: the sampled rank verdict
+        # must reject the splitting, not only the base-point growth.
+        s = "(th^3 + (13/22)*th^4)"
+        family = ConeFamily.build(
+            Chart(("x1", "x2", "x3", "x4", "x5")),
+            ("th", "th^2", s, f"x3*th - 2*x2*th^2 + x1*{s}"),
+            ("0", "-x3", "2*x2", "-x1", "1"))
+        assert check_nondegenerate(family)
+        zeta1, zeta2 = family.zeta(1), family.zeta(2)
+        drop = r"rank 4 in layer 3 at \(x1=0, .*, th=-11/26\)"
+        with pytest.raises(GrowthError, match=drop):
+            PseudoProductStructure.build(
+                family.z_chart, (zeta1, zeta2), zeta1, zeta2,
+                family.base_point, family.box, family.registry)
 
     def test_flag_of_another_plane_field_rejected(self):
         pro, structure = build_flat_structure()

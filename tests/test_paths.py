@@ -25,7 +25,8 @@ from dist235.paths import (
 )
 from dist235.scalar import (
     MissingAssignmentError, OpaqueRegistry, Prod, Sum, Var,
-    default_registry, evaluate, normalize, parse_expr, to_text,
+    default_registry, differentiate, evaluate, normalize, parse_expr,
+    to_text,
 )
 from dist235.vecfield import Chart, ChartError, VectorField, \
     field_from_strings
@@ -176,8 +177,8 @@ class TestControlSystems:
         cs = distribution_system(dist)
         assert cs.mode == "linear-singular"
         assert cs.control_names == ("u1", "u2")
-        assert cs.rule_fields[0] is dist.eta4
-        assert cs.rule_fields[1] is dist.eta5
+        assert [f.components for f in cs.rule_fields] == [
+            dist.eta4.components, dist.eta5.components]
         assert to_text(cs.dynamics[0]) == "u1"
         assert to_text(cs.dynamics[3]) == "u2"
 
@@ -193,21 +194,40 @@ class TestControlSystems:
             prolonged_system(structure, mode="rk")
 
     def test_control_collides_with_state(self):
-        dist = hilbert_cartan()
+        # the Hilbert-Cartan plane field on a chart with a coordinate
+        # named like the first control
+        chart = Chart(("x", "y", "y1", "u1", "z"))
+        eta1 = field_from_strings(chart, ["1", "y1", "u1", "0", "u1^2"])
+        eta2 = field_from_strings(chart, ["0", "0", "0", "1", "0"])
+        dist = Distribution235(chart, eta1, eta2, chart.origin())
         with pytest.raises(ChartError, match="collides"):
-            distribution_system(dist, controls=("x", "u2"))
+            distribution_system(dist)
 
     def test_duplicate_controls_rejected(self):
-        dist = hilbert_cartan()
+        from dist235.paths import ControlSystem
+
+        chart = Chart(("x",))
+        box = Box((("x", Fraction(-1, 4), Fraction(1, 4)),))
         with pytest.raises(StructureError, match="duplicate"):
-            distribution_system(dist, controls=("u", "u"))
+            ControlSystem(state_chart=chart, control_names=("u", "u"),
+                          dynamics=(parse_expr("u", ("u",)),),
+                          mode="fixed", box=box,
+                          registry=default_registry())
 
     def test_radial_name_collisions(self):
-        family = flat_cone_family()
-        with pytest.raises(ChartError):
-            cone_system(family, radial="th")
-        with pytest.raises(ChartError):
-            cone_system(family, radial="x1")
+        # a direction coordinate, then a base coordinate, named like the
+        # radial control
+        by_theta = ConeFamily.build(
+            X_CHART, ("r", "r^2", "r^3", "x3*r - 2*x2*r^2 + x1*r^3"),
+            ALPHA, theta="r")
+        with pytest.raises(ChartError, match="collides"):
+            cone_system(by_theta)
+        chart = Chart(("r", "x2", "x3", "x4", "x5"))
+        by_base = ConeFamily.build(
+            chart, ("th", "th^2", "th^3", "x3*th - 2*x2*th^2 + r*th^3"),
+            ("0", "-x3", "2*x2", "-r", "1"))
+        with pytest.raises(ChartError, match="collides"):
+            cone_system(by_base)
 
     def test_stray_dynamics_symbol_rejected(self):
         from dist235.paths import ControlSystem
@@ -263,7 +283,8 @@ class TestHamiltonian:
     def test_costate_partials_recover_dynamics(self):
         cs = distribution_system(hilbert_cartan())
         ham = hamiltonian(cs)
-        for partial, comp in zip(ham.dh_dp, cs.dynamics):
+        for p, comp in zip(ham.costate_names, cs.dynamics):
+            partial = differentiate(ham.h, p, ham.variables, cs.registry)
             assert to_text(partial) == to_text(
                 normalize(comp, ham.variables))
 
@@ -280,7 +301,8 @@ class TestHamiltonian:
                            registry=default_registry())
         ham = hamiltonian(cs)
         assert to_text(ham.h) == "p1"
-        assert [to_text(d) for d in ham.dh_dx] == ["0", "0"]
+        assert [to_text(differentiate(ham.h, x, ham.variables))
+                for x in ham.state_names] == ["0", "0"]
         assert [to_text(d) for d in ham.dh_du] == ["0"]
 
     def test_costate_name_collision_rejected(self):

@@ -162,10 +162,6 @@ class TestNormalize:
         with pytest.raises(ZeroDenominatorError):
             normalize(e, CHART)
 
-    def test_strict_mode_rejects_undeclared(self):
-        with pytest.raises(UndeclaredVariableError):
-            normalize(Var("nope"), CHART, strict=True)
-
 
 # ---------------------------------------------------------------------------
 # calculus
@@ -469,10 +465,9 @@ class TestSympyOracle:
 # the integer builder against the kept Fraction builder
 
 CHART_SETTINGS = {
-    "no chart": (None, False),
-    "non-strict": (CHART, False),
-    "strict": (CHART, True),
-    "permuted": (("x3", "x1", "x5", "x2", "x4"), False),
+    "no chart": None,
+    "non-strict": CHART,
+    "permuted": ("x3", "x1", "x5", "x2", "x4"),
 }
 
 
@@ -482,23 +477,20 @@ class TestNormalFormMatchesReference:
 
     @pytest.mark.parametrize("setting", sorted(CHART_SETTINGS))
     def test_random_trees(self, setting):
-        chart_key, strict = CHART_SETTINGS[setting]
+        chart_key = CHART_SETTINGS[setting]
         rng = random.Random(20261018)
-        # "w" is outside every chart: strict mode rejects it
+        # "w" is outside every chart
         variables = CHART[:3] + ("w",)
         build = scalar._normal_form.__wrapped__
         kinds = set()
         for _ in range(3000):
             tree = random_nf_tree(rng, variables, ("a", "a1"), depth=4)
-            got = normal_form_outcome(build, tree, chart_key, strict)
+            got = normal_form_outcome(build, tree, chart_key)
             want = normal_form_outcome(reference_normal_form, tree,
-                                       chart_key, strict)
+                                       chart_key)
             assert got == want, to_text(tree)
             kinds.add(want[0] if isinstance(want, tuple) else "form")
-        expected = {"form", ZeroDenominatorError}
-        if strict:
-            expected.add(UndeclaredVariableError)
-        assert kinds == expected
+        assert kinds == {"form", ZeroDenominatorError}
 
     def test_every_normal_form_of_the_bundled_reports(self, monkeypatch,
                                                       tmp_path):
@@ -506,18 +498,18 @@ class TestNormalFormMatchesReference:
         cached = scalar._normal_form
         calls = {}
 
-        def recording(expr, chart_key, strict):
-            calls[expr, chart_key, strict] = None
-            return cached(expr, chart_key, strict)
+        def recording(expr, chart_key):
+            calls[expr, chart_key] = None
+            return cached(expr, chart_key)
 
         monkeypatch.setattr(scalar, "_normal_form", recording)
         for name in bundled_names():
             main(["analyze", name, "--suite", "all", "--seed", "7",
                   "--out", str(tmp_path / f"{name}.json")])
         assert len(calls) > 500
-        for expr, chart_key, strict in calls:
-            assert cached.__wrapped__(expr, chart_key, strict) == \
-                reference_normal_form(expr, chart_key, strict), to_text(expr)
+        for expr, chart_key in calls:
+            assert cached.__wrapped__(expr, chart_key) == \
+                reference_normal_form(expr, chart_key), to_text(expr)
 
     def test_fold_builds_no_fraction(self, monkeypatch):
         # Fractions appear only at the boundaries: the result of
@@ -540,7 +532,7 @@ class TestNormalFormMatchesReference:
         folded = 0
         for tree in trees:
             try:
-                scalar._NFBuilder(CHART, False).visit(tree)
+                scalar._NFBuilder(CHART).visit(tree)
             except ZeroDenominatorError:
                 continue
             folded += 1
@@ -554,8 +546,7 @@ class TestNormalFormMatchesReference:
         build = scalar._normal_form.__wrapped__
         x1, x2 = Var("x1"), Var("x2")
         top = Pow(x1, 2 ** 64 - 1)
-        assert build(top, CHART, False) == \
-            reference_normal_form(top, CHART, False)
+        assert build(top, CHART) == reference_normal_form(top, CHART)
         half = 2 ** 63
         for tree in (Pow(x1, 2 ** 64), Prod((Pow(x1, half), Pow(x1, half))),
                      Prod((top, x1)),
@@ -563,13 +554,13 @@ class TestNormalFormMatchesReference:
                      Sum((Pow(x1, -half), Pow(Prod((x1, x2)), -half))),
                      Opaque("a", Pow(x1, 2 ** 70))):
             with pytest.raises(scalar.ExprError, match="exponent overflow"):
-                build(tree, CHART, False)
+                build(tree, CHART)
 
 
 # ---------------------------------------------------------------------------
 # trees that carry the normal form they were printed from
 
-PIECE_CHARTS = (CHART, CHART_SETTINGS["permuted"][0], None)
+PIECE_CHARTS = (CHART, CHART_SETTINGS["permuted"], None)
 
 
 class TestCarriedPairs:
@@ -578,7 +569,7 @@ class TestCarriedPairs:
 
     @pytest.mark.parametrize("setting", sorted(CHART_SETTINGS))
     def test_reuse_gives_the_same_fold(self, setting, monkeypatch):
-        chart_key, strict = CHART_SETTINGS[setting]
+        chart_key = CHART_SETTINGS[setting]
         rng = random.Random(20261020)
         variables = CHART[:3] + ("w",)
         pieces = normalized_pieces(rng, 200, PIECE_CHARTS, variables,
@@ -589,24 +580,24 @@ class TestCarriedPairs:
         for _ in range(1500):
             tree = random_tree_with_pieces(rng, variables, pieces,
                                            ("a", "a1"))
-            got = normal_form_outcome(build, tree, chart_key, strict)
+            got = normal_form_outcome(build, tree, chart_key)
             want = normal_form_outcome(reference_normal_form, tree,
-                                       chart_key, strict)
+                                       chart_key)
             assert got == want, to_text(tree)
             kinds.add(want[0] if isinstance(want, tuple) else "form")
         assert reused and "form" in kinds and ZeroDenominatorError in kinds
 
     def test_reused_pair_and_bound_equal_the_fresh_fold(self):
         rng = random.Random(20261021)
-        pieces = normalized_pieces(rng, 300, PIECE_CHARTS, CHART[:3])
+        pieces = normalized_pieces(rng, 400, PIECE_CHARTS, CHART[:3])
         checked = 0
-        for chart_key, strict in CHART_SETTINGS.values():
+        for chart_key in CHART_SETTINGS.values():
             for piece in pieces:
                 nf = piece._nf
                 if nf is None or nf.packed.chart_key != chart_key:
                     continue
-                reused = scalar._NFBuilder(chart_key, strict)
-                fresh = scalar._NFBuilder(chart_key, strict)
+                reused = scalar._NFBuilder(chart_key)
+                fresh = scalar._NFBuilder(chart_key)
                 # (numerator, denominator, degree bound)
                 assert reused.visit(piece) == fresh.visit(stripped(piece))
                 assert reused.atom_exprs == fresh.atom_exprs
@@ -642,8 +633,8 @@ class TestCarriedPairs:
                 want = derive(stripped(piece), var, chart, reg)
                 assert got == want, to_text(piece)
                 if got._nf is not None:
-                    assert scalar._normal_form.__wrapped__(got, chart, False) \
-                        == reference_normal_form(got, chart, False)
+                    assert scalar._normal_form.__wrapped__(got, chart) \
+                        == reference_normal_form(got, chart)
         assert len(direct) > 300
 
     def test_osculating_check_folds_half_as_much(self, monkeypatch):
@@ -653,7 +644,7 @@ class TestCarriedPairs:
 
         def clear_caches():
             for cached in (scalar._normal_form, scalar._derivative,
-                           vecfield._bracket, conedual._decomposition_at):
+                           vecfield._bracket):
                 cached.cache_clear()
 
         def visits(pack):

@@ -1,6 +1,8 @@
 """Vector fields, brackets, flags, forms: exact pointwise linear algebra."""
 
+import importlib
 import inspect
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 import sympy
 
-from dist235 import conedual, distduality, linalg, vecfield
+import dist235
+from dist235 import conedual, distduality, linalg, paths, vecfield
 from dist235.boxes import Box
 from dist235.scalar import (
     Const, OpaqueRegistry, Prod, Sum, normalize, parse_expr, to_text,
@@ -330,8 +333,6 @@ class TestSpan:
         coeffs, _ = span.decompose([2.0, 7.0, 1.0])
         assert coeffs == [pytest.approx(2.0), pytest.approx(3.0)]
         assert not span.contains([1.0, 2.0, 1e-3])
-        assert linalg.Span(self.ROWS, rtol=1e-15).decompose(
-            [1.0, 2.0, 1e-12])[0] is None
 
     def test_nullspace_dispatch(self):
         assert linalg.nullspace(self.ROWS) == linalg.exact_nullspace(
@@ -600,20 +601,41 @@ class TestCauchy:
                 other, ["1", "0", "0", "0", "0"]))
 
 
+def public_signatures(module):
+    """(label, signature) of each public function of the module and of
+    each public method of its public classes."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(
+                obj, "__module__", None) != module.__name__:
+            continue
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members = [(f"{name}.{attr}", getattr(obj, attr))
+                       for attr in vars(obj) if not attr.startswith("_")]
+        for label, fn in members:
+            if callable(fn):
+                yield f"{module.__name__}.{label}", inspect.signature(fn)
+
+
 def test_no_public_function_takes_rtol():
-    # the one tolerance for rank and membership decisions lives in linalg
-    offenders = []
-    for module in (vecfield, distduality, conedual):
-        for name, obj in vars(module).items():
-            if name.startswith("_") or getattr(
-                    obj, "__module__", None) != module.__name__:
-                continue
-            members = [(name, obj)]
-            if inspect.isclass(obj):
-                members = [(f"{name}.{attr}", getattr(obj, attr))
-                           for attr in vars(obj) if not attr.startswith("_")]
-            for label, fn in members:
-                if callable(fn) and "rtol" in inspect.signature(
-                        fn).parameters:
-                    offenders.append(f"{module.__name__}.{label}")
+    # the one tolerance for rank and membership decisions is linalg's
+    # constant; only the two integrators take step tolerances, because
+    # the duality check and leaf projection pass their own
+    offenders = [
+        label
+        for module in (vecfield, distduality, conedual, linalg, paths)
+        for label, sig in public_signatures(module)
+        if "rtol" in sig.parameters]
+    assert offenders == ["dist235.paths.integrate_flow",
+                         "dist235.paths.integrate_biextremal"]
+
+
+def test_no_public_function_takes_arbitrary_keywords():
+    modules = [importlib.import_module(f"dist235.{info.name}")
+               for info in pkgutil.iter_modules(dist235.__path__)]
+    assert len(modules) >= 8
+    offenders = [
+        label for module in modules
+        for label, sig in public_signatures(module)
+        if any(p.kind is p.VAR_KEYWORD for p in sig.parameters.values())]
     assert offenders == []
