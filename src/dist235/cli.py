@@ -1093,7 +1093,14 @@ def _cmd_trace(args) -> int:
         raise ModelError("--T must be nonzero")
     if not args.tol > 0:
         raise ModelError("--tol must be positive")
-    for line in trace_lines(model, x0, theta0, t_end, args.tol):
+    try:
+        lines = trace_lines(model, x0, theta0, t_end, args.tol)
+    except ModelError:
+        raise
+    except Exception as exc:  # what a suite check records as an error
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return 2
+    for line in lines:
         sys.stdout.write(line + "\n")
     return 0
 

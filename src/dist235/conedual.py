@@ -680,10 +680,8 @@ def _driver_components(name: str, params: dict,
         if extra:
             raise StructureError(
                 f"parameter 'a' may only involve x1, found {extra}")
-        # linalg's rule: exact for a rational value, and relative for a
-        # float, which for one number means exactly 0.0
-        origin_value = evaluate(a, {"x1": Fraction(0)}, registry)
-        if linalg.matrix_rank([[origin_value]]) != 0:
+        if not linalg.is_zero_value(evaluate(a, {"x1": Fraction(0)},
+                                             registry)):
             raise StructureError(
                 "parameter 'a' must vanish at the base point")
         a_text = to_text(a)

@@ -59,6 +59,15 @@ def _format_point(point: dict) -> str:
     return "(" + ", ".join(f"{k}={point[k]}" for k in point) + ")"
 
 
+def _rank_drop(flag: DistributionFlag, witness) -> str:
+    """One of `flag.rank_witnesses`, as text."""
+    layer, items, rank = witness
+    values = dict(items)
+    point = {v: values[v] for v in flag.frames[0].chart.variables}
+    return (f"rank {rank} in layer {layer} at {_format_point(point)}, "
+            f"{flag.growth[layer]} at the base point")
+
+
 def default_box(base_point: dict) -> Box:
     """The box used when none is given: half-width 1/4 about the base
     point in every coordinate."""
@@ -121,11 +130,8 @@ def check_235(eta1: VectorField, eta2: VectorField, base_point: dict,
         failures.append(
             f"growth vector at {_format_point(base_point)} is "
             f"{flag.growth}, expected {_GROWTH_235}")
-    if not flag.constant_rank:
-        for witness in flag.rank_witnesses:
-            failures.append(str(witness))
-        if not flag.rank_witnesses:
-            failures.append("rank is not constant over the sampled box")
+    failures.extend(f"plane field has {_rank_drop(flag, witness)}"
+                    for witness in flag.rank_witnesses)
     passed = flag.growth == _GROWTH_235 and flag.constant_rank
     return Check235Report(growth=flag.growth, passed=passed,
                           constant_rank=flag.constant_rank,
@@ -193,13 +199,8 @@ def _check_prolonged_flag(flag: DistributionFlag, what: str) -> None:
             f"{what} has growth {flag.growth}, "
             f"expected {_GROWTH_PROLONGED}")
     if not flag.constant_rank:
-        layer, point, rank = flag.rank_witnesses[0]
-        point = dict(point)
-        point = {v: point[v] for v in flag.frames[0].chart.variables}
         raise GrowthError(
-            f"{what} has rank {rank} in layer {layer} at "
-            f"{_format_point(point)}, {flag.growth[layer]} at the base "
-            "point")
+            f"{what} has {_rank_drop(flag, flag.rank_witnesses[0])}")
 
 
 @dataclass(frozen=True)
@@ -420,6 +421,15 @@ class PseudoProductStructure:
                    l_field=l_field, base_point=base_point, box=box,
                    flag=flag, registry=registry, name=name)
 
+    @cached_property
+    def bracket_chain(self) -> tuple:
+        """(e3, e4, e5, e6) = ([K, L], [K, e3], [K, e4], [L, e5])."""
+        k, l, registry = self.k_field, self.l_field, self.registry
+        e3 = lie_bracket(k, l, registry)
+        e4 = lie_bracket(k, e3, registry)
+        e5 = lie_bracket(k, e4, registry)
+        return e3, e4, e5, lie_bracket(l, e5, registry)
+
     def swapped(self) -> "PseudoProductStructure":
         """The same plane field with the roles of K and L exchanged."""
         return replace(self, k_field=self.l_field, l_field=self.k_field,
@@ -594,12 +604,11 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
 
     # Pick the equation whose linear coefficient is largest at the base
     # point; for the canonical construction this is the bracket with the
-    # fourth layer generator, whose coefficient is exactly 1.  A value is
-    # zero by linalg's rule: exactly 0 for a rational, 0.0 for a float.
+    # fourth layer generator, whose coefficient is exactly 1.
     best, best_mag = None, -1.0
     for a, b in pairs:
         value = evaluate(b, prolonged.base_point, registry)
-        if linalg.matrix_rank([[value]]) == 0:
+        if linalg.is_zero_value(value):
             continue
         mag = abs(float(value))
         if mag > best_mag:
@@ -710,11 +719,8 @@ def symbol_algebra_at(structure: PseudoProductStructure,
         raise GradingError(
             f"flag growth {flag.growth} does not provide the five graded "
             "layers")
-    k, l = structure.k_field, structure.l_field
-    e3 = lie_bracket(k, l, registry)
-    e4 = lie_bracket(k, e3, registry)
-    e5 = lie_bracket(k, e4, registry)
-    e6 = lie_bracket(l, e5, registry)
+    chain = (structure.k_field, structure.l_field) + structure.bracket_chain
+    k, l, e3, e4, e5 = chain[:5]
 
     at = PointValues(point, registry)
     entries = []
@@ -735,17 +741,14 @@ def symbol_algebra_at(structure: PseudoProductStructure,
         return res.member
 
     ok = True
-    ok &= grading("e3", e3, 0, 3)
-    ok &= grading("e4", e4, 1, 4)
-    ok &= grading("e5", e5, 2, 5)
-    ok &= grading("e6", e6, 3, 6)
+    for depth in range(4):
+        ok &= grading(f"e{depth + 3}", chain[depth + 2], depth, depth + 3)
     ok &= vanishing("[L, e3] drops weight", lie_bracket(l, e3, registry), 1)
     ok &= vanishing("[L, e4] drops weight", lie_bracket(l, e4, registry), 2)
     ok &= vanishing("[K, e5] drops weight", lie_bracket(k, e5, registry), 3)
 
-    reps = tuple((name, tuple(at.value(f))) for name, f in (
-        ("e1", k), ("e2", l), ("e3", e3), ("e4", e4), ("e5", e5),
-        ("e6", e6)))
+    reps = tuple((f"e{i}", tuple(at.value(f)))
+                 for i, f in enumerate(chain, 1))
     return SymbolAlgebraReport(
         point=tuple(sorted(point.items())), entries=tuple(entries),
         passed=bool(ok), representatives=reps)

@@ -237,6 +237,12 @@ def matrix_rank(rows) -> int:
     return float_rank([r.values for r in rows])
 
 
+def is_zero_value(x) -> bool:
+    """`matrix_rank`'s zero rule for one value: exactly 0 for a rational,
+    and for a float the relative rule, which for one number means 0.0."""
+    return matrix_rank([[x]]) == 0
+
+
 def exact_solve(columns, b):
     """One rational x with sum_j x_j * columns[j] = b, read from the
     reduced row echelon form of the augmented matrix with free variables

@@ -21,7 +21,7 @@ from .conedual import ConeFamily
 from .distduality import (
     Distribution235, PseudoProductStructure, StructureError,
 )
-from .linalg import nullspace
+from .linalg import is_zero_value, nullspace
 from .scalar import (
     Const, OpaqueRegistry, Prod, ScalarExpr, Sum, Var, compile_exprs,
     differentiate, evaluate, free_variables, normalize,
@@ -669,13 +669,12 @@ def classify_biextremal(structure: PseudoProductStructure,
     if trace.chart != structure.z_chart:
         raise ChartError(
             "the trace does not live on the chart of the splitting")
-    k_field, l_field = structure.k_field, structure.l_field
-    e3 = lie_bracket(k_field, l_field, structure.registry)
-    e4 = lie_bracket(k_field, e3, structure.registry)
+    # K, L, e3, e4
+    fields = (structure.k_field, structure.l_field) \
+        + structure.bracket_chain[:2]
     n = structure.z_chart.dimension
     fields_fn = compile_exprs(
-        k_field.components + l_field.components + e3.components
-        + e4.components,
+        [c for f in fields for c in f.components],
         structure.z_chart.variables, structure.registry)
     deep_zero = True
     deep_nonzero = True
@@ -747,20 +746,12 @@ def lift_fiber(structure: PseudoProductStructure, side: str,
         raise StructureError(f"side must be 'K' or 'L', got {side!r}")
     if z0 is None:
         z0 = structure.base_point
-    k_field, l_field = structure.k_field, structure.l_field
-    registry = structure.registry
-    e3 = lie_bracket(k_field, l_field, registry)
-    e4 = lie_bracket(k_field, e3, registry)
-    if side == "L":
-        rows = [f.evaluate_at(z0, registry) for f in (k_field, l_field, e3)]
-        prefer = e4.evaluate_at(z0, registry)
-        u0 = (0.0, 1.0)
-    else:
-        e5 = lie_bracket(k_field, e4, registry)
-        rows = [f.evaluate_at(z0, registry)
-                for f in (k_field, l_field, e3, e4, e5)]
-        prefer = lie_bracket(l_field, e5, registry).evaluate_at(z0, registry)
-        u0 = (1.0, 0.0)
+    # K, L, e3, ..., e6: the L-leaf annihilates K, L, e3 and prefers e4,
+    # the K-leaf annihilates K, ..., e5 and prefers e6
+    chain = (structure.k_field, structure.l_field) + structure.bracket_chain
+    depth, u0 = (3, (0.0, 1.0)) if side == "L" else (5, (1.0, 0.0))
+    rows = [f.evaluate_at(z0, structure.registry) for f in chain[:depth]]
+    prefer = chain[depth].evaluate_at(z0, structure.registry)
     p0 = _annihilating_costate(rows, prefer)
     cs = prolonged_system(structure, mode="fixed")
     return integrate_biextremal(cs, z0, p0, u0, t_end)
@@ -916,14 +907,15 @@ def verify_duality(structure: PseudoProductStructure, cs: ControlSystem,
     z0 = dict(x0)
     z0[fiber] = theta0
 
-    # Which generator projects to a moving direction decides the side.
+    # Which generator projects to a moving direction (a value that is
+    # not zero by linalg's rule) decides the side.
     keep = [i for i, v in enumerate(z_vars) if v != fiber]
     k_proj = [evaluate(structure.k_field.components[i], z0,
                        structure.registry) for i in keep]
     l_proj = [evaluate(structure.l_field.components[i], z0,
                        structure.registry) for i in keep]
-    k_moves = max(abs(float(x)) for x in k_proj) > 1e-12
-    l_moves = max(abs(float(x)) for x in l_proj) > 1e-12
+    k_moves = not all(map(is_zero_value, k_proj))
+    l_moves = not all(map(is_zero_value, l_proj))
     if k_moves == l_moves:
         raise StructureError(
             "cannot decide the leaf side: exactly one generator must "

@@ -12,13 +12,17 @@ The normal form is built in integer arithmetic: each polynomial is an
 integer polynomial over its least integer denominator, with every
 monomial packed into one int of 64-bit exponent fields.  An expression
 whose degree could reach 2^64 raises `ExprError` instead of overflowing
-a field.  A tree that `normalize` returns carries the integer pair it
-was printed from, when no opaque atom and no undeclared variable is in
-it: folding it again into a larger tree reuses that pair instead of
-expanding the tree, the derivative of such a polynomial (over a
-constant) is taken term by term on the pair, and `evaluate` at a
-rational point computes its value in integers, with one `Fraction`
-built at the end.  `differentiate` is memoized.
+a field.  The result is one record: the integer numerator and
+denominator and the atoms of their terms.  Its graded-lex term order is
+computed once per record and serves printing (the record becomes a tree
+only then) and exact evaluation.  The zero decision and `min_degree`
+read the record itself.  A tree that `normalize` returns carries its
+record when every atom in it is a chart variable: folding it again into
+a larger tree reuses the integer pair instead of expanding the tree, the
+derivative of such a polynomial (over a constant) is taken term by term
+on the pair, and `evaluate` at a rational point computes its value in
+integers, with one `Fraction` built at the end.  `differentiate` is
+memoized.
 
 Opaque atoms model smooth functions known only through a registry entry
 (numeric evaluator plus derivative rule); everything else is exact.
@@ -28,9 +32,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .boxes import Box, as_fraction
 
@@ -560,25 +564,25 @@ def to_text(expr: ScalarExpr) -> str:
 # exponent, could reach 2^_EXP_BITS, so a field never carries into the
 # next.
 #
-# Only at the boundaries (the result of `_normal_form` and the canonical
-# argument of an opaque atom) are polynomials unpacked into sorted tuples
-# of (monomial, Fraction coefficient) pairs, a monomial being a sorted
-# tuple of (atom key, positive exponent) pairs.  Atom keys order chart
-# variables first (by declaration position), then opaque atoms by name
-# and printed argument; terms are graded-lex descending in that order.
+# A `_NormalForm` is the quotient a fold ends with: the numerator and
+# denominator as integer polynomials of joint content 1 with a positive
+# leading denominator coefficient, and the atoms of their terms with
+# their fields.  Polynomials become trees only when printed: a normal
+# form by `normalize`, the canonical argument of an opaque atom by the
+# builder.  Atom keys order chart variables first (by declaration
+# position), then opaque atoms by name and printed argument;
+# `_print_order` sorts terms graded-lex descending in that order, and a
+# normal form keeps its order, from which exact evaluation and the
+# degree bound of a fold of its printed tree are read too.
 #
-# A normal form whose terms hold chart variables only also keeps the
-# pair it was built as (`_Packed`), and the tree `normalize` prints from
-# it carries the normal form (`ScalarExpr._nf`).  Folding the printed
-# tree would give back exactly that pair: the numerator and denominator
-# as integer polynomials over 1, the total degree of the numerator plus
-# that of the denominator as the bound, and the atoms of the terms
-# registered.  The chart fixes where each of those atoms' fields sits,
-# so a builder on the same chart returns the pair as it is, shared and
-# not copied, instead of folding the tree.  Opaque atoms are
-# excluded because folding one also registers the atoms of its argument.
-# Evaluating such a tree at a rational point reads the integer terms of
-# the normal form (`_evaluate_exact`), and differentiating one whose
+# The tree `normalize` prints from a normal form whose atoms are all
+# chart variables (`_NormalForm.reusable`) carries it
+# (`ScalarExpr._nf`).  The chart fixes where each of those atoms' fields
+# sits, so a builder on the same chart returns its pair and bound as
+# they are, shared and not copied, instead of folding the tree.  Opaque
+# atoms are excluded because folding one also registers the atoms of
+# its argument.  Evaluating such a tree at a rational point reads the
+# integer terms (`_evaluate_exact`), and differentiating one whose
 # denominator is a constant differentiates the integer numerator
 # (`_polynomial_derivative`).
 
@@ -659,48 +663,78 @@ def _degree_checked(bound: int) -> int:
     return bound
 
 
-class _Packed(NamedTuple):
-    """The integer pair of a normal form whose atoms are chart variables,
-    as a fold of its printed tree on `chart_key` returns it."""
+def _exponents(m: int, atoms) -> list:
+    """The exponent of each of `atoms` ((atom key, offset, expr), ...) in
+    the monomial m."""
+    return [(m >> offset) & _EXP_MASK for _, offset, _ in atoms]
 
-    chart_key: Optional[tuple]
-    num: tuple      # (N, 1): the numerator's integer terms
-    den: tuple
-    deg: int        # the fold's bound on the total degree
-    atoms: tuple    # ((atom_key, Var), ...) of the terms, sorted
+
+def _print_order(poly: dict, atoms) -> list:
+    """The monomials of `poly` graded-lex descending: by total degree,
+    then by the exponent of each of `atoms`, sorted by key, in turn."""
+    def key(m: int):
+        exps = _exponents(m, atoms)
+        return sum(exps), exps
+    return sorted(poly, key=key, reverse=True)
 
 
 @dataclass(frozen=True)
 class _NormalForm:
-    num: tuple          # sorted ((mono, coeff), ...) graded-lex descending
-    den: tuple
-    atom_exprs: tuple   # ((atom_key, ScalarExpr), ...) for rebuilding
-    packed: Optional[_Packed] = field(default=None, compare=False,
-                                      repr=False)
+    """The quotient a fold ends with (see "normal form" above)."""
+
+    chart_key: Optional[tuple]
+    num: dict       # {monomial: int}
+    den: dict
+    atoms: tuple    # ((atom key, offset, ScalarExpr), ...) of the terms,
+                    # sorted by key
+
+    @functools.cached_property
+    def order(self) -> tuple:
+        """The `_print_order` of the numerator and of the denominator."""
+        return (_print_order(self.num, self.atoms),
+                _print_order(self.den, self.atoms))
+
+    @property
+    def deg(self) -> int:
+        """The bound a fold of the printed tree gives: the total degree
+        of the numerator plus that of the denominator."""
+        return sum(sum(_exponents(order[0], self.atoms))
+                   for order in self.order if order)
+
+    def var_offset(self, var: str) -> Optional[int]:
+        """The offset of the field of the variable `var`, None when no
+        term holds it."""
+        return next((offset for key, offset, _ in self.atoms
+                     if key[0] == 0 and key[2] == var), None)
+
+    @functools.cached_property
+    def reusable(self) -> bool:
+        """Whether every atom is a chart variable, so that a builder on
+        the chart gives each the offset it has here."""
+        return all(key[0] == 0 and key[1] != _NO_CHART_INDEX
+                   for key, _, _ in self.atoms)
 
 
 class _NFBuilder:
-    """Folds an expression tree into a normal-form quotient of integer
-    polynomial pairs."""
+    """Folds an expression tree into a quotient of integer polynomial
+    pairs."""
 
     def __init__(self, chart):
         self.chart = tuple(chart) if chart is not None else None
-        self.atom_exprs = {}
-        self.offsets = {}  # atom key -> bit offset of its exponent field
+        self.atoms = {}  # atom key -> (offset of its exponent field, expr)
         # the first field after the chart variables'
         self.free_offset = _EXP_BITS * len(self.chart or ())
 
     def atom(self, key, expr: ScalarExpr) -> int:
-        offset = self.offsets.get(key)
-        if offset is None:
+        entry = self.atoms.get(key)
+        if entry is None:
             if key[0] == 0 and key[1] != _NO_CHART_INDEX:
                 offset = _EXP_BITS * key[1]
             else:
                 offset = self.free_offset
                 self.free_offset += _EXP_BITS
-            self.offsets[key] = offset
-            self.atom_exprs[key] = expr
-        return 1 << offset
+            entry = self.atoms[key] = (offset, expr)
+        return 1 << entry[0]
 
     def var_atom(self, var: Var) -> int:
         name = var.name
@@ -712,47 +746,28 @@ class _NFBuilder:
 
     def opaque_atom(self, name: str, arg: ScalarExpr) -> int:
         num, den, _ = self.visit(arg)
-        canon_arg = _quotient_tree(self.sorted_poly(num),
-                                   self.sorted_poly(den), self.atom_exprs)
+        atoms = self.term_atoms(num[0], den[0])
+        canon_arg = _quotient_tree(
+            num, den, (_print_order(num[0], atoms),
+                       _print_order(den[0], atoms)), atoms)
         return self.atom((1, name, to_text(canon_arg)),
                          Opaque(name, canon_arg))
 
-    def sorted_poly(self, poly) -> tuple:
-        """The pair as sorted ((mono, Fraction), ...), graded-lex
-        descending."""
-        n, d = poly
-        atoms = sorted(self.offsets.items())
-        terms = []
-        for m, c in n.items():
-            exps = [(m >> offset) & _EXP_MASK for _, offset in atoms]
-            mono = tuple((key, e) for (key, _), e in zip(atoms, exps) if e)
-            terms.append(((sum(exps), exps), mono, c))
-        terms.sort(key=lambda t: t[0], reverse=True)
-        return tuple((mono, Fraction(c, d)) for _, mono, c in terms)
-
-    def pack(self, num: dict, den: dict, sorted_num: tuple,
-             sorted_den: tuple) -> Optional[_Packed]:
-        """The `_Packed` of a normal form with integer terms num/den, or
-        None when an atom outside the chart's fields occurs in them."""
+    def term_atoms(self, *polys) -> tuple:
+        """((atom key, offset, expr), ...) sorted by key, of the atoms
+        whose exponent is positive in some monomial of `polys`."""
         bits = 0
-        for m in num:
-            bits |= m
-        for m in den:
-            bits |= m
-        if bits >> (_EXP_BITS * len(self.chart or ())):
-            return None
-        atoms = tuple((key, self.atom_exprs[key])
-                      for key, offset in sorted(self.offsets.items())
-                      if (bits >> offset) & _EXP_MASK)
-        deg = (sum(e for _, e in sorted_num[0][0])
-               + sum(e for _, e in sorted_den[0][0]))
-        den_pair = _POLY_ONE if den == _POLY_ONE[0] else (den, 1)
-        return _Packed(self.chart, (num, 1), den_pair, deg, atoms)
+        for poly in polys:
+            for m in poly:
+                bits |= m
+        return tuple((key, offset, expr)
+                     for key, (offset, expr) in sorted(self.atoms.items())
+                     if (bits >> offset) & _EXP_MASK)
 
-    def reuse(self, packed: _Packed):
-        for key, var in packed.atoms:
-            self.atom(key, var)
-        return packed.num, packed.den, packed.deg
+    def reuse(self, nf: _NormalForm):
+        for key, _, expr in nf.atoms:
+            self.atom(key, expr)
+        return (nf.num, 1), (nf.den, 1), nf.deg
 
     def visit(self, expr: ScalarExpr):
         """(numerator, denominator, bound on their total degrees)."""
@@ -766,7 +781,7 @@ class _NFBuilder:
             return ({mono: 1}, 1), _POLY_ONE, 1
         nf = _carried(expr, self.chart)
         if nf is not None:
-            return self.reuse(nf.packed)
+            return self.reuse(nf)
         if isinstance(expr, Sum):
             num, den, deg = _POLY_ZERO, _POLY_ONE, 0
             for t in expr.terms:
@@ -802,45 +817,45 @@ class _NFBuilder:
 
 
 def _carried(expr, chart_key) -> Optional[_NormalForm]:
-    """The normal form `expr` was printed from, when its pair was packed
-    on `chart_key`."""
+    """The normal form `expr` was printed from, when it was built on
+    `chart_key`."""
     nf = getattr(expr, "_nf", None)
-    if nf is not None and nf.packed.chart_key == chart_key:
+    if nf is not None and nf.chart_key == chart_key:
         return nf
     return None
 
 
-def _atom_expr(atom_key, atom_exprs) -> ScalarExpr:
-    return atom_exprs[atom_key]
-
-
-def _term_tree(mono, coeff: Fraction, atom_exprs) -> ScalarExpr:
+def _term_tree(c: int, d: int, m: int, atoms) -> ScalarExpr:
+    """The tree of the term c/d times the monomial m."""
     factors = []
-    if coeff != 1 or not mono:
-        factors.append(Const(coeff))
-    for atom, exp in mono:
-        base = _atom_expr(atom, atom_exprs)
-        factors.append(base if exp == 1 else Pow(base, exp))
+    if c != d or not m:
+        factors.append(Const(Fraction(c, d)))
+    for _, offset, base in atoms:
+        exp = (m >> offset) & _EXP_MASK
+        if exp:
+            factors.append(base if exp == 1 else Pow(base, exp))
     if len(factors) == 1:
         return factors[0]
     return Prod(tuple(factors))
 
 
-def _poly_tree(sorted_poly, atom_exprs) -> ScalarExpr:
-    if not sorted_poly:
+def _poly_tree(poly, order, atoms) -> ScalarExpr:
+    n, d = poly
+    if not order:
         return Const(Fraction(0))
-    terms = [_term_tree(mono, coeff, atom_exprs) for mono, coeff in sorted_poly]
+    terms = [_term_tree(n[m], d, m, atoms) for m in order]
     if len(terms) == 1:
         return terms[0]
     return Sum(tuple(terms))
 
 
-def _quotient_tree(sorted_num, sorted_den, atom_exprs) -> ScalarExpr:
-    num_tree = _poly_tree(sorted_num, atom_exprs)
-    if sorted_den == (((), Fraction(1)),):
+def _quotient_tree(num, den, orders, atoms) -> ScalarExpr:
+    """The tree of the quotient of the pairs `num` and `den`, whose terms
+    print in `orders`."""
+    num_tree = _poly_tree(num, orders[0], atoms)
+    if den == _POLY_ONE:
         return num_tree
-    den_tree = _poly_tree(sorted_den, atom_exprs)
-    recip = Pow(den_tree, -1)
+    recip = Pow(_poly_tree(den, orders[1], atoms), -1)
     if num_tree == Const(Fraction(1)):
         return recip
     if isinstance(num_tree, Prod):
@@ -853,12 +868,6 @@ def _normal_form(expr: ScalarExpr,
                  chart_key: Optional[tuple]) -> _NormalForm:
     """Numerator and denominator as integer polynomials with coprime
     joint content and a positive leading denominator coefficient."""
-    nf = _carried(expr, chart_key)
-    if nf is not None:
-        # the fold of a printed tree registers the atoms of its terms only
-        if len(nf.atom_exprs) == len(nf.packed.atoms):
-            return nf
-        return _NormalForm(nf.num, nf.den, nf.packed.atoms, nf.packed)
     builder = _NFBuilder(chart_key)
     num, den, _ = builder.visit(expr)
     return _finished(builder, num, den)
@@ -870,25 +879,16 @@ def _finished(builder: _NFBuilder, num_pair, den_pair) -> _NormalForm:
     if not dn:
         raise ZeroDenominatorError("denominator normalizes to zero")
     if not nn:
-        return _NormalForm((), (((), Fraction(1)),),
-                           tuple(sorted(builder.atom_exprs.items())))
-    # (nn/nd) / (dn/dd) = (nn*dd) / (dn*nd), over their joint content
-    num = {m: c * dd for m, c in nn.items()}
-    den = {m: c * nd for m, c in dn.items()}
-    g = math.gcd(*num.values(), *den.values())
-    if g != 1:
-        num = {m: c // g for m, c in num.items()}
-        den = {m: c // g for m, c in den.items()}
-    sorted_num, sorted_den = builder.sorted_poly((num, 1)), \
-        builder.sorted_poly((den, 1))
-    if sorted_den[0][1] < 0:
-        num = {m: -c for m, c in num.items()}
-        den = {m: -c for m, c in den.items()}
-        sorted_num = tuple((m, -c) for m, c in sorted_num)
-        sorted_den = tuple((m, -c) for m, c in sorted_den)
-    return _NormalForm(sorted_num, sorted_den,
-                       tuple(sorted(builder.atom_exprs.items())),
-                       builder.pack(num, den, sorted_num, sorted_den))
+        return _NormalForm(builder.chart, {}, {0: 1}, ())
+    # (nn/nd) / (dn/dd) = (nn*dd) / (dn*nd), over their joint content g,
+    # signed to make the leading denominator coefficient positive
+    atoms = builder.term_atoms(nn, dn)
+    g = math.gcd(dd * math.gcd(*nn.values()), nd * math.gcd(*dn.values()))
+    if dn[_print_order(dn, atoms)[0]] < 0:
+        g = -g
+    return _NormalForm(builder.chart,
+                       {m: c * dd // g for m, c in nn.items()},
+                       {m: c * nd // g for m, c in dn.items()}, atoms)
 
 
 def _chart_key(chart) -> Optional[tuple]:
@@ -904,14 +904,14 @@ def normalize(expr: ScalarExpr,
     in graded-lex order.  Idempotent; equal outputs mean equal functions,
     and equality of two expressions is decided by is_zero of their
     difference (no polynomial gcd is cancelled here).  The result
-    carries its normal form when that has a `_Packed` pair."""
+    carries its normal form when that is reusable."""
     return _printed(_normal_form(expr, _chart_key(chart)))
 
 
 def _printed(nf: _NormalForm) -> ScalarExpr:
-    tree = _quotient_tree(nf.num, nf.den, dict(nf.atom_exprs))
+    tree = _quotient_tree((nf.num, 1), (nf.den, 1), nf.order, nf.atoms)
     # an atom root is the very node of the input, so it is left bare
-    if nf.packed is not None and isinstance(tree, (Sum, Prod, Pow)):
+    if nf.reusable and isinstance(tree, (Sum, Prod, Pow)):
         object.__setattr__(tree, "_nf", nf)
     return tree
 
@@ -958,8 +958,8 @@ def _derivative(expr: ScalarExpr, var: str, chart_key: Optional[tuple],
     """`differentiate`, memoized on the registry object too: a registry is
     write-once, so the rules a derivative used cannot change under it."""
     nf = _carried(expr, chart_key)
-    if nf is not None and set(nf.packed.den[0]) == {0}:
-        return _printed(_polynomial_derivative(nf.packed, var))
+    if nf is not None and nf.den.keys() == {0}:
+        return _printed(_polynomial_derivative(nf, var))
 
     def d(node: ScalarExpr) -> ScalarExpr:
         if isinstance(node, Const):
@@ -988,26 +988,25 @@ def _derivative(expr: ScalarExpr, var: str, chart_key: Optional[tuple],
     return normalize(d(expr), chart_key)
 
 
-def _polynomial_derivative(packed: _Packed, var: str) -> _NormalForm:
-    """The normal form of d/d(var) of N/c printed from `packed`, N an
-    integer polynomial and c a constant.
+def _polynomial_derivative(nf: _NormalForm, var: str) -> _NormalForm:
+    """The normal form of d/d(var) of N/c printed from `nf`, N an integer
+    polynomial and c a constant.
 
     Every denominator in the fold of the product-rule tree is then a
     constant, so the fold is a multiple of (dN/d(var), c), and a normal
     form with a constant denominator is the one pair of coprime content
     for its polynomial: this is that pair, taken term by term."""
-    builder = _NFBuilder(packed.chart_key)
-    (num, _), _, _ = builder.reuse(packed)
-    offset = next((builder.offsets[key] for key, _ in packed.atoms
-                   if key[2] == var), None)
+    builder = _NFBuilder(nf.chart_key)
+    builder.reuse(nf)
+    offset = nf.var_offset(var)
     derivative = {}
     if offset is not None:
         one = 1 << offset
-        for m, c in num.items():
+        for m, c in nf.num.items():
             e = (m >> offset) & _EXP_MASK
             if e:
                 derivative[m - one] = c * e
-    return _finished(builder, (derivative, 1), packed.den)
+    return _finished(builder, (derivative, 1), (nf.den, 1))
 
 
 def substitute(expr: ScalarExpr, mapping: dict) -> ScalarExpr:
@@ -1033,25 +1032,26 @@ def substitute(expr: ScalarExpr, mapping: dict) -> ScalarExpr:
 
 
 def _evaluate_exact(nf: _NormalForm, point: dict) -> Optional[Fraction]:
-    """The value of a tree printed from `nf` at a point whose values of
+    """The value of an opaque-free normal form at a point whose values of
     its variables are ints or Fractions, computed in integers: with L
     the lcm of their denominators and x = X/L, the numerator N of total
     degree n has N(x) = N~(X)/L^n for an integer N~, and likewise the
     denominator.  None when a value is missing or not rational (the
     tree walk then decides); ZeroDivisionError at a pole, as the walk
     raises at the reciprocal of the denominator."""
-    values = {}
+    values = []
     scale = 1
-    for key, _ in nf.packed.atoms:
+    for key, offset, _ in nf.atoms:
         v = point.get(key[2])
         if not isinstance(v, (int, Fraction)):
             return None
-        values[key] = v
+        values.append((offset, v))
         scale = math.lcm(scale, v.denominator)
-    for key, v in values.items():
-        values[key] = v.numerator * (scale // v.denominator)
-    num, num_deg = _integer_value(nf.num, values, scale)
-    den, den_deg = _integer_value(nf.den, values, scale)
+    values = [(offset, v.numerator * (scale // v.denominator))
+              for offset, v in values]
+    num_order, den_order = nf.order
+    num, num_deg = _integer_value(nf.num, num_order, values, scale)
+    den, den_deg = _integer_value(nf.den, den_order, values, scale)
     if not den:
         raise ZeroDivisionError("pole: zero base with negative exponent")
     if scale != 1:
@@ -1060,17 +1060,22 @@ def _evaluate_exact(nf: _NormalForm, point: dict) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
-def _integer_value(poly: tuple, values: dict, scale: int):
-    """(L^n * P(X/L), n) for a normal-form polynomial P with integer
-    coefficients, n its total degree."""
-    degree = sum(e for _, e in poly[0][0]) if poly else 0
+def _integer_value(poly: dict, order: list, values: list, scale: int):
+    """(L^n * P(X/L), n) for an integer polynomial P of total degree n
+    whose monomials are `order`, X the integer values ((offset, X_i),
+    ...) of its atoms."""
+    # the leading monomial's degree is the largest
+    degree = sum((order[0] >> offset) & _EXP_MASK
+                 for offset, _ in values) if order else 0
     total = 0
-    for mono, coeff in poly:
-        term = coeff.numerator
+    for m in order:
+        term = poly[m]
         d = 0
-        for key, e in mono:
-            term *= values[key] ** e
-            d += e
+        for offset, x in values:
+            e = (m >> offset) & _EXP_MASK
+            if e:
+                term *= x ** e
+                d += e
         if d != degree:
             term *= scale ** (degree - d)
         total += term
@@ -1131,7 +1136,8 @@ def compile_expr(expr: ScalarExpr, var_order: Sequence[str],
                  registry: Optional[OpaqueRegistry] = None) -> Callable:
     """Compile to a float function of positional arguments, one per name
     in var_order."""
-    return _compile((expr,), var_order, registry, batch=False)
+    batch = compile_exprs((expr,), var_order, registry)
+    return lambda *values: batch(values)[0]
 
 
 def compile_exprs(exprs: Sequence[ScalarExpr], var_order: Sequence[str],
@@ -1139,10 +1145,6 @@ def compile_exprs(exprs: Sequence[ScalarExpr], var_order: Sequence[str],
     """Compile a batch of expressions into one function taking a value
     sequence ordered like var_order and returning the list of their
     float values.  Used in integrator hot loops."""
-    return _compile(exprs, var_order, registry, batch=True)
-
-
-def _compile(exprs, var_order, registry, batch: bool) -> Callable:
     reg = _registry(registry)
     order = list(var_order)
     opaque_fns = {}
@@ -1175,12 +1177,9 @@ def _compile(exprs, var_order, registry, batch: bool) -> Callable:
 
     bodies = [emit(e) for e in exprs]
     args = "".join(f"v{i}," for i in range(len(order)))
-    if batch:
-        unpack = f"    {args} = values\n" if args else ""
-        src = (f"def _compiled(values):\n{unpack}"
-               f"    return [{', '.join(bodies)}]\n")
-    else:
-        src = f"def _compiled({args}):\n    return {bodies[0]}\n"
+    unpack = f"    {args} = values\n" if args else ""
+    src = (f"def _compiled(values):\n{unpack}"
+           f"    return [{', '.join(bodies)}]\n")
     namespace = dict(opaque_fns)
     exec(src, namespace)  # noqa: S102 - source is generated locally
     return namespace["_compiled"]
@@ -1225,29 +1224,25 @@ def is_zero(expr: ScalarExpr, box: Box,
         # opaque atoms may appear in the tree, but if none survive in the
         # numerator the function is the zero rational function
         return ZeroCheck("provably-zero")
-    nf_opaque_free = all(
-        atom[0] == 0
-        for part in (nf.num, nf.den) for mono, _ in part for atom, _ in mono)
-    if nf_opaque_free:
+    if all(key[0] == 0 for key, _, _ in nf.atoms):
         # exact witness search over Halton points; skip denominator zeros
-        canon = normalize(expr, chart)
         tried = 0
         skip = 0
         while tried < 8 * _ZERO_SAMPLES:
             for pt in box.sample_points(_ZERO_SAMPLES, skip=skip):
                 tried += 1
                 try:
-                    v = evaluate(canon, pt, registry)
+                    v = _evaluate_exact(nf, pt)
+                    if v is None:  # a value is missing: the walk names it
+                        v = evaluate(_printed(nf), pt, registry)
                 except ZeroDivisionError:
                     continue
-                except MissingAssignmentError as exc:
-                    raise MissingAssignmentError(exc.name)
                 if v != 0:
                     return ZeroCheck("nonzero", witness=pt, value=v)
             skip += _ZERO_SAMPLES
         raise ExprError("nonzero normal form but no witness found in box")
     max_coeff = 0.0
-    for _, c in nf.num:
+    for c in nf.num.values():
         max_coeff = max(max_coeff, abs(float(c)))
     threshold = _NUMERIC_TOL * (1.0 + max_coeff)
     worst_pt, worst_val = None, 0.0
@@ -1272,14 +1267,9 @@ def min_degree(expr: ScalarExpr, var: str,
     nf = _normal_form(expr, _chart_key(chart))
     if not nf.num:
         return None
-
-    def var_exp(mono):
-        for atom, exp in mono:
-            if atom[0] == 0 and atom[2] == var:
-                return exp
+    offset = nf.var_offset(var)
+    if offset is None:
         return 0
-
-    for mono, _ in nf.den:
-        if var_exp(mono) != 0:
-            raise ExprError(f"denominator involves {var!r}")
-    return min(var_exp(mono) for mono, _ in nf.num)
+    if any((m >> offset) & _EXP_MASK for m in nf.den):
+        raise ExprError(f"denominator involves {var!r}")
+    return min((m >> offset) & _EXP_MASK for m in nf.num)

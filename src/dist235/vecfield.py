@@ -336,14 +336,13 @@ def symbolic_decompose(targets: Sequence[VectorField],
     pivot_of_col = {}
     used_rows = set()
     for col in range(n):
-        # linalg's rule decides a zero (exactly 0 for a rational value,
-        # 0.0 for a float); the largest of the other values pivots
+        # the largest value that is not zero by linalg's rule pivots
         best_row, best_mag = None, -1.0
         for r in range(n):
             if r in used_rows:
                 continue
             val = evaluate(rows[r][col], base_point, registry)
-            if linalg.matrix_rank([[val]]) == 0:
+            if linalg.is_zero_value(val):
                 continue
             mag = abs(float(val))
             if mag > best_mag:

@@ -260,8 +260,9 @@ def repeated_evaluations(calls) -> list:
 # The builder `scalar._normal_form` had before polynomials became integer
 # pairs with packed monomials: a polynomial is a dict {monomial:
 # Fraction}, a monomial a sorted tuple of (atom key, exponent) pairs.
-# The integer builder must return an equal `_NormalForm`, or raise the
-# same error with the same message.
+# The integer builder must return a `_NormalForm` with the same terms in
+# the same print order and the same term atoms (`normal_form_terms`), or
+# raise the same error with the same message.
 
 _POLY_ONE = {(): Fraction(1)}
 
@@ -362,8 +363,19 @@ class _ReferenceBuilder:
 
     def opaque_atom(self, name: str, arg):
         num, den = self.visit(arg)
-        canon_arg = scalar._quotient_tree(_sorted_poly(num), _sorted_poly(den),
-                                          self.atom_exprs)
+        # scalar's printer reads monomials packed over numbered atoms
+        atoms = tuple((key, i * scalar._EXP_BITS, expr) for i, (key, expr)
+                      in enumerate(sorted(self.atom_exprs.items())))
+        offsets = {key: offset for key, offset, _ in atoms}
+
+        def packed(poly):
+            terms = [(sum(e << offsets[atom] for atom, e in mono), c)
+                     for mono, c in _sorted_poly(poly)]
+            return (dict(terms), 1), [m for m, _ in terms]
+
+        (pnum, num_order), (pden, den_order) = packed(num), packed(den)
+        canon_arg = scalar._quotient_tree(pnum, pden, (num_order, den_order),
+                                          atoms)
         key = (1, name, scalar.to_text(canon_arg))
         self.atom_exprs.setdefault(key, Opaque(name, canon_arg))
         return key
@@ -428,11 +440,35 @@ def _content_normalize(num, den):
 
 
 def reference_normal_form(expr, chart_key):
-    """The `_NormalForm` of `expr`, built in `Fraction` arithmetic."""
+    """The numerator and denominator terms of `expr`, built in `Fraction`
+    arithmetic, and the atoms ((atom key, expr), ...) of those terms."""
     builder = _ReferenceBuilder(chart_key)
     num, den = _content_normalize(*builder.visit(expr))
-    return scalar._NormalForm(_sorted_poly(num), _sorted_poly(den),
-                              tuple(sorted(builder.atom_exprs.items())))
+    used = {atom for poly in (num, den) for mono in poly for atom, _ in mono}
+    return (_sorted_poly(num), _sorted_poly(den),
+            tuple(sorted((key, expr) for key, expr in builder.atom_exprs.items()
+                         if key in used)))
+
+
+def normal_form_terms(nf):
+    """A `scalar._NormalForm` in the shape `reference_normal_form` gives,
+    its terms in the record's print order."""
+    def terms(poly, order):
+        return tuple(
+            (tuple((key, e) for (key, _, _), e
+                   in zip(nf.atoms, scalar._exponents(m, nf.atoms)) if e),
+             Fraction(poly[m]))
+            for m in order)
+
+    num_order, den_order = nf.order
+    return (terms(nf.num, num_order), terms(nf.den, den_order),
+            tuple((key, expr) for key, _, expr in nf.atoms))
+
+
+def integer_normal_form(expr, chart_key):
+    """`normal_form_terms` of what `scalar._normal_form` builds for expr,
+    bypassing its cache."""
+    return normal_form_terms(scalar._normal_form.__wrapped__(expr, chart_key))
 
 
 def normal_form_outcome(build, expr, chart_key):

@@ -681,6 +681,27 @@ class TestMain:
             node = json.loads(line)
             assert set(node) == {"p", "residual", "t", "u", "x"}
 
+    def test_trace_model_that_does_not_build_exit_two(self, tmp_path,
+                                                      capsys):
+        # d/dx and d/dy commute: growth (2,), so no distribution to trace
+        doc = json.loads(bundled_document("hilbert-cartan"))
+        doc["expressions"] = {"eta1": ["1", "0", "0", "0", "0"],
+                              "eta2": ["0", "1", "0", "0", "0"]}
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(doc))
+        assert main(["trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: GrowthError: ")
+
+    def test_trace_integration_failure_exit_two(self, capsys):
+        assert main(["trace", "hilbert-cartan", "--theta0", "1/4",
+                     "--tol", "1e-30"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: IntegrationError: constraint residual ")
+
     def test_trace_zero_time_exit_three(self, capsys):
         assert main(["trace", "flat-cone", "--T", "0"]) == 3
         capsys.readouterr()

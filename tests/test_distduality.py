@@ -98,6 +98,18 @@ class TestCheck235:
         assert report.growth == (1,)
         assert any("rank" in f for f in report.failures)
 
+    def test_rank_drop_on_the_box_reads_as_text(self):
+        # layer 2 loses rank where 1 - 8x vanishes, inside the default box
+        _, eta2 = flat_model()
+        eta1 = field_from_strings(
+            BASE_CHART, ["1", "y1", "y2", "0", "(1 - 8*x)*y2^2"])
+        report = check_235(eta1, eta2, BASE_CHART.origin())
+        assert not report.passed and not report.constant_rank
+        assert report.growth == (2, 3, 5)
+        assert report.failures == (
+            "plane field has rank 4 in layer 2 at (x=1/8, y=-7/36, "
+            "y1=1/20, y2=-1/28, z=-5/44), 5 at the base point",)
+
     def test_wrong_dimension_rejected(self):
         chart = Chart(("x", "y", "z"))
         v = field_from_strings(chart, ["1", "0", "0"])
@@ -730,6 +742,19 @@ class TestSymbolAlgebra:
         report = symbol_algebra_at(structure)
         names = [name for name, _ in report.representatives]
         assert names == ["e1", "e2", "e3", "e4", "e5", "e6"]
+
+    def test_bracket_chain_built_once(self, monkeypatch):
+        _, structure = build_flat_structure()
+        k, l = structure.k_field, structure.l_field
+        e3, e4, e5, e6 = structure.bracket_chain
+        assert structure.bracket_chain is structure.bracket_chain
+        for got, (a, b) in zip((e3, e4, e5, e6),
+                               ((k, l), (k, e3), (k, e4), (l, e5))):
+            assert got.components == lie_bracket(a, b).components
+        # the table brackets only the three weight drops itself
+        calls = count_calls(monkeypatch, distduality, "lie_bracket")
+        assert symbol_algebra_at(structure).passed
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("name", ["hilbert-cartan", "flat-cone"])
     def test_one_table_and_no_frame(self, monkeypatch, name):

@@ -344,6 +344,15 @@ class TestSpan:
         assert v == pytest.approx([x / norm for x in expected], rel=1e-9)
 
 
+class TestZeroValue:
+    def test_one_value_follows_the_rank_rule(self):
+        values = (0, Fraction(0), 0.0, -0.0, Fraction(1, 10 ** 30), 1e-300,
+                  -2, float("inf"), float("nan"))
+        assert [linalg.is_zero_value(x) for x in values] == \
+            [linalg.matrix_rank([[x]]) == 0 for x in values] == \
+            [True] * 4 + [False] * 5
+
+
 class TestFloatQR:
     """The float fallbacks (one pivoted Householder QR) agree with
     numpy's SVD rank, least squares and nullspace on seeded matrices,
