@@ -39,8 +39,9 @@ from .conedual import BUNDLED, STANDARD_ALPHA, STANDARD_CHART, ConeFamily, \
     _driver_components, check_lagrangian, check_nondegenerate, \
     check_osculating_condition, default_family_box, prolong_cone, solve_U
 from .distduality import Distribution235, GrowthError, \
-    PseudoProductStructure, default_box, prolong_235, solve_e, \
-    symbol_algebra_at, verify_pseudo_product
+    ProlongedDistribution, PseudoProductStructure, SolveEResult, \
+    default_box, prolong_235, solve_e, symbol_algebra_at, \
+    verify_pseudo_product
 from .paths import cone_system, distribution_system, integrate_biextremal, \
     singular_launch, verify_duality
 from .scalar import OpaqueRegistry, compile_expr, parse_expr, to_text
@@ -544,18 +545,24 @@ class _SuiteRun:
             "family", lambda: _build_family(self.model, self.box),
             "the cone family")
 
+    def prolonged(self) -> ProlongedDistribution:
+        return self._memo(
+            "prolonged", lambda: prolong_235(self.distribution()),
+            "the prolongation")
+
+    def solved_e(self) -> SolveEResult:
+        prolonged = self.prolonged()
+        return self._memo(
+            "solved_e", lambda: solve_e(prolonged),
+            "the correction scalar")
+
     def structure(self) -> PseudoProductStructure:
         kind = self.model.kind
         if kind == "distribution235":
             def build():
-                prolonged = self._memo(
-                    "prolonged",
-                    lambda: prolong_235(self.distribution()),
-                    "the prolongation")
-                solved = self._memo(
-                    "solved_e", lambda: solve_e(prolonged),
-                    "the correction scalar")
-                return solved.structure(prolonged, name=self.model.name)
+                prolonged = self.prolonged()
+                return self.solved_e().structure(
+                    prolonged, name=self.model.name)
             return self._memo("structure", build, "the splitting")
         if kind == "cone-family":
             return self._memo(
@@ -702,9 +709,7 @@ class _SuiteRun:
                 "residual": None, "box": _box_json(self.box)}
 
     def check_prolong_235(self):
-        prolonged = self._memo(
-            "prolonged", lambda: prolong_235(self.distribution()),
-            "the prolongation")
+        prolonged = self.prolonged()
         return {"status": "pass",
                 "detail": f"fiber {prolonged.fiber!r}; growth "
                           f"{prolonged.growth}",
@@ -712,12 +717,7 @@ class _SuiteRun:
                 "box": _box_json(prolonged.box)}
 
     def check_solve_e(self):
-        prolonged = self._memo(
-            "prolonged", lambda: prolong_235(self.distribution()),
-            "the prolongation")
-        solved = self._memo(
-            "solved_e", lambda: solve_e(prolonged),
-            "the correction scalar")
+        solved = self.solved_e()
         if solved.symbolic:
             return {"status": "pass",
                     "detail": f"e = {to_text(solved.expression)}",

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .boxes import Box, as_fraction
+from .boxes import as_fraction
 from .conedual import ConeFamily
 from .distduality import (
     Distribution235, PseudoProductStructure, StructureError,
@@ -26,7 +26,7 @@ from .scalar import (
     Const, OpaqueRegistry, Prod, ScalarExpr, Sum, Var, compile_exprs,
     differentiate, evaluate, free_variables, normalize,
 )
-from .vecfield import Chart, ChartError, VectorField, lie_bracket
+from .vecfield import Chart, ChartError, VectorField
 
 
 class IntegrationError(RuntimeError):
@@ -39,7 +39,6 @@ _CLASSIFY_RTOL = 1e-8
 _DUALITY_TOL = 1e-6
 _DUALITY_RTOL = 1e-11
 _DUALITY_ATOL = 1e-13
-_BISECT_TOL = 1e-10
 _COSTATE_FLOOR = 1e-10
 _MAX_STEPS = 200000
 
@@ -106,16 +105,15 @@ class ControlSystem:
       the constraint only pins the control after differentiation; the
       resolved control is the kernel direction of the costate pairings
       with the two `rule_fields`, oriented continuously.
-    - "fixed": the control is held constant (leaf transport).
+    - "fixed": the control is held constant; this is the fixed-control
+      leaf transport of a splitting's system, which `lift_fiber` uses.
     """
 
     state_chart: Chart
     control_names: tuple
     dynamics: tuple
     mode: str
-    box: Box = field(compare=False)
     registry: OpaqueRegistry = field(compare=False)
-    name: str = "system"
     newton_control: Optional[str] = None
     rule_fields: Optional[tuple] = field(default=None, compare=False)
     source: object = field(default=None, compare=False)
@@ -170,65 +168,51 @@ def cone_system(family: ConeFamily) -> ControlSystem:
         normalize(Prod((Var(_RADIAL), comp)),
                   family.z_chart.variables + (_RADIAL,))
         for comp in generator.components[:5])
-    state_box = Box(tuple(iv for iv in family.box.intervals
-                          if iv[0] != family.theta))
     return ControlSystem(
         state_chart=family.x_chart,
         control_names=(_RADIAL, family.theta),
         dynamics=dynamics,
         mode="newton",
-        box=state_box,
         registry=family.registry,
-        name=family.name,
         newton_control=family.theta,
         source=family)
 
 
-def _linear_system(source, a_field: VectorField, b_field: VectorField,
-                   mode: str) -> ControlSystem:
-    """Dynamics u1 * A + u2 * B on the chart of A and B, linear in the
-    two controls; the singular-control rule pairs the costate with the
-    depth-three brackets [A, [A, B]] and [B, [A, B]]."""
-    chart, registry = a_field.chart, source.registry
+def _linear_dynamics(a_field: VectorField, b_field: VectorField) -> tuple:
+    """The dynamics u1 * A + u2 * B on the chart of A and B, linear in
+    the two controls."""
     u1, u2 = (Var(u) for u in _CONTROLS)
-    dynamics = tuple(
+    return tuple(
         normalize(Sum((Prod((u1, a)), Prod((u2, b)))),
-                  chart.variables + _CONTROLS)
+                  a_field.chart.variables + _CONTROLS)
         for a, b in zip(a_field.components, b_field.components))
-    ab = lie_bracket(a_field, b_field, registry)
-    rule = (lie_bracket(a_field, ab, registry),
-            lie_bracket(b_field, ab, registry))
-    return ControlSystem(
-        state_chart=chart,
-        control_names=_CONTROLS,
-        dynamics=dynamics,
-        mode=mode,
-        box=source.box,
-        registry=registry,
-        name=source.name,
-        rule_fields=rule,
-        source=source)
 
 
 def distribution_system(dist: Distribution235) -> ControlSystem:
     """Control system of a rank-2 distribution: dynamics linear in the
     controls `u1`, `u2` along the generators, with the singular-control
     rule on the depth-three brackets (eta4, eta5)."""
-    return _linear_system(dist, dist.eta1, dist.eta2, "linear-singular")
+    return ControlSystem(
+        state_chart=dist.chart,
+        control_names=_CONTROLS,
+        dynamics=_linear_dynamics(dist.eta1, dist.eta2),
+        mode="linear-singular",
+        registry=dist.registry,
+        rule_fields=(dist.eta4, dist.eta5),
+        source=dist)
 
 
-def prolonged_system(structure: PseudoProductStructure,
-                     mode: str = "linear-singular") -> ControlSystem:
+def prolonged_system(structure: PseudoProductStructure) -> ControlSystem:
     """Control system of the split plane field on the six-dimensional
     chart: dynamics linear in the controls `u1`, `u2` along the K- and
-    L-generators.
-
-    With mode "linear-singular" the resolved control follows the
-    singular rule; with mode "fixed" a constant control transports along
-    one leaf.
-    """
-    return _linear_system(structure, structure.k_field, structure.l_field,
-                          mode)
+    L-generators, with the control held fixed, so that it transports
+    along one leaf."""
+    return ControlSystem(
+        state_chart=structure.z_chart,
+        control_names=_CONTROLS,
+        dynamics=_linear_dynamics(structure.k_field, structure.l_field),
+        mode="fixed",
+        registry=structure.registry)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +438,7 @@ def integrate_flow(flow: VectorField, z0: dict, t_end: float, *,
                    registry: Optional[OpaqueRegistry] = None,
                    rtol: float = 1e-10, atol: float = 1e-12,
                    h_max: Optional[float] = None,
-                   fixed_step: Optional[float] = None,
-                   accept_hook=None) -> FlowTrace:
+                   fixed_step: Optional[float] = None) -> FlowTrace:
     """Integrate the flow of a vector field from a chart point."""
     chart = flow.chart
     fn = compile_exprs(flow.components, chart.variables, registry)
@@ -466,7 +449,7 @@ def integrate_flow(flow: VectorField, z0: dict, t_end: float, *,
 
     times, states, derivs = _integrate(
         rhs, y0, t_end, rtol=rtol, atol=atol, h_max=h_max,
-        fixed_step=fixed_step, accept_hook=accept_hook)
+        fixed_step=fixed_step)
     return FlowTrace(chart, times, states, derivs)
 
 
@@ -481,16 +464,12 @@ class BiExtremalTrace:
     of floats; `states`, `costates` and `controls` hold one tuple of
     floats per node."""
 
-    system_name: str
     chart: Chart
-    control_names: tuple
     times: tuple = field(compare=False)
     states: tuple = field(compare=False)
     costates: tuple = field(compare=False)
     controls: tuple = field(compare=False)
     residuals: tuple = field(compare=False)
-    classification: str = "unclassified"
-    meta: dict = field(default_factory=dict, compare=False)
 
     @property
     def max_residual(self) -> float:
@@ -640,17 +619,12 @@ def integrate_biextremal(cs: ControlSystem, x0, p0, u0, t_end, *,
         rtol=rtol, atol=atol, h_max=h_max, fixed_step=fixed_step,
         accept_hook=accept)
     return BiExtremalTrace(
-        system_name=cs.name,
         chart=cs.state_chart,
-        control_names=cs.control_names,
         times=times,
         states=tuple(y[:m] for y in ys),
         costates=tuple(y[m:] for y in ys),
         controls=tuple(control_rows),
-        residuals=tuple(residual_rows),
-        meta={"mode": cs.mode, "interval": (0.0, float(t_end)),
-              "constraint_tol": constraint_tol,
-              "steps": len(times) - 1})
+        residuals=tuple(residual_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -699,18 +673,6 @@ def classify_biextremal(structure: PseudoProductStructure,
 # leaf generators and fiber lifts
 # ---------------------------------------------------------------------------
 
-def singular_path_field(structure: PseudoProductStructure,
-                        side: str) -> VectorField:
-    """The generator of the chosen half of the splitting; its integral
-    curves project (by dropping the sixth coordinate) onto the putative
-    singular paths of the opposite side."""
-    if side == "K":
-        return structure.k_field
-    if side == "L":
-        return structure.l_field
-    raise StructureError(f"side must be 'K' or 'L', got {side!r}")
-
-
 def _annihilating_costate(rows, prefer_row) -> tuple:
     """A nullspace element of the rows, chosen to maximize the pairing
     with `prefer_row`, unit-normalized.  Exact elimination for rational
@@ -753,7 +715,7 @@ def lift_fiber(structure: PseudoProductStructure, side: str,
     rows = [f.evaluate_at(z0, structure.registry) for f in chain[:depth]]
     prefer = chain[depth].evaluate_at(z0, structure.registry)
     p0 = _annihilating_costate(rows, prefer)
-    cs = prolonged_system(structure, mode="fixed")
+    cs = prolonged_system(structure)
     return integrate_biextremal(cs, z0, p0, u0, t_end)
 
 
@@ -921,7 +883,7 @@ def verify_duality(structure: PseudoProductStructure, cs: ControlSystem,
             "cannot decide the leaf side: exactly one generator must "
             "project to a moving direction")
     side = "K" if k_moves else "L"
-    leaf = singular_path_field(structure, side)
+    leaf = structure.k_field if side == "K" else structure.l_field
 
     # a fixed step, when given, replaces the step cap
     h_max = abs(float(t_end)) / 64
@@ -985,97 +947,3 @@ def verify_duality(structure: PseudoProductStructure, cs: ControlSystem,
               "path_steps": len(path_trace.times) - 1,
               "path_max_residual": path_trace.max_residual,
               "t_end": float(t_end)})
-
-
-# ---------------------------------------------------------------------------
-# slice crossings
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SliceSpec:
-    """A transversal hypersurface: one coordinate pinned to a level."""
-
-    coordinate: str
-    level: float = 0.0
-
-
-class _CrossingFound(Exception):
-    def __init__(self, bracket):
-        self.bracket = bracket
-
-
-def leaf_project(flow: VectorField, slice_spec: SliceSpec, z0: dict,
-                 t_max: float, *, registry: Optional[OpaqueRegistry] = None,
-                 bisect_tol: float = _BISECT_TOL) -> dict:
-    """Follow the flow from z0 until it crosses the slice; the crossing
-    is bisected to `bisect_tol` on the dense step interpolant.
-
-    Both time directions are tried (the leaf through a point extends
-    both ways).  A crossing with vanishing transversal speed and a
-    missing crossing are reported as errors.
-    """
-    chart = flow.chart
-    if slice_spec.coordinate not in chart.variables:
-        raise ChartError(
-            f"slice coordinate {slice_spec.coordinate!r} is not a chart "
-            "variable")
-    idx = chart.variables.index(slice_spec.coordinate)
-    level = float(slice_spec.level)
-    span = abs(float(t_max))
-
-    def transversal_or_raise(point: dict):
-        speed = [float(evaluate(c, point, registry))
-                 for c in flow.components]
-        if abs(speed[idx]) < 1e-8 * max(1.0, max(map(abs, speed))):
-            raise IntegrationError(
-                "tangential crossing: the transversal speed vanishes at "
-                "the slice")
-
-    start_gap = float(z0[slice_spec.coordinate]) - level
-    if abs(start_gap) <= bisect_tol:
-        transversal_or_raise(z0)
-        result = {v: float(z0[v]) for v in chart.variables}
-        result[slice_spec.coordinate] = level
-        return result
-
-    for direction in (1.0, -1.0):
-        prev = {}
-
-        def hook(t, y, f):
-            gap = y[idx] - level
-            if prev and prev["gap"] * gap <= 0.0:
-                raise _CrossingFound(dict(
-                    t0=prev["t"], y0=prev["y"], f0=prev["f"],
-                    t1=t, y1=y, f1=f))
-            prev.update(t=t, y=y, f=f, gap=gap)
-
-        try:
-            integrate_flow(flow, z0, direction * span, registry=registry,
-                           h_max=span / 64, accept_hook=hook)
-        except _CrossingFound as found:
-            bracket = found.bracket
-            width = bracket["t1"] - bracket["t0"]
-            curve = _hermite_curves(
-                (0.0, 1.0), (bracket["y0"], bracket["y1"]),
-                (tuple(x * width for x in bracket["f0"]),
-                 tuple(x * width for x in bracket["f1"])))
-            lo_u, hi_u = 0.0, 1.0
-            g_lo = bracket["y0"][idx] - level
-            mid = 1.0
-            g_mid = bracket["y1"][idx] - level
-            for _ in range(200):
-                if abs(g_mid) <= bisect_tol:
-                    break
-                mid = 0.5 * (lo_u + hi_u)
-                g_mid = curve(mid)[idx] - level
-                if g_lo * g_mid <= 0.0:
-                    hi_u = mid
-                else:
-                    lo_u, g_lo = mid, g_mid
-            crossing = dict(zip(chart.variables, curve(mid)))
-            transversal_or_raise(crossing)
-            crossing[slice_spec.coordinate] = level
-            return crossing
-    raise IntegrationError(
-        f"no crossing of {slice_spec.coordinate} = {level:g} within "
-        f"|t| <= {span:g}")

@@ -533,33 +533,3 @@ def check_contact(alpha: OneForm, point: dict,
                    for j in range(5)]
         for i in range(5)]
     return linalg.matrix_rank(rows) == 6
-
-
-def cauchy_characteristic_at(sub: Frame, ambient: Frame, point: dict,
-                             registry: Optional[OpaqueRegistry] = None
-                             ) -> list:
-    """Coefficient vectors c such that [sum_i c_i v_i, w_j] lies in the
-    ambient span at the point for every generator w_j of `sub`.
-
-    Pre: the sub-frame's span is contained in the ambient span at the
-    point (so the Leibniz terms w_j(c_i) v_i cannot spoil membership).
-    """
-    if sub.chart != ambient.chart:
-        raise ChartMismatchError("frames on different charts")
-    at = PointValues(point,
-                     registry if registry is not None else ambient.registry)
-    for v in sub.fields:
-        if not at.member(v, ambient):
-            raise DegenerateFrameError(
-                "sub-frame is not contained in the ambient span at the point")
-    rows = []
-    k = len(sub.fields)
-    for w in sub.fields:
-        residuals = []
-        for v in sub.fields:
-            b = lie_bracket(v, w, registry)
-            residuals.append(at.reduce(b, ambient).residual)
-        n = len(residuals[0])
-        for component in range(n):
-            rows.append([residuals[i][component] for i in range(k)])
-    return linalg.nullspace(rows)

@@ -1,6 +1,7 @@
 """Command-line layer: model files, check suites, canonical reports."""
 
 import cProfile
+import hashlib
 import json
 import math
 import os
@@ -680,6 +681,31 @@ class TestMain:
         for line in lines:
             node = json.loads(line)
             assert set(node) == {"p", "residual", "t", "u", "x"}
+
+    # SHA-256 of the stdout of `dist235 trace <model> --T 1/8`; a change
+    # to these bytes is a change to the trace output
+    TRACE_SHA256 = {
+        "hilbert-cartan":
+            "fe656290200e4f0e27acca1a34d20a8e777dbb808c12c36fe63ae13e2150847a",
+        "flat-cone":
+            "8c9aefdeba206a47f170cf06b670a3ee8f6723afdeb84f9fd812314d2a644a88",
+        "cubic-a":
+            "b1c98b21567fc1a7bac5606081fe671ec80c5c22f5e2c251871827f43946af67",
+        "noncubic-bc":
+            "8c9aefdeba206a47f170cf06b670a3ee8f6723afdeb84f9fd812314d2a644a88",
+        "noncubic-bc-violating":
+            "8c9aefdeba206a47f170cf06b670a3ee8f6723afdeb84f9fd812314d2a644a88",
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRACE_SHA256))
+    def test_trace_output_is_pinned(self, name, capsys):
+        assert main(["trace", name, "--T", "1/8"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() \
+            == self.TRACE_SHA256[name]
+
+    def test_trace_pins_cover_every_bundled_model(self):
+        assert sorted(self.TRACE_SHA256) == sorted(bundled_names())
 
     def test_trace_model_that_does_not_build_exit_two(self, tmp_path,
                                                       capsys):

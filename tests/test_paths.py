@@ -1,16 +1,16 @@
 """Tests for singular-path numerics: expression compilation, control
 systems, the costate pairing, the embedded Runge-Kutta drive, constrained
-bi-extremals, trace classification, fiber lifts, two-sided path
-cross-validation, and slice projection."""
+bi-extremals, trace classification, fiber lifts, and two-sided path
+cross-validation."""
 
 import dataclasses
+import inspect
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from dist235.boxes import Box
 from dist235.conedual import ConeFamily, builtin_model, prolong_cone
 from dist235.distduality import (
     Distribution235, StructureError, prolong_235, solve_e,
@@ -18,10 +18,10 @@ from dist235.distduality import (
 from dist235 import paths
 from dist235.linalg import exact_nullspace
 from dist235.paths import (
-    BiExtremalTrace, IntegrationError, SliceSpec, classify_biextremal,
+    BiExtremalTrace, ControlSystem, IntegrationError, classify_biextremal,
     compile_exprs, cone_system, distribution_system, hamiltonian,
-    integrate_biextremal, integrate_flow, leaf_project, lift_fiber,
-    prolonged_system, singular_path_field, verify_duality,
+    integrate_biextremal, integrate_flow, lift_fiber, prolonged_system,
+    verify_duality,
 )
 from dist235.scalar import (
     MissingAssignmentError, OpaqueRegistry, Prod, Sum, Var,
@@ -114,8 +114,7 @@ def synthetic_trace(structure, costates):
                  for v in structure.z_chart.variables)
     n = len(costates)
     return BiExtremalTrace(
-        system_name="synthetic", chart=structure.z_chart,
-        control_names=("u1", "u2"),
+        chart=structure.z_chart,
         times=tuple(0.01 * i / (n - 1) for i in range(n)),
         states=(base,) * n,
         costates=tuple(tuple(c) for c in costates),
@@ -170,28 +169,39 @@ class TestControlSystems:
         assert cs.mode == "newton"
         assert cs.newton_control == "th"
         assert to_text(cs.dynamics[0]) == "r"
-        assert "th" not in cs.box.variables
 
     def test_distribution_system_shape(self):
         dist = hilbert_cartan()
         cs = distribution_system(dist)
         assert cs.mode == "linear-singular"
         assert cs.control_names == ("u1", "u2")
-        assert [f.components for f in cs.rule_fields] == [
-            dist.eta4.components, dist.eta5.components]
+        # the distribution's own memoized depth-three brackets
+        a_field, b_field = cs.rule_fields
+        assert a_field is dist.eta4 and b_field is dist.eta5
         assert to_text(cs.dynamics[0]) == "u1"
         assert to_text(cs.dynamics[3]) == "u2"
 
     def test_prolonged_system_fixed_mode(self):
+        assert list(inspect.signature(prolonged_system).parameters) == [
+            "structure"]
         structure = structure_of(hilbert_cartan())
-        cs = prolonged_system(structure, mode="fixed")
+        cs = prolonged_system(structure)
         assert cs.mode == "fixed"
+        assert cs.rule_fields is None
         assert cs.state_chart == structure.z_chart
+        assert [to_text(c) for c in cs.dynamics] == [
+            to_text(normalize(Sum((Prod((Var("u1"), k)),
+                                   Prod((Var("u2"), l)))),
+                              cs.state_chart.variables + ("u1", "u2")))
+            for k, l in zip(structure.k_field.components,
+                            structure.l_field.components)]
 
     def test_unknown_mode_rejected(self):
-        structure = structure_of(hilbert_cartan())
+        chart = Chart(("x",))
         with pytest.raises(StructureError, match="unknown control mode"):
-            prolonged_system(structure, mode="rk")
+            ControlSystem(state_chart=chart, control_names=("u",),
+                          dynamics=(parse_expr("u", ("u",)),),
+                          mode="rk", registry=default_registry())
 
     def test_control_collides_with_state(self):
         # the Hilbert-Cartan plane field on a chart with a coordinate
@@ -204,15 +214,11 @@ class TestControlSystems:
             distribution_system(dist)
 
     def test_duplicate_controls_rejected(self):
-        from dist235.paths import ControlSystem
-
         chart = Chart(("x",))
-        box = Box((("x", Fraction(-1, 4), Fraction(1, 4)),))
         with pytest.raises(StructureError, match="duplicate"):
             ControlSystem(state_chart=chart, control_names=("u", "u"),
                           dynamics=(parse_expr("u", ("u",)),),
-                          mode="fixed", box=box,
-                          registry=default_registry())
+                          mode="fixed", registry=default_registry())
 
     def test_radial_name_collisions(self):
         # a direction coordinate, then a base coordinate, named like the
@@ -230,30 +236,23 @@ class TestControlSystems:
             cone_system(by_base)
 
     def test_stray_dynamics_symbol_rejected(self):
-        from dist235.paths import ControlSystem
-
         chart = Chart(("x",))
-        box = Box((("x", Fraction(-1, 4), Fraction(1, 4)),))
         with pytest.raises(ChartError, match="unknown symbols"):
             ControlSystem(state_chart=chart, control_names=("u",),
                           dynamics=(parse_expr("q", ("q",)),),
-                          mode="fixed", box=box,
-                          registry=default_registry())
+                          mode="fixed", registry=default_registry())
 
     def test_mode_prerequisites(self):
-        from dist235.paths import ControlSystem
-
         chart = Chart(("x",))
-        box = Box((("x", Fraction(-1, 4), Fraction(1, 4)),))
         zero = parse_expr("0", ())
         with pytest.raises(StructureError, match="newton_control"):
             ControlSystem(state_chart=chart, control_names=("u",),
-                          dynamics=(zero,), mode="newton", box=box,
+                          dynamics=(zero,), mode="newton",
                           registry=default_registry())
         with pytest.raises(StructureError, match="rule fields"):
             ControlSystem(state_chart=chart, control_names=("u",),
                           dynamics=(zero,), mode="linear-singular",
-                          box=box, registry=default_registry())
+                          registry=default_registry())
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +288,11 @@ class TestHamiltonian:
                 normalize(comp, ham.variables))
 
     def test_single_field_pairing(self):
-        from dist235.paths import ControlSystem
-
         chart = Chart(("x1", "x2"))
-        box = Box((("x1", Fraction(-1, 4), Fraction(1, 4)),
-                   ("x2", Fraction(-1, 4), Fraction(1, 4))))
         cs = ControlSystem(state_chart=chart, control_names=("u",),
                            dynamics=(parse_expr("1", ()),
                                      parse_expr("0", ())),
-                           mode="fixed", box=box,
-                           registry=default_registry())
+                           mode="fixed", registry=default_registry())
         ham = hamiltonian(cs)
         assert to_text(ham.h) == "p1"
         assert [to_text(differentiate(ham.h, x, ham.variables))
@@ -306,16 +300,11 @@ class TestHamiltonian:
         assert [to_text(d) for d in ham.dh_du] == ["0"]
 
     def test_costate_name_collision_rejected(self):
-        from dist235.paths import ControlSystem
-
         chart = Chart(("p1", "q"))
-        box = Box((("p1", Fraction(-1, 4), Fraction(1, 4)),
-                   ("q", Fraction(-1, 4), Fraction(1, 4))))
         cs = ControlSystem(state_chart=chart, control_names=("u",),
                            dynamics=(parse_expr("0", ()),
                                      parse_expr("0", ())),
-                           mode="fixed", box=box,
-                           registry=default_registry())
+                           mode="fixed", registry=default_registry())
         with pytest.raises(ChartError, match="collides"):
             hamiltonian(cs)
 
@@ -355,12 +344,6 @@ class TestIntegrateFlow:
             errs.append(abs(end_point(trace)["w"] - math.e))
         assert errs[0] / errs[1] >= 16
         assert errs[1] / errs[2] >= 16
-
-    def test_accept_hook_sees_every_node(self):
-        seen = []
-        trace = integrate_flow(self.growth_field(), {"w": 1}, 0.5,
-                               accept_hook=lambda t, y, f: seen.append(t))
-        assert seen == list(trace.times)
 
     def test_derivatives_are_exact_rhs(self):
         trace = integrate_flow(self.growth_field(), {"w": 1}, 0.5)
@@ -422,15 +405,12 @@ class TestNonFinite:
                            fixed_step=0.25)
 
     def test_nan_constraint_residual_raises(self):
-        from dist235.paths import ControlSystem
-
         reg = self.nan_registry()
         chart = Chart(("x",))
-        box = Box((("x", Fraction(-1, 4), Fraction(1, 4)),))
         cs = ControlSystem(
             state_chart=chart, control_names=("u",),
             dynamics=(parse_expr("u*blank(x)", ("x", "u"), reg),),
-            mode="fixed", box=box, registry=reg)
+            mode="fixed", registry=reg)
         with pytest.raises(StructureError, match="violates"):
             integrate_biextremal(cs, {"x": 0}, (1.0,), (1.0,), 0.5)
 
@@ -667,7 +647,7 @@ class TestLiftsAndClassification:
         shallow = max(basis, key=lambda b: abs(pairing(b, e4_row)))
         assert abs(pairing(shallow, e4_row)) > TOL
         size = math.sqrt(pairing(shallow, shallow))
-        cs = prolonged_system(structure, mode="fixed")
+        cs = prolonged_system(structure)
         with pytest.raises(IntegrationError, match="constraint residual"):
             integrate_biextremal(cs, structure.base_point,
                                  tuple(x / size for x in shallow),
@@ -701,10 +681,6 @@ class TestLiftsAndClassification:
 
     def test_side_validation(self):
         structure = structure_of(hilbert_cartan())
-        assert singular_path_field(structure, "K") is structure.k_field
-        assert singular_path_field(structure, "L") is structure.l_field
-        with pytest.raises(StructureError, match="side must be"):
-            singular_path_field(structure, "E")
         with pytest.raises(StructureError, match="side must be"):
             lift_fiber(structure, "M")
 
@@ -850,89 +826,3 @@ class TestVerifyDuality:
         assert rep.samples == 200
         assert rep.meta["t_end"] == 0.5
         assert rep.meta["leaf_steps"] >= 64
-
-
-# ---------------------------------------------------------------------------
-# slice projection
-# ---------------------------------------------------------------------------
-
-class TestLeafProject:
-    def test_projects_fiber_flow_to_base_slice(self):
-        structure = prolong_cone(flat_cone_family())
-        kf = singular_path_field(structure, "K")
-        z0 = dict(structure.base_point)
-        z0["th"] = Fraction(1, 4)
-        hit = leaf_project(kf, SliceSpec("th", 0.0), z0, 1.0,
-                           registry=structure.registry)
-        assert hit["th"] == 0.0
-        for v in X_CHART.variables:
-            assert abs(hit[v]) <= TIGHT
-
-    def test_projects_prolonged_fiber(self):
-        structure = structure_of(cubic_distribution())
-        lf = singular_path_field(structure, "L")
-        z0 = dict(structure.base_point)
-        z0["t"] = Fraction(1, 4)
-        hit = leaf_project(lf, SliceSpec("t", 0.0), z0, 1.0,
-                           registry=structure.registry)
-        assert hit["t"] == 0.0
-        for v in BASE_CHART.variables:
-            assert abs(hit[v]) <= TIGHT
-
-    def test_finds_backward_crossing(self):
-        chart = Chart(("a", "b"))
-        flow = field_from_strings(chart, ["1", "0"], name="drift")
-        hit = leaf_project(flow, SliceSpec("a", 0.0),
-                           {"a": 1, "b": Fraction(1, 8)}, 2.0)
-        assert hit["a"] == 0.0
-        assert hit["b"] == pytest.approx(0.125, abs=TIGHT)
-
-    def test_crossing_interpolation_accuracy(self):
-        # Along da/dt = 1, db/dt = a from (-1/2, 1/8) the crossing of
-        # a = 0 happens exactly at b = 0.
-        chart = Chart(("a", "b"))
-        flow = field_from_strings(chart, ["1", "a"], name="turn")
-        hit = leaf_project(flow, SliceSpec("a", 0.0),
-                           {"a": Fraction(-1, 2), "b": Fraction(1, 8)},
-                           1.0)
-        assert hit["a"] == 0.0
-        assert abs(hit["b"]) <= 1e-9
-
-    def test_start_on_slice(self):
-        chart = Chart(("a", "b"))
-        flow = field_from_strings(chart, ["1", "0"], name="drift")
-        hit = leaf_project(flow, SliceSpec("a", 0.0),
-                           {"a": 0, "b": Fraction(1, 4)}, 1.0)
-        assert hit == {"a": 0.0, "b": 0.25}
-
-    def test_tangential_start_rejected(self):
-        chart = Chart(("a", "b"))
-        flow = field_from_strings(chart, ["b", "1"], name="sweep")
-        with pytest.raises(IntegrationError, match="tangential"):
-            leaf_project(flow, SliceSpec("a", 0.0), {"a": 0, "b": 0},
-                         1.0)
-
-    def test_tangential_crossing_rejected(self):
-        # da/dt = b^2 with b = t - 1/4 crosses a = 0 at a cubic
-        # inflection: the sign changes but the transversal speed
-        # vanishes.
-        chart = Chart(("a", "b"))
-        flow = field_from_strings(chart, ["b^2", "1"], name="inflect")
-        z0 = {"a": Fraction(-1, 192), "b": Fraction(-1, 4)}
-        with pytest.raises(IntegrationError, match="tangential"):
-            leaf_project(flow, SliceSpec("a", 0.0), z0, 0.5,
-                         bisect_tol=1e-14)
-
-    def test_no_crossing_reported(self):
-        chart = Chart(("a", "b"))
-        flow = field_from_strings(chart, ["1", "0"], name="drift")
-        with pytest.raises(IntegrationError, match="no crossing"):
-            leaf_project(flow, SliceSpec("b", 1.0),
-                         {"a": 0, "b": 0}, 2.0)
-
-    def test_unknown_coordinate_rejected(self):
-        chart = Chart(("a", "b"))
-        flow = field_from_strings(chart, ["1", "0"], name="drift")
-        with pytest.raises(ChartError, match="not a chart variable"):
-            leaf_project(flow, SliceSpec("c", 0.0), {"a": 0, "b": 0},
-                         1.0)

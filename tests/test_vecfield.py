@@ -18,10 +18,9 @@ from dist235.scalar import (
 )
 from dist235.vecfield import (
     Chart, ChartError, ChartMismatchError, DegenerateFrameError, Frame,
-    OneForm, VectorField, _bracket, cauchy_characteristic_at,
-    check_contact, coordinate_field, derived_flag,
-    exterior_derivative, field_from_strings, lie_bracket, pair, rank_at,
-    reduce_mod,
+    OneForm, VectorField, _bracket, check_contact, coordinate_field,
+    derived_flag, exterior_derivative, field_from_strings, lie_bracket, pair,
+    rank_at, reduce_mod,
 )
 
 from helpers import (
@@ -139,6 +138,13 @@ class TestBracket:
         texts = [to_text(lie_bracket(dx, w, reg).components[1])
                  for reg in registries]
         assert texts == ["2*x", "3*x^2"]
+
+    def test_chart_mismatch(self):
+        eta1, eta2 = growth_frame()
+        other = Chart(("a", "b", "c", "d", "e"))
+        with pytest.raises(ChartMismatchError):
+            lie_bracket(eta1, field_from_strings(
+                other, ["1", "0", "0", "0", "0"]))
 
 
 class TestRank:
@@ -573,43 +579,6 @@ class TestForms:
         assert 0 < verdicts.count(False) < len(verdicts)
 
 
-class TestCauchy:
-    def test_empty_for_growth_frame_derived(self):
-        eta1, eta2 = growth_frame()
-        eta3 = lie_bracket(eta1, eta2)
-        sub = Frame(CH5, (eta1, eta2, eta3), BASE)
-        assert cauchy_characteristic_at(sub, sub, BASE) == []
-
-    def test_fiber_direction_on_prolonged_space(self):
-        # on the 6-dim prolonged space the fiber direction is the Cauchy
-        # characteristic of the rank-3 layer
-        chz = CH5.extend("t")
-        lift = lambda comps: field_from_strings(chz, comps + ["0"])
-        eta1 = lift(["1", "y1", "y2", "0", "y2^2"])
-        eta2 = lift(["0", "0", "0", "1", "0"])
-        zeta2 = field_from_strings(chz, ["0", "0", "0", "0", "0", "1"])
-        base = chz.origin()
-        sub = Frame(chz, (eta1, eta2, zeta2), base)
-        basis = cauchy_characteristic_at(sub, sub, base)
-        assert len(basis) == 1
-        assert basis[0] == [Fraction(0), Fraction(0), Fraction(1)]
-
-    def test_containment_required(self):
-        eta1, eta2 = growth_frame()
-        eta3 = lie_bracket(eta1, eta2)
-        sub = Frame(CH5, (eta1, eta3), BASE)
-        ambient = Frame(CH5, (eta1, eta2), BASE)
-        with pytest.raises(DegenerateFrameError):
-            cauchy_characteristic_at(sub, ambient, BASE)
-
-    def test_chart_mismatch(self):
-        eta1, eta2 = growth_frame()
-        other = Chart(("a", "b", "c", "d", "e"))
-        with pytest.raises(ChartMismatchError):
-            lie_bracket(eta1, field_from_strings(
-                other, ["1", "0", "0", "0", "0"]))
-
-
 def public_signatures(module):
     """(label, signature) of each public function of the module and of
     each public method of its public classes."""
@@ -629,7 +598,7 @@ def public_signatures(module):
 def test_no_public_function_takes_rtol():
     # the one tolerance for rank and membership decisions is linalg's
     # constant; only the two integrators take step tolerances, because
-    # the duality check and leaf projection pass their own
+    # the duality check passes its own
     offenders = [
         label
         for module in (vecfield, distduality, conedual, linalg, paths)
