@@ -38,7 +38,7 @@ from .boxes import Box, as_fraction
 from .conedual import BUNDLED, STANDARD_ALPHA, STANDARD_CHART, ConeFamily, \
     _driver_components, check_lagrangian, check_nondegenerate, \
     check_osculating_condition, default_family_box, prolong_cone, solve_U
-from .distduality import Distribution235, GrowthError, \
+from .distduality import FIBER, Distribution235, GrowthError, \
     ProlongedDistribution, PseudoProductStructure, SolveEResult, \
     default_box, prolong_235, solve_e, symbol_algebra_at, \
     verify_pseudo_product
@@ -495,6 +495,13 @@ def _box_json(box: Optional[Box]):
     return {var: [str(lo), str(hi)] for var, lo, hi in box.intervals}
 
 
+def _record(status: str, detail: str, witness=None,
+            box: Optional[Box] = None, residual=None) -> dict:
+    """One check's record, without its name."""
+    return {"status": status, "detail": detail, "witness": witness,
+            "residual": residual, "box": _box_json(box)}
+
+
 class _SuiteRun:
     """Runs named checks in order, recording outcome and wall time."""
 
@@ -512,12 +519,9 @@ class _SuiteRun:
         try:
             record = fn()
         except _Skip as skip:
-            record = {"status": "error", "detail": str(skip),
-                      "witness": None, "residual": None, "box": None}
+            record = _record("error", str(skip))
         except Exception as exc:
-            record = {"status": "error",
-                      "detail": f"{type(exc).__name__}: {exc}",
-                      "witness": None, "residual": None, "box": None}
+            record = _record("error", f"{type(exc).__name__}: {exc}")
         record["name"] = name
         self.records.append(record)
         self.times.append(time.perf_counter() - start)
@@ -592,31 +596,27 @@ class _SuiteRun:
                   f"splitting {'ok' if report.splitting_ok else 'FAIL'}; "
                   f"growth {report.growth}")
         if report.valid:
-            return {"status": "pass", "detail": detail, "witness": None,
-                    "residual": None, "box": _box_json(structure.box)}
+            return _record("pass", detail, box=structure.box)
         witnesses = []
         for cond in report.conditions:
             witnesses.extend(cond.witnesses)
         witnesses = list(witnesses) + list(report.splitting_witnesses)
-        return {"status": "fail", "detail": detail,
-                "witness": {"conditions": list(report.failed_conditions()),
-                            "messages": witnesses[:4]},
-                "residual": None, "box": _box_json(structure.box)}
+        return _record(
+            "fail", detail,
+            {"conditions": list(report.failed_conditions()),
+             "messages": witnesses[:4]},
+            structure.box)
 
     def check_symbol_algebra(self):
         structure = self.structure()
         report = symbol_algebra_at(structure)
         if report.passed:
-            return {"status": "pass",
-                    "detail": "the graded nilpotent symbol checks out at "
-                              "the base point",
-                    "witness": None, "residual": None, "box": None}
+            return _record("pass", "the graded nilpotent symbol checks out "
+                                   "at the base point")
         failing = [(name, detail) for name, ok, detail in report.entries
                    if not ok]
-        return {"status": "fail",
-                "detail": f"{len(failing)} symbol entries fail",
-                "witness": {"entries": [list(item) for item in failing]},
-                "residual": None, "box": None}
+        return _record("fail", f"{len(failing)} symbol entries fail",
+                       {"entries": [list(item) for item in failing]})
 
     def check_swapped(self):
         structure = self.structure()
@@ -624,16 +624,12 @@ class _SuiteRun:
         report = verify_pseudo_product(swapped)
         if not report.valid:
             failed = list(report.failed_conditions())
-            return {"status": "pass",
-                    "detail": "the swapped splitting fails conditions "
-                              f"{failed}, so the two line fields are not "
-                              "interchangeable",
-                    "witness": None, "residual": None, "box": None}
-        return {"status": "fail",
-                "detail": "the swapped splitting passed every condition",
-                "witness": {"message": "swapping K and L should break the "
-                                       "rank-growth conditions"},
-                "residual": None, "box": None}
+            return _record("pass", "the swapped splitting fails conditions "
+                                   f"{failed}, so the two line fields are "
+                                   "not interchangeable")
+        return _record("fail", "the swapped splitting passed every condition",
+                       {"message": "swapping K and L should break the "
+                                   "rank-growth conditions"})
 
     def _draw(self, lo: Fraction, hi: Fraction, center: Fraction):
         return center + (hi - lo) * Fraction(self.rng.randint(-16, 16), 64)
@@ -672,18 +668,13 @@ class _SuiteRun:
                                 float(_DUALITY_T))
         point = {var: str(value) for var, value in x0.items()}
         point["theta0"] = str(theta0)
-        record = {"residual": report.sup_distance,
-                  "box": None,
-                  "detail": f"side {report.side}; " + report.summary_line()}
+        detail = f"side {report.side}; " + report.summary_line()
         if report.passed:
-            record.update(status="pass", witness=None)
-        else:
-            record.update(
-                status="fail",
-                witness={"launch": point,
-                         "sup_distance": report.sup_distance,
-                         "tol": report.tol})
-        return record
+            return _record("pass", detail, residual=report.sup_distance)
+        return _record("fail", detail,
+                       {"launch": point, "sup_distance": report.sup_distance,
+                        "tol": report.tol},
+                       residual=report.sup_distance)
 
     # -- kind-specific check bodies ---------------------------------------
 
@@ -698,126 +689,83 @@ class _SuiteRun:
                 raise exc
             report = exc.report
         if report.passed:
-            return {"status": "pass",
-                    "detail": f"growth {report.growth}; ranks constant "
-                              "over the box",
-                    "witness": None, "residual": None,
-                    "box": _box_json(self.box)}
-        return {"status": "fail",
-                "detail": "; ".join(report.failures),
-                "witness": {"failures": list(report.failures)},
-                "residual": None, "box": _box_json(self.box)}
+            return _record("pass", f"growth {report.growth}; ranks constant "
+                                   "over the box", box=self.box)
+        return _record("fail", "; ".join(report.failures),
+                       {"failures": list(report.failures)}, self.box)
 
     def check_prolong_235(self):
         prolonged = self.prolonged()
-        return {"status": "pass",
-                "detail": f"fiber {prolonged.fiber!r}; growth "
-                          f"{prolonged.growth}",
-                "witness": None, "residual": None,
-                "box": _box_json(prolonged.box)}
+        return _record("pass", f"fiber {FIBER!r}; growth {prolonged.growth}",
+                       box=prolonged.box)
 
     def check_solve_e(self):
         solved = self.solved_e()
-        if solved.symbolic:
-            return {"status": "pass",
-                    "detail": f"e = {to_text(solved.expression)}",
-                    "witness": None, "residual": None, "box": None}
-        return {"status": "fail",
-                "detail": "no closed form; a pointwise table was "
-                          "computed instead",
-                "witness": {"message": solved.warning or
-                                       "pointwise fallback"},
-                "residual": None, "box": None}
+        return _record("pass", f"e = {to_text(solved.expression)}")
 
     def check_family_build(self):
         try:
             family = self.family()
         except _Skip:
             exc = self.ctx.get("family")
-            return {"status": "fail",
-                    "detail": f"{type(exc).__name__}: {exc}",
-                    "witness": {"message": str(exc)},
-                    "residual": None, "box": None}
-        return {"status": "pass",
-                "detail": "contact form verified and annihilation "
-                          f"certified ({family.alpha_status})",
-                "witness": None, "residual": None,
-                "box": _box_json(family.box)}
+            return _record("fail", f"{type(exc).__name__}: {exc}",
+                           {"message": str(exc)})
+        return _record("pass", "contact form verified and annihilation "
+                               f"certified ({family.alpha_status})",
+                       box=family.box)
 
     def check_nondegenerate(self):
         family = self.family()
-        ok = check_nondegenerate(family)
-        if ok:
-            return {"status": "pass",
-                    "detail": "the direction curve keeps rank 4 with its "
-                              "derivatives",
-                    "witness": None, "residual": None, "box": None}
-        return {"status": "fail",
-                "detail": "an osculating space collapses along the "
-                          "direction curve",
-                "witness": {"message": "rank of the generator and its "
-                                       "three derivatives drops below 4"},
-                "residual": None, "box": None}
+        if check_nondegenerate(family):
+            return _record("pass", "the direction curve keeps rank 4 with "
+                                   "its derivatives")
+        return _record("fail", "an osculating space collapses along the "
+                               "direction curve",
+                       {"message": "rank of the generator and its three "
+                                   "derivatives drops below 4"})
 
     def check_lagrangian(self):
         family = self.family()
         report = check_lagrangian(family)
         if report.passed:
-            return {"status": "pass",
-                    "detail": "; ".join(f"{name}: {status}"
-                                        for name, status, _ in
-                                        report.checks),
-                    "witness": None, "residual": None,
-                    "box": _box_json(report.box)}
+            return _record("pass", "; ".join(f"{name}: {status}"
+                                             for name, status, _ in
+                                             report.checks),
+                           box=report.box)
         failing = [[name, status, witness]
                    for name, status, witness in report.checks if witness]
-        return {"status": "fail",
-                "detail": "; ".join(item[0] for item in failing)
-                          + " (nonzero)",
-                "witness": {"checks": failing},
-                "residual": None, "box": _box_json(report.box)}
+        return _record("fail",
+                       "; ".join(item[0] for item in failing) + " (nonzero)",
+                       {"checks": failing}, report.box)
 
     def check_osculating(self):
         family = self.family()
         report = check_osculating_condition(family)
         if report.passed:
-            return {"status": "pass",
-                    "detail": "the turning bracket stays inside the "
-                              "osculating span",
-                    "witness": None, "residual": None,
-                    "box": _box_json(report.box)}
+            return _record("pass", "the turning bracket stays inside the "
+                                   "osculating span", box=report.box)
         failing = [[label, expr_text, witness]
                    for label, expr_text, status, witness in report.residuals
                    if status == "nonzero"]
-        return {"status": "fail",
-                "detail": "; ".join(
-                    f"{label} = {expr_text}"
-                    for label, expr_text, _ in failing),
-                "witness": {"residuals": failing},
-                "residual": None, "box": _box_json(report.box)}
+        return _record("fail", "; ".join(f"{label} = {expr_text}"
+                                         for label, expr_text, _ in failing),
+                       {"residuals": failing}, report.box)
 
     def check_solve_u(self):
         family = self.family()
         solved = self._memo("solved_u", lambda: solve_U(family),
                             "the correction scalar")
-        return {"status": "pass",
-                "detail": f"U = {to_text(solved.expression)}",
-                "witness": None, "residual": None, "box": None}
+        return _record("pass", f"U = {to_text(solved.expression)}")
 
     def check_splitting_build(self):
         try:
             structure = self.structure()
         except _Skip:
             exc = self.ctx.get("structure")
-            return {"status": "fail",
-                    "detail": f"{type(exc).__name__}: {exc}",
-                    "witness": {"message": str(exc)},
-                    "residual": None, "box": None}
-        return {"status": "pass",
-                "detail": "two transverse line fields on a 6-chart with "
-                          "the expected flag",
-                "witness": None, "residual": None,
-                "box": _box_json(structure.box)}
+            return _record("fail", f"{type(exc).__name__}: {exc}",
+                           {"message": str(exc)})
+        return _record("pass", "two transverse line fields on a 6-chart "
+                               "with the expected flag", box=structure.box)
 
 
 def _check_sequence(kind: str, suite: str) -> tuple:

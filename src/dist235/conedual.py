@@ -1,6 +1,6 @@
 """Cone families inside a contact structure: non-degeneracy, Lagrangian
-compatibility, osculating bundles, the Cauchy-characteristic correction,
-and the induced splitting on the space of cone directions.
+compatibility, the osculating condition, the Cauchy-characteristic
+correction, and the induced splitting on the space of cone directions.
 
 A family is stored in normal form: on a 5-dimensional chart with a
 direction coordinate, the moving generator is
@@ -17,7 +17,6 @@ the path integration module.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -39,8 +38,6 @@ from .vecfield import (
     VectorField, check_contact, coordinate_field, exterior_derivative,
     field_from_strings, lie_bracket, pair, rank_at, symbolic_decompose,
 )
-
-_SECTION_SEED = 94070
 
 
 def _as_expr(value, variables, registry) -> ScalarExpr:
@@ -64,9 +61,6 @@ class DirectionField:
     @classmethod
     def constant(cls, value) -> "DirectionField":
         return cls(Const(as_fraction(value)))
-
-    def value_at(self, point: dict, registry=None):
-        return evaluate(self.expr, point, registry)
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +180,6 @@ class ConeFamily:
                                        self.registry)
         return coeffs, complement
 
-    def x_part(self, point: dict) -> dict:
-        return {v: point[v] for v in self.x_chart.variables}
-
-    def section_field(self, k: int, section: DirectionField) -> VectorField:
-        """The base-chart field obtained from zeta(k) by substituting the
-        section for the direction coordinate (the fiber slot is zero)."""
-        mapping = {self.theta: section.expr}
-        comps = tuple(
-            normalize(substitute(c, mapping), self.x_chart.variables)
-            for c in self.zeta(k).components[:5])
-        return VectorField(self.x_chart, comps,
-                           f"{self.zeta(k).name}@s")
-
 
 def default_family_box(x_chart: Chart, theta: str, base_point: dict) -> Box:
     """The box used when a family is built without one: half-width 1/4
@@ -309,98 +290,6 @@ def check_lagrangian(family: ConeFamily,
         checks.append((name, verdict.status, witness))
     return LagrangianReport(passed=passed, checks=tuple(checks),
                             box=check_box, section=section_text)
-
-
-# ---------------------------------------------------------------------------
-# osculating bundles
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OsculatingData:
-    """Frames of the tangent plane along a section and of its second and
-    third osculating spaces at a base point, plus the verdict that the
-    third space does not depend on the chosen section."""
-
-    tangent_frame: Frame
-    second_frame: Frame
-    third_frame: Frame
-    point: tuple
-    section: str
-    third_space_section_independent: bool
-    witnesses: tuple = ()
-
-
-_OSCULATING_STAGES = (
-    ("tangent plane", 2),
-    ("second osculating space", 3),
-    ("third osculating space", 4),
-)
-
-
-def osculating(family: ConeFamily,
-               section: Optional[DirectionField] = None,
-               point: Optional[dict] = None) -> OsculatingData:
-    """Build the frames of the tangent plane and osculating spaces along
-    a section, verifying ranks 2, 3, 4 at the point and checking that the
-    third osculating space is independent of the section."""
-    registry = family.registry
-    if section is None:
-        section = DirectionField.constant(
-            family.base_point[family.theta])
-    if point is None:
-        point = family.x_part(family.base_point)
-    lo, hi = family.box.bounds(family.theta)
-    s_value = section.value_at(point, registry)
-    if not (float(lo) <= float(s_value) <= float(hi)):
-        raise StructureError(
-            f"section value {s_value} leaves the direction interval "
-            f"[{lo}, {hi}]")
-
-    fields = [family.section_field(k, section) for k in (2, 3, 4, 5)]
-    at = PointValues(point, registry)
-    frames = []
-    for (stage_name, expected), count in zip(_OSCULATING_STAGES, (2, 3, 4)):
-        stage_fields = tuple(fields[:count])
-        achieved = at.rank(stage_fields)
-        if achieved != expected:
-            raise StructureError(
-                f"{stage_name} has rank {achieved}, expected {expected} "
-                f"at {_format_point(point)}")
-        frames.append(Frame(family.x_chart, stage_fields, point, registry,
-                            at))
-
-    # The third osculating space must not depend on the section: adding
-    # the frames of a handful of deterministic alternative sections must
-    # not raise the rank above 4.
-    rng = random.Random(_SECTION_SEED)
-    witnesses = []
-    independent = True
-    span = float(hi - lo)
-    for case in range(5):
-        if case < 3:
-            offset = Fraction(rng.randint(-4, 4), 16)
-            alt = DirectionField(Const(
-                as_fraction(lo + hi) / 2 + offset * as_fraction(span)))
-        else:
-            coeff = Fraction(rng.randint(-2, 2), 8)
-            alt = DirectionField(parse_expr(
-                f"({as_fraction(lo + hi) / 2}) + ({coeff}) * "
-                f"{family.x_chart.variables[1]}",
-                family.x_chart.variables))
-        alt_fields = tuple(family.section_field(k, alt)
-                           for k in (2, 3, 4, 5))
-        union_rank = at.rank(frames[2].fields + alt_fields)
-        if union_rank != 4:
-            independent = False
-            witnesses.append(
-                f"section {to_text(alt.expr)} moves the third osculating "
-                f"space (union rank {union_rank})")
-    return OsculatingData(
-        tangent_frame=frames[0], second_frame=frames[1],
-        third_frame=frames[2], point=tuple(sorted(point.items())),
-        section=to_text(section.expr),
-        third_space_section_independent=independent,
-        witnesses=tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .scalar import (
 from .vecfield import (
     Chart, ChartError, ChartMismatchError, DegenerateFrameError,
     DistributionFlag, Frame, PointValues, VectorField, coordinate_field,
-    derived_flag, lie_bracket, reduce_mod, symbolic_decompose,
+    derived_flag, lie_bracket, symbolic_decompose,
 )
 
 
@@ -53,6 +53,7 @@ class GradingError(StructureError):
 
 _GROWTH_235 = (2, 3, 5)
 _GROWTH_PROLONGED = (2, 3, 4, 5, 6)
+FIBER = "t"  # the direction coordinate of the prolonged chart
 
 
 def _format_point(point: dict) -> str:
@@ -142,8 +143,9 @@ def check_235(eta1: VectorField, eta2: VectorField, base_point: dict,
 class Distribution235:
     """A plane field of growth (2, 3, 5) on a 5-dimensional chart.
 
-    Construction validates the growth vector; the brackets that fill the
-    weak derived flag are exposed as `eta3`, `eta4`, `eta5`.
+    Construction checks that the generators live on `chart` and validates
+    the growth vector; the brackets that fill the weak derived flag are
+    exposed as `eta3`, `eta4`, `eta5`.
     """
 
     chart: Chart
@@ -155,6 +157,9 @@ class Distribution235:
     name: str = "distribution"
 
     def __post_init__(self):
+        if self.eta1.chart != self.chart:
+            raise ChartMismatchError(
+                "generators live on another chart than the distribution")
         if self.registry is None:
             object.__setattr__(self, "registry", default_registry())
         if self.box is None:
@@ -215,8 +220,6 @@ class ProlongedDistribution:
 
     source: Distribution235
     z_chart: Chart
-    fiber: str
-    antipodal: bool
     zeta1: VectorField
     zeta2: VectorField
     etas: tuple
@@ -231,7 +234,7 @@ class ProlongedDistribution:
         """The frame direction complementary to layer 3 near the base
         point: the bracket of the fiber direction with the layer-3
         generator w4 equals exactly this field."""
-        return self.etas[3] if self.antipodal else self.etas[4]
+        return self.etas[4]
 
     @cached_property
     def _layer_frames(self) -> tuple:
@@ -255,53 +258,42 @@ class ProlongedDistribution:
         return self.flag.growth
 
 
-def prolong_235(dist: Distribution235, fiber: str = "t",
-                antipodal: bool = False) -> ProlongedDistribution:
-    """Prolong a growth-(2,3,5) plane field to the 6-chart of directions.
-
-    In the default chart the fiber coordinate parametrizes directions as
-    (first generator) + fiber * (second generator); with `antipodal=True`
-    the roles are exchanged, covering the direction missed at infinity.
-    """
-    if fiber in dist.chart.variables:
+def prolong_235(dist: Distribution235) -> ProlongedDistribution:
+    """Prolong a growth-(2,3,5) plane field to the 6-chart of directions,
+    whose fiber coordinate `FIBER` parametrizes the directions as
+    (first generator) + FIBER * (second generator)."""
+    if FIBER in dist.chart.variables:
         raise ChartError(
-            f"fiber coordinate {fiber!r} collides with a base coordinate")
-    z_chart = dist.chart.extend(fiber)
+            f"fiber coordinate {FIBER!r} collides with a base coordinate")
+    z_chart = dist.chart.extend(FIBER)
     registry = dist.registry
     e1, e2, e3, e4, e5 = (f.lifted(z_chart) for f in (
         dist.eta1, dist.eta2, dist.eta3, dist.eta4, dist.eta5))
-    tvar = Var(fiber)
-    zeta2 = coordinate_field(z_chart, fiber).renamed("zeta2")
-    if antipodal:
-        horizontal = tuple(
-            normalize(Sum((Prod((tvar, a)), b)), z_chart.variables)
-            for a, b in zip(e1.components, e2.components))
-        w4_comps = tuple(
-            normalize(Sum((Prod((tvar, a)), b)), z_chart.variables)
-            for a, b in zip(e4.components, e5.components))
-    else:
-        horizontal = tuple(
+    tvar = Var(FIBER)
+    zeta2 = coordinate_field(z_chart, FIBER).renamed("zeta2")
+
+    def along_fiber(first: VectorField, second: VectorField, name: str):
+        # first + FIBER * second
+        return VectorField(z_chart, tuple(
             normalize(Sum((a, Prod((tvar, b)))), z_chart.variables)
-            for a, b in zip(e1.components, e2.components))
-        w4_comps = tuple(
-            normalize(Sum((a, Prod((tvar, b)))), z_chart.variables)
-            for a, b in zip(e4.components, e5.components))
-    zeta1 = VectorField(z_chart, horizontal, "zeta1")
-    w4 = VectorField(z_chart, w4_comps, "w4")
+            for a, b in zip(first.components, second.components)), name)
+
+    zeta1 = along_fiber(e1, e2, "zeta1")
+    w4 = along_fiber(e4, e5, "w4")
 
     z_base = dict(dist.base_point)
-    z_base[fiber] = Fraction(0)
+    z_base[FIBER] = Fraction(0)
     z_box = Box(dist.box.intervals
-                + ((fiber, Fraction(-1, 2), Fraction(1, 2)),))
+                + ((FIBER, Fraction(-1, 2), Fraction(1, 2)),))
 
     frame = Frame(z_chart, (zeta1, zeta2), z_base, registry)
     flag = derived_flag(frame, box=z_box, registry=registry)
     _check_prolonged_flag(flag, "prolonged plane field")
 
     prolonged = ProlongedDistribution(
-        source=dist, z_chart=z_chart, fiber=fiber, antipodal=antipodal,
-        zeta1=zeta1, zeta2=zeta2, etas=(e1, e2, e3, e4, e5), w4=w4,
-        base_point=z_base, box=z_box, flag=flag, registry=registry)
+        source=dist, z_chart=z_chart, zeta1=zeta1, zeta2=zeta2,
+        etas=(e1, e2, e3, e4, e5), w4=w4, base_point=z_base, box=z_box,
+        flag=flag, registry=registry)
     # The closed-form layer frames must be genuine frames at the base
     # point and must reproduce the ranks the flag found.
     for depth in range(5):
@@ -404,11 +396,11 @@ class PseudoProductStructure:
         e_frame = Frame(z_chart, gens, base_point, registry, at_base)
         # K and L must be sections of E, independent at the base point.
         for line, label in ((k_field, "K"), (l_field, "L")):
-            res = at_base.reduce(line, e_frame)
-            if not res.member:
+            residual = at_base.residual(line, e_frame)
+            if residual is not None:
                 raise StructureError(
                     f"{label} generator is not a section of E at the "
-                    f"base point (residual {res.residual})")
+                    f"base point (residual {residual})")
         if at_base.rank((k_field, l_field)) != 2:
             raise StructureError(
                 "K and L generators are dependent at the base point")
@@ -544,27 +536,15 @@ def verify_pseudo_product(structure: PseudoProductStructure,
 @dataclass(frozen=True)
 class SolveEResult:
     """The correction scalar making the horizontal line bracket-invariant
-    on layer 3, together with the resulting K and L generators.
+    on layer 3, as a closed form, together with the resulting K and L
+    generators."""
 
-    When the symbolic route succeeds, `expression` holds the closed form
-    and `symbolic` is True.  Otherwise `table` holds pointwise samples
-    (point, value) and `warning` explains that no closed form was
-    produced; nothing is interpolated silently.
-    """
-
-    symbolic: bool
-    expression: Optional[ScalarExpr]
-    k_field: Optional[VectorField]
+    expression: ScalarExpr
+    k_field: VectorField
     l_field: VectorField
-    table: tuple = ()
-    warning: Optional[str] = None
 
     def structure(self, prolonged: ProlongedDistribution,
                   name: str = "structure") -> PseudoProductStructure:
-        if not self.symbolic:
-            raise StructureError(
-                "no closed-form K generator available (pointwise table "
-                "fallback was used)")
         return PseudoProductStructure.build(
             prolonged.z_chart, (prolonged.zeta1, prolonged.zeta2),
             self.k_field, self.l_field, prolonged.base_point,
@@ -581,11 +561,9 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
     coordinates of [zeta1, w] and [zeta2, w]: the derivative term
     (w e) * zeta2 never contributes, since zeta2 lies inside layer 3.
     All these brackets are decomposed in one exact elimination (pivots
-    chosen nonzero at the base point), and the system is solved.  If
-    the elimination degenerates, the solver falls back to pointwise
-    sampling (the base point and 20 Halton points) and returns the
-    sampled values as a table with a warning instead of inventing a
-    closed form.
+    chosen nonzero at the base point), and the system is solved.  The
+    basis is the layer-4 frame, which `prolong_235` found to have rank 6
+    at the base point, so the elimination always finds its pivots.
     """
     registry = prolonged.registry
     layer3 = prolonged.layer_frame(3)
@@ -594,11 +572,8 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
 
     brackets = [lie_bracket(z, w, registry) for w in layer3.fields
                 for z in (prolonged.zeta1, prolonged.zeta2)]
-    try:
-        coeffs = symbolic_decompose(brackets, basis, prolonged.base_point,
-                                    registry)
-    except DegenerateFrameError as exc:
-        return _solve_e_pointwise(prolonged, 20, str(exc))
+    coeffs = symbolic_decompose(brackets, basis, prolonged.base_point,
+                                registry)
     complement = [c[-1] for c in coeffs]
     pairs = list(zip(complement[::2], complement[1::2]))
 
@@ -643,38 +618,8 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
               for c1, c2 in zip(prolonged.zeta1.components,
                                 prolonged.zeta2.components)),
         "K")
-    return SolveEResult(symbolic=True, expression=e_expr, k_field=k_field,
+    return SolveEResult(expression=e_expr, k_field=k_field,
                         l_field=l_field.renamed("L"))
-
-
-def _solve_e_pointwise(prolonged: ProlongedDistribution, samples: int,
-                       reason: str) -> SolveEResult:
-    """Fallback: sample the correction scalar pointwise over the box.
-
-    At each point the bracket of the horizontal generator with w4 is
-    decomposed over the full frame; the complement coordinate of the
-    fiber bracket [zeta2, w4] is exactly 1, so the sampled value is the
-    negated complement coordinate of the horizontal bracket.
-    """
-    registry = prolonged.registry
-    bracket1 = lie_bracket(prolonged.zeta1, prolonged.w4, registry)
-    rows = []
-    points = [prolonged.base_point] + list(
-        prolonged.box.sample_points(samples))
-    for point in points:
-        red = reduce_mod(bracket1, prolonged.layer_frame(4), point,
-                         registry)
-        if not red.member:
-            raise StructureError(
-                "pointwise correction solve is inconsistent at "
-                + _format_point(point))
-        rows.append((tuple(sorted(point.items())),
-                     -float(red.coefficients[-1])))
-    warning = ("no closed form produced (symbolic elimination degenerated: "
-               + reason + "); values are pointwise samples only")
-    return SolveEResult(symbolic=False, expression=None, k_field=None,
-                        l_field=prolonged.zeta2.renamed("L"),
-                        table=tuple(rows), warning=warning)
 
 
 # ---------------------------------------------------------------------------
@@ -734,11 +679,12 @@ def symbol_algebra_at(structure: PseudoProductStructure,
         return ok
 
     def vanishing(name, bracket_field, depth):
-        res = at.reduce(bracket_field, flag.frames[depth])
-        detail = ("reduces into layer " + str(depth) if res.member else
-                  f"residual {tuple(float(r) for r in res.residual)}")
-        entries.append((name, res.member, detail))
-        return res.member
+        residual = at.residual(bracket_field, flag.frames[depth])
+        member = residual is None
+        detail = ("reduces into layer " + str(depth) if member else
+                  f"residual {tuple(float(r) for r in residual)}")
+        entries.append((name, member, detail))
+        return member
 
     ok = True
     for depth in range(4):

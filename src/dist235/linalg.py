@@ -1,13 +1,13 @@
 """Small dense linear algebra over exact rationals with float fallback.
 
-Every exact answer (rank, membership, residual, solve, nullspace) comes
-from one elimination: rows are scaled to integers and reduced
-fraction-free into a row echelon (`ExactSpan`), so an answer at a
-rational point is exact, not an estimate.  Data with a float entry falls
-back to one Householder QR with column pivoting (`_FloatQR`) under a
-relative tolerance: it gives the rank, the least-squares residual that
-decides membership, and an orthonormal nullspace.  No other module
-chooses between the two.
+Every exact answer (rank, membership, residual, nullspace) comes from
+one elimination: rows are scaled to integers and reduced fraction-free
+into a row echelon (`ExactSpan`), so an answer at a rational point is
+exact, not an estimate.  Data with a float entry falls back to one
+Householder QR with column pivoting (`_FloatQR`) under a relative
+tolerance: it gives the rank, the least-squares residual that decides
+membership, and an orthonormal nullspace.  No other module chooses
+between the two.
 
 A row or vector may be passed as a `Row`, which carries its integer
 scaling; a caller that tests one vector many times (`PointValues`)
@@ -243,20 +243,6 @@ def is_zero_value(x) -> bool:
     return matrix_rank([[x]]) == 0
 
 
-def exact_solve(columns, b):
-    """One rational x with sum_j x_j * columns[j] = b, read from the
-    reduced row echelon form of the augmented matrix with free variables
-    set to 0, or None when b is not in the span of the columns."""
-    k = len(columns)
-    aug = [[c[r] for c in columns] + [b[r]] for r in range(len(b))]
-    x = [Fraction(0)] * k
-    for col, row in ExactSpan(aug).rref():
-        if col == k:
-            return None
-        x[col] = row[k]
-    return x
-
-
 def exact_nullspace(rows):
     """Basis of the right nullspace of a rational matrix, read from its
     reduced row echelon form: one vector per free column, ascending."""
@@ -277,7 +263,7 @@ def exact_nullspace(rows):
 
 
 class Span:
-    """The span of row vectors, for membership and decomposition.
+    """The span of row vectors, for membership and its residual.
 
     Rational rows are eliminated once into an `ExactSpan`, against which
     rational vectors are decided exactly.  A float row or a float vector
@@ -295,21 +281,18 @@ class Span:
         vec = _row(vec)
         if self._exact is not None and vec.ints is not None:
             return self._exact.contains(vec)
-        return self.decompose(vec)[0] is not None
+        return self.residual(vec) is None
 
-    def decompose(self, vec):
-        """(coefficients, residual) of vec over the rows.  The
-        coefficients c give sum_i c_i * rows[i] = vec (the exact solve,
-        or least squares), or are None when vec is not in the span; the
-        residual is linear in vec and zero exactly on the span."""
+    def residual(self, vec):
+        """None when vec lies in the span, else its residual: linear in
+        vec and zero exactly on the span (the exact residual, or that of
+        the least-squares fit)."""
         vec = _row(vec)
-        values = vec.values
         if self._exact is not None and vec.ints is not None:
             if self._exact.contains(vec):
-                return (exact_solve([r.values for r in self.rows], values),
-                        [Fraction(0)] * len(values))
-            return None, self._exact.residual(values)
-        b = [float(x) for x in values]
+                return None
+            return self._exact.residual(vec.values)
+        b = [float(x) for x in vec.values]
         coeffs = _FloatQR([r.values for r in self.rows],
                           len(b)).least_squares(b)
         residual = b
@@ -317,8 +300,8 @@ class Span:
             residual = [x - c * float(y) for x, y in zip(residual, row.values)]
         if math.sqrt(_dot(residual, residual)) <= \
                 FLOAT_RTOL * max(1.0, math.sqrt(_dot(b, b))):
-            return coeffs, residual
-        return None, residual
+            return None
+        return residual
 
 
 def float_nullspace(rows):

@@ -194,16 +194,6 @@ def _bracket(chart: Chart, v: tuple, w: tuple,
     return VectorField(chart, tuple(comps))
 
 
-@dataclass(frozen=True)
-class ReduceResult:
-    member: bool
-    coefficients: Optional[tuple]
-    residual: tuple
-
-    def __bool__(self):
-        return self.member
-
-
 class PointValues:
     """Field values and frame spans at one point, each computed once.
 
@@ -246,15 +236,13 @@ class PointValues:
     def member(self, v: VectorField, frame: "Frame") -> bool:
         return self._span(frame).contains(self.row(v))
 
-    def reduce(self, v: VectorField, frame: "Frame") -> ReduceResult:
-        """Decompose v over the frame: member with coefficients, or a
-        nonzero residual vector."""
+    def residual(self, v: VectorField, frame: "Frame") -> Optional[tuple]:
+        """None when v lies in the frame's span, else its nonzero
+        residual vector."""
         if v.chart != frame.chart:
             raise ChartMismatchError("field and frame on different charts")
-        coeffs, residual = self._span(frame).decompose(self.row(v))
-        member = coeffs is not None
-        return ReduceResult(member, tuple(coeffs) if member else None,
-                            tuple(residual))
+        residual = self._span(frame).residual(self.row(v))
+        return None if residual is None else tuple(residual)
 
 
 def rank_at(fields: Sequence[VectorField], point: dict,
@@ -290,14 +278,6 @@ class Frame:
     @property
     def rank(self) -> int:
         return len(self.fields)
-
-
-def reduce_mod(v: VectorField, frame: Frame, point: dict,
-               registry: Optional[OpaqueRegistry] = None) -> ReduceResult:
-    """Decompose v(point) over the frame: member with coefficients, or a
-    nonzero residual vector."""
-    reg = registry if registry is not None else frame.registry
-    return PointValues(point, reg).reduce(v, frame)
 
 
 def symbolic_decompose(targets: Sequence[VectorField],

@@ -117,7 +117,7 @@ def test_02_prolongation_and_zero_correction():
     _assert_components(bracket, ("0", "0", "0", "-1", "0", "0"),
                        z_vars, dist.registry)
     solved = solve_e(prolonged)
-    assert solved.symbolic
+    assert solved.expression is not None
     verdict = is_zero(solved.expression, prolonged.box, z_vars,
                       dist.registry)
     assert verdict.status == "provably-zero"

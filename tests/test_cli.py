@@ -19,8 +19,9 @@ from dist235.cli import (
     exit_code, format_text, load_model, main, parse_model, run_suite,
     trace_lines,
 )
+from dist235 import distduality
 from dist235.distduality import check_235
-from dist235.vecfield import derived_flag
+from dist235.vecfield import DegenerateFrameError, derived_flag
 
 TOL = 1e-9
 
@@ -372,6 +373,31 @@ class TestRunSuite:
         assert check_named(report, "solve-e")["detail"] == "e = 0"
         for name in ("duality-base", "duality-random-1"):
             assert check_named(report, name)["detail"].startswith("side K")
+
+    def test_degenerate_correction_is_a_named_error(self, monkeypatch):
+        # solve_e has no second route: a degenerate elimination is
+        # recorded as the error of solve-e, and every check that needs
+        # the splitting is skipped
+        def degenerate(*args, **kwargs):
+            raise DegenerateFrameError("forced degeneration")
+
+        monkeypatch.setattr(distduality, "symbolic_decompose", degenerate)
+        report = run_suite(hc_model(), "all", 7)
+        statuses = {c["name"]: c["status"] for c in report["checks"]}
+        assert statuses["check-235"] == statuses["prolong-235"] == "pass"
+        solve = check_named(report, "solve-e")
+        assert solve["status"] == "error"
+        assert solve["detail"] == ("skipped: the correction scalar could "
+                                   "not be built (forced degeneration)")
+        for name in ("pseudo-product", "symbol-algebra",
+                     "swapped-splitting-fails", "duality-base",
+                     "duality-random-1", "duality-random-2"):
+            check = check_named(report, name)
+            assert check["status"] == "error"
+            assert check["detail"].startswith(
+                "skipped: the splitting could not be built")
+            assert "forced degeneration" in check["detail"]
+        assert exit_code(report) == 2
 
     def test_verify_suite_is_a_prefix(self):
         full = run_suite(flat_cone_model(), "prolong", 0)
