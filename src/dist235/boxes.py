@@ -3,11 +3,13 @@
 A Box is a product of closed intervals with rational endpoints, one per
 named coordinate.  Sampling uses a Halton sequence computed in exact
 rational arithmetic, so sample points are reproducible and can be fed to
-exact evaluators without rounding.
+exact evaluators without rounding.  The points of a box are built once
+and cached; each call returns them as fresh dicts.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +25,15 @@ def _radical_inverse(index: int, base: int) -> Fraction:
         inv += Fraction(digit, denom)
         denom *= base
     return inv
+
+
+@functools.lru_cache(maxsize=256)
+def _halton(intervals: tuple, count: int, skip: int) -> tuple:
+    """Halton points skip+1 .. skip+count, as tuples of (name, value)."""
+    return tuple(
+        tuple((name, lo + (hi - lo) * _radical_inverse(i, _PRIMES[dim]))
+              for dim, (name, lo, hi) in enumerate(intervals))
+        for i in range(1 + skip, count + skip + 1))
 
 
 def as_fraction(value) -> Fraction:
@@ -105,11 +116,4 @@ class Box:
         """
         if len(self.intervals) > len(_PRIMES):
             raise ValueError("box has more coordinates than supported")
-        points = []
-        for i in range(1 + skip, count + skip + 1):
-            pt = {}
-            for dim, (name, lo, hi) in enumerate(self.intervals):
-                u = _radical_inverse(i, _PRIMES[dim])
-                pt[name] = lo + (hi - lo) * u
-            points.append(pt)
-        return points
+        return [dict(pt) for pt in _halton(tuple(self.intervals), count, skip)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Optional, Sequence
 
 from . import linalg
@@ -48,6 +48,22 @@ def _as_expr(value, variables, registry) -> ScalarExpr:
     return Const(as_fraction(value))
 
 
+def _once_per_family(check):
+    """`check(family)`, kept on the family object, which with its
+    write-once registry is all the result depends on; a call with more
+    arguments, or one that raises, is not kept."""
+    key = "_once_" + check.__name__
+
+    @wraps(check)
+    def once(family, *args, **kwargs):
+        if args or kwargs:
+            return check(family, *args, **kwargs)
+        if key not in family.__dict__:
+            family.__dict__[key] = check(family)
+        return family.__dict__[key]
+    return once
+
+
 # ---------------------------------------------------------------------------
 # direction fields (sections of the direction bundle)
 # ---------------------------------------------------------------------------
@@ -70,7 +86,9 @@ class DirectionField:
 @dataclass(frozen=True)
 class ConeFamily:
     """A one-parameter family of base directions in normal form, together
-    with the contact form whose kernel contains every direction."""
+    with the contact form whose kernel contains every direction.  It keeps
+    the default-argument results of `check_nondegenerate`,
+    `check_lagrangian`, `check_osculating_condition` and `solve_U`."""
 
     x_chart: Chart
     theta: str
@@ -201,6 +219,7 @@ def cone_frame(family: ConeFamily) -> tuple:
 # non-degeneracy
 # ---------------------------------------------------------------------------
 
+@_once_per_family
 def check_nondegenerate(family: ConeFamily,
                         point: Optional[dict] = None) -> bool:
     """True when the generator and its three direction-derivatives have
@@ -247,6 +266,7 @@ class LagrangianReport:
         return self.passed
 
 
+@_once_per_family
 def check_lagrangian(family: ConeFamily,
                      section: Optional[DirectionField] = None
                      ) -> LagrangianReport:
@@ -330,6 +350,7 @@ class OsculatingConditionReport:
         return self.passed
 
 
+@_once_per_family
 def check_osculating_condition(family: ConeFamily
                                ) -> OsculatingConditionReport:
     """Check [zeta2, zeta3] = 0 modulo (zeta1, zeta2, zeta3, zeta4)
@@ -369,6 +390,7 @@ class SolveUResult:
     report: OsculatingConditionReport
 
 
+@_once_per_family
 def solve_U(family: ConeFamily) -> SolveUResult:
     """Solve for U with [zeta2 + U*zeta1, zeta3] = 0 modulo
     (zeta1, zeta2, zeta3).

@@ -267,8 +267,8 @@ class Span:
 
     Rational rows are eliminated once into an `ExactSpan`, against which
     rational vectors are decided exactly.  A float row or a float vector
-    uses the float rule instead: the least-squares residual r of vec
-    counts as zero when |r| <= FLOAT_RTOL * max(1, |vec|).
+    uses the float rule instead, on one QR of the rows: the least-squares
+    residual r of vec counts as zero when |r| <= FLOAT_RTOL * max(1, |vec|).
     """
 
     def __init__(self, rows):
@@ -276,6 +276,7 @@ class Span:
         self._exact = (ExactSpan(self.rows)
                        if all(r.ints is not None for r in self.rows)
                        else None)
+        self._qr = None
 
     def contains(self, vec) -> bool:
         vec = _row(vec)
@@ -293,8 +294,9 @@ class Span:
                 return None
             return self._exact.residual(vec.values)
         b = [float(x) for x in vec.values]
-        coeffs = _FloatQR([r.values for r in self.rows],
-                          len(b)).least_squares(b)
+        if self._qr is None:
+            self._qr = _FloatQR([r.values for r in self.rows], len(b))
+        coeffs = self._qr.least_squares(b)
         residual = b
         for c, row in zip(coeffs, self.rows):
             residual = [x - c * float(y) for x, y in zip(residual, row.values)]

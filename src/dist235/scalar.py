@@ -879,16 +879,17 @@ def _finished(builder: _NFBuilder, num_pair, den_pair) -> _NormalForm:
     if not dn:
         raise ZeroDenominatorError("denominator normalizes to zero")
     if not nn:
-        return _NormalForm(builder.chart, {}, {0: 1}, ())
+        return _NormalForm(builder.chart, {}, _POLY_ONE[0], ())
     # (nn/nd) / (dn/dd) = (nn*dd) / (dn*nd), over their joint content g,
     # signed to make the leading denominator coefficient positive
     atoms = builder.term_atoms(nn, dn)
     g = math.gcd(dd * math.gcd(*nn.values()), nd * math.gcd(*dn.values()))
     if dn[_print_order(dn, atoms)[0]] < 0:
         g = -g
+    den = {m: c * nd // g for m, c in dn.items()}  # 1 shares one dict
     return _NormalForm(builder.chart,
                        {m: c * dd // g for m, c in nn.items()},
-                       {m: c * nd // g for m, c in dn.items()}, atoms)
+                       _POLY_ONE[0] if den == _POLY_ONE[0] else den, atoms)
 
 
 def _chart_key(chart) -> Optional[tuple]:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from dist235 import conedual
 from dist235.conedual import (
     BUILTIN_MODELS, ConeFamily, DirectionField, builtin_model,
     check_lagrangian, check_nondegenerate, check_osculating_condition,
@@ -22,6 +23,8 @@ from dist235.scalar import (
 from dist235.vecfield import (
     Chart, ChartError, Frame, PointValues, lie_bracket, pair,
 )
+
+from helpers import count_calls
 
 TOL = 1e-9
 SEED = 47110815
@@ -428,6 +431,58 @@ class TestProlongCone:
         structure = prolong_cone(builtin_model("flat-cone"))
         vec = structure.k_field.evaluate_at(structure.base_point)
         assert tuple(vec) == (0, 0, 0, 0, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# results kept per family
+# ---------------------------------------------------------------------------
+
+class TestPerFamilyResults:
+    def test_solve_U_computed_once(self):
+        family = builtin_model("flat-cone")
+        assert solve_U(family) is solve_U(family)
+        assert solve_U(family).report is check_osculating_condition(family)
+
+    def test_prolong_cone_reuses_the_checks(self, monkeypatch):
+        family = builtin_model("noncubic-bc",
+                               {"b": "th^3", "c": "3/2*th^4"})
+        assert check_nondegenerate(family)
+        assert check_lagrangian(family)
+        assert check_osculating_condition(family)
+        solve_U(family)
+        members = count_calls(monkeypatch, PointValues, "member")
+        prolong_cone(family)
+        assert not members
+
+    def test_failure_raises_on_every_call(self):
+        family = builtin_model("noncubic-bc", {"b": "th^3", "c": "th^4"})
+        report = check_osculating_condition(family)
+        for _ in range(2):
+            with pytest.raises(StructureError, match="no correction"):
+                solve_U(family)
+        assert check_osculating_condition(family) is report
+
+    def test_each_family_reports_its_own_box(self):
+        family = builtin_model("flat-cone")
+        wide = ConeFamily.build(family.x_chart, family.components,
+                                family.alpha, box=family.box.scaled(2),
+                                name=family.name)
+        assert wide == family and wide.box != family.box
+        assert check_lagrangian(family).box == family.box
+        assert check_lagrangian(wide).box == wide.box
+
+    def test_explicit_point_computes_afresh(self, monkeypatch):
+        # the cubic part vanishes where x2 = -1/4, so the family is
+        # non-degenerate at the base point and degenerate there
+        family = family_from("th", "th^2", "(1 + 4*x2)*th^3",
+                             name="pinched")
+        assert check_nondegenerate(family)
+        probe = dict(family.base_point, x2=Fraction(-1, 4))
+        ranks = count_calls(monkeypatch, conedual, "rank_at")
+        assert not check_nondegenerate(family, probe)
+        assert ranks
+        section = DirectionField.constant(Fraction(1, 8))
+        assert check_lagrangian(family, section=section).section == "1/8"
 
 
 # ---------------------------------------------------------------------------

@@ -660,6 +660,16 @@ class TestVerifyMatchesReference:
             assert report == reference_verify(s, samples=8)
             assert report.valid != swap
 
+    def test_float_span_is_factored_once(self, monkeypatch):
+        # one QR per span and one per rank call; the membership tests
+        # against a span reuse its QR
+        structure = opaque_structure()
+        factored = count_calls(monkeypatch, linalg, "_FloatQR")
+        spans = count_calls(monkeypatch, linalg, "Span")
+        ranks = count_calls(monkeypatch, linalg, "float_rank")
+        assert verify_pseudo_product(structure, samples=8).valid
+        assert spans and len(factored) <= len(spans) + len(ranks)
+
 
 def rebuilt_swap(structure):
     """Reference for `swapped`: the swapped structure validated and its

@@ -34,6 +34,32 @@ def make_registry():
 
 
 # ---------------------------------------------------------------------------
+# box sampling
+
+class TestHalton:
+    BOX = Box([("a", 0, 1), ("b", 0, 1)])
+    # the radical inverses of 1, 2, 3 in bases 2 and 3, by hand
+    FIRST = [{"a": Fraction(1, 2), "b": Fraction(1, 3)},
+             {"a": Fraction(1, 4), "b": Fraction(2, 3)},
+             {"a": Fraction(3, 4), "b": Fraction(1, 9)}]
+
+    def test_van_der_corput_points(self):
+        assert self.BOX.sample_points(3) == self.FIRST
+
+    def test_returned_points_are_fresh(self):
+        first = self.BOX.sample_points(3)
+        first[0]["a"] = Fraction(7)
+        del first[1]["b"]
+        assert self.BOX.sample_points(3) == self.FIRST
+
+    def test_skip_continues_the_sequence(self):
+        assert self.BOX.sample_points(2, skip=1) == \
+            self.BOX.sample_points(3)[1:]
+        assert self.BOX.sample_points(4, skip=3) == \
+            self.BOX.sample_points(7)[3:]
+
+
+# ---------------------------------------------------------------------------
 # parsing and printing
 
 class TestParse:
@@ -678,6 +704,12 @@ class TestCarriedPairs:
         carried = visits(scalar._NormalForm.reusable)
         bare = visits(property(lambda self: False))
         assert 2 * carried <= bare
+
+    def test_denominator_one_is_one_shared_dict(self):
+        forms = [scalar._normal_form(parse_expr(text, CHART), CHART)
+                 for text in ("x1^2 + x2", "x3*x1 - 1", "x2 - x2")]
+        assert forms[0].den == {0: 1}
+        assert forms[0].den is forms[1].den is forms[2].den
 
 
 class TestExactEvaluation:
