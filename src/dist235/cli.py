@@ -635,29 +635,17 @@ class _SuiteRun:
         return center + (hi - lo) * Fraction(self.rng.randint(-16, 16), 64)
 
     def duality_launch(self, index: int):
-        """Launch data for duality check `index`: 0 is the base point,
-        higher indices draw seeded rational offsets inside the box."""
-        if self.model.kind == "distribution235":
-            dist = self.distribution()
-            x0 = {v: as_fraction(dist.base_point[v])
-                  for v in dist.chart.variables}
-            theta0 = Fraction(0)
-            if index:
-                for var in dist.chart.variables:
-                    lo, hi = dist.box.bounds(var)
-                    x0[var] = self._draw(lo, hi, x0[var])
-                theta0 = Fraction(self.rng.randint(-16, 16), 64)
-            return x0, theta0
-        family = self.family()
-        x0 = {v: as_fraction(family.base_point[v])
-              for v in family.x_chart.variables}
-        theta0 = as_fraction(family.base_point[family.theta])
+        """Launch data for duality check `index`: 0 is the splitting's
+        base point, higher indices draw seeded rational offsets inside
+        its box.  The splitting's last coordinate is the direction."""
+        structure = self.structure()
+        variables = structure.z_chart.variables
+        x0 = {v: as_fraction(structure.base_point[v]) for v in variables}
         if index:
-            for var in family.x_chart.variables:
-                lo, hi = family.box.bounds(var)
+            for var in variables:
+                lo, hi = structure.box.bounds(var)
                 x0[var] = self._draw(lo, hi, x0[var])
-            lo, hi = family.box.bounds(family.theta)
-            theta0 = self._draw(lo, hi, theta0)
+        theta0 = x0.pop(variables[-1])
         return x0, theta0
 
     def check_duality(self, index: int):

@@ -48,6 +48,14 @@ def _as_expr(value, variables, registry) -> ScalarExpr:
     return Const(as_fraction(value))
 
 
+def _witness(verdict) -> Optional[str]:
+    """The witness text of an `is_zero` verdict: its value at the point
+    where it is nonzero, or None when the verdict is not "nonzero"."""
+    if verdict.status != "nonzero":
+        return None
+    return f"value {verdict.value} at {_format_point(verdict.witness)}"
+
+
 def _once_per_family(check):
     """`check(family)`, kept on the family object, which with its
     write-once registry is all the result depends on; a call with more
@@ -150,8 +158,7 @@ class ConeFamily:
         if verdict.status == "nonzero":
             raise StructureError(
                 f"{name}: the contact form does not annihilate the "
-                f"directions; value {verdict.value} at "
-                f"{_format_point(verdict.witness)}")
+                f"directions; {_witness(verdict)}")
         object.__setattr__(family, "alpha_status", verdict.status)
         return family
 
@@ -299,17 +306,12 @@ def check_lagrangian(family: ConeFamily,
         section_text = to_text(section.expr)
 
     checks = []
-    passed = True
     for name, expr in exprs:
         verdict = is_zero(expr, check_box, variables, registry)
-        witness = None
-        if verdict.status == "nonzero":
-            passed = False
-            witness = (f"value {verdict.value} at "
-                       f"{_format_point(verdict.witness)}")
-        checks.append((name, verdict.status, witness))
-    return LagrangianReport(passed=passed, checks=tuple(checks),
-                            box=check_box, section=section_text)
+        checks.append((name, verdict.status, _witness(verdict)))
+    return LagrangianReport(passed=all(w is None for _, _, w in checks),
+                            checks=tuple(checks), box=check_box,
+                            section=section_text)
 
 
 # ---------------------------------------------------------------------------
@@ -364,18 +366,14 @@ def check_osculating_condition(family: ConeFamily
     labels = ("coefficient along the third derivative direction",
               f"coefficient along {complement.name}")
     residuals = []
-    passed = True
     for label, expr in zip(labels, coeffs[4:6]):
         verdict = is_zero(expr, box, family.z_chart.variables,
                           family.registry)
-        witness = None
-        if verdict.status == "nonzero":
-            passed = False
-            witness = (f"value {verdict.value} at "
-                       f"{_format_point(verdict.witness)}")
-        residuals.append((label, to_text(expr), verdict.status, witness))
+        residuals.append((label, to_text(expr), verdict.status,
+                          _witness(verdict)))
     return OsculatingConditionReport(
-        passed=passed, residuals=tuple(residuals),
+        passed=all(w is None for _, _, _, w in residuals),
+        residuals=tuple(residuals),
         coefficients=tuple(to_text(c) for c in coeffs), box=box)
 
 
@@ -409,11 +407,7 @@ def solve_U(family: ConeFamily) -> SolveUResult:
     z_vars = family.z_chart.variables
     u_expr = normalize(Prod((Const(Fraction(-1)), coeffs[3])), z_vars)
     zeta1, zeta2 = family.zeta(1), family.zeta(2)
-    l_field = VectorField(
-        family.z_chart,
-        tuple(normalize(Sum((c2, Prod((u_expr, c1)))), z_vars)
-              for c1, c2 in zip(zeta1.components, zeta2.components)),
-        "L")
+    l_field = (zeta2 + zeta1 * u_expr).normalized("L")
     # Self-check: the corrected generator's bracket with zeta3 reduces
     # into (zeta1, zeta2, zeta3) at 20 Halton points of the box.
     low_frame = Frame(family.z_chart,

@@ -271,15 +271,8 @@ def prolong_235(dist: Distribution235) -> ProlongedDistribution:
         dist.eta1, dist.eta2, dist.eta3, dist.eta4, dist.eta5))
     tvar = Var(FIBER)
     zeta2 = coordinate_field(z_chart, FIBER).renamed("zeta2")
-
-    def along_fiber(first: VectorField, second: VectorField, name: str):
-        # first + FIBER * second
-        return VectorField(z_chart, tuple(
-            normalize(Sum((a, Prod((tvar, b)))), z_chart.variables)
-            for a, b in zip(first.components, second.components)), name)
-
-    zeta1 = along_fiber(e1, e2, "zeta1")
-    w4 = along_fiber(e4, e5, "w4")
+    zeta1 = (e1 + e2 * tvar).normalized("zeta1")
+    w4 = (e4 + e5 * tvar).normalized("w4")
 
     z_base = dict(dist.base_point)
     z_base[FIBER] = Fraction(0)
@@ -580,19 +573,13 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
     # Pick the equation whose linear coefficient is largest at the base
     # point; for the canonical construction this is the bracket with the
     # fourth layer generator, whose coefficient is exactly 1.
-    best, best_mag = None, -1.0
-    for a, b in pairs:
-        value = evaluate(b, prolonged.base_point, registry)
-        if linalg.is_zero_value(value):
-            continue
-        mag = abs(float(value))
-        if mag > best_mag:
-            best, best_mag = (a, b), mag
+    best = linalg.largest_nonzero(
+        [evaluate(b, prolonged.base_point, registry) for _, b in pairs])
     if best is None:
         raise StructureError(
             "no bracket produces a usable linear coefficient for the "
             "correction scalar at the base point")
-    a, b = best
+    a, b = pairs[best]
     e_expr = normalize(Prod((Const(Fraction(-1)), a, Pow(b, -1))),
                        prolonged.z_chart.variables)
 
@@ -611,13 +598,7 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
                 f"{to_text(residual)} is nonzero at "
                 f"{_format_point(verdict.witness)}")
 
-    k_field = VectorField(
-        prolonged.z_chart,
-        tuple(normalize(Sum((c1, Prod((e_expr, c2)))),
-                        prolonged.z_chart.variables)
-              for c1, c2 in zip(prolonged.zeta1.components,
-                                prolonged.zeta2.components)),
-        "K")
+    k_field = (prolonged.zeta1 + prolonged.zeta2 * e_expr).normalized("K")
     return SolveEResult(expression=e_expr, k_field=k_field,
                         l_field=l_field.renamed("L"))
 

@@ -243,6 +243,20 @@ def is_zero_value(x) -> bool:
     return matrix_rank([[x]]) == 0
 
 
+def largest_nonzero(values) -> Optional[int]:
+    """The pivot rule: the index of the value of largest magnitude among
+    those not zero by `is_zero_value`, the first on a tie, or None when
+    every value is zero."""
+    best, best_mag = None, -1.0
+    for i, x in enumerate(values):
+        if is_zero_value(x):
+            continue
+        mag = abs(float(x))
+        if mag > best_mag:
+            best, best_mag = i, mag
+    return best
+
+
 def exact_nullspace(rows):
     """Basis of the right nullspace of a rational matrix, read from its
     reduced row echelon form: one vector per free column, ascending."""

@@ -12,7 +12,6 @@ cross-validated numerically.
 import bisect
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -23,7 +22,7 @@ from .distduality import (
 )
 from .linalg import is_zero_value, nullspace
 from .scalar import (
-    Const, OpaqueRegistry, Prod, ScalarExpr, Sum, Var, compile_exprs,
+    OpaqueRegistry, Prod, ScalarExpr, Sum, Var, compile_exprs,
     differentiate, evaluate, free_variables, normalize,
 )
 from .vecfield import Chart, ChartError, VectorField
@@ -259,9 +258,11 @@ class PreparedSystem:
     """What integrating a control system needs, built once per system:
     the pairing, and compiled batches of the dynamics, of their state
     Jacobian (row by row), of the control constraint dH/du, and of the
-    control rule of the system's mode."""
+    control rule of the system's mode, which `resolve` applies."""
 
     def __init__(self, cs: ControlSystem):
+        self.mode = cs.mode
+        self.m = cs.state_chart.dimension
         self.ham = ham = hamiltonian(cs)
         states, reg = cs.state_chart.variables, cs.registry
         f_vars = states + cs.control_names
@@ -279,6 +280,51 @@ class PreparedSystem:
             a_field, b_field = cs.rule_fields
             self.rule_fn = compile_exprs(
                 a_field.components + b_field.components, states, reg)
+
+    def resolve(self, x, p, u, max_newton: int) -> tuple:
+        """The control at (x, p) projected onto the constraint manifold
+        by the system's mode, warm-started from the control u."""
+        if self.mode == "fixed":
+            return u
+        if self.mode == "linear-singular":
+            vals = self.rule_fn(x)
+            w_a = _dot(p, vals[:self.m])
+            w_b = _dot(p, vals[self.m:])
+            size = math.hypot(w_a, w_b)
+            if size <= 1e-12 * max(1.0, _norm(p)):
+                raise IntegrationError(
+                    "control rule lost rank: both singular pairings "
+                    "vanish")
+            candidate = (w_b / size, -w_a / size)
+            if _dot(candidate, u) < 0.0:
+                candidate = (-candidate[0], -candidate[1])
+            return candidate
+        # damped scalar Newton on the designated control
+        g_fn, slot = self.g_fn, self.slot
+        scale = max(1.0, _norm(p))
+        for _ in range(max_newton):
+            g, gp = g_fn(x + p + u)
+            if abs(g) <= _NEWTON_TOL * scale:
+                return u
+            if abs(gp) <= 1e-10 * scale:
+                raise IntegrationError(
+                    "constraint Jacobian lost rank during projection")
+            step = -g / gp
+            lam = 1.0
+            while lam >= 1 / 1024:
+                trial = u[:slot] + (u[slot] + lam * step,) + u[slot + 1:]
+                g_new = g_fn(x + p + trial)[0]
+                if abs(g_new) <= (1 - lam / 2) * abs(g):
+                    u = trial
+                    break
+                lam /= 2
+            else:
+                raise IntegrationError(
+                    "Newton projection diverged (no damping step "
+                    "accepted)")
+        raise IntegrationError(
+            f"Newton projection failed to converge within "
+            f"{max_newton} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -494,60 +540,6 @@ def _as_vector(names: tuple, value, error, what: str) -> tuple:
     return vec
 
 
-class _ControlResolver:
-    """Per-stage projection of the control onto the constraint manifold,
-    warm-started from the control it is given."""
-
-    def __init__(self, cs, max_newton):
-        self.prep = cs.prepared
-        self.mode = cs.mode
-        self.max_newton = max_newton
-        self.m = cs.state_chart.dimension
-
-    def __call__(self, x, p, u):
-        if self.mode == "fixed":
-            return u
-        if self.mode == "linear-singular":
-            vals = self.prep.rule_fn(x)
-            w_a = _dot(p, vals[:self.m])
-            w_b = _dot(p, vals[self.m:])
-            size = math.hypot(w_a, w_b)
-            if size <= 1e-12 * max(1.0, _norm(p)):
-                raise IntegrationError(
-                    "control rule lost rank: both singular pairings "
-                    "vanish")
-            candidate = (w_b / size, -w_a / size)
-            if _dot(candidate, u) < 0.0:
-                candidate = (-candidate[0], -candidate[1])
-            return candidate
-        # damped scalar Newton on the designated control
-        g_fn, slot = self.prep.g_fn, self.prep.slot
-        scale = max(1.0, _norm(p))
-        for _ in range(self.max_newton):
-            g, gp = g_fn(x + p + u)
-            if abs(g) <= _NEWTON_TOL * scale:
-                return u
-            if abs(gp) <= 1e-10 * scale:
-                raise IntegrationError(
-                    "constraint Jacobian lost rank during projection")
-            step = -g / gp
-            lam = 1.0
-            while lam >= 1 / 1024:
-                trial = u[:slot] + (u[slot] + lam * step,) + u[slot + 1:]
-                g_new = g_fn(x + p + trial)[0]
-                if abs(g_new) <= (1 - lam / 2) * abs(g):
-                    u = trial
-                    break
-                lam /= 2
-            else:
-                raise IntegrationError(
-                    "Newton projection diverged (no damping step "
-                    "accepted)")
-        raise IntegrationError(
-            f"Newton projection failed to converge within "
-            f"{self.max_newton} iterations")
-
-
 def integrate_biextremal(cs: ControlSystem, x0, p0, u0, t_end, *,
                          rtol: float = 1e-10, atol: float = 1e-12,
                          h_max: Optional[float] = None,
@@ -583,7 +575,6 @@ def integrate_biextremal(cs: ControlSystem, x0, p0, u0, t_end, *,
             f"initial data violates the constraint: residual "
             f"{initial_residual:.3e}")
 
-    resolver = _ControlResolver(cs, max_newton)
     residual_rows = []
     control_rows = []
     current_u = u_init
@@ -594,7 +585,7 @@ def integrate_biextremal(cs: ControlSystem, x0, p0, u0, t_end, *,
         nonlocal current_u
         x, p = y[:m], y[m:]
         start = control_rows[-1] if control_rows else u_init
-        current_u = resolver(x, p, start)
+        current_u = prep.resolve(x, p, start, max_newton)
         fc = x + current_u
         jac = prep.jac_fn(fc)  # row by row: jac[j::m] is column j
         return (*prep.f_fn(fc), *(-_dot(p, jac[j::m]) for j in range(m)))
@@ -801,14 +792,6 @@ def _reparametrized(states, derivs, column):
     return params[::order], states[::order], slopes[::order]
 
 
-def _mixed_depth_field(dist: Distribution235, ratio: Fraction) -> VectorField:
-    """The depth-three combination eta4 + ratio * eta5."""
-    comps = tuple(
-        normalize(Sum((a, Prod((Const(ratio), b)))), dist.chart.variables)
-        for a, b in zip(dist.eta4.components, dist.eta5.components))
-    return VectorField(dist.chart, comps, "eta4+ratio*eta5")
-
-
 def singular_launch(cs: ControlSystem, x0: dict, theta0):
     """Initial costate and control for the singular path launched from
     x0 toward the direction parameter theta0.
@@ -831,7 +814,8 @@ def singular_launch(cs: ControlSystem, x0: dict, theta0):
     if isinstance(cs.source, Distribution235):
         dist = cs.source
         ratio = as_fraction(theta0)
-        mixed = _mixed_depth_field(dist, ratio)
+        mixed = (dist.eta4 + dist.eta5 * ratio).normalized(
+            "eta4+ratio*eta5")
         rows = [f.evaluate_at(x0, dist.registry)
                 for f in (dist.eta1, dist.eta2, dist.eta3, mixed)]
         prefer = dist.eta5.evaluate_at(x0, dist.registry)

@@ -103,40 +103,11 @@ class ScalarExpr:
     # field, so equality, hashing and printing ignore it
     _nf = None
 
-    def __add__(self, other):
-        return Sum((self, _coerce(other)))
-
-    def __radd__(self, other):
-        return Sum((_coerce(other), self))
-
     def __sub__(self, other):
         return Sum((self, _negate(_coerce(other))))
 
-    def __rsub__(self, other):
-        return Sum((_coerce(other), _negate(self)))
-
-    def __mul__(self, other):
-        return Prod((self, _coerce(other)))
-
-    def __rmul__(self, other):
-        return Prod((_coerce(other), self))
-
-    def __truediv__(self, other):
-        return Prod((self, _reciprocal(_coerce(other))))
-
-    def __rtruediv__(self, other):
-        return Prod((_coerce(other), _reciprocal(self)))
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            raise TypeError("exponents must be Python ints")
-        return Pow(self, exponent)
-
     def __neg__(self):
         return _negate(self)
-
-    def __str__(self):
-        return to_text(self)
 
 
 @dataclass(frozen=True)

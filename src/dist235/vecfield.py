@@ -18,7 +18,7 @@ from . import linalg
 from .boxes import Box, as_fraction
 from .scalar import (
     Const, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum, default_registry,
-    differentiate, evaluate, free_variables, normalize, parse_expr, to_text,
+    differentiate, evaluate, free_variables, normalize, parse_expr,
 )
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -130,24 +130,18 @@ class VectorField:
                       for a, b in zip(self.components, other.components))
         return VectorField(self.chart, comps)
 
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + (other * Const(Fraction(-1)))
-
     def __mul__(self, factor) -> "VectorField":
         if not isinstance(factor, ScalarExpr):
             factor = Const(as_fraction(factor))
         comps = tuple(Prod((factor, c)) for c in self.components)
         return VectorField(self.chart, comps)
 
-    __rmul__ = __mul__
-
-    def __str__(self):
-        parts = []
-        for var, comp in zip(self.chart.variables, self.components):
-            text = to_text(comp)
-            if text != "0":
-                parts.append(f"({text})*d/d{var}")
-        return " + ".join(parts) if parts else "0"
+    def normalized(self, name: str) -> "VectorField":
+        """The field with every component normalized on its chart: with
+        `+` and `*` this is the one field combination, v + w * s."""
+        return VectorField(self.chart, tuple(
+            normalize(c, self.chart.variables) for c in self.components),
+            name)
 
 
 def coordinate_field(chart: Chart, name: str) -> VectorField:
@@ -289,12 +283,15 @@ def symbolic_decompose(targets: Sequence[VectorField],
 
     The basis must be square (as many fields as chart dimensions) and
     invertible at the base point; each pivot is the remaining entry of
-    largest magnitude among those nonzero there (exactly, for rational
-    values), so every denominator introduced along the way is nonzero at
-    the base point and the result is valid on a neighbourhood of it.
-    Pivots and row factors come from the basis columns alone, so each
-    target's coefficients do not depend on the other targets.
+    largest magnitude among those nonzero there (`linalg.largest_nonzero`),
+    so every denominator introduced along the way is nonzero at the base
+    point and the result is valid on a neighbourhood of it.  Pivots and
+    row factors come from the basis columns alone, so each target's
+    coefficients do not depend on the other targets, and no targets give
+    no coefficients.
     """
+    if not targets:
+        return ()
     if registry is None:
         registry = default_registry()
     chart = targets[0].chart
@@ -314,24 +311,15 @@ def symbolic_decompose(targets: Sequence[VectorField],
     rows = [[normalize(f.components[i], variables) for f in columns]
             for i in range(n)]
     pivot_of_col = {}
-    used_rows = set()
+    free = list(range(n))  # the rows not yet holding a pivot, ascending
     for col in range(n):
-        # the largest value that is not zero by linalg's rule pivots
-        best_row, best_mag = None, -1.0
-        for r in range(n):
-            if r in used_rows:
-                continue
-            val = evaluate(rows[r][col], base_point, registry)
-            if linalg.is_zero_value(val):
-                continue
-            mag = abs(float(val))
-            if mag > best_mag:
-                best_row, best_mag = r, mag
-        if best_row is None:
+        pick = linalg.largest_nonzero(
+            [evaluate(rows[r][col], base_point, registry) for r in free])
+        if pick is None:
             raise DegenerateFrameError(
                 "basis degenerates at the base point "
                 f"(no usable pivot in column {col})")
-        used_rows.add(best_row)
+        best_row = free.pop(pick)
         pivot_of_col[col] = best_row
         pivot = rows[best_row][col]
         inv = Pow(pivot, -1)
@@ -431,11 +419,11 @@ class OneForm:
     components: tuple  # coefficient of dx_i per chart variable
 
     def __post_init__(self):
-        object.__setattr__(self, "components",
-                           _check_components(self.chart, self.components))
-
-    def __call__(self, v: VectorField) -> ScalarExpr:
-        return pair(self, v)
+        # normalized once here, so `exterior_derivative` differentiates
+        # each component as a polynomial, not through its parsed tree
+        object.__setattr__(self, "components", tuple(
+            normalize(c, self.chart.variables)
+            for c in _check_components(self.chart, self.components)))
 
 
 @dataclass(frozen=True)

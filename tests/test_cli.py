@@ -563,6 +563,52 @@ class TestRunSuite:
         assert check["residual"] <= 1e-6
 
 
+class TestReportPins:
+    """SHA-256 of `canonical_json(run_suite(...))` beyond the seed-7
+    reports: a change to these bytes is a change to the reports."""
+
+    # two bundled models at seed 3 on the half-size box, where both
+    # random duality launches draw from the scaled box
+    BUNDLED_SHA256 = {
+        "hilbert-cartan":
+            "ea01076711b92054f8c7f02a7abd567bbc36684b4d7072084714844c2a3de6d6",
+        "flat-cone":
+            "cd84e31716c5ffca60092c79caabe2b0054b0efa940c965a2d977227345f1801",
+    }
+
+    # noncubic-bc documents with generated b and c, at seed 3: the first
+    # satisfies the osculating identity, the second does not
+    GENERATED = {
+        "generated-compliant": (
+            {"b": "(-1/2)*th^3 + (2)*th^4 + (-1/4)*th^5 + (1/4)*th^6",
+             "c": "(-3/4)*th^4 + (18/5)*th^5 + (-1/2)*th^6 "
+                  "+ (15/28)*th^7"},
+            "2002ffe9326f98e24b8247a4c32404dca131dab7082a9b02fa42af3f1a5d30e5"),
+        "generated-violating": (
+            {"b": "(2)*th^3 + (2)*th^4 + (1/2)*th^5 + (2)*th^6",
+             "c": "(-1/2)*th^4 + (1/4)*th^5 + (1)*th^6 + (1/4)*th^7"},
+            "c8135f73fbf5323e853f98dd3fa3b0c5d53074e63eb2d6c12ec459df802636ab"),
+    }
+
+    @staticmethod
+    def digest(report) -> str:
+        return hashlib.sha256(canonical_json(report).encode()).hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED_SHA256))
+    def test_half_box_seed_three(self, name):
+        model = parse_model(bundled_document(name), name)
+        report = run_suite(model, "all", 3, box_scale=Fraction(1, 2))
+        assert self.digest(report) == self.BUNDLED_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(GENERATED))
+    def test_generated_noncubic_bc(self, name):
+        expressions, expected = self.GENERATED[name]
+        doc = dict(json.loads(bundled_document("noncubic-bc")), name=name,
+                   expressions=expressions)
+        report = run_suite(parse_model(json.dumps(doc), name), "all", 3)
+        assert self.digest(report) == expected
+
+
 # ---------------------------------------------------------------------------
 # text rendering
 # ---------------------------------------------------------------------------

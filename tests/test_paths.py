@@ -551,13 +551,13 @@ class TestBiExtremal:
         # of a rejected step or an accepted one, may start the
         # projection from another stage's control.
         received = []
-        resolve = paths._ControlResolver.__call__
+        resolve = paths.PreparedSystem.resolve
 
-        def spy(self, x, p, u):
+        def spy(self, x, p, u, max_newton):
             received.append(tuple(u))
-            return resolve(self, x, p, u)
+            return resolve(self, x, p, u, max_newton)
 
-        monkeypatch.setattr(paths._ControlResolver, "__call__", spy)
+        monkeypatch.setattr(paths.PreparedSystem, "resolve", spy)
         cs = distribution_system(cubic_distribution())
         trace = integrate_biextremal(
             cs, BASE_CHART.origin(), (0, 1, 0, 0, 1), (1, 0), 1.0,
@@ -779,21 +779,13 @@ class TestVerifyDuality:
                            X_CHART.origin(), 0, 0.5)
 
     def test_time_reversal_closes(self):
-        from dist235.paths import _annihilating_costate, \
-            _mixed_depth_field
+        from dist235.paths import singular_launch
 
         dist = cubic_distribution()
         cs = distribution_system(dist)
         x0 = {"x": Fraction(1, 16), "y": 0, "y1": Fraction(1, 8),
               "y2": Fraction(-1, 16), "z": 0}
-        theta0 = Fraction(1, 8)
-        mixed = _mixed_depth_field(dist, theta0)
-        rows = [f.evaluate_at(x0, dist.registry)
-                for f in (dist.eta1, dist.eta2, dist.eta3, mixed)]
-        prefer = dist.eta5.evaluate_at(x0, dist.registry)
-        p0 = _annihilating_costate(rows, prefer)
-        norm = math.hypot(1.0, float(theta0))
-        u0 = (1.0 / norm, float(theta0) / norm)
+        p0, u0 = singular_launch(cs, x0, Fraction(1, 8))
         fwd = integrate_biextremal(cs, x0, p0, u0, 0.4)
         back = integrate_biextremal(cs, fwd.states[-1],
                                     fwd.costates[-1],

@@ -335,6 +335,29 @@ class TestZeroValue:
             [True] * 4 + [False] * 5
 
 
+class TestLargestNonzero:
+    """`linalg.largest_nonzero`, the pivot rule of `symbolic_decompose`
+    and `solve_e`."""
+
+    def test_first_index_wins_a_tie(self):
+        assert linalg.largest_nonzero([1, -3, 3, Fraction(-3)]) == 1
+        assert linalg.largest_nonzero([0.75, Fraction(3, 4)]) == 0
+
+    def test_zeros_are_skipped(self):
+        assert linalg.largest_nonzero(
+            [0, 0.0, -0.0, Fraction(0), Fraction(1, 10 ** 30)]) == 4
+        assert linalg.largest_nonzero([Fraction(0), 0.0, -2]) == 2
+
+    def test_none_when_every_value_is_zero(self):
+        assert linalg.largest_nonzero([0, 0.0, Fraction(0), -0.0]) is None
+        assert linalg.largest_nonzero([]) is None
+
+    def test_fractions_and_floats_mix(self):
+        assert linalg.largest_nonzero(
+            [Fraction(1, 3), 0.5, Fraction(-2, 3), 0.25]) == 2
+        assert linalg.largest_nonzero([Fraction(1, 3), -0.5]) == 1
+
+
 class TestFloatQR:
     """The float fallbacks (one pivoted Householder QR) agree with
     numpy's SVD rank, least squares and nullspace on seeded matrices,
@@ -491,6 +514,41 @@ class TestReduceMod:
         assert at.residual(lie_bracket(eta1, eta2), fr) is not None
 
 
+class TestFieldCombination:
+    """v + w * s, normalized: the one way fields are combined."""
+
+    def test_components_are_the_normalized_combination(self):
+        eta1, eta2 = growth_frame()
+        v = lie_bracket(eta1, eta2)
+        w = lie_bracket(eta1, v)
+        s = CH5.parse("y2^2 - 3*x/2")
+        combo = (v + w * s).normalized("combo")
+        assert combo.name == "combo" and combo.chart == CH5
+        for c, a, b in zip(combo.components, v.components, w.components):
+            assert c == normalize(Sum((a, Prod((s, b)))), CH5.variables)
+
+    def test_rational_factor_is_a_constant(self):
+        eta1, eta2 = growth_frame()
+        combo = (eta1 + eta2 * Fraction(1, 8)).normalized("combo")
+        assert [to_text(c) for c in combo.components] == \
+            ["1", "y1", "y2", "8^-1", "y2^2"]
+
+    def test_fields_on_different_charts_rejected(self):
+        eta1, _ = growth_frame()
+        other = coordinate_field(Chart(("x1", "x2", "x3", "x4", "x5")), "x1")
+        with pytest.raises(ChartMismatchError):
+            eta1 + other
+        with pytest.raises(ChartMismatchError):
+            eta1 + other * other.chart.parse("x2")
+
+
+class TestSymbolicDecompose:
+    def test_no_targets_give_no_coefficients(self):
+        basis = tuple(coordinate_field(CH5, v) for v in CH5.variables)
+        assert vecfield.symbolic_decompose((), basis, BASE) == ()
+        assert vecfield.symbolic_decompose([], growth_frame(), BASE) == ()
+
+
 CHX = Chart(("x1", "x2", "x3", "x4", "x5"))
 
 
@@ -507,6 +565,14 @@ class TestForms:
         assert to_text(d.coefficient(0, 3)) == "-1"
         assert to_text(d.coefficient(2, 1)) == "-3"
         assert to_text(d.coefficient(0, 1)) == "0"
+
+    def test_components_normalized_on_construction(self):
+        comps = tuple(CHX.parse(s)
+                      for s in ["0", "x3*(-1)", "x2 + x2", "-x1", "1"])
+        alpha = OneForm(CHX, comps)
+        assert alpha.components == tuple(normalize(c, CHX.variables)
+                                         for c in comps)
+        assert alpha == sample_contact_form()
 
     def test_pair_one_form(self):
         alpha = sample_contact_form()
