@@ -29,9 +29,9 @@ from .distduality import (
     default_box,
 )
 from .scalar import (
-    Const, Opaque, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum,
-    default_registry, differentiate, evaluate, free_variables, is_zero,
-    min_degree, normalize, parse_expr, substitute, to_text,
+    Const, OpaqueRegistry, Prod, ScalarExpr, default_registry,
+    differentiate, evaluate, free_variables, is_zero, min_degree,
+    normalize, parse_expr, substitute, to_text,
 )
 from .vecfield import (
     Chart, ChartError, DegenerateFrameError, Frame, OneForm, PointValues,
@@ -603,7 +603,7 @@ def _driver_components(name: str, params: dict,
                 raise StructureError(
                     f"parameter {label!r} may only involve the direction "
                     f"coordinate, found {extra}")
-            order = _polynomial_order(expr)
+            order = min_degree(expr, "th", ("th",))
             if order is not None and order < bound:
                 raise StructureError(
                     f"parameter {label!r} has lowest order {order}, "
@@ -617,26 +617,3 @@ def _driver_components(name: str, params: dict,
 
 def _free_outside(expr: ScalarExpr, allowed: tuple) -> tuple:
     return tuple(sorted(free_variables(expr) - set(allowed)))
-
-
-def _non_polynomial(expr: ScalarExpr) -> bool:
-    """True when the tree contains opaque calls or negative powers, i.e.
-    when a lowest-order count on the numerator would be unreliable."""
-    if isinstance(expr, Opaque):
-        return True
-    if isinstance(expr, Pow):
-        return expr.exponent < 0 or _non_polynomial(expr.base)
-    if isinstance(expr, Sum):
-        return any(_non_polynomial(t) for t in expr.terms)
-    if isinstance(expr, Prod):
-        return any(_non_polynomial(f) for f in expr.factors)
-    return False
-
-
-def _polynomial_order(expr: ScalarExpr) -> Optional[int]:
-    """Lowest order in the direction coordinate for polynomial input;
-    None when the expression is not plainly polynomial (no order
-    constraint is enforced then) or is identically zero."""
-    if _non_polynomial(expr):
-        return None
-    return min_degree(expr, "th", ("th",))

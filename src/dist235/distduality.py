@@ -25,9 +25,9 @@ from .scalar import (
     default_registry, evaluate, is_zero, normalize, to_text,
 )
 from .vecfield import (
-    Chart, ChartError, ChartMismatchError, DegenerateFrameError,
-    DistributionFlag, Frame, PointValues, VectorField, coordinate_field,
-    derived_flag, lie_bracket, symbolic_decompose,
+    Chart, ChartError, ChartMismatchError, DistributionFlag, Frame,
+    PointValues, VectorField, coordinate_field, derived_flag, lie_bracket,
+    symbolic_decompose,
 )
 
 
@@ -213,45 +213,18 @@ class ProlongedDistribution:
     """The rank-2 plane field E on the 6-chart of fiberwise directions.
 
     `zeta1` is the horizontal generator (the direction being prolonged),
-    `zeta2` the fiber coordinate field.  `layer_frame(k)` returns a frame
-    of the k-th weak derived layer, k = 0 (E itself, rank 2) through 4
-    (the whole tangent space, rank 6).
+    `zeta2` the fiber coordinate field.  `flag.frames[k]` is the frame of
+    the k-th weak derived layer, k = 0 (E itself, rank 2) through 4 (the
+    whole tangent space, rank 6).
     """
 
-    source: Distribution235
     z_chart: Chart
     zeta1: VectorField
     zeta2: VectorField
-    etas: tuple
-    w4: VectorField
     base_point: dict = field(compare=False)
     box: Box = field(compare=False)
     flag: DistributionFlag = field(compare=False)
     registry: OpaqueRegistry = field(compare=False)
-
-    @property
-    def complement_field(self) -> VectorField:
-        """The frame direction complementary to layer 3 near the base
-        point: the bracket of the fiber direction with the layer-3
-        generator w4 equals exactly this field."""
-        return self.etas[4]
-
-    @cached_property
-    def _layer_frames(self) -> tuple:
-        e1, e2, e3, _, _ = self.etas
-        at_base = PointValues(self.base_point, self.registry)
-        layers = (
-            (self.zeta1, self.zeta2),
-            (e1, e2, self.zeta2),
-            (e1, e2, e3, self.zeta2),
-            (e1, e2, e3, self.w4, self.zeta2),
-            (e1, e2, e3, self.w4, self.zeta2, self.complement_field),
-        )
-        return tuple(Frame(self.z_chart, fields, self.base_point,
-                           self.registry, at_base) for fields in layers)
-
-    def layer_frame(self, depth: int) -> Frame:
-        return self._layer_frames[depth]
 
     @property
     def growth(self) -> tuple:
@@ -267,12 +240,9 @@ def prolong_235(dist: Distribution235) -> ProlongedDistribution:
             f"fiber coordinate {FIBER!r} collides with a base coordinate")
     z_chart = dist.chart.extend(FIBER)
     registry = dist.registry
-    e1, e2, e3, e4, e5 = (f.lifted(z_chart) for f in (
-        dist.eta1, dist.eta2, dist.eta3, dist.eta4, dist.eta5))
-    tvar = Var(FIBER)
+    e1, e2 = (f.lifted(z_chart) for f in (dist.eta1, dist.eta2))
     zeta2 = coordinate_field(z_chart, FIBER).renamed("zeta2")
-    zeta1 = (e1 + e2 * tvar).normalized("zeta1")
-    w4 = (e4 + e5 * tvar).normalized("w4")
+    zeta1 = (e1 + e2 * Var(FIBER)).normalized("zeta1")
 
     z_base = dict(dist.base_point)
     z_base[FIBER] = Fraction(0)
@@ -282,25 +252,9 @@ def prolong_235(dist: Distribution235) -> ProlongedDistribution:
     frame = Frame(z_chart, (zeta1, zeta2), z_base, registry)
     flag = derived_flag(frame, box=z_box, registry=registry)
     _check_prolonged_flag(flag, "prolonged plane field")
-
-    prolonged = ProlongedDistribution(
-        source=dist, z_chart=z_chart, zeta1=zeta1, zeta2=zeta2,
-        etas=(e1, e2, e3, e4, e5), w4=w4, base_point=z_base, box=z_box,
-        flag=flag, registry=registry)
-    # The closed-form layer frames must be genuine frames at the base
-    # point and must reproduce the ranks the flag found.
-    for depth in range(5):
-        try:
-            layer = prolonged.layer_frame(depth)
-        except DegenerateFrameError as exc:
-            raise GrowthError(
-                f"closed-form layer {depth} frame degenerates at the "
-                f"base point: {exc}") from exc
-        if layer.rank != flag.growth[depth]:
-            raise GrowthError(
-                f"layer {depth} frame has rank {layer.rank}, "
-                f"flag reports {flag.growth[depth]}")
-    return prolonged
+    return ProlongedDistribution(
+        z_chart=z_chart, zeta1=zeta1, zeta2=zeta2, base_point=z_base,
+        box=z_box, flag=flag, registry=registry)
 
 
 # ---------------------------------------------------------------------------
@@ -549,30 +503,31 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
     """Determine the scalar e with K = zeta1 + e*zeta2 whose bracket with
     every layer-3 frame generator stays in layer 3.
 
-    For each generator w of the layer-3 frame the complement coordinate of
-    [zeta1 + e*zeta2, w] is a + e*b, with a and b the complement
-    coordinates of [zeta1, w] and [zeta2, w]: the derivative term
-    (w e) * zeta2 never contributes, since zeta2 lies inside layer 3.
-    All these brackets are decomposed in one exact elimination (pivots
-    chosen nonzero at the base point), and the system is solved.  The
-    basis is the layer-4 frame, which `prolong_235` found to have rank 6
-    at the base point, so the elimination always finds its pivots.
+    The layer-4 frame of the flag is the layer-3 frame plus one field,
+    the complement.  For each generator w of the layer-3 frame the
+    complement coordinate of [zeta1 + e*zeta2, w] is a + e*b, with a and
+    b the complement coordinates of [zeta1, w] and [zeta2, w]: the
+    derivative term (w e) * zeta2 never contributes, since zeta2 lies
+    inside layer 3.  These are the brackets the flag's last pass built,
+    and they are decomposed over the layer-4 frame in one exact
+    elimination (pivots chosen nonzero at the base point); the system is
+    then solved.  `prolong_235` found that frame to have rank 6 at the
+    base point, so the elimination always finds its pivots.
     """
     registry = prolonged.registry
-    layer3 = prolonged.layer_frame(3)
-    basis = layer3.fields + (prolonged.complement_field,)
+    layer3, layer4 = prolonged.flag.frames[3:5]
     l_field = prolonged.zeta2
 
     brackets = [lie_bracket(z, w, registry) for w in layer3.fields
                 for z in (prolonged.zeta1, prolonged.zeta2)]
-    coeffs = symbolic_decompose(brackets, basis, prolonged.base_point,
-                                registry)
+    coeffs = symbolic_decompose(brackets, layer4.fields,
+                                prolonged.base_point, registry)
     complement = [c[-1] for c in coeffs]
     pairs = list(zip(complement[::2], complement[1::2]))
 
     # Pick the equation whose linear coefficient is largest at the base
-    # point; for the canonical construction this is the bracket with the
-    # fourth layer generator, whose coefficient is exactly 1.
+    # point; for the Hilbert-Cartan model this is the bracket with the
+    # last layer-3 generator, whose coefficient is exactly 1.
     best = linalg.largest_nonzero(
         [evaluate(b, prolonged.base_point, registry) for _, b in pairs])
     if best is None:
@@ -583,11 +538,12 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
     e_expr = normalize(Prod((Const(Fraction(-1)), a, Pow(b, -1))),
                        prolonged.z_chart.variables)
 
-    # Consistency: every other equation a_w + e*b_w must vanish.  The
-    # check is numeric over the box (the equations may involve opaque
+    # Consistency: every other equation a_w + e*b_w must vanish (the
+    # picked one is a - (a/b)*b, zero in exact arithmetic).  The check
+    # is numeric over the box (the equations may involve opaque
     # coefficients), with a hard failure instead of a silent bad answer.
     box = prolonged.box
-    for a_w, b_w in pairs:
+    for a_w, b_w in pairs[:best] + pairs[best + 1:]:
         residual = normalize(Sum((a_w, Prod((e_expr, b_w)))),
                              prolonged.z_chart.variables)
         verdict = is_zero(residual, box, prolonged.z_chart.variables,

@@ -13,7 +13,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Union
 
 from .boxes import as_fraction
 from .conedual import ConeFamily
@@ -43,8 +43,6 @@ _MAX_STEPS = 200000
 
 _RADIAL = "r"
 _CONTROLS = ("u1", "u2")
-
-_MODES = ("newton", "linear-singular", "fixed")
 
 
 # Every vector below (state, costate, control, stage) is a tuple of
@@ -93,35 +91,30 @@ def _at(t: float, fn, *args):
 class ControlSystem:
     """Dynamics F(x, u) over a state chart with named controls.
 
-    `mode` selects how the control is kept on the singular-constraint
-    manifold during integration:
+    `source` is the object the system was built from, and its type fixes
+    how the control is kept on the singular-constraint manifold during
+    integration:
 
-    - "newton": damped Newton on the single control named by
-      `newton_control`; the remaining controls stay at their initial
-      (gauge) values.
-    - "linear-singular": for dynamics linear in two controls the
-      control gradient of the pairing does not involve the control, so
-      the constraint only pins the control after differentiation; the
-      resolved control is the kernel direction of the costate pairings
-      with the two `rule_fields`, oriented continuously.
-    - "fixed": the control is held constant; this is the fixed-control
+    - a `ConeFamily`: damped Newton on the family's direction
+      coordinate; the radial control stays at its initial (gauge) value.
+    - a `Distribution235`: the dynamics are linear in the two controls,
+      so the control gradient of the pairing does not involve the
+      control, and the constraint only pins the control after
+      differentiation; the resolved control is the kernel direction of
+      the costate pairings with the depth-three brackets `eta4` and
+      `eta5`, oriented continuously.
+    - None: the control is held constant; this is the fixed-control
       leaf transport of a splitting's system, which `lift_fiber` uses.
     """
 
     state_chart: Chart
     control_names: tuple
     dynamics: tuple
-    mode: str
     registry: OpaqueRegistry = field(compare=False)
-    newton_control: Optional[str] = None
-    rule_fields: Optional[tuple] = field(default=None, compare=False)
-    source: object = field(default=None, compare=False)
+    source: Optional[Union[ConeFamily, Distribution235]] = field(
+        default=None, compare=False)
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise StructureError(
-                f"unknown control mode {self.mode!r}; expected one of "
-                f"{_MODES}")
         if len(self.dynamics) != self.state_chart.dimension:
             raise ChartError(
                 "dynamics must have one component per state coordinate")
@@ -140,14 +133,10 @@ class ControlSystem:
             if stray:
                 raise ChartError(
                     f"dynamics mention unknown symbols {sorted(stray)}")
-        if self.mode == "newton" and \
-                self.newton_control not in self.control_names:
+        if not isinstance(self.source,
+                          (ConeFamily, Distribution235, type(None))):
             raise StructureError(
-                "newton mode needs `newton_control` among the controls")
-        if self.mode == "linear-singular":
-            if self.rule_fields is None or len(self.rule_fields) != 2:
-                raise StructureError(
-                    "linear-singular mode needs the two rule fields")
+                "the source must be a cone family, a distribution or None")
 
     @cached_property
     def prepared(self) -> "PreparedSystem":
@@ -162,18 +151,17 @@ def cone_system(family: ConeFamily) -> ControlSystem:
     if _RADIAL in family.x_chart.variables or _RADIAL == family.theta:
         raise ChartError(
             f"radial control {_RADIAL!r} collides with a coordinate")
-    generator = family.zeta(2)
+    controls = (_RADIAL, family.theta)
+    # normalized on the chart `PreparedSystem` differentiates them on
     dynamics = tuple(
         normalize(Prod((Var(_RADIAL), comp)),
-                  family.z_chart.variables + (_RADIAL,))
-        for comp in generator.components[:5])
+                  family.x_chart.variables + controls)
+        for comp in family.zeta(2).components[:5])
     return ControlSystem(
         state_chart=family.x_chart,
-        control_names=(_RADIAL, family.theta),
+        control_names=controls,
         dynamics=dynamics,
-        mode="newton",
         registry=family.registry,
-        newton_control=family.theta,
         source=family)
 
 
@@ -195,9 +183,7 @@ def distribution_system(dist: Distribution235) -> ControlSystem:
         state_chart=dist.chart,
         control_names=_CONTROLS,
         dynamics=_linear_dynamics(dist.eta1, dist.eta2),
-        mode="linear-singular",
         registry=dist.registry,
-        rule_fields=(dist.eta4, dist.eta5),
         source=dist)
 
 
@@ -210,7 +196,6 @@ def prolonged_system(structure: PseudoProductStructure) -> ControlSystem:
         state_chart=structure.z_chart,
         control_names=_CONTROLS,
         dynamics=_linear_dynamics(structure.k_field, structure.l_field),
-        mode="fixed",
         registry=structure.registry)
 
 
@@ -258,10 +243,10 @@ class PreparedSystem:
     """What integrating a control system needs, built once per system:
     the pairing, and compiled batches of the dynamics, of their state
     Jacobian (row by row), of the control constraint dH/du, and of the
-    control rule of the system's mode, which `resolve` applies."""
+    control rule its source fixes, which `resolve` applies."""
 
     def __init__(self, cs: ControlSystem):
-        self.mode = cs.mode
+        self.source = source = cs.source
         self.m = cs.state_chart.dimension
         self.ham = ham = hamiltonian(cs)
         states, reg = cs.state_chart.variables, cs.registry
@@ -271,22 +256,23 @@ class PreparedSystem:
             tuple(differentiate(comp, v, f_vars, reg)
                   for comp in cs.dynamics for v in states), f_vars, reg)
         self.res_fn = compile_exprs(ham.dh_du, ham.variables, reg)
-        if cs.mode == "newton":
-            self.slot = cs.control_names.index(cs.newton_control)
+        if isinstance(source, ConeFamily):
+            self.slot = cs.control_names.index(source.theta)
             g = ham.dh_du[self.slot]
-            gp = differentiate(g, cs.newton_control, ham.variables, reg)
+            gp = differentiate(g, source.theta, ham.variables, reg)
             self.g_fn = compile_exprs((g, gp), ham.variables, reg)
-        elif cs.mode == "linear-singular":
-            a_field, b_field = cs.rule_fields
+        elif isinstance(source, Distribution235):
             self.rule_fn = compile_exprs(
-                a_field.components + b_field.components, states, reg)
+                source.eta4.components + source.eta5.components, states,
+                reg)
 
     def resolve(self, x, p, u, max_newton: int) -> tuple:
         """The control at (x, p) projected onto the constraint manifold
-        by the system's mode, warm-started from the control u."""
-        if self.mode == "fixed":
+        by the rule of the system's source, warm-started from the
+        control u."""
+        if self.source is None:
             return u
-        if self.mode == "linear-singular":
+        if isinstance(self.source, Distribution235):
             vals = self.rule_fn(x)
             w_a = _dot(p, vals[:self.m])
             w_b = _dot(p, vals[self.m:])
@@ -299,7 +285,7 @@ class PreparedSystem:
             if _dot(candidate, u) < 0.0:
                 candidate = (-candidate[0], -candidate[1])
             return candidate
-        # damped scalar Newton on the designated control
+        # damped scalar Newton on the direction coordinate
         g_fn, slot = self.g_fn, self.slot
         scale = max(1.0, _norm(p))
         for _ in range(max_newton):

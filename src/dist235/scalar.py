@@ -1233,15 +1233,15 @@ def is_zero(expr: ScalarExpr, box: Box,
 
 def min_degree(expr: ScalarExpr, var: str,
                chart: Optional[Sequence[str]] = None) -> Optional[int]:
-    """Lowest power of `var` among numerator terms (None for the zero
-    expression).  Pre: the normalized expression is polynomial in `var`
-    (the denominator must not involve it)."""
+    """The order of vanishing of `expr` in `var`, read from its normal
+    form: the lowest power of `var` among the numerator terms minus the
+    lowest among the denominator terms.  None for the zero expression
+    and when an opaque atom is present."""
     nf = _normal_form(expr, _chart_key(chart))
-    if not nf.num:
+    if not nf.num or any(key[0] != 0 for key, _, _ in nf.atoms):
         return None
     offset = nf.var_offset(var)
     if offset is None:
         return 0
-    if any((m >> offset) & _EXP_MASK for m in nf.den):
-        raise ExprError(f"denominator involves {var!r}")
-    return min((m >> offset) & _EXP_MASK for m in nf.num)
+    return (min((m >> offset) & _EXP_MASK for m in nf.num)
+            - min((m >> offset) & _EXP_MASK for m in nf.den))

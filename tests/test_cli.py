@@ -594,19 +594,26 @@ class TestReportPins:
     def digest(report) -> str:
         return hashlib.sha256(canonical_json(report).encode()).hexdigest()
 
+    @staticmethod
+    def bundled_report(name: str) -> dict:
+        model = parse_model(bundled_document(name), name)
+        return run_suite(model, "all", 3, box_scale=Fraction(1, 2))
+
+    @classmethod
+    def generated_report(cls, name: str) -> dict:
+        doc = dict(json.loads(bundled_document("noncubic-bc")), name=name,
+                   expressions=cls.GENERATED[name][0])
+        return run_suite(parse_model(json.dumps(doc), name), "all", 3)
+
     @pytest.mark.parametrize("name", sorted(BUNDLED_SHA256))
     def test_half_box_seed_three(self, name):
-        model = parse_model(bundled_document(name), name)
-        report = run_suite(model, "all", 3, box_scale=Fraction(1, 2))
-        assert self.digest(report) == self.BUNDLED_SHA256[name]
+        assert self.digest(self.bundled_report(name)) == \
+            self.BUNDLED_SHA256[name]
 
     @pytest.mark.parametrize("name", sorted(GENERATED))
     def test_generated_noncubic_bc(self, name):
-        expressions, expected = self.GENERATED[name]
-        doc = dict(json.loads(bundled_document("noncubic-bc")), name=name,
-                   expressions=expressions)
-        report = run_suite(parse_model(json.dumps(doc), name), "all", 3)
-        assert self.digest(report) == expected
+        assert self.digest(self.generated_report(name)) == \
+            self.GENERATED[name][1]
 
 
 # ---------------------------------------------------------------------------

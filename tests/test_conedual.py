@@ -517,6 +517,19 @@ class TestBuiltinModels:
         with pytest.raises(StructureError, match="order"):
             builtin_model("noncubic-bc", {"b": "th^3", "c": "th^3"})
 
+    @pytest.mark.parametrize("b", [
+        "th^2*2^-1", "th^2/(1+1)", "th^3*th^-1", "th^2/(1+th)", "th^2/2"])
+    def test_order_read_from_the_normal_form(self, b):
+        # a constant denominator, a cancelled power and a denominator
+        # that is 1 at th = 0 leave the order of vanishing at 2
+        with pytest.raises(StructureError, match="lowest order 2"):
+            builtin_model("noncubic-bc", {"b": b, "c": "th^4"})
+
+    @pytest.mark.parametrize("b", ["th^5/(1+th)", "th^3"])
+    def test_high_order_quotient_accepted(self, b):
+        family = builtin_model("noncubic-bc", {"b": b, "c": "th^4"})
+        assert family.name == "noncubic-bc"
+
     def test_order_bounds_inclusive(self):
         family = builtin_model("noncubic-bc",
                                {"b": "th^3", "c": "th^4"})

@@ -189,33 +189,11 @@ class TestProlong:
         dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin())
         pro = prolong_235(dist)
         bracket = lie_bracket(pro.zeta1, pro.zeta2)
-        expected = pro.etas[1]
+        expected = dist.eta2.lifted(pro.z_chart)
         for got, want in zip(bracket.components, expected.components):
             total = pro.z_chart.parse(f"({to_text(got)}) + ({to_text(want)})")
             assert is_zero(total, pro.box,
                            pro.z_chart.variables).status == "provably-zero"
-
-    def test_layer3_frame_matches_flag_span_at_samples(self):
-        # The closed-form layer-3 frame and the bracket-generated flag
-        # frame span the same rank-5 subspace across the box.
-        eta1, eta2 = flat_model()
-        dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin())
-        pro = prolong_235(dist)
-        closed = pro.layer_frame(3).fields
-        generated = pro.flag.frames[3].fields
-        for point in pro.box.sample_points(20):
-            assert rank_at(closed + generated, point) == 5
-
-    def test_all_layer_frames_match_flag_ranks(self):
-        eta1, eta2 = cubic_model()
-        dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin())
-        pro = prolong_235(dist)
-        for depth in range(5):
-            closed = pro.layer_frame(depth).fields
-            generated = pro.flag.frames[depth].fields
-            for point in pro.box.sample_points(8):
-                assert rank_at(closed + generated, point) == \
-                    pro.flag.growth[depth]
 
     def test_fiber_name_collision_rejected(self):
         # a model chart may name a coordinate after the fiber
@@ -242,9 +220,11 @@ class TestSolveE:
         calls = count_calls(monkeypatch, distduality, "symbolic_decompose")
         assert to_text(solve_e(pro).expression) == "3*y1*y2"
         assert len(calls) == 1
-        basis = pro.layer_frame(3).fields + (pro.complement_field,)
+        layer3, layer4 = pro.flag.frames[3:5]
+        basis = layer4.fields
+        assert basis[:5] == layer3.fields
         targets = [lie_bracket(z, w, pro.registry)
-                   for w in pro.layer_frame(3).fields
+                   for w in layer3.fields
                    for z in (pro.zeta1, pro.zeta2)]
         together = vecfield.symbolic_decompose(
             targets, basis, pro.base_point, pro.registry)
@@ -252,6 +232,24 @@ class TestSolveE:
         for target, coeffs in zip(targets, together):
             assert vecfield.symbolic_decompose(
                 (target,), basis, pro.base_point, pro.registry) == (coeffs,)
+
+    def test_no_bracket_beyond_the_flag(self):
+        # the flag's last pass built every bracket [zeta_k, w] that
+        # solve_e decomposes
+        pro = prolong_235(Distribution235(BASE_CHART, *cubic_model(),
+                                          BASE_CHART.origin()))
+        misses = _bracket.cache_info().misses
+        solve_e(pro)
+        assert _bracket.cache_info().misses == misses
+
+    def test_picked_equation_not_checked_again(self, monkeypatch):
+        # the picked equation's residual a - (a/b)*b is zero by
+        # construction; the consistency check tests the four others
+        pro = prolong_235(Distribution235(BASE_CHART, *cubic_model(),
+                                          BASE_CHART.origin()))
+        calls = count_calls(monkeypatch, distduality, "is_zero")
+        assert to_text(solve_e(pro).expression) == "3*y1*y2"
+        assert len(calls) == 4
 
     def test_flat_model_correction_vanishes(self):
         eta1, eta2 = flat_model()
@@ -262,8 +260,8 @@ class TestSolveE:
 
     def test_cubic_model_closed_form(self):
         # Frozen by hand: the cubic perturbation contributes
-        # 6*y1*y2 * d/dz to [zeta1, w4], and the complement direction is
-        # -2 d/dz, so the correction scalar is 3*y1*y2.
+        # 6*y1*y2 * d/dz to [zeta1, eta4 + t*eta5], and the complement
+        # direction eta5 is -2 d/dz, so the correction scalar is 3*y1*y2.
         eta1, eta2 = cubic_model()
         dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin())
         pro = prolong_235(dist)
@@ -275,22 +273,26 @@ class TestSolveE:
 
     def test_cubic_model_against_pointwise_oracle(self):
         # Independent oracle: at 50 random points, solve the 6x6 linear
-        # system numerically with numpy and compare coordinates.
+        # systems of [zeta1, w] and [zeta2, w], w the last layer-3
+        # generator, numerically with numpy; e = -a/b for their
+        # complement coordinates a and b.
         eta1, eta2 = cubic_model()
         dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin())
         pro = prolong_235(dist)
         result = solve_e(pro)
-        frame_fields = pro.layer_frame(4).fields
-        bracket = lie_bracket(pro.zeta1, pro.w4)
+        frame_fields = pro.flag.frames[4].fields
+        w = pro.flag.frames[3].fields[-1]
+        brackets = [lie_bracket(z, w) for z in (pro.zeta1, pro.zeta2)]
         rng = random.Random(SEED)
         for _ in range(50):
             point = random_point(rng, pro.z_chart.variables)
             columns = np.array(
                 [[float(v) for v in f.evaluate_at(point)]
                  for f in frame_fields]).T
-            rhs = np.array([float(v) for v in bracket.evaluate_at(point)])
-            coeffs = np.linalg.solve(columns, rhs)
-            oracle = -coeffs[-1]
+            a, b = (np.linalg.solve(columns, np.array(
+                [float(v) for v in bracket.evaluate_at(point)]))[-1]
+                for bracket in brackets)
+            oracle = -a / b
             symbolic = float(evaluate(result.expression, point))
             assert abs(symbolic - oracle) <= TOL * (1.0 + abs(oracle))
 
@@ -301,7 +303,7 @@ class TestSolveE:
         dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin())
         pro = prolong_235(dist)
         result = solve_e(pro)
-        layer3 = pro.layer_frame(3)
+        layer3 = pro.flag.frames[3]
         for w in layer3.fields:
             bracket = lie_bracket(result.k_field, w)
             for point in pro.box.sample_points(20):
@@ -498,7 +500,8 @@ class TestVerifyPseudoProduct:
 
     def test_non_section_k_rejected(self):
         pro, structure = build_flat_structure()
-        outsider = pro.etas[2]  # eta3 is not a section of E
+        dist = Distribution235(BASE_CHART, *flat_model(), BASE_CHART.origin())
+        outsider = dist.eta3.lifted(pro.z_chart)  # not a section of E
         with pytest.raises(StructureError):
             PseudoProductStructure.build(
                 structure.z_chart, structure.e_generators, outsider,

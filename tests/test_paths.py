@@ -24,7 +24,7 @@ from dist235.paths import (
     verify_duality,
 )
 from dist235.scalar import (
-    MissingAssignmentError, OpaqueRegistry, Prod, Sum, Var,
+    MissingAssignmentError, OpaqueRegistry, Pow, Prod, Sum, Var, _carried,
     default_registry, differentiate, evaluate, normalize, parse_expr,
     to_text,
 )
@@ -166,18 +166,14 @@ class TestControlSystems:
         cs = cone_system(family)
         assert cs.state_chart == family.x_chart
         assert cs.control_names == ("r", "th")
-        assert cs.mode == "newton"
-        assert cs.newton_control == "th"
+        assert cs.source is family
         assert to_text(cs.dynamics[0]) == "r"
 
     def test_distribution_system_shape(self):
         dist = hilbert_cartan()
         cs = distribution_system(dist)
-        assert cs.mode == "linear-singular"
+        assert cs.source is dist
         assert cs.control_names == ("u1", "u2")
-        # the distribution's own memoized depth-three brackets
-        a_field, b_field = cs.rule_fields
-        assert a_field is dist.eta4 and b_field is dist.eta5
         assert to_text(cs.dynamics[0]) == "u1"
         assert to_text(cs.dynamics[3]) == "u2"
 
@@ -186,8 +182,7 @@ class TestControlSystems:
             "structure"]
         structure = structure_of(hilbert_cartan())
         cs = prolonged_system(structure)
-        assert cs.mode == "fixed"
-        assert cs.rule_fields is None
+        assert cs.source is None
         assert cs.state_chart == structure.z_chart
         assert [to_text(c) for c in cs.dynamics] == [
             to_text(normalize(Sum((Prod((Var("u1"), k)),
@@ -195,13 +190,6 @@ class TestControlSystems:
                               cs.state_chart.variables + ("u1", "u2")))
             for k, l in zip(structure.k_field.components,
                             structure.l_field.components)]
-
-    def test_unknown_mode_rejected(self):
-        chart = Chart(("x",))
-        with pytest.raises(StructureError, match="unknown control mode"):
-            ControlSystem(state_chart=chart, control_names=("u",),
-                          dynamics=(parse_expr("u", ("u",)),),
-                          mode="rk", registry=default_registry())
 
     def test_control_collides_with_state(self):
         # the Hilbert-Cartan plane field on a chart with a coordinate
@@ -218,7 +206,7 @@ class TestControlSystems:
         with pytest.raises(StructureError, match="duplicate"):
             ControlSystem(state_chart=chart, control_names=("u", "u"),
                           dynamics=(parse_expr("u", ("u",)),),
-                          mode="fixed", registry=default_registry())
+                          registry=default_registry())
 
     def test_radial_name_collisions(self):
         # a direction coordinate, then a base coordinate, named like the
@@ -240,20 +228,38 @@ class TestControlSystems:
         with pytest.raises(ChartError, match="unknown symbols"):
             ControlSystem(state_chart=chart, control_names=("u",),
                           dynamics=(parse_expr("q", ("q",)),),
-                          mode="fixed", registry=default_registry())
+                          registry=default_registry())
 
-    def test_mode_prerequisites(self):
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(ControlSystem)] == [
+            "state_chart", "control_names", "dynamics", "registry",
+            "source"]
+
+    def test_foreign_source_rejected(self):
         chart = Chart(("x",))
-        zero = parse_expr("0", ())
-        with pytest.raises(StructureError, match="newton_control"):
+        with pytest.raises(StructureError, match="source"):
             ControlSystem(state_chart=chart, control_names=("u",),
-                          dynamics=(zero,), mode="newton",
-                          registry=default_registry())
-        with pytest.raises(StructureError, match="rule fields"):
-            ControlSystem(state_chart=chart, control_names=("u",),
-                          dynamics=(zero,), mode="linear-singular",
-                          registry=default_registry())
+                          dynamics=(parse_expr("u", ("u",)),),
+                          registry=default_registry(), source="newton")
 
+    def test_sourceless_system_keeps_its_control(self):
+        cs = ControlSystem(state_chart=Chart(("x",)), control_names=("u",),
+                           dynamics=(parse_expr("u*x", ("x", "u")),),
+                           registry=default_registry())
+        u = (0.25,)
+        assert cs.prepared.resolve((1.0,), (1.0,), u, 50) is u
+
+    def test_cone_dynamics_carry_their_normal_forms(self):
+        # normalized on the states plus the controls, the chart the
+        # Jacobian is differentiated on, so that each derivative reads
+        # the integer record instead of expanding the tree
+        cs = cone_system(builtin_model("noncubic-bc",
+                                       {"b": "th^3", "c": "th^5 - th^4"}))
+        chart_key = cs.state_chart.variables + cs.control_names
+        compound = [c for c in cs.dynamics
+                    if isinstance(c, (Sum, Prod, Pow))]
+        assert len(compound) == 4
+        assert all(_carried(c, chart_key) is not None for c in compound)
 
 # ---------------------------------------------------------------------------
 # the costate pairing
@@ -292,7 +298,7 @@ class TestHamiltonian:
         cs = ControlSystem(state_chart=chart, control_names=("u",),
                            dynamics=(parse_expr("1", ()),
                                      parse_expr("0", ())),
-                           mode="fixed", registry=default_registry())
+                           registry=default_registry())
         ham = hamiltonian(cs)
         assert to_text(ham.h) == "p1"
         assert [to_text(differentiate(ham.h, x, ham.variables))
@@ -304,7 +310,7 @@ class TestHamiltonian:
         cs = ControlSystem(state_chart=chart, control_names=("u",),
                            dynamics=(parse_expr("0", ()),
                                      parse_expr("0", ())),
-                           mode="fixed", registry=default_registry())
+                           registry=default_registry())
         with pytest.raises(ChartError, match="collides"):
             hamiltonian(cs)
 
@@ -410,7 +416,7 @@ class TestNonFinite:
         cs = ControlSystem(
             state_chart=chart, control_names=("u",),
             dynamics=(parse_expr("u*blank(x)", ("x", "u"), reg),),
-            mode="fixed", registry=reg)
+            registry=reg)
         with pytest.raises(StructureError, match="violates"):
             integrate_biextremal(cs, {"x": 0}, (1.0,), (1.0,), 0.5)
 

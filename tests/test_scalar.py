@@ -413,6 +413,19 @@ class TestMinDegree:
         assert min_degree(parse_expr("x2 + x1^2", CHART), "x1", CHART) == 0
         assert min_degree(Const(Fraction(0)), "x1", CHART) is None
 
+    def test_order_of_a_quotient(self):
+        # the lowest power in the numerator minus that in the denominator
+        assert min_degree(parse_expr("x1^3/(x1 + x1^2)", CHART), "x1",
+                          CHART) == 2
+        assert min_degree(parse_expr("x2/x1", CHART), "x1", CHART) == -1
+        assert min_degree(parse_expr("x1^2/(1 + x1)", CHART), "x1",
+                          CHART) == 2
+
+    def test_opaque_atom_gives_none(self):
+        reg = make_registry()
+        assert min_degree(parse_expr("x1^3*a(x2)", CHART, reg), "x1",
+                          CHART) is None
+
 
 # ---------------------------------------------------------------------------
 # sympy oracle
@@ -544,10 +557,16 @@ class TestNormalFormMatchesReference:
             calls[expr, chart_key] = None
             return cached(expr, chart_key)
 
+        from test_cli import TestReportPins as pins
         monkeypatch.setattr(scalar, "_normal_form", recording)
         for name in bundled_names():
             main(["analyze", name, "--suite", "all", "--seed", "7",
                   "--out", str(tmp_path / f"{name}.json")])
+        # and the runs whose reports `TestReportPins` pins
+        for name in pins.BUNDLED_SHA256:
+            pins.bundled_report(name)
+        for name in pins.GENERATED:
+            pins.generated_report(name)
         assert len(calls) > 500
         for expr, chart_key in calls:
             assert normal_form_terms(cached.__wrapped__(expr, chart_key)) \
