@@ -1,21 +1,11 @@
 """Command-line front end: model files, verification suites, reports.
 
-A model file is a small JSON document declaring a chart and named
-expressions.  Three kinds are understood:
-
-* ``distribution235`` — two frame fields ``eta1``/``eta2`` on a
-  5-dimensional chart;
-* ``cone-family`` — generator components ``A``/``B``/``S``/``T`` (or the
-  parameter shortcuts ``a`` resp. ``b``/``c``) with a direction
-  coordinate and a contact form;
-* ``pseudo-product`` — ``e1``/``e2``/``K``/``L`` on a 6-dimensional
-  chart.
-
-``analyze`` runs a named suite of checks over a model and emits a
-report; the JSON form is canonical (sorted keys, fixed float format)
-so that identical runs produce identical bytes.  ``models`` lists and
-prints the bundled model documents, and ``trace`` integrates one
-singular path and prints its nodes as JSON lines.
+A model file is parsed by `dist235.models` and built by
+`conedual.build_model`.  ``analyze`` runs a named suite of checks over
+a model and emits a report; the JSON form is canonical (sorted keys,
+fixed float format) so that identical runs produce identical bytes.
+``models`` lists and prints the bundled model documents, and ``trace``
+integrates one singular path and prints its nodes as JSON lines.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 when
 any check errors out, 3 for usage and model-file problems.
@@ -24,44 +14,35 @@ any check errors out, 3 for usage and model-file problems.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .boxes import Box, as_fraction
-from .conedual import BUNDLED, STANDARD_ALPHA, STANDARD_CHART, ConeFamily, \
-    _driver_components, check_lagrangian, check_nondegenerate, \
+from .conedual import build_model, check_lagrangian, check_nondegenerate, \
     check_osculating_condition, default_family_box, prolong_cone, solve_U
-from .distduality import FIBER, Distribution235, GrowthError, \
-    ProlongedDistribution, PseudoProductStructure, SolveEResult, \
-    default_box, prolong_235, solve_e, symbol_algebra_at, \
-    verify_pseudo_product
+from .distduality import FIBER, GrowthError, ProlongedDistribution, \
+    PseudoProductStructure, SolveEResult, default_box, prolong_235, \
+    solve_e, symbol_algebra_at, verify_pseudo_product
+from .models import BUNDLED, ModelError, ModelFile, _rational, parse_model
 from .paths import cone_system, distribution_system, integrate_biextremal, \
     singular_launch, verify_duality
-from .scalar import OpaqueRegistry, compile_expr, parse_expr, to_text
-from .vecfield import Chart, field_from_strings
+from .scalar import to_text
+from .vecfield import Chart
 
 __all__ = [
-    "BUNDLED", "ModelError", "ModelFile", "bundled_document",
-    "bundled_names", "canonical_json", "format_text", "main",
-    "parse_model", "run_suite", "trace_lines",
+    "bundled_document", "canonical_json", "exit_code", "format_text",
+    "load_model", "main", "run_suite", "trace_lines",
 ]
 
 _VERSION = "0.1.0"
 
-_KINDS = ("distribution235", "cone-family", "pseudo-product")
 _SUITES = ("verify", "prolong", "duality", "all")
 _DUALITY_T = Fraction(1, 2)
-
-
-class ModelError(Exception):
-    """A model file or command line that cannot be used (exit code 3)."""
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +108,6 @@ def canonical_json(value) -> str:
 # bundled model documents
 # ---------------------------------------------------------------------------
 
-# `BUNDLED` is defined in `conedual`, beside `builtin_model`.
-
-def bundled_names() -> tuple:
-    return tuple(BUNDLED)
-
-
 def bundled_document(name: str) -> str:
     """The canonical JSON text of a bundled model document."""
     try:
@@ -147,268 +122,6 @@ def bundled_document(name: str) -> str:
 # ---------------------------------------------------------------------------
 # model files
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModelFile:
-    """A parsed and schema-checked model document.
-
-    Expression texts are validated against the declared chart at parse
-    time; the geometric objects themselves are built later, inside the
-    suite, so that a model that parses but fails verification is
-    reported as a failing check rather than a usage error.
-    """
-
-    kind: str
-    name: str
-    chart: tuple
-    expressions: dict = field(compare=False)
-    theta: Optional[str] = None
-    alpha: Optional[tuple] = None
-    base_point: dict = field(default_factory=dict, compare=False)
-    box: Optional[Box] = field(default=None, compare=False)
-    notes: tuple = ()
-    registry: Optional[OpaqueRegistry] = field(default=None, compare=False)
-    sha256: str = ""
-
-
-def _require(doc: dict, key: str, origin: str):
-    if key not in doc:
-        raise ModelError(f"{origin}: missing required field {key!r}")
-    return doc[key]
-
-
-def _string(value, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ModelError(f"{where}: expected a non-empty string")
-    return value
-
-
-def _string_list(value, count: Optional[int], where: str) -> tuple:
-    if not isinstance(value, list) or \
-            any(not isinstance(item, str) for item in value):
-        raise ModelError(f"{where}: expected a list of strings")
-    if count is not None and len(value) != count:
-        raise ModelError(
-            f"{where}: expected {count} entries, found {len(value)}")
-    return tuple(value)
-
-
-def _rational(value, where: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise ModelError(
-            f"{where}: expected a rational written as a string")
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ModelError(f"{where}: not a rational: {exc}") from None
-
-
-def _parse_text(text: str, variables, registry, where: str):
-    try:
-        return parse_expr(text, variables, registry)
-    except Exception as exc:
-        raise ModelError(f"{where}: {exc}") from None
-
-
-def _build_registry(doc: dict, origin: str) -> OpaqueRegistry:
-    registry = OpaqueRegistry()
-    entries = doc.get("opaque", [])
-    if not isinstance(entries, list):
-        raise ModelError(f"{origin}: 'opaque' must be a list")
-    names = []
-    for i, entry in enumerate(entries):
-        where = f"{origin}: opaque[{i}]"
-        if not isinstance(entry, dict):
-            raise ModelError(f"{where}: expected an object")
-        extra = set(entry) - {"name", "evaluator", "derivative"}
-        if extra:
-            raise ModelError(
-                f"{where}: unknown fields {sorted(extra)}")
-        name = _string(_require(entry, "name", where), f"{where}.name")
-        ev_text = _string(_require(entry, "evaluator", where),
-                          f"{where}.evaluator")
-        dv_text = _string(_require(entry, "derivative", where),
-                          f"{where}.derivative")
-        ev_expr = _parse_text(ev_text, ("u",), None, f"{where}.evaluator")
-        evaluator = compile_expr(ev_expr, ("u",))
-        if dv_text in names or dv_text == name:
-            derivative = dv_text
-        else:
-            derivative = _parse_text(dv_text, ("u",), None,
-                                     f"{where}.derivative")
-        registry.register(name, evaluator, derivative)
-        names.append(name)
-    return registry
-
-
-_DRIVER_SETS = ({"a"}, {"b", "c"})
-_COMPONENT_SET = {"A", "B", "S", "T"}
-
-
-def parse_model(text: str, origin: str = "model") -> ModelFile:
-    """Parse a model document, checking the schema and every expression.
-
-    Raises ModelError on any structural or syntactic problem; the
-    result carries a content hash of the exact input bytes.
-    """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"{origin}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ModelError(f"{origin}: the top level must be an object")
-
-    known = {"kind", "name", "chart", "theta", "alpha", "expressions",
-             "base_point", "box", "notes", "opaque"}
-    extra = set(doc) - known
-    if extra:
-        raise ModelError(f"{origin}: unknown fields {sorted(extra)}")
-
-    kind = _string(_require(doc, "kind", origin), f"{origin}: kind")
-    if kind not in _KINDS:
-        raise ModelError(
-            f"{origin}: unknown kind {kind!r}; expected one of "
-            + ", ".join(_KINDS))
-    name = _string(_require(doc, "name", origin), f"{origin}: name")
-
-    dimension = 6 if kind == "pseudo-product" else 5
-    chart = _string_list(_require(doc, "chart", origin), dimension,
-                         f"{origin}: chart")
-    if len(set(chart)) != len(chart):
-        raise ModelError(f"{origin}: chart variables repeat")
-
-    registry = _build_registry(doc, origin)
-    notes = tuple(_string_list(doc.get("notes", []), None,
-                               f"{origin}: notes"))
-
-    theta = None
-    alpha = None
-    if kind == "cone-family":
-        theta = _string(_require(doc, "theta", origin), f"{origin}: theta")
-        if theta in chart:
-            raise ModelError(
-                f"{origin}: theta {theta!r} collides with a chart variable")
-        if "alpha" not in doc:
-            raise ModelError(
-                f"{origin}: a cone-family model must declare the contact "
-                "form 'alpha'")
-        alpha = _string_list(doc["alpha"], 5, f"{origin}: alpha")
-        for i, text_i in enumerate(alpha):
-            _parse_text(text_i, chart, registry, f"{origin}: alpha[{i}]")
-    else:
-        for forbidden in ("theta", "alpha"):
-            if forbidden in doc:
-                raise ModelError(
-                    f"{origin}: field {forbidden!r} only applies to "
-                    "cone-family models")
-
-    expressions = _require(doc, "expressions", origin)
-    if not isinstance(expressions, dict):
-        raise ModelError(f"{origin}: 'expressions' must be an object")
-    keys = set(expressions)
-
-    if kind == "distribution235":
-        if keys != {"eta1", "eta2"}:
-            raise ModelError(
-                f"{origin}: a distribution235 model needs exactly the "
-                "expressions 'eta1' and 'eta2'")
-        for key in ("eta1", "eta2"):
-            comps = _string_list(expressions[key], 5,
-                                 f"{origin}: expressions.{key}")
-            for i, text_i in enumerate(comps):
-                _parse_text(text_i, chart, registry,
-                            f"{origin}: expressions.{key}[{i}]")
-    elif kind == "cone-family":
-        z_vars = chart + (theta,)
-        if keys == _COMPONENT_SET:
-            for key in sorted(_COMPONENT_SET):
-                text_k = _string(expressions[key],
-                                 f"{origin}: expressions.{key}")
-                _parse_text(text_k, z_vars, registry,
-                            f"{origin}: expressions.{key}")
-        elif keys in _DRIVER_SETS:
-            if chart != STANDARD_CHART or theta != "th" \
-                    or alpha != STANDARD_ALPHA:
-                raise ModelError(
-                    f"{origin}: parameter-driven cone families use the "
-                    "standard chart x1..x5, direction 'th', and the "
-                    "standard contact form")
-            for key in sorted(keys):
-                text_k = _string(expressions[key],
-                                 f"{origin}: expressions.{key}")
-                _parse_text(text_k, z_vars, registry,
-                            f"{origin}: expressions.{key}")
-        else:
-            raise ModelError(
-                f"{origin}: a cone-family model needs either the "
-                "components 'A','B','S','T' or the parameters 'a' "
-                "(cubic) or 'b','c' (non-cubic)")
-    else:  # pseudo-product
-        if keys != {"e1", "e2", "K", "L"}:
-            raise ModelError(
-                f"{origin}: a pseudo-product model needs exactly the "
-                "expressions 'e1', 'e2', 'K', and 'L'")
-        for key in ("e1", "e2", "K", "L"):
-            comps = _string_list(expressions[key], 6,
-                                 f"{origin}: expressions.{key}")
-            for i, text_i in enumerate(comps):
-                _parse_text(text_i, chart, registry,
-                            f"{origin}: expressions.{key}[{i}]")
-
-    all_vars = chart + ((theta,) if theta else ())
-    base_point = {v: Fraction(0) for v in all_vars}
-    if "base_point" in doc:
-        given = doc["base_point"]
-        if not isinstance(given, dict):
-            raise ModelError(f"{origin}: 'base_point' must be an object")
-        for var, value in given.items():
-            if var not in all_vars:
-                raise ModelError(
-                    f"{origin}: base_point names unknown variable {var!r}")
-            base_point[var] = _rational(value,
-                                        f"{origin}: base_point.{var}")
-
-    box = None
-    if "box" in doc:
-        given = doc["box"]
-        if not isinstance(given, dict):
-            raise ModelError(f"{origin}: 'box' must be an object")
-        if set(given) != set(all_vars):
-            raise ModelError(
-                f"{origin}: a box must list every coordinate "
-                f"({', '.join(all_vars)})")
-        intervals = []
-        for var in all_vars:
-            pair_v = given[var]
-            if not isinstance(pair_v, list) or len(pair_v) != 2:
-                raise ModelError(
-                    f"{origin}: box.{var} must be a [lo, hi] pair")
-            lo = _rational(pair_v[0], f"{origin}: box.{var}[0]")
-            hi = _rational(pair_v[1], f"{origin}: box.{var}[1]")
-            if lo >= hi:
-                raise ModelError(
-                    f"{origin}: box.{var} is empty or reversed")
-            intervals.append((var, lo, hi))
-        box = Box(tuple(intervals))
-        for var, lo, hi in intervals:
-            if not lo <= base_point[var] <= hi:
-                raise ModelError(
-                    f"{origin}: base_point.{var} lies outside the box")
-
-    if kind == "cone-family" and keys in _DRIVER_SETS \
-            and ("base_point" in doc or "box" in doc):
-        raise ModelError(
-            f"{origin}: parameter-driven cone families fix the base "
-            "point and box; drop those fields or spell out A,B,S,T")
-
-    return ModelFile(
-        kind=kind, name=name, chart=tuple(chart),
-        expressions={k: (tuple(v) if isinstance(v, list) else v)
-                     for k, v in expressions.items()},
-        theta=theta, alpha=alpha, base_point=base_point, box=box,
-        notes=notes, registry=registry,
-        sha256=hashlib.sha256(text.encode("utf-8")).hexdigest())
-
 
 def load_model(path_or_name: str) -> ModelFile:
     """Parse a model from a file path, or from the bundled set when the
@@ -429,7 +142,7 @@ def load_model(path_or_name: str) -> ModelFile:
 
 
 # ---------------------------------------------------------------------------
-# building the geometric objects
+# suite machinery
 # ---------------------------------------------------------------------------
 
 def _model_box(model: ModelFile, box_scale: Fraction) -> Box:
@@ -444,46 +157,6 @@ def _model_box(model: ModelFile, box_scale: Fraction) -> Box:
             box = default_box(model.base_point)
     return box.scaled(box_scale)
 
-
-def _build_distribution(model: ModelFile,
-                        box: Optional[Box]) -> Distribution235:
-    chart = Chart(model.chart)
-    eta1, eta2 = (field_from_strings(chart, model.expressions[key],
-                                     model.registry, key)
-                  for key in ("eta1", "eta2"))
-    return Distribution235(chart, eta1, eta2, dict(model.base_point),
-                           box=box, registry=model.registry,
-                           name=model.name)
-
-
-def _build_family(model: ModelFile, box: Optional[Box]) -> ConeFamily:
-    keys = set(model.expressions)
-    if keys in _DRIVER_SETS:
-        template = "cubic-a" if keys == {"a"} else "noncubic-bc"
-        components = _driver_components(template, model.expressions,
-                                        model.registry)
-    else:
-        components = tuple(model.expressions[k] for k in "ABST")
-    return ConeFamily.build(
-        Chart(model.chart), components, model.alpha, theta=model.theta,
-        base_point=dict(model.base_point), box=box,
-        registry=model.registry, name=model.name)
-
-
-def _build_pseudo(model: ModelFile, box: Box) -> PseudoProductStructure:
-    chart = Chart(model.chart)
-    e1, e2, k_field, l_field = (
-        field_from_strings(chart, model.expressions[key], model.registry,
-                           key)
-        for key in ("e1", "e2", "K", "L"))
-    return PseudoProductStructure.build(
-        chart, (e1, e2), k_field, l_field, dict(model.base_point), box=box,
-        registry=model.registry, name=model.name)
-
-
-# ---------------------------------------------------------------------------
-# suite machinery
-# ---------------------------------------------------------------------------
 
 class _Skip(Exception):
     """A check that cannot run because a prerequisite failed."""
@@ -500,6 +173,11 @@ def _record(status: str, detail: str, witness=None,
     """One check's record, without its name."""
     return {"status": status, "detail": detail, "witness": witness,
             "residual": residual, "box": _box_json(box)}
+
+
+_BUILT = {"distribution235": "the distribution",
+          "cone-family": "the cone family",
+          "pseudo-product": "the splitting"}
 
 
 class _SuiteRun:
@@ -539,19 +217,16 @@ class _SuiteRun:
             raise _Skip(f"skipped: {what} could not be built ({value})")
         return value
 
-    def distribution(self) -> Distribution235:
+    def built(self):
+        """The object the model document describes, built on the run's
+        box: a distribution, a cone family or a splitting."""
         return self._memo(
-            "dist", lambda: _build_distribution(self.model, self.box),
-            "the distribution")
-
-    def family(self) -> ConeFamily:
-        return self._memo(
-            "family", lambda: _build_family(self.model, self.box),
-            "the cone family")
+            "built", lambda: build_model(self.model, self.box),
+            _BUILT[self.model.kind])
 
     def prolonged(self) -> ProlongedDistribution:
         return self._memo(
-            "prolonged", lambda: prolong_235(self.distribution()),
+            "prolonged", lambda: prolong_235(self.built()),
             "the prolongation")
 
     def solved_e(self) -> SolveEResult:
@@ -562,29 +237,20 @@ class _SuiteRun:
 
     def structure(self) -> PseudoProductStructure:
         kind = self.model.kind
-        if kind == "distribution235":
-            def build():
-                prolonged = self.prolonged()
-                return self.solved_e().structure(
-                    prolonged, name=self.model.name)
-            return self._memo("structure", build, "the splitting")
+        if kind == "pseudo-product":
+            return self.built()
         if kind == "cone-family":
-            return self._memo(
-                "structure", lambda: prolong_cone(self.family()),
-                "the splitting")
+            return self._memo("structure", lambda: prolong_cone(self.built()),
+                              "the splitting")
         return self._memo(
-            "structure", lambda: _build_pseudo(self.model, self.box),
-            "the splitting")
+            "structure", lambda: self.solved_e().structure(
+                self.prolonged(), name=self.model.name), "the splitting")
 
     def control_system(self):
-        if self.model.kind == "distribution235":
-            return self._memo(
-                "system",
-                lambda: distribution_system(self.distribution()),
-                "the control system")
+        system = distribution_system \
+            if self.model.kind == "distribution235" else cone_system
         return self._memo(
-            "system", lambda: cone_system(self.family()),
-            "the control system")
+            "system", lambda: system(self.built()), "the control system")
 
     # -- shared check bodies ----------------------------------------------
 
@@ -670,9 +336,9 @@ class _SuiteRun:
         # The growth check is the one the distribution ran when it was
         # built; a failed one comes back on the GrowthError.
         try:
-            report = self.distribution().report
+            report = self.built().report
         except _Skip:
-            exc = self.ctx["dist"]
+            exc = self.ctx["built"]
             if not isinstance(exc, GrowthError):
                 raise exc
             report = exc.report
@@ -691,19 +357,19 @@ class _SuiteRun:
         solved = self.solved_e()
         return _record("pass", f"e = {to_text(solved.expression)}")
 
-    def check_family_build(self):
+    def check_built(self, detail: str):
+        """The build check: `detail`, formatted with the built object,
+        when it builds, else its construction error as a failure."""
         try:
-            family = self.family()
+            built = self.built()
         except _Skip:
-            exc = self.ctx.get("family")
+            exc = self.ctx["built"]
             return _record("fail", f"{type(exc).__name__}: {exc}",
                            {"message": str(exc)})
-        return _record("pass", "contact form verified and annihilation "
-                               f"certified ({family.alpha_status})",
-                       box=family.box)
+        return _record("pass", detail.format(built), box=built.box)
 
     def check_nondegenerate(self):
-        family = self.family()
+        family = self.built()
         if check_nondegenerate(family):
             return _record("pass", "the direction curve keeps rank 4 with "
                                    "its derivatives")
@@ -713,7 +379,7 @@ class _SuiteRun:
                                    "derivatives drops below 4"})
 
     def check_lagrangian(self):
-        family = self.family()
+        family = self.built()
         report = check_lagrangian(family)
         if report.passed:
             return _record("pass", "; ".join(f"{name}: {status}"
@@ -727,7 +393,7 @@ class _SuiteRun:
                        {"checks": failing}, report.box)
 
     def check_osculating(self):
-        family = self.family()
+        family = self.built()
         report = check_osculating_condition(family)
         if report.passed:
             return _record("pass", "the turning bracket stays inside the "
@@ -740,20 +406,10 @@ class _SuiteRun:
                        {"residuals": failing}, report.box)
 
     def check_solve_u(self):
-        family = self.family()
+        family = self.built()
         solved = self._memo("solved_u", lambda: solve_U(family),
                             "the correction scalar")
         return _record("pass", f"U = {to_text(solved.expression)}")
-
-    def check_splitting_build(self):
-        try:
-            structure = self.structure()
-        except _Skip:
-            exc = self.ctx.get("structure")
-            return _record("fail", f"{type(exc).__name__}: {exc}",
-                           {"message": str(exc)})
-        return _record("pass", "two transverse line fields on a 6-chart "
-                               "with the expected flag", box=structure.box)
 
 
 def _check_sequence(kind: str, suite: str) -> tuple:
@@ -809,13 +465,17 @@ def run_suite(model: ModelFile, suite: str, seed: int,
         "pseudo-product": run.check_pseudo_product,
         "symbol-algebra": run.check_symbol_algebra,
         "swapped-splitting-fails": run.check_swapped,
-        "family-build": run.check_family_build,
+        "family-build": lambda: run.check_built(
+            "contact form verified and annihilation certified "
+            "({.alpha_status})"),
         "nondegenerate": run.check_nondegenerate,
         "lagrangian": run.check_lagrangian,
         "osculating-condition": run.check_osculating,
         "solve-U": run.check_solve_u,
         "prolong-cone": run.check_pseudo_product,
-        "splitting-build": run.check_splitting_build,
+        "splitting-build": lambda: run.check_built(
+            "two transverse line fields on a 6-chart with the expected "
+            "flag"),
         "duality-base": lambda: run.check_duality(0),
         "duality-random-1": lambda: run.check_duality(1),
         "duality-random-2": lambda: run.check_duality(2),
@@ -827,12 +487,8 @@ def run_suite(model: ModelFile, suite: str, seed: int,
     for record in run.records:
         counts[record["status"]] += 1
 
-    box = None
-    for key in ("dist", "family", "structure"):
-        value = run.ctx.get(key)
-        if value is not None and not isinstance(value, Exception):
-            box = value.box
-            break
+    built = run.ctx.get("built")
+    box = None if built is None or isinstance(built, Exception) else built.box
 
     report = {
         "tool": {"name": "dist235", "version": _VERSION},
@@ -906,15 +562,12 @@ def trace_lines(model: ModelFile, x0: Optional[dict], theta0: Fraction,
                 t_end: Fraction, tol: float) -> list:
     """Integrate one singular path and return its nodes as canonical
     JSON lines."""
-    if model.kind == "distribution235":
-        dist = _build_distribution(model, model.box)
-        system = distribution_system(dist)
-    elif model.kind == "cone-family":
-        family = _build_family(model, model.box)
-        system = cone_system(family)
-    else:
+    if model.kind == "pseudo-product":
         raise ModelError(
             "trace requires a distribution235 or cone-family model")
+    built = build_model(model)
+    system = distribution_system(built) \
+        if model.kind == "distribution235" else cone_system(built)
     if x0 is None:
         x0 = {var: as_fraction(model.base_point[var])
               for var in system.state_chart.variables}
@@ -1011,7 +664,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_models(args) -> int:
     if args.action == "list":
-        for name in bundled_names():
+        for name in BUNDLED:
             sys.stdout.write(name + "\n")
         return 0
     if args.name is None:

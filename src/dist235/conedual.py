@@ -17,6 +17,7 @@ the path integration module.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
@@ -28,6 +29,8 @@ from .distduality import (
     Distribution235, PseudoProductStructure, StructureError, _format_point,
     default_box,
 )
+from .models import BUNDLED, STANDARD_CHART, _FIELDS, ModelFile, \
+    parse_model
 from .scalar import (
     Const, OpaqueRegistry, Prod, ScalarExpr, default_registry,
     differentiate, evaluate, free_variables, is_zero, min_degree,
@@ -460,127 +463,83 @@ def prolong_cone(family: ConeFamily) -> PseudoProductStructure:
 
 
 # ---------------------------------------------------------------------------
-# bundled models
+# building models from their documents
 # ---------------------------------------------------------------------------
 
-# The standard chart and contact form of the parameter-driven families,
-# and the bundled model documents (read as model files by `cli`).
-STANDARD_CHART = ("x1", "x2", "x3", "x4", "x5")
-STANDARD_ALPHA = ("0", "-x3", "2*x2", "-x1", "1")
+def build_model(model: ModelFile, box: Optional[Box] = None):
+    """The object a parsed model document describes: a
+    `Distribution235`, a `ConeFamily` or a `PseudoProductStructure`.
 
-BUNDLED = {
-    "hilbert-cartan": {
-        "kind": "distribution235",
-        "name": "hilbert-cartan",
-        "chart": ["x", "y", "y1", "y2", "z"],
-        "expressions": {
-            "eta1": ["1", "y1", "y2", "0", "y2^2"],
-            "eta2": ["0", "0", "0", "1", "0"],
-        },
-    },
-    "flat-cone": {
-        "kind": "cone-family",
-        "name": "flat-cone",
-        "chart": list(STANDARD_CHART),
-        "theta": "th",
-        "alpha": list(STANDARD_ALPHA),
-        "expressions": {
-            "A": "th",
-            "B": "th^2",
-            "S": "th^3",
-            "T": "x3*th - 2*x2*th^2 + x1*th^3",
-        },
-    },
-    "cubic-a": {
-        "kind": "cone-family",
-        "name": "cubic-a",
-        "chart": list(STANDARD_CHART),
-        "theta": "th",
-        "alpha": list(STANDARD_ALPHA),
-        "expressions": {"a": "x1"},
-        "notes": [
-            "open question: whether a nonzero driver a(x1) is compatible "
-            "with the osculating identity is not asserted either way; "
-            "the osculating-condition entry below records the computed "
-            "outcome for a = x1.",
-        ],
-    },
-    "noncubic-bc": {
-        "kind": "cone-family",
-        "name": "noncubic-bc",
-        "chart": list(STANDARD_CHART),
-        "theta": "th",
-        "alpha": list(STANDARD_ALPHA),
-        "expressions": {"b": "th^3", "c": "(3/2)*th^4"},
-    },
-    "noncubic-bc-violating": {
-        "kind": "cone-family",
-        "name": "noncubic-bc-violating",
-        "chart": list(STANDARD_CHART),
-        "theta": "th",
-        "alpha": list(STANDARD_ALPHA),
-        "expressions": {"b": "th^3", "c": "th^4"},
-    },
-}
-
-BUILTIN_MODELS = ("flat-cone", "cubic-a", "noncubic-bc", "hilbert-cartan")
-
-
-def builtin_model(name: str, params: Optional[dict] = None,
-                  registry: Optional[OpaqueRegistry] = None):
-    """Construct a bundled model family by name.
-
-    * ``flat-cone``: the homogeneous cubic family (all parameters zero).
-    * ``cubic-a``: cubic family driven by a function of the first base
-      coordinate (parameter ``a``, vanishing at 0).
-    * ``noncubic-bc``: family perturbed by functions of the direction
-      (parameters ``b``, ``c`` with lowest orders at least 3 and 4).
-    * ``hilbert-cartan``: the flat growth-(2,3,5) plane field (returns a
-      distribution, not a cone family).
-
-    ``flat-cone`` and ``hilbert-cartan`` are built from their documents
-    in `BUNDLED`.
+    It is built on `box`, by default the document's own box, else the
+    default box of its kind.  A parameter-driven cone family gets its
+    components A, B, S, T from the parameters ``a`` or ``b``, ``c``.
     """
-    if registry is None:
-        registry = default_registry()
-    params = dict(params or {})
+    if box is None:
+        box = model.box
+    chart = Chart(model.chart)
+    exprs, registry = model.expressions, model.registry
+    base_point = dict(model.base_point)
+    if model.kind == "cone-family":
+        if "A" in exprs:
+            components = tuple(exprs[key] for key in "ABST")
+        else:
+            components = _driver_components(exprs, registry)
+        return ConeFamily.build(
+            chart, components, model.alpha, theta=model.theta,
+            base_point=base_point, box=box, registry=registry,
+            name=model.name)
+    fields = tuple(field_from_strings(chart, exprs[key], registry, key)
+                   for key in _FIELDS[model.kind][0])
+    if model.kind == "distribution235":
+        return Distribution235(chart, *fields, base_point, box=box,
+                               registry=registry, name=model.name)
+    e1, e2, k_field, l_field = fields
+    return PseudoProductStructure.build(
+        chart, (e1, e2), k_field, l_field, base_point, box=box,
+        registry=registry, name=model.name)
 
-    if name in ("flat-cone", "hilbert-cartan"):
-        if params:
-            raise StructureError("this model takes no parameters")
+
+def builtin_model(name: str, params: Optional[dict] = None):
+    """Build the bundled model `name`: its document in `BUNDLED`, with
+    `params` in place of the document's expressions when given, parsed
+    by `parse_model` and built by `build_model`.
+
+    * ``hilbert-cartan``: the flat growth-(2,3,5) plane field (a
+      distribution, not a cone family).
+    * ``flat-cone``: the homogeneous cubic family.
+    * ``cubic-a``: cubic family driven by a function of the first base
+      coordinate (parameter ``a``, vanishing at 0; bundled a = x1).
+    * ``noncubic-bc``, ``noncubic-bc-violating``: family perturbed by
+      functions of the direction (parameters ``b``, ``c`` with lowest
+      orders at least 3 and 4).
+
+    `params` must name exactly the document's expression keys.  An
+    unknown name or other keys raise StructureError; parameter text the
+    document schema rejects raises ModelError.
+    """
+    try:
         doc = BUNDLED[name]
-        chart = Chart(tuple(doc["chart"]))
-        exprs = doc["expressions"]
-        if name == "hilbert-cartan":
-            eta1, eta2 = (field_from_strings(chart, exprs[key], registry, key)
-                          for key in ("eta1", "eta2"))
-            return Distribution235(chart, eta1, eta2, chart.origin(),
-                                   registry=registry, name=name)
-        return ConeFamily.build(
-            chart, tuple(exprs[key] for key in "ABST"), doc["alpha"],
-            theta=doc["theta"], registry=registry, name=name)
-
-    if name in ("cubic-a", "noncubic-bc"):
-        return ConeFamily.build(
-            Chart(STANDARD_CHART),
-            _driver_components(name, params, registry), STANDARD_ALPHA,
-            registry=registry, name=name)
-
-    raise StructureError(
-        f"unknown model {name!r}; available: {', '.join(BUILTIN_MODELS)}")
-
-
-def _driver_components(name: str, params: dict,
-                       registry: OpaqueRegistry) -> tuple:
-    """The components (A, B, S, T) of the parameter-driven family `name`
-    over the standard chart, after checking its parameters: ``a`` for
-    ``cubic-a``, ``b`` and ``c`` for ``noncubic-bc``."""
-    z_vars = STANDARD_CHART + ("th",)
-    if name == "cubic-a":
-        if set(params) != {"a"}:
+    except KeyError:
+        raise StructureError(
+            f"unknown model {name!r}; available: "
+            + ", ".join(BUNDLED)) from None
+    if params:
+        keys = sorted(doc["expressions"])
+        if sorted(params) != keys:
             raise StructureError(
-                "this model takes exactly the parameter 'a'")
-        a = _as_expr(params["a"], z_vars, registry)
+                f"model {name!r} takes exactly the parameters "
+                + ", ".join(repr(key) for key in keys))
+        doc = dict(doc, expressions=dict(params))
+    return build_model(parse_model(json.dumps(doc), name))
+
+
+def _driver_components(params: dict, registry: OpaqueRegistry) -> tuple:
+    """The components (A, B, S, T) of a parameter-driven family over the
+    standard chart, after checking its parameters: ``a`` for the cubic
+    family, ``b`` and ``c`` for the non-cubic one."""
+    z_vars = STANDARD_CHART + ("th",)
+    if "a" in params:
+        a = parse_expr(params["a"], z_vars, registry)
         extra = _free_outside(a, ("x1",))
         if extra:
             raise StructureError(
@@ -592,11 +551,8 @@ def _driver_components(name: str, params: dict,
         a_text = to_text(a)
         comp_b, comp_s = f"th^2 + ({a_text})", f"th^3 - 3*th*({a_text})"
     else:
-        if set(params) != {"b", "c"}:
-            raise StructureError(
-                "this model takes exactly the parameters 'b' and 'c'")
-        b = _as_expr(params["b"], z_vars, registry)
-        c = _as_expr(params["c"], z_vars, registry)
+        b = parse_expr(params["b"], z_vars, registry)
+        c = parse_expr(params["c"], z_vars, registry)
         for label, expr, bound in (("b", b, 3), ("c", c, 4)):
             extra = _free_outside(expr, ("th",))
             if extra:

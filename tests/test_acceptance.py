@@ -17,12 +17,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from dist235.boxes import Box
-from dist235.cli import bundled_document, bundled_names, canonical_json, \
-    main, parse_model, run_suite
+from dist235.cli import bundled_document, canonical_json, main, run_suite
 from dist235.conedual import DirectionField, builtin_model, \
     check_lagrangian, check_osculating_condition, prolong_cone
 from dist235.distduality import Distribution235, check_235, prolong_235, \
     solve_e, symbol_algebra_at, verify_pseudo_product
+from dist235.models import BUNDLED, parse_model
 from dist235.paths import classify_biextremal, cone_system, \
     distribution_system, lift_fiber, verify_duality
 from dist235.scalar import Const, Pow, Prod, Sum, Var, \
@@ -395,7 +395,7 @@ def test_08_scalar_engine():
 
     # parse/print round trip over the model corpus plus generated texts
     corpus = []
-    for name in bundled_names():
+    for name in BUNDLED:
         doc = json.loads(bundled_document(name))
         for value in doc["expressions"].values():
             corpus.extend(value if isinstance(value, list) else [value])
@@ -457,7 +457,7 @@ def test_09_parameter_driver_ledger():
 def test_10_reports_are_byte_identical(tmp_path):
     start = time.perf_counter()
     reference = json.loads(REFERENCE.read_text())
-    for name in bundled_names():
+    for name in BUNDLED:
         blobs = []
         codes = []
         for attempt in range(2):
@@ -472,6 +472,6 @@ def test_10_reports_are_byte_identical(tmp_path):
             f"{name} report differs from the recorded reference"
         assert codes[0] == reference[name]["exit"]
     _verdict(10, f"two seed-7 runs byte-identical on all "
-                 f"{len(bundled_names())} bundled models and equal to "
+                 f"{len(BUNDLED)} bundled models and equal to "
                  "the recorded reports",
              time.perf_counter() - start)

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from dist235.cli import (
-    BUNDLED, ModelError, bundled_document, bundled_names, canonical_json,
-    exit_code, format_text, load_model, main, parse_model, run_suite,
-    trace_lines,
+    bundled_document, canonical_json, exit_code, format_text, load_model,
+    main, run_suite, trace_lines,
 )
+from dist235.models import BUNDLED, ModelError, parse_model
 from dist235 import distduality
 from dist235.distduality import check_235
 from dist235.vecfield import DegenerateFrameError, derived_flag
@@ -283,6 +283,22 @@ class TestParseModel:
         model = parse_model(json.dumps(doc), "f")
         assert "g" in model.registry
 
+    def test_opaque_derivative_may_name_a_later_function(self):
+        # f' = f1, f1' = f2, f2' = 0 in either order of declaration
+        chain = [{"name": "f", "evaluator": "u^2", "derivative": "f1"},
+                 {"name": "f1", "evaluator": "2*u", "derivative": "f2"},
+                 {"name": "f2", "evaluator": "2", "derivative": "0"}]
+        models = []
+        for entries in (chain, chain[::-1]):
+            doc = json.loads(bundled_document("cubic-a"))
+            doc["opaque"] = entries
+            doc["expressions"]["a"] = "f(x1)"
+            models.append(parse_model(json.dumps(doc), "f"))
+        natural, reversed_ = (run_suite(m, "all", 0) for m in models)
+        assert natural["model"]["sha256"] != reversed_["model"]["sha256"]
+        assert natural["checks"] == reversed_["checks"]
+        assert check_named(natural, "family-build")["status"] == "pass"
+
     def test_opaque_bad_shape(self):
         doc = json.loads(bundled_document("hilbert-cartan"))
         doc["opaque"] = [{"name": "sq", "evaluator": "u^2"}]
@@ -312,17 +328,17 @@ class TestParseModel:
 
 class TestLoadAndBundled:
     def test_bundled_names(self):
-        assert bundled_names() == (
+        assert tuple(BUNDLED) == (
             "hilbert-cartan", "flat-cone", "cubic-a", "noncubic-bc",
             "noncubic-bc-violating")
 
     def test_every_bundled_document_parses(self):
-        for name in bundled_names():
+        for name in BUNDLED:
             model = parse_model(bundled_document(name), name)
             assert model.name == name
 
     def test_documents_are_canonical(self):
-        for name in bundled_names():
+        for name in BUNDLED:
             text = bundled_document(name)
             assert canonical_json(json.loads(text)) + "\n" == text
 
@@ -691,7 +707,7 @@ class TestMain:
     def test_models_list(self, capsys):
         assert main(["models", "list"]) == 0
         out = capsys.readouterr().out
-        assert out.splitlines() == list(bundled_names())
+        assert out.splitlines() == list(BUNDLED)
 
     def test_models_show(self, capsys):
         assert main(["models", "show", "flat-cone"]) == 0
@@ -700,6 +716,17 @@ class TestMain:
     def test_models_show_unknown(self, capsys):
         assert main(["models", "show", "mystery"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_repeated_opaque_name_is_a_model_error(self, tmp_path, capsys):
+        doc = json.loads(bundled_document("hilbert-cartan"))
+        doc["opaque"] = [
+            {"name": "f", "evaluator": "u", "derivative": "1"},
+            {"name": "f", "evaluator": "u^2", "derivative": "2*u"}]
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: opaque[1]: opaque 'f' is declared twice\n")
 
     def test_models_show_needs_name(self, capsys):
         assert main(["models", "show"]) == 3
@@ -784,7 +811,7 @@ class TestMain:
             == self.TRACE_SHA256[name]
 
     def test_trace_pins_cover_every_bundled_model(self):
-        assert sorted(self.TRACE_SHA256) == sorted(bundled_names())
+        assert sorted(self.TRACE_SHA256) == sorted(BUNDLED)
 
     def test_trace_model_that_does_not_build_exit_two(self, tmp_path,
                                                       capsys):
@@ -828,16 +855,38 @@ class TestMain:
         assert "contact form" in capsys.readouterr().err
 
 
+def child_env():
+    """The environment of a fresh interpreter that imports this dist235."""
+    import dist235
+
+    src = str(Path(dist235.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestRuntimeImports:
+    def test_conedual_loads_neither_cli_nor_paths(self):
+        # the family sweep imports only conedual, which builds models
+        # through the parser in `models`; that must not pull in the
+        # command line or the path integrator
+        script = ("import sys, dist235.conedual\n"
+                  "print(sorted(m for m in sys.modules"
+                  " if m.startswith('dist235')))\n")
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=child_env(), capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        loaded = done.stdout
+        assert "'dist235.models'" in loaded
+        assert "'dist235.cli'" not in loaded
+        assert "'dist235.paths'" not in loaded
+
     def test_analyze_does_not_import_numpy(self):
         # numpy is a test-time oracle only; a fresh process that runs a
         # full analysis of a bundled model must never load it
-        import dist235
-
-        src = str(Path(dist235.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
+        env = child_env()
         script = (
             "import sys\n"
             "from dist235.cli import main\n"

@@ -2,6 +2,7 @@
 compatibility, the osculating spaces, the bracket-osculation condition,
 the Cauchy-characteristic correction, and the induced splitting."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 from dist235 import conedual
 from dist235.conedual import (
-    BUILTIN_MODELS, ConeFamily, DirectionField, builtin_model,
+    ConeFamily, DirectionField, build_model, builtin_model,
     check_lagrangian, check_nondegenerate, check_osculating_condition,
     cone_frame, prolong_cone, solve_U,
 )
@@ -17,11 +18,13 @@ from dist235.distduality import (
     Distribution235, StructureError, symbol_algebra_at,
     verify_pseudo_product,
 )
+from dist235.models import BUNDLED, ModelError, parse_model
 from dist235.scalar import (
-    Const, OpaqueRegistry, evaluate, is_zero, parse_expr, to_text,
+    OpaqueRegistry, Sum, evaluate, is_zero, normalize, parse_expr, to_text,
 )
 from dist235.vecfield import (
-    Chart, ChartError, Frame, PointValues, lie_bracket, pair,
+    Chart, ChartError, Frame, PointValues, exterior_derivative, lie_bracket,
+    pair,
 )
 
 from helpers import count_calls
@@ -491,8 +494,9 @@ class TestPerFamilyResults:
 
 class TestBuiltinModels:
     def test_model_names(self):
-        assert set(BUILTIN_MODELS) == {
-            "flat-cone", "cubic-a", "noncubic-bc", "hilbert-cartan"}
+        # every bundled document builds, under its own name
+        for name in BUNDLED:
+            assert builtin_model(name).name == name
 
     def test_flat_cone_equals_cubic_a_at_zero(self):
         flat = builtin_model("flat-cone")
@@ -543,13 +547,18 @@ class TestBuiltinModels:
         # a float value of `a` at the origin is decided by linalg's rule:
         # exactly 0.0 passes, and 1e-13 (under the old absolute 1e-12
         # cut-off) does not
-        reg = OpaqueRegistry()
-        reg.register("f", lambda u: u, derivative=Const(Fraction(1)))
-        reg.register("g", lambda u: u + 1e-13, derivative=Const(Fraction(1)))
-        family = builtin_model("cubic-a", {"a": "f(x1)"}, reg)
+        def cubic_a(a_text):
+            opaque = [{"name": "f", "evaluator": "u", "derivative": "1"},
+                      {"name": "g", "evaluator": "u + 1/10000000000000",
+                       "derivative": "1"}]
+            doc = dict(BUNDLED["cubic-a"], expressions={"a": a_text},
+                       opaque=opaque)
+            return build_model(parse_model(json.dumps(doc), "cubic-a"))
+
+        family = cubic_a("f(x1)")
         assert family.name == "cubic-a"
         with pytest.raises(StructureError, match="vanish"):
-            builtin_model("cubic-a", {"a": "g(x1)"}, reg)
+            cubic_a("g(x1)")
 
     def test_cubic_a_rejects_other_variables(self):
         with pytest.raises(StructureError, match="x1"):
@@ -559,11 +568,69 @@ class TestBuiltinModels:
         with pytest.raises(StructureError, match="unknown"):
             builtin_model("engel")
 
+    def test_cubic_a_without_parameters_is_the_bundled_driver(self):
+        bundled = builtin_model("cubic-a")
+        explicit = builtin_model("cubic-a", {"a": "x1"})
+        assert bundled.components == explicit.components
+
+    def test_malformed_parameter_is_a_model_error(self):
+        with pytest.raises(ModelError, match=r"expressions\.b"):
+            builtin_model("noncubic-bc", {"b": "th^", "c": "th^4"})
+
     def test_extraneous_params_rejected(self):
         with pytest.raises(StructureError):
             builtin_model("flat-cone", {"a": "0"})
         with pytest.raises(StructureError):
             builtin_model("hilbert-cartan", {"b": "0"})
+
+
+# ---------------------------------------------------------------------------
+# the osculating defect for opaque drivers
+# ---------------------------------------------------------------------------
+
+def opaque_chain(name, evaluators, last):
+    """Opaque functions name, name1, ...: each one's derivative is the
+    next, and the last one's is the template `last`."""
+    names = [name] + [f"{name}{k}" for k in range(1, len(evaluators))]
+    return [{"name": n, "evaluator": ev, "derivative": d}
+            for n, ev, d in zip(names, evaluators, names[1:] + [last])]
+
+
+def opaque_family(name, expressions, opaque):
+    doc = dict(BUNDLED[name], expressions=expressions, opaque=opaque)
+    return build_model(parse_model(json.dumps(doc), name))
+
+
+def sum_text(family, *exprs):
+    return to_text(normalize(Sum(exprs), family.z_chart.variables))
+
+
+class TestDefectIdentities:
+    def test_isotropy_is_minus_the_defect(self):
+        # b = B(th), c = C(th): the isotropy scalar of the Lagrangian
+        # check is identically minus the osculating defect, and that
+        # defect is c' - 3*th*b' + 3*b
+        opaque = (opaque_chain("B", ("u^3", "3*u^2", "6*u", "6"), "0")
+                  + opaque_chain("C", ("u^4", "4*u^3", "12*u^2", "24*u"),
+                                 "24"))
+        family = opaque_family("noncubic-bc", {"b": "B(th)", "c": "C(th)"},
+                               opaque)
+        d_alpha = exterior_derivative(family.lifted_alpha, family.registry)
+        iso = pair(d_alpha, family.zeta(2), family.zeta(3))
+        defect = family.bracket_decomposition[0][5]
+        assert sum_text(family, iso, defect) == "0"
+        closed_form = family.z_chart.parse(
+            "C1(th) - 3*th*B1(th) + 3*B(th)", family.registry)
+        assert sum_text(family, iso, closed_form) == "0"
+
+    def test_cubic_a_defect_is_minus_half_the_driver_slope(self):
+        family = opaque_family(
+            "cubic-a", {"a": "F(x1)"},
+            opaque_chain("F", ("u^2", "2*u", "2"), "0"))
+        along_third = family.bracket_decomposition[0][4]
+        half_slope = family.z_chart.parse("F1(x1)/2", family.registry)
+        assert sum_text(family, along_third, half_slope) == "0"
+        assert not check_osculating_condition(family).passed
 
 
 # ---------------------------------------------------------------------------

@@ -549,7 +549,8 @@ class TestNormalFormMatchesReference:
 
     def test_every_normal_form_of_the_bundled_reports(self, monkeypatch,
                                                       tmp_path):
-        from dist235.cli import bundled_names, main
+        from dist235.cli import main
+        from dist235.models import BUNDLED
         cached = scalar._normal_form
         calls = {}
 
@@ -559,7 +560,7 @@ class TestNormalFormMatchesReference:
 
         from test_cli import TestReportPins as pins
         monkeypatch.setattr(scalar, "_normal_form", recording)
-        for name in bundled_names():
+        for name in BUNDLED:
             main(["analyze", name, "--suite", "all", "--seed", "7",
                   "--out", str(tmp_path / f"{name}.json")])
         # and the runs whose reports `TestReportPins` pins
@@ -702,6 +703,7 @@ class TestCarriedPairs:
         # a count, not a time: the bundled noncubic-bc osculating check on
         # fresh caches, with pairs carried and with none reusable
         from dist235 import conedual, vecfield
+        from dist235.models import BUNDLED
 
         def clear_caches():
             for cached in (scalar._normal_form, scalar._derivative,
@@ -714,7 +716,7 @@ class TestCarriedPairs:
                 patch.setattr(scalar._NormalForm, "reusable", reusable)
                 calls = count_calls(patch, scalar._NFBuilder, "visit")
                 family = conedual.builtin_model(
-                    "noncubic-bc", dict(conedual.BUNDLED["noncubic-bc"]
+                    "noncubic-bc", dict(BUNDLED["noncubic-bc"]
                                         ["expressions"]))
                 assert conedual.check_osculating_condition(family).passed
             clear_caches()
