@@ -179,6 +179,9 @@ _BUILT = {"distribution235": "the distribution",
           "cone-family": "the cone family",
           "pseudo-product": "the splitting"}
 
+_SYSTEMS = {"distribution235": distribution_system,
+            "cone-family": cone_system}
+
 
 class _SuiteRun:
     """Runs named checks in order, recording outcome and wall time."""
@@ -224,6 +227,13 @@ class _SuiteRun:
             "built", lambda: build_model(self.model, self.box),
             _BUILT[self.model.kind])
 
+    def built_or_error(self):
+        """`built()`, or the exception its construction raised."""
+        try:
+            return self.built()
+        except _Skip:
+            return self.ctx["built"]
+
     def prolonged(self) -> ProlongedDistribution:
         return self._memo(
             "prolonged", lambda: prolong_235(self.built()),
@@ -247,8 +257,7 @@ class _SuiteRun:
                 self.prolonged(), name=self.model.name), "the splitting")
 
     def control_system(self):
-        system = distribution_system \
-            if self.model.kind == "distribution235" else cone_system
+        system = _SYSTEMS[self.model.kind]
         return self._memo(
             "system", lambda: system(self.built()), "the control system")
 
@@ -263,10 +272,8 @@ class _SuiteRun:
                   f"growth {report.growth}")
         if report.valid:
             return _record("pass", detail, box=structure.box)
-        witnesses = []
-        for cond in report.conditions:
-            witnesses.extend(cond.witnesses)
-        witnesses = list(witnesses) + list(report.splitting_witnesses)
+        witnesses = [w for cond in report.conditions for w in cond.witnesses]
+        witnesses += report.splitting_witnesses
         return _record(
             "fail", detail,
             {"conditions": list(report.failed_conditions()),
@@ -335,13 +342,10 @@ class _SuiteRun:
     def check_growth_235(self):
         # The growth check is the one the distribution ran when it was
         # built; a failed one comes back on the GrowthError.
-        try:
-            report = self.built().report
-        except _Skip:
-            exc = self.ctx["built"]
-            if not isinstance(exc, GrowthError):
-                raise exc
-            report = exc.report
+        built = self.built_or_error()
+        if isinstance(built, Exception) and not isinstance(built, GrowthError):
+            raise built
+        report = built.report
         if report.passed:
             return _record("pass", f"growth {report.growth}; ranks constant "
                                    "over the box", box=self.box)
@@ -360,12 +364,10 @@ class _SuiteRun:
     def check_built(self, detail: str):
         """The build check: `detail`, formatted with the built object,
         when it builds, else its construction error as a failure."""
-        try:
-            built = self.built()
-        except _Skip:
-            exc = self.ctx["built"]
-            return _record("fail", f"{type(exc).__name__}: {exc}",
-                           {"message": str(exc)})
+        built = self.built_or_error()
+        if isinstance(built, Exception):
+            return _record("fail", f"{type(built).__name__}: {built}",
+                           {"message": str(built)})
         return _record("pass", detail.format(built), box=built.box)
 
     def check_nondegenerate(self):
@@ -562,12 +564,10 @@ def trace_lines(model: ModelFile, x0: Optional[dict], theta0: Fraction,
                 t_end: Fraction, tol: float) -> list:
     """Integrate one singular path and return its nodes as canonical
     JSON lines."""
-    if model.kind == "pseudo-product":
+    if model.kind not in _SYSTEMS:
         raise ModelError(
             "trace requires a distribution235 or cone-family model")
-    built = build_model(model)
-    system = distribution_system(built) \
-        if model.kind == "distribution235" else cone_system(built)
+    system = _SYSTEMS[model.kind](build_model(model))
     if x0 is None:
         x0 = {var: as_fraction(model.base_point[var])
               for var in system.state_chart.variables}

@@ -29,17 +29,16 @@ from .distduality import (
     Distribution235, PseudoProductStructure, StructureError, _format_point,
     default_box,
 )
-from .models import BUNDLED, STANDARD_CHART, _FIELDS, ModelFile, \
-    parse_model
+from .models import BUNDLED, _FIELDS, ModelFile, parse_model
 from .scalar import (
-    Const, OpaqueRegistry, Prod, ScalarExpr, default_registry,
-    differentiate, evaluate, free_variables, is_zero, min_degree,
-    normalize, parse_expr, substitute, to_text,
+    Const, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum, Var,
+    default_registry, differentiate, evaluate, free_variables, is_zero,
+    min_degree, normalize, parse_expr, substitute, to_text,
 )
 from .vecfield import (
     Chart, ChartError, DegenerateFrameError, Frame, OneForm, PointValues,
     VectorField, check_contact, coordinate_field, exterior_derivative,
-    field_from_strings, lie_bracket, pair, rank_at, symbolic_decompose,
+    lie_bracket, pair, rank_at, symbolic_decompose,
 )
 
 
@@ -488,7 +487,7 @@ def build_model(model: ModelFile, box: Optional[Box] = None):
             chart, components, model.alpha, theta=model.theta,
             base_point=base_point, box=box, registry=registry,
             name=model.name)
-    fields = tuple(field_from_strings(chart, exprs[key], registry, key)
+    fields = tuple(VectorField(chart, exprs[key], key)
                    for key in _FIELDS[model.kind][0])
     if model.kind == "distribution235":
         return Distribution235(chart, *fields, base_point, box=box,
@@ -536,10 +535,11 @@ def builtin_model(name: str, params: Optional[dict] = None):
 def _driver_components(params: dict, registry: OpaqueRegistry) -> tuple:
     """The components (A, B, S, T) of a parameter-driven family over the
     standard chart, after checking its parameters: ``a`` for the cubic
-    family, ``b`` and ``c`` for the non-cubic one."""
-    z_vars = STANDARD_CHART + ("th",)
+    family (b = a, c = -3*th*a), ``b`` and ``c`` for the non-cubic one;
+    each is the tree its formula parses to (shape fixes normal form)."""
+    th = Var("th")
     if "a" in params:
-        a = parse_expr(params["a"], z_vars, registry)
+        a = params["a"]
         extra = _free_outside(a, ("x1",))
         if extra:
             raise StructureError(
@@ -548,11 +548,9 @@ def _driver_components(params: dict, registry: OpaqueRegistry) -> tuple:
                                              registry)):
             raise StructureError(
                 "parameter 'a' must vanish at the base point")
-        a_text = to_text(a)
-        comp_b, comp_s = f"th^2 + ({a_text})", f"th^3 - 3*th*({a_text})"
+        b, c = a, Prod((Const(-3), th, a))
     else:
-        b = parse_expr(params["b"], z_vars, registry)
-        c = parse_expr(params["c"], z_vars, registry)
+        b, c = params["b"], params["c"]
         for label, expr, bound in (("b", b, 3), ("c", c, 4)):
             extra = _free_outside(expr, ("th",))
             if extra:
@@ -564,11 +562,11 @@ def _driver_components(params: dict, registry: OpaqueRegistry) -> tuple:
                 raise StructureError(
                     f"parameter {label!r} has lowest order {order}, "
                     f"need at least {bound}")
-        comp_b = f"th^2 + ({to_text(b)})"
-        comp_s = f"th^3 + ({to_text(c)})"
+    comp_b, comp_s = Sum((Pow(th, 2), b)), Sum((Pow(th, 3), c))
     # T makes the standard contact form annihilate the generator.
-    return ("th", comp_b, comp_s,
-            f"x3*th - 2*x2*({comp_b}) + x1*({comp_s})")
+    comp_t = Sum((Prod((Var("x3"), th)), Prod((Const(-2), Var("x2"), comp_b)),
+                  Prod((Var("x1"), comp_s))))
+    return (th, comp_b, comp_s, comp_t)
 
 
 def _free_outside(expr: ScalarExpr, allowed: tuple) -> tuple:

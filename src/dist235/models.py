@@ -11,8 +11,8 @@ expressions.  Three kinds are understood:
 * ``pseudo-product`` — ``e1``/``e2``/``K``/``L`` on a 6-dimensional
   chart.
 
-`parse_model` checks a document and returns a `ModelFile`;
-`conedual.build_model` builds its geometric object.
+`parse_model` checks a document into a `ModelFile` holding one tree per
+expression text; `conedual.build_model` builds its object from them.
 """
 
 from __future__ import annotations
@@ -106,10 +106,10 @@ BUNDLED = {
 class ModelFile:
     """A parsed and schema-checked model document.
 
-    Expression texts are validated against the declared chart at parse
-    time; the geometric objects themselves are built later, inside the
-    suite, so that a model that parses but fails verification is
-    reported as a failing check rather than a usage error.
+    Each expression text is parsed once against the declared chart and
+    kept as a tree (a tuple of trees for a frame field and `alpha`).  The
+    objects are built later, inside the suite, so that a model that parses
+    but fails verification is a failing check rather than a usage error.
     """
 
     kind: str
@@ -162,6 +162,11 @@ def _parse_text(text: str, variables, registry, where: str):
         return parse_expr(text, variables, registry)
     except Exception as exc:
         raise ModelError(f"{where}: {exc}") from None
+
+
+def _parse_texts(value, count: int, variables, registry, where: str):
+    return tuple(_parse_text(text, variables, registry, f"{where}[{i}]")
+                 for i, text in enumerate(_string_list(value, count, where)))
 
 
 def _build_registry(doc: dict, origin: str) -> OpaqueRegistry:
@@ -256,9 +261,8 @@ def parse_model(text: str, origin: str = "model") -> ModelFile:
             raise ModelError(
                 f"{origin}: a cone-family model must declare the contact "
                 "form 'alpha'")
-        alpha = _string_list(doc["alpha"], 5, f"{origin}: alpha")
-        for i, text_i in enumerate(alpha):
-            _parse_text(text_i, chart, registry, f"{origin}: alpha[{i}]")
+        alpha = _parse_texts(doc["alpha"], 5, chart, registry,
+                             f"{origin}: alpha")
     else:
         for forbidden in ("theta", "alpha"):
             if forbidden in doc:
@@ -271,6 +275,7 @@ def parse_model(text: str, origin: str = "model") -> ModelFile:
         raise ModelError(f"{origin}: 'expressions' must be an object")
     keys = set(expressions)
 
+    parsed = {}
     if kind == "cone-family":
         if keys != _COMPONENT_SET and keys not in _DRIVER_SETS:
             raise ModelError(
@@ -279,26 +284,24 @@ def parse_model(text: str, origin: str = "model") -> ModelFile:
                 "(cubic) or 'b','c' (non-cubic)")
         if keys in _DRIVER_SETS and (chart != STANDARD_CHART
                                      or theta != "th"
-                                     or alpha != STANDARD_ALPHA):
+                                     or tuple(doc["alpha"]) != STANDARD_ALPHA):
             raise ModelError(
                 f"{origin}: parameter-driven cone families use the "
                 "standard chart x1..x5, direction 'th', and the "
                 "standard contact form")
         for key in sorted(keys):
             text_k = _string(expressions[key], f"{origin}: expressions.{key}")
-            _parse_text(text_k, chart + (theta,), registry,
-                        f"{origin}: expressions.{key}")
+            parsed[key] = _parse_text(text_k, chart + (theta,), registry,
+                                      f"{origin}: expressions.{key}")
     else:
         fields, listed = _FIELDS[kind]
         if keys != set(fields):
             raise ModelError(f"{origin}: a {kind} model needs exactly the "
                              f"expressions {listed}")
         for key in fields:
-            comps = _string_list(expressions[key], dimension,
-                                 f"{origin}: expressions.{key}")
-            for i, text_i in enumerate(comps):
-                _parse_text(text_i, chart, registry,
-                            f"{origin}: expressions.{key}[{i}]")
+            parsed[key] = _parse_texts(
+                expressions[key], dimension, chart, registry,
+                f"{origin}: expressions.{key}")
 
     all_vars = chart + ((theta,) if theta else ())
     base_point = {v: Fraction(0) for v in all_vars}
@@ -347,9 +350,7 @@ def parse_model(text: str, origin: str = "model") -> ModelFile:
             "point and box; drop those fields or spell out A,B,S,T")
 
     return ModelFile(
-        kind=kind, name=name, chart=tuple(chart),
-        expressions={k: (tuple(v) if isinstance(v, list) else v)
-                     for k, v in expressions.items()},
+        kind=kind, name=name, chart=tuple(chart), expressions=parsed,
         theta=theta, alpha=alpha, base_point=base_point, box=box,
         notes=notes, registry=registry,
         sha256=hashlib.sha256(text.encode("utf-8")).hexdigest())

@@ -18,7 +18,9 @@ from dist235.cli import (
     bundled_document, canonical_json, exit_code, format_text, load_model,
     main, run_suite, trace_lines,
 )
+from dist235.conedual import build_model, builtin_model
 from dist235.models import BUNDLED, ModelError, parse_model
+from dist235.scalar import parse_expr
 from dist235 import distduality
 from dist235.distduality import check_235
 from dist235.vecfield import DegenerateFrameError, derived_flag
@@ -135,7 +137,8 @@ class TestParseModel:
         assert model.name == "flat-cone"
         assert model.chart == ("x1", "x2", "x3", "x4", "x5")
         assert model.theta == "th"
-        assert model.alpha == ("0", "-x3", "2*x2", "-x1", "1")
+        assert model.alpha == tuple(parse_expr(text, model.chart) for text
+                                    in ("0", "-x3", "2*x2", "-x1", "1"))
         assert len(model.sha256) == 64
         assert model.base_point["th"] == 0
 
@@ -360,6 +363,20 @@ class TestLoadAndBundled:
         with pytest.raises(ModelError, match="no such model"):
             load_model("no-such-file.json")
 
+    # the number of expression texts in each bundled document
+    TEXTS = {"hilbert-cartan": 10, "flat-cone": 9, "cubic-a": 6,
+             "noncubic-bc": 7, "noncubic-bc-violating": 7}
+
+    @pytest.mark.parametrize("name", sorted(TEXTS))
+    def test_each_text_is_parsed_once(self, name):
+        assert call_counts(lambda: build_model(load_model(name)),
+                           parse_expr) == [self.TEXTS[name]]
+
+    def test_builtin_model_parses_each_text_once(self):
+        params = {"b": "th^3 - th^4", "c": "(3/2)*th^4 - 2*th^5"}
+        assert call_counts(lambda: builtin_model("noncubic-bc", params),
+                           parse_expr) == [7]
+
 
 # ---------------------------------------------------------------------------
 # suites
@@ -522,6 +539,24 @@ class TestRunSuite:
         check = check_named(report, "family-build")
         assert check["status"] == "fail"
         assert "does not annihilate" in check["detail"]
+
+    @pytest.mark.parametrize("expressions, message", [
+        ({"b": "th^2", "c": "th^4"},
+         "parameter 'b' has lowest order 2, need at least 3"),
+        ({"a": "x1 + 1"}, "parameter 'a' must vanish at the base point"),
+        ({"a": "x1*x2"}, "parameter 'a' may only involve x1, found ('x2',)"),
+    ])
+    def test_rejected_driver_fails_the_build_check(self, expressions,
+                                                   message):
+        name = "cubic-a" if "a" in expressions else "noncubic-bc"
+        doc = dict(BUNDLED[name], expressions=expressions)
+        report = run_suite(parse_model(json.dumps(doc), name), "all", 0)
+        check = check_named(report, "family-build")
+        assert check["status"] == "fail"
+        assert check["detail"] == f"StructureError: {message}"
+        assert check["witness"] == {"message": message}
+        assert report["box"] is None
+        assert report["summary"] == {"pass": 0, "fail": 1, "error": 10}
 
     def test_growth_check_failure_record(self):
         doc = json.loads(bundled_document("hilbert-cartan"))

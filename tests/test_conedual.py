@@ -584,6 +584,50 @@ class TestBuiltinModels:
             builtin_model("hilbert-cartan", {"b": "0"})
 
 
+class TestDriverTrees:
+    """The components of a parameter-driven family are the trees of the
+    texts ``th``, ``th^2 + (b)``, ``th^3 + (c)`` and
+    ``x3*th - 2*x2*(B) + x1*(S)``, with b = a and c = -3*th*a for the
+    cubic family: `Sum` takes its common-denominator shortcut by tree
+    shape, so another shape could print another normal form."""
+
+    @staticmethod
+    def reference_texts(expressions):
+        if "a" in expressions:
+            a = expressions["a"]
+            b_text, s_text = f"th^2 + ({a})", f"th^3 - 3*th*({a})"
+        else:
+            b_text = f"th^2 + ({expressions['b']})"
+            s_text = f"th^3 + ({expressions['c']})"
+        return ("th", b_text, s_text,
+                f"x3*th - 2*x2*({b_text}) + x1*({s_text})")
+
+    @pytest.mark.parametrize("name, expressions, opaque", [
+        ("cubic-a", {"a": "x1"}, []),
+        ("cubic-a", {"a": "F(x1)"},
+         [{"name": "F", "evaluator": "u^2", "derivative": "F1"},
+          {"name": "F1", "evaluator": "2*u", "derivative": "2"}]),
+        ("cubic-a", {"a": "x1^2/(1+x1)"}, []),
+        ("noncubic-bc", {"b": "th^3", "c": "(3/2)*th^4"}, []),
+        ("noncubic-bc", {"b": "th^3", "c": "th^4/(1+th)"}, []),
+    ])
+    def test_components_are_the_template_trees(self, monkeypatch, name,
+                                               expressions, opaque):
+        built = []
+        real_build = ConeFamily.build
+
+        def build(x_chart, components, *args, **kwargs):
+            built.append(components)
+            return real_build(x_chart, components, *args, **kwargs)
+
+        monkeypatch.setattr(ConeFamily, "build", build)
+        doc = dict(BUNDLED[name], expressions=expressions, opaque=opaque)
+        family = build_model(parse_model(json.dumps(doc), name))
+        z_vars = family.z_chart.variables
+        assert built == [tuple(parse_expr(text, z_vars, family.registry)
+                               for text in self.reference_texts(expressions))]
+
+
 # ---------------------------------------------------------------------------
 # the osculating defect for opaque drivers
 # ---------------------------------------------------------------------------

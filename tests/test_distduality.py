@@ -10,7 +10,6 @@ import pytest
 
 from dist235 import distduality, linalg, vecfield
 from dist235.boxes import Box
-from dist235.cli import load_model
 from dist235.conedual import (
     ConeFamily, builtin_model, check_nondegenerate, prolong_cone,
 )
@@ -19,6 +18,7 @@ from dist235.distduality import (
     GradingError, GrowthError, PseudoProductReport, PseudoProductStructure,
     StructureError, _format_point, check_235, prolong_235, solve_e, symbol_algebra_at, verify_pseudo_product,
 )
+from dist235.models import BUNDLED
 from dist235.scalar import (
     OpaqueRegistry, evaluate, is_zero, parse_expr, to_text,
 )
@@ -591,7 +591,7 @@ def bundled_structure(name):
     if name == "hilbert-cartan":
         pro = prolong_235(builtin_model(name))
         return solve_e(pro).structure(pro, name=name)
-    params = load_model(name).expressions if name != "flat-cone" else None
+    params = BUNDLED[name]["expressions"] if name != "flat-cone" else None
     return prolong_cone(builtin_model(name, params))
 
 
