@@ -4,36 +4,51 @@ A Box is a product of closed intervals with rational endpoints, one per
 named coordinate.  Sampling uses a Halton sequence computed in exact
 rational arithmetic, so sample points are reproducible and can be fed to
 exact evaluators without rounding.  The points of a box are built once
-and cached; each call returns them as fresh dicts.
+per active `memo.Memo` (that of the suite run, trace or cone family
+asking for them, freed with it) and kept there; each call returns them
+as fresh dicts.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .memo import memoized
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _radical_inverse(index: int, base: int) -> Fraction:
-    # van der Corput radical inverse of `index` in the given base, exact.
-    inv = Fraction(0)
-    denom = base
+def _radical_inverse(index: int, base: int) -> tuple:
+    """The van der Corput radical inverse of `index` in the given base,
+    exact, as (numerator, denominator)."""
+    num, denom = 0, 1
     while index > 0:
         index, digit = divmod(index, base)
-        inv += Fraction(digit, denom)
-        denom *= base
-    return inv
+        num, denom = num * base + digit, denom * base
+    return num, denom
 
 
-@functools.lru_cache(maxsize=256)
+@memoized
 def _halton(intervals: tuple, count: int, skip: int) -> tuple:
-    """Halton points skip+1 .. skip+count, as tuples of (name, value)."""
-    return tuple(
-        tuple((name, lo + (hi - lo) * _radical_inverse(i, _PRIMES[dim]))
-              for dim, (name, lo, hi) in enumerate(intervals))
-        for i in range(1 + skip, count + skip + 1))
+    """Halton points skip+1 .. skip+count, as tuples of (name, value).
+
+    With lo = a/b and hi - lo = c/d, the value at radical inverse n/m is
+    (a*d*m + c*b*n) / (b*d*m): one `Fraction` from integers."""
+    scaled = []
+    for dim, (name, lo, hi) in enumerate(intervals):
+        width = hi - lo
+        scaled.append((name, _PRIMES[dim], lo.numerator * width.denominator,
+                       width.numerator * lo.denominator,
+                       lo.denominator * width.denominator))
+    points = []
+    for i in range(1 + skip, count + skip + 1):
+        point = []
+        for name, base, ad, cb, bd in scaled:
+            n, m = _radical_inverse(i, base)
+            point.append((name, Fraction(ad * m + cb * n, bd * m)))
+        points.append(tuple(point))
+    return tuple(points)
 
 
 def as_fraction(value) -> Fraction:

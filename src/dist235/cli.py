@@ -22,6 +22,7 @@ import time
 from fractions import Fraction
 from typing import Optional
 
+from . import memo
 from .boxes import Box, as_fraction
 from .conedual import build_model, check_lagrangian, check_nondegenerate, \
     check_osculating_condition, default_family_box, prolong_cone, solve_U
@@ -438,6 +439,7 @@ def _check_sequence(kind: str, suite: str) -> tuple:
     return verify + prolong + duality
 
 
+@memo.fresh
 def run_suite(model: ModelFile, suite: str, seed: int,
               out: Optional[str] = None,
               box_scale: Fraction = Fraction(1),
@@ -447,7 +449,8 @@ def run_suite(model: ModelFile, suite: str, seed: int,
     With `out` the report is also written there as canonical JSON.  The
     report never contains wall-clock data — identical runs produce
     identical bytes — so per-check timings go to `clock` when a list is
-    passed.
+    passed.  The run has a memo of its own, so its work does not depend
+    on what ran before it.
     """
     if suite not in _SUITES:
         raise ModelError(
@@ -560,10 +563,11 @@ def format_text(report: dict, times: Optional[list] = None) -> str:
 # trace
 # ---------------------------------------------------------------------------
 
+@memo.fresh
 def trace_lines(model: ModelFile, x0: Optional[dict], theta0: Fraction,
                 t_end: Fraction, tol: float) -> list:
-    """Integrate one singular path and return its nodes as canonical
-    JSON lines."""
+    """Integrate one singular path, in a memo of its own, and return its
+    nodes as canonical JSON lines."""
     if model.kind not in _SYSTEMS:
         raise ModelError(
             "trace requires a distribution235 or cone-family model")

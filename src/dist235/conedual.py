@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from typing import Optional, Sequence
 
-from . import linalg
+from . import linalg, memo
 from .boxes import Box, as_fraction
 from .distduality import (
     Distribution235, PseudoProductStructure, StructureError, _format_point,
@@ -58,11 +58,22 @@ def _witness(verdict) -> Optional[str]:
     return f"value {verdict.value} at {_format_point(verdict.witness)}"
 
 
+def _in_family_memo(method):
+    """`method(family, ...)` run in the memo the family keeps, so that
+    what it derives is freed with the family."""
+    @wraps(method)
+    def run(family, *args, **kwargs):
+        with memo.scope(memo.kept(family)):
+            return method(family, *args, **kwargs)
+    return run
+
+
 def _once_per_family(check):
-    """`check(family)`, kept on the family object, which with its
-    write-once registry is all the result depends on; a call with more
-    arguments, or one that raises, is not kept."""
+    """`check(family)`, run in the family's memo and kept on the family
+    object, which with its write-once registry is all the result depends
+    on; a call with more arguments, or one that raises, is not kept."""
     key = "_once_" + check.__name__
+    check = _in_family_memo(check)
 
     @wraps(check)
     def once(family, *args, **kwargs):
@@ -98,7 +109,9 @@ class ConeFamily:
     """A one-parameter family of base directions in normal form, together
     with the contact form whose kernel contains every direction.  It keeps
     the default-argument results of `check_nondegenerate`,
-    `check_lagrangian`, `check_osculating_condition` and `solve_U`."""
+    `check_lagrangian`, `check_osculating_condition` and `solve_U`, and
+    `build` keeps on it the memo it was built in, where those checks,
+    `prolong_cone` and the derived zetas run."""
 
     x_chart: Chart
     theta: str
@@ -111,6 +124,7 @@ class ConeFamily:
     alpha_status: str = field(default="unchecked", compare=False)
 
     @classmethod
+    @memo.owning
     def build(cls, x_chart: Chart, components: Sequence,
               alpha_components: Sequence, theta: str = "th",
               base_point: Optional[dict] = None, box: Optional[Box] = None,
@@ -180,6 +194,7 @@ class ConeFamily:
         return self._zetas[k - 1]
 
     @cached_property
+    @_in_family_memo
     def _zetas(self) -> tuple:
         z_chart = self.z_chart
         zeta1 = coordinate_field(z_chart, self.theta).renamed("zeta1")
@@ -197,6 +212,7 @@ class ConeFamily:
         return tuple(fields)
 
     @cached_property
+    @_in_family_memo
     def bracket_decomposition(self) -> tuple:
         """(coefficients, complement): the coefficients of
         [zeta2, zeta3] over the 6-frame of the zetas completed by the
@@ -431,6 +447,7 @@ def solve_U(family: ConeFamily) -> SolveUResult:
 # the induced splitting
 # ---------------------------------------------------------------------------
 
+@_in_family_memo
 def prolong_cone(family: ConeFamily) -> PseudoProductStructure:
     """Build the splitting of the direction-space plane field: K is the
     fiber line, L the corrected generator line.
@@ -465,6 +482,7 @@ def prolong_cone(family: ConeFamily) -> PseudoProductStructure:
 # building models from their documents
 # ---------------------------------------------------------------------------
 
+@memo.owning
 def build_model(model: ModelFile, box: Optional[Box] = None):
     """The object a parsed model document describes: a
     `Distribution235`, a `ConeFamily` or a `PseudoProductStructure`.
@@ -472,6 +490,8 @@ def build_model(model: ModelFile, box: Optional[Box] = None):
     It is built on `box`, by default the document's own box, else the
     default box of its kind.  A parameter-driven cone family gets its
     components A, B, S, T from the parameters ``a`` or ``b``, ``c``.
+    It is built in the active memo, or outside every scope in a fresh
+    one, which the object keeps.
     """
     if box is None:
         box = model.box

@@ -1,0 +1,114 @@
+"""Memo tables that live as long as the work that fills them.
+
+A `Memo` holds one unbounded table per memoized function (the normal
+forms and derivatives of `scalar`, the Lie brackets of `vecfield`, the
+Halton points of `boxes`), each with its hit and miss counts.  A context
+variable selects the active memo: `scope(memo)` enters one, and outside
+every scope the process default `DEFAULT` is active.
+
+`cli.run_suite` and `cli.trace_lines` each run in a fresh memo
+(`fresh`), which every object they build shares.  `conedual.build_model`
+and `ConeFamily.build` keep on the object they build the memo it was
+built in (`owning`), and a family's checks and `prolong_cone` run in
+it, so its entries live as long as the family.  A memo is a pure cache:
+a call made in another memo returns the same result and only misses the
+entries it could have hit.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import contextvars
+import functools
+from collections import namedtuple
+
+__all__ = ["Memo", "DEFAULT", "Counts", "memoized", "scope", "fresh",
+           "owning", "kept"]
+
+Counts = namedtuple("Counts", "hits misses")
+
+
+class Memo:
+    """One table per memoized function, made on the function's first
+    call in this memo: a `functools.lru_cache(maxsize=None)`, which
+    hashes each key once and counts its hits and misses."""
+
+    def __init__(self):
+        self.tables = {}  # memoized function -> its lru_cache in this memo
+
+    def cache_info(self) -> dict:
+        """{"module.function": functools' CacheInfo} of every table."""
+        return {f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}":
+                table.cache_info() for fn, table in self.tables.items()}
+
+
+DEFAULT = Memo()
+_ACTIVE = contextvars.ContextVar("dist235.memo", default=DEFAULT)
+
+
+def memoized(function):
+    """`function`, memoized in the active memo.  Its `cache_info()`
+    counts the hits and misses of every memo of the process, those
+    already gone included."""
+    calls_misses = [0, 0]
+
+    def miss(*args):
+        calls_misses[1] += 1
+        return function(*args)
+
+    @functools.wraps(function)
+    def lookup(*args):
+        calls_misses[0] += 1
+        tables = _ACTIVE.get().tables
+        table = tables.get(lookup)
+        if table is None:
+            table = tables[lookup] = functools.lru_cache(maxsize=None)(miss)
+        return table(*args)
+
+    lookup.cache_info = lambda: Counts(calls_misses[0] - calls_misses[1],
+                                       calls_misses[1])
+    return lookup
+
+
+@contextlib.contextmanager
+def scope(memo: Memo):
+    """Make `memo` the active memo inside the block."""
+    token = _ACTIVE.set(memo)
+    try:
+        yield memo
+    finally:
+        _ACTIVE.reset(token)
+
+
+def fresh(function):
+    """`function(...)` run in a fresh memo, freed when it returns."""
+    @functools.wraps(function)
+    def run(*args, **kwargs):
+        with scope(Memo()):
+            return function(*args, **kwargs)
+    return run
+
+
+_KEY = "_memo"
+
+
+def owning(build):
+    """`build(...)` run in the active memo, or outside every scope in a
+    fresh one, so that it does not fill the process default.  The object
+    it returns keeps that memo in its `__dict__` (frozen dataclasses take
+    it too) for as long as the object lives."""
+    @functools.wraps(build)
+    def run(*args, **kwargs):
+        memo = _ACTIVE.get()
+        if memo is DEFAULT:
+            memo = Memo()
+        with scope(memo):
+            built = build(*args, **kwargs)
+        built.__dict__[_KEY] = memo
+        return built
+    return run
+
+
+def kept(owner) -> Memo:
+    """The memo `owner` keeps, else the active one."""
+    return owner.__dict__.get(_KEY) or _ACTIVE.get()

@@ -21,8 +21,10 @@ record when every atom in it is a chart variable: folding it again into
 a larger tree reuses the integer pair instead of expanding the tree, the
 derivative of such a polynomial (over a constant) is taken term by term
 on the pair, and `evaluate` at a rational point computes its value in
-integers, with one `Fraction` built at the end.  `differentiate` is
-memoized.
+integers, with one `Fraction` built at the end.  Normal forms and
+derivatives are memoized in the active `memo.Memo`: that of the suite
+run, trace or cone family doing the work, which frees them with it, or
+the process default outside every such scope.
 
 Opaque atoms model smooth functions known only through a registry entry
 (numeric evaluator plus derivative rule); everything else is exact.
@@ -37,6 +39,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .boxes import Box, as_fraction
+from .memo import memoized
 
 __all__ = [
     "ScalarExpr", "Const", "Var", "Sum", "Prod", "Pow", "Opaque",
@@ -834,7 +837,7 @@ def _quotient_tree(num, den, orders, atoms) -> ScalarExpr:
     return Prod((num_tree, recip))
 
 
-@functools.lru_cache(maxsize=65536)
+@memoized
 def _normal_form(expr: ScalarExpr,
                  chart_key: Optional[tuple]) -> _NormalForm:
     """Numerator and denominator as integer polynomials with coprime
@@ -924,7 +927,7 @@ def differentiate(expr: ScalarExpr, var: str,
     return _derivative(expr, var, key, _registry(registry))
 
 
-@functools.lru_cache(maxsize=4096)
+@memoized
 def _derivative(expr: ScalarExpr, var: str, chart_key: Optional[tuple],
                 reg: OpaqueRegistry) -> ScalarExpr:
     """`differentiate`, memoized on the registry object too: a registry is

@@ -8,7 +8,6 @@ evaluated once per point and each frame eliminated once per point.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
@@ -16,6 +15,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .boxes import Box, as_fraction
+from .memo import memoized
 from .scalar import (
     Const, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum, default_registry,
     differentiate, evaluate, free_variables, normalize, parse_expr,
@@ -162,16 +162,16 @@ def lie_bracket(v: VectorField, w: VectorField,
                 registry: Optional[OpaqueRegistry] = None) -> VectorField:
     """[v, w]^j = sum_i v^i d(w^j)/dx_i - w^i d(v^j)/dx_i, normalized.
 
-    Memoized on the chart, the components of v and w and the registry
-    object (field names play no part), so asking again for a bracket
-    returns the same field object."""
+    Memoized in the active `memo.Memo` on the chart, the components of v
+    and w and the registry object (field names play no part), so asking
+    again for a bracket in the same memo returns the same field object."""
     if v.chart != w.chart:
         raise ChartMismatchError("bracket of fields on different charts")
     return _bracket(v.chart, v.components, w.components,
                     registry if registry is not None else default_registry())
 
 
-@functools.lru_cache(maxsize=256)
+@memoized
 def _bracket(chart: Chart, v: tuple, w: tuple,
              registry: OpaqueRegistry) -> VectorField:
     chart_vars = chart.variables

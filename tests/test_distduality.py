@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dist235 import distduality, linalg, vecfield
+from dist235 import distduality, linalg, memo, vecfield
 from dist235.boxes import Box
 from dist235.conedual import (
     ConeFamily, builtin_model, check_nondegenerate, prolong_cone,
@@ -705,11 +705,11 @@ class TestSwapped:
         # the components of the layer generator zeta1 (e = 0 for
         # hilbert-cartan; K is the fiber field of a cone family).
         structure = bundled_structure(name)
-        _bracket.cache_clear()
-        verify_pseudo_product(structure)
-        misses = _bracket.cache_info().misses
-        verify_pseudo_product(structure.swapped())
-        assert _bracket.cache_info().misses == misses
+        with memo.scope(memo.Memo()):
+            verify_pseudo_product(structure)
+            misses = _bracket.cache_info().misses
+            verify_pseudo_product(structure.swapped())
+            assert _bracket.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------

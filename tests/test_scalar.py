@@ -700,18 +700,13 @@ class TestCarriedPairs:
         assert len(direct) > 300
 
     def test_osculating_check_folds_half_as_much(self, monkeypatch):
-        # a count, not a time: the bundled noncubic-bc osculating check on
-        # fresh caches, with pairs carried and with none reusable
-        from dist235 import conedual, vecfield
+        # a count, not a time: the bundled noncubic-bc osculating check,
+        # each family in a fresh memo, with pairs carried and with none
+        # reusable
+        from dist235 import conedual
         from dist235.models import BUNDLED
 
-        def clear_caches():
-            for cached in (scalar._normal_form, scalar._derivative,
-                           vecfield._bracket):
-                cached.cache_clear()
-
         def visits(reusable):
-            clear_caches()
             with monkeypatch.context() as patch:
                 patch.setattr(scalar._NormalForm, "reusable", reusable)
                 calls = count_calls(patch, scalar._NFBuilder, "visit")
@@ -719,7 +714,6 @@ class TestCarriedPairs:
                     "noncubic-bc", dict(BUNDLED["noncubic-bc"]
                                         ["expressions"]))
                 assert conedual.check_osculating_condition(family).passed
-            clear_caches()
             return len(calls)
 
         carried = visits(scalar._NormalForm.reusable)
