@@ -684,8 +684,8 @@ def _cmd_trace(args) -> int:
     t_end = _rational(args.T, "--T")
     if t_end == 0:
         raise ModelError("--T must be nonzero")
-    if not args.tol > 0:
-        raise ModelError("--tol must be positive")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ModelError("--tol must be positive and finite")
     try:
         lines = trace_lines(model, x0, theta0, t_end, args.tol)
     except ModelError:

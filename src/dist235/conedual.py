@@ -31,8 +31,8 @@ from .distduality import (
 )
 from .models import BUNDLED, _FIELDS, ModelFile, parse_model
 from .scalar import (
-    Const, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum, Var,
-    default_registry, differentiate, evaluate, free_variables, is_zero,
+    MINUS_ONE, ONE, ZERO, Const, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum,
+    Var, default_registry, differentiate, evaluate, free_variables, is_zero,
     min_degree, normalize, parse_expr, substitute, to_text,
 )
 from .vecfield import (
@@ -58,22 +58,12 @@ def _witness(verdict) -> Optional[str]:
     return f"value {verdict.value} at {_format_point(verdict.witness)}"
 
 
-def _in_family_memo(method):
-    """`method(family, ...)` run in the memo the family keeps, so that
-    what it derives is freed with the family."""
-    @wraps(method)
-    def run(family, *args, **kwargs):
-        with memo.scope(memo.kept(family)):
-            return method(family, *args, **kwargs)
-    return run
-
-
 def _once_per_family(check):
     """`check(family)`, run in the family's memo and kept on the family
     object, which with its write-once registry is all the result depends
     on; a call with more arguments, or one that raises, is not kept."""
     key = "_once_" + check.__name__
-    check = _in_family_memo(check)
+    check = memo.within(check)
 
     @wraps(check)
     def once(family, *args, **kwargs):
@@ -186,7 +176,7 @@ class ConeFamily:
     def lifted_alpha(self) -> OneForm:
         return OneForm(self.z_chart,
                        tuple(c for c in self.alpha.components)
-                       + (Const(Fraction(0)),))
+                       + (ZERO,))
 
     def zeta(self, k: int) -> VectorField:
         """zeta1 is the direction-coordinate field; zeta2 the moving
@@ -194,12 +184,11 @@ class ConeFamily:
         return self._zetas[k - 1]
 
     @cached_property
-    @_in_family_memo
+    @memo.within
     def _zetas(self) -> tuple:
         z_chart = self.z_chart
         zeta1 = coordinate_field(z_chart, self.theta).renamed("zeta1")
-        comps = (Const(Fraction(1)),) + self.components + (
-            Const(Fraction(0)),)
+        comps = (ONE,) + self.components + (ZERO,)
         fields = [zeta1, VectorField(z_chart, comps, "zeta2")]
         for k in (3, 4, 5):
             prev = fields[-1]
@@ -212,7 +201,7 @@ class ConeFamily:
         return tuple(fields)
 
     @cached_property
-    @_in_family_memo
+    @memo.within
     def bracket_decomposition(self) -> tuple:
         """(coefficients, complement): the coefficients of
         [zeta2, zeta3] over the 6-frame of the zetas completed by the
@@ -423,7 +412,7 @@ def solve_U(family: ConeFamily) -> SolveUResult:
             f"leaves the osculating span ({details})")
     coeffs, _ = family.bracket_decomposition
     z_vars = family.z_chart.variables
-    u_expr = normalize(Prod((Const(Fraction(-1)), coeffs[3])), z_vars)
+    u_expr = normalize(Prod((MINUS_ONE, coeffs[3])), z_vars)
     zeta1, zeta2 = family.zeta(1), family.zeta(2)
     l_field = (zeta2 + zeta1 * u_expr).normalized("L")
     # Self-check: the corrected generator's bracket with zeta3 reduces
@@ -447,7 +436,7 @@ def solve_U(family: ConeFamily) -> SolveUResult:
 # the induced splitting
 # ---------------------------------------------------------------------------
 
-@_in_family_memo
+@memo.within
 def prolong_cone(family: ConeFamily) -> PseudoProductStructure:
     """Build the splitting of the direction-space plane field: K is the
     fiber line, L the corrected generator line.

@@ -8,7 +8,9 @@ fields: K (the horizontal line, corrected by a scalar multiple of the
 fiber direction) and L (the fiber line).  `solve_e` determines the unique
 correction scalar; `verify_pseudo_product` certifies the seven bracket
 conditions that make (K, L) a genuine splitting; `symbol_algebra_at`
-checks the graded nilpotent bracket table at a point.
+checks the graded nilpotent bracket table at a point.  These,
+`prolong_235` and the structures' `swapped` run in the memo their
+argument keeps (`memo.within`), and what they return keeps it too.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from . import linalg
+from . import linalg, memo
 from .boxes import Box
 from .scalar import (
-    Const, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum, Var,
+    MINUS_ONE, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum, Var,
     default_registry, evaluate, is_zero, normalize, to_text,
 )
 from .vecfield import (
@@ -231,6 +233,7 @@ class ProlongedDistribution:
         return self.flag.growth
 
 
+@memo.within
 def prolong_235(dist: Distribution235) -> ProlongedDistribution:
     """Prolong a growth-(2,3,5) plane field to the 6-chart of directions,
     whose fiber coordinate `FIBER` parametrizes the directions as
@@ -303,7 +306,9 @@ class PseudoProductStructure:
     K, L that split it.  `build` validates the splitting and computes the
     weak derived flag of E; `verify_pseudo_product` certifies the seven
     bracket conditions.  Everything `build` validates is symmetric in K
-    and L, and the flag depends on E alone, so `swapped` reuses both."""
+    and L, and the flag depends on E alone, so `swapped` reuses both.
+    `build` keeps on the structure the memo it was built in, as
+    `ConeFamily.build` does."""
 
     z_chart: Chart
     e_generators: tuple
@@ -316,6 +321,7 @@ class PseudoProductStructure:
     name: str = "structure"
 
     @classmethod
+    @memo.owning
     def build(cls, z_chart: Chart, e_generators: Sequence[VectorField],
               k_field: VectorField, l_field: VectorField, base_point: dict,
               box: Optional[Box] = None,
@@ -369,6 +375,7 @@ class PseudoProductStructure:
         e5 = lie_bracket(k, e4, registry)
         return e3, e4, e5, lie_bracket(l, e5, registry)
 
+    @memo.within
     def swapped(self) -> "PseudoProductStructure":
         """The same plane field with the roles of K and L exchanged."""
         return replace(self, k_field=self.l_field, l_field=self.k_field,
@@ -388,6 +395,7 @@ _CONDITIONS = (
 )
 
 
+@memo.within
 def verify_pseudo_product(structure: PseudoProductStructure,
                           samples: int = 32) -> PseudoProductReport:
     """Evaluate the seven bracket conditions of the splitting.
@@ -490,6 +498,7 @@ class SolveEResult:
     k_field: VectorField
     l_field: VectorField
 
+    @memo.within
     def structure(self, prolonged: ProlongedDistribution,
                   name: str = "structure") -> PseudoProductStructure:
         return PseudoProductStructure.build(
@@ -499,6 +508,7 @@ class SolveEResult:
             flag=prolonged.flag)
 
 
+@memo.within
 def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
     """Determine the scalar e with K = zeta1 + e*zeta2 whose bracket with
     every layer-3 frame generator stays in layer 3.
@@ -535,7 +545,7 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
             "no bracket produces a usable linear coefficient for the "
             "correction scalar at the base point")
     a, b = pairs[best]
-    e_expr = normalize(Prod((Const(Fraction(-1)), a, Pow(b, -1))),
+    e_expr = normalize(Prod((MINUS_ONE, a, Pow(b, -1))),
                        prolonged.z_chart.variables)
 
     # Consistency: every other equation a_w + e*b_w must vanish (the
@@ -588,6 +598,7 @@ class SymbolAlgebraReport:
         raise KeyError(name)
 
 
+@memo.within
 def symbol_algebra_at(structure: PseudoProductStructure,
                       point: Optional[dict] = None) -> SymbolAlgebraReport:
     """Evaluate the graded bracket table of the splitting at a point,

@@ -7,12 +7,16 @@ variable selects the active memo: `scope(memo)` enters one, and outside
 every scope the process default `DEFAULT` is active.
 
 `cli.run_suite` and `cli.trace_lines` each run in a fresh memo
-(`fresh`), which every object they build shares.  `conedual.build_model`
-and `ConeFamily.build` keep on the object they build the memo it was
-built in (`owning`), and a family's checks and `prolong_cone` run in
-it, so its entries live as long as the family.  A memo is a pure cache:
-a call made in another memo returns the same result and only misses the
-entries it could have hit.
+(`fresh`), which every object they build shares.
+`conedual.build_model`, `ConeFamily.build` and
+`PseudoProductStructure.build` keep on the object they build the memo it
+was built in (`owning`).  The work done on such an object (a family's
+checks and `prolong_cone`; `prolong_235`, `solve_e` and the checks of a
+splitting in `distduality`) runs in the memo it keeps, and what that
+work returns keeps the memo too (`within`), so the entries live as long
+as the objects and the process default is left alone.  A memo is a pure
+cache: a call made in another memo returns the same result and only
+misses the entries it could have hit.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import functools
 from collections import namedtuple
 
 __all__ = ["Memo", "DEFAULT", "Counts", "memoized", "scope", "fresh",
-           "owning", "kept"]
+           "owning", "within", "kept"]
 
 Counts = namedtuple("Counts", "hits misses")
 
@@ -92,20 +96,38 @@ def fresh(function):
 _KEY = "_memo"
 
 
+def _keeping(memo: Memo, function, args, kwargs):
+    """`function(*args, **kwargs)` run in `memo`.  Unless `memo` is the
+    process default, an object the call returns keeps it (in its
+    `__dict__`, which frozen dataclasses have too) for as long as the
+    object lives, if it keeps none already."""
+    with scope(memo):
+        result = function(*args, **kwargs)
+    attributes = getattr(result, "__dict__", None)
+    if attributes is not None and memo is not DEFAULT:
+        attributes.setdefault(_KEY, memo)
+    return result
+
+
 def owning(build):
     """`build(...)` run in the active memo, or outside every scope in a
-    fresh one, so that it does not fill the process default.  The object
-    it returns keeps that memo in its `__dict__` (frozen dataclasses take
-    it too) for as long as the object lives."""
+    fresh one, so that it does not fill the process default; the object
+    it returns keeps that memo."""
     @functools.wraps(build)
     def run(*args, **kwargs):
         memo = _ACTIVE.get()
-        if memo is DEFAULT:
-            memo = Memo()
-        with scope(memo):
-            built = build(*args, **kwargs)
-        built.__dict__[_KEY] = memo
-        return built
+        return _keeping(Memo() if memo is DEFAULT else memo, build, args,
+                        kwargs)
+    return run
+
+
+def within(method):
+    """`method(owner, ...)` run in the memo `owner` keeps, else the
+    active one (see `kept`), so that what it derives lives as long as
+    the owner; an object it returns keeps that memo too."""
+    @functools.wraps(method)
+    def run(owner, *args, **kwargs):
+        return _keeping(kept(owner), method, (owner,) + args, kwargs)
     return run
 
 

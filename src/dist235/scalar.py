@@ -2,7 +2,10 @@
 
 Expressions are immutable trees over six node kinds: rational constants,
 variables, sums, products, integer powers, and opaque function
-applications.  Every expression normalizes to a quotient of two expanded
+applications.  A node computes its hash on first use and keeps it, so a
+memo lookup keyed by a tree hashes each node once, however often the
+tree is looked up; 0, 1 and -1 are one shared node each (`ZERO`, `ONE`,
+`MINUS_ONE`).  Every expression normalizes to a quotient of two expanded
 multivariate polynomials (integer coefficients, coprime content) in the
 chart variables and opaque atoms, ordered graded-lexicographically by
 chart declaration order.  No polynomial gcd is cancelled: soundness of
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -43,6 +47,7 @@ from .memo import memoized
 
 __all__ = [
     "ScalarExpr", "Const", "Var", "Sum", "Prod", "Pow", "Opaque",
+    "ZERO", "ONE", "MINUS_ONE",
     "OpaqueRegistry", "default_registry", "ZeroCheck",
     "ExprError", "ParseError", "UnknownSymbolError", "UndeclaredVariableError",
     "UnregisteredOpaqueError", "ZeroDenominatorError", "MissingAssignmentError",
@@ -96,15 +101,56 @@ class MissingAssignmentError(ExprError):
 # ---------------------------------------------------------------------------
 # expression nodes
 
+_setattr = object.__setattr__
+
+
 class ScalarExpr:
-    """Base class; concrete nodes are the six dataclasses below."""
+    """Base class of the six node kinds below.
 
-    __slots__ = ()
+    A node is frozen: its constructor sets its fields (named by its
+    `__slots__`), and assigning any attribute raises `AttributeError`.
+    Equality and hashing read the fields, as a frozen dataclass's do.  A
+    node computes its hash on first use and keeps it, so hashing a tree
+    again (a memo lookup keyed by it) costs one call, not a walk.
+    """
 
-    # the `_NormalForm` a tree returned by `normalize` was printed from
-    # (see "normal form" below); set on the instance, not a dataclass
-    # field, so equality, hashing and printing ignore it
-    _nf = None
+    # `_hash` is None until first use.  `_nf` is the `_NormalForm` a
+    # tree returned by `normalize` was printed from (see "normal form"
+    # below), else None; equality, hashing and printing ignore both.
+    __slots__ = ("_hash", "_nf")
+
+    def _fields(self) -> tuple:
+        raise NotImplementedError
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._fields())
+            _setattr(self, "_hash", h)
+        return h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copies and pickles go through the constructor, as assigning
+        # the slots one by one would raise
+        return type(self), self._fields()
 
     def __sub__(self, other):
         return Sum((self, _negate(_coerce(other))))
@@ -113,40 +159,85 @@ class ScalarExpr:
         return _negate(self)
 
 
-@dataclass(frozen=True)
 class Const(ScalarExpr):
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", as_fraction(self.value))
+    def __init__(self, value):
+        _setattr(self, "value", value if isinstance(value, Fraction)
+                 else as_fraction(value))
+        _setattr(self, "_hash", None)
+        _setattr(self, "_nf", None)
+
+    def _fields(self) -> tuple:
+        return (self.value,)
 
 
-@dataclass(frozen=True)
 class Var(ScalarExpr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _setattr(self, "name", name)
+        _setattr(self, "_hash", None)
+        _setattr(self, "_nf", None)
+
+    def _fields(self) -> tuple:
+        return (self.name,)
 
 
-@dataclass(frozen=True)
 class Sum(ScalarExpr):
-    terms: tuple
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):
+        _setattr(self, "terms", terms)
+        _setattr(self, "_hash", None)
+        _setattr(self, "_nf", None)
+
+    def _fields(self) -> tuple:
+        return (self.terms,)
 
 
-@dataclass(frozen=True)
 class Prod(ScalarExpr):
-    factors: tuple
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        _setattr(self, "factors", factors)
+        _setattr(self, "_hash", None)
+        _setattr(self, "_nf", None)
+
+    def _fields(self) -> tuple:
+        return (self.factors,)
 
 
-@dataclass(frozen=True)
 class Pow(ScalarExpr):
-    base: ScalarExpr
-    exponent: int
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: ScalarExpr, exponent: int):
+        _setattr(self, "base", base)
+        _setattr(self, "exponent", exponent)
+        _setattr(self, "_hash", None)
+        _setattr(self, "_nf", None)
+
+    def _fields(self) -> tuple:
+        return (self.base, self.exponent)
 
 
-@dataclass(frozen=True)
 class Opaque(ScalarExpr):
-    name: str
-    arg: ScalarExpr
+    __slots__ = ("name", "arg")
+
+    def __init__(self, name: str, arg: ScalarExpr):
+        _setattr(self, "name", name)
+        _setattr(self, "arg", arg)
+        _setattr(self, "_hash", None)
+        _setattr(self, "_nf", None)
+
+    def _fields(self) -> tuple:
+        return (self.name, self.arg)
+
+
+# the shared nodes of the constants 0, 1 and -1
+ZERO = Const(Fraction(0))
+ONE = Const(Fraction(1))
+MINUS_ONE = Const(Fraction(-1))
 
 
 def _coerce(x) -> ScalarExpr:
@@ -167,8 +258,8 @@ def _negate(x: ScalarExpr) -> ScalarExpr:
     if isinstance(x, Prod) and x.factors and isinstance(x.factors[0], Const):
         return Prod((Const(-x.factors[0].value),) + x.factors[1:])
     if isinstance(x, Prod):
-        return Prod((Const(Fraction(-1)),) + x.factors)
-    return Prod((Const(Fraction(-1)), x))
+        return Prod((MINUS_ONE,) + x.factors)
+    return Prod((MINUS_ONE, x))
 
 
 def _reciprocal(x: ScalarExpr) -> ScalarExpr:
@@ -273,6 +364,10 @@ _TOK_IDENT = "ident"
 _TOK_OP = "op"
 _TOK_END = "end"
 
+_DIGITS = frozenset(string.digits)
+_LETTERS = frozenset(string.ascii_letters)
+_IDENT_CHARS = _LETTERS | _DIGITS | {"_"}
+
 
 def _tokenize(text: str) -> list[tuple]:
     tokens = []
@@ -289,15 +384,15 @@ def _tokenize(text: str) -> list[tuple]:
             i += 1
             continue
         start = byte_of[i]
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append((_TOK_INT, int(text[i:j]), start))
             i = j
-        elif ch.isalpha():
+        elif ch in _LETTERS:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _IDENT_CHARS:
                 j += 1
             tokens.append((_TOK_IDENT, text[i:j], start))
             i = j
@@ -502,7 +597,7 @@ def to_text(expr: ScalarExpr) -> str:
             if isinstance(body, Sum):
                 rendered = f"({to_text(body)})"
             elif (negative and isinstance(body, Prod) and body.factors
-                  and body.factors[0] == Const(Fraction(1)) and len(body.factors) > 1
+                  and body.factors[0] == ONE and len(body.factors) > 1
                   and not isinstance(body.factors[1], Const)
                   and not (isinstance(body.factors[1], Prod) and body.factors[1].factors
                            and isinstance(body.factors[1].factors[0], Const))):
@@ -816,7 +911,7 @@ def _term_tree(c: int, d: int, m: int, atoms) -> ScalarExpr:
 def _poly_tree(poly, order, atoms) -> ScalarExpr:
     n, d = poly
     if not order:
-        return Const(Fraction(0))
+        return ZERO
     terms = [_term_tree(n[m], d, m, atoms) for m in order]
     if len(terms) == 1:
         return terms[0]
@@ -830,7 +925,7 @@ def _quotient_tree(num, den, orders, atoms) -> ScalarExpr:
     if den == _POLY_ONE:
         return num_tree
     recip = Pow(_poly_tree(den, orders[1], atoms), -1)
-    if num_tree == Const(Fraction(1)):
+    if num_tree == ONE:
         return recip
     if isinstance(num_tree, Prod):
         return Prod(num_tree.factors + (recip,))
@@ -887,7 +982,7 @@ def _printed(nf: _NormalForm) -> ScalarExpr:
     tree = _quotient_tree((nf.num, 1), (nf.den, 1), nf.order, nf.atoms)
     # an atom root is the very node of the input, so it is left bare
     if nf.reusable and isinstance(tree, (Sum, Prod, Pow)):
-        object.__setattr__(tree, "_nf", nf)
+        _setattr(tree, "_nf", nf)
     return tree
 
 
@@ -938,9 +1033,9 @@ def _derivative(expr: ScalarExpr, var: str, chart_key: Optional[tuple],
 
     def d(node: ScalarExpr) -> ScalarExpr:
         if isinstance(node, Const):
-            return Const(Fraction(0))
+            return ZERO
         if isinstance(node, Var):
-            return Const(Fraction(1 if node.name == var else 0))
+            return ONE if node.name == var else ZERO
         if isinstance(node, Sum):
             return Sum(tuple(d(t) for t in node.terms))
         if isinstance(node, Prod):
@@ -952,7 +1047,7 @@ def _derivative(expr: ScalarExpr, var: str, chart_key: Optional[tuple],
             return Sum(tuple(pieces))
         if isinstance(node, Pow):
             if node.exponent == 0:
-                return Const(Fraction(0))
+                return ZERO
             return Prod((Const(Fraction(node.exponent)),
                          Pow(node.base, node.exponent - 1), d(node.base)))
         if isinstance(node, Opaque):

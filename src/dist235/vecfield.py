@@ -17,8 +17,9 @@ from . import linalg
 from .boxes import Box, as_fraction
 from .memo import memoized
 from .scalar import (
-    Const, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum, default_registry,
-    differentiate, evaluate, free_variables, normalize, parse_expr,
+    MINUS_ONE, ONE, ZERO, Const, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum,
+    default_registry, differentiate, evaluate, free_variables, normalize,
+    parse_expr,
 )
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -116,8 +117,7 @@ class VectorField:
         if chart.variables[:n] != self.chart.variables:
             raise ChartMismatchError(
                 "target chart does not extend this field's chart")
-        pad = tuple(Const(Fraction(0))
-                    for _ in range(chart.dimension - n))
+        pad = (ZERO,) * (chart.dimension - n)
         return VectorField(chart, self.components + pad, self.name)
 
     def renamed(self, name: str) -> "VectorField":
@@ -146,7 +146,7 @@ class VectorField:
 
 def coordinate_field(chart: Chart, name: str) -> VectorField:
     i = chart.index(name)
-    comps = tuple(Const(Fraction(1 if j == i else 0))
+    comps = tuple(ONE if j == i else ZERO
                   for j in range(chart.dimension))
     return VectorField(chart, comps, name=f"d/d{name}")
 
@@ -181,7 +181,7 @@ def _bracket(chart: Chart, v: tuple, w: tuple,
         for i, var in enumerate(chart_vars):
             terms.append(Prod((v[i], differentiate(w[j], var, chart_vars,
                                                    registry))))
-            terms.append(Prod((Const(Fraction(-1)), w[i],
+            terms.append(Prod((MINUS_ONE, w[i],
                                differentiate(v[j], var, chart_vars,
                                              registry))))
         comps.append(normalize(Sum(tuple(terms)), chart_vars))
@@ -333,7 +333,7 @@ def symbolic_decompose(targets: Sequence[VectorField],
                 continue
             rows[r] = [normalize(
                 Sum((rows[r][j],
-                     Prod((Const(Fraction(-1)), factor, rows[best_row][j])))),
+                     Prod((MINUS_ONE, factor, rows[best_row][j])))),
                 variables) for j in range(width)]
     return tuple(tuple(rows[pivot_of_col[col]][j] for col in range(n))
                  for j in range(n, width))
@@ -374,7 +374,7 @@ def derived_flag(generators: Frame, box: Optional[Box] = None,
         for gen in generators.fields:
             for fld in current.fields:
                 b = lie_bracket(gen, fld, registry)
-                if all(c == Const(Fraction(0)) for c in b.components):
+                if all(c == ZERO for c in b.components):
                     continue
                 if at_base.rank(extended + [b]) > len(extended):
                     extended.append(b)
@@ -433,11 +433,11 @@ class TwoForm:
 
     def coefficient(self, i: int, j: int) -> ScalarExpr:
         if i == j:
-            return Const(Fraction(0))
+            return ZERO
         if i < j:
-            return self.components.get((i, j), Const(Fraction(0)))
-        flipped = self.components.get((j, i), Const(Fraction(0)))
-        return normalize(Prod((Const(Fraction(-1)), flipped)),
+            return self.components.get((i, j), ZERO)
+        flipped = self.components.get((j, i), ZERO)
+        return normalize(Prod((MINUS_ONE, flipped)),
                          self.chart.variables)
 
 
@@ -452,12 +452,12 @@ def exterior_derivative(alpha: OneForm,
             c = normalize(
                 Sum((differentiate(alpha.components[j], chart.variables[i],
                                    chart.variables, registry),
-                     Prod((Const(Fraction(-1)),
+                     Prod((MINUS_ONE,
                            differentiate(alpha.components[i],
                                          chart.variables[j],
                                          chart.variables, registry))))),
                 chart.variables)
-            if c != Const(Fraction(0)):
+            if c != ZERO:
                 comps[(i, j)] = c
     return TwoForm(chart, comps)
 
@@ -481,7 +481,7 @@ def pair(form, v: VectorField, w: Optional[VectorField] = None) -> ScalarExpr:
         for (i, j), c in sorted(form.components.items()):
             terms.append(Prod((c, Sum((
                 Prod((v.components[i], w.components[j])),
-                Prod((Const(Fraction(-1)), v.components[j], w.components[i])),
+                Prod((MINUS_ONE, v.components[j], w.components[i])),
             )))))
         return normalize(Sum(tuple(terms)), form.chart.variables)
     raise TypeError(f"not a form: {form!r}")

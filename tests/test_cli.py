@@ -873,6 +873,14 @@ class TestMain:
         assert main(["trace", "flat-cone", "--T", "0"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1e-9"])
+    def test_trace_tolerance_not_positive_finite_exit_three(self, tol,
+                                                            capsys):
+        # an infinite tolerance would switch the per-step check off
+        assert main(["trace", "hilbert-cartan", f"--tol={tol}"]) == 3
+        assert capsys.readouterr().err == (
+            "error: --tol must be positive and finite\n")
+
     def test_trace_bad_x0_exit_three(self, capsys):
         assert main(["trace", "flat-cone", "--x0", "1,2"]) == 3
         assert "--x0 needs 5" in capsys.readouterr().err

@@ -21,6 +21,10 @@ from dist235.conedual import (
     build_model, builtin_model, check_lagrangian, check_nondegenerate,
     check_osculating_condition, prolong_cone, solve_U,
 )
+from dist235.distduality import (
+    PseudoProductStructure, prolong_235, solve_e, symbol_algebra_at,
+    verify_pseudo_product,
+)
 from dist235.models import BUNDLED
 from dist235.vecfield import Chart, field_from_strings, lie_bracket
 
@@ -44,6 +48,32 @@ def swept_family(params=None):
 def test_a_family_leaves_the_default_memo_alone():
     before = memo.DEFAULT.cache_info()
     swept_family()
+    assert memo.DEFAULT.cache_info() == before
+
+
+def test_a_distribution_leaves_the_default_memo_alone():
+    before = memo.DEFAULT.cache_info()
+    dist = builtin_model("hilbert-cartan")
+    prolonged = prolong_235(dist)
+    solved = solve_e(prolonged)
+    structure = solved.structure(prolonged)
+    swapped = structure.swapped()
+    report = verify_pseudo_product(structure)
+    assert report.valid
+    assert not verify_pseudo_product(swapped).valid
+    symbol = symbol_algebra_at(structure)
+    assert memo.DEFAULT.cache_info() == before
+    # what each call returns keeps the memo the distribution was built in
+    kept = memo.kept(dist)
+    assert kept is not memo.DEFAULT
+    for derived in (prolonged, solved, structure, swapped, report, symbol):
+        assert memo.kept(derived) is kept
+    # a splitting built directly keeps a memo of its own
+    direct = PseudoProductStructure.build(
+        prolonged.z_chart, (prolonged.zeta1, prolonged.zeta2),
+        solved.k_field, solved.l_field, prolonged.base_point)
+    assert verify_pseudo_product(direct).valid
+    assert memo.kept(direct) not in (memo.DEFAULT, kept)
     assert memo.DEFAULT.cache_info() == before
 
 

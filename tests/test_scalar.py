@@ -1,5 +1,7 @@
 """Expression engine: grammar, normal form, calculus, zero testing."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,7 +11,8 @@ import sympy
 from dist235 import scalar
 from dist235.boxes import Box
 from dist235.scalar import (
-    Const, Opaque, OpaqueRegistry, ParseError, Pow, Prod, Sum,
+    MINUS_ONE, ONE, ZERO, Const, Opaque, OpaqueRegistry, ParseError, Pow,
+    Prod, ScalarExpr, Sum,
     UndeclaredVariableError, UnknownSymbolError, UnregisteredOpaqueError, Var,
     ZeroDenominatorError, compile_expr, differentiate, evaluate, is_zero,
     min_degree, normalize, parse_expr, substitute, to_text,
@@ -113,6 +116,86 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_expr("x1 + $", CHART)
         assert err.value.offset == 5
+
+    @pytest.mark.parametrize("text,offset", [
+        ("x^\u00b2", 2), ("th^\u0663", 3), ("\u0661\u0662", 0),
+        ("x\u0661", 1)])
+    def test_only_ascii_digits_and_letters(self, text, offset):
+        # superscript two, Arabic-Indic three, one and two: digits and
+        # letters to str.isdigit and str.isalnum, not to the grammar
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert err.value.offset == offset
+
+
+class TestNodes:
+    X = Var("x1")
+    NODES = (
+        (Const(Fraction(3, 4)), (Fraction(3, 4),)),
+        (X, ("x1",)),
+        (Sum((X, ONE)), ((X, ONE),)),
+        (Prod((MINUS_ONE, X)), ((MINUS_ONE, X),)),
+        (Pow(X, -2), (X, -2)),
+        (Opaque("a", X), ("a", X)),
+    )
+
+    @pytest.mark.parametrize("node,fields", NODES)
+    def test_hash_is_that_of_the_fields(self, node, fields):
+        assert hash(node) == hash(fields)
+        assert hash(node) == hash(fields)  # the kept hash
+
+    def test_hash_ignores_the_carried_normal_form(self):
+        tree = normalize(parse_expr("(x1 + x2)^2", CHART), CHART)
+        assert tree._nf is not None
+        bare = Sum(tree.terms)
+        assert bare._nf is None
+        assert bare == tree and hash(bare) == hash(tree)
+        assert hash(tree) == hash((tree.terms,))
+
+    def test_kinds_with_equal_fields_differ(self):
+        x = self.X
+        assert Sum((x,)) != Prod((x,))
+        assert not Sum((x,)) == Prod((x,))
+        assert Const(1) == ONE and Const(Fraction(-1)) == MINUS_ONE
+
+    def test_nodes_are_frozen(self):
+        node = Pow(self.X, 2)
+        for name in ("base", "exponent", "_nf", "_hash", "other"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            del node.base
+        assert node == Pow(Var("x1"), 2)
+
+    def test_copies_and_pickles_are_equal_nodes(self):
+        tree = normalize(parse_expr("a(x1)^2 - x2/3", CHART, make_registry()),
+                         CHART)
+        hash(tree)
+        for again in (copy.copy(tree), copy.deepcopy(tree),
+                      pickle.loads(pickle.dumps(tree))):
+            assert again == tree and hash(again) == hash(tree)
+
+    def test_repr_is_the_dataclass_format(self):
+        assert repr(Const(1)) == "Const(value=Fraction(1, 1))"
+        assert repr(Pow(self.X, 2)) == (
+            "Pow(base=Var(name='x1'), exponent=2)")
+        assert repr(Opaque("a", ZERO)) == (
+            "Opaque(name='a', arg=Const(value=Fraction(0, 1)))")
+
+    def test_a_zero_normal_form_is_the_shared_zero(self):
+        assert normalize(parse_expr("x1 - x1", CHART), CHART) is ZERO
+        assert differentiate(self.X, "x1", CHART) == ONE
+        assert differentiate(self.X, "x2", CHART) is ZERO
+
+    def test_a_second_hash_computes_no_child_hash(self, monkeypatch):
+        tree = normalize(parse_expr("(x1 + 2*x2)^3 - x3/(1 + x1)", CHART),
+                         CHART)
+        calls = count_calls(monkeypatch, ScalarExpr, "__hash__")
+        first = hash(tree)
+        assert len(calls) > 1
+        calls.clear()
+        assert hash(tree) == first
+        assert len(calls) == 1
 
 
 PRINT_PARSE_CORPUS = [
