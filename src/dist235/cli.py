@@ -590,6 +590,18 @@ def trace_lines(model: ModelFile, x0: Optional[dict], theta0: Fraction,
     return lines
 
 
+def _float_rational(text: str, where: str) -> Fraction:
+    """A rational option of `trace`, which integrates in floats: one too
+    large for a float is an input error, not a failed run."""
+    value = _rational(text, where)
+    try:
+        float(value)
+    except OverflowError:
+        raise ModelError(f"{where}: {text} is too large for a float") \
+            from None
+    return value
+
+
 def _parse_x0(text: str, model: ModelFile) -> dict:
     variables = model.chart
     parts = [part.strip() for part in text.split(",")]
@@ -597,7 +609,7 @@ def _parse_x0(text: str, model: ModelFile) -> dict:
         raise ModelError(
             f"--x0 needs {len(variables)} comma-separated rationals "
             f"({', '.join(variables)})")
-    return {var: _rational(part, f"--x0 {var}")
+    return {var: _float_rational(part, f"--x0 {var}")
             for var, part in zip(variables, parts)}
 
 
@@ -680,8 +692,8 @@ def _cmd_models(args) -> int:
 def _cmd_trace(args) -> int:
     model = load_model(args.model)
     x0 = _parse_x0(args.x0, model) if args.x0 is not None else None
-    theta0 = _rational(args.theta0, "--theta0")
-    t_end = _rational(args.T, "--T")
+    theta0 = _float_rational(args.theta0, "--theta0")
+    t_end = _float_rational(args.T, "--T")
     if t_end == 0:
         raise ModelError("--T must be nonzero")
     if not (math.isfinite(args.tol) and args.tol > 0):

@@ -518,8 +518,9 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
     complement coordinate of [zeta1 + e*zeta2, w] is a + e*b, with a and
     b the complement coordinates of [zeta1, w] and [zeta2, w]: the
     derivative term (w e) * zeta2 never contributes, since zeta2 lies
-    inside layer 3.  These are the brackets the flag's last pass built,
-    and they are decomposed over the layer-4 frame in one exact
+    inside layer 3.  The flag's last pass built those of these brackets
+    it tried before its frame filled the chart, and the memo returns
+    them; all are decomposed over the layer-4 frame in one exact
     elimination (pivots chosen nonzero at the base point); the system is
     then solved.  `prolong_235` found that frame to have rank 6 at the
     base point, so the elimination always finds its pivots.

@@ -164,9 +164,14 @@ def lie_bracket(v: VectorField, w: VectorField,
 
     Memoized in the active `memo.Memo` on the chart, the components of v
     and w and the registry object (field names play no part), so asking
-    again for a bracket in the same memo returns the same field object."""
+    again for a bracket in the same memo returns the same field object.
+    A field's bracket with itself is the zero field, built without a
+    fold: the fold of its terms, which cancel pairwise, is `ZERO` in
+    every component."""
     if v.chart != w.chart:
         raise ChartMismatchError("bracket of fields on different charts")
+    if v.components == w.components:
+        return VectorField(v.chart, (ZERO,) * v.chart.dimension)
     return _bracket(v.chart, v.components, w.components,
                     registry if registry is not None else default_registry())
 
@@ -289,6 +294,10 @@ def symbolic_decompose(targets: Sequence[VectorField],
     row factors come from the basis columns alone, so each target's
     coefficients do not depend on the other targets, and no targets give
     no coefficients.
+
+    Only live columns are computed: the step that pivots on column `col`
+    scales and eliminates the columns after it, since no later step and
+    not the result reads column `col` or one before it again.
     """
     if not targets:
         return ()
@@ -321,20 +330,21 @@ def symbolic_decompose(targets: Sequence[VectorField],
                 f"(no usable pivot in column {col})")
         best_row = free.pop(pick)
         pivot_of_col[col] = best_row
-        pivot = rows[best_row][col]
-        inv = Pow(pivot, -1)
-        rows[best_row] = [normalize(Prod((entry, inv)), variables)
-                          for entry in rows[best_row]]
-        for r in range(n):
+        pivot_row = rows[best_row]
+        inv = Pow(pivot_row[col], -1)
+        live = range(col + 1, width)
+        for j in live:
+            pivot_row[j] = normalize(Prod((pivot_row[j], inv)), variables)
+        for r, row in enumerate(rows):
             if r == best_row:
                 continue
-            factor = rows[r][col]
+            factor = row[col]
             if isinstance(factor, Const) and factor.value == 0:
                 continue
-            rows[r] = [normalize(
-                Sum((rows[r][j],
-                     Prod((MINUS_ONE, factor, rows[best_row][j])))),
-                variables) for j in range(width)]
+            for j in live:
+                row[j] = normalize(
+                    Sum((row[j], Prod((MINUS_ONE, factor, pivot_row[j])))),
+                    variables)
     return tuple(tuple(rows[pivot_of_col[col]][j] for col in range(n))
                  for j in range(n, width))
 
@@ -350,6 +360,17 @@ class DistributionFlag:
     rank_witnesses: tuple = ()
 
 
+def _pass_brackets(generators: Frame, frame: Frame,
+                   registry: Optional[OpaqueRegistry]):
+    """[g_a, f_k] for each generator g_a and each field f_k of `frame`
+    with k >= a, in that order.  Every frame of the flag starts with the
+    generators, so [g_a, g_k] with k < a is -[g_k, g_a], which comes
+    earlier, and neither it nor a zero bracket changes a span."""
+    for a, gen in enumerate(generators.fields):
+        for fld in frame.fields[a:]:
+            yield lie_bracket(gen, fld, registry)
+
+
 def derived_flag(generators: Frame, box: Optional[Box] = None,
                  samples: int = 16,
                  registry: Optional[OpaqueRegistry] = None) -> DistributionFlag:
@@ -357,9 +378,19 @@ def derived_flag(generators: Frame, box: Optional[Box] = None,
     fills the chart, extending frames in deterministic bracket order.
 
     Each pass grows the rank or stops, so the chart dimension bounds the
-    number of passes.  With a box, the rank of every frame (and, below
-    the full chart, that of the brackets which did not grow the top
-    frame) is checked at `samples` Halton points of it.
+    number of passes.  A pass brackets the generators with the current
+    frame's fields (`_pass_brackets`) and skips what cannot grow the
+    frame: the mirror [g_a, g_k] of a bracket of generators already
+    tried, a generator's bracket with itself (the zero field), and every
+    bracket after the frame fills the chart.
+
+    With a box, the rank of every frame (and, below the full chart, that
+    of the brackets which did not grow the top frame) is checked at
+    `samples` Halton points of it.  Every frame is a prefix of the top
+    one, so at a point where the top frame's values are rational and of
+    full rank every frame has full rank, and only the top one is ranked;
+    float values are ranked frame by frame, since their tolerance rule
+    need not keep full rank on a prefix.
     """
     if registry is None:
         registry = generators.registry
@@ -371,13 +402,13 @@ def derived_flag(generators: Frame, box: Optional[Box] = None,
     while frames[-1].rank < chart.dimension:
         current = frames[-1]
         extended = list(current.fields)
-        for gen in generators.fields:
-            for fld in current.fields:
-                b = lie_bracket(gen, fld, registry)
-                if all(c == ZERO for c in b.components):
-                    continue
-                if at_base.rank(extended + [b]) > len(extended):
-                    extended.append(b)
+        for b in _pass_brackets(generators, current, registry):
+            if len(extended) == chart.dimension:
+                break
+            if all(c == ZERO for c in b.components):
+                continue
+            if at_base.rank(extended + [b]) > len(extended):
+                extended.append(b)
         if len(extended) == current.rank:
             break
         frames.append(Frame(chart, tuple(extended), base, registry,
@@ -389,17 +420,17 @@ def derived_flag(generators: Frame, box: Optional[Box] = None,
         top = frames[-1]
         # brackets that failed to grow the span at the base point must
         # keep failing on the box, else the growth is not constant
-        candidates = tuple(lie_bracket(gen, fld, registry)
-                           for gen in generators.fields
-                           for fld in top.fields
-                           if top.rank < chart.dimension)
+        candidates = (tuple(_pass_brackets(generators, top, registry))
+                      if top.rank < chart.dimension else ())
         for pt in box.sample_points(samples):
             at = PointValues(pt, registry)
-            for k, fr in enumerate(frames):
-                r = at.rank(fr.fields)
-                if r != fr.rank:
-                    constant_rank = False
-                    witnesses.append((k, tuple(sorted(pt.items())), r))
+            exact = all(at.row(f).ints is not None for f in top.fields)
+            if not (exact and at.rank(top.fields) == top.rank):
+                for k, fr in enumerate(frames):
+                    r = at.rank(fr.fields)
+                    if r != fr.rank:
+                        constant_rank = False
+                        witnesses.append((k, tuple(sorted(pt.items())), r))
             if candidates:
                 r = at.rank(top.fields + candidates)
                 if r != top.rank:

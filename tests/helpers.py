@@ -5,14 +5,16 @@ of the integer one."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 import random
+import signal
 from collections import Counter
 from fractions import Fraction
 
-from dist235 import scalar, vecfield
+from dist235 import linalg, scalar, vecfield
 from dist235.scalar import Const, Opaque, Pow, Prod, Sum, Var
 from dist235.vecfield import Frame, VectorField
 
@@ -150,6 +152,23 @@ def count_calls(monkeypatch, owner, name: str) -> list:
     return calls
 
 
+@contextlib.contextmanager
+def time_budget(seconds: float):
+    """Raise `TimeoutError` inside the block once `seconds` of wall time
+    have passed, so that a hang fails its test instead of stalling the
+    suite (SIGALRM: the main thread only)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds:g} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def random_point(rng: random.Random, variables, span=Fraction(1, 2),
                  grid: int = 64) -> dict:
     return {v: span * Fraction(rng.randint(-grid, grid), grid)
@@ -188,6 +207,95 @@ def full_frame(dist) -> Frame:
     return Frame(dist.chart,
                  (dist.eta1, dist.eta2, dist.eta3, dist.eta4, dist.eta5),
                  dist.base_point, dist.registry)
+
+
+def full_width_decompose(targets, basis, base_point, registry=None):
+    """`vecfield.symbolic_decompose` by the full-width Gauss-Jordan loop:
+    every step scales and eliminates every column, those no later step
+    reads included.  The reference of the live-column elimination."""
+    chart = targets[0].chart
+    n = chart.dimension
+    variables = chart.variables
+    columns = tuple(basis) + tuple(targets)
+    width = len(columns)
+    rows = [[scalar.normalize(f.components[i], variables) for f in columns]
+            for i in range(n)]
+    pivot_of_col = {}
+    free = list(range(n))
+    for col in range(n):
+        pick = linalg.largest_nonzero(
+            [scalar.evaluate(rows[r][col], base_point, registry)
+             for r in free])
+        best_row = free.pop(pick)
+        pivot_of_col[col] = best_row
+        inv = Pow(rows[best_row][col], -1)
+        rows[best_row] = [scalar.normalize(Prod((entry, inv)), variables)
+                          for entry in rows[best_row]]
+        for r in range(n):
+            if r == best_row:
+                continue
+            factor = rows[r][col]
+            if isinstance(factor, Const) and factor.value == 0:
+                continue
+            rows[r] = [scalar.normalize(
+                Sum((rows[r][j],
+                     Prod((scalar.MINUS_ONE, factor, rows[best_row][j])))),
+                variables) for j in range(width)]
+    return tuple(tuple(rows[pivot_of_col[col]][j] for col in range(n))
+                 for j in range(n, width))
+
+
+def every_bracket_flag(generators: Frame, box=None, samples: int = 16,
+                       registry=None) -> vecfield.DistributionFlag:
+    """`vecfield.derived_flag` by the loop that brackets every generator
+    with every frame field to the end of each pass, and ranks every frame
+    at every sample point.  The reference of the flag that skips self,
+    mirror and surplus brackets and full-rank prefixes."""
+    if registry is None:
+        registry = generators.registry
+    chart = generators.chart
+    base = generators.base_point
+    at_base = vecfield.PointValues(base, registry)
+    frames = [generators]
+    growth = [generators.rank]
+    while frames[-1].rank < chart.dimension:
+        current = frames[-1]
+        extended = list(current.fields)
+        for gen in generators.fields:
+            for fld in current.fields:
+                b = vecfield.lie_bracket(gen, fld, registry)
+                if all(c == scalar.ZERO for c in b.components):
+                    continue
+                if at_base.rank(extended + [b]) > len(extended):
+                    extended.append(b)
+        if len(extended) == current.rank:
+            break
+        frames.append(Frame(chart, tuple(extended), base, registry,
+                            at_base))
+        growth.append(len(extended))
+    constant_rank = True
+    witnesses = []
+    if box is not None:
+        top = frames[-1]
+        candidates = tuple(vecfield.lie_bracket(gen, fld, registry)
+                           for gen in generators.fields
+                           for fld in top.fields
+                           if top.rank < chart.dimension)
+        for pt in box.sample_points(samples):
+            at = vecfield.PointValues(pt, registry)
+            for k, fr in enumerate(frames):
+                r = at.rank(fr.fields)
+                if r != fr.rank:
+                    constant_rank = False
+                    witnesses.append((k, tuple(sorted(pt.items())), r))
+            if candidates:
+                r = at.rank(top.fields + candidates)
+                if r != top.rank:
+                    constant_rank = False
+                    witnesses.append((len(frames) - 1,
+                                      tuple(sorted(pt.items())), r))
+    return vecfield.DistributionFlag(tuple(frames), tuple(growth),
+                                     constant_rank, tuple(witnesses))
 
 
 def contact_volume(alpha, point: dict, registry=None):

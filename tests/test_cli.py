@@ -881,6 +881,15 @@ class TestMain:
         assert capsys.readouterr().err == (
             "error: --tol must be positive and finite\n")
 
+    @pytest.mark.parametrize("option, where", [
+        (["--T", "1e400"], "--T"), (["--theta0", "1e400"], "--theta0"),
+        (["--x0", "1e400,0,0,0,0"], "--x0 x")])
+    def test_trace_value_too_large_for_a_float_exit_three(
+            self, option, where, capsys):
+        assert main(["trace", "hilbert-cartan"] + option) == 3
+        assert capsys.readouterr().err == (
+            f"error: {where}: 1e400 is too large for a float\n")
+
     def test_trace_bad_x0_exit_three(self, capsys):
         assert main(["trace", "flat-cone", "--x0", "1,2"]) == 3
         assert "--x0 needs 5" in capsys.readouterr().err

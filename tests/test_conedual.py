@@ -27,7 +27,7 @@ from dist235.vecfield import (
     pair,
 )
 
-from helpers import count_calls
+from helpers import count_calls, time_budget
 
 TOL = 1e-9
 SEED = 47110815
@@ -434,6 +434,26 @@ class TestProlongCone:
         structure = prolong_cone(builtin_model("flat-cone"))
         vec = structure.k_field.evaluate_at(structure.base_point)
         assert tuple(vec) == (0, 0, 0, 0, 0, 1)
+
+    def test_off_origin_compliant_family_finishes(self):
+        # the bundled components pivoted at x1=1/8, x3=3, th=1/4: the
+        # full-width elimination of the osculating decomposition swelled
+        # there and ran past 120 s; (j+1)c_(j+1) = 3(j-1)b_j holds, so
+        # both residuals are identically zero
+        at_origin = builtin_model("noncubic-bc")
+        base = dict(at_origin.base_point, x1=Fraction(1, 8),
+                    x3=Fraction(3), th=Fraction(1, 4))
+        with time_budget(10.0):
+            family = ConeFamily.build(
+                at_origin.x_chart, at_origin.components, at_origin.alpha,
+                base_point=base, name=at_origin.name)
+            report = check_osculating_condition(family)
+            solve_U(family)
+            structure = prolong_cone(family)
+        assert [status for _, _, status, _ in report.residuals] == \
+            ["provably-zero", "provably-zero"]
+        assert structure.flag.growth == (2, 3, 4, 5, 6)
+        assert structure.flag.constant_rank
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import json
 import pkgutil
 import random
 from fractions import Fraction
@@ -11,10 +12,15 @@ import pytest
 import sympy
 
 import dist235
-from dist235 import conedual, distduality, linalg, paths, vecfield
+from dist235 import (
+    conedual, distduality, linalg, memo, paths, scalar, vecfield,
+)
 from dist235.boxes import Box
+from dist235.conedual import build_model, builtin_model, prolong_cone, solve_U
+from dist235.models import BUNDLED, parse_model
 from dist235.scalar import (
-    Const, OpaqueRegistry, Prod, Sum, normalize, parse_expr, to_text,
+    ZERO, Const, OpaqueRegistry, Prod, Sum, default_registry, normalize,
+    parse_expr, to_text,
 )
 from dist235.vecfield import (
     Chart, ChartError, ChartMismatchError, DegenerateFrameError, Frame,
@@ -24,9 +30,11 @@ from dist235.vecfield import (
 )
 
 from helpers import (
-    apply_to, contact_volume, random_point, random_tree, record_evaluations,
-    repeated_evaluations, zero_field,
+    apply_to, contact_volume, every_bracket_flag, full_width_decompose,
+    random_point, random_tree, record_evaluations, repeated_evaluations,
+    zero_field,
 )
+from test_conedual import opaque_chain
 
 CH5 = Chart(("x", "y", "y1", "y2", "z"))
 BASE = CH5.origin()
@@ -547,6 +555,167 @@ class TestSymbolicDecompose:
         basis = tuple(coordinate_field(CH5, v) for v in CH5.variables)
         assert vecfield.symbolic_decompose((), basis, BASE) == ()
         assert vecfield.symbolic_decompose([], growth_frame(), BASE) == ()
+
+
+def _bc_opaque():
+    # evaluated as b = th^3, c = (3/2)*th^4, which satisfy the condition
+    return (opaque_chain("B", ("u^3", "3*u^2", "6*u", "6"), "0")
+            + opaque_chain("C", ("3/2*u^4", "6*u^3", "18*u^2", "36*u"),
+                           "36"))
+
+
+# (bundled document, expressions in place of its own, opaque functions)
+LIVE_WORK_MODELS = [
+    ("hilbert-cartan", None, []),
+    ("flat-cone", None, []),
+    ("cubic-a", None, []),
+    ("noncubic-bc", None, []),
+    ("noncubic-bc-violating", None, []),
+    ("cubic-a", {"a": "F(x1)"}, opaque_chain("F", ("u^2", "2*u", "2"), "0")),
+    ("noncubic-bc", {"b": "B(th)", "c": "C(th)"}, _bc_opaque()),
+    ("cubic-a", {"a": "x1^2/(1+x1)"}, []),
+    ("noncubic-bc", {"b": "th^3", "c": "th^4/(1+th)"}, []),
+]
+
+
+def live_work_cases(name, expressions, opaque):
+    """The flags (generators, box) and decompositions (targets, basis,
+    base point) the program derives for one model: a cone family's flag
+    only when `prolong_cone` derives it, after the osculating condition
+    holds."""
+    doc = dict(BUNDLED[name])
+    if expressions is not None:
+        doc.update(expressions=expressions, opaque=opaque)
+    model = build_model(parse_model(json.dumps(doc), name))
+    registry = model.registry
+    if isinstance(model, distduality.Distribution235):
+        prolonged = distduality.prolong_235(model)
+        flags = [(Frame(model.chart, (model.eta1, model.eta2),
+                        model.base_point, registry), model.box),
+                 (Frame(prolonged.z_chart,
+                        (prolonged.zeta1, prolonged.zeta2),
+                        prolonged.base_point, registry), prolonged.box)]
+        targets = [lie_bracket(z, w, registry)
+                   for w in prolonged.flag.frames[3].fields
+                   for z in (prolonged.zeta1, prolonged.zeta2)]
+        decompositions = [(targets, prolonged.flag.frames[4].fields,
+                           prolonged.base_point)]
+    else:
+        flags = []
+        if conedual.check_osculating_condition(model).passed:
+            flags.append((Frame(model.z_chart,
+                                (model.zeta(1), model.zeta(2)),
+                                model.base_point, registry), model.box))
+        bracket = lie_bracket(model.zeta(2), model.zeta(3), registry)
+        decompositions = [((bracket,), conedual._full_frame(model)[0],
+                           model.base_point)]
+    return registry, flags, decompositions
+
+
+def flag_summary(flag):
+    return ([[(f.name, tuple(to_text(c) for c in f.components))
+              for f in frame.fields] for frame in flag.frames],
+            flag.growth, flag.constant_rank, flag.rank_witnesses)
+
+
+def same_flag(generators, box, registry=None):
+    """The flag and its reference, each derived in a memo of its own."""
+    with memo.scope(memo.Memo()):
+        flag = derived_flag(generators, box=box, registry=registry)
+    with memo.scope(memo.Memo()):
+        reference = every_bracket_flag(generators, box=box,
+                                       registry=registry)
+    assert flag_summary(flag) == flag_summary(reference)
+    return flag
+
+
+class TestOnlyLiveWork:
+    """The derived flag without self, mirror and surplus brackets, and
+    `symbolic_decompose` on live columns only, give what the loops that
+    do all the work give (`helpers.every_bracket_flag`,
+    `helpers.full_width_decompose`), to the printed byte."""
+
+    @pytest.mark.parametrize("name, expressions, opaque", LIVE_WORK_MODELS)
+    def test_flags_and_decompositions_match_the_full_loops(
+            self, name, expressions, opaque):
+        registry, flags, decompositions = live_work_cases(
+            name, expressions, opaque)
+        for generators, box in flags:
+            same_flag(generators, box, registry)
+        for targets, basis, base in decompositions:
+            with memo.scope(memo.Memo()):
+                live = vecfield.symbolic_decompose(targets, basis, base,
+                                                   registry)
+            with memo.scope(memo.Memo()):
+                full = full_width_decompose(targets, basis, base, registry)
+            assert [[to_text(c) for c in coeffs] for coeffs in live] == \
+                [[to_text(c) for c in coeffs] for coeffs in full]
+
+    def test_opaque_models_rank_float_rows(self):
+        # the per-frame ranks that float rows keep are really run
+        registry, flags, _ = live_work_cases(*LIVE_WORK_MODELS[6])
+        (generators, box), = flags
+        at = PointValues(box.sample_points(1)[0], registry)
+        assert at.row(generators.fields[1]).ints is None
+
+    def test_non_constant_rank_frame_matches(self):
+        ch = Chart(("x", "y", "z"))
+        v1 = field_from_strings(ch, ["1", "0", "0"])
+        v2 = field_from_strings(ch, ["0", "1", "x^2"])
+        flag = same_flag(Frame(ch, (v1, v2), ch.origin()),
+                         Box.around(ch.origin(), Fraction(1, 2)))
+        assert flag.rank_witnesses
+
+    def test_rank_loss_at_a_halton_point_matches(self):
+        # [v1, v2] = (0, 0, x - p) spans at the base point and vanishes
+        # at the fourth Halton point, where the top frame loses rank
+        ch = Chart(("x", "y", "z"))
+        box = Box.around(ch.origin(), Fraction(1, 2))
+        p = box.sample_points(16)[3]["x"]
+        assert p != 0
+        v1 = field_from_strings(ch, ["1", "0", "0"])
+        v2 = field_from_strings(ch, ["0", "1", f"(x - ({p}))^2/2"])
+        flag = same_flag(Frame(ch, (v1, v2), ch.origin()), box)
+        assert flag.growth == (2, 3)
+        assert [(k, r) for k, _, r in flag.rank_witnesses] == [(1, 2)]
+
+    def test_self_bracket_is_the_fold_and_folds_nothing(self):
+        rng = random.Random(20261019)
+        for _ in range(10):
+            comps = tuple(random_tree(rng, CH5.variables[:3], depth=2)
+                          for _ in range(CH5.dimension))
+            v = VectorField(CH5, comps)
+            with memo.scope(memo.Memo()):
+                misses = _bracket.cache_info().misses
+                zero = lie_bracket(v, VectorField(CH5, comps, "copy"))
+                assert _bracket.cache_info().misses == misses
+                folded = _bracket(CH5, comps, comps, default_registry())
+            assert zero == folded
+            assert all(c is ZERO for c in zero.components)
+
+    def test_a_pass_stops_when_its_frame_fills_the_chart(self):
+        # Engel: [g1, g2] fills layer 1 and [g1, g3] the chart, so
+        # [g2, g1] (a mirror), [g2, g2] (a self-bracket) and [g2, g3]
+        # (after the frame is full) are never folded
+        ch = Chart(("x", "y", "y1", "y2"))
+        g1 = field_from_strings(ch, ["1", "y1", "y2", "0"])
+        g2 = field_from_strings(ch, ["0", "0", "0", "1"])
+        with memo.scope(memo.Memo()):
+            misses = _bracket.cache_info().misses
+            flag = derived_flag(Frame(ch, (g1, g2), ch.origin()))
+            assert _bracket.cache_info().misses - misses == 2
+        assert flag.growth == (2, 3, 4)
+
+    def test_prolong_cone_brackets_only_what_can_grow_the_flag(self):
+        # [zeta1, zeta1], [zeta2, zeta2] and [zeta2, zeta1] are no
+        # longer folded: 9 -> 6 brackets, 42 -> 31 normal forms
+        family = builtin_model("noncubic-bc")
+        solve_U(family)
+        brackets = _bracket.cache_info().misses
+        forms = scalar._normal_form.cache_info().misses
+        prolong_cone(family)
+        assert _bracket.cache_info().misses - brackets == 6
+        assert scalar._normal_form.cache_info().misses - forms == 31
 
 
 CHX = Chart(("x1", "x2", "x3", "x4", "x5"))
