@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .memo import memoized
 
@@ -132,3 +133,21 @@ class Box:
         if len(self.intervals) > len(_PRIMES):
             raise ValueError("box has more coordinates than supported")
         return [dict(pt) for pt in _halton(tuple(self.intervals), count, skip)]
+
+
+# The default box's half-width in a direction coordinate: the cone
+# direction of a family, or the fiber of a prolonged plane field.
+DIRECTION_HALF_WIDTH = Fraction(1, 2)
+
+
+def default_box(base_point: dict, direction: Optional[str] = None) -> Box:
+    """The box used when none is given: half-width 1/4 about the base
+    point in each coordinate, in the base point's order, except
+    `direction`, which gets `DIRECTION_HALF_WIDTH` and comes last."""
+    box = Box.around({name: value for name, value in base_point.items()
+                      if name != direction}, Fraction(1, 4))
+    if direction is None:
+        return box
+    center = as_fraction(base_point[direction])
+    return Box(box.intervals + ((direction, center - DIRECTION_HALF_WIDTH,
+                                 center + DIRECTION_HALF_WIDTH),))

@@ -25,15 +25,15 @@ from typing import Optional
 from . import memo
 from .boxes import Box, as_fraction
 from .conedual import build_model, check_lagrangian, check_nondegenerate, \
-    check_osculating_condition, default_family_box, prolong_cone, solve_U
+    check_osculating_condition, prolong_cone, solve_U
 from .distduality import FIBER, GrowthError, ProlongedDistribution, \
-    PseudoProductStructure, SolveEResult, default_box, prolong_235, \
-    solve_e, symbol_algebra_at, verify_pseudo_product
-from .models import BUNDLED, ModelError, ModelFile, _rational, parse_model
+    PseudoProductStructure, SolveEResult, prolong_235, solve_e, \
+    symbol_algebra_at, verify_pseudo_product
+from .models import BUNDLED, ModelError, ModelFile, _rational, \
+    document_text, parse_model
 from .paths import cone_system, distribution_system, integrate_biextremal, \
     singular_launch, verify_duality
 from .scalar import to_text
-from .vecfield import Chart
 
 __all__ = [
     "bundled_document", "canonical_json", "exit_code", "format_text",
@@ -117,7 +117,7 @@ def bundled_document(name: str) -> str:
         raise ModelError(
             f"no bundled model named {name!r}; available: "
             + ", ".join(BUNDLED)) from None
-    return canonical_json(doc) + "\n"
+    return document_text(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -145,19 +145,6 @@ def load_model(path_or_name: str) -> ModelFile:
 # ---------------------------------------------------------------------------
 # suite machinery
 # ---------------------------------------------------------------------------
-
-def _model_box(model: ModelFile, box_scale: Fraction) -> Box:
-    """The box a run builds every object on: the model's box, or the
-    default box of its kind, scaled about its center."""
-    box = model.box
-    if box is None:
-        if model.kind == "cone-family":
-            box = default_family_box(Chart(model.chart), model.theta,
-                                     model.base_point)
-        else:
-            box = default_box(model.base_point)
-    return box.scaled(box_scale)
-
 
 class _Skip(Exception):
     """A check that cannot run because a prerequisite failed."""
@@ -190,7 +177,7 @@ class _SuiteRun:
     def __init__(self, model: ModelFile, seed: int, box_scale: Fraction):
         self.model = model
         self.seed = seed
-        self.box = _model_box(model, box_scale)
+        self.box = model.box.scaled(box_scale)
         self.records: list = []
         self.times: list = []
         self.ctx: dict = {}
@@ -591,8 +578,9 @@ def trace_lines(model: ModelFile, x0: Optional[dict], theta0: Fraction,
 
 
 def _float_rational(text: str, where: str) -> Fraction:
-    """A rational option of `trace`, which integrates in floats: one too
-    large for a float is an input error, not a failed run."""
+    """A rational option that is also used as a float (`trace`
+    integrates in floats, and `analyze` samples its box in floats): one
+    too large for a float is an input error, not a failed run."""
     value = _rational(text, where)
     try:
         float(value)
@@ -664,7 +652,7 @@ def _cmd_analyze(args) -> int:
     seed = args.seed
     if seed < 0:
         raise ModelError("--seed must be a non-negative integer")
-    scale = _rational(args.box_scale, "--box-scale")
+    scale = _float_rational(args.box_scale, "--box-scale")
     if scale <= 0:
         raise ModelError("--box-scale must be positive")
     clock: list = []
@@ -694,7 +682,7 @@ def _cmd_trace(args) -> int:
     x0 = _parse_x0(args.x0, model) if args.x0 is not None else None
     theta0 = _float_rational(args.theta0, "--theta0")
     t_end = _float_rational(args.T, "--T")
-    if t_end == 0:
+    if float(t_end) == 0:
         raise ModelError("--T must be nonzero")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ModelError("--tol must be positive and finite")

@@ -17,37 +17,27 @@ the path integration module.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
 from typing import Optional, Sequence
 
 from . import linalg, memo
-from .boxes import Box, as_fraction
+from .boxes import Box, as_fraction, default_box
 from .distduality import (
     Distribution235, PseudoProductStructure, StructureError, _format_point,
-    default_box,
 )
-from .models import BUNDLED, _FIELDS, ModelFile, parse_model
+from .models import BUNDLED, _FIELDS, ModelFile, document_text, parse_model
 from .scalar import (
     MINUS_ONE, ONE, ZERO, Const, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum,
     Var, default_registry, differentiate, evaluate, free_variables, is_zero,
-    min_degree, normalize, parse_expr, substitute, to_text,
+    min_degree, normalize, substitute, to_text,
 )
 from .vecfield import (
     Chart, ChartError, DegenerateFrameError, Frame, OneForm, PointValues,
     VectorField, check_contact, coordinate_field, exterior_derivative,
     lie_bracket, pair, rank_at, symbolic_decompose,
 )
-
-
-def _as_expr(value, variables, registry) -> ScalarExpr:
-    if isinstance(value, ScalarExpr):
-        return value
-    if isinstance(value, str):
-        return parse_expr(value, variables, registry)
-    return Const(as_fraction(value))
 
 
 def _witness(verdict) -> Optional[str]:
@@ -115,11 +105,15 @@ class ConeFamily:
 
     @classmethod
     @memo.owning
-    def build(cls, x_chart: Chart, components: Sequence,
-              alpha_components: Sequence, theta: str = "th",
-              base_point: Optional[dict] = None, box: Optional[Box] = None,
+    def build(cls, x_chart: Chart, components: Sequence, alpha: OneForm,
+              theta: str = "th", base_point: Optional[dict] = None,
+              box: Optional[Box] = None,
               registry: Optional[OpaqueRegistry] = None,
               name: str = "cone-family") -> "ConeFamily":
+        """The family whose generator has the components (A, B, S, T),
+        trees on `x_chart` extended by `theta`, checked against the
+        contact form `alpha` on `x_chart`.  The box defaults to
+        `boxes.default_box` about the base point, `theta` last."""
         if registry is None:
             registry = default_registry()
         if x_chart.dimension != 5:
@@ -130,25 +124,17 @@ class ConeFamily:
                 f"direction coordinate {theta!r} collides with a base "
                 "coordinate")
         z_chart = x_chart.extend(theta)
-        comps = tuple(
-            normalize(_as_expr(c, z_chart.variables, registry),
-                      z_chart.variables)
-            for c in components)
+        comps = tuple(normalize(c, z_chart.variables) for c in components)
         if len(comps) != 4:
             raise StructureError(
                 "a family needs the four non-trivial generator components")
-        if isinstance(alpha_components, OneForm):
-            alpha = alpha_components
-            if alpha.chart != x_chart:
-                raise ChartError("contact form lives on the wrong chart")
-        else:
-            alpha = OneForm(x_chart, tuple(
-                _as_expr(c, x_chart.variables, registry)
-                for c in alpha_components))
+        if alpha.chart != x_chart:
+            raise ChartError("contact form lives on the wrong chart")
         if base_point is None:
             base_point = z_chart.origin()
         if box is None:
-            box = default_family_box(x_chart, theta, base_point)
+            box = default_box({v: base_point[v] for v in z_chart.variables},
+                              theta)
 
         family = cls(x_chart=x_chart, theta=theta, components=comps,
                      alpha=alpha, base_point=base_point, box=box,
@@ -211,16 +197,6 @@ class ConeFamily:
         (coeffs,) = symbolic_decompose((bracket,), fields, self.base_point,
                                        self.registry)
         return coeffs, complement
-
-
-def default_family_box(x_chart: Chart, theta: str, base_point: dict) -> Box:
-    """The box used when a family is built without one: half-width 1/4
-    about the base point in the base coordinates, 1/2 in the direction
-    coordinate."""
-    center = as_fraction(base_point[theta])
-    return Box(default_box({v: base_point[v] for v in x_chart.variables})
-               .intervals + ((theta, center - Fraction(1, 2),
-                              center + Fraction(1, 2)),))
 
 
 def cone_frame(family: ConeFamily) -> tuple:
@@ -476,11 +452,10 @@ def build_model(model: ModelFile, box: Optional[Box] = None):
     """The object a parsed model document describes: a
     `Distribution235`, a `ConeFamily` or a `PseudoProductStructure`.
 
-    It is built on `box`, by default the document's own box, else the
-    default box of its kind.  A parameter-driven cone family gets its
-    components A, B, S, T from the parameters ``a`` or ``b``, ``c``.
-    It is built in the active memo, or outside every scope in a fresh
-    one, which the object keeps.
+    It is built on `box`, by default the model's own (`ModelFile.box`).
+    A parameter-driven cone family gets its components A, B, S, T from
+    the parameters ``a`` or ``b``, ``c``.  It is built in the active
+    memo, or outside every scope in a fresh one, which the object keeps.
     """
     if box is None:
         box = model.box
@@ -493,7 +468,7 @@ def build_model(model: ModelFile, box: Optional[Box] = None):
         else:
             components = _driver_components(exprs, registry)
         return ConeFamily.build(
-            chart, components, model.alpha, theta=model.theta,
+            chart, components, OneForm(chart, model.alpha), theta=model.theta,
             base_point=base_point, box=box, registry=registry,
             name=model.name)
     fields = tuple(VectorField(chart, exprs[key], key)
@@ -509,7 +484,8 @@ def build_model(model: ModelFile, box: Optional[Box] = None):
 
 def builtin_model(name: str, params: Optional[dict] = None):
     """Build the bundled model `name`: its document in `BUNDLED`, with
-    `params` in place of the document's expressions when given, parsed
+    `params` in place of the document's expressions when given, written
+    by `document_text` (the text `dist235 models show` prints), parsed
     by `parse_model` and built by `build_model`.
 
     * ``hilbert-cartan``: the flat growth-(2,3,5) plane field (a
@@ -538,7 +514,7 @@ def builtin_model(name: str, params: Optional[dict] = None):
                 f"model {name!r} takes exactly the parameters "
                 + ", ".join(repr(key) for key in keys))
         doc = dict(doc, expressions=dict(params))
-    return build_model(parse_model(json.dumps(doc), name))
+    return build_model(parse_model(document_text(doc), name))
 
 
 def _driver_components(params: dict, registry: OpaqueRegistry) -> tuple:

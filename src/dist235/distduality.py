@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg, memo
-from .boxes import Box
+from .boxes import DIRECTION_HALF_WIDTH, Box, default_box
 from .scalar import (
     MINUS_ONE, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum, Var,
     default_registry, evaluate, is_zero, normalize, to_text,
@@ -69,12 +69,6 @@ def _rank_drop(flag: DistributionFlag, witness) -> str:
     point = {v: values[v] for v in flag.frames[0].chart.variables}
     return (f"rank {rank} in layer {layer} at {_format_point(point)}, "
             f"{flag.growth[layer]} at the base point")
-
-
-def default_box(base_point: dict) -> Box:
-    """The box used when none is given: half-width 1/4 about the base
-    point in every coordinate."""
-    return Box.around(base_point, Fraction(1, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +244,7 @@ def prolong_235(dist: Distribution235) -> ProlongedDistribution:
     z_base = dict(dist.base_point)
     z_base[FIBER] = Fraction(0)
     z_box = Box(dist.box.intervals
-                + ((FIBER, Fraction(-1, 2), Fraction(1, 2)),))
+                + ((FIBER, -DIRECTION_HALF_WIDTH, DIRECTION_HALF_WIDTH),))
 
     frame = Frame(z_chart, (zeta1, zeta2), z_base, registry)
     flag = derived_flag(frame, box=z_box, registry=registry)

@@ -12,7 +12,8 @@ expressions.  Three kinds are understood:
   chart.
 
 `parse_model` checks a document into a `ModelFile` holding one tree per
-expression text; `conedual.build_model` builds its object from them.
+expression text and the document's box; `conedual.build_model` builds
+its object from them.  `document_text` is the one text of a document.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .boxes import Box
+from .boxes import Box, default_box
 from .scalar import OpaqueRegistry, compile_expr, default_registry, \
     parse_expr
 
@@ -98,6 +99,13 @@ BUNDLED = {
 }
 
 
+def document_text(doc: dict) -> str:
+    """The one text of a model document: JSON with sorted keys and no
+    spaces, and a final newline.  A document holds only strings, lists
+    and objects, so this is also its canonical report JSON."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # model files
 # ---------------------------------------------------------------------------
@@ -108,18 +116,20 @@ class ModelFile:
 
     Each expression text is parsed once against the declared chart and
     kept as a tree (a tuple of trees for a frame field and `alpha`).  The
-    objects are built later, inside the suite, so that a model that parses
-    but fails verification is a failing check rather than a usage error.
+    box is the document's own, else `boxes.default_box` about the base
+    point with a cone family's direction last.  The objects are built
+    later, inside the suite, so that a model that parses but fails
+    verification is a failing check rather than a usage error.
     """
 
     kind: str
     name: str
     chart: tuple
     expressions: dict = field(compare=False)
+    box: Box = field(compare=False)
     theta: Optional[str] = None
     alpha: Optional[tuple] = None
     base_point: dict = field(default_factory=dict, compare=False)
-    box: Optional[Box] = field(default=None, compare=False)
     notes: tuple = ()
     registry: Optional[OpaqueRegistry] = field(default=None, compare=False)
     sha256: str = ""
@@ -316,7 +326,7 @@ def parse_model(text: str, origin: str = "model") -> ModelFile:
             base_point[var] = _rational(value,
                                         f"{origin}: base_point.{var}")
 
-    box = None
+    box = default_box(base_point, theta)
     if "box" in doc:
         given = doc["box"]
         if not isinstance(given, dict):

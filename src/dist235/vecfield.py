@@ -19,7 +19,6 @@ from .memo import memoized
 from .scalar import (
     MINUS_ONE, ONE, ZERO, Const, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum,
     default_registry, differentiate, evaluate, free_variables, normalize,
-    parse_expr,
 )
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -76,10 +75,6 @@ class Chart:
 
     def origin(self) -> dict:
         return {name: Fraction(0) for name in self.variables}
-
-    def parse(self, text: str, registry: Optional[OpaqueRegistry] = None
-              ) -> ScalarExpr:
-        return parse_expr(text, self.variables, registry)
 
 
 def _check_components(chart: Chart, components) -> tuple:
@@ -149,13 +144,6 @@ def coordinate_field(chart: Chart, name: str) -> VectorField:
     comps = tuple(ONE if j == i else ZERO
                   for j in range(chart.dimension))
     return VectorField(chart, comps, name=f"d/d{name}")
-
-
-def field_from_strings(chart: Chart, texts: Sequence[str],
-                       registry: Optional[OpaqueRegistry] = None,
-                       name: str = "") -> VectorField:
-    return VectorField(chart, tuple(chart.parse(t, registry) for t in texts),
-                       name)
 
 
 def lie_bracket(v: VectorField, w: VectorField,

@@ -1,7 +1,7 @@
 """Shared helpers: seeded random expression trees and rational points,
-a recorder of field evaluations, small oracles the program itself does
-not need, and the `Fraction` normal-form builder kept as the reference
-of the integer one."""
+vector fields from texts, a recorder of field evaluations, small
+oracles the program itself does not need, and the `Fraction`
+normal-form builder kept as the reference of the integer one."""
 
 from __future__ import annotations
 
@@ -139,13 +139,13 @@ def stripped(tree):
 
 
 def count_calls(monkeypatch, owner, name: str) -> list:
-    """Patch owner.name to append one entry to the returned list per
-    call."""
+    """Patch owner.name to append the positional arguments of each call
+    to the returned list."""
     calls = []
     real = getattr(owner, name)
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
@@ -181,6 +181,14 @@ def random_box_points(box, count: int, rng: random.Random,
     return [{name: lo + (hi - lo) * Fraction(rng.randint(0, grid), grid)
              for name, lo, hi in box.intervals}
             for _ in range(count)]
+
+
+def text_field(chart, texts, registry=None, name: str = "") -> VectorField:
+    """The vector field on `chart` whose components are parsed from
+    `texts`."""
+    return VectorField(chart, tuple(
+        scalar.parse_expr(text, chart.variables, registry) for text in texts),
+        name)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,15 @@ from dist235.cli import (
     bundled_document, canonical_json, exit_code, format_text, load_model,
     main, run_suite, trace_lines,
 )
-from dist235.conedual import build_model, builtin_model
-from dist235.models import BUNDLED, ModelError, parse_model
+from dist235 import conedual
+from dist235.conedual import ConeFamily, build_model, builtin_model
+from dist235.models import BUNDLED, ModelError, document_text, parse_model
 from dist235.scalar import parse_expr
 from dist235 import distduality
-from dist235.distduality import check_235
-from dist235.vecfield import DegenerateFrameError, derived_flag
+from dist235.distduality import Distribution235, check_235
+from dist235.vecfield import Chart, DegenerateFrameError, derived_flag
+
+from helpers import count_calls
 
 TOL = 1e-9
 
@@ -344,6 +347,49 @@ class TestLoadAndBundled:
         for name in BUNDLED:
             text = bundled_document(name)
             assert canonical_json(json.loads(text)) + "\n" == text
+
+    @pytest.mark.parametrize("name", list(BUNDLED))
+    def test_document_text_is_the_canonical_json(self, name):
+        doc = BUNDLED[name]
+        assert document_text(doc) == canonical_json(doc) + "\n"
+
+    @pytest.mark.parametrize("name", list(BUNDLED))
+    def test_builtin_model_parses_the_shown_document(self, monkeypatch,
+                                                     name):
+        # the bytes `dist235 models show <name>` prints, so the two
+        # parse to models with one content hash
+        calls = count_calls(monkeypatch, conedual, "parse_model")
+        builtin_model(name)
+        assert calls == [(bundled_document(name), name)]
+
+    @pytest.mark.parametrize("name, variables", [
+        ("hilbert-cartan", ("x", "y", "y1", "y2", "z")),
+        ("flat-cone", ("x1", "x2", "x3", "x4", "x5", "th")),
+        ("cubic-a", ("x1", "x2", "x3", "x4", "x5", "th")),
+        ("noncubic-bc", ("x1", "x2", "x3", "x4", "x5", "th")),
+        ("noncubic-bc-violating", ("x1", "x2", "x3", "x4", "x5", "th")),
+    ])
+    def test_one_default_box(self, name, variables):
+        # the document's box, the built object's box, and the box each
+        # constructor defaults to are one box: half-width 1/4 about the
+        # base point, 1/2 in the direction coordinate, which comes last
+        model = parse_model(bundled_document(name), name)
+        built = build_model(model)
+        chart = Chart(model.chart)
+        if model.kind == "cone-family":
+            default = ConeFamily.build(
+                chart, built.components, built.alpha, theta=model.theta,
+                base_point=dict(model.base_point),
+                registry=model.registry).box
+        else:
+            default = Distribution235(chart, built.eta1, built.eta2,
+                                      dict(model.base_point),
+                                      registry=model.registry).box
+        assert model.box == built.box == default
+        assert model.box.variables == variables
+        half_widths = [(hi - lo) / 2 for _, lo, hi in model.box.intervals]
+        assert half_widths == [Fraction(1, 4)] * 5 + \
+            [Fraction(1, 2)] * (len(variables) - 5)
 
     def test_unknown_bundled_name(self):
         with pytest.raises(ModelError, match="no bundled model"):
@@ -801,6 +847,14 @@ class TestMain:
         assert main(["analyze", "flat-cone", "--box-scale", "0"]) == 3
         capsys.readouterr()
 
+    def test_analyze_box_scale_too_large_for_a_float_exit_three(self,
+                                                                 capsys):
+        # the duality checks sample the box in floats
+        assert main(["analyze", "hilbert-cartan",
+                     "--box-scale", "1e400"]) == 3
+        assert capsys.readouterr().err == (
+            "error: --box-scale: 1e400 is too large for a float\n")
+
     def test_analyze_text_format(self, capsys):
         assert main(["analyze", "flat-cone", "--suite", "verify",
                      "--format", "text"]) == 0
@@ -870,8 +924,10 @@ class TestMain:
             "error: IntegrationError: constraint residual ")
 
     def test_trace_zero_time_exit_three(self, capsys):
-        assert main(["trace", "flat-cone", "--T", "0"]) == 3
-        capsys.readouterr()
+        # 1e-400 is a nonzero rational whose float is 0.0
+        for t_end in ("0", "1e-400"):
+            assert main(["trace", "flat-cone", "--T", t_end]) == 3
+            assert capsys.readouterr().err == "error: --T must be nonzero\n"
 
     @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1e-9"])
     def test_trace_tolerance_not_positive_finite_exit_three(self, tol,

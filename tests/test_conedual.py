@@ -23,8 +23,8 @@ from dist235.scalar import (
     OpaqueRegistry, Sum, evaluate, is_zero, normalize, parse_expr, to_text,
 )
 from dist235.vecfield import (
-    Chart, ChartError, Frame, PointValues, exterior_derivative, lie_bracket,
-    pair,
+    Chart, ChartError, Frame, OneForm, PointValues, exterior_derivative,
+    lie_bracket, pair,
 )
 
 from helpers import count_calls, time_budget
@@ -33,14 +33,17 @@ TOL = 1e-9
 SEED = 47110815
 
 X_CHART = Chart(("x1", "x2", "x3", "x4", "x5"))
-ALPHA = ("0", "-x3", "2*x2", "-x1", "1")
+Z_VARIABLES = X_CHART.variables + ("th",)
+ALPHA = OneForm(X_CHART, tuple(parse_expr(text, X_CHART.variables)
+                               for text in ("0", "-x3", "2*x2", "-x1", "1")))
 
 
 def family_from(a_text, b_text, s_text, name="family"):
     """Family in normal form with the compatible fifth component."""
     t_text = (f"x3*({a_text}) - 2*x2*({b_text}) + x1*({s_text})")
-    return ConeFamily.build(X_CHART, (a_text, b_text, s_text, t_text),
-                            ALPHA, name=name)
+    components = tuple(parse_expr(text, Z_VARIABLES)
+                       for text in (a_text, b_text, s_text, t_text))
+    return ConeFamily.build(X_CHART, components, ALPHA, name=name)
 
 
 def compliant_bc(terms):
@@ -69,37 +72,60 @@ class TestConeFamilyBuild:
             ("x1", "x2", "x3", "x4", "x5", "th")
 
     def test_non_contact_form_rejected(self):
+        components = tuple(parse_expr(text, Z_VARIABLES)
+                           for text in ("th", "th^2", "th^3", "0"))
+        alpha = OneForm(X_CHART, tuple(
+            parse_expr(text, X_CHART.variables)
+            for text in ("0", "0", "0", "0", "1")))
         with pytest.raises(StructureError):
-            ConeFamily.build(
-                X_CHART, ("th", "th^2", "th^3", "0"),
-                ("0", "0", "0", "0", "1"))
+            ConeFamily.build(X_CHART, components, alpha)
 
     def test_non_annihilating_form_rejected(self):
         # The compatible fifth component replaced by zero: the contact
         # form no longer annihilates the generator.
+        components = tuple(parse_expr(text, Z_VARIABLES)
+                           for text in ("th", "th^2", "th^3", "0"))
         with pytest.raises(StructureError):
-            ConeFamily.build(
-                X_CHART, ("th", "th^2", "th^3", "0"), ALPHA)
+            ConeFamily.build(X_CHART, components, ALPHA)
 
     def test_wrong_dimension_rejected(self):
+        chart = Chart(("x1", "x2", "x3"))
+        th = parse_expr("th", ("th",))
+        alpha = OneForm(chart, tuple(parse_expr(text, chart.variables)
+                                     for text in ("0", "0", "1")))
         with pytest.raises(ChartError):
-            ConeFamily.build(Chart(("x1", "x2", "x3")),
-                             ("th", "th", "th", "th"), ("0", "0", "1"))
+            ConeFamily.build(chart, (th, th, th, th), alpha)
 
     def test_direction_name_collision_rejected(self):
+        # With trees: text parsed on a chart where the direction is x1
+        # would fail to parse "th" before the collision is checked.
+        th = parse_expr("th", Z_VARIABLES)
         with pytest.raises(ChartError):
-            ConeFamily.build(X_CHART, ("th", "th", "th", "th"), ALPHA,
+            ConeFamily.build(X_CHART, (th, th, th, th), ALPHA,
                              theta="x1")
 
+    def test_tree_outside_the_chart_rejected(self):
+        components = tuple(parse_expr(text, Z_VARIABLES + ("u",))
+                           for text in ("th", "th^2", "th^3 + u", "0"))
+        with pytest.raises(ChartError, match="undeclared"):
+            ConeFamily.build(X_CHART, components, ALPHA)
+
+    def test_contact_form_on_another_chart_rejected(self):
+        chart = Chart(("y1", "y2", "y3", "y4", "y5"))
+        alpha = OneForm(chart, tuple(
+            parse_expr(text, chart.variables)
+            for text in ("0", "-y3", "2*y2", "-y1", "1")))
+        components = tuple(parse_expr(text, Z_VARIABLES)
+                           for text in ("th", "th^2", "th^3", "0"))
+        with pytest.raises(ChartError, match="wrong chart"):
+            ConeFamily.build(X_CHART, components, alpha)
+
     def test_one_form_instance_accepted(self):
-        from dist235.vecfield import OneForm
-        alpha = OneForm(X_CHART, tuple(
-            parse_expr(c, X_CHART.variables) for c in ALPHA))
-        family = ConeFamily.build(
-            X_CHART,
-            ("th", "th^2", "th^3",
-             "x3*th - 2*x2*th^2 + x1*th^3"), alpha)
-        assert family.alpha is alpha
+        components = tuple(
+            parse_expr(text, Z_VARIABLES)
+            for text in ("th", "th^2", "th^3", "x3*th - 2*x2*th^2 + x1*th^3"))
+        family = ConeFamily.build(X_CHART, components, ALPHA)
+        assert family.alpha is ALPHA
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +235,8 @@ class TestLagrangian:
         from dist235.vecfield import exterior_derivative
         d_alpha = exterior_derivative(family.lifted_alpha)
         quantity = pair(d_alpha, family.zeta(2), family.zeta(3))
-        difference = family.z_chart.parse(
-            f"({to_text(quantity)}) + 4*th^3")
+        difference = parse_expr(
+            f"({to_text(quantity)}) + 4*th^3", family.z_chart.variables)
         assert is_zero(difference, family.box,
                        family.z_chart.variables).status == "provably-zero"
 
@@ -291,8 +317,8 @@ class TestOsculatingCondition:
         label, text, status, witness = report.residuals[1]
         assert status == "nonzero"
         assert witness is not None
-        residual = family.z_chart.parse(text)
-        target = family.z_chart.parse("-2*th^3")
+        residual = parse_expr(text, family.z_chart.variables)
+        target = parse_expr("-2*th^3", family.z_chart.variables)
         for point in family.box.sample_points(25):
             got = float(evaluate(residual, point, family.registry))
             want = float(evaluate(target, point, family.registry))
@@ -321,8 +347,9 @@ class TestOsculatingCondition:
         bracket = lie_bracket(family.zeta(2), family.zeta(3))
         half = family.zeta(5)
         for got, want in zip(bracket.components, half.components):
-            difference = family.z_chart.parse(
-                f"({to_text(got)}) + 1/2*({to_text(want)})")
+            difference = parse_expr(
+                f"({to_text(got)}) + 1/2*({to_text(want)})",
+                family.z_chart.variables)
             assert is_zero(difference, family.box,
                            family.z_chart.variables).status == \
                 "provably-zero"
@@ -363,8 +390,9 @@ class TestSolveU:
         family = family_from("th + x2", "(th + x2)^2", "(th + x2)^3",
                              name="shifted")
         result = solve_U(family)
-        difference = family.z_chart.parse(
-            f"({to_text(result.expression)}) + th + x2")
+        difference = parse_expr(
+            f"({to_text(result.expression)}) + th + x2",
+            family.z_chart.variables)
         assert is_zero(difference, family.box,
                        family.z_chart.variables).status == "provably-zero"
 
@@ -522,8 +550,8 @@ class TestBuiltinModels:
         flat = builtin_model("flat-cone")
         cubic = builtin_model("cubic-a", {"a": "0"})
         for lhs, rhs in zip(flat.components, cubic.components):
-            difference = flat.z_chart.parse(
-                f"({to_text(lhs)}) - ({to_text(rhs)})")
+            difference = parse_expr(
+                f"({to_text(lhs)}) - ({to_text(rhs)})", flat.z_chart.variables)
             assert is_zero(difference, flat.box,
                            flat.z_chart.variables).status == \
                 "provably-zero"
@@ -683,8 +711,9 @@ class TestDefectIdentities:
         iso = pair(d_alpha, family.zeta(2), family.zeta(3))
         defect = family.bracket_decomposition[0][5]
         assert sum_text(family, iso, defect) == "0"
-        closed_form = family.z_chart.parse(
-            "C1(th) - 3*th*B1(th) + 3*B(th)", family.registry)
+        closed_form = parse_expr(
+            "C1(th) - 3*th*B1(th) + 3*B(th)", family.z_chart.variables,
+            family.registry)
         assert sum_text(family, iso, closed_form) == "0"
 
     def test_cubic_a_defect_is_minus_half_the_driver_slope(self):
@@ -692,7 +721,8 @@ class TestDefectIdentities:
             "cubic-a", {"a": "F(x1)"},
             opaque_chain("F", ("u^2", "2*u", "2"), "0"))
         along_third = family.bracket_decomposition[0][4]
-        half_slope = family.z_chart.parse("F1(x1)/2", family.registry)
+        half_slope = parse_expr("F1(x1)/2", family.z_chart.variables,
+                                family.registry)
         assert sum_text(family, along_third, half_slope) == "0"
         assert not check_osculating_condition(family).passed
 

@@ -23,13 +23,13 @@ from dist235.scalar import (
     OpaqueRegistry, evaluate, is_zero, parse_expr, to_text,
 )
 from dist235.vecfield import (
-    Chart, ChartError, ChartMismatchError, Frame, _bracket,
-    coordinate_field, field_from_strings, lie_bracket, rank_at,
+    Chart, ChartError, ChartMismatchError, Frame, OneForm, _bracket,
+    coordinate_field, lie_bracket, rank_at,
 )
 
 from helpers import (
     count_calls, full_frame, random_point, record_evaluations,
-    repeated_evaluations,
+    repeated_evaluations, text_field,
 )
 
 TOL = 1e-9
@@ -41,18 +41,18 @@ BASE_CHART = Chart(("x", "y", "y1", "y2", "z"))
 def flat_model():
     """The classical flat model: one generator carries the square of the
     last jet variable into the z-slot."""
-    eta1 = field_from_strings(
+    eta1 = text_field(
         BASE_CHART, ["1", "y1", "y2", "0", "y2^2"], name="eta1")
-    eta2 = field_from_strings(
+    eta2 = text_field(
         BASE_CHART, ["0", "0", "0", "1", "0"], name="eta2")
     return eta1, eta2
 
 
 def cubic_model():
     """Flat model perturbed by a cubic term in the middle jet variable."""
-    eta1 = field_from_strings(
+    eta1 = text_field(
         BASE_CHART, ["1", "y1", "y2", "0", "y2^2 + y1^3"], name="eta1")
-    eta2 = field_from_strings(
+    eta2 = text_field(
         BASE_CHART, ["0", "0", "0", "1", "0"], name="eta2")
     return eta1, eta2
 
@@ -81,8 +81,8 @@ class TestCheck235:
         assert bool(report)
 
     def test_involutive_pair_fails_with_growth_2(self):
-        eta1 = field_from_strings(BASE_CHART, ["1", "0", "0", "0", "0"])
-        eta2 = field_from_strings(BASE_CHART, ["0", "1", "0", "0", "0"])
+        eta1 = text_field(BASE_CHART, ["1", "0", "0", "0", "0"])
+        eta2 = text_field(BASE_CHART, ["0", "1", "0", "0", "0"])
         report = check_235(eta1, eta2, BASE_CHART.origin())
         assert not report.passed
         assert report.growth == (2,)
@@ -90,7 +90,7 @@ class TestCheck235:
 
     def test_dependent_pair_fails_with_witness(self):
         eta1, _ = flat_model()
-        eta2 = field_from_strings(
+        eta2 = text_field(
             BASE_CHART, ["x", "x*y1", "x*y2", "0", "x*y2^2"])
         report = check_235(eta1, eta2, BASE_CHART.origin())
         assert not report.passed
@@ -100,7 +100,7 @@ class TestCheck235:
     def test_rank_drop_on_the_box_reads_as_text(self):
         # layer 2 loses rank where 1 - 8x vanishes, inside the default box
         _, eta2 = flat_model()
-        eta1 = field_from_strings(
+        eta1 = text_field(
             BASE_CHART, ["1", "y1", "y2", "0", "(1 - 8*x)*y2^2"])
         report = check_235(eta1, eta2, BASE_CHART.origin())
         assert not report.passed and not report.constant_rank
@@ -111,15 +111,15 @@ class TestCheck235:
 
     def test_wrong_dimension_rejected(self):
         chart = Chart(("x", "y", "z"))
-        v = field_from_strings(chart, ["1", "0", "0"])
-        w = field_from_strings(chart, ["0", "1", "0"])
+        v = text_field(chart, ["1", "0", "0"])
+        w = text_field(chart, ["0", "1", "0"])
         with pytest.raises(ChartError):
             check_235(v, w, chart.origin())
 
     def test_chart_mismatch_rejected(self):
         eta1, _ = flat_model()
         other = Chart(("a", "b", "c", "d", "e"))
-        w = field_from_strings(other, ["0", "0", "0", "1", "0"])
+        w = text_field(other, ["0", "0", "0", "1", "0"])
         with pytest.raises(ChartMismatchError):
             check_235(eta1, w, BASE_CHART.origin())
 
@@ -134,21 +134,21 @@ class TestDistribution235:
         # the flat model written on a second chart: a valid (2,3,5) pair,
         # but not on the chart the distribution declares
         other = Chart(("a", "b", "c", "d", "e"))
-        eta1 = field_from_strings(other, ["1", "c", "d", "0", "d^2"])
-        eta2 = field_from_strings(other, ["0", "0", "0", "1", "0"])
+        eta1 = text_field(other, ["1", "c", "d", "0", "d^2"])
+        eta2 = text_field(other, ["0", "0", "0", "1", "0"])
         assert check_235(eta1, eta2, other.origin()).passed
         with pytest.raises(ChartMismatchError):
             Distribution235(BASE_CHART, eta1, eta2, other.origin())
 
     def test_constructor_rejects_involutive(self):
-        eta1 = field_from_strings(BASE_CHART, ["1", "0", "0", "0", "0"])
-        eta2 = field_from_strings(BASE_CHART, ["0", "1", "0", "0", "0"])
+        eta1 = text_field(BASE_CHART, ["1", "0", "0", "0", "0"])
+        eta2 = text_field(BASE_CHART, ["0", "1", "0", "0", "0"])
         with pytest.raises(GrowthError):
             Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin())
 
     def test_constructor_rejects_dependent_pair(self):
         eta1, _ = flat_model()
-        eta2 = field_from_strings(
+        eta2 = text_field(
             BASE_CHART, ["x", "x*y1", "x*y2", "0", "x*y2^2"])
         with pytest.raises(GrowthError):
             Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin())
@@ -191,15 +191,16 @@ class TestProlong:
         bracket = lie_bracket(pro.zeta1, pro.zeta2)
         expected = dist.eta2.lifted(pro.z_chart)
         for got, want in zip(bracket.components, expected.components):
-            total = pro.z_chart.parse(f"({to_text(got)}) + ({to_text(want)})")
+            total = parse_expr(f"({to_text(got)}) + ({to_text(want)})",
+                               pro.z_chart.variables)
             assert is_zero(total, pro.box,
                            pro.z_chart.variables).status == "provably-zero"
 
     def test_fiber_name_collision_rejected(self):
         # a model chart may name a coordinate after the fiber
         chart = Chart(("x", "y", "y1", "y2", "t"))
-        eta1 = field_from_strings(chart, ["1", "y1", "y2", "0", "y2^2"])
-        eta2 = field_from_strings(chart, ["0", "0", "0", "1", "0"])
+        eta1 = text_field(chart, ["1", "y1", "y2", "0", "y2^2"])
+        eta2 = text_field(chart, ["0", "0", "0", "1", "0"])
         dist = Distribution235(chart, eta1, eta2, chart.origin())
         with pytest.raises(ChartError, match="collides"):
             prolong_235(dist)
@@ -266,8 +267,8 @@ class TestSolveE:
         dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin())
         pro = prolong_235(dist)
         result = solve_e(pro)
-        difference = pro.z_chart.parse(
-            f"({to_text(result.expression)}) - 3*y1*y2")
+        difference = parse_expr(
+            f"({to_text(result.expression)}) - 3*y1*y2", pro.z_chart.variables)
         assert is_zero(difference, pro.box,
                        pro.z_chart.variables).status == "provably-zero"
 
@@ -313,10 +314,10 @@ class TestSolveE:
         # Same geometry with the cubic entering through an opaque symbol:
         # the computed correction must agree numerically with 3*y1*y2.
         registry = make_registry()
-        eta1 = field_from_strings(
+        eta1 = text_field(
             BASE_CHART, ["1", "y1", "y2", "0", "y2^2 + a(y1)"],
             registry=registry, name="eta1")
-        eta2 = field_from_strings(
+        eta2 = text_field(
             BASE_CHART, ["0", "0", "0", "1", "0"], name="eta2")
         dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin(),
                                registry=registry)
@@ -334,7 +335,7 @@ class TestSolveE:
         # 10^-7 the frame's pivots fall far below any float cut-off, and
         # the correction is still solved in closed form.
         eta1, _ = flat_model()
-        eta2 = field_from_strings(
+        eta2 = text_field(
             BASE_CHART, ["0", "0", "0", "1/10000000", "0"], name="eta2")
         dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin())
         result = solve_e(prolong_235(dist))
@@ -352,7 +353,7 @@ class TestInvariance:
         # corresponding points must agree as lines.
         lam = Fraction(1, 3)
         eta1, eta2 = cubic_model()
-        shifted = field_from_strings(
+        shifted = text_field(
             BASE_CHART,
             [f"({to_text(b)}) + ({lam}) * ({to_text(a)})"
              for a, b in zip(eta1.components, eta2.components)],
@@ -464,8 +465,8 @@ class TestVerifyPseudoProduct:
         # A plane field on a 6-chart whose flag stalls is rejected before
         # any condition is evaluated.
         chart = Chart(("a", "b", "c", "d", "e", "f"))
-        v = field_from_strings(chart, ["1", "0", "0", "0", "0", "0"])
-        w = field_from_strings(chart, ["0", "1", "0", "0", "0", "0"])
+        v = text_field(chart, ["1", "0", "0", "0", "0", "0"])
+        w = text_field(chart, ["0", "1", "0", "0", "0", "0"])
         with pytest.raises(GrowthError):
             PseudoProductStructure.build(
                 chart, (v, w), v, w, chart.origin())
@@ -476,10 +477,14 @@ class TestVerifyPseudoProduct:
         # at the first Halton point of its box: the sampled rank verdict
         # must reject the splitting, not only the base-point growth.
         s = "(th^3 + (13/22)*th^4)"
-        family = ConeFamily.build(
-            Chart(("x1", "x2", "x3", "x4", "x5")),
-            ("th", "th^2", s, f"x3*th - 2*x2*th^2 + x1*{s}"),
-            ("0", "-x3", "2*x2", "-x1", "1"))
+        chart = Chart(("x1", "x2", "x3", "x4", "x5"))
+        components = tuple(
+            parse_expr(text, chart.variables + ("th",))
+            for text in ("th", "th^2", s, f"x3*th - 2*x2*th^2 + x1*{s}"))
+        alpha = OneForm(chart, tuple(
+            parse_expr(text, chart.variables)
+            for text in ("0", "-x3", "2*x2", "-x1", "1")))
+        family = ConeFamily.build(chart, components, alpha)
         assert check_nondegenerate(family)
         zeta1, zeta2 = family.zeta(1), family.zeta(2)
         drop = r"rank 4 in layer 3 at \(x1=0, .*, th=-11/26\)"
@@ -613,10 +618,10 @@ def opaque_structure():
     symbol, so every value is a float and membership is decided with
     the relative tolerance."""
     registry = make_registry()
-    eta1 = field_from_strings(
+    eta1 = text_field(
         BASE_CHART, ["1", "y1", "y2", "0", "y2^2 + a(y1)"],
         registry=registry, name="eta1")
-    eta2 = field_from_strings(
+    eta2 = text_field(
         BASE_CHART, ["0", "0", "0", "1", "0"], name="eta2")
     dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin(),
                            registry=registry)
@@ -798,9 +803,9 @@ class TestSymbolAlgebra:
             c1 = Fraction(rng.randint(-2, 2))
             c2 = Fraction(rng.randint(-2, 2))
             text = f"y2^2 + ({c1})*y1^2 + ({c2})*y1*y2"
-            eta1 = field_from_strings(
+            eta1 = text_field(
                 BASE_CHART, ["1", "y1", "y2", "0", text], name="eta1")
-            eta2 = field_from_strings(
+            eta2 = text_field(
                 BASE_CHART, ["0", "0", "0", "1", "0"], name="eta2")
             report = check_235(eta1, eta2, BASE_CHART.origin())
             if not report.passed:

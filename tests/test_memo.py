@@ -26,8 +26,9 @@ from dist235.distduality import (
     verify_pseudo_product,
 )
 from dist235.models import BUNDLED
-from dist235.vecfield import Chart, field_from_strings, lie_bracket
+from dist235.vecfield import Chart, lie_bracket
 
+from helpers import text_field
 from test_cli import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -115,8 +116,8 @@ def test_suite_counts_do_not_depend_on_history(name, misses):
 
 def test_a_bracket_is_shared_within_a_memo_only():
     chart = Chart(("x", "y", "z"))
-    v = field_from_strings(chart, ("1", "0", "y"))
-    w = field_from_strings(chart, ("0", "1", "x"))
+    v = text_field(chart, ("1", "0", "y"))
+    w = text_field(chart, ("0", "1", "x"))
     with memo.scope(memo.Memo()):
         first = lie_bracket(v, w)
         assert lie_bracket(v, w) is first

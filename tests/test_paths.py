@@ -28,17 +28,17 @@ from dist235.scalar import (
     default_registry, differentiate, evaluate, normalize, parse_expr,
     to_text,
 )
-from dist235.vecfield import Chart, ChartError, VectorField, \
-    field_from_strings
+from dist235.vecfield import Chart, ChartError, OneForm, VectorField
 
-from helpers import end_point
+from helpers import end_point, text_field
 
 TOL = 1e-9
 TIGHT = 1e-12
 SEED = 47110815
 
 X_CHART = Chart(("x1", "x2", "x3", "x4", "x5"))
-ALPHA = ("0", "-x3", "2*x2", "-x1", "1")
+ALPHA = OneForm(X_CHART, tuple(parse_expr(text, X_CHART.variables)
+                               for text in ("0", "-x3", "2*x2", "-x1", "1")))
 BASE_CHART = Chart(("x", "y", "y1", "y2", "z"))
 
 
@@ -68,8 +68,10 @@ def flat_cone_family():
 def shifted_family():
     a_t, b_t, s_t = "th + x2", "(th + x2)^2", "(th + x2)^3"
     t_t = f"x3*({a_t}) - 2*x2*({b_t}) + x1*({s_t})"
-    return ConeFamily.build(X_CHART, (a_t, b_t, s_t, t_t), ALPHA,
-                            name="shifted")
+    z_variables = X_CHART.variables + ("th",)
+    components = tuple(parse_expr(text, z_variables)
+                       for text in (a_t, b_t, s_t, t_t))
+    return ConeFamily.build(X_CHART, components, ALPHA, name="shifted")
 
 
 def bc_family():
@@ -81,9 +83,9 @@ def hilbert_cartan():
 
 
 def cubic_distribution():
-    eta1 = field_from_strings(
+    eta1 = text_field(
         BASE_CHART, ["1", "y1", "y2", "0", "y2^2 + y1^3"], name="eta1")
-    eta2 = field_from_strings(
+    eta2 = text_field(
         BASE_CHART, ["0", "0", "0", "1", "0"], name="eta2")
     return Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin(),
                            name="cubic")
@@ -195,8 +197,8 @@ class TestControlSystems:
         # the Hilbert-Cartan plane field on a chart with a coordinate
         # named like the first control
         chart = Chart(("x", "y", "y1", "u1", "z"))
-        eta1 = field_from_strings(chart, ["1", "y1", "u1", "0", "u1^2"])
-        eta2 = field_from_strings(chart, ["0", "0", "0", "1", "0"])
+        eta1 = text_field(chart, ["1", "y1", "u1", "0", "u1^2"])
+        eta2 = text_field(chart, ["0", "0", "0", "1", "0"])
         dist = Distribution235(chart, eta1, eta2, chart.origin())
         with pytest.raises(ChartError, match="collides"):
             distribution_system(dist)
@@ -211,15 +213,20 @@ class TestControlSystems:
     def test_radial_name_collisions(self):
         # a direction coordinate, then a base coordinate, named like the
         # radial control
-        by_theta = ConeFamily.build(
-            X_CHART, ("r", "r^2", "r^3", "x3*r - 2*x2*r^2 + x1*r^3"),
-            ALPHA, theta="r")
+        r_components = tuple(
+            parse_expr(text, X_CHART.variables + ("r",))
+            for text in ("r", "r^2", "r^3", "x3*r - 2*x2*r^2 + x1*r^3"))
+        by_theta = ConeFamily.build(X_CHART, r_components, ALPHA, theta="r")
         with pytest.raises(ChartError, match="collides"):
             cone_system(by_theta)
         chart = Chart(("r", "x2", "x3", "x4", "x5"))
-        by_base = ConeFamily.build(
-            chart, ("th", "th^2", "th^3", "x3*th - 2*x2*th^2 + r*th^3"),
-            ("0", "-x3", "2*x2", "-r", "1"))
+        components = tuple(
+            parse_expr(text, chart.variables + ("th",))
+            for text in ("th", "th^2", "th^3", "x3*th - 2*x2*th^2 + r*th^3"))
+        alpha = OneForm(chart, tuple(
+            parse_expr(text, chart.variables)
+            for text in ("0", "-x3", "2*x2", "-r", "1")))
+        by_base = ConeFamily.build(chart, components, alpha)
         with pytest.raises(ChartError, match="collides"):
             cone_system(by_base)
 
@@ -422,7 +429,7 @@ class TestNonFinite:
 
     def test_pole_at_the_start(self):
         chart = Chart(("a", "b"))
-        flow = field_from_strings(chart, ["1", "a^-1"], name="pole")
+        flow = text_field(chart, ["1", "a^-1"], name="pole")
         with pytest.raises(IntegrationError, match="pole at t=0"):
             integrate_flow(flow, {"a": 0, "b": 0}, 1.0)
 
@@ -430,7 +437,7 @@ class TestNonFinite:
         # a = t - 1/2 reaches the pole of b' = 1/a at a stage of the
         # second fixed step
         chart = Chart(("a", "b"))
-        flow = field_from_strings(chart, ["1", "a^-1"], name="pole")
+        flow = text_field(chart, ["1", "a^-1"], name="pole")
         with pytest.raises(IntegrationError, match=r"pole at t=0\.5"):
             integrate_flow(flow, {"a": Fraction(-1, 2), "b": 0}, 1.0,
                            fixed_step=0.25)

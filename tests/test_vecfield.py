@@ -25,14 +25,14 @@ from dist235.scalar import (
 from dist235.vecfield import (
     Chart, ChartError, ChartMismatchError, DegenerateFrameError, Frame,
     OneForm, PointValues, VectorField, _bracket, check_contact,
-    coordinate_field, derived_flag, exterior_derivative, field_from_strings,
-    lie_bracket, pair, rank_at,
+    coordinate_field, derived_flag, exterior_derivative, lie_bracket, pair,
+    rank_at,
 )
 
 from helpers import (
     apply_to, contact_volume, every_bracket_flag, full_width_decompose,
     random_point, random_tree, record_evaluations, repeated_evaluations,
-    zero_field,
+    text_field, zero_field,
 )
 from test_conedual import opaque_chain
 
@@ -43,8 +43,8 @@ BOX = Box.around(BASE, Fraction(1, 4))
 
 def growth_frame():
     """Rank-2 frame with growth vector (2, 3, 5)."""
-    eta1 = field_from_strings(CH5, ["1", "y1", "y2", "0", "y2^2"], name="eta1")
-    eta2 = field_from_strings(CH5, ["0", "0", "0", "1", "0"], name="eta2")
+    eta1 = text_field(CH5, ["1", "y1", "y2", "0", "y2^2"], name="eta1")
+    eta2 = text_field(CH5, ["0", "0", "0", "1", "0"], name="eta2")
     return eta1, eta2
 
 
@@ -141,8 +141,7 @@ class TestBracket:
                 rule, ("u",)))
             registries.append(reg)
         dx = coordinate_field(CH5, "x")
-        w = field_from_strings(CH5, ["0", "f(x)", "0", "0", "0"],
-                               registries[0])
+        w = text_field(CH5, ["0", "f(x)", "0", "0", "0"], registries[0])
         texts = [to_text(lie_bracket(dx, w, reg).components[1])
                  for reg in registries]
         assert texts == ["2*x", "3*x^2"]
@@ -151,7 +150,7 @@ class TestBracket:
         eta1, eta2 = growth_frame()
         other = Chart(("a", "b", "c", "d", "e"))
         with pytest.raises(ChartMismatchError):
-            lie_bracket(eta1, field_from_strings(
+            lie_bracket(eta1, text_field(
                 other, ["1", "0", "0", "0", "0"]))
 
 
@@ -456,8 +455,8 @@ class TestDerivedFlag:
     def test_goursat_growth(self):
         # chain system grows one rank at a time: (2, 3, 4, 5)
         ch = Chart(("x", "y", "y1", "y2", "y3"))
-        v1 = field_from_strings(ch, ["1", "y1", "y2", "y3", "0"])
-        v2 = field_from_strings(ch, ["0", "0", "0", "0", "1"])
+        v1 = text_field(ch, ["1", "y1", "y2", "y3", "0"])
+        v2 = text_field(ch, ["0", "0", "0", "0", "1"])
         flag = derived_flag(Frame(ch, (v1, v2), ch.origin()))
         assert flag.growth == (2, 3, 4, 5)
 
@@ -465,8 +464,8 @@ class TestDerivedFlag:
         # the bracket vanishes at the base point but not on the box, so
         # the flag computed at the base understates the generic growth
         ch = Chart(("x", "y", "z"))
-        v1 = field_from_strings(ch, ["1", "0", "0"])
-        v2 = field_from_strings(ch, ["0", "1", "x^2"])
+        v1 = text_field(ch, ["1", "0", "0"])
+        v2 = text_field(ch, ["0", "1", "x^2"])
         flag = derived_flag(Frame(ch, (v1, v2), ch.origin()),
                             box=Box.around(ch.origin(), Fraction(1, 2)))
         assert flag.growth == (2,)
@@ -529,7 +528,7 @@ class TestFieldCombination:
         eta1, eta2 = growth_frame()
         v = lie_bracket(eta1, eta2)
         w = lie_bracket(eta1, v)
-        s = CH5.parse("y2^2 - 3*x/2")
+        s = parse_expr("y2^2 - 3*x/2", CH5.variables)
         combo = (v + w * s).normalized("combo")
         assert combo.name == "combo" and combo.chart == CH5
         for c, a, b in zip(combo.components, v.components, w.components):
@@ -547,7 +546,7 @@ class TestFieldCombination:
         with pytest.raises(ChartMismatchError):
             eta1 + other
         with pytest.raises(ChartMismatchError):
-            eta1 + other * other.chart.parse("x2")
+            eta1 + other * parse_expr("x2", other.chart.variables)
 
 
 class TestSymbolicDecompose:
@@ -660,8 +659,8 @@ class TestOnlyLiveWork:
 
     def test_non_constant_rank_frame_matches(self):
         ch = Chart(("x", "y", "z"))
-        v1 = field_from_strings(ch, ["1", "0", "0"])
-        v2 = field_from_strings(ch, ["0", "1", "x^2"])
+        v1 = text_field(ch, ["1", "0", "0"])
+        v2 = text_field(ch, ["0", "1", "x^2"])
         flag = same_flag(Frame(ch, (v1, v2), ch.origin()),
                          Box.around(ch.origin(), Fraction(1, 2)))
         assert flag.rank_witnesses
@@ -673,8 +672,8 @@ class TestOnlyLiveWork:
         box = Box.around(ch.origin(), Fraction(1, 2))
         p = box.sample_points(16)[3]["x"]
         assert p != 0
-        v1 = field_from_strings(ch, ["1", "0", "0"])
-        v2 = field_from_strings(ch, ["0", "1", f"(x - ({p}))^2/2"])
+        v1 = text_field(ch, ["1", "0", "0"])
+        v2 = text_field(ch, ["0", "1", f"(x - ({p}))^2/2"])
         flag = same_flag(Frame(ch, (v1, v2), ch.origin()), box)
         assert flag.growth == (2, 3)
         assert [(k, r) for k, _, r in flag.rank_witnesses] == [(1, 2)]
@@ -698,8 +697,8 @@ class TestOnlyLiveWork:
         # [g2, g1] (a mirror), [g2, g2] (a self-bracket) and [g2, g3]
         # (after the frame is full) are never folded
         ch = Chart(("x", "y", "y1", "y2"))
-        g1 = field_from_strings(ch, ["1", "y1", "y2", "0"])
-        g2 = field_from_strings(ch, ["0", "0", "0", "1"])
+        g1 = text_field(ch, ["1", "y1", "y2", "0"])
+        g2 = text_field(ch, ["0", "0", "0", "1"])
         with memo.scope(memo.Memo()):
             misses = _bracket.cache_info().misses
             flag = derived_flag(Frame(ch, (g1, g2), ch.origin()))
@@ -722,7 +721,8 @@ CHX = Chart(("x1", "x2", "x3", "x4", "x5"))
 
 
 def sample_contact_form():
-    comps = tuple(CHX.parse(s) for s in ["0", "-x3", "2*x2", "-x1", "1"])
+    comps = tuple(parse_expr(s, CHX.variables)
+                  for s in ["0", "-x3", "2*x2", "-x1", "1"])
     return OneForm(CHX, comps)
 
 
@@ -736,7 +736,7 @@ class TestForms:
         assert to_text(d.coefficient(0, 1)) == "0"
 
     def test_components_normalized_on_construction(self):
-        comps = tuple(CHX.parse(s)
+        comps = tuple(parse_expr(s, CHX.variables)
                       for s in ["0", "x3*(-1)", "x2 + x2", "-x1", "1"])
         alpha = OneForm(CHX, comps)
         assert alpha.components == tuple(normalize(c, CHX.variables)
@@ -745,7 +745,7 @@ class TestForms:
 
     def test_pair_one_form(self):
         alpha = sample_contact_form()
-        v = field_from_strings(CHX, ["0", "0", "0", "0", "1"])
+        v = text_field(CHX, ["0", "0", "0", "0", "1"])
         assert pair(alpha, v) == Const(Fraction(1))
 
     def test_invariant_formula(self):
@@ -775,7 +775,7 @@ class TestForms:
         alpha = sample_contact_form()
         assert check_contact(alpha, CHX.origin())
         assert contact_volume(alpha, CHX.origin()) == -6
-        flat = OneForm(CHX, tuple(CHX.parse(s)
+        flat = OneForm(CHX, tuple(parse_expr(s, CHX.variables)
                                   for s in ["0", "0", "0", "0", "1"]))
         assert not check_contact(flat, CHX.origin())
 
@@ -786,7 +786,7 @@ class TestForms:
         reg.register("s", evaluator=lambda u: 1e-4,
                      derivative=parse_expr("0", ()))
         alpha = OneForm(CHX, tuple(
-            CHX.parse(f"s(x1)*({c})", reg)
+            parse_expr(f"s(x1)*({c})", CHX.variables, reg)
             for c in ["0", "-x3", "2*x2", "-x1", "1"]))
         vol = contact_volume(alpha, CHX.origin(), reg)
         assert isinstance(vol, float) and 0 < abs(vol) < 1e-11
