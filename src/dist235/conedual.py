@@ -30,8 +30,8 @@ from .distduality import (
 from .models import BUNDLED, _FIELDS, ModelFile, document_text, parse_model
 from .scalar import (
     MINUS_ONE, ONE, ZERO, Const, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum,
-    Var, default_registry, differentiate, evaluate, free_variables, is_zero,
-    min_degree, normalize, substitute, to_text,
+    Var, differentiate, evaluate, free_variables, is_zero, min_degree,
+    normalize, substitute, to_text,
 )
 from .vecfield import (
     Chart, ChartError, DegenerateFrameError, Frame, OneForm, PointValues,
@@ -50,8 +50,9 @@ def _witness(verdict) -> Optional[str]:
 
 def _once_per_family(check):
     """`check(family)`, run in the family's memo and kept on the family
-    object, which with its write-once registry is all the result depends
-    on; a call with more arguments, or one that raises, is not kept."""
+    object, which with the write-once registry its chart carries is all
+    the result depends on; a call with more arguments, or one that
+    raises, is not kept."""
     key = "_once_" + check.__name__
     check = memo.within(check)
 
@@ -99,7 +100,6 @@ class ConeFamily:
     alpha: OneForm
     base_point: dict = field(compare=False)
     box: Box = field(compare=False)
-    registry: OpaqueRegistry = field(compare=False)
     name: str = "cone-family"
     alpha_status: str = field(default="unchecked", compare=False)
 
@@ -108,14 +108,11 @@ class ConeFamily:
     def build(cls, x_chart: Chart, components: Sequence, alpha: OneForm,
               theta: str = "th", base_point: Optional[dict] = None,
               box: Optional[Box] = None,
-              registry: Optional[OpaqueRegistry] = None,
               name: str = "cone-family") -> "ConeFamily":
         """The family whose generator has the components (A, B, S, T),
         trees on `x_chart` extended by `theta`, checked against the
         contact form `alpha` on `x_chart`.  The box defaults to
         `boxes.default_box` about the base point, `theta` last."""
-        if registry is None:
-            registry = default_registry()
         if x_chart.dimension != 5:
             raise ChartError("cone families live over a 5-dimensional "
                              "chart")
@@ -138,15 +135,14 @@ class ConeFamily:
 
         family = cls(x_chart=x_chart, theta=theta, components=comps,
                      alpha=alpha, base_point=base_point, box=box,
-                     registry=registry, name=name)
+                     name=name)
 
         x_base = {v: base_point[v] for v in x_chart.variables}
-        if not check_contact(alpha, x_base, registry=registry):
+        if not check_contact(alpha, x_base):
             raise StructureError(
                 f"{name}: the one-form is not contact at the base point")
         annihilation = pair(family.lifted_alpha, family.zeta(2))
-        verdict = is_zero(annihilation, box, family.z_chart.variables,
-                          registry)
+        verdict = is_zero(annihilation, box, z_chart)
         if verdict.status == "nonzero":
             raise StructureError(
                 f"{name}: the contact form does not annihilate the "
@@ -180,8 +176,7 @@ class ConeFamily:
             prev = fields[-1]
             fields.append(VectorField(
                 z_chart,
-                tuple(differentiate(c, self.theta, z_chart.variables,
-                                    self.registry)
+                tuple(differentiate(c, self.theta, z_chart)
                       for c in prev.components),
                 f"zeta{k}"))
         return tuple(fields)
@@ -193,9 +188,8 @@ class ConeFamily:
         [zeta2, zeta3] over the 6-frame of the zetas completed by the
         field `complement`, with pivots chosen at the base point."""
         fields, complement = _full_frame(self)
-        bracket = lie_bracket(self.zeta(2), self.zeta(3), self.registry)
-        (coeffs,) = symbolic_decompose((bracket,), fields, self.base_point,
-                                       self.registry)
+        bracket = lie_bracket(self.zeta(2), self.zeta(3))
+        (coeffs,) = symbolic_decompose((bracket,), fields, self.base_point)
         return coeffs, complement
 
 
@@ -228,7 +222,7 @@ def check_nondegenerate(family: ConeFamily,
     for theta in theta_values:
         probe = dict(point)
         probe[family.theta] = theta
-        if rank_at(fields, probe, family.registry) != 4:
+        if rank_at(fields, probe) != 4:
             return False
     return True
 
@@ -264,9 +258,8 @@ def check_lagrangian(family: ConeFamily,
     direction-derivative is annihilated by the contact form and isotropic
     for its exterior derivative, over the family's box (its base part
     when a section is given)."""
-    registry = family.registry
     alpha = family.lifted_alpha
-    d_alpha = exterior_derivative(alpha, registry)
+    d_alpha = exterior_derivative(alpha)
     zeta2, zeta3 = family.zeta(2), family.zeta(3)
     quantities = (
         ("contact form annihilates the generator", pair(alpha, zeta2)),
@@ -276,21 +269,21 @@ def check_lagrangian(family: ConeFamily,
     )
     if section is None:
         check_box = family.box
-        variables = family.z_chart.variables
+        chart = family.z_chart
         exprs = quantities
         section_text = None
     else:
         check_box = Box(tuple(iv for iv in family.box.intervals
                               if iv[0] != family.theta))
-        variables = family.x_chart.variables
+        chart = family.x_chart
         mapping = {family.theta: section.expr}
-        exprs = tuple((name, normalize(substitute(q, mapping), variables))
+        exprs = tuple((name, normalize(substitute(q, mapping), chart))
                       for name, q in quantities)
         section_text = to_text(section.expr)
 
     checks = []
     for name, expr in exprs:
-        verdict = is_zero(expr, check_box, variables, registry)
+        verdict = is_zero(expr, check_box, chart)
         checks.append((name, verdict.status, _witness(verdict)))
     return LagrangianReport(passed=all(w is None for _, _, w in checks),
                             checks=tuple(checks), box=check_box,
@@ -305,7 +298,7 @@ def _full_frame(family: ConeFamily) -> tuple:
     """(fields, complement): the five zetas completed to a 6-frame by the
     first coordinate field keeping full rank at the base point."""
     zetas = cone_frame(family)
-    at = PointValues(family.base_point, family.registry)
+    at = PointValues(family.base_point)
     for var in reversed(family.x_chart.variables):
         candidate = coordinate_field(family.z_chart, var)
         if at.rank(zetas + (candidate,)) == 6:
@@ -350,8 +343,7 @@ def check_osculating_condition(family: ConeFamily
               f"coefficient along {complement.name}")
     residuals = []
     for label, expr in zip(labels, coeffs[4:6]):
-        verdict = is_zero(expr, box, family.z_chart.variables,
-                          family.registry)
+        verdict = is_zero(expr, box, family.z_chart)
         residuals.append((label, to_text(expr), verdict.status,
                           _witness(verdict)))
     return OsculatingConditionReport(
@@ -395,11 +387,10 @@ def solve_U(family: ConeFamily) -> SolveUResult:
     # into (zeta1, zeta2, zeta3) at 20 Halton points of the box.
     low_frame = Frame(family.z_chart,
                       (zeta1, zeta2, family.zeta(3)),
-                      family.base_point, family.registry)
-    corrected_bracket = lie_bracket(l_field, family.zeta(3),
-                                    family.registry)
+                      family.base_point)
+    corrected_bracket = lie_bracket(l_field, family.zeta(3))
     for point in family.box.sample_points(20):
-        if not PointValues(point, family.registry).member(
+        if not PointValues(point).member(
                 corrected_bracket, low_frame):
             raise StructureError(
                 "correction self-check failed: the corrected bracket "
@@ -440,7 +431,7 @@ def prolong_cone(family: ConeFamily) -> PseudoProductStructure:
     return PseudoProductStructure.build(
         family.z_chart, (family.zeta(1), family.zeta(2)),
         solved.k_field, solved.l_field, family.base_point, family.box,
-        family.registry, name=family.name)
+        name=family.name)
 
 
 # ---------------------------------------------------------------------------
@@ -459,27 +450,26 @@ def build_model(model: ModelFile, box: Optional[Box] = None):
     """
     if box is None:
         box = model.box
-    chart = Chart(model.chart)
-    exprs, registry = model.expressions, model.registry
+    chart = Chart(model.chart, model.registry)
+    exprs = model.expressions
     base_point = dict(model.base_point)
     if model.kind == "cone-family":
         if "A" in exprs:
             components = tuple(exprs[key] for key in "ABST")
         else:
-            components = _driver_components(exprs, registry)
+            components = _driver_components(exprs, chart.registry)
         return ConeFamily.build(
             chart, components, OneForm(chart, model.alpha), theta=model.theta,
-            base_point=base_point, box=box, registry=registry,
-            name=model.name)
+            base_point=base_point, box=box, name=model.name)
     fields = tuple(VectorField(chart, exprs[key], key)
                    for key in _FIELDS[model.kind][0])
     if model.kind == "distribution235":
         return Distribution235(chart, *fields, base_point, box=box,
-                               registry=registry, name=model.name)
+                               name=model.name)
     e1, e2, k_field, l_field = fields
     return PseudoProductStructure.build(
         chart, (e1, e2), k_field, l_field, base_point, box=box,
-        registry=registry, name=model.name)
+        name=model.name)
 
 
 def builtin_model(name: str, params: Optional[dict] = None):

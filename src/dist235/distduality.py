@@ -9,8 +9,9 @@ fiber direction) and L (the fiber line).  `solve_e` determines the unique
 correction scalar; `verify_pseudo_product` certifies the seven bracket
 conditions that make (K, L) a genuine splitting; `symbol_algebra_at`
 checks the graded nilpotent bracket table at a point.  These,
-`prolong_235` and the structures' `swapped` run in the memo their
-argument keeps (`memo.within`), and what they return keeps it too.
+`prolong_235`, the structures' `swapped` and their derived brackets run
+in the memo their argument keeps (`memo.within`), and what they return
+keeps it too.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Optional, Sequence
 from . import linalg, memo
 from .boxes import DIRECTION_HALF_WIDTH, Box, default_box
 from .scalar import (
-    MINUS_ONE, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum, Var,
-    default_registry, evaluate, is_zero, normalize, to_text,
+    MINUS_ONE, Pow, Prod, ScalarExpr, Sum, Var, evaluate, is_zero,
+    normalize, to_text,
 )
 from .vecfield import (
     Chart, ChartError, ChartMismatchError, DistributionFlag, Frame,
@@ -90,8 +91,8 @@ class Check235Report:
 
 
 def check_235(eta1: VectorField, eta2: VectorField, base_point: dict,
-              box: Optional[Box] = None, samples: int = 16,
-              registry: Optional[OpaqueRegistry] = None) -> Check235Report:
+              box: Optional[Box] = None, samples: int = 16
+              ) -> Check235Report:
     """Check that two vector fields on a 5-dimensional chart generate a
     plane field of growth (2, 3, 5) at the base point and across the box.
 
@@ -106,13 +107,11 @@ def check_235(eta1: VectorField, eta2: VectorField, base_point: dict,
         raise ChartError(
             f"growth-(2,3,5) check needs a 5-dimensional chart, "
             f"got dimension {chart.dimension}")
-    if registry is None:
-        registry = default_registry()
     if box is None:
         box = default_box(base_point)
 
     failures = []
-    at_base = PointValues(base_point, registry)
+    at_base = PointValues(base_point)
     base_rank = at_base.rank((eta1, eta2))
     if base_rank < 2:
         failures.append(
@@ -121,8 +120,8 @@ def check_235(eta1: VectorField, eta2: VectorField, base_point: dict,
                               constant_rank=False,
                               failures=tuple(failures), flag=None)
 
-    frame = Frame(chart, (eta1, eta2), base_point, registry, at_base)
-    flag = derived_flag(frame, box=box, samples=samples, registry=registry)
+    frame = Frame(chart, (eta1, eta2), base_point, at_base)
+    flag = derived_flag(frame, box=box, samples=samples)
     if flag.growth != _GROWTH_235:
         failures.append(
             f"growth vector at {_format_point(base_point)} is "
@@ -140,8 +139,10 @@ class Distribution235:
     """A plane field of growth (2, 3, 5) on a 5-dimensional chart.
 
     Construction checks that the generators live on `chart` and validates
-    the growth vector; the brackets that fill the weak derived flag are
-    exposed as `eta3`, `eta4`, `eta5`.
+    the growth vector, in the active memo or outside every scope in a
+    fresh one, which the distribution keeps (`memo.owning`); the brackets
+    that fill the weak derived flag are exposed as `eta3`, `eta4`,
+    `eta5`, derived in that memo.
     """
 
     chart: Chart
@@ -149,19 +150,17 @@ class Distribution235:
     eta2: VectorField
     base_point: dict = field(compare=False)
     box: Optional[Box] = field(default=None, compare=False)
-    registry: Optional[OpaqueRegistry] = field(default=None, compare=False)
     name: str = "distribution"
 
+    @memo.owning
     def __post_init__(self):
         if self.eta1.chart != self.chart:
             raise ChartMismatchError(
                 "generators live on another chart than the distribution")
-        if self.registry is None:
-            object.__setattr__(self, "registry", default_registry())
         if self.box is None:
             object.__setattr__(self, "box", default_box(self.base_point))
         report = check_235(self.eta1, self.eta2, self.base_point,
-                           box=self.box, registry=self.registry)
+                           box=self.box)
         if not report.passed:
             raise GrowthError(
                 f"{self.name}: " + "; ".join(report.failures), report)
@@ -172,19 +171,19 @@ class Distribution235:
         return self._report
 
     @cached_property
+    @memo.within
     def eta3(self) -> VectorField:
-        return lie_bracket(self.eta1, self.eta2, self.registry).renamed(
-            "eta3")
+        return lie_bracket(self.eta1, self.eta2).renamed("eta3")
 
     @cached_property
+    @memo.within
     def eta4(self) -> VectorField:
-        return lie_bracket(self.eta1, self.eta3, self.registry).renamed(
-            "eta4")
+        return lie_bracket(self.eta1, self.eta3).renamed("eta4")
 
     @cached_property
+    @memo.within
     def eta5(self) -> VectorField:
-        return lie_bracket(self.eta2, self.eta3, self.registry).renamed(
-            "eta5")
+        return lie_bracket(self.eta2, self.eta3).renamed("eta5")
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +219,6 @@ class ProlongedDistribution:
     base_point: dict = field(compare=False)
     box: Box = field(compare=False)
     flag: DistributionFlag = field(compare=False)
-    registry: OpaqueRegistry = field(compare=False)
 
     @property
     def growth(self) -> tuple:
@@ -236,7 +234,6 @@ def prolong_235(dist: Distribution235) -> ProlongedDistribution:
         raise ChartError(
             f"fiber coordinate {FIBER!r} collides with a base coordinate")
     z_chart = dist.chart.extend(FIBER)
-    registry = dist.registry
     e1, e2 = (f.lifted(z_chart) for f in (dist.eta1, dist.eta2))
     zeta2 = coordinate_field(z_chart, FIBER).renamed("zeta2")
     zeta1 = (e1 + e2 * Var(FIBER)).normalized("zeta1")
@@ -246,12 +243,12 @@ def prolong_235(dist: Distribution235) -> ProlongedDistribution:
     z_box = Box(dist.box.intervals
                 + ((FIBER, -DIRECTION_HALF_WIDTH, DIRECTION_HALF_WIDTH),))
 
-    frame = Frame(z_chart, (zeta1, zeta2), z_base, registry)
-    flag = derived_flag(frame, box=z_box, registry=registry)
+    frame = Frame(z_chart, (zeta1, zeta2), z_base)
+    flag = derived_flag(frame, box=z_box)
     _check_prolonged_flag(flag, "prolonged plane field")
     return ProlongedDistribution(
         z_chart=z_chart, zeta1=zeta1, zeta2=zeta2, base_point=z_base,
-        box=z_box, flag=flag, registry=registry)
+        box=z_box, flag=flag)
 
 
 # ---------------------------------------------------------------------------
@@ -311,23 +308,18 @@ class PseudoProductStructure:
     base_point: dict = field(compare=False)
     box: Box = field(compare=False)
     flag: DistributionFlag = field(compare=False)
-    registry: OpaqueRegistry = field(compare=False)
     name: str = "structure"
 
     @classmethod
     @memo.owning
     def build(cls, z_chart: Chart, e_generators: Sequence[VectorField],
               k_field: VectorField, l_field: VectorField, base_point: dict,
-              box: Optional[Box] = None,
-              registry: Optional[OpaqueRegistry] = None,
-              name: str = "structure",
+              box: Optional[Box] = None, name: str = "structure",
               flag: Optional[DistributionFlag] = None
               ) -> "PseudoProductStructure":
         """Validate the splitting and derive the weak derived flag of E on
         the box, or take `flag`, one already derived from these
         generators on this box."""
-        if registry is None:
-            registry = default_registry()
         if box is None:
             box = default_box(base_point)
         gens = tuple(e_generators)
@@ -339,8 +331,8 @@ class PseudoProductStructure:
                     "all fields must live on the same 6-chart")
         if z_chart.dimension != 6:
             raise ChartError("the prolonged chart must be 6-dimensional")
-        at_base = PointValues(base_point, registry)
-        e_frame = Frame(z_chart, gens, base_point, registry, at_base)
+        at_base = PointValues(base_point)
+        e_frame = Frame(z_chart, gens, base_point, at_base)
         # K and L must be sections of E, independent at the base point.
         for line, label in ((k_field, "K"), (l_field, "L")):
             residual = at_base.residual(line, e_frame)
@@ -352,22 +344,23 @@ class PseudoProductStructure:
             raise StructureError(
                 "K and L generators are dependent at the base point")
         if flag is None:
-            flag = derived_flag(e_frame, box=box, registry=registry)
+            flag = derived_flag(e_frame, box=box)
         elif flag.frames[0] != e_frame:
             raise StructureError("the given flag is not that of E")
         _check_prolonged_flag(flag, f"{name}: plane field")
         return cls(z_chart=z_chart, e_generators=gens, k_field=k_field,
                    l_field=l_field, base_point=base_point, box=box,
-                   flag=flag, registry=registry, name=name)
+                   flag=flag, name=name)
 
     @cached_property
+    @memo.within
     def bracket_chain(self) -> tuple:
         """(e3, e4, e5, e6) = ([K, L], [K, e3], [K, e4], [L, e5])."""
-        k, l, registry = self.k_field, self.l_field, self.registry
-        e3 = lie_bracket(k, l, registry)
-        e4 = lie_bracket(k, e3, registry)
-        e5 = lie_bracket(k, e4, registry)
-        return e3, e4, e5, lie_bracket(l, e5, registry)
+        k, l = self.k_field, self.l_field
+        e3 = lie_bracket(k, l)
+        e4 = lie_bracket(k, e3)
+        e5 = lie_bracket(k, e4)
+        return e3, e4, e5, lie_bracket(l, e5)
 
     @memo.within
     def swapped(self) -> "PseudoProductStructure":
@@ -407,7 +400,6 @@ def verify_pseudo_product(structure: PseudoProductStructure,
     bracket is witnessed by the first point where it leaves its layer, a
     stalled condition by the first point where the rank falls short.
     """
-    registry = structure.registry
     flag = structure.flag
     points = [structure.base_point] + list(
         structure.box.sample_points(samples))
@@ -422,14 +414,14 @@ def verify_pseudo_product(structure: PseudoProductStructure,
         else:
             pairs = [(role_fields[role], w) for w in frames[depth].fields]
         brackets.append(tuple(
-            (lie_bracket(a, b, registry), a.name or role, b.name or "w")
+            (lie_bracket(a, b), a.name or role, b.name or "w")
             for a, b in pairs))
 
     splitting_witnesses = []
     exits = [[None] * len(group) for group in brackets]
     stalls = [None] * len(_CONDITIONS)
     for point in points:
-        at = PointValues(point, registry)
+        at = PointValues(point)
         # Splitting check: K, L sections of E, jointly of rank 2.
         for label in ("K", "L"):
             if not at.member(role_fields[label], frames[0]):
@@ -498,7 +490,7 @@ class SolveEResult:
         return PseudoProductStructure.build(
             prolonged.z_chart, (prolonged.zeta1, prolonged.zeta2),
             self.k_field, self.l_field, prolonged.base_point,
-            prolonged.box, prolonged.registry, name=name,
+            prolonged.box, name=name,
             flag=prolonged.flag)
 
 
@@ -512,21 +504,21 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
     complement coordinate of [zeta1 + e*zeta2, w] is a + e*b, with a and
     b the complement coordinates of [zeta1, w] and [zeta2, w]: the
     derivative term (w e) * zeta2 never contributes, since zeta2 lies
-    inside layer 3.  The flag's last pass built those of these brackets
-    it tried before its frame filled the chart, and the memo returns
-    them; all are decomposed over the layer-4 frame in one exact
+    inside layer 3.  The flag's passes built those of these brackets
+    they tried (all but the mirror [zeta2, zeta1] for the Hilbert-Cartan
+    and cubic models), and the memo returns them; all are decomposed over the layer-4 frame in one exact
     elimination (pivots chosen nonzero at the base point); the system is
     then solved.  `prolong_235` found that frame to have rank 6 at the
     base point, so the elimination always finds its pivots.
     """
-    registry = prolonged.registry
+    z_chart = prolonged.z_chart
     layer3, layer4 = prolonged.flag.frames[3:5]
     l_field = prolonged.zeta2
 
-    brackets = [lie_bracket(z, w, registry) for w in layer3.fields
+    brackets = [lie_bracket(z, w) for w in layer3.fields
                 for z in (prolonged.zeta1, prolonged.zeta2)]
     coeffs = symbolic_decompose(brackets, layer4.fields,
-                                prolonged.base_point, registry)
+                                prolonged.base_point)
     complement = [c[-1] for c in coeffs]
     pairs = list(zip(complement[::2], complement[1::2]))
 
@@ -534,14 +526,14 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
     # point; for the Hilbert-Cartan model this is the bracket with the
     # last layer-3 generator, whose coefficient is exactly 1.
     best = linalg.largest_nonzero(
-        [evaluate(b, prolonged.base_point, registry) for _, b in pairs])
+        [evaluate(b, prolonged.base_point, z_chart.registry)
+         for _, b in pairs])
     if best is None:
         raise StructureError(
             "no bracket produces a usable linear coefficient for the "
             "correction scalar at the base point")
     a, b = pairs[best]
-    e_expr = normalize(Prod((MINUS_ONE, a, Pow(b, -1))),
-                       prolonged.z_chart.variables)
+    e_expr = normalize(Prod((MINUS_ONE, a, Pow(b, -1))), z_chart)
 
     # Consistency: every other equation a_w + e*b_w must vanish (the
     # picked one is a - (a/b)*b, zero in exact arithmetic).  The check
@@ -549,10 +541,8 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
     # coefficients), with a hard failure instead of a silent bad answer.
     box = prolonged.box
     for a_w, b_w in pairs[:best] + pairs[best + 1:]:
-        residual = normalize(Sum((a_w, Prod((e_expr, b_w)))),
-                             prolonged.z_chart.variables)
-        verdict = is_zero(residual, box, prolonged.z_chart.variables,
-                          registry)
+        residual = normalize(Sum((a_w, Prod((e_expr, b_w)))), z_chart)
+        verdict = is_zero(residual, box, z_chart)
         if verdict.status == "nonzero":
             raise StructureError(
                 "correction equations are inconsistent: residual "
@@ -599,7 +589,6 @@ def symbol_algebra_at(structure: PseudoProductStructure,
     """Evaluate the graded bracket table of the splitting at a point,
     against the layer frames of the structure's flag; one `PointValues`
     table evaluates each field once."""
-    registry = structure.registry
     if point is None:
         point = structure.base_point
     flag = structure.flag
@@ -610,7 +599,7 @@ def symbol_algebra_at(structure: PseudoProductStructure,
     chain = (structure.k_field, structure.l_field) + structure.bracket_chain
     k, l, e3, e4, e5 = chain[:5]
 
-    at = PointValues(point, registry)
+    at = PointValues(point)
     entries = []
 
     def grading(name, rep, depth, expected_rank):
@@ -632,9 +621,9 @@ def symbol_algebra_at(structure: PseudoProductStructure,
     ok = True
     for depth in range(4):
         ok &= grading(f"e{depth + 3}", chain[depth + 2], depth, depth + 3)
-    ok &= vanishing("[L, e3] drops weight", lie_bracket(l, e3, registry), 1)
-    ok &= vanishing("[L, e4] drops weight", lie_bracket(l, e4, registry), 2)
-    ok &= vanishing("[K, e5] drops weight", lie_bracket(k, e5, registry), 3)
+    ok &= vanishing("[L, e3] drops weight", lie_bracket(l, e3), 1)
+    ok &= vanishing("[L, e4] drops weight", lie_bracket(l, e4), 2)
+    ok &= vanishing("[K, e5] drops weight", lie_bracket(k, e5), 3)
 
     reps = tuple((f"e{i}", tuple(at.value(f)))
                  for i, f in enumerate(chain, 1))

@@ -8,11 +8,13 @@ every scope the process default `DEFAULT` is active.
 
 `cli.run_suite` and `cli.trace_lines` each run in a fresh memo
 (`fresh`), which every object they build shares.
-`conedual.build_model`, `ConeFamily.build` and
-`PseudoProductStructure.build` keep on the object they build the memo it
-was built in (`owning`).  The work done on such an object (a family's
-checks and `prolong_cone`; `prolong_235`, `solve_e` and the checks of a
-splitting in `distduality`) runs in the memo it keeps, and what that
+`conedual.build_model`, `ConeFamily.build`,
+`PseudoProductStructure.build` and a `Distribution235` itself keep on
+the object they build the memo it was built in (`owning`).  The work
+done on such an object (a family's checks and `prolong_cone`;
+`prolong_235`, `solve_e`, the derived brackets and the checks of a
+splitting in `distduality`; the control systems, launches, lifts and
+duality checks of `paths`) runs in the memo it keeps, and what that
 work returns keeps the memo too (`within`), so the entries live as long
 as the objects and the process default is left alone.  A memo is a pure
 cache: a call made in another memo returns the same result and only
@@ -96,28 +98,38 @@ def fresh(function):
 _KEY = "_memo"
 
 
-def _keeping(memo: Memo, function, args, kwargs):
-    """`function(*args, **kwargs)` run in `memo`.  Unless `memo` is the
-    process default, an object the call returns keeps it (in its
-    `__dict__`, which frozen dataclasses have too) for as long as the
-    object lives, if it keeps none already."""
-    with scope(memo):
-        result = function(*args, **kwargs)
-    attributes = getattr(result, "__dict__", None)
+def _keep(owner, memo: Memo) -> None:
+    """Unless `memo` is the process default, `owner` keeps it (in its
+    `__dict__`, which frozen dataclasses have too) for as long as it
+    lives, if it keeps none already."""
+    attributes = getattr(owner, "__dict__", None)
     if attributes is not None and memo is not DEFAULT:
         attributes.setdefault(_KEY, memo)
+
+
+def _keeping(memo: Memo, function, args, kwargs):
+    """`function(*args, **kwargs)` run in `memo`; an object the call
+    returns keeps the memo (`_keep`)."""
+    with scope(memo):
+        result = function(*args, **kwargs)
+    _keep(result, memo)
     return result
 
 
 def owning(build):
     """`build(...)` run in the active memo, or outside every scope in a
     fresh one, so that it does not fill the process default; the object
-    it returns keeps that memo."""
+    it returns keeps that memo.  On an initializer (`__post_init__`,
+    which returns None) the object it initializes keeps it."""
     @functools.wraps(build)
     def run(*args, **kwargs):
         memo = _ACTIVE.get()
-        return _keeping(Memo() if memo is DEFAULT else memo, build, args,
-                        kwargs)
+        if memo is DEFAULT:
+            memo = Memo()
+        with scope(memo):
+            result = build(*args, **kwargs)
+        _keep(args[0] if result is None else result, memo)
+        return result
     return run
 
 

@@ -6,7 +6,9 @@ of the Hamiltonian pairing between costate and dynamics, with the
 control kept on the constraint manifold by per-stage projection.  Traces
 are classified by which annihilation conditions the costate maintains,
 and the leaf/path correspondence between the two sides of a splitting is
-cross-validated numerically.
+cross-validated numerically.  Building a system, its compiled batches,
+a launch, a lift and a duality check run in the memo their first
+argument keeps (`memo.within`).
 """
 
 import bisect
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
+from . import memo
 from .boxes import as_fraction
 from .conedual import ConeFamily
 from .distduality import (
@@ -22,8 +25,8 @@ from .distduality import (
 )
 from .linalg import is_zero_value, nullspace
 from .scalar import (
-    OpaqueRegistry, Prod, ScalarExpr, Sum, Var, compile_exprs,
-    differentiate, evaluate, free_variables, normalize,
+    Prod, ScalarExpr, Sum, Var, compile_exprs, differentiate, evaluate,
+    free_variables, normalize,
 )
 from .vecfield import Chart, ChartError, VectorField
 
@@ -110,7 +113,6 @@ class ControlSystem:
     state_chart: Chart
     control_names: tuple
     dynamics: tuple
-    registry: OpaqueRegistry = field(compare=False)
     source: Optional[Union[ConeFamily, Distribution235]] = field(
         default=None, compare=False)
 
@@ -139,11 +141,14 @@ class ControlSystem:
                 "the source must be a cone family, a distribution or None")
 
     @cached_property
+    @memo.within
     def prepared(self) -> "PreparedSystem":
-        """The pairing and compiled batches, built on first use."""
+        """The pairing and compiled batches, built on first use in the
+        memo the system keeps."""
         return PreparedSystem(self)
 
 
+@memo.within
 def cone_system(family: ConeFamily) -> ControlSystem:
     """Control system of a cone family: the states are the base
     coordinates, the controls are a radial scale `r` and the direction
@@ -161,7 +166,6 @@ def cone_system(family: ConeFamily) -> ControlSystem:
         state_chart=family.x_chart,
         control_names=controls,
         dynamics=dynamics,
-        registry=family.registry,
         source=family)
 
 
@@ -175,6 +179,7 @@ def _linear_dynamics(a_field: VectorField, b_field: VectorField) -> tuple:
         for a, b in zip(a_field.components, b_field.components))
 
 
+@memo.within
 def distribution_system(dist: Distribution235) -> ControlSystem:
     """Control system of a rank-2 distribution: dynamics linear in the
     controls `u1`, `u2` along the generators, with the singular-control
@@ -183,10 +188,10 @@ def distribution_system(dist: Distribution235) -> ControlSystem:
         state_chart=dist.chart,
         control_names=_CONTROLS,
         dynamics=_linear_dynamics(dist.eta1, dist.eta2),
-        registry=dist.registry,
         source=dist)
 
 
+@memo.within
 def prolonged_system(structure: PseudoProductStructure) -> ControlSystem:
     """Control system of the split plane field on the six-dimensional
     chart: dynamics linear in the controls `u1`, `u2` along the K- and
@@ -195,8 +200,7 @@ def prolonged_system(structure: PseudoProductStructure) -> ControlSystem:
     return ControlSystem(
         state_chart=structure.z_chart,
         control_names=_CONTROLS,
-        dynamics=_linear_dynamics(structure.k_field, structure.l_field),
-        registry=structure.registry)
+        dynamics=_linear_dynamics(structure.k_field, structure.l_field))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +238,7 @@ def hamiltonian(cs: ControlSystem) -> HamiltonianData:
         Sum(tuple(Prod((Var(p), comp))
                   for p, comp in zip(costates, cs.dynamics))),
         variables)
-    dh_du = tuple(differentiate(h, v, variables, cs.registry)
+    dh_du = tuple(differentiate(h, v, variables, cs.state_chart.registry)
                   for v in cs.control_names)
     return HamiltonianData(states, costates, cs.control_names, h, dh_du)
 
@@ -249,7 +253,7 @@ class PreparedSystem:
         self.source = source = cs.source
         self.m = cs.state_chart.dimension
         self.ham = ham = hamiltonian(cs)
-        states, reg = cs.state_chart.variables, cs.registry
+        states, reg = cs.state_chart.variables, cs.state_chart.registry
         f_vars = states + cs.control_names
         self.f_fn = compile_exprs(cs.dynamics, f_vars, reg)
         self.jac_fn = compile_exprs(
@@ -467,13 +471,12 @@ class FlowTrace:
 
 
 def integrate_flow(flow: VectorField, z0: dict, t_end: float, *,
-                   registry: Optional[OpaqueRegistry] = None,
                    rtol: float = 1e-10, atol: float = 1e-12,
                    h_max: Optional[float] = None,
                    fixed_step: Optional[float] = None) -> FlowTrace:
     """Integrate the flow of a vector field from a chart point."""
     chart = flow.chart
-    fn = compile_exprs(flow.components, chart.variables, registry)
+    fn = compile_exprs(flow.components, chart.variables, chart.registry)
     y0 = tuple(float(z0[v]) for v in chart.variables)
 
     def rhs(_t, y):
@@ -626,7 +629,7 @@ def classify_biextremal(structure: PseudoProductStructure,
     n = structure.z_chart.dimension
     fields_fn = compile_exprs(
         [c for f in fields for c in f.components],
-        structure.z_chart.variables, structure.registry)
+        structure.z_chart.variables, structure.z_chart.registry)
     deep_zero = True
     deep_nonzero = True
     for x, p in zip(trace.states, trace.costates):
@@ -668,6 +671,7 @@ def _annihilating_costate(rows, prefer_row) -> tuple:
     return tuple(x / size for x in best)
 
 
+@memo.within
 def lift_fiber(structure: PseudoProductStructure, side: str,
                z0: Optional[dict] = None,
                t_end: float = 0.5) -> BiExtremalTrace:
@@ -689,8 +693,8 @@ def lift_fiber(structure: PseudoProductStructure, side: str,
     # the K-leaf annihilates K, ..., e5 and prefers e6
     chain = (structure.k_field, structure.l_field) + structure.bracket_chain
     depth, u0 = (3, (0.0, 1.0)) if side == "L" else (5, (1.0, 0.0))
-    rows = [f.evaluate_at(z0, structure.registry) for f in chain[:depth]]
-    prefer = chain[depth].evaluate_at(z0, structure.registry)
+    rows = [f.evaluate_at(z0) for f in chain[:depth]]
+    prefer = chain[depth].evaluate_at(z0)
     p0 = _annihilating_costate(rows, prefer)
     cs = prolonged_system(structure)
     return integrate_biextremal(cs, z0, p0, u0, t_end)
@@ -778,6 +782,7 @@ def _reparametrized(states, derivs, column):
     return params[::order], states[::order], slopes[::order]
 
 
+@memo.within
 def singular_launch(cs: ControlSystem, x0: dict, theta0):
     """Initial costate and control for the singular path launched from
     x0 toward the direction parameter theta0.
@@ -790,9 +795,8 @@ def singular_launch(cs: ControlSystem, x0: dict, theta0):
         family = cs.source
         z0 = dict(x0)
         z0[family.theta] = theta0
-        rows = [family.zeta(k).evaluate_at(z0, family.registry)[:5]
-                for k in (2, 3)]
-        prefer = family.zeta(4).evaluate_at(z0, family.registry)[:5]
+        rows = [family.zeta(k).evaluate_at(z0)[:5] for k in (2, 3)]
+        prefer = family.zeta(4).evaluate_at(z0)[:5]
         p0 = _annihilating_costate(rows, prefer)
         u0 = {cs.control_names[0]: 1.0,
               cs.control_names[1]: float(theta0)}
@@ -802,9 +806,9 @@ def singular_launch(cs: ControlSystem, x0: dict, theta0):
         ratio = as_fraction(theta0)
         mixed = (dist.eta4 + dist.eta5 * ratio).normalized(
             "eta4+ratio*eta5")
-        rows = [f.evaluate_at(x0, dist.registry)
+        rows = [f.evaluate_at(x0)
                 for f in (dist.eta1, dist.eta2, dist.eta3, mixed)]
-        prefer = dist.eta5.evaluate_at(x0, dist.registry)
+        prefer = dist.eta5.evaluate_at(x0)
         p0 = _annihilating_costate(rows, prefer)
         size = math.hypot(1.0, float(ratio))
         u0 = (1.0 / size, float(ratio) / size)
@@ -814,6 +818,7 @@ def singular_launch(cs: ControlSystem, x0: dict, theta0):
         "distribution")
 
 
+@memo.within
 def verify_duality(structure: PseudoProductStructure, cs: ControlSystem,
                    x0: dict, theta0, t_end: float,
                    tol: float = _DUALITY_TOL, *,
@@ -842,10 +847,11 @@ def verify_duality(structure: PseudoProductStructure, cs: ControlSystem,
     # Which generator projects to a moving direction (a value that is
     # not zero by linalg's rule) decides the side.
     keep = [i for i, v in enumerate(z_vars) if v != fiber]
-    k_proj = [evaluate(structure.k_field.components[i], z0,
-                       structure.registry) for i in keep]
-    l_proj = [evaluate(structure.l_field.components[i], z0,
-                       structure.registry) for i in keep]
+    registry = structure.z_chart.registry
+    k_proj = [evaluate(structure.k_field.components[i], z0, registry)
+              for i in keep]
+    l_proj = [evaluate(structure.l_field.components[i], z0, registry)
+              for i in keep]
     k_moves = not all(map(is_zero_value, k_proj))
     l_moves = not all(map(is_zero_value, l_proj))
     if k_moves == l_moves:
@@ -859,9 +865,8 @@ def verify_duality(structure: PseudoProductStructure, cs: ControlSystem,
     h_max = abs(float(t_end)) / 64
     try:
         leaf_trace = integrate_flow(
-            leaf, z0, t_end, registry=structure.registry,
-            rtol=_DUALITY_RTOL, atol=_DUALITY_ATOL, h_max=h_max,
-            fixed_step=fixed_step)
+            leaf, z0, t_end, rtol=_DUALITY_RTOL, atol=_DUALITY_ATOL,
+            h_max=h_max, fixed_step=fixed_step)
     except IntegrationError as exc:
         raise IntegrationError(f"leaf-flow leg failed: {exc}") from exc
 

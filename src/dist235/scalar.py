@@ -344,7 +344,12 @@ def default_registry() -> OpaqueRegistry:
     return _DEFAULT_REGISTRY
 
 
-def _registry(registry: Optional[OpaqueRegistry]) -> OpaqueRegistry:
+def _registry(registry: Optional[OpaqueRegistry],
+              chart=None) -> OpaqueRegistry:
+    """`registry`, else the registry of `chart` when it is a
+    `vecfield.Chart` (a tuple of names has none), else the default."""
+    if registry is None:
+        registry = getattr(chart, "registry", None)
     return registry if registry is not None else _DEFAULT_REGISTRY
 
 
@@ -373,17 +378,12 @@ def _tokenize(text: str) -> list[tuple]:
     tokens = []
     i = 0
     n = len(text)
-    byte_of = [0]
-    total = 0
-    for ch in text:
-        total += len(ch.encode("utf-8"))
-        byte_of.append(total)
     while i < n:
         ch = text[i]
         if ch in " \t\r\n":
             i += 1
             continue
-        start = byte_of[i]
+        start = i
         if ch in _DIGITS:
             j = i
             while j < n and text[j] in _DIGITS:
@@ -401,7 +401,7 @@ def _tokenize(text: str) -> list[tuple]:
             i += 1
         else:
             raise ParseError(f"unexpected character {ch!r}", start)
-    tokens.append((_TOK_END, None, byte_of[n]))
+    tokens.append((_TOK_END, None, n))
     return tokens
 
 
@@ -1014,12 +1014,14 @@ def differentiate(expr: ScalarExpr, var: str,
     """Partial derivative with respect to a chart variable, normalized.
 
     Opaque applications use the registry's derivative rule and the chain
-    rule; the rule's target must itself be registered.
+    rule; the rule's target must itself be registered.  Without a
+    registry the rules are those of the chart, when it is a
+    `vecfield.Chart`.
     """
     key = _chart_key(chart)
     if key is not None and var not in key:
         raise UndeclaredVariableError(var)
-    return _derivative(expr, var, key, _registry(registry))
+    return _derivative(expr, var, key, _registry(registry, chart))
 
 
 @memoized
@@ -1284,8 +1286,11 @@ def is_zero(expr: ScalarExpr, box: Box,
     32 quasi-random rational points are evaluated and compared
     against 1e-9 * (1 + max |coefficient|).  Coordinates the box fixes
     (zero-width intervals) are substituted first, so the decision is
-    about the expression on the box, not on the whole chart.
+    about the expression on the box, not on the whole chart.  Without a
+    registry the opaques are those of the chart, when it is a
+    `vecfield.Chart`.
     """
+    registry = _registry(registry, chart)
     fixed = {name: lo for name, lo, hi in box.intervals if lo == hi}
     if fixed:
         expr = substitute(expr, fixed)

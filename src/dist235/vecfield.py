@@ -39,9 +39,13 @@ class DegenerateFrameError(Exception):
 @dataclass(frozen=True)
 class Chart:
     """An ordered tuple of coordinate names; the order fixes the monomial
-    order of every normal form computed on the chart."""
+    order of every normal form computed on the chart.  `registry` holds
+    the opaque functions that expressions on the chart may apply (the
+    default registry when none is given); two charts are equal only when
+    they share it, so fields whose opaques differ never mix."""
 
     variables: tuple
+    registry: Optional[OpaqueRegistry] = field(default=None, repr=False)
 
     def __post_init__(self):
         names = tuple(self.variables)
@@ -53,6 +57,8 @@ class Chart:
             if name in seen:
                 raise ChartError(f"duplicate coordinate {name!r}")
             seen.add(name)
+        if self.registry is None:
+            object.__setattr__(self, "registry", default_registry())
 
     @property
     def dimension(self) -> int:
@@ -65,7 +71,7 @@ class Chart:
             raise ChartError(f"{name!r} is not a coordinate of this chart")
 
     def extend(self, *names: str) -> "Chart":
-        return Chart(self.variables + tuple(names))
+        return Chart(self.variables + tuple(names), self.registry)
 
     def point(self, *values) -> dict:
         if len(values) != len(self.variables):
@@ -102,14 +108,15 @@ class VectorField:
         object.__setattr__(self, "components",
                            _check_components(self.chart, self.components))
 
-    def evaluate_at(self, point: dict,
-                    registry: Optional[OpaqueRegistry] = None) -> list:
+    def evaluate_at(self, point: dict) -> list:
+        registry = self.chart.registry
         return [evaluate(c, point, registry) for c in self.components]
 
     def lifted(self, chart: Chart) -> "VectorField":
         """The same field on an extended chart (zero new components)."""
         n = self.chart.dimension
-        if chart.variables[:n] != self.chart.variables:
+        if (chart.variables[:n] != self.chart.variables
+                or chart.registry is not self.chart.registry):
             raise ChartMismatchError(
                 "target chart does not extend this field's chart")
         pad = (ZERO,) * (chart.dimension - n)
@@ -146,13 +153,13 @@ def coordinate_field(chart: Chart, name: str) -> VectorField:
     return VectorField(chart, comps, name=f"d/d{name}")
 
 
-def lie_bracket(v: VectorField, w: VectorField,
-                registry: Optional[OpaqueRegistry] = None) -> VectorField:
+def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     """[v, w]^j = sum_i v^i d(w^j)/dx_i - w^i d(v^j)/dx_i, normalized.
 
-    Memoized in the active `memo.Memo` on the chart, the components of v
-    and w and the registry object (field names play no part), so asking
-    again for a bracket in the same memo returns the same field object.
+    Memoized in the active `memo.Memo` on the chart (which carries the
+    registry of its opaques) and the components of v and w (field names
+    play no part), so asking again for a bracket in the same memo
+    returns the same field object.
     A field's bracket with itself is the zero field, built without a
     fold: the fold of its terms, which cancel pairwise, is `ZERO` in
     every component."""
@@ -160,23 +167,19 @@ def lie_bracket(v: VectorField, w: VectorField,
         raise ChartMismatchError("bracket of fields on different charts")
     if v.components == w.components:
         return VectorField(v.chart, (ZERO,) * v.chart.dimension)
-    return _bracket(v.chart, v.components, w.components,
-                    registry if registry is not None else default_registry())
+    return _bracket(v.chart, v.components, w.components)
 
 
 @memoized
-def _bracket(chart: Chart, v: tuple, w: tuple,
-             registry: OpaqueRegistry) -> VectorField:
+def _bracket(chart: Chart, v: tuple, w: tuple) -> VectorField:
     chart_vars = chart.variables
     comps = []
     for j in range(chart.dimension):
         terms = []
         for i, var in enumerate(chart_vars):
-            terms.append(Prod((v[i], differentiate(w[j], var, chart_vars,
-                                                   registry))))
+            terms.append(Prod((v[i], differentiate(w[j], var, chart))))
             terms.append(Prod((MINUS_ONE, w[i],
-                               differentiate(v[j], var, chart_vars,
-                                             registry))))
+                               differentiate(v[j], var, chart))))
         comps.append(normalize(Sum(tuple(terms)), chart_vars))
     return VectorField(chart, tuple(comps))
 
@@ -191,18 +194,15 @@ class PointValues:
     rational, with its relative tolerance otherwise.
     """
 
-    def __init__(self, point: dict,
-                 registry: Optional[OpaqueRegistry] = None):
+    def __init__(self, point: dict):
         self.point = point
-        self.registry = registry
         self._rows = {}   # id(field) -> (field, linalg.Row)
         self._spans = {}  # id(frame) -> (frame, linalg.Span)
 
     def row(self, f: VectorField) -> linalg.Row:
         entry = self._rows.get(id(f))
         if entry is None:
-            entry = (f, linalg.as_row(f.evaluate_at(self.point,
-                                                    self.registry)))
+            entry = (f, linalg.as_row(f.evaluate_at(self.point)))
             self._rows[id(f)] = entry
         return entry[1]
 
@@ -232,21 +232,19 @@ class PointValues:
         return None if residual is None else tuple(residual)
 
 
-def rank_at(fields: Sequence[VectorField], point: dict,
-            registry: Optional[OpaqueRegistry] = None) -> int:
-    return PointValues(point, registry).rank(fields)
+def rank_at(fields: Sequence[VectorField], point: dict) -> int:
+    return PointValues(point).rank(fields)
 
 
 @dataclass(frozen=True)
 class Frame:
     """An ordered list of fields required to be independent at the base
     point.  `values`, when given, is a `PointValues` table at the base
-    point with the frame's registry, read instead of evaluating anew."""
+    point, read instead of evaluating anew."""
 
     chart: Chart
     fields: tuple
     base_point: dict = field(compare=False)
-    registry: Optional[OpaqueRegistry] = field(default=None, compare=False)
     values: InitVar[Optional[PointValues]] = None
 
     def __post_init__(self, values):
@@ -255,7 +253,7 @@ class Frame:
             if f.chart != self.chart:
                 raise ChartMismatchError("frame fields live on another chart")
         if values is None:
-            values = PointValues(self.base_point, self.registry)
+            values = PointValues(self.base_point)
         r = values.rank(self.fields)
         if r != len(self.fields):
             raise DegenerateFrameError(
@@ -268,8 +266,8 @@ class Frame:
 
 
 def symbolic_decompose(targets: Sequence[VectorField],
-                       basis: Sequence[VectorField], base_point: dict,
-                       registry: Optional[OpaqueRegistry] = None) -> tuple:
+                       basis: Sequence[VectorField], base_point: dict
+                       ) -> tuple:
     """For each target v, the coefficient expressions c_i with
     v = sum_i c_i * basis_i, obtained by one symbolic Gauss-Jordan
     elimination of the basis with every target appended as a column.
@@ -289,8 +287,6 @@ def symbolic_decompose(targets: Sequence[VectorField],
     """
     if not targets:
         return ()
-    if registry is None:
-        registry = default_registry()
     chart = targets[0].chart
     n = chart.dimension
     if len(basis) != n:
@@ -311,7 +307,8 @@ def symbolic_decompose(targets: Sequence[VectorField],
     free = list(range(n))  # the rows not yet holding a pivot, ascending
     for col in range(n):
         pick = linalg.largest_nonzero(
-            [evaluate(rows[r][col], base_point, registry) for r in free])
+            [evaluate(rows[r][col], base_point, chart.registry)
+             for r in free])
         if pick is None:
             raise DegenerateFrameError(
                 "basis degenerates at the base point "
@@ -348,70 +345,71 @@ class DistributionFlag:
     rank_witnesses: tuple = ()
 
 
-def _pass_brackets(generators: Frame, frame: Frame,
-                   registry: Optional[OpaqueRegistry]):
+def _pass_brackets(generators: Frame, frame: Frame, start: int = 0):
     """[g_a, f_k] for each generator g_a and each field f_k of `frame`
-    with k >= a, in that order.  Every frame of the flag starts with the
-    generators, so [g_a, g_k] with k < a is -[g_k, g_a], which comes
-    earlier, and neither it nor a zero bracket changes a span."""
+    with k >= a and k >= start, in that order.  Every frame of the flag
+    starts with the generators, so [g_a, g_k] with k < a is -[g_k, g_a],
+    which comes earlier, and neither it nor a zero bracket changes a
+    span."""
     for a, gen in enumerate(generators.fields):
-        for fld in frame.fields[a:]:
-            yield lie_bracket(gen, fld, registry)
+        for fld in frame.fields[max(a, start):]:
+            yield lie_bracket(gen, fld)
 
 
 def derived_flag(generators: Frame, box: Optional[Box] = None,
-                 samples: int = 16,
-                 registry: Optional[OpaqueRegistry] = None) -> DistributionFlag:
+                 samples: int = 16) -> DistributionFlag:
     """Iterate F_{i+1} = F_i + [F_0, F_i] until the rank stops growing or
     fills the chart, extending frames in deterministic bracket order.
 
     Each pass grows the rank or stops, so the chart dimension bounds the
-    number of passes.  A pass brackets the generators with the current
-    frame's fields (`_pass_brackets`) and skips what cannot grow the
-    frame: the mirror [g_a, g_k] of a bracket of generators already
-    tried, a generator's bracket with itself (the zero field), and every
-    bracket after the frame fills the chart.
+    number of passes.  A pass brackets the generators with the fields
+    the pass before it added (`_pass_brackets`); the first pass, with
+    the generators themselves.  The brackets with older fields were
+    tried by an earlier pass and lie in the current frame at the base
+    point, so they cannot grow it.  A pass also skips the mirror
+    [g_a, g_k] of a bracket of generators already tried, a generator's
+    bracket with itself (the zero field), and every bracket after its
+    frame fills the chart.
 
     With a box, the rank of every frame (and, below the full chart, that
-    of the brackets which did not grow the top frame) is checked at
-    `samples` Halton points of it.  Every frame is a prefix of the top
-    one, so at a point where the top frame's values are rational and of
-    full rank every frame has full rank, and only the top one is ranked;
-    float values are ranked frame by frame, since their tolerance rule
-    need not keep full rank on a prefix.
+    of the top frame with the generators' brackets with each of its
+    fields) is checked at `samples` Halton points of it.  Every frame is
+    a prefix of the top one, so at a point where the top frame's values
+    are rational and of full rank every frame has full rank, and only
+    the top one is ranked; float values are ranked frame by frame, since
+    their tolerance rule need not keep full rank on a prefix.
     """
-    if registry is None:
-        registry = generators.registry
     chart = generators.chart
     base = generators.base_point
-    at_base = PointValues(base, registry)
+    at_base = PointValues(base)
     frames = [generators]
     growth = [generators.rank]
+    start = 0  # the index of the first field the last pass added
     while frames[-1].rank < chart.dimension:
         current = frames[-1]
         extended = list(current.fields)
-        for b in _pass_brackets(generators, current, registry):
-            if len(extended) == chart.dimension:
-                break
+        for b in _pass_brackets(generators, current, start):
             if all(c == ZERO for c in b.components):
                 continue
             if at_base.rank(extended + [b]) > len(extended):
                 extended.append(b)
+                if len(extended) == chart.dimension:
+                    break
         if len(extended) == current.rank:
             break
-        frames.append(Frame(chart, tuple(extended), base, registry,
-                            at_base))
+        frames.append(Frame(chart, tuple(extended), base, at_base))
         growth.append(len(extended))
+        start = current.rank
     constant_rank = True
     witnesses = []
     if box is not None:
         top = frames[-1]
         # brackets that failed to grow the span at the base point must
         # keep failing on the box, else the growth is not constant
-        candidates = (tuple(_pass_brackets(generators, top, registry))
+        candidates = (tuple(_pass_brackets(generators, top))
                       if top.rank < chart.dimension else ())
         for pt in box.sample_points(samples):
-            at = PointValues(pt, registry)
+            at = PointValues(pt)
             exact = all(at.row(f).ints is not None for f in top.fields)
             if not (exact and at.rank(top.fields) == top.rank):
                 for k, fr in enumerate(frames):
@@ -460,8 +458,7 @@ class TwoForm:
                          self.chart.variables)
 
 
-def exterior_derivative(alpha: OneForm,
-                        registry: Optional[OpaqueRegistry] = None) -> TwoForm:
+def exterior_derivative(alpha: OneForm) -> TwoForm:
     """d(sum a_i dx_i) = sum_{i<j} (da_j/dx_i - da_i/dx_j) dx_i ^ dx_j."""
     chart = alpha.chart
     comps = {}
@@ -470,11 +467,10 @@ def exterior_derivative(alpha: OneForm,
         for j in range(i + 1, n):
             c = normalize(
                 Sum((differentiate(alpha.components[j], chart.variables[i],
-                                   chart.variables, registry),
+                                   chart),
                      Prod((MINUS_ONE,
                            differentiate(alpha.components[i],
-                                         chart.variables[j],
-                                         chart.variables, registry))))),
+                                         chart.variables[j], chart))))),
                 chart.variables)
             if c != ZERO:
                 comps[(i, j)] = c
@@ -506,14 +502,14 @@ def pair(form, v: VectorField, w: Optional[VectorField] = None) -> ScalarExpr:
     raise TypeError(f"not a form: {form!r}")
 
 
-def check_contact(alpha: OneForm, point: dict,
-                  registry: Optional[OpaqueRegistry] = None) -> bool:
+def check_contact(alpha: OneForm, point: dict) -> bool:
     """True when alpha is a contact form at the point: the bordered
     antisymmetric matrix [[0, alpha], [-alpha^T, d(alpha)]] has rank 6,
     which holds exactly when alpha ^ d(alpha) ^ d(alpha) is nonzero."""
     if alpha.chart.dimension != 5:
         raise ChartError("contact check needs a 5-dimensional chart")
-    d = exterior_derivative(alpha, registry)
+    d = exterior_derivative(alpha)
+    registry = alpha.chart.registry
     a = [evaluate(c, point, registry) for c in alpha.components]
     rows = [[0] + a] + [
         [-a[i]] + [evaluate(d.coefficient(i, j), point, registry)

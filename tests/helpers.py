@@ -183,25 +183,24 @@ def random_box_points(box, count: int, rng: random.Random,
             for _ in range(count)]
 
 
-def text_field(chart, texts, registry=None, name: str = "") -> VectorField:
+def text_field(chart, texts, name: str = "") -> VectorField:
     """The vector field on `chart` whose components are parsed from
-    `texts`."""
+    `texts`, with the opaques of the chart's registry."""
     return VectorField(chart, tuple(
-        scalar.parse_expr(text, chart.variables, registry) for text in texts),
-        name)
+        scalar.parse_expr(text, chart.variables, chart.registry)
+        for text in texts), name)
 
 
 # ---------------------------------------------------------------------------
 # oracles
 
-def apply_to(field: VectorField, f, registry=None):
+def apply_to(field: VectorField, f):
     """Directional derivative of the scalar f along the field."""
-    variables = field.chart.variables
+    chart = field.chart
     return scalar.normalize(
-        Sum(tuple(Prod((comp, scalar.differentiate(f, var, variables,
-                                                   registry)))
-                  for var, comp in zip(variables, field.components))),
-        variables)
+        Sum(tuple(Prod((comp, scalar.differentiate(f, var, chart)))
+                  for var, comp in zip(chart.variables, field.components))),
+        chart)
 
 
 def zero_field(chart) -> VectorField:
@@ -214,10 +213,10 @@ def full_frame(dist) -> Frame:
     point."""
     return Frame(dist.chart,
                  (dist.eta1, dist.eta2, dist.eta3, dist.eta4, dist.eta5),
-                 dist.base_point, dist.registry)
+                 dist.base_point)
 
 
-def full_width_decompose(targets, basis, base_point, registry=None):
+def full_width_decompose(targets, basis, base_point):
     """`vecfield.symbolic_decompose` by the full-width Gauss-Jordan loop:
     every step scales and eliminates every column, those no later step
     reads included.  The reference of the live-column elimination."""
@@ -232,7 +231,7 @@ def full_width_decompose(targets, basis, base_point, registry=None):
     free = list(range(n))
     for col in range(n):
         pick = linalg.largest_nonzero(
-            [scalar.evaluate(rows[r][col], base_point, registry)
+            [scalar.evaluate(rows[r][col], base_point, chart.registry)
              for r in free])
         best_row = free.pop(pick)
         pivot_of_col[col] = best_row
@@ -253,17 +252,15 @@ def full_width_decompose(targets, basis, base_point, registry=None):
                  for j in range(n, width))
 
 
-def every_bracket_flag(generators: Frame, box=None, samples: int = 16,
-                       registry=None) -> vecfield.DistributionFlag:
+def every_bracket_flag(generators: Frame, box=None, samples: int = 16
+                       ) -> vecfield.DistributionFlag:
     """`vecfield.derived_flag` by the loop that brackets every generator
     with every frame field to the end of each pass, and ranks every frame
     at every sample point.  The reference of the flag that skips self,
     mirror and surplus brackets and full-rank prefixes."""
-    if registry is None:
-        registry = generators.registry
     chart = generators.chart
     base = generators.base_point
-    at_base = vecfield.PointValues(base, registry)
+    at_base = vecfield.PointValues(base)
     frames = [generators]
     growth = [generators.rank]
     while frames[-1].rank < chart.dimension:
@@ -271,26 +268,25 @@ def every_bracket_flag(generators: Frame, box=None, samples: int = 16,
         extended = list(current.fields)
         for gen in generators.fields:
             for fld in current.fields:
-                b = vecfield.lie_bracket(gen, fld, registry)
+                b = vecfield.lie_bracket(gen, fld)
                 if all(c == scalar.ZERO for c in b.components):
                     continue
                 if at_base.rank(extended + [b]) > len(extended):
                     extended.append(b)
         if len(extended) == current.rank:
             break
-        frames.append(Frame(chart, tuple(extended), base, registry,
-                            at_base))
+        frames.append(Frame(chart, tuple(extended), base, at_base))
         growth.append(len(extended))
     constant_rank = True
     witnesses = []
     if box is not None:
         top = frames[-1]
-        candidates = tuple(vecfield.lie_bracket(gen, fld, registry)
+        candidates = tuple(vecfield.lie_bracket(gen, fld)
                            for gen in generators.fields
                            for fld in top.fields
                            if top.rank < chart.dimension)
         for pt in box.sample_points(samples):
-            at = vecfield.PointValues(pt, registry)
+            at = vecfield.PointValues(pt)
             for k, fr in enumerate(frames):
                 r = at.rank(fr.fields)
                 if r != fr.rank:
@@ -306,14 +302,15 @@ def every_bracket_flag(generators: Frame, box=None, samples: int = 16,
                                      constant_rank, tuple(witnesses))
 
 
-def contact_volume(alpha, point: dict, registry=None):
+def contact_volume(alpha, point: dict):
     """Value of the 5-form alpha ^ d(alpha) ^ d(alpha) on the coordinate
     frame at a point of a 5-dimensional chart."""
     chart = alpha.chart
     if chart.dimension != 5:
         raise vecfield.ChartError(
             "contact check needs a 5-dimensional chart")
-    d = vecfield.exterior_derivative(alpha, registry)
+    d = vecfield.exterior_derivative(alpha)
+    registry = chart.registry
     a_vals = [scalar.evaluate(c, point, registry) for c in alpha.components]
     d_vals = {}
     for i in range(5):
@@ -355,9 +352,9 @@ def record_evaluations(monkeypatch) -> list:
     calls = []
     original = VectorField.evaluate_at
 
-    def recording(self, point, registry=None):
+    def recording(self, point):
         calls.append((self, tuple(sorted(point.items()))))
-        return original(self, point, registry)
+        return original(self, point)
 
     monkeypatch.setattr(VectorField, "evaluate_at", recording)
     return calls

@@ -93,16 +93,16 @@ def test_01_growth_and_exact_brackets():
     start = time.perf_counter()
     dist = _hilbert_cartan()
     report = check_235(dist.eta1, dist.eta2, dist.base_point, box=dist.box,
-                       samples=32, registry=dist.registry)
+                       samples=32)
     assert report.passed
     assert report.growth == (2, 3, 5)
     variables = dist.chart.variables
     _assert_components(dist.eta3, ("0", "0", "-1", "0", "-2*y2"),
-                       variables, dist.registry)
+                       variables, dist.chart.registry)
     _assert_components(dist.eta4, ("0", "1", "0", "0", "0"),
-                       variables, dist.registry)
+                       variables, dist.chart.registry)
     _assert_components(dist.eta5, ("0", "0", "0", "0", "-2"),
-                       variables, dist.registry)
+                       variables, dist.chart.registry)
     _verdict(1, "growth (2, 3, 5) over 32 samples with exact brackets",
              time.perf_counter() - start, 1.0)
 
@@ -113,13 +113,13 @@ def test_02_prolongation_and_zero_correction():
     prolonged = prolong_235(dist)
     assert prolonged.growth == (2, 3, 4, 5, 6)
     z_vars = prolonged.z_chart.variables
-    bracket = lie_bracket(prolonged.zeta1, prolonged.zeta2, dist.registry)
+    bracket = lie_bracket(prolonged.zeta1, prolonged.zeta2)
     _assert_components(bracket, ("0", "0", "0", "-1", "0", "0"),
-                       z_vars, dist.registry)
+                       z_vars, dist.chart.registry)
     solved = solve_e(prolonged)
     assert solved.expression is not None
     verdict = is_zero(solved.expression, prolonged.box, z_vars,
-                      dist.registry)
+                      dist.chart.registry)
     assert verdict.status == "provably-zero"
     _verdict(2, "growth (2, 3, 4, 5, 6) and a provably-zero correction",
              time.perf_counter() - start, 5.0)
@@ -186,16 +186,17 @@ def test_04_osculating_condition_matches_the_defect():
                      in report.residuals if status == "nonzero"]
     assert witness_texts
     z_vars = violating.z_chart.variables
-    witness = parse_expr(witness_texts[0], z_vars, violating.registry)
-    oracle = _defect("th^3", "th^4", violating.registry)
+    registry = violating.z_chart.registry
+    witness = parse_expr(witness_texts[0], z_vars, registry)
+    oracle = _defect("th^3", "th^4", registry)
     probes = (Fraction(1, 8), Fraction(-1, 8), Fraction(1, 4),
               Fraction(3, 16), Fraction(-5, 16))
     pairs = []
     for q in probes:
         point = {var: Fraction(0) for var in z_vars}
         point["th"] = q
-        pairs.append((evaluate(witness, point, violating.registry),
-                      evaluate(oracle, point, violating.registry)))
+        pairs.append((evaluate(witness, point, registry),
+                      evaluate(oracle, point, registry)))
     same = all(w == o for w, o in pairs)
     negated = all(w == -o for w, o in pairs)
     assert same or negated, "the witness is not the defect expression"
@@ -208,8 +209,9 @@ def test_04_osculating_condition_matches_the_defect():
         c_text = _random_direction_poly(rng, 4, 7)
         family = builtin_model("noncubic-bc", {"b": b_text, "c": c_text})
         decided = check_osculating_condition(family).passed
-        oracle_zero = bool(is_zero(_defect(b_text, c_text, family.registry),
-                                   theta_box, ("th",), family.registry))
+        registry = family.x_chart.registry
+        oracle_zero = bool(is_zero(_defect(b_text, c_text, registry),
+                                   theta_box, ("th",), registry))
         assert decided == oracle_zero, (b_text, c_text)
         agreements += 1
     assert agreements == 50
@@ -229,14 +231,14 @@ def test_05_lagrangian_and_contact_certificates():
         assert all(status == "provably-zero"
                    for _, status, _ in symbolic.checks)
         section = DirectionField(
-            parse_expr("x1", family.x_chart.variables, family.registry))
+            parse_expr("x1", family.x_chart.variables,
+                       family.x_chart.registry))
         sectioned = check_lagrangian(family, section=section)
         assert sectioned.passed
         assert all(status == "provably-zero"
                    for _, status, _ in sectioned.checks)
         origin = {var: Fraction(0) for var in family.x_chart.variables}
-        assert check_contact(family.alpha, origin,
-                             registry=family.registry)
+        assert check_contact(family.alpha, origin)
     _verdict(5, "annihilation and isotropy provably zero along sections; "
                 "contact at the origin",
              time.perf_counter() - start, 2.0)
@@ -305,7 +307,7 @@ def _annihilation_residual(structure, trace, fields) -> float:
         costate = trace.costates[i]
         scale = math.sqrt(sum(c * c for c in costate))
         for f in fields:
-            values = [float(evaluate(c, point, structure.registry))
+            values = [float(evaluate(c, point, structure.z_chart.registry))
                       for c in f.components]
             worst = max(worst,
                         abs(sum(c * v for c, v in zip(costate, values)))
@@ -327,9 +329,8 @@ def test_07_fiber_lift_asymmetry():
                                    1, rng)[0]
             trace = lift_fiber(structure, side, z0=z0, t_end=0.5)
             assert classify_biextremal(structure, trace) == expected
-            e3 = lie_bracket(structure.k_field, structure.l_field,
-                             structure.registry)
-            e4 = lie_bracket(structure.k_field, e3, structure.registry)
+            e3 = lie_bracket(structure.k_field, structure.l_field)
+            e4 = lie_bracket(structure.k_field, e3)
             annihilated = (structure.k_field, structure.l_field,
                            e3, e4)[:depth]
             residual = _annihilation_residual(structure, trace,

@@ -375,16 +375,14 @@ class TestLoadAndBundled:
         # base point, 1/2 in the direction coordinate, which comes last
         model = parse_model(bundled_document(name), name)
         built = build_model(model)
-        chart = Chart(model.chart)
+        chart = Chart(model.chart, model.registry)
         if model.kind == "cone-family":
             default = ConeFamily.build(
                 chart, built.components, built.alpha, theta=model.theta,
-                base_point=dict(model.base_point),
-                registry=model.registry).box
+                base_point=dict(model.base_point)).box
         else:
             default = Distribution235(chart, built.eta1, built.eta2,
-                                      dict(model.base_point),
-                                      registry=model.registry).box
+                                      dict(model.base_point)).box
         assert model.box == built.box == default
         assert model.box.variables == variables
         half_widths = [(hi - lo) / 2 for _, lo, hi in model.box.intervals]
@@ -687,6 +685,25 @@ class TestReportPins:
             "c8135f73fbf5323e853f98dd3fa3b0c5d53074e63eb2d6c12ec459df802636ab"),
     }
 
+    # documents that declare opaque functions, at seed 3 on the half-size
+    # box: the only pins whose charts carry a registry of their own, and
+    # whose duality checks compile opaque evaluators
+    OPAQUE = {
+        "bc-opaque": (
+            "noncubic-bc", {"b": "B(th)", "c": "C(th)"},
+            [{"name": "B", "evaluator": "u^3", "derivative": "3*u^2"},
+             {"name": "C", "evaluator": "3/2*u^4", "derivative": "6*u^3"}],
+            "5c4b0f145d62dfa69e6ecdd9553a6269"
+            "bc788e0126388bc33a18805a0cbd9a8b"),
+        "hc-opaque": (
+            "hilbert-cartan",
+            {"eta1": ["1", "y1", "y2", "0", "y2^2 + g(y1)"],
+             "eta2": ["0", "0", "0", "1", "0"]},
+            [{"name": "g", "evaluator": "u^2", "derivative": "2*u"}],
+            "b6e207d35d841b8b69ac5d2a68d10b14"
+            "34e07128673ddf2648a39450f7d340da"),
+    }
+
     @staticmethod
     def digest(report) -> str:
         return hashlib.sha256(canonical_json(report).encode()).hexdigest()
@@ -702,6 +719,14 @@ class TestReportPins:
                    expressions=cls.GENERATED[name][0])
         return run_suite(parse_model(json.dumps(doc), name), "all", 3)
 
+    @classmethod
+    def opaque_report(cls, name: str) -> dict:
+        base, expressions, opaque, _ = cls.OPAQUE[name]
+        doc = dict(json.loads(bundled_document(base)), name=name,
+                   expressions=expressions, opaque=opaque)
+        return run_suite(parse_model(json.dumps(doc), name), "all", 3,
+                         box_scale=Fraction(1, 2))
+
     @pytest.mark.parametrize("name", sorted(BUNDLED_SHA256))
     def test_half_box_seed_three(self, name):
         assert self.digest(self.bundled_report(name)) == \
@@ -711,6 +736,12 @@ class TestReportPins:
     def test_generated_noncubic_bc(self, name):
         assert self.digest(self.generated_report(name)) == \
             self.GENERATED[name][1]
+
+    @pytest.mark.parametrize("name", sorted(OPAQUE))
+    def test_opaque_functions_half_box_seed_three(self, name):
+        report = self.opaque_report(name)
+        assert report["summary"]["fail"] == report["summary"]["error"] == 0
+        assert self.digest(report) == self.OPAQUE[name][3]
 
 
 # ---------------------------------------------------------------------------

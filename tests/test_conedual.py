@@ -277,10 +277,10 @@ class TestOsculatingCondition:
         assert set(report.coefficients) == {"0"}
 
     def test_decomposition_cached_per_base_point_and_registry(self):
-        # ConeFamily equality ignores the base point and the registry, so
-        # the decomposition is cached on the family object, not by
-        # equality: the same components pivoted at the origin and at
-        # x1=1/8, th=1/4 (or with another registry) are two
+        # ConeFamily equality ignores the base point, so the
+        # decomposition is cached on the family object, not by equality:
+        # the same components pivoted at the origin and at x1=1/8,
+        # th=1/4 (or on a chart with another registry) are two
         # decompositions, not one cache hit.
         at_origin = builtin_model("noncubic-bc",
                                   {"b": "th^3", "c": "3/2*th^4"})
@@ -289,10 +289,12 @@ class TestOsculatingCondition:
         moved = ConeFamily.build(at_origin.x_chart, at_origin.components,
                                  at_origin.alpha, base_point=base,
                                  name=at_origin.name)
+        other_chart = Chart(at_origin.x_chart.variables, OpaqueRegistry())
         other_registry = ConeFamily.build(
-            at_origin.x_chart, at_origin.components, at_origin.alpha,
-            registry=OpaqueRegistry(), name=at_origin.name)
-        assert moved == at_origin == other_registry
+            other_chart, at_origin.components,
+            OneForm(other_chart, at_origin.alpha.components),
+            name=at_origin.name)
+        assert moved == at_origin != other_registry
         first = at_origin.bracket_decomposition
         second = moved.bracket_decomposition
         third = other_registry.bracket_decomposition
@@ -320,8 +322,8 @@ class TestOsculatingCondition:
         residual = parse_expr(text, family.z_chart.variables)
         target = parse_expr("-2*th^3", family.z_chart.variables)
         for point in family.box.sample_points(25):
-            got = float(evaluate(residual, point, family.registry))
-            want = float(evaluate(target, point, family.registry))
+            got = float(evaluate(residual, point))
+            want = float(evaluate(target, point))
             assert abs(got - want) <= TOL
 
     def test_cubic_a_outcomes_recorded(self):
@@ -402,7 +404,7 @@ class TestSolveU:
         result = solve_U(family)
         low = Frame(family.z_chart,
                     (family.zeta(1), family.zeta(2), family.zeta(3)),
-                    family.base_point, family.registry)
+                    family.base_point)
         bracket = lie_bracket(result.l_field, family.zeta(3))
         for point in family.box.sample_points(50):
             assert PointValues(point).residual(bracket, low) is None
@@ -671,8 +673,9 @@ class TestDriverTrees:
         monkeypatch.setattr(ConeFamily, "build", build)
         doc = dict(BUNDLED[name], expressions=expressions, opaque=opaque)
         family = build_model(parse_model(json.dumps(doc), name))
-        z_vars = family.z_chart.variables
-        assert built == [tuple(parse_expr(text, z_vars, family.registry)
+        z_chart = family.z_chart
+        assert built == [tuple(parse_expr(text, z_chart.variables,
+                                          z_chart.registry)
                                for text in self.reference_texts(expressions))]
 
 
@@ -707,13 +710,13 @@ class TestDefectIdentities:
                                  "24"))
         family = opaque_family("noncubic-bc", {"b": "B(th)", "c": "C(th)"},
                                opaque)
-        d_alpha = exterior_derivative(family.lifted_alpha, family.registry)
+        d_alpha = exterior_derivative(family.lifted_alpha)
         iso = pair(d_alpha, family.zeta(2), family.zeta(3))
         defect = family.bracket_decomposition[0][5]
         assert sum_text(family, iso, defect) == "0"
         closed_form = parse_expr(
             "C1(th) - 3*th*B1(th) + 3*B(th)", family.z_chart.variables,
-            family.registry)
+            family.z_chart.registry)
         assert sum_text(family, iso, closed_form) == "0"
 
     def test_cubic_a_defect_is_minus_half_the_driver_slope(self):
@@ -722,7 +725,7 @@ class TestDefectIdentities:
             opaque_chain("F", ("u^2", "2*u", "2"), "0"))
         along_third = family.bracket_decomposition[0][4]
         half_slope = parse_expr("F1(x1)/2", family.z_chart.variables,
-                                family.registry)
+                                family.z_chart.registry)
         assert sum_text(family, along_third, half_slope) == "0"
         assert not check_osculating_condition(family).passed
 

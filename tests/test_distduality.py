@@ -23,8 +23,8 @@ from dist235.scalar import (
     OpaqueRegistry, evaluate, is_zero, parse_expr, to_text,
 )
 from dist235.vecfield import (
-    Chart, ChartError, ChartMismatchError, Frame, OneForm, _bracket,
-    coordinate_field, lie_bracket, rank_at,
+    Chart, ChartError, ChartMismatchError, Frame, OneForm, VectorField,
+    _bracket, coordinate_field, lie_bracket, rank_at,
 )
 
 from helpers import (
@@ -224,24 +224,27 @@ class TestSolveE:
         layer3, layer4 = pro.flag.frames[3:5]
         basis = layer4.fields
         assert basis[:5] == layer3.fields
-        targets = [lie_bracket(z, w, pro.registry)
+        targets = [lie_bracket(z, w)
                    for w in layer3.fields
                    for z in (pro.zeta1, pro.zeta2)]
         together = vecfield.symbolic_decompose(
-            targets, basis, pro.base_point, pro.registry)
+            targets, basis, pro.base_point)
         assert len(together) == 10
         for target, coeffs in zip(targets, together):
             assert vecfield.symbolic_decompose(
-                (target,), basis, pro.base_point, pro.registry) == (coeffs,)
+                (target,), basis, pro.base_point) == (coeffs,)
 
     def test_no_bracket_beyond_the_flag(self):
-        # the flag's last pass built every bracket [zeta_k, w] that
-        # solve_e decomposes
-        pro = prolong_235(Distribution235(BASE_CHART, *cubic_model(),
-                                          BASE_CHART.origin()))
-        misses = _bracket.cache_info().misses
-        solve_e(pro)
-        assert _bracket.cache_info().misses == misses
+        # the flag's passes built every bracket [zeta_k, w] that solve_e
+        # decomposes but the mirror [zeta2, zeta1], which no pass folds
+        with memo.scope(memo.Memo()):
+            pro = prolong_235(Distribution235(BASE_CHART, *cubic_model(),
+                                              BASE_CHART.origin()))
+            misses = _bracket.cache_info().misses
+            solve_e(pro)
+            assert _bracket.cache_info().misses == misses + 1
+            lie_bracket(pro.zeta2, pro.zeta1)
+            assert _bracket.cache_info().misses == misses + 1
 
     def test_picked_equation_not_checked_again(self, monkeypatch):
         # the picked equation's residual a - (a/b)*b is zero by
@@ -314,13 +317,11 @@ class TestSolveE:
         # Same geometry with the cubic entering through an opaque symbol:
         # the computed correction must agree numerically with 3*y1*y2.
         registry = make_registry()
+        chart = Chart(BASE_CHART.variables, registry)
         eta1 = text_field(
-            BASE_CHART, ["1", "y1", "y2", "0", "y2^2 + a(y1)"],
-            registry=registry, name="eta1")
-        eta2 = text_field(
-            BASE_CHART, ["0", "0", "0", "1", "0"], name="eta2")
-        dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin(),
-                               registry=registry)
+            chart, ["1", "y1", "y2", "0", "y2^2 + a(y1)"], name="eta1")
+        eta2 = text_field(chart, ["0", "0", "0", "1", "0"], name="eta2")
+        dist = Distribution235(chart, eta1, eta2, chart.origin())
         pro = prolong_235(dist)
         result = solve_e(pro)
         rng = random.Random(SEED + 1)
@@ -491,7 +492,7 @@ class TestVerifyPseudoProduct:
         with pytest.raises(GrowthError, match=drop):
             PseudoProductStructure.build(
                 family.z_chart, (zeta1, zeta2), zeta1, zeta2,
-                family.base_point, family.box, family.registry)
+                family.base_point, family.box)
 
     def test_flag_of_another_plane_field_rejected(self):
         pro, structure = build_flat_structure()
@@ -501,7 +502,7 @@ class TestVerifyPseudoProduct:
             PseudoProductStructure.build(
                 structure.z_chart, structure.e_generators,
                 structure.k_field, structure.l_field, structure.base_point,
-                structure.box, structure.registry, flag=other.flag)
+                structure.box, flag=other.flag)
 
     def test_non_section_k_rejected(self):
         pro, structure = build_flat_structure()
@@ -512,13 +513,21 @@ class TestVerifyPseudoProduct:
                 structure.z_chart, structure.e_generators, outsider,
                 structure.l_field, structure.base_point)
 
+    def test_field_on_a_chart_with_another_registry_rejected(self):
+        _, structure = build_flat_structure()
+        twin = Chart(structure.z_chart.variables, OpaqueRegistry())
+        l_field = VectorField(twin, structure.l_field.components, "L")
+        with pytest.raises(ChartMismatchError):
+            PseudoProductStructure.build(
+                structure.z_chart, structure.e_generators,
+                structure.k_field, l_field, structure.base_point)
 
-def reference_member(v, frame, point, registry=None):
+
+def reference_member(v, frame, point):
     """Membership decided apart from `PointValues`: a `linalg.Span` of
     the frame's values, evaluated afresh at the point."""
-    span = linalg.Span([w.evaluate_at(point, registry)
-                        for w in frame.fields])
-    return span.contains(v.evaluate_at(point, registry))
+    span = linalg.Span([w.evaluate_at(point) for w in frame.fields])
+    return span.contains(v.evaluate_at(point))
 
 
 def reference_verify(structure, samples=32):
@@ -526,7 +535,6 @@ def reference_verify(structure, samples=32):
     reference: every membership goes through reference_member and every
     rank through rank_at, re-evaluating the layer frame for each bracket
     at each point."""
-    registry = structure.registry
     flag = structure.flag
     points = [structure.base_point] + list(
         structure.box.sample_points(samples))
@@ -536,12 +544,10 @@ def reference_verify(structure, samples=32):
     splitting_witnesses = []
     for point in points:
         for label in ("K", "L"):
-            if not reference_member(role_fields[label], frames[0], point,
-                                    registry):
+            if not reference_member(role_fields[label], frames[0], point):
                 splitting_witnesses.append(
                     f"{label} leaves E at {_format_point(point)}")
-        pair_rank = rank_at((structure.k_field, structure.l_field), point,
-                            registry)
+        pair_rank = rank_at((structure.k_field, structure.l_field), point)
         if pair_rank != 2:
             splitting_witnesses.append(
                 f"K and L have joint rank {pair_rank} at "
@@ -554,14 +560,14 @@ def reference_verify(structure, samples=32):
             pairs = [(structure.k_field, structure.l_field)]
         else:
             pairs = [(role_fields[role], w) for w in frames[depth].fields]
-        brackets = [(lie_bracket(a, b, registry), a.name or role,
-                     b.name or "w") for a, b in pairs]
+        brackets = [(lie_bracket(a, b), a.name or role, b.name or "w")
+                    for a, b in pairs]
         witnesses = []
         inclusion_ok = True
         for bracket_field, a_name, b_name in brackets:
             for point in points:
                 if not reference_member(bracket_field, frames[target],
-                                        point, registry):
+                                        point):
                     inclusion_ok = False
                     witnesses.append(
                         f"[{a_name}, {b_name}] leaves layer {target} at "
@@ -571,7 +577,7 @@ def reference_verify(structure, samples=32):
         if required is not None:
             extended = frames[depth].fields + tuple(b for b, _, _ in brackets)
             for point in points:
-                achieved = rank_at(extended, point, registry)
+                achieved = rank_at(extended, point)
                 if achieved != required:
                     growth_ok = False
                     witnesses.append(
@@ -609,22 +615,18 @@ def leaving_structure():
     k_field = (structure.k_field + tilt).renamed("K")
     return PseudoProductStructure.build(
         chart, structure.e_generators, k_field, structure.l_field,
-        structure.base_point, structure.box, structure.registry,
-        name="leaving")
+        structure.base_point, structure.box, name="leaving")
 
 
 def opaque_structure():
     """The cubic splitting with the cubic entering through an opaque
     symbol, so every value is a float and membership is decided with
     the relative tolerance."""
-    registry = make_registry()
+    chart = Chart(BASE_CHART.variables, make_registry())
     eta1 = text_field(
-        BASE_CHART, ["1", "y1", "y2", "0", "y2^2 + a(y1)"],
-        registry=registry, name="eta1")
-    eta2 = text_field(
-        BASE_CHART, ["0", "0", "0", "1", "0"], name="eta2")
-    dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin(),
-                           registry=registry)
+        chart, ["1", "y1", "y2", "0", "y2^2 + a(y1)"], name="eta1")
+    eta2 = text_field(chart, ["0", "0", "0", "1", "0"], name="eta2")
+    dist = Distribution235(chart, eta1, eta2, chart.origin())
     pro = prolong_235(dist)
     return solve_e(pro).structure(pro, name="opaque")
 
@@ -660,8 +662,7 @@ class TestVerifyMatchesReference:
     def test_float_values_use_the_tolerance_path(self):
         structure = opaque_structure()
         point = structure.box.sample_points(1)[0]
-        assert isinstance(structure.k_field.evaluate_at(
-            point, structure.registry)[4], float)
+        assert isinstance(structure.k_field.evaluate_at(point)[4], float)
         for swap in (False, True):
             s = structure.swapped() if swap else structure
             report = verify_pseudo_product(s, samples=8)
@@ -685,7 +686,7 @@ def rebuilt_swap(structure):
     return PseudoProductStructure.build(
         structure.z_chart, structure.e_generators, structure.l_field,
         structure.k_field, structure.base_point, structure.box,
-        structure.registry, name=structure.name + "-swapped")
+        name=structure.name + "-swapped")
 
 
 class TestSwapped:

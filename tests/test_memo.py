@@ -22,10 +22,13 @@ from dist235.conedual import (
     check_osculating_condition, prolong_cone, solve_U,
 )
 from dist235.distduality import (
-    PseudoProductStructure, prolong_235, solve_e, symbol_algebra_at,
-    verify_pseudo_product,
+    Distribution235, PseudoProductStructure, prolong_235, solve_e,
+    symbol_algebra_at, verify_pseudo_product,
 )
 from dist235.models import BUNDLED
+from dist235.paths import (
+    cone_system, distribution_system, lift_fiber, verify_duality,
+)
 from dist235.vecfield import Chart, lie_bracket
 
 from helpers import text_field
@@ -75,6 +78,34 @@ def test_a_distribution_leaves_the_default_memo_alone():
         solved.k_field, solved.l_field, prolonged.base_point)
     assert verify_pseudo_product(direct).valid
     assert memo.kept(direct) not in (memo.DEFAULT, kept)
+    assert memo.DEFAULT.cache_info() == before
+
+
+def test_every_entry_point_on_a_model_leaves_the_default_memo_alone():
+    # control systems and their compiled batches, launches, lifts,
+    # duality checks and derived brackets run in the memo the model
+    # keeps, and a distribution built directly keeps a memo of its own
+    before = memo.DEFAULT.cache_info()
+    family = builtin_model("noncubic-bc")
+    cone_cs = cone_system(family)
+    origin = {v: Fraction(0) for v in family.x_chart.variables}
+    assert verify_duality(prolong_cone(family), cone_cs, origin, 0,
+                          Fraction(1, 2)).passed
+    dist = builtin_model("hilbert-cartan")
+    assert dist.eta4.name == "eta4" and dist.eta5.name == "eta5"
+    prolonged = prolong_235(dist)
+    structure = solve_e(prolonged).structure(prolonged)
+    assert len(structure.bracket_chain) == 4
+    dist_cs = distribution_system(dist)
+    assert dist_cs.prepared is dist_cs.prepared
+    assert verify_duality(structure, dist_cs, dict(dist.base_point), 0,
+                          Fraction(1, 2)).passed
+    lift_fiber(structure, "L")
+    direct = Distribution235(dist.chart, dist.eta1, dist.eta2,
+                             dist.chart.origin())
+    assert memo.kept(direct) not in (memo.DEFAULT, memo.kept(dist))
+    direct_prolonged = prolong_235(direct)
+    solve_e(direct_prolonged).structure(direct_prolonged)
     assert memo.DEFAULT.cache_info() == before
 
 

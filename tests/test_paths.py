@@ -5,18 +5,22 @@ cross-validation."""
 
 import dataclasses
 import inspect
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from dist235.conedual import ConeFamily, builtin_model, prolong_cone
+from dist235.conedual import (
+    ConeFamily, build_model, builtin_model, prolong_cone,
+)
 from dist235.distduality import (
     Distribution235, StructureError, prolong_235, solve_e,
 )
 from dist235 import paths
 from dist235.linalg import exact_nullspace
+from dist235.models import BUNDLED, parse_model
 from dist235.paths import (
     BiExtremalTrace, ControlSystem, IntegrationError, classify_biextremal,
     compile_exprs, cone_system, distribution_system, hamiltonian,
@@ -31,6 +35,7 @@ from dist235.scalar import (
 from dist235.vecfield import Chart, ChartError, OneForm, VectorField
 
 from helpers import end_point, text_field
+import test_cli
 
 TOL = 1e-9
 TIGHT = 1e-12
@@ -102,11 +107,10 @@ def annihilator_basis(structure, depth):
     from dist235.vecfield import lie_bracket
 
     k, l = structure.k_field, structure.l_field
-    reg = structure.registry
-    e3 = lie_bracket(k, l, reg)
-    e4 = lie_bracket(k, e3, reg)
+    e3 = lie_bracket(k, l)
+    e4 = lie_bracket(k, e3)
     fields = (k, l, e3, e4)[:depth]
-    rows = [f.evaluate_at(structure.base_point, reg) for f in fields]
+    rows = [f.evaluate_at(structure.base_point) for f in fields]
     return [tuple(float(c) for c in vec)
             for vec in exact_nullspace(rows)], e4
 
@@ -193,6 +197,28 @@ class TestControlSystems:
             for k, l in zip(structure.k_field.components,
                             structure.l_field.components)]
 
+    def test_derived_charts_carry_the_document_registry(self):
+        # the family's z-chart, the prolonged chart and each system's
+        # state chart carry the opaque functions the document declares
+        # (the documents of the opaque-function report pins)
+        for name, document in test_cli.TestReportPins.OPAQUE.items():
+            base, expressions, opaque, _ = document
+            doc = dict(BUNDLED[base], expressions=expressions, opaque=opaque)
+            model = parse_model(json.dumps(doc), name)
+            built = build_model(model)
+            if isinstance(built, ConeFamily):
+                structure = prolong_cone(built)
+                charts = [built.z_chart, cone_system(built).state_chart]
+            else:
+                prolonged = prolong_235(built)
+                structure = solve_e(prolonged).structure(prolonged)
+                charts = [prolonged.z_chart,
+                          distribution_system(built).state_chart]
+            charts += [structure.z_chart,
+                       prolonged_system(structure).state_chart]
+            assert model.registry is not default_registry()
+            assert all(chart.registry is model.registry for chart in charts)
+
     def test_control_collides_with_state(self):
         # the Hilbert-Cartan plane field on a chart with a coordinate
         # named like the first control
@@ -207,8 +233,7 @@ class TestControlSystems:
         chart = Chart(("x",))
         with pytest.raises(StructureError, match="duplicate"):
             ControlSystem(state_chart=chart, control_names=("u", "u"),
-                          dynamics=(parse_expr("u", ("u",)),),
-                          registry=default_registry())
+                          dynamics=(parse_expr("u", ("u",)),))
 
     def test_radial_name_collisions(self):
         # a direction coordinate, then a base coordinate, named like the
@@ -234,25 +259,22 @@ class TestControlSystems:
         chart = Chart(("x",))
         with pytest.raises(ChartError, match="unknown symbols"):
             ControlSystem(state_chart=chart, control_names=("u",),
-                          dynamics=(parse_expr("q", ("q",)),),
-                          registry=default_registry())
+                          dynamics=(parse_expr("q", ("q",)),))
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(ControlSystem)] == [
-            "state_chart", "control_names", "dynamics", "registry",
-            "source"]
+            "state_chart", "control_names", "dynamics", "source"]
 
     def test_foreign_source_rejected(self):
         chart = Chart(("x",))
         with pytest.raises(StructureError, match="source"):
             ControlSystem(state_chart=chart, control_names=("u",),
                           dynamics=(parse_expr("u", ("u",)),),
-                          registry=default_registry(), source="newton")
+                          source="newton")
 
     def test_sourceless_system_keeps_its_control(self):
         cs = ControlSystem(state_chart=Chart(("x",)), control_names=("u",),
-                           dynamics=(parse_expr("u*x", ("x", "u")),),
-                           registry=default_registry())
+                           dynamics=(parse_expr("u*x", ("x", "u")),))
         u = (0.25,)
         assert cs.prepared.resolve((1.0,), (1.0,), u, 50) is u
 
@@ -296,7 +318,8 @@ class TestHamiltonian:
         cs = distribution_system(hilbert_cartan())
         ham = hamiltonian(cs)
         for p, comp in zip(ham.costate_names, cs.dynamics):
-            partial = differentiate(ham.h, p, ham.variables, cs.registry)
+            partial = differentiate(ham.h, p, ham.variables,
+                                    cs.state_chart.registry)
             assert to_text(partial) == to_text(
                 normalize(comp, ham.variables))
 
@@ -304,8 +327,7 @@ class TestHamiltonian:
         chart = Chart(("x1", "x2"))
         cs = ControlSystem(state_chart=chart, control_names=("u",),
                            dynamics=(parse_expr("1", ()),
-                                     parse_expr("0", ())),
-                           registry=default_registry())
+                                     parse_expr("0", ())))
         ham = hamiltonian(cs)
         assert to_text(ham.h) == "p1"
         assert [to_text(differentiate(ham.h, x, ham.variables))
@@ -316,8 +338,7 @@ class TestHamiltonian:
         chart = Chart(("p1", "q"))
         cs = ControlSystem(state_chart=chart, control_names=("u",),
                            dynamics=(parse_expr("0", ()),
-                                     parse_expr("0", ())),
-                           registry=default_registry())
+                                     parse_expr("0", ())))
         with pytest.raises(ChartError, match="collides"):
             hamiltonian(cs)
 
@@ -408,22 +429,20 @@ class TestNonFinite:
 
     def test_nan_dynamics_raise(self):
         reg = self.nan_registry()
-        chart = Chart(("w",))
+        chart = Chart(("w",), reg)
         flow = VectorField(chart, (parse_expr("blank(w)", ("w",), reg),),
                            "blank")
         with pytest.raises(IntegrationError, match="non-finite"):
-            integrate_flow(flow, {"w": 1}, 1.0, registry=reg)
+            integrate_flow(flow, {"w": 1}, 1.0)
         with pytest.raises(IntegrationError, match="non-finite"):
-            integrate_flow(flow, {"w": 1}, 1.0, registry=reg,
-                           fixed_step=0.25)
+            integrate_flow(flow, {"w": 1}, 1.0, fixed_step=0.25)
 
     def test_nan_constraint_residual_raises(self):
         reg = self.nan_registry()
-        chart = Chart(("x",))
+        chart = Chart(("x",), reg)
         cs = ControlSystem(
             state_chart=chart, control_names=("u",),
-            dynamics=(parse_expr("u*blank(x)", ("x", "u"), reg),),
-            registry=reg)
+            dynamics=(parse_expr("u*blank(x)", ("x", "u"), reg),))
         with pytest.raises(StructureError, match="violates"):
             integrate_biextremal(cs, {"x": 0}, (1.0,), (1.0,), 0.5)
 
@@ -530,12 +549,12 @@ class TestBiExtremal:
         x0 = {"x1": 0, "x2": Fraction(1, 16), "x3": 0, "x4": 0, "x5": 0}
         structure = prolong_cone(family)
         rows = [[evaluate(c, {**x0, "th": Fraction(1, 16)},
-                          structure.registry)
+                          structure.z_chart.registry)
                  for c in family.zeta(k).components[:5]]
                 for k in (2, 3)]
         basis = exact_nullspace(rows)
         prefer = [evaluate(c, {**x0, "th": Fraction(1, 16)},
-                           structure.registry)
+                           structure.z_chart.registry)
                   for c in family.zeta(4).components[:5]]
         best = max(basis, key=lambda vec: abs(sum(
             float(a) * float(b) for a, b in zip(vec, prefer))))
@@ -588,7 +607,7 @@ class TestBiExtremal:
         # direction rule undetermined.
         dist = hilbert_cartan()
         cs = distribution_system(dist)
-        rows = [f.evaluate_at(BASE_CHART.origin(), dist.registry)
+        rows = [f.evaluate_at(BASE_CHART.origin())
                 for f in (dist.eta1, dist.eta2, dist.eta4, dist.eta5)]
         basis = exact_nullspace(rows)
         assert basis
@@ -655,8 +674,7 @@ class TestLiftsAndClassification:
         # asymmetry is measured, not imposed.
         structure = structure_of(hilbert_cartan())
         basis, e4 = annihilator_basis(structure, 3)
-        e4_row = [float(c) for c in
-                  e4.evaluate_at(structure.base_point, structure.registry)]
+        e4_row = [float(c) for c in e4.evaluate_at(structure.base_point)]
         shallow = max(basis, key=lambda b: abs(pairing(b, e4_row)))
         assert abs(pairing(shallow, e4_row)) > TOL
         size = math.sqrt(pairing(shallow, shallow))
@@ -682,8 +700,7 @@ class TestLiftsAndClassification:
     def test_mixed_depth_is_unclassified(self):
         structure = structure_of(hilbert_cartan())
         basis3, e4 = annihilator_basis(structure, 3)
-        e4_row = [float(c) for c in
-                  e4.evaluate_at(structure.base_point, structure.registry)]
+        e4_row = [float(c) for c in e4.evaluate_at(structure.base_point)]
         deep_hit = max(basis3, key=lambda b: abs(pairing(b, e4_row)))
         basis4, _ = annihilator_basis(structure, 4)
         deep_miss = basis4[0]

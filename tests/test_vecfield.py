@@ -1,5 +1,6 @@
 """Vector fields, brackets, flags, forms: exact pointwise linear algebra."""
 
+import dataclasses
 import importlib
 import inspect
 import json
@@ -30,9 +31,9 @@ from dist235.vecfield import (
 )
 
 from helpers import (
-    apply_to, contact_volume, every_bracket_flag, full_width_decompose,
-    random_point, random_tree, record_evaluations, repeated_evaluations,
-    text_field, zero_field,
+    apply_to, contact_volume, count_calls, every_bracket_flag,
+    full_width_decompose, random_point, random_tree, record_evaluations,
+    repeated_evaluations, text_field, zero_field,
 )
 from test_conedual import opaque_chain
 
@@ -63,6 +64,29 @@ class TestChart:
     def test_point(self):
         pt = CH5.point(1, "1/2", 0, 0, 0)
         assert pt["y"] == Fraction(1, 2)
+
+    def test_registry_is_part_of_the_chart(self):
+        other = Chart(CH5.variables, OpaqueRegistry())
+        assert CH5.registry is default_registry()
+        assert Chart(CH5.variables, default_registry()) == CH5
+        assert hash(Chart(CH5.variables)) == hash(CH5)
+        assert other != CH5
+        assert other.extend("t").registry is other.registry
+        assert "registry" not in repr(CH5)
+
+    def test_fields_on_charts_with_other_registries_do_not_mix(self):
+        # equal names, different opaque functions: different charts
+        other = Chart(CH5.variables, OpaqueRegistry())
+        eta1, eta2 = growth_frame()
+        twin = VectorField(other, eta2.components, "eta2")
+        with pytest.raises(ChartMismatchError):
+            lie_bracket(eta1, twin)
+        with pytest.raises(ChartMismatchError):
+            eta1 + twin
+        with pytest.raises(ChartMismatchError):
+            Frame(CH5, (eta1, twin), BASE)
+        with pytest.raises(ChartMismatchError):
+            eta1.lifted(other.extend("t"))
 
 
 class TestBracket:
@@ -133,17 +157,17 @@ class TestBracket:
         assert _bracket.cache_info().misses == misses
 
     def test_registry_is_part_of_the_key(self):
-        # the same opaque name with two derivative rules: f' = 2u, f' = 3u^2
-        registries = []
+        # the same opaque name with two derivative rules, f' = 2u and
+        # f' = 3u^2, on two charts that differ in their registry only
+        texts = []
         for rule in ("2*u", "3*u^2"):
             reg = OpaqueRegistry()
             reg.register("f", evaluator=lambda u: u, derivative=parse_expr(
                 rule, ("u",)))
-            registries.append(reg)
-        dx = coordinate_field(CH5, "x")
-        w = text_field(CH5, ["0", "f(x)", "0", "0", "0"], registries[0])
-        texts = [to_text(lie_bracket(dx, w, reg).components[1])
-                 for reg in registries]
+            chart = Chart(CH5.variables, reg)
+            dx = coordinate_field(chart, "x")
+            w = text_field(chart, ["0", "f(x)", "0", "0", "0"])
+            texts.append(to_text(lie_bracket(dx, w).components[1]))
         assert texts == ["2*x", "3*x^2"]
 
     def test_chart_mismatch(self):
@@ -586,15 +610,14 @@ def live_work_cases(name, expressions, opaque):
     if expressions is not None:
         doc.update(expressions=expressions, opaque=opaque)
     model = build_model(parse_model(json.dumps(doc), name))
-    registry = model.registry
     if isinstance(model, distduality.Distribution235):
         prolonged = distduality.prolong_235(model)
         flags = [(Frame(model.chart, (model.eta1, model.eta2),
-                        model.base_point, registry), model.box),
+                        model.base_point), model.box),
                  (Frame(prolonged.z_chart,
                         (prolonged.zeta1, prolonged.zeta2),
-                        prolonged.base_point, registry), prolonged.box)]
-        targets = [lie_bracket(z, w, registry)
+                        prolonged.base_point), prolonged.box)]
+        targets = [lie_bracket(z, w)
                    for w in prolonged.flag.frames[3].fields
                    for z in (prolonged.zeta1, prolonged.zeta2)]
         decompositions = [(targets, prolonged.flag.frames[4].fields,
@@ -604,11 +627,11 @@ def live_work_cases(name, expressions, opaque):
         if conedual.check_osculating_condition(model).passed:
             flags.append((Frame(model.z_chart,
                                 (model.zeta(1), model.zeta(2)),
-                                model.base_point, registry), model.box))
-        bracket = lie_bracket(model.zeta(2), model.zeta(3), registry)
+                                model.base_point), model.box))
+        bracket = lie_bracket(model.zeta(2), model.zeta(3))
         decompositions = [((bracket,), conedual._full_frame(model)[0],
                            model.base_point)]
-    return registry, flags, decompositions
+    return flags, decompositions
 
 
 def flag_summary(flag):
@@ -617,13 +640,12 @@ def flag_summary(flag):
             flag.growth, flag.constant_rank, flag.rank_witnesses)
 
 
-def same_flag(generators, box, registry=None):
+def same_flag(generators, box):
     """The flag and its reference, each derived in a memo of its own."""
     with memo.scope(memo.Memo()):
-        flag = derived_flag(generators, box=box, registry=registry)
+        flag = derived_flag(generators, box=box)
     with memo.scope(memo.Memo()):
-        reference = every_bracket_flag(generators, box=box,
-                                       registry=registry)
+        reference = every_bracket_flag(generators, box=box)
     assert flag_summary(flag) == flag_summary(reference)
     return flag
 
@@ -637,24 +659,22 @@ class TestOnlyLiveWork:
     @pytest.mark.parametrize("name, expressions, opaque", LIVE_WORK_MODELS)
     def test_flags_and_decompositions_match_the_full_loops(
             self, name, expressions, opaque):
-        registry, flags, decompositions = live_work_cases(
-            name, expressions, opaque)
+        flags, decompositions = live_work_cases(name, expressions, opaque)
         for generators, box in flags:
-            same_flag(generators, box, registry)
+            same_flag(generators, box)
         for targets, basis, base in decompositions:
             with memo.scope(memo.Memo()):
-                live = vecfield.symbolic_decompose(targets, basis, base,
-                                                   registry)
+                live = vecfield.symbolic_decompose(targets, basis, base)
             with memo.scope(memo.Memo()):
-                full = full_width_decompose(targets, basis, base, registry)
+                full = full_width_decompose(targets, basis, base)
             assert [[to_text(c) for c in coeffs] for coeffs in live] == \
                 [[to_text(c) for c in coeffs] for coeffs in full]
 
     def test_opaque_models_rank_float_rows(self):
         # the per-frame ranks that float rows keep are really run
-        registry, flags, _ = live_work_cases(*LIVE_WORK_MODELS[6])
+        flags, _ = live_work_cases(*LIVE_WORK_MODELS[6])
         (generators, box), = flags
-        at = PointValues(box.sample_points(1)[0], registry)
+        at = PointValues(box.sample_points(1)[0])
         assert at.row(generators.fields[1]).ints is None
 
     def test_non_constant_rank_frame_matches(self):
@@ -688,7 +708,7 @@ class TestOnlyLiveWork:
                 misses = _bracket.cache_info().misses
                 zero = lie_bracket(v, VectorField(CH5, comps, "copy"))
                 assert _bracket.cache_info().misses == misses
-                folded = _bracket(CH5, comps, comps, default_registry())
+                folded = _bracket(CH5, comps, comps)
             assert zero == folded
             assert all(c is ZERO for c in zero.components)
 
@@ -715,6 +735,21 @@ class TestOnlyLiveWork:
         prolong_cone(family)
         assert _bracket.cache_info().misses - brackets == 6
         assert scalar._normal_form.cache_info().misses - forms == 31
+
+    def test_a_pass_brackets_only_the_fields_new_to_its_frame(
+            self, monkeypatch):
+        # pass k brackets the generators with the fields pass k-1 added:
+        # 9 brackets asked for where every field of the frame gave 24,
+        # and the same frames
+        family = builtin_model("noncubic-bc")
+        solve_U(family)
+        calls = count_calls(monkeypatch, vecfield, "lie_bracket")
+        structure = prolong_cone(family)
+        assert len(calls) == 9
+        with memo.scope(memo.Memo()):
+            reference = every_bracket_flag(structure.flag.frames[0],
+                                           box=structure.box)
+        assert flag_summary(structure.flag) == flag_summary(reference)
 
 
 CHX = Chart(("x1", "x2", "x3", "x4", "x5"))
@@ -785,12 +820,13 @@ class TestForms:
         reg = OpaqueRegistry()
         reg.register("s", evaluator=lambda u: 1e-4,
                      derivative=parse_expr("0", ()))
-        alpha = OneForm(CHX, tuple(
-            parse_expr(f"s(x1)*({c})", CHX.variables, reg)
+        chart = Chart(CHX.variables, reg)
+        alpha = OneForm(chart, tuple(
+            parse_expr(f"s(x1)*({c})", chart.variables, reg)
             for c in ["0", "-x3", "2*x2", "-x1", "1"]))
-        vol = contact_volume(alpha, CHX.origin(), reg)
+        vol = contact_volume(alpha, chart.origin())
         assert isinstance(vol, float) and 0 < abs(vol) < 1e-11
-        assert check_contact(alpha, CHX.origin(), registry=reg)
+        assert check_contact(alpha, chart.origin())
 
     def test_contact_decision_matches_the_volume(self):
         rng = random.Random(4242)
@@ -833,6 +869,27 @@ def test_no_public_function_takes_rtol():
         if "rtol" in sig.parameters]
     assert offenders == ["dist235.paths.integrate_flow",
                          "dist235.paths.integrate_biextremal"]
+
+
+def test_only_the_chart_carries_a_registry():
+    # the opaque functions of a model travel with the chart its fields
+    # live on, never as a second argument or field beside it
+    offenders = set()
+    for module in (vecfield, distduality, conedual, paths):
+        offenders.update(label for label, sig in public_signatures(module)
+                         if "registry" in sig.parameters)
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or not inspect.isclass(obj)
+                    or obj.__module__ != module.__name__
+                    or issubclass(obj, Exception)):
+                continue
+            label = f"{module.__name__}.{name}.registry"
+            if "registry" in inspect.signature(obj).parameters:
+                offenders.add(label)
+            if dataclasses.is_dataclass(obj) and "registry" in {
+                    f.name for f in dataclasses.fields(obj)}:
+                offenders.add(label)
+    assert offenders == {"dist235.vecfield.Chart.registry"}
 
 
 def test_no_public_function_takes_arbitrary_keywords():
