@@ -2,29 +2,21 @@
 
 Expressions are immutable trees over six node kinds: rational constants,
 variables, sums, products, integer powers, and opaque function
-applications.  A node computes its hash on first use and keeps it, so a
-memo lookup keyed by a tree hashes each node once, however often the
-tree is looked up; 0, 1 and -1 are one shared node each (`ZERO`, `ONE`,
-`MINUS_ONE`).  Every expression normalizes to a quotient of two expanded
-multivariate polynomials (integer coefficients, coprime content) in the
-chart variables and opaque atoms, ordered graded-lexicographically by
-chart declaration order.  No polynomial gcd is cancelled: soundness of
-the zero test needs only that the numerator vanish identically.
+applications.  A node computes its hash on first use and keeps it; 0, 1
+and -1 are one shared node each (`ZERO`, `ONE`, `MINUS_ONE`).  Every
+expression normalizes to a quotient of two expanded multivariate
+polynomials (integer coefficients, coprime content) in the chart
+variables and opaque atoms, ordered graded-lexicographically by chart
+declaration order.  No polynomial gcd is cancelled: soundness of the
+zero test needs only that the numerator vanish identically.
 
-The normal form is built in integer arithmetic: each polynomial is an
-integer polynomial over its least integer denominator, with every
-monomial packed into one int of 64-bit exponent fields.  An expression
-whose degree could reach 2^64 raises `ExprError` instead of overflowing
-a field.  The result is one record: the integer numerator and
-denominator and the atoms of their terms.  Its graded-lex term order is
-computed once per record and serves printing (the record becomes a tree
-only then) and exact evaluation.  The zero decision and `min_degree`
-read the record itself.  A tree that `normalize` returns carries its
-record when every atom in it is a chart variable: folding it again into
-a larger tree reuses the integer pair instead of expanding the tree, the
-derivative of such a polynomial (over a constant) is taken term by term
-on the pair, and `evaluate` at a rational point computes its value in
-integers, with one `Fraction` built at the end.  Normal forms and
+Trees are for parsing and printing.  A normal form is one record, built
+in integer arithmetic with every monomial packed into one int of 64-bit
+exponent fields (a degree that could reach 2^64 raises `ExprError`).
+Lie brackets and eliminations (`vecfield`) fold on records in one
+builder and print each result once; the zero decision and `min_degree`
+read the record, and `evaluate` at a rational point computes the value
+of a tree that carries its record in integers.  Normal forms and
 derivatives are memoized in the active `memo.Memo`: that of the suite
 run, trace or cone family doing the work, which frees them with it, or
 the process default outside every such scope.
@@ -409,7 +401,7 @@ class _Parser:
     def __init__(self, tokens, chart, registry):
         self.tokens = tokens
         self.pos = 0
-        self.chart = list(chart) if chart is not None else None
+        self.chart = chart
         self.registry = registry
 
     def peek(self):
@@ -515,11 +507,12 @@ def parse_expr(text: str, chart: Optional[Sequence[str]] = None,
     """Parse source text to an expression tree.
 
     When a chart is supplied, bare identifiers must be chart variables;
-    applied identifiers must be registered opaques.  Errors carry the
-    byte offset of the offending token.
+    applied identifiers must be registered opaques.  Without a registry
+    the opaques are those of the chart, when it is a `vecfield.Chart`.
+    Errors carry the byte offset of the offending token.
     """
     tokens = _tokenize(text)
-    parser = _Parser(tokens, chart, _registry(registry))
+    parser = _Parser(tokens, _chart_key(chart), _registry(registry, chart))
     return parser.parse()
 
 
@@ -617,43 +610,38 @@ def to_text(expr: ScalarExpr) -> str:
 # ---------------------------------------------------------------------------
 # normal form
 #
-# The builder folds a tree in integer arithmetic.  A polynomial P is a
-# pair (N, D): N = D*P is a dict {monomial: int}, and D is the least
-# positive integer that makes it so (gcd(content N, D) = 1).  So two
-# pairs are equal exactly when the polynomials are, and `Sum` takes its
-# common-denominator shortcut exactly when the denominators are equal
-# polynomials; the forms are not gcd-cancelled, so that choice shows in
+# A `_NFBuilder` does all arithmetic on records, in integers.  A
+# polynomial P is a pair (N, D): N = D*P is a dict {monomial: int}, and D
+# is the least positive integer that makes it so, so two pairs are equal
+# exactly when the polynomials are.  A quotient is a triple (numerator
+# pair, denominator pair, bound on their total degrees): `sum`, `product`
+# and `power` combine triples, and `visit` folds a tree by calling them,
+# so a fold on records and the fold of the tree it stands for are one
+# code path.  `sum` takes its common-denominator shortcut exactly when
+# the denominators are equal polynomials; the forms are not
+# gcd-cancelled, so that choice, and so the order of the terms, shows in
 # them.  A monomial is one int in which every atom owns a bit field of
 # width _EXP_BITS, so multiplying monomials is adding ints: the chart
 # variable at position i owns the field at offset i * _EXP_BITS, and
-# other atoms (opaque atoms, variables outside the chart) take the
-# fields after the chart's in the order the builder meets them.  Each
-# folded subtree carries a bound on the total degree of its numerator
-# and denominator; an `ExprError` is raised before the bound, and so any
-# exponent, could reach 2^_EXP_BITS, so a field never carries into the
-# next.
+# other atoms (opaque atoms, variables outside the chart) take the fields
+# after the chart's in the order the builder meets them.  An `ExprError`
+# is raised before the degree bound, and so any exponent, could reach
+# 2^_EXP_BITS, so a field never carries into the next.
 #
-# A `_NormalForm` is the quotient a fold ends with: the numerator and
-# denominator as integer polynomials of joint content 1 with a positive
-# leading denominator coefficient, and the atoms of their terms with
-# their fields.  Polynomials become trees only when printed: a normal
-# form by `normalize`, the canonical argument of an opaque atom by the
-# builder.  Atom keys order chart variables first (by declaration
-# position), then opaque atoms by name and printed argument;
-# `_print_order` sorts terms graded-lex descending in that order, and a
-# normal form keeps its order, from which exact evaluation and the
-# degree bound of a fold of its printed tree are read too.
-#
-# The tree `normalize` prints from a normal form whose atoms are all
-# chart variables (`_NormalForm.reusable`) carries it
-# (`ScalarExpr._nf`).  The chart fixes where each of those atoms' fields
-# sits, so a builder on the same chart returns its pair and bound as
-# they are, shared and not copied, instead of folding the tree.  Opaque
-# atoms are excluded because folding one also registers the atoms of
-# its argument.  Evaluating such a tree at a rational point reads the
-# integer terms (`_evaluate_exact`), and differentiating one whose
-# denominator is a constant differentiates the integer numerator
-# (`_polynomial_derivative`).
+# `finish` ends a fold in a `_NormalForm`: the numerator and denominator
+# as integer polynomials of joint content 1 with a positive leading
+# denominator coefficient, and the atoms of their terms (keys order chart
+# variables by position, then opaque atoms by name and printed argument).
+# `reuse` re-enters one as the triple the fold of its printed tree gives,
+# moving other atoms to this builder's fields.  So a Lie bracket or an
+# elimination folds on records in one builder, and only what it returns
+# becomes a tree, once (`_printed`, terms graded-lex descending); the
+# builder also prints the canonical argument of an opaque atom.  A
+# printed tree whose atoms are all chart variables (`_NormalForm.reusable`)
+# carries its form (`ScalarExpr._nf`): a builder on the chart reuses it
+# instead of folding the tree, `evaluate` at a rational point reads its
+# integer terms (`_evaluate_exact`), and a derivative over a constant
+# denominator is taken on the integer numerator (`_polynomial_derivative`).
 
 _NO_CHART_INDEX = 10**6
 
@@ -693,6 +681,11 @@ def _poly_add(a, b):
 
 
 def _poly_mul(a, b):
+    # both pairs are reduced, so a factor 1 leaves the other as it is
+    if a == _POLY_ONE:
+        return b
+    if b == _POLY_ONE:
+        return a
     (n1, d1), (n2, d2) = a, b
     if len(n1) == 1 or len(n2) == 1:
         # a one-term factor (a constant, an atom, a monomial
@@ -763,7 +756,7 @@ class _NormalForm:
         return (_print_order(self.num, self.atoms),
                 _print_order(self.den, self.atoms))
 
-    @property
+    @functools.cached_property
     def deg(self) -> int:
         """The bound a fold of the printed tree gives: the total degree
         of the numerator plus that of the denominator."""
@@ -785,8 +778,8 @@ class _NormalForm:
 
 
 class _NFBuilder:
-    """Folds an expression tree into a quotient of integer polynomial
-    pairs."""
+    """Folds trees and records into quotients of integer polynomial
+    pairs (see "normal form" above)."""
 
     def __init__(self, chart):
         self.chart = tuple(chart) if chart is not None else None
@@ -795,6 +788,7 @@ class _NFBuilder:
         self.free_offset = _EXP_BITS * len(self.chart or ())
 
     def atom(self, key, expr: ScalarExpr) -> int:
+        """The offset of the field of the atom `key`."""
         entry = self.atoms.get(key)
         if entry is None:
             if key[0] == 0 and key[1] != _NO_CHART_INDEX:
@@ -803,7 +797,7 @@ class _NFBuilder:
                 offset = self.free_offset
                 self.free_offset += _EXP_BITS
             entry = self.atoms[key] = (offset, expr)
-        return 1 << entry[0]
+        return entry[0]
 
     def var_atom(self, var: Var) -> int:
         name = var.name
@@ -811,7 +805,7 @@ class _NFBuilder:
             idx = self.chart.index(name)
         else:
             idx = _NO_CHART_INDEX
-        return self.atom((0, idx, name), var)
+        return 1 << self.atom((0, idx, name), var)
 
     def opaque_atom(self, name: str, arg: ScalarExpr) -> int:
         num, den, _ = self.visit(arg)
@@ -819,8 +813,8 @@ class _NFBuilder:
         canon_arg = _quotient_tree(
             num, den, (_print_order(num[0], atoms),
                        _print_order(den[0], atoms)), atoms)
-        return self.atom((1, name, to_text(canon_arg)),
-                         Opaque(name, canon_arg))
+        return 1 << self.atom((1, name, to_text(canon_arg)),
+                              Opaque(name, canon_arg))
 
     def term_atoms(self, *polys) -> tuple:
         """((atom key, offset, expr), ...) sorted by key, of the atoms
@@ -834,9 +828,19 @@ class _NFBuilder:
                      if (bits >> offset) & _EXP_MASK)
 
     def reuse(self, nf: _NormalForm):
-        for key, _, expr in nf.atoms:
-            self.atom(key, expr)
-        return (nf.num, 1), (nf.den, 1), nf.deg
+        """The triple of the printed tree of `nf`, a normal form on this
+        chart, read from the record: an atom whose field sits elsewhere
+        here (an opaque atom of another builder) moves to its field."""
+        moves = [(offset, self.atom(key, expr))
+                 for key, offset, expr in nf.atoms]
+        num, den = nf.num, nf.den
+        if any(offset != to for offset, to in moves):
+            num, den = _moved(num, moves), _moved(den, moves)
+        return (num, 1), (den, 1), nf.deg
+
+    def derivative(self, expr: ScalarExpr, var: str, registry):
+        """The triple of d(expr)/d(var), as `differentiate` prints it."""
+        return self.reuse(_derivative(expr, var, self.chart, registry))
 
     def visit(self, expr: ScalarExpr):
         """(numerator, denominator, bound on their total degrees)."""
@@ -852,37 +856,72 @@ class _NFBuilder:
         if nf is not None:
             return self.reuse(nf)
         if isinstance(expr, Sum):
-            num, den, deg = _POLY_ZERO, _POLY_ONE, 0
-            for t in expr.terms:
-                tn, td, tdeg = self.visit(t)
-                if td == den:
-                    num = _poly_add(num, tn)
-                    deg = max(deg, tdeg)
-                else:
-                    deg = _degree_checked(deg + tdeg)
-                    num = _poly_add(_poly_mul(num, td), _poly_mul(tn, den))
-                    den = _poly_mul(den, td)
-            return num, den, deg
+            return self.sum(map(self.visit, expr.terms))
         if isinstance(expr, Prod):
-            num, den, deg = _POLY_ONE, _POLY_ONE, 0
-            for f in expr.factors:
-                fn, fd, fdeg = self.visit(f)
-                deg = _degree_checked(deg + fdeg)
-                num = _poly_mul(num, fn)
-                den = _poly_mul(den, fd)
-            return num, den, deg
+            return self.product(map(self.visit, expr.factors))
         if isinstance(expr, Pow):
-            bn, bd, bdeg = self.visit(expr.base)
-            k = expr.exponent
-            if k >= 0:
-                deg = _degree_checked(bdeg * k)
-                return _poly_pow(bn, k), _poly_pow(bd, k), deg
-            if not bn[0]:
-                raise ZeroDenominatorError(
-                    "negative power of an identically zero base")
-            deg = _degree_checked(bdeg * -k)
-            return _poly_pow(bd, -k), _poly_pow(bn, -k), deg
+            return self.power(self.visit(expr.base), expr.exponent)
         raise TypeError(f"not a scalar expression: {expr!r}")
+
+    def sum(self, triples):
+        """The triple of the sum of `triples`, folded in order."""
+        num, den, deg = _POLY_ZERO, _POLY_ONE, 0
+        for tn, td, tdeg in triples:
+            if td == den:
+                num = _poly_add(num, tn)
+                deg = max(deg, tdeg)
+            else:
+                deg = _degree_checked(deg + tdeg)
+                num = _poly_add(_poly_mul(num, td), _poly_mul(tn, den))
+                den = _poly_mul(den, td)
+        return num, den, deg
+
+    def product(self, triples):
+        """The triple of the product of `triples`."""
+        num, den, deg = _POLY_ONE, _POLY_ONE, 0
+        for fn, fd, fdeg in triples:
+            deg = _degree_checked(deg + fdeg)
+            num = _poly_mul(num, fn)
+            den = _poly_mul(den, fd)
+        return num, den, deg
+
+    def power(self, triple, k: int):
+        """The triple of `triple` to the integer power k."""
+        bn, bd, bdeg = triple
+        if k >= 0:
+            deg = _degree_checked(bdeg * k)
+            return _poly_pow(bn, k), _poly_pow(bd, k), deg
+        if not bn[0]:
+            raise ZeroDenominatorError(
+                "negative power of an identically zero base")
+        deg = _degree_checked(bdeg * -k)
+        return _poly_pow(bd, -k), _poly_pow(bn, -k), deg
+
+    def finish(self, triple) -> _NormalForm:
+        """The normal form of a triple of this builder."""
+        (nn, nd), (dn, dd), _ = triple
+        if not dn:
+            raise ZeroDenominatorError("denominator normalizes to zero")
+        if not nn:
+            return _NormalForm(self.chart, {}, _POLY_ONE[0], ())
+        # (nn/nd) / (dn/dd) = (nn*dd) / (dn*nd), over their joint content
+        # g, signed to make the leading denominator coefficient positive
+        atoms = self.term_atoms(nn, dn)
+        g = math.gcd(dd * math.gcd(*nn.values()),
+                     nd * math.gcd(*dn.values()))
+        if dn[_print_order(dn, atoms)[0]] < 0:
+            g = -g
+        den = {m: c * nd // g for m, c in dn.items()}  # 1 shares one dict
+        return _NormalForm(self.chart,
+                           {m: c * dd // g for m, c in nn.items()},
+                           _POLY_ONE[0] if den == _POLY_ONE[0] else den,
+                           atoms)
+
+
+def _moved(poly: dict, moves) -> dict:
+    """`poly` with each exponent field f moved to t, (f, t) in `moves`."""
+    return {sum(((m >> f) & _EXP_MASK) << t for f, t in moves): c
+            for m, c in poly.items()}
 
 
 def _carried(expr, chart_key) -> Optional[_NormalForm]:
@@ -935,30 +974,9 @@ def _quotient_tree(num, den, orders, atoms) -> ScalarExpr:
 @memoized
 def _normal_form(expr: ScalarExpr,
                  chart_key: Optional[tuple]) -> _NormalForm:
-    """Numerator and denominator as integer polynomials with coprime
-    joint content and a positive leading denominator coefficient."""
+    """The normal form of `expr` on the chart (see `_NFBuilder.finish`)."""
     builder = _NFBuilder(chart_key)
-    num, den, _ = builder.visit(expr)
-    return _finished(builder, num, den)
-
-
-def _finished(builder: _NFBuilder, num_pair, den_pair) -> _NormalForm:
-    """The normal form of the quotient of two pairs folded by `builder`."""
-    (nn, nd), (dn, dd) = num_pair, den_pair
-    if not dn:
-        raise ZeroDenominatorError("denominator normalizes to zero")
-    if not nn:
-        return _NormalForm(builder.chart, {}, _POLY_ONE[0], ())
-    # (nn/nd) / (dn/dd) = (nn*dd) / (dn*nd), over their joint content g,
-    # signed to make the leading denominator coefficient positive
-    atoms = builder.term_atoms(nn, dn)
-    g = math.gcd(dd * math.gcd(*nn.values()), nd * math.gcd(*dn.values()))
-    if dn[_print_order(dn, atoms)[0]] < 0:
-        g = -g
-    den = {m: c * nd // g for m, c in dn.items()}  # 1 shares one dict
-    return _NormalForm(builder.chart,
-                       {m: c * dd // g for m, c in nn.items()},
-                       _POLY_ONE[0] if den == _POLY_ONE[0] else den, atoms)
+    return builder.finish(builder.visit(expr))
 
 
 def _chart_key(chart) -> Optional[tuple]:
@@ -1021,17 +1039,18 @@ def differentiate(expr: ScalarExpr, var: str,
     key = _chart_key(chart)
     if key is not None and var not in key:
         raise UndeclaredVariableError(var)
-    return _derivative(expr, var, key, _registry(registry, chart))
+    return _printed(_derivative(expr, var, key, _registry(registry, chart)))
 
 
 @memoized
 def _derivative(expr: ScalarExpr, var: str, chart_key: Optional[tuple],
-                reg: OpaqueRegistry) -> ScalarExpr:
-    """`differentiate`, memoized on the registry object too: a registry is
-    write-once, so the rules a derivative used cannot change under it."""
+                reg: OpaqueRegistry) -> _NormalForm:
+    """The normal form of `differentiate`, memoized on the registry
+    object too: a registry is write-once, so the rules a derivative used
+    cannot change under it."""
     nf = _carried(expr, chart_key)
     if nf is not None and nf.den.keys() == {0}:
-        return _printed(_polynomial_derivative(nf, var))
+        return _polynomial_derivative(nf, var)
 
     def d(node: ScalarExpr) -> ScalarExpr:
         if isinstance(node, Const):
@@ -1057,7 +1076,7 @@ def _derivative(expr: ScalarExpr, var: str, chart_key: Optional[tuple],
             return Prod((outer, d(node.arg)))
         raise TypeError(f"not a scalar expression: {node!r}")
 
-    return normalize(d(expr), chart_key)
+    return _normal_form(d(expr), chart_key)
 
 
 def _polynomial_derivative(nf: _NormalForm, var: str) -> _NormalForm:
@@ -1078,7 +1097,7 @@ def _polynomial_derivative(nf: _NormalForm, var: str) -> _NormalForm:
             e = (m >> offset) & _EXP_MASK
             if e:
                 derivative[m - one] = c * e
-    return _finished(builder, (derivative, 1), (nf.den, 1))
+    return builder.finish(((derivative, 1), (nf.den, 1), 0))
 
 
 def substitute(expr: ScalarExpr, mapping: dict) -> ScalarExpr:
@@ -1108,14 +1127,14 @@ def _evaluate_exact(nf: _NormalForm, point: dict) -> Optional[Fraction]:
     its variables are ints or Fractions, computed in integers: with L
     the lcm of their denominators and x = X/L, the numerator N of total
     degree n has N(x) = N~(X)/L^n for an integer N~, and likewise the
-    denominator.  None when a value is missing or not rational (the
-    tree walk then decides); ZeroDivisionError at a pole, as the walk
-    raises at the reciprocal of the denominator."""
+    denominator.  None when an atom is opaque or a value is missing or
+    not rational (the tree walk then decides); ZeroDivisionError at a
+    pole, as the walk raises at the reciprocal of the denominator."""
     values = []
     scale = 1
     for key, offset, _ in nf.atoms:
         v = point.get(key[2])
-        if not isinstance(v, (int, Fraction)):
+        if key[0] or not isinstance(v, (int, Fraction)):
             return None
         values.append((offset, v))
         scale = math.lcm(scale, v.denominator)
@@ -1130,6 +1149,12 @@ def _evaluate_exact(nf: _NormalForm, point: dict) -> Optional[Fraction]:
         num *= scale ** den_deg
         den *= scale ** num_deg
     return Fraction(num, den)
+
+
+def _value(nf: _NormalForm, point: dict, registry: OpaqueRegistry):
+    """`_evaluate_exact`, else the walk of the printed tree of `nf`."""
+    value = _evaluate_exact(nf, point)
+    return evaluate(_printed(nf), point, registry) if value is None else value
 
 
 def _integer_value(poly: dict, order: list, values: list, scale: int):
@@ -1161,8 +1186,10 @@ def evaluate(expr: ScalarExpr, point: dict,
     Returns an exact Fraction when the expression is opaque-free and all
     used values are rational; otherwise a float.  A tree `normalize`
     returned with its normal form is evaluated in integers at such a
-    point; every other case walks the tree.
+    point, and a constant is its value; every other case walks the tree.
     """
+    if expr.__class__ is Const:
+        return expr.value
     nf = getattr(expr, "_nf", None)
     if nf is not None:
         value = _evaluate_exact(nf, point)
@@ -1307,9 +1334,7 @@ def is_zero(expr: ScalarExpr, box: Box,
             for pt in box.sample_points(_ZERO_SAMPLES, skip=skip):
                 tried += 1
                 try:
-                    v = _evaluate_exact(nf, pt)
-                    if v is None:  # a value is missing: the walk names it
-                        v = evaluate(_printed(nf), pt, registry)
+                    v = _value(nf, pt, registry)
                 except ZeroDivisionError:
                     continue
                 if v != 0:

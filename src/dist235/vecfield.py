@@ -17,8 +17,9 @@ from . import linalg
 from .boxes import Box, as_fraction
 from .memo import memoized
 from .scalar import (
-    MINUS_ONE, ONE, ZERO, Const, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum,
-    default_registry, differentiate, evaluate, free_variables, normalize,
+    MINUS_ONE, ONE, ZERO, Const, OpaqueRegistry, Prod, ScalarExpr, Sum,
+    _NFBuilder, _printed, _value, default_registry, differentiate, evaluate,
+    free_variables, normalize,
 )
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -172,15 +173,22 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
 
 @memoized
 def _bracket(chart: Chart, v: tuple, w: tuple) -> VectorField:
-    chart_vars = chart.variables
+    """Each component is the fold of sum_i v^i d(w^j) + (-1) w^i d(v^j),
+    in that order, on records in one builder, printed once."""
+    builder = _NFBuilder(chart.variables)
+    minus_one = builder.visit(MINUS_ONE)
+    vs = [builder.visit(c) for c in v]
+    ws = [builder.visit(c) for c in w]
     comps = []
     for j in range(chart.dimension):
         terms = []
-        for i, var in enumerate(chart_vars):
-            terms.append(Prod((v[i], differentiate(w[j], var, chart))))
-            terms.append(Prod((MINUS_ONE, w[i],
-                               differentiate(v[j], var, chart))))
-        comps.append(normalize(Sum(tuple(terms)), chart_vars))
+        for i, var in enumerate(chart.variables):
+            terms.append(builder.product((
+                vs[i], builder.derivative(w[j], var, chart.registry))))
+            terms.append(builder.product((
+                minus_one, ws[i],
+                builder.derivative(v[j], var, chart.registry))))
+        comps.append(_printed(builder.finish(builder.sum(terms))))
     return VectorField(chart, tuple(comps))
 
 
@@ -283,7 +291,9 @@ def symbolic_decompose(targets: Sequence[VectorField],
 
     Only live columns are computed: the step that pivots on column `col`
     scales and eliminates the columns after it, since no later step and
-    not the result reads column `col` or one before it again.
+    not the result reads column `col` or one before it again.  Entries
+    are records of one builder, folded as their trees would fold, and
+    only the returned coefficients are printed.
     """
     if not targets:
         return ()
@@ -297,17 +307,19 @@ def symbolic_decompose(targets: Sequence[VectorField],
     for f in columns:
         if f.chart != chart:
             raise ChartMismatchError("field on a different chart")
-    variables = chart.variables
+    builder = _NFBuilder(chart.variables)
+    reuse, finish = builder.reuse, builder.finish
+    minus_one = builder.visit(MINUS_ONE)
     # Augmented rows: one per chart component, columns follow the basis
     # order with the targets appended.
     width = len(columns)
-    rows = [[normalize(f.components[i], variables) for f in columns]
+    rows = [[finish(builder.visit(f.components[i])) for f in columns]
             for i in range(n)]
     pivot_of_col = {}
     free = list(range(n))  # the rows not yet holding a pivot, ascending
     for col in range(n):
         pick = linalg.largest_nonzero(
-            [evaluate(rows[r][col], base_point, chart.registry)
+            [_value(rows[r][col], base_point, chart.registry)
              for r in free])
         if pick is None:
             raise DegenerateFrameError(
@@ -316,22 +328,19 @@ def symbolic_decompose(targets: Sequence[VectorField],
         best_row = free.pop(pick)
         pivot_of_col[col] = best_row
         pivot_row = rows[best_row]
-        inv = Pow(pivot_row[col], -1)
+        inv = builder.power(reuse(pivot_row[col]), -1)
         live = range(col + 1, width)
         for j in live:
-            pivot_row[j] = normalize(Prod((pivot_row[j], inv)), variables)
+            pivot_row[j] = finish(builder.product((reuse(pivot_row[j]), inv)))
         for r, row in enumerate(rows):
-            if r == best_row:
+            if r == best_row or not row[col].num:
                 continue
-            factor = row[col]
-            if isinstance(factor, Const) and factor.value == 0:
-                continue
+            negated = builder.product((minus_one, reuse(row[col])))
             for j in live:
-                row[j] = normalize(
-                    Sum((row[j], Prod((MINUS_ONE, factor, pivot_row[j])))),
-                    variables)
-    return tuple(tuple(rows[pivot_of_col[col]][j] for col in range(n))
-                 for j in range(n, width))
+                row[j] = finish(builder.sum((reuse(row[j]), builder.product(
+                    (negated, reuse(pivot_row[j]))))))
+    return tuple(tuple(_printed(rows[pivot_of_col[col]][j])
+                       for col in range(n)) for j in range(n, width))
 
 
 @dataclass(frozen=True)

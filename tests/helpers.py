@@ -1,7 +1,9 @@
 """Shared helpers: seeded random expression trees and rational points,
 vector fields from texts, a recorder of field evaluations, small
-oracles the program itself does not need, and the `Fraction`
-normal-form builder kept as the reference of the integer one."""
+oracles the program itself does not need (among them the tree folds
+of a bracket and of a decomposition, the references of the folds on
+records), and the `Fraction` normal-form builder kept as the reference
+of the integer one."""
 
 from __future__ import annotations
 
@@ -214,6 +216,23 @@ def full_frame(dist) -> Frame:
     return Frame(dist.chart,
                  (dist.eta1, dist.eta2, dist.eta3, dist.eta4, dist.eta5),
                  dist.base_point)
+
+
+def tree_bracket(chart, v, w) -> VectorField:
+    """`vecfield._bracket` by the tree fold: each component is the
+    normal form of the tree sum_i v^i d(w^j) + (-1) w^i d(v^j), built
+    from the printed derivatives.  The reference of the fold on
+    records."""
+    chart_vars = chart.variables
+    comps = []
+    for j in range(chart.dimension):
+        terms = []
+        for i, var in enumerate(chart_vars):
+            terms.append(Prod((v[i], scalar.differentiate(w[j], var, chart))))
+            terms.append(Prod((scalar.MINUS_ONE, w[i],
+                               scalar.differentiate(v[j], var, chart))))
+        comps.append(scalar.normalize(Sum(tuple(terms)), chart_vars))
+    return VectorField(chart, tuple(comps))
 
 
 def full_width_decompose(targets, basis, base_point):

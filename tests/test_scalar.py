@@ -117,6 +117,19 @@ class TestParse:
             parse_expr("x1 + $", CHART)
         assert err.value.offset == 5
 
+    def test_a_chart_gives_its_names_and_opaques(self):
+        # as normalize, differentiate and is_zero take a vecfield.Chart
+        from dist235.vecfield import Chart
+        chart = Chart(CHART, make_registry())
+        assert parse_expr("x1*a(x2) - 1/2", chart) == \
+            parse_expr("x1*a(x2) - 1/2", CHART, chart.registry)
+        for text in ("w + x1", "q(x1)"):
+            with pytest.raises(UnknownSymbolError):
+                parse_expr(text, chart)
+        # a registry given beside the chart is the one read
+        with pytest.raises(UnknownSymbolError):
+            parse_expr("a(x1)", chart, OpaqueRegistry())
+
     @pytest.mark.parametrize("text,offset", [
         ("x^\u00b2", 2), ("th^\u0663", 3), ("\u0661\u0662", 0),
         ("x\u0661", 1)])
@@ -632,8 +645,10 @@ class TestNormalFormMatchesReference:
 
     def test_every_normal_form_of_the_bundled_reports(self, monkeypatch,
                                                       tmp_path):
+        from dist235 import conedual, distduality, memo, vecfield
         from dist235.cli import main
         from dist235.models import BUNDLED
+        from helpers import full_width_decompose, tree_bracket
         cached = scalar._normal_form
         calls = {}
 
@@ -641,8 +656,28 @@ class TestNormalFormMatchesReference:
             calls[expr, chart_key] = None
             return cached(expr, chart_key)
 
+        # brackets and decompositions fold on records, with no normal
+        # form to record: each is recorded and compared below with its
+        # tree fold, whose normal forms are recorded too
+        folds = {}
+        bracket, decompose = vecfield._bracket, vecfield.symbolic_decompose
+
+        def recording_bracket(chart, v, w):
+            folds[chart, v, w] = result = bracket(chart, v, w)
+            return result
+
+        def recording_decompose(targets, basis, base_point):
+            result = decompose(targets, basis, base_point)
+            folds[tuple(targets), tuple(basis),
+                  tuple(sorted(base_point.items()))] = result
+            return result
+
         from test_cli import TestReportPins as pins
         monkeypatch.setattr(scalar, "_normal_form", recording)
+        monkeypatch.setattr(vecfield, "_bracket", recording_bracket)
+        for module in (vecfield, conedual, distduality):
+            monkeypatch.setattr(module, "symbolic_decompose",
+                                recording_decompose)
         for name in BUNDLED:
             main(["analyze", name, "--suite", "all", "--seed", "7",
                   "--out", str(tmp_path / f"{name}.json")])
@@ -651,6 +686,21 @@ class TestNormalFormMatchesReference:
             pins.bundled_report(name)
         for name in pins.GENERATED:
             pins.generated_report(name)
+        brackets = decompositions = 0
+        for key, result in folds.items():
+            with memo.scope(memo.Memo()):
+                if isinstance(result, vecfield.VectorField):
+                    brackets += 1
+                    want = tree_bracket(*key).components
+                    got = result.components
+                else:
+                    decompositions += 1
+                    want = full_width_decompose(key[0], key[1],
+                                                dict(key[2]))
+                    want = [c for coeffs in want for c in coeffs]
+                    got = [c for coeffs in result for c in coeffs]
+            assert [to_text(c) for c in got] == [to_text(c) for c in want]
+        assert brackets > 20 and decompositions > 5
         assert len(calls) > 500
         for expr, chart_key in calls:
             assert normal_form_terms(cached.__wrapped__(expr, chart_key)) \
@@ -774,8 +824,9 @@ class TestCarriedPairs:
         for piece in pieces:
             chart = piece._nf.chart_key if piece._nf else CHART
             for var in ("x1", "x3", "x5"):
-                got = derive(piece, var, chart, reg)
-                want = derive(stripped(piece), var, chart, reg)
+                got = scalar._printed(derive(piece, var, chart, reg))
+                want = scalar._printed(derive(stripped(piece), var, chart,
+                                              reg))
                 assert got == want, to_text(piece)
                 if got._nf is not None:
                     assert integer_normal_form(got, chart) \
@@ -876,6 +927,18 @@ class TestExactEvaluation:
                     self.outcome(walk, pt, reg)
             checked += 1
         assert checked > 20
+
+    def test_an_opaque_atom_is_never_read_as_its_argument(self):
+        # the key of a(x1) names the text x1: the walk decides
+        reg = make_registry()
+        nf = scalar._normal_form(parse_expr("a(x1) + x1", CHART, reg), CHART)
+        point = {"x1": Fraction(2)}
+        assert scalar._evaluate_exact(nf, point) is None
+        assert scalar._value(nf, point, reg) == pytest.approx(10.0)
+
+    def test_constants_are_their_value(self):
+        for q in (Fraction(0), Fraction(-3, 4)):
+            assert evaluate(Const(q), {}) is q
 
     def test_missing_assignment_is_unchanged(self):
         from dist235.scalar import MissingAssignmentError

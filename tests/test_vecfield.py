@@ -32,8 +32,9 @@ from dist235.vecfield import (
 
 from helpers import (
     apply_to, contact_volume, count_calls, every_bracket_flag,
-    full_width_decompose, random_point, random_tree, record_evaluations,
-    repeated_evaluations, text_field, zero_field,
+    full_width_decompose, random_nf_tree, random_point, random_tree,
+    record_evaluations, repeated_evaluations, text_field, tree_bracket,
+    zero_field,
 )
 from test_conedual import opaque_chain
 
@@ -727,14 +728,15 @@ class TestOnlyLiveWork:
 
     def test_prolong_cone_brackets_only_what_can_grow_the_flag(self):
         # [zeta1, zeta1], [zeta2, zeta2] and [zeta2, zeta1] are no
-        # longer folded: 9 -> 6 brackets, 42 -> 31 normal forms
+        # longer folded: 9 -> 6 brackets; and the brackets fold on
+        # records, with no normal-form lookup: 31 -> 5 normal forms
         family = builtin_model("noncubic-bc")
         solve_U(family)
         brackets = _bracket.cache_info().misses
         forms = scalar._normal_form.cache_info().misses
         prolong_cone(family)
         assert _bracket.cache_info().misses - brackets == 6
-        assert scalar._normal_form.cache_info().misses - forms == 31
+        assert scalar._normal_form.cache_info().misses - forms == 5
 
     def test_a_pass_brackets_only_the_fields_new_to_its_frame(
             self, monkeypatch):
@@ -750,6 +752,137 @@ class TestOnlyLiveWork:
             reference = every_bracket_flag(structure.flag.frames[0],
                                            box=structure.box)
         assert flag_summary(structure.flag) == flag_summary(reference)
+
+
+def unit_if(condition):
+    return scalar.ONE if condition else ZERO
+
+
+def chained_registry() -> OpaqueRegistry:
+    # F' = F1, F1' = F2, F2' = 6: a derivative chain through names
+    reg = OpaqueRegistry()
+    reg.register("F", lambda u: u ** 3, derivative="F1")
+    reg.register("F1", lambda u: 3 * u ** 2, derivative="F2")
+    reg.register("F2", lambda u: 6 * u, derivative=Const(Fraction(6)))
+    return reg
+
+
+def random_component(rng, chart, opaques=("F", "F1")):
+    """A component that normalizes on `chart`: now and then the constant
+    1/2 (printed `2^-1`) or 0, else a random tree with rational
+    constants, quotients and opaque applications, kept as parsed or
+    normalized (so that it carries its normal form when it can)."""
+    while True:
+        roll = rng.random()
+        if roll < 0.1:
+            return Const(Fraction(1, 2))
+        if roll < 0.2:
+            return ZERO
+        tree = random_nf_tree(rng, chart.variables,
+                              opaques if rng.random() < 0.3 else (),
+                              depth=2)
+        try:
+            normal = normalize(tree, chart)
+        except scalar.ZeroDenominatorError:
+            continue
+        return normal if rng.random() < 0.7 else tree
+
+
+def outcome(compute):
+    """The printed components of what `compute()` returns in a fresh
+    memo, or the type and message of the error it raises."""
+    with memo.scope(memo.Memo()):
+        try:
+            result = compute()
+        except (ArithmeticError, scalar.ExprError,
+                DegenerateFrameError) as exc:
+            return type(exc), str(exc)
+    if isinstance(result, VectorField):
+        return [to_text(c) for c in result.components]
+    return [[to_text(c) for c in coeffs] for coeffs in result]
+
+
+class TestRecordFold:
+    """`lie_bracket` and `symbolic_decompose` fold on records and print
+    only what they return: each must print what the tree folds print
+    (`helpers.tree_bracket`, `helpers.full_width_decompose`), to the
+    byte."""
+
+    @pytest.mark.parametrize("dimension", (3, 4, 5))
+    def test_bracket_equals_the_tree_fold(self, dimension):
+        rng = random.Random(20261023 + dimension)
+        chart = Chart(tuple(f"x{k}" for k in range(1, dimension + 1)),
+                      chained_registry())
+        kinds = set()
+        for _ in range(30):
+            v, w = (VectorField(chart, tuple(
+                random_component(rng, chart)
+                for _ in range(dimension))) for _ in range(2))
+            got = outcome(lambda: lie_bracket(v, w))
+            assert got == outcome(
+                lambda: tree_bracket(chart, v.components, w.components))
+            kinds.update("rational" if "^-" in text else
+                         "opaque" if "F" in text else "polynomial"
+                         for text in got)
+        assert kinds == {"rational", "opaque", "polynomial"}
+
+    @pytest.mark.parametrize("dimension", (3, 4))
+    def test_decomposition_equals_the_full_width_loop(self, dimension):
+        # a basis that is the identity plus a random field times a
+        # coordinate, at a random rational base point, and random targets
+        rng = random.Random(20261024 + dimension)
+        chart = Chart(tuple(f"x{k}" for k in range(1, dimension + 1)),
+                      chained_registry())
+        decided, kinds = 0, set()
+        for _ in range(12):
+            basis = []
+            for k in range(dimension):
+                comps = [unit_if(j == k) for j in range(dimension)]
+                i = rng.randrange(dimension)
+                comps[i] = Sum((comps[i], Prod((
+                    scalar.Var(rng.choice(chart.variables)),
+                    random_component(rng, chart, ("F",))))))
+                basis.append(VectorField(chart, tuple(comps)))
+            targets = [VectorField(chart, tuple(
+                random_component(rng, chart, ("F",))
+                for _ in range(dimension))) for _ in range(2)]
+            base = random_point(rng, chart.variables, Fraction(1, 4), 8)
+            got = outcome(lambda: vecfield.symbolic_decompose(
+                targets, basis, base))
+            assert got == outcome(
+                lambda: full_width_decompose(targets, basis, base))
+            if isinstance(got, list):
+                decided += 1
+                kinds.update("opaque" if "F" in text else "rational"
+                             for row in got for text in row if "^-" in text
+                             or "F" in text)
+        assert decided >= 8 and kinds == {"rational", "opaque"}
+
+    def test_a_bracket_miss_prints_one_tree_per_component(self, monkeypatch):
+        chart = Chart(("x", "y", "z", "u"))
+        v = text_field(chart, ("1", "y/(1 + x)", "x^2*z", "1/2"))
+        w = text_field(chart, ("z", "0", "x*y - u", "y^2")).normalized("w")
+        printed = count_calls(monkeypatch, scalar, "_quotient_tree")
+        with memo.scope(memo.Memo()):
+            bracket = lie_bracket(v, w)
+            assert _bracket.cache_info().misses
+        assert len(printed) == chart.dimension
+        assert [to_text(c) for c in bracket.components] == \
+            outcome(lambda: tree_bracket(chart, v.components, w.components))
+
+    def test_a_decomposition_prints_only_its_coefficients(self, monkeypatch):
+        chart = Chart(("x", "y", "z"))
+        basis = [text_field(chart, texts) for texts in (
+            ("1", "x", "0"), ("y", "1/(1 - x)", "z^2"), ("0", "x*z", "2"))]
+        targets = [text_field(chart, texts) for texts in (
+            ("x^2", "1", "y"), ("1/2", "0", "x - z"))]
+        base = {"x": Fraction(1, 3), "y": Fraction(-1, 2), "z": Fraction(1)}
+        printed = count_calls(monkeypatch, scalar, "_quotient_tree")
+        with memo.scope(memo.Memo()):
+            coeffs = vecfield.symbolic_decompose(targets, basis, base)
+        assert len(printed) == chart.dimension * len(targets)
+        assert [[to_text(c) for c in row] for row in coeffs] == outcome(
+            lambda: full_width_decompose(targets, basis, base))
 
 
 CHX = Chart(("x1", "x2", "x3", "x4", "x5"))
