@@ -3,10 +3,9 @@
 A Box is a product of closed intervals with rational endpoints, one per
 named coordinate.  Sampling uses a Halton sequence computed in exact
 rational arithmetic, so sample points are reproducible and can be fed to
-exact evaluators without rounding.  The points of a box are built once
-per active `memo.Memo` (that of the suite run, trace or cone family
-asking for them, freed with it) and kept there; each call returns them
-as fresh dicts.
+exact evaluators without rounding.  A box builds the points of each
+(count, skip) it is asked for once and keeps them for as long as it
+lives; each call returns them as fresh dicts.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-from .memo import memoized
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -30,7 +27,6 @@ def _radical_inverse(index: int, base: int) -> tuple:
     return num, denom
 
 
-@memoized
 def _halton(intervals: tuple, count: int, skip: int) -> tuple:
     """Halton points skip+1 .. skip+count, as tuples of (name, value).
 
@@ -128,11 +124,17 @@ class Box:
         """`count` Halton points in the box, as exact rational dicts.
 
         The sequence is a pure function of the box's coordinate order, so
-        repeated calls (and repeated runs) see identical points.
+        repeated calls (and repeated runs) see identical points.  The box
+        keeps the points of each (count, skip) it was asked for, in its
+        `__dict__`, which equality and hashing ignore.
         """
         if len(self.intervals) > len(_PRIMES):
             raise ValueError("box has more coordinates than supported")
-        return [dict(pt) for pt in _halton(tuple(self.intervals), count, skip)]
+        known = self.__dict__.setdefault("_halton", {})
+        points = known.get((count, skip))
+        if points is None:
+            points = known[count, skip] = _halton(self.intervals, count, skip)
+        return [dict(pt) for pt in points]
 
 
 # The default box's half-width in a direction coordinate: the cone

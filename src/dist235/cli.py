@@ -22,7 +22,6 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from . import memo
 from .boxes import Box, as_fraction
 from .conedual import build_model, check_lagrangian, check_nondegenerate, \
     check_osculating_condition, prolong_cone, solve_U
@@ -426,7 +425,6 @@ def _check_sequence(kind: str, suite: str) -> tuple:
     return verify + prolong + duality
 
 
-@memo.fresh
 def run_suite(model: ModelFile, suite: str, seed: int,
               out: Optional[str] = None,
               box_scale: Fraction = Fraction(1),
@@ -436,8 +434,8 @@ def run_suite(model: ModelFile, suite: str, seed: int,
     With `out` the report is also written there as canonical JSON.  The
     report never contains wall-clock data — identical runs produce
     identical bytes — so per-check timings go to `clock` when a list is
-    passed.  The run has a memo of its own, so its work does not depend
-    on what ran before it.
+    passed.  The run builds the model once, on a chart whose memo all
+    its work fills, so it does not depend on what ran before it.
     """
     if suite not in _SUITES:
         raise ModelError(
@@ -550,11 +548,10 @@ def format_text(report: dict, times: Optional[list] = None) -> str:
 # trace
 # ---------------------------------------------------------------------------
 
-@memo.fresh
 def trace_lines(model: ModelFile, x0: Optional[dict], theta0: Fraction,
                 t_end: Fraction, tol: float) -> list:
-    """Integrate one singular path, in a memo of its own, and return its
-    nodes as canonical JSON lines."""
+    """Integrate one singular path of the model, built anew, and return
+    its nodes as canonical JSON lines."""
     if model.kind not in _SYSTEMS:
         raise ModelError(
             "trace requires a distribution235 or cone-family model")

@@ -22,15 +22,15 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from typing import Optional, Sequence
 
-from . import linalg, memo
+from . import linalg
 from .boxes import Box, as_fraction, default_box
 from .distduality import (
     Distribution235, PseudoProductStructure, StructureError, _format_point,
 )
 from .models import BUNDLED, _FIELDS, ModelFile, document_text, parse_model
 from .scalar import (
-    MINUS_ONE, ONE, ZERO, Const, OpaqueRegistry, Pow, Prod, ScalarExpr, Sum,
-    Var, differentiate, evaluate, free_variables, is_zero, min_degree,
+    MINUS_ONE, ONE, ZERO, Const, Pow, Prod, ScalarExpr, Sum, Var,
+    differentiate, evaluate, free_variables, is_zero, min_degree,
     normalize, substitute, to_text,
 )
 from .vecfield import (
@@ -49,12 +49,10 @@ def _witness(verdict) -> Optional[str]:
 
 
 def _once_per_family(check):
-    """`check(family)`, run in the family's memo and kept on the family
-    object, which with the write-once registry its chart carries is all
-    the result depends on; a call with more arguments, or one that
-    raises, is not kept."""
+    """`check(family)`, kept on the family object, which with the
+    write-once registry its chart carries is all the result depends on;
+    a call with more arguments, or one that raises, is not kept."""
     key = "_once_" + check.__name__
-    check = memo.within(check)
 
     @wraps(check)
     def once(family, *args, **kwargs):
@@ -90,9 +88,9 @@ class ConeFamily:
     """A one-parameter family of base directions in normal form, together
     with the contact form whose kernel contains every direction.  It keeps
     the default-argument results of `check_nondegenerate`,
-    `check_lagrangian`, `check_osculating_condition` and `solve_U`, and
-    `build` keeps on it the memo it was built in, where those checks,
-    `prolong_cone` and the derived zetas run."""
+    `check_lagrangian`, `check_osculating_condition` and `solve_U`; what
+    they, `prolong_cone` and the derived zetas compute fills the memo of
+    its chart."""
 
     x_chart: Chart
     theta: str
@@ -104,7 +102,6 @@ class ConeFamily:
     alpha_status: str = field(default="unchecked", compare=False)
 
     @classmethod
-    @memo.owning
     def build(cls, x_chart: Chart, components: Sequence, alpha: OneForm,
               theta: str = "th", base_point: Optional[dict] = None,
               box: Optional[Box] = None,
@@ -121,7 +118,7 @@ class ConeFamily:
                 f"direction coordinate {theta!r} collides with a base "
                 "coordinate")
         z_chart = x_chart.extend(theta)
-        comps = tuple(normalize(c, z_chart.variables) for c in components)
+        comps = tuple(normalize(c, z_chart) for c in components)
         if len(comps) != 4:
             raise StructureError(
                 "a family needs the four non-trivial generator components")
@@ -166,7 +163,6 @@ class ConeFamily:
         return self._zetas[k - 1]
 
     @cached_property
-    @memo.within
     def _zetas(self) -> tuple:
         z_chart = self.z_chart
         zeta1 = coordinate_field(z_chart, self.theta).renamed("zeta1")
@@ -182,7 +178,6 @@ class ConeFamily:
         return tuple(fields)
 
     @cached_property
-    @memo.within
     def bracket_decomposition(self) -> tuple:
         """(coefficients, complement): the coefficients of
         [zeta2, zeta3] over the 6-frame of the zetas completed by the
@@ -379,8 +374,7 @@ def solve_U(family: ConeFamily) -> SolveUResult:
             f"{family.name}: no correction scalar exists, the bracket "
             f"leaves the osculating span ({details})")
     coeffs, _ = family.bracket_decomposition
-    z_vars = family.z_chart.variables
-    u_expr = normalize(Prod((MINUS_ONE, coeffs[3])), z_vars)
+    u_expr = normalize(Prod((MINUS_ONE, coeffs[3])), family.z_chart)
     zeta1, zeta2 = family.zeta(1), family.zeta(2)
     l_field = (zeta2 + zeta1 * u_expr).normalized("L")
     # Self-check: the corrected generator's bracket with zeta3 reduces
@@ -403,7 +397,6 @@ def solve_U(family: ConeFamily) -> SolveUResult:
 # the induced splitting
 # ---------------------------------------------------------------------------
 
-@memo.within
 def prolong_cone(family: ConeFamily) -> PseudoProductStructure:
     """Build the splitting of the direction-space plane field: K is the
     fiber line, L the corrected generator line.
@@ -438,15 +431,14 @@ def prolong_cone(family: ConeFamily) -> PseudoProductStructure:
 # building models from their documents
 # ---------------------------------------------------------------------------
 
-@memo.owning
 def build_model(model: ModelFile, box: Optional[Box] = None):
     """The object a parsed model document describes: a
     `Distribution235`, a `ConeFamily` or a `PseudoProductStructure`.
 
     It is built on `box`, by default the model's own (`ModelFile.box`).
     A parameter-driven cone family gets its components A, B, S, T from
-    the parameters ``a`` or ``b``, ``c``.  It is built in the active
-    memo, or outside every scope in a fresh one, which the object keeps.
+    the parameters ``a`` or ``b``, ``c``.  Its chart starts the memo
+    that all the work on the object fills.
     """
     if box is None:
         box = model.box
@@ -457,7 +449,7 @@ def build_model(model: ModelFile, box: Optional[Box] = None):
         if "A" in exprs:
             components = tuple(exprs[key] for key in "ABST")
         else:
-            components = _driver_components(exprs, chart.registry)
+            components = _driver_components(exprs, chart)
         return ConeFamily.build(
             chart, components, OneForm(chart, model.alpha), theta=model.theta,
             base_point=base_point, box=box, name=model.name)
@@ -507,11 +499,12 @@ def builtin_model(name: str, params: Optional[dict] = None):
     return build_model(parse_model(document_text(doc), name))
 
 
-def _driver_components(params: dict, registry: OpaqueRegistry) -> tuple:
+def _driver_components(params: dict, chart: Chart) -> tuple:
     """The components (A, B, S, T) of a parameter-driven family over the
-    standard chart, after checking its parameters: ``a`` for the cubic
-    family (b = a, c = -3*th*a), ``b`` and ``c`` for the non-cubic one;
-    each is the tree its formula parses to (shape fixes normal form)."""
+    standard chart `chart`, after checking its parameters: ``a`` for the
+    cubic family (b = a, c = -3*th*a), ``b`` and ``c`` for the non-cubic
+    one; each is the tree its formula parses to (shape fixes normal
+    form)."""
     th = Var("th")
     if "a" in params:
         a = params["a"]
@@ -520,7 +513,7 @@ def _driver_components(params: dict, registry: OpaqueRegistry) -> tuple:
             raise StructureError(
                 f"parameter 'a' may only involve x1, found {extra}")
         if not linalg.is_zero_value(evaluate(a, {"x1": Fraction(0)},
-                                             registry)):
+                                             chart.registry)):
             raise StructureError(
                 "parameter 'a' must vanish at the base point")
         b, c = a, Prod((Const(-3), th, a))
@@ -532,7 +525,7 @@ def _driver_components(params: dict, registry: OpaqueRegistry) -> tuple:
                 raise StructureError(
                     f"parameter {label!r} may only involve the direction "
                     f"coordinate, found {extra}")
-            order = min_degree(expr, "th", ("th",))
+            order = min_degree(expr, "th", chart)
             if order is not None and order < bound:
                 raise StructureError(
                     f"parameter {label!r} has lowest order {order}, "

@@ -8,10 +8,9 @@ fields: K (the horizontal line, corrected by a scalar multiple of the
 fiber direction) and L (the fiber line).  `solve_e` determines the unique
 correction scalar; `verify_pseudo_product` certifies the seven bracket
 conditions that make (K, L) a genuine splitting; `symbol_algebra_at`
-checks the graded nilpotent bracket table at a point.  These,
-`prolong_235`, the structures' `swapped` and their derived brackets run
-in the memo their argument keeps (`memo.within`), and what they return
-keeps it too.
+checks the graded nilpotent bracket table at a point.  Their work
+fills the memo of the chart it is done on (`vecfield.Chart.memo`),
+which the prolonged chart shares.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from . import linalg, memo
+from . import linalg
 from .boxes import DIRECTION_HALF_WIDTH, Box, default_box
 from .scalar import (
     MINUS_ONE, Pow, Prod, ScalarExpr, Sum, Var, evaluate, is_zero,
@@ -139,10 +138,8 @@ class Distribution235:
     """A plane field of growth (2, 3, 5) on a 5-dimensional chart.
 
     Construction checks that the generators live on `chart` and validates
-    the growth vector, in the active memo or outside every scope in a
-    fresh one, which the distribution keeps (`memo.owning`); the brackets
-    that fill the weak derived flag are exposed as `eta3`, `eta4`,
-    `eta5`, derived in that memo.
+    the growth vector; the brackets that fill the weak derived flag are
+    exposed as `eta3`, `eta4`, `eta5`.
     """
 
     chart: Chart
@@ -152,7 +149,6 @@ class Distribution235:
     box: Optional[Box] = field(default=None, compare=False)
     name: str = "distribution"
 
-    @memo.owning
     def __post_init__(self):
         if self.eta1.chart != self.chart:
             raise ChartMismatchError(
@@ -171,17 +167,14 @@ class Distribution235:
         return self._report
 
     @cached_property
-    @memo.within
     def eta3(self) -> VectorField:
         return lie_bracket(self.eta1, self.eta2).renamed("eta3")
 
     @cached_property
-    @memo.within
     def eta4(self) -> VectorField:
         return lie_bracket(self.eta1, self.eta3).renamed("eta4")
 
     @cached_property
-    @memo.within
     def eta5(self) -> VectorField:
         return lie_bracket(self.eta2, self.eta3).renamed("eta5")
 
@@ -225,7 +218,6 @@ class ProlongedDistribution:
         return self.flag.growth
 
 
-@memo.within
 def prolong_235(dist: Distribution235) -> ProlongedDistribution:
     """Prolong a growth-(2,3,5) plane field to the 6-chart of directions,
     whose fiber coordinate `FIBER` parametrizes the directions as
@@ -297,9 +289,7 @@ class PseudoProductStructure:
     K, L that split it.  `build` validates the splitting and computes the
     weak derived flag of E; `verify_pseudo_product` certifies the seven
     bracket conditions.  Everything `build` validates is symmetric in K
-    and L, and the flag depends on E alone, so `swapped` reuses both.
-    `build` keeps on the structure the memo it was built in, as
-    `ConeFamily.build` does."""
+    and L, and the flag depends on E alone, so `swapped` reuses both."""
 
     z_chart: Chart
     e_generators: tuple
@@ -311,7 +301,6 @@ class PseudoProductStructure:
     name: str = "structure"
 
     @classmethod
-    @memo.owning
     def build(cls, z_chart: Chart, e_generators: Sequence[VectorField],
               k_field: VectorField, l_field: VectorField, base_point: dict,
               box: Optional[Box] = None, name: str = "structure",
@@ -353,7 +342,6 @@ class PseudoProductStructure:
                    flag=flag, name=name)
 
     @cached_property
-    @memo.within
     def bracket_chain(self) -> tuple:
         """(e3, e4, e5, e6) = ([K, L], [K, e3], [K, e4], [L, e5])."""
         k, l = self.k_field, self.l_field
@@ -362,7 +350,6 @@ class PseudoProductStructure:
         e5 = lie_bracket(k, e4)
         return e3, e4, e5, lie_bracket(l, e5)
 
-    @memo.within
     def swapped(self) -> "PseudoProductStructure":
         """The same plane field with the roles of K and L exchanged."""
         return replace(self, k_field=self.l_field, l_field=self.k_field,
@@ -382,7 +369,6 @@ _CONDITIONS = (
 )
 
 
-@memo.within
 def verify_pseudo_product(structure: PseudoProductStructure,
                           samples: int = 32) -> PseudoProductReport:
     """Evaluate the seven bracket conditions of the splitting.
@@ -484,7 +470,6 @@ class SolveEResult:
     k_field: VectorField
     l_field: VectorField
 
-    @memo.within
     def structure(self, prolonged: ProlongedDistribution,
                   name: str = "structure") -> PseudoProductStructure:
         return PseudoProductStructure.build(
@@ -494,7 +479,6 @@ class SolveEResult:
             flag=prolonged.flag)
 
 
-@memo.within
 def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
     """Determine the scalar e with K = zeta1 + e*zeta2 whose bracket with
     every layer-3 frame generator stays in layer 3.
@@ -506,10 +490,11 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
     derivative term (w e) * zeta2 never contributes, since zeta2 lies
     inside layer 3.  The flag's passes built those of these brackets
     they tried (all but the mirror [zeta2, zeta1] for the Hilbert-Cartan
-    and cubic models), and the memo returns them; all are decomposed over the layer-4 frame in one exact
-    elimination (pivots chosen nonzero at the base point); the system is
-    then solved.  `prolong_235` found that frame to have rank 6 at the
-    base point, so the elimination always finds its pivots.
+    and cubic models), and the chart's memo returns them; all are
+    decomposed over the layer-4 frame in one exact elimination (pivots
+    chosen nonzero at the base point); the system is then solved.
+    `prolong_235` found that frame to have rank 6 at the base point, so
+    the elimination always finds its pivots.
     """
     z_chart = prolonged.z_chart
     layer3, layer4 = prolonged.flag.frames[3:5]
@@ -583,7 +568,6 @@ class SymbolAlgebraReport:
         raise KeyError(name)
 
 
-@memo.within
 def symbol_algebra_at(structure: PseudoProductStructure,
                       point: Optional[dict] = None) -> SymbolAlgebraReport:
     """Evaluate the graded bracket table of the splitting at a point,

@@ -163,8 +163,11 @@ def _rational(value, where: str) -> Fraction:
             f"{where}: expected a rational written as a string")
     try:
         return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ModelError(f"{where}: not a rational: {exc}") from None
+    except ZeroDivisionError:
+        raise ModelError(
+            f"{where}: {value} has a zero denominator") from None
 
 
 def _parse_text(text: str, variables, registry, where: str):

@@ -6,9 +6,9 @@ of the Hamiltonian pairing between costate and dynamics, with the
 control kept on the constraint manifold by per-stage projection.  Traces
 are classified by which annihilation conditions the costate maintains,
 and the leaf/path correspondence between the two sides of a splitting is
-cross-validated numerically.  Building a system, its compiled batches,
-a launch, a lift and a duality check run in the memo their first
-argument keeps (`memo.within`).
+cross-validated numerically.  A system's dynamics, pairing and
+derivatives are normalized on its state chart extended by the controls
+(and costates), which shares the memo of the state chart.
 """
 
 import bisect
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
-from . import memo
 from .boxes import as_fraction
 from .conedual import ConeFamily
 from .distduality import (
@@ -124,11 +123,7 @@ class ControlSystem:
             raise StructureError("a control system needs controls")
         if len(set(self.control_names)) != len(self.control_names):
             raise StructureError("duplicate control names")
-        for control in self.control_names:
-            if control in self.state_chart.variables:
-                raise ChartError(
-                    f"control {control!r} collides with a state "
-                    "coordinate")
+        _control_chart(self.state_chart, self.control_names)
         allowed = set(self.state_chart.variables) | set(self.control_names)
         for comp in self.dynamics:
             stray = free_variables(comp) - allowed
@@ -141,14 +136,11 @@ class ControlSystem:
                 "the source must be a cone family, a distribution or None")
 
     @cached_property
-    @memo.within
     def prepared(self) -> "PreparedSystem":
-        """The pairing and compiled batches, built on first use in the
-        memo the system keeps."""
+        """The pairing and compiled batches, built on first use."""
         return PreparedSystem(self)
 
 
-@memo.within
 def cone_system(family: ConeFamily) -> ControlSystem:
     """Control system of a cone family: the states are the base
     coordinates, the controls are a radial scale `r` and the direction
@@ -160,7 +152,7 @@ def cone_system(family: ConeFamily) -> ControlSystem:
     # normalized on the chart `PreparedSystem` differentiates them on
     dynamics = tuple(
         normalize(Prod((Var(_RADIAL), comp)),
-                  family.x_chart.variables + controls)
+                  _control_chart(family.x_chart, controls))
         for comp in family.zeta(2).components[:5])
     return ControlSystem(
         state_chart=family.x_chart,
@@ -169,17 +161,26 @@ def cone_system(family: ConeFamily) -> ControlSystem:
         source=family)
 
 
+def _control_chart(state_chart: Chart, controls: tuple) -> Chart:
+    """The state chart extended by the controls; a control named like a
+    state coordinate is a `ChartError`."""
+    for control in controls:
+        if control in state_chart.variables:
+            raise ChartError(
+                f"control {control!r} collides with a state coordinate")
+    return state_chart.extend(*controls)
+
+
 def _linear_dynamics(a_field: VectorField, b_field: VectorField) -> tuple:
     """The dynamics u1 * A + u2 * B on the chart of A and B, linear in
     the two controls."""
     u1, u2 = (Var(u) for u in _CONTROLS)
+    chart = _control_chart(a_field.chart, _CONTROLS)
     return tuple(
-        normalize(Sum((Prod((u1, a)), Prod((u2, b)))),
-                  a_field.chart.variables + _CONTROLS)
+        normalize(Sum((Prod((u1, a)), Prod((u2, b)))), chart)
         for a, b in zip(a_field.components, b_field.components))
 
 
-@memo.within
 def distribution_system(dist: Distribution235) -> ControlSystem:
     """Control system of a rank-2 distribution: dynamics linear in the
     controls `u1`, `u2` along the generators, with the singular-control
@@ -191,7 +192,6 @@ def distribution_system(dist: Distribution235) -> ControlSystem:
         source=dist)
 
 
-@memo.within
 def prolonged_system(structure: PseudoProductStructure) -> ControlSystem:
     """Control system of the split plane field on the six-dimensional
     chart: dynamics linear in the controls `u1`, `u2` along the K- and
@@ -210,17 +210,19 @@ def prolonged_system(structure: PseudoProductStructure) -> ControlSystem:
 @dataclass(frozen=True)
 class HamiltonianData:
     """The costate pairing H = sum_i p_i F^i and its control partials,
-    which the singular constraint dH/du = 0 reads."""
+    which the singular constraint dH/du = 0 reads, on `chart`: the state
+    chart extended by the costates and the controls."""
 
     state_names: tuple
     costate_names: tuple
     control_names: tuple
     h: ScalarExpr
     dh_du: tuple
+    chart: Chart
 
     @property
     def variables(self) -> tuple:
-        return self.state_names + self.costate_names + self.control_names
+        return self.chart.variables
 
 
 def hamiltonian(cs: ControlSystem) -> HamiltonianData:
@@ -233,14 +235,14 @@ def hamiltonian(cs: ControlSystem) -> HamiltonianData:
         if name in taken:
             raise ChartError(
                 f"costate name {name!r} collides with a coordinate")
-    variables = states + costates + cs.control_names
+    chart = cs.state_chart.extend(*costates, *cs.control_names)
     h = normalize(
         Sum(tuple(Prod((Var(p), comp))
                   for p, comp in zip(costates, cs.dynamics))),
-        variables)
-    dh_du = tuple(differentiate(h, v, variables, cs.state_chart.registry)
-                  for v in cs.control_names)
-    return HamiltonianData(states, costates, cs.control_names, h, dh_du)
+        chart)
+    dh_du = tuple(differentiate(h, v, chart) for v in cs.control_names)
+    return HamiltonianData(states, costates, cs.control_names, h, dh_du,
+                           chart)
 
 
 class PreparedSystem:
@@ -254,16 +256,17 @@ class PreparedSystem:
         self.m = cs.state_chart.dimension
         self.ham = ham = hamiltonian(cs)
         states, reg = cs.state_chart.variables, cs.state_chart.registry
-        f_vars = states + cs.control_names
+        f_chart = _control_chart(cs.state_chart, cs.control_names)
+        f_vars = f_chart.variables
         self.f_fn = compile_exprs(cs.dynamics, f_vars, reg)
         self.jac_fn = compile_exprs(
-            tuple(differentiate(comp, v, f_vars, reg)
+            tuple(differentiate(comp, v, f_chart)
                   for comp in cs.dynamics for v in states), f_vars, reg)
         self.res_fn = compile_exprs(ham.dh_du, ham.variables, reg)
         if isinstance(source, ConeFamily):
             self.slot = cs.control_names.index(source.theta)
             g = ham.dh_du[self.slot]
-            gp = differentiate(g, source.theta, ham.variables, reg)
+            gp = differentiate(g, source.theta, ham.chart)
             self.g_fn = compile_exprs((g, gp), ham.variables, reg)
         elif isinstance(source, Distribution235):
             self.rule_fn = compile_exprs(
@@ -671,7 +674,6 @@ def _annihilating_costate(rows, prefer_row) -> tuple:
     return tuple(x / size for x in best)
 
 
-@memo.within
 def lift_fiber(structure: PseudoProductStructure, side: str,
                z0: Optional[dict] = None,
                t_end: float = 0.5) -> BiExtremalTrace:
@@ -782,7 +784,6 @@ def _reparametrized(states, derivs, column):
     return params[::order], states[::order], slopes[::order]
 
 
-@memo.within
 def singular_launch(cs: ControlSystem, x0: dict, theta0):
     """Initial costate and control for the singular path launched from
     x0 toward the direction parameter theta0.
@@ -818,7 +819,6 @@ def singular_launch(cs: ControlSystem, x0: dict, theta0):
         "distribution")
 
 
-@memo.within
 def verify_duality(structure: PseudoProductStructure, cs: ControlSystem,
                    x0: dict, theta0, t_end: float,
                    tol: float = _DUALITY_TOL, *,

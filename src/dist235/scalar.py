@@ -13,13 +13,13 @@ zero test needs only that the numerator vanish identically.
 Trees are for parsing and printing.  A normal form is one record, built
 in integer arithmetic with every monomial packed into one int of 64-bit
 exponent fields (a degree that could reach 2^64 raises `ExprError`).
-Lie brackets and eliminations (`vecfield`) fold on records in one
-builder and print each result once; the zero decision and `min_degree`
-read the record, and `evaluate` at a rational point computes the value
-of a tree that carries its record in integers.  Normal forms and
-derivatives are memoized in the active `memo.Memo`: that of the suite
-run, trace or cone family doing the work, which frees them with it, or
-the process default outside every such scope.
+Lie brackets, eliminations, exterior derivatives and pairings
+(`vecfield`) fold on records in one builder and print each result once;
+the zero decision and `min_degree` read the record, and `evaluate` at a
+rational point computes the value of a tree that carries its record in
+integers.  Normal forms and derivatives are memoized in the memo of the
+`vecfield.Chart` they are computed on (`memo`), which is freed with the
+model's charts; a tuple of names uses the process default.
 
 Opaque atoms model smooth functions known only through a registry entry
 (numeric evaluator plus derivative rule); everything else is exact.
@@ -512,7 +512,7 @@ def parse_expr(text: str, chart: Optional[Sequence[str]] = None,
     Errors carry the byte offset of the offending token.
     """
     tokens = _tokenize(text)
-    parser = _Parser(tokens, _chart_key(chart), _registry(registry, chart))
+    parser = _Parser(tokens, _names(chart), _registry(registry, chart))
     return parser.parse()
 
 
@@ -779,13 +779,15 @@ class _NormalForm:
 
 class _NFBuilder:
     """Folds trees and records into quotients of integer polynomial
-    pairs (see "normal form" above)."""
+    pairs (see "normal form" above) on `chart`: a `vecfield.Chart`, whose
+    memo the derivatives it takes fill, or a tuple of names."""
 
     def __init__(self, chart):
-        self.chart = tuple(chart) if chart is not None else None
+        self.chart = chart
+        self.names = _names(chart)
         self.atoms = {}  # atom key -> (offset of its exponent field, expr)
         # the first field after the chart variables'
-        self.free_offset = _EXP_BITS * len(self.chart or ())
+        self.free_offset = _EXP_BITS * len(self.names or ())
 
     def atom(self, key, expr: ScalarExpr) -> int:
         """The offset of the field of the atom `key`."""
@@ -801,8 +803,8 @@ class _NFBuilder:
 
     def var_atom(self, var: Var) -> int:
         name = var.name
-        if self.chart is not None and name in self.chart:
-            idx = self.chart.index(name)
+        if self.names is not None and name in self.names:
+            idx = self.names.index(name)
         else:
             idx = _NO_CHART_INDEX
         return 1 << self.atom((0, idx, name), var)
@@ -852,7 +854,7 @@ class _NFBuilder:
         if isinstance(expr, Opaque):
             mono = self.opaque_atom(expr.name, expr.arg)
             return ({mono: 1}, 1), _POLY_ONE, 1
-        nf = _carried(expr, self.chart)
+        nf = _carried(expr, self.names)
         if nf is not None:
             return self.reuse(nf)
         if isinstance(expr, Sum):
@@ -903,7 +905,7 @@ class _NFBuilder:
         if not dn:
             raise ZeroDenominatorError("denominator normalizes to zero")
         if not nn:
-            return _NormalForm(self.chart, {}, _POLY_ONE[0], ())
+            return _NormalForm(self.names, {}, _POLY_ONE[0], ())
         # (nn/nd) / (dn/dd) = (nn*dd) / (dn*nd), over their joint content
         # g, signed to make the leading denominator coefficient positive
         atoms = self.term_atoms(nn, dn)
@@ -912,7 +914,7 @@ class _NFBuilder:
         if dn[_print_order(dn, atoms)[0]] < 0:
             g = -g
         den = {m: c * nd // g for m, c in dn.items()}  # 1 shares one dict
-        return _NormalForm(self.chart,
+        return _NormalForm(self.names,
                            {m: c * dd // g for m, c in nn.items()},
                            _POLY_ONE[0] if den == _POLY_ONE[0] else den,
                            atoms)
@@ -972,18 +974,24 @@ def _quotient_tree(num, den, orders, atoms) -> ScalarExpr:
 
 
 @memoized
-def _normal_form(expr: ScalarExpr,
-                 chart_key: Optional[tuple]) -> _NormalForm:
+def _normal_form(expr: ScalarExpr, chart) -> _NormalForm:
     """The normal form of `expr` on the chart (see `_NFBuilder.finish`)."""
-    builder = _NFBuilder(chart_key)
+    builder = _NFBuilder(chart)
     return builder.finish(builder.visit(expr))
 
 
-def _chart_key(chart) -> Optional[tuple]:
+def _names(chart) -> Optional[tuple]:
+    """The coordinate names of a `vecfield.Chart` or a sequence of
+    names, None for no chart."""
     if chart is None:
         return None
-    vars_ = getattr(chart, "variables", chart)
-    return tuple(vars_)
+    return tuple(getattr(chart, "variables", chart))
+
+
+def _chart_key(chart):
+    """The chart argument of a memoized function: a `vecfield.Chart` as
+    it is, which finds the chart's memo, else its names (`memo.DEFAULT`)."""
+    return chart if hasattr(chart, "memo") else _names(chart)
 
 
 def normalize(expr: ScalarExpr,
@@ -1036,19 +1044,20 @@ def differentiate(expr: ScalarExpr, var: str,
     registry the rules are those of the chart, when it is a
     `vecfield.Chart`.
     """
-    key = _chart_key(chart)
-    if key is not None and var not in key:
+    names = _names(chart)
+    if names is not None and var not in names:
         raise UndeclaredVariableError(var)
-    return _printed(_derivative(expr, var, key, _registry(registry, chart)))
+    return _printed(_derivative(expr, var, _chart_key(chart),
+                                _registry(registry, chart)))
 
 
 @memoized
-def _derivative(expr: ScalarExpr, var: str, chart_key: Optional[tuple],
+def _derivative(expr: ScalarExpr, var: str, chart,
                 reg: OpaqueRegistry) -> _NormalForm:
     """The normal form of `differentiate`, memoized on the registry
     object too: a registry is write-once, so the rules a derivative used
     cannot change under it."""
-    nf = _carried(expr, chart_key)
+    nf = _carried(expr, _names(chart))
     if nf is not None and nf.den.keys() == {0}:
         return _polynomial_derivative(nf, var)
 
@@ -1076,7 +1085,7 @@ def _derivative(expr: ScalarExpr, var: str, chart_key: Optional[tuple],
             return Prod((outer, d(node.arg)))
         raise TypeError(f"not a scalar expression: {node!r}")
 
-    return _normal_form(d(expr), chart_key)
+    return _normal_form(d(expr), chart)
 
 
 def _polynomial_derivative(nf: _NormalForm, var: str) -> _NormalForm:

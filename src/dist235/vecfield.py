@@ -15,11 +15,11 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .boxes import Box, as_fraction
-from .memo import memoized
+from .memo import Memo, memoized
 from .scalar import (
     MINUS_ONE, ONE, ZERO, Const, OpaqueRegistry, Prod, ScalarExpr, Sum,
-    _NFBuilder, _printed, _value, default_registry, differentiate, evaluate,
-    free_variables, normalize,
+    _NFBuilder, _printed, _value, default_registry, evaluate, free_variables,
+    normalize,
 )
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -43,10 +43,15 @@ class Chart:
     order of every normal form computed on the chart.  `registry` holds
     the opaque functions that expressions on the chart may apply (the
     default registry when none is given); two charts are equal only when
-    they share it, so fields whose opaques differ never mix."""
+    they share it, so fields whose opaques differ never mix.  `memo` is
+    the `memo.Memo` that the normal forms, derivatives and brackets
+    computed on the chart fill: each `Chart(...)` starts a fresh one and
+    `extend` hands it on; equality, hashing and `repr` ignore it."""
 
     variables: tuple
     registry: Optional[OpaqueRegistry] = field(default=None, repr=False)
+    memo: Memo = field(default_factory=Memo, init=False, repr=False,
+                       compare=False)
 
     def __post_init__(self):
         names = tuple(self.variables)
@@ -72,7 +77,9 @@ class Chart:
             raise ChartError(f"{name!r} is not a coordinate of this chart")
 
     def extend(self, *names: str) -> "Chart":
-        return Chart(self.variables + tuple(names), self.registry)
+        chart = Chart(self.variables + tuple(names), self.registry)
+        object.__setattr__(chart, "memo", self.memo)
+        return chart
 
     def point(self, *values) -> dict:
         if len(values) != len(self.variables):
@@ -143,7 +150,7 @@ class VectorField:
         """The field with every component normalized on its chart: with
         `+` and `*` this is the one field combination, v + w * s."""
         return VectorField(self.chart, tuple(
-            normalize(c, self.chart.variables) for c in self.components),
+            normalize(c, self.chart) for c in self.components),
             name)
 
 
@@ -157,10 +164,10 @@ def coordinate_field(chart: Chart, name: str) -> VectorField:
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     """[v, w]^j = sum_i v^i d(w^j)/dx_i - w^i d(v^j)/dx_i, normalized.
 
-    Memoized in the active `memo.Memo` on the chart (which carries the
+    Memoized in the chart's memo, keyed by the chart (which carries the
     registry of its opaques) and the components of v and w (field names
-    play no part), so asking again for a bracket in the same memo
-    returns the same field object.
+    play no part), so asking again for a bracket on a chart that shares
+    the memo returns the same field object.
     A field's bracket with itself is the zero field, built without a
     fold: the fold of its terms, which cancel pairwise, is `ZERO` in
     every component."""
@@ -175,7 +182,7 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
 def _bracket(chart: Chart, v: tuple, w: tuple) -> VectorField:
     """Each component is the fold of sum_i v^i d(w^j) + (-1) w^i d(v^j),
     in that order, on records in one builder, printed once."""
-    builder = _NFBuilder(chart.variables)
+    builder = _NFBuilder(chart)
     minus_one = builder.visit(MINUS_ONE)
     vs = [builder.visit(c) for c in v]
     ws = [builder.visit(c) for c in w]
@@ -307,7 +314,7 @@ def symbolic_decompose(targets: Sequence[VectorField],
     for f in columns:
         if f.chart != chart:
             raise ChartMismatchError("field on a different chart")
-    builder = _NFBuilder(chart.variables)
+    builder = _NFBuilder(chart)
     reuse, finish = builder.reuse, builder.finish
     minus_one = builder.visit(MINUS_ONE)
     # Augmented rows: one per chart component, columns follow the basis
@@ -448,7 +455,7 @@ class OneForm:
         # normalized once here, so `exterior_derivative` differentiates
         # each component as a polynomial, not through its parsed tree
         object.__setattr__(self, "components", tuple(
-            normalize(c, self.chart.variables)
+            normalize(c, self.chart)
             for c in _check_components(self.chart, self.components)))
 
 
@@ -462,52 +469,62 @@ class TwoForm:
             return ZERO
         if i < j:
             return self.components.get((i, j), ZERO)
+        builder = _NFBuilder(self.chart)
         flipped = self.components.get((j, i), ZERO)
-        return normalize(Prod((MINUS_ONE, flipped)),
-                         self.chart.variables)
+        return _printed(builder.finish(builder.product(
+            (builder.visit(MINUS_ONE), builder.visit(flipped)))))
 
 
 def exterior_derivative(alpha: OneForm) -> TwoForm:
-    """d(sum a_i dx_i) = sum_{i<j} (da_j/dx_i - da_i/dx_j) dx_i ^ dx_j."""
+    """d(sum a_i dx_i) = sum_{i<j} (da_j/dx_i - da_i/dx_j) dx_i ^ dx_j,
+    each coefficient the fold of da_j/dx_i + (-1) da_i/dx_j on records in
+    one builder, printed when it is not zero."""
     chart = alpha.chart
+    builder = _NFBuilder(chart)
+    minus_one = builder.visit(MINUS_ONE)
+    a, names, registry = alpha.components, chart.variables, chart.registry
     comps = {}
     n = chart.dimension
     for i in range(n):
         for j in range(i + 1, n):
-            c = normalize(
-                Sum((differentiate(alpha.components[j], chart.variables[i],
-                                   chart),
-                     Prod((MINUS_ONE,
-                           differentiate(alpha.components[i],
-                                         chart.variables[j], chart))))),
-                chart.variables)
-            if c != ZERO:
-                comps[(i, j)] = c
+            nf = builder.finish(builder.sum((
+                builder.derivative(a[j], names[i], registry),
+                builder.product((minus_one, builder.derivative(
+                    a[i], names[j], registry))))))
+            if nf.num:
+                comps[(i, j)] = _printed(nf)
     return TwoForm(chart, comps)
 
 
 def pair(form, v: VectorField, w: Optional[VectorField] = None) -> ScalarExpr:
-    """Pair a one-form with a field, or a two-form with two fields."""
+    """Pair a one-form with a field, or a two-form with two fields: the
+    fold of sum_i a_i v^i, or of sum_{i<j} c_ij (v^i w^j + (-1) v^j w^i),
+    on records in one builder, printed once."""
     if isinstance(form, OneForm):
         if w is not None:
             raise TypeError("one-form pairs with a single field")
         if form.chart != v.chart:
             raise ChartMismatchError("form and field on different charts")
-        terms = tuple(Prod((a, c))
-                      for a, c in zip(form.components, v.components))
-        return normalize(Sum(terms), form.chart.variables)
+        builder = _NFBuilder(form.chart)
+        visit, product = builder.visit, builder.product
+        return _printed(builder.finish(builder.sum(
+            product((visit(a), visit(c)))
+            for a, c in zip(form.components, v.components))))
     if isinstance(form, TwoForm):
         if w is None:
             raise TypeError("two-form needs two fields")
         if form.chart != v.chart or form.chart != w.chart:
             raise ChartMismatchError("form and fields on different charts")
-        terms = []
-        for (i, j), c in sorted(form.components.items()):
-            terms.append(Prod((c, Sum((
-                Prod((v.components[i], w.components[j])),
-                Prod((MINUS_ONE, v.components[j], w.components[i])),
-            )))))
-        return normalize(Sum(tuple(terms)), form.chart.variables)
+        builder = _NFBuilder(form.chart)
+        visit, product = builder.visit, builder.product
+        minus_one = visit(MINUS_ONE)
+        vs = [visit(c) for c in v.components]
+        ws = [visit(c) for c in w.components]
+        return _printed(builder.finish(builder.sum(
+            product((visit(c), builder.sum((
+                product((vs[i], ws[j])),
+                product((minus_one, vs[j], ws[i]))))))
+            for (i, j), c in sorted(form.components.items()))))
     raise TypeError(f"not a form: {form!r}")
 
 

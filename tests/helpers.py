@@ -193,6 +193,29 @@ def text_field(chart, texts, name: str = "") -> VectorField:
         for text in texts), name)
 
 
+def on_fresh_charts(value, charts=None):
+    """`value` with every `Chart`, `VectorField` and `Frame` in it (in
+    tuples and lists too) rebuilt on a fresh `Chart` of the same names and
+    registry: one per chart, which starts a memo of its own, so nothing
+    computed on the old chart is hit."""
+    if charts is None:
+        charts = {}
+    if isinstance(value, vecfield.Chart):
+        if value not in charts:
+            charts[value] = vecfield.Chart(value.variables, value.registry)
+        return charts[value]
+    if isinstance(value, VectorField):
+        return VectorField(on_fresh_charts(value.chart, charts),
+                           value.components, value.name)
+    if isinstance(value, Frame):
+        return Frame(on_fresh_charts(value.chart, charts),
+                     on_fresh_charts(value.fields, charts),
+                     value.base_point)
+    if isinstance(value, (tuple, list)):
+        return type(value)(on_fresh_charts(item, charts) for item in value)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # oracles
 
@@ -233,6 +256,48 @@ def tree_bracket(chart, v, w) -> VectorField:
                                scalar.differentiate(v[j], var, chart))))
         comps.append(scalar.normalize(Sum(tuple(terms)), chart_vars))
     return VectorField(chart, tuple(comps))
+
+
+def tree_exterior_derivative(alpha) -> vecfield.TwoForm:
+    """`vecfield.exterior_derivative` by the tree fold: each coefficient
+    is the normal form of the tree da_j/dx_i + (-1) da_i/dx_j of the
+    printed derivatives.  The reference of the fold on records."""
+    chart = alpha.chart
+    comps = {}
+    for i in range(chart.dimension):
+        for j in range(i + 1, chart.dimension):
+            c = scalar.normalize(Sum((
+                scalar.differentiate(alpha.components[j],
+                                     chart.variables[i], chart),
+                Prod((scalar.MINUS_ONE, scalar.differentiate(
+                    alpha.components[i], chart.variables[j], chart))))),
+                chart)
+            if c != scalar.ZERO:
+                comps[(i, j)] = c
+    return vecfield.TwoForm(chart, comps)
+
+
+def tree_coefficient(form, i: int, j: int):
+    """`vecfield.TwoForm.coefficient` by the tree fold: below the
+    diagonal, the normal form of the tree (-1) c_ji."""
+    if i <= j:
+        return form.coefficient(i, j)
+    return scalar.normalize(Prod((scalar.MINUS_ONE, form.components.get(
+        (j, i), scalar.ZERO))), form.chart)
+
+
+def tree_pair(form, v, w=None):
+    """`vecfield.pair` by the tree fold: the normal form of the tree
+    sum_i a_i v^i, or of sum_{i<j} c_ij (v^i w^j + (-1) v^j w^i)."""
+    if w is None:
+        return scalar.normalize(Sum(tuple(
+            Prod((a, c)) for a, c in zip(form.components, v.components))),
+            form.chart)
+    return scalar.normalize(Sum(tuple(
+        Prod((c, Sum((Prod((v.components[i], w.components[j])),
+                      Prod((scalar.MINUS_ONE, v.components[j],
+                            w.components[i]))))))
+        for (i, j), c in sorted(form.components.items()))), form.chart)
 
 
 def full_width_decompose(targets, basis, base_point):
@@ -481,7 +546,9 @@ def _sorted_poly(poly):
 
 class _ReferenceBuilder:
     def __init__(self, chart):
-        self.chart = list(chart) if chart is not None else None
+        # a `vecfield.Chart` or a sequence of names
+        names = getattr(chart, "variables", chart)
+        self.chart = list(names) if names is not None else None
         self.atom_exprs = {}
 
     def var_atom(self, name: str):

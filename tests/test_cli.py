@@ -886,6 +886,19 @@ class TestMain:
         assert capsys.readouterr().err == (
             "error: --box-scale: 1e400 is too large for a float\n")
 
+    def test_zero_denominator_exit_three(self, tmp_path, capsys):
+        assert main(["analyze", "hilbert-cartan",
+                     "--box-scale", "1/0"]) == 3
+        assert capsys.readouterr().err == (
+            "error: --box-scale: 1/0 has a zero denominator\n")
+        doc = json.loads(bundled_document("hilbert-cartan"))
+        doc["base_point"] = {"y1": "3/0"}
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 3
+        assert capsys.readouterr().err.endswith(
+            ": base_point.y1: 3/0 has a zero denominator\n")
+
     def test_analyze_text_format(self, capsys):
         assert main(["analyze", "flat-cone", "--suite", "verify",
                      "--format", "text"]) == 0

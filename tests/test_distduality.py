@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dist235 import distduality, linalg, memo, vecfield
+from dist235 import distduality, linalg, vecfield
 from dist235.boxes import Box
 from dist235.conedual import (
     ConeFamily, builtin_model, check_nondegenerate, prolong_cone,
@@ -28,8 +28,8 @@ from dist235.vecfield import (
 )
 
 from helpers import (
-    count_calls, full_frame, random_point, record_evaluations,
-    repeated_evaluations, text_field,
+    count_calls, full_frame, on_fresh_charts, random_point,
+    record_evaluations, repeated_evaluations, text_field,
 )
 
 TOL = 1e-9
@@ -237,14 +237,14 @@ class TestSolveE:
     def test_no_bracket_beyond_the_flag(self):
         # the flag's passes built every bracket [zeta_k, w] that solve_e
         # decomposes but the mirror [zeta2, zeta1], which no pass folds
-        with memo.scope(memo.Memo()):
-            pro = prolong_235(Distribution235(BASE_CHART, *cubic_model(),
-                                              BASE_CHART.origin()))
-            misses = _bracket.cache_info().misses
-            solve_e(pro)
-            assert _bracket.cache_info().misses == misses + 1
-            lie_bracket(pro.zeta2, pro.zeta1)
-            assert _bracket.cache_info().misses == misses + 1
+        eta1, eta2 = on_fresh_charts(cubic_model())
+        pro = prolong_235(Distribution235(eta1.chart, eta1, eta2,
+                                          BASE_CHART.origin()))
+        misses = _bracket.cache_info().misses
+        solve_e(pro)
+        assert _bracket.cache_info().misses == misses + 1
+        lie_bracket(pro.zeta2, pro.zeta1)
+        assert _bracket.cache_info().misses == misses + 1
 
     def test_picked_equation_not_checked_again(self, monkeypatch):
         # the picked equation's residual a - (a/b)*b is zero by
@@ -711,11 +711,10 @@ class TestSwapped:
         # the components of the layer generator zeta1 (e = 0 for
         # hilbert-cartan; K is the fiber field of a cone family).
         structure = bundled_structure(name)
-        with memo.scope(memo.Memo()):
-            verify_pseudo_product(structure)
-            misses = _bracket.cache_info().misses
-            verify_pseudo_product(structure.swapped())
-            assert _bracket.cache_info().misses == misses
+        verify_pseudo_product(structure)
+        misses = _bracket.cache_info().misses
+        verify_pseudo_product(structure.swapped())
+        assert _bracket.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Tests for the memo tables' lifetime: a suite run, a trace and a cone
-family each fill a memo of their own, the process default is left alone,
-the process-wide counts the benchmark reads still add up, and the Halton
-points each memo builds again are exact."""
+"""Tests for the memo tables' lifetime: each `Chart(...)` starts a memo
+that every chart it extends to shares, so a suite run, a trace and a cone
+family each fill a memo of their own; the process default is left alone,
+the process-wide counts the benchmark reads still add up, and a box keeps
+its own exact Halton points."""
 
 import gc
 import json
@@ -18,7 +19,7 @@ from dist235 import boxes, memo, scalar, vecfield
 from dist235.boxes import Box
 from dist235.cli import canonical_json, exit_code, load_model, run_suite
 from dist235.conedual import (
-    build_model, builtin_model, check_lagrangian, check_nondegenerate,
+    builtin_model, check_lagrangian, check_nondegenerate,
     check_osculating_condition, prolong_cone, solve_U,
 )
 from dist235.distduality import (
@@ -29,7 +30,8 @@ from dist235.models import BUNDLED
 from dist235.paths import (
     cone_system, distribution_system, lift_fiber, verify_duality,
 )
-from dist235.vecfield import Chart, lie_bracket
+from dist235.scalar import OpaqueRegistry, normalize, parse_expr
+from dist235.vecfield import Chart, VectorField, lie_bracket
 
 from helpers import text_field
 from test_cli import child_env
@@ -49,14 +51,50 @@ def swept_family(params=None):
     return family
 
 
-def test_a_family_leaves_the_default_memo_alone():
-    before = memo.DEFAULT.cache_info()
+@pytest.fixture
+def default_memo(monkeypatch):
+    """An empty process default for the test, which what it runs must
+    leave empty."""
+    default = memo.Memo()
+    monkeypatch.setattr(memo, "DEFAULT", default)
+    yield default
+    assert default.tables == {}
+
+
+def test_a_chart_starts_a_memo_that_its_extensions_share():
+    chart = Chart(("x", "y"))
+    other = Chart(("x", "y"))
+    assert isinstance(chart.memo, memo.Memo)
+    assert chart.memo is not memo.DEFAULT and other.memo is not chart.memo
+    extended = chart.extend("z")
+    assert extended.memo is chart.memo
+    assert extended.extend("u", "v").memo is chart.memo
+    assert Chart(extended.variables).memo is not chart.memo
+    # what is computed on an extension fills the memo of the chart
+    tree = normalize(parse_expr("(x + z)^2", extended.variables), extended)
+    assert chart.memo.cache_info()["scalar._normal_form"].currsize == 1
+    assert normalize(tree, extended.extend("w")) == tree
+    assert chart.memo.cache_info()["scalar._normal_form"].currsize == 2
+    assert other.memo.tables == {}
+
+
+def test_equality_and_hash_ignore_the_memo():
+    registry = OpaqueRegistry()
+    chart = Chart(("x", "y"), registry)
+    same = Chart(("x", "y"), registry)
+    assert chart.memo is not same.memo
+    assert chart == same and hash(chart) == hash(same)
+    assert chart.extend("z") == Chart(("x", "y", "z"), registry)
+    assert chart != Chart(("x", "y"))  # another registry
+    assert "memo" not in repr(chart)
+    assert len({chart, same, chart.extend()}) == 1
+
+
+def test_a_family_leaves_the_default_memo_alone(default_memo):
     swept_family()
-    assert memo.DEFAULT.cache_info() == before
 
 
-def test_a_distribution_leaves_the_default_memo_alone():
-    before = memo.DEFAULT.cache_info()
+def test_a_distribution_leaves_the_default_memo_alone(default_memo):
     dist = builtin_model("hilbert-cartan")
     prolonged = prolong_235(dist)
     solved = solve_e(prolonged)
@@ -65,29 +103,29 @@ def test_a_distribution_leaves_the_default_memo_alone():
     report = verify_pseudo_product(structure)
     assert report.valid
     assert not verify_pseudo_product(swapped).valid
-    symbol = symbol_algebra_at(structure)
-    assert memo.DEFAULT.cache_info() == before
-    # what each call returns keeps the memo the distribution was built in
-    kept = memo.kept(dist)
-    assert kept is not memo.DEFAULT
-    for derived in (prolonged, solved, structure, swapped, report, symbol):
-        assert memo.kept(derived) is kept
-    # a splitting built directly keeps a memo of its own
+    symbol_algebra_at(structure)
+    # every chart the work derives shares the memo of the model's chart
+    kept = dist.chart.memo
+    assert kept.cache_info()["vecfield._bracket"].currsize > 0
+    for chart in (prolonged.z_chart, structure.z_chart, swapped.z_chart,
+                  solved.k_field.chart):
+        assert chart.memo is kept
+    # and so does a splitting built directly on the prolonged chart
     direct = PseudoProductStructure.build(
         prolonged.z_chart, (prolonged.zeta1, prolonged.zeta2),
         solved.k_field, solved.l_field, prolonged.base_point)
     assert verify_pseudo_product(direct).valid
-    assert memo.kept(direct) not in (memo.DEFAULT, kept)
-    assert memo.DEFAULT.cache_info() == before
+    assert direct.z_chart.memo is kept
 
 
-def test_every_entry_point_on_a_model_leaves_the_default_memo_alone():
-    # control systems and their compiled batches, launches, lifts,
-    # duality checks and derived brackets run in the memo the model
-    # keeps, and a distribution built directly keeps a memo of its own
-    before = memo.DEFAULT.cache_info()
-    family = builtin_model("noncubic-bc")
+def test_every_entry_point_on_a_model_leaves_the_default_memo_alone(
+        default_memo):
+    # the family checks, control systems and their compiled batches,
+    # launches, lifts, duality checks and derived brackets, and a
+    # distribution built directly, all work on charts with a memo
+    family = swept_family()
     cone_cs = cone_system(family)
+    assert cone_cs.prepared is cone_cs.prepared
     origin = {v: Fraction(0) for v in family.x_chart.variables}
     assert verify_duality(prolong_cone(family), cone_cs, origin, 0,
                           Fraction(1, 2)).passed
@@ -101,18 +139,18 @@ def test_every_entry_point_on_a_model_leaves_the_default_memo_alone():
     assert verify_duality(structure, dist_cs, dict(dist.base_point), 0,
                           Fraction(1, 2)).passed
     lift_fiber(structure, "L")
-    direct = Distribution235(dist.chart, dist.eta1, dist.eta2,
-                             dist.chart.origin())
-    assert memo.kept(direct) not in (memo.DEFAULT, memo.kept(dist))
+    chart = Chart(dist.chart.variables, dist.chart.registry)
+    direct = Distribution235(
+        chart, *(VectorField(chart, f.components, f.name)
+                 for f in (dist.eta1, dist.eta2)), chart.origin())
     direct_prolonged = prolong_235(direct)
     solve_e(direct_prolonged).structure(direct_prolonged)
-    assert memo.DEFAULT.cache_info() == before
+    assert chart.memo.cache_info()["vecfield._bracket"].misses > 0
 
 
 def test_a_family_memo_dies_with_the_family():
     family = swept_family()
-    kept = memo.kept(family)
-    assert kept is not memo.DEFAULT
+    kept = family.x_chart.memo
     assert kept.cache_info()["scalar._normal_form"].currsize > 0
     alive = weakref.ref(kept)
     del family, kept
@@ -120,19 +158,10 @@ def test_a_family_memo_dies_with_the_family():
     assert alive() is None
 
 
-def test_a_model_built_in_a_scope_keeps_the_scope_memo():
-    outer = memo.Memo()
-    with memo.scope(outer):
-        family = build_model(load_model("flat-cone"))
-        check_osculating_condition(family)
-    assert memo.kept(family) is outer
-    assert outer.cache_info()["vecfield._bracket"].misses > 0
-
-
 @pytest.mark.parametrize("name,misses", [
     pytest.param(name, misses, id=name) for name, misses in (
-        ("hilbert-cartan", 36), ("flat-cone", 40), ("cubic-a", 27),
-        ("noncubic-bc", 42), ("noncubic-bc-violating", 30))])
+        ("hilbert-cartan", 36), ("flat-cone", 28), ("cubic-a", 15),
+        ("noncubic-bc", 30), ("noncubic-bc-violating", 18))])
 def test_suite_counts_do_not_depend_on_history(name, misses):
     # each run does the work of a first run in a fresh process
     runs = []
@@ -149,22 +178,32 @@ def test_a_bracket_is_shared_within_a_memo_only():
     chart = Chart(("x", "y", "z"))
     v = text_field(chart, ("1", "0", "y"))
     w = text_field(chart, ("0", "1", "x"))
-    with memo.scope(memo.Memo()):
-        first = lie_bracket(v, w)
-        assert lie_bracket(v, w) is first
-    with memo.scope(memo.Memo()):
-        again = lie_bracket(v, w)
+    first = lie_bracket(v, w)
+    assert lie_bracket(v, w) is first
+    # the same fields on a fresh chart miss in its fresh memo
+    fresh = Chart(chart.variables)
+    again = lie_bracket(*(VectorField(fresh, f.components) for f in (v, w)))
     assert again is not first and again == first
+    assert chart.memo.cache_info()["vecfield._bracket"] == (1, 1, None, 1)
+    assert fresh.memo.cache_info()["vecfield._bracket"] == (0, 1, None, 1)
 
 
-def test_halton_points_are_kept_per_memo():
+def test_a_box_keeps_its_own_halton_points():
     box = Box.around({"x": 0, "y": 0}, "1/2")
-    inner = memo.Memo()
-    with memo.scope(inner):
-        points = box.sample_points(5)
-        assert box.sample_points(5) == points
-    assert inner.cache_info()["boxes._halton"] == (1, 1, None, 1)
-    assert boxes._halton.cache_info().hits >= 1
+    points = box.sample_points(5)
+    assert box.sample_points(5) == points
+    assert box.sample_points(5) is not points  # fresh dicts each call
+    kept = box.__dict__["_halton"]
+    assert list(kept) == [(5, 0)]
+    assert box.sample_points(5, skip=2)[:3] == points[2:]
+    assert list(kept) == [(5, 0), (5, 2)]
+    # an equal box keeps points of its own; equality and hashing
+    # ignore them
+    twin = Box(box.intervals)
+    assert twin == box and hash(twin) == hash(box)
+    assert "_halton" not in twin.__dict__
+    assert twin.sample_points(5) == points
+    assert twin.__dict__["_halton"] is not kept
 
 
 def test_halton_points_are_the_exact_radical_inverses():
@@ -224,4 +263,4 @@ class TestHarnessInterface:
         counts = json.loads((tmp_path / "p.json").read_text())
         assert sorted(counts) == ["hits", "misses"]
         assert all(type(v) is int for v in counts.values())
-        assert counts["misses"] == 27
+        assert counts["misses"] == 15

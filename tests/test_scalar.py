@@ -645,10 +645,12 @@ class TestNormalFormMatchesReference:
 
     def test_every_normal_form_of_the_bundled_reports(self, monkeypatch,
                                                       tmp_path):
-        from dist235 import conedual, distduality, memo, vecfield
+        from dist235 import conedual, distduality, vecfield
         from dist235.cli import main
         from dist235.models import BUNDLED
-        from helpers import full_width_decompose, tree_bracket
+        from helpers import (
+            full_width_decompose, on_fresh_charts, tree_bracket,
+        )
         cached = scalar._normal_form
         calls = {}
 
@@ -688,17 +690,16 @@ class TestNormalFormMatchesReference:
             pins.generated_report(name)
         brackets = decompositions = 0
         for key, result in folds.items():
-            with memo.scope(memo.Memo()):
-                if isinstance(result, vecfield.VectorField):
-                    brackets += 1
-                    want = tree_bracket(*key).components
-                    got = result.components
-                else:
-                    decompositions += 1
-                    want = full_width_decompose(key[0], key[1],
-                                                dict(key[2]))
-                    want = [c for coeffs in want for c in coeffs]
-                    got = [c for coeffs in result for c in coeffs]
+            key = on_fresh_charts(key)
+            if isinstance(result, vecfield.VectorField):
+                brackets += 1
+                want = tree_bracket(*key).components
+                got = result.components
+            else:
+                decompositions += 1
+                want = full_width_decompose(key[0], key[1], dict(key[2]))
+                want = [c for coeffs in want for c in coeffs]
+                got = [c for coeffs in result for c in coeffs]
             assert [to_text(c) for c in got] == [to_text(c) for c in want]
         assert brackets > 20 and decompositions > 5
         assert len(calls) > 500

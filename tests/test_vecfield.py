@@ -14,7 +14,7 @@ import sympy
 
 import dist235
 from dist235 import (
-    conedual, distduality, linalg, memo, paths, scalar, vecfield,
+    conedual, distduality, linalg, paths, scalar, vecfield,
 )
 from dist235.boxes import Box
 from dist235.conedual import build_model, builtin_model, prolong_cone, solve_U
@@ -32,8 +32,9 @@ from dist235.vecfield import (
 
 from helpers import (
     apply_to, contact_volume, count_calls, every_bracket_flag,
-    full_width_decompose, random_nf_tree, random_point, random_tree,
-    record_evaluations, repeated_evaluations, text_field, tree_bracket,
+    full_width_decompose, on_fresh_charts, random_nf_tree, random_point,
+    random_tree, record_evaluations, repeated_evaluations, text_field,
+    tree_bracket, tree_coefficient, tree_exterior_derivative, tree_pair,
     zero_field,
 )
 from test_conedual import opaque_chain
@@ -642,11 +643,9 @@ def flag_summary(flag):
 
 
 def same_flag(generators, box):
-    """The flag and its reference, each derived in a memo of its own."""
-    with memo.scope(memo.Memo()):
-        flag = derived_flag(generators, box=box)
-    with memo.scope(memo.Memo()):
-        reference = every_bracket_flag(generators, box=box)
+    """The flag and its reference, each derived on a fresh chart."""
+    flag = derived_flag(on_fresh_charts(generators), box=box)
+    reference = every_bracket_flag(on_fresh_charts(generators), box=box)
     assert flag_summary(flag) == flag_summary(reference)
     return flag
 
@@ -664,10 +663,10 @@ class TestOnlyLiveWork:
         for generators, box in flags:
             same_flag(generators, box)
         for targets, basis, base in decompositions:
-            with memo.scope(memo.Memo()):
-                live = vecfield.symbolic_decompose(targets, basis, base)
-            with memo.scope(memo.Memo()):
-                full = full_width_decompose(targets, basis, base)
+            live = vecfield.symbolic_decompose(
+                *on_fresh_charts((targets, basis)), base)
+            full = full_width_decompose(
+                *on_fresh_charts((targets, basis)), base)
             assert [[to_text(c) for c in coeffs] for coeffs in live] == \
                 [[to_text(c) for c in coeffs] for coeffs in full]
 
@@ -704,12 +703,12 @@ class TestOnlyLiveWork:
         for _ in range(10):
             comps = tuple(random_tree(rng, CH5.variables[:3], depth=2)
                           for _ in range(CH5.dimension))
-            v = VectorField(CH5, comps)
-            with memo.scope(memo.Memo()):
-                misses = _bracket.cache_info().misses
-                zero = lie_bracket(v, VectorField(CH5, comps, "copy"))
-                assert _bracket.cache_info().misses == misses
-                folded = _bracket(CH5, comps, comps)
+            chart = on_fresh_charts(CH5)
+            v = VectorField(chart, comps)
+            misses = _bracket.cache_info().misses
+            zero = lie_bracket(v, VectorField(chart, comps, "copy"))
+            assert _bracket.cache_info().misses == misses
+            folded = _bracket(chart, comps, comps)
             assert zero == folded
             assert all(c is ZERO for c in zero.components)
 
@@ -720,23 +719,24 @@ class TestOnlyLiveWork:
         ch = Chart(("x", "y", "y1", "y2"))
         g1 = text_field(ch, ["1", "y1", "y2", "0"])
         g2 = text_field(ch, ["0", "0", "0", "1"])
-        with memo.scope(memo.Memo()):
-            misses = _bracket.cache_info().misses
-            flag = derived_flag(Frame(ch, (g1, g2), ch.origin()))
-            assert _bracket.cache_info().misses - misses == 2
+        misses = _bracket.cache_info().misses
+        flag = derived_flag(Frame(ch, (g1, g2), ch.origin()))
+        assert _bracket.cache_info().misses - misses == 2
         assert flag.growth == (2, 3, 4)
 
     def test_prolong_cone_brackets_only_what_can_grow_the_flag(self):
         # [zeta1, zeta1], [zeta2, zeta2] and [zeta2, zeta1] are no
-        # longer folded: 9 -> 6 brackets; and the brackets fold on
-        # records, with no normal-form lookup: 31 -> 5 normal forms
+        # longer folded: 9 -> 6 brackets; and the brackets, and the
+        # exterior derivative and pairings of the Lagrangian check, fold
+        # on records, with no normal-form lookup: 31 -> 5 -> 0 normal
+        # forms
         family = builtin_model("noncubic-bc")
         solve_U(family)
         brackets = _bracket.cache_info().misses
         forms = scalar._normal_form.cache_info().misses
         prolong_cone(family)
         assert _bracket.cache_info().misses - brackets == 6
-        assert scalar._normal_form.cache_info().misses - forms == 5
+        assert scalar._normal_form.cache_info().misses - forms == 0
 
     def test_a_pass_brackets_only_the_fields_new_to_its_frame(
             self, monkeypatch):
@@ -748,9 +748,8 @@ class TestOnlyLiveWork:
         calls = count_calls(monkeypatch, vecfield, "lie_bracket")
         structure = prolong_cone(family)
         assert len(calls) == 9
-        with memo.scope(memo.Memo()):
-            reference = every_bracket_flag(structure.flag.frames[0],
-                                           box=structure.box)
+        reference = every_bracket_flag(
+            on_fresh_charts(structure.flag.frames[0]), box=structure.box)
         assert flag_summary(structure.flag) == flag_summary(reference)
 
 
@@ -788,15 +787,15 @@ def random_component(rng, chart, opaques=("F", "F1")):
         return normal if rng.random() < 0.7 else tree
 
 
-def outcome(compute):
-    """The printed components of what `compute()` returns in a fresh
-    memo, or the type and message of the error it raises."""
-    with memo.scope(memo.Memo()):
-        try:
-            result = compute()
-        except (ArithmeticError, scalar.ExprError,
-                DegenerateFrameError) as exc:
-            return type(exc), str(exc)
+def outcome(function, *args):
+    """The printed components of what `function(*args)` returns with the
+    fields and charts of `args` on fresh charts, or the type and message
+    of the error it raises."""
+    try:
+        result = function(*on_fresh_charts(args))
+    except (ArithmeticError, scalar.ExprError,
+            DegenerateFrameError) as exc:
+        return type(exc), str(exc)
     if isinstance(result, VectorField):
         return [to_text(c) for c in result.components]
     return [[to_text(c) for c in coeffs] for coeffs in result]
@@ -818,9 +817,9 @@ class TestRecordFold:
             v, w = (VectorField(chart, tuple(
                 random_component(rng, chart)
                 for _ in range(dimension))) for _ in range(2))
-            got = outcome(lambda: lie_bracket(v, w))
+            got = outcome(lie_bracket, v, w)
             assert got == outcome(
-                lambda: tree_bracket(chart, v.components, w.components))
+                tree_bracket, chart, v.components, w.components)
             kinds.update("rational" if "^-" in text else
                          "opaque" if "F" in text else "polynomial"
                          for text in got)
@@ -847,10 +846,8 @@ class TestRecordFold:
                 random_component(rng, chart, ("F",))
                 for _ in range(dimension))) for _ in range(2)]
             base = random_point(rng, chart.variables, Fraction(1, 4), 8)
-            got = outcome(lambda: vecfield.symbolic_decompose(
-                targets, basis, base))
-            assert got == outcome(
-                lambda: full_width_decompose(targets, basis, base))
+            got = outcome(vecfield.symbolic_decompose, targets, basis, base)
+            assert got == outcome(full_width_decompose, targets, basis, base)
             if isinstance(got, list):
                 decided += 1
                 kinds.update("opaque" if "F" in text else "rational"
@@ -863,12 +860,12 @@ class TestRecordFold:
         v = text_field(chart, ("1", "y/(1 + x)", "x^2*z", "1/2"))
         w = text_field(chart, ("z", "0", "x*y - u", "y^2")).normalized("w")
         printed = count_calls(monkeypatch, scalar, "_quotient_tree")
-        with memo.scope(memo.Memo()):
-            bracket = lie_bracket(v, w)
-            assert _bracket.cache_info().misses
+        misses = _bracket.cache_info().misses
+        bracket = lie_bracket(v, w)
+        assert _bracket.cache_info().misses == misses + 1
         assert len(printed) == chart.dimension
         assert [to_text(c) for c in bracket.components] == \
-            outcome(lambda: tree_bracket(chart, v.components, w.components))
+            outcome(tree_bracket, chart, v.components, w.components)
 
     def test_a_decomposition_prints_only_its_coefficients(self, monkeypatch):
         chart = Chart(("x", "y", "z"))
@@ -878,11 +875,55 @@ class TestRecordFold:
             ("x^2", "1", "y"), ("1/2", "0", "x - z"))]
         base = {"x": Fraction(1, 3), "y": Fraction(-1, 2), "z": Fraction(1)}
         printed = count_calls(monkeypatch, scalar, "_quotient_tree")
-        with memo.scope(memo.Memo()):
-            coeffs = vecfield.symbolic_decompose(targets, basis, base)
+        coeffs = vecfield.symbolic_decompose(targets, basis, base)
         assert len(printed) == chart.dimension * len(targets)
         assert [[to_text(c) for c in row] for row in coeffs] == outcome(
-            lambda: full_width_decompose(targets, basis, base))
+            full_width_decompose, targets, basis, base)
+
+    @pytest.mark.parametrize("dimension", (3, 4, 5))
+    def test_forms_equal_the_tree_fold(self, dimension):
+        # the same random one-form and fields on two fresh charts: one
+        # for the record folds, one for the tree folds
+        rng = random.Random(20261024 + 10 * dimension)
+        chart = Chart(tuple(f"x{k}" for k in range(1, dimension + 1)),
+                      chained_registry())
+        square = [(i, j) for i in range(dimension) for j in range(dimension)]
+        kinds = set()
+        for _ in range(12):
+            comps = [tuple(random_component(rng, chart)
+                           for _ in range(dimension)) for _ in range(3)]
+            (alpha, v, w), (t_alpha, t_v, t_w) = (
+                (OneForm(fresh, comps[0]), VectorField(fresh, comps[1]),
+                 VectorField(fresh, comps[2]))
+                for fresh in (on_fresh_charts(chart), on_fresh_charts(chart)))
+            d = exterior_derivative(alpha)
+            t_d = tree_exterior_derivative(t_alpha)
+            assert sorted(d.components) == sorted(t_d.components)
+            got = [to_text(d.coefficient(i, j)) for i, j in square]
+            assert got == [to_text(tree_coefficient(t_d, i, j))
+                           for i, j in square]
+            got += [to_text(pair(alpha, v)), to_text(pair(d, v, w))]
+            assert got[-2:] == [to_text(tree_pair(t_alpha, t_v)),
+                                to_text(tree_pair(t_d, t_v, t_w))]
+            kinds.update("rational" if "^-" in text else
+                         "opaque" if "F" in text else "polynomial"
+                         for text in got)
+        assert kinds == {"rational", "opaque", "polynomial"}
+
+    def test_forms_print_only_what_they_return(self, monkeypatch):
+        chart = Chart(("x", "y", "z"))
+        alpha = OneForm(chart, tuple(
+            parse_expr(text, chart.variables)
+            for text in ("y/(1 + x)", "x^2*z", "1/2")))
+        v = text_field(chart, ("1", "y/(1 + x)", "x^2*z"))
+        w = text_field(chart, ("z", "0", "x*y - 1"))
+        printed = count_calls(monkeypatch, scalar, "_quotient_tree")
+        d = exterior_derivative(alpha)
+        assert len(printed) == len(d.components) == 2  # d(alpha)_02 = 0
+        pair(d, v, w)
+        pair(alpha, v)
+        d.coefficient(2, 0)
+        assert len(printed) == 5
 
 
 CHX = Chart(("x1", "x2", "x3", "x4", "x5"))
