@@ -17,9 +17,10 @@ Lie brackets, eliminations, exterior derivatives and pairings
 (`vecfield`) fold on records in one builder and print each result once;
 the zero decision and `min_degree` read the record, and `evaluate` at a
 rational point computes the value of a tree that carries its record in
-integers.  Normal forms and derivatives are memoized in the memo of the
-`vecfield.Chart` they are computed on (`memo`), which is freed with the
-model's charts; a tuple of names uses the process default.
+integers.  Normalizing, differentiating and the zero decision work on
+a `vecfield.Chart`, which gives the names, the opaque registry and the
+memo that its normal forms and derivatives fill (`memo`); parsing,
+evaluating and compiling take names and a registry.
 
 Opaque atoms model smooth functions known only through a registry entry
 (numeric evaluator plus derivative rule); everything else is exact.
@@ -336,12 +337,8 @@ def default_registry() -> OpaqueRegistry:
     return _DEFAULT_REGISTRY
 
 
-def _registry(registry: Optional[OpaqueRegistry],
-              chart=None) -> OpaqueRegistry:
-    """`registry`, else the registry of `chart` when it is a
-    `vecfield.Chart` (a tuple of names has none), else the default."""
-    if registry is None:
-        registry = getattr(chart, "registry", None)
+def _registry(registry: Optional[OpaqueRegistry]) -> OpaqueRegistry:
+    """`registry`, else the default."""
     return registry if registry is not None else _DEFAULT_REGISTRY
 
 
@@ -398,10 +395,10 @@ def _tokenize(text: str) -> list[tuple]:
 
 
 class _Parser:
-    def __init__(self, tokens, chart, registry):
+    def __init__(self, tokens, names, registry):
         self.tokens = tokens
         self.pos = 0
-        self.chart = chart
+        self.names = names
         self.registry = registry
 
     def peek(self):
@@ -492,7 +489,7 @@ class _Parser:
                 arg = self.expr()
                 self.expect_op(")")
                 return Opaque(value, arg)
-            if self.chart is not None and value not in self.chart:
+            if self.names is not None and value not in self.names:
                 raise UnknownSymbolError(value, offset)
             return Var(value)
         if kind == _TOK_OP and value == "(":
@@ -502,18 +499,16 @@ class _Parser:
         raise ParseError("expected a term", offset)
 
 
-def parse_expr(text: str, chart: Optional[Sequence[str]] = None,
+def parse_expr(text: str, names: Optional[Sequence[str]] = None,
                registry: Optional[OpaqueRegistry] = None) -> ScalarExpr:
     """Parse source text to an expression tree.
 
-    When a chart is supplied, bare identifiers must be chart variables;
-    applied identifiers must be registered opaques.  Without a registry
-    the opaques are those of the chart, when it is a `vecfield.Chart`.
-    Errors carry the byte offset of the offending token.
+    When names are supplied, bare identifiers must be among them;
+    applied identifiers must be registered opaques (of the default
+    registry when none is given).  Errors carry the byte offset of the
+    offending token.
     """
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, _names(chart), _registry(registry, chart))
-    return parser.parse()
+    return _Parser(_tokenize(text), names, _registry(registry)).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +739,7 @@ def _print_order(poly: dict, atoms) -> list:
 class _NormalForm:
     """The quotient a fold ends with (see "normal form" above)."""
 
-    chart_key: Optional[tuple]
+    names: tuple    # of the chart it was built on
     num: dict       # {monomial: int}
     den: dict
     atoms: tuple    # ((atom key, offset, ScalarExpr), ...) of the terms,
@@ -779,15 +774,15 @@ class _NormalForm:
 
 class _NFBuilder:
     """Folds trees and records into quotients of integer polynomial
-    pairs (see "normal form" above) on `chart`: a `vecfield.Chart`, whose
-    memo the derivatives it takes fill, or a tuple of names."""
+    pairs (see "normal form" above) on a `vecfield.Chart`, whose memo
+    the derivatives it takes fill."""
 
     def __init__(self, chart):
         self.chart = chart
-        self.names = _names(chart)
+        self.names = chart.variables
         self.atoms = {}  # atom key -> (offset of its exponent field, expr)
         # the first field after the chart variables'
-        self.free_offset = _EXP_BITS * len(self.names or ())
+        self.free_offset = _EXP_BITS * len(self.names)
 
     def atom(self, key, expr: ScalarExpr) -> int:
         """The offset of the field of the atom `key`."""
@@ -803,7 +798,7 @@ class _NFBuilder:
 
     def var_atom(self, var: Var) -> int:
         name = var.name
-        if self.names is not None and name in self.names:
+        if name in self.names:
             idx = self.names.index(name)
         else:
             idx = _NO_CHART_INDEX
@@ -840,9 +835,9 @@ class _NFBuilder:
             num, den = _moved(num, moves), _moved(den, moves)
         return (num, 1), (den, 1), nf.deg
 
-    def derivative(self, expr: ScalarExpr, var: str, registry):
+    def derivative(self, expr: ScalarExpr, var: str):
         """The triple of d(expr)/d(var), as `differentiate` prints it."""
-        return self.reuse(_derivative(expr, var, self.chart, registry))
+        return self.reuse(_derivative(expr, var, self.chart))
 
     def visit(self, expr: ScalarExpr):
         """(numerator, denominator, bound on their total degrees)."""
@@ -926,11 +921,11 @@ def _moved(poly: dict, moves) -> dict:
             for m, c in poly.items()}
 
 
-def _carried(expr, chart_key) -> Optional[_NormalForm]:
-    """The normal form `expr` was printed from, when it was built on
-    `chart_key`."""
+def _carried(expr, names) -> Optional[_NormalForm]:
+    """The normal form `expr` was printed from, when it was built on a
+    chart of `names`."""
     nf = getattr(expr, "_nf", None)
-    if nf is not None and nf.chart_key == chart_key:
+    if nf is not None and nf.names == names:
         return nf
     return None
 
@@ -980,28 +975,13 @@ def _normal_form(expr: ScalarExpr, chart) -> _NormalForm:
     return builder.finish(builder.visit(expr))
 
 
-def _names(chart) -> Optional[tuple]:
-    """The coordinate names of a `vecfield.Chart` or a sequence of
-    names, None for no chart."""
-    if chart is None:
-        return None
-    return tuple(getattr(chart, "variables", chart))
-
-
-def _chart_key(chart):
-    """The chart argument of a memoized function: a `vecfield.Chart` as
-    it is, which finds the chart's memo, else its names (`memo.DEFAULT`)."""
-    return chart if hasattr(chart, "memo") else _names(chart)
-
-
-def normalize(expr: ScalarExpr,
-              chart: Optional[Sequence[str]] = None) -> ScalarExpr:
+def normalize(expr: ScalarExpr, chart) -> ScalarExpr:
     """Canonical form: expanded numerator over expanded denominator, terms
     in graded-lex order.  Idempotent; equal outputs mean equal functions,
     and equality of two expressions is decided by is_zero of their
     difference (no polynomial gcd is cancelled here).  The result
     carries its normal form when that is reusable."""
-    return _printed(_normal_form(expr, _chart_key(chart)))
+    return _printed(_normal_form(expr, chart))
 
 
 def _printed(nf: _NormalForm) -> ScalarExpr:
@@ -1034,61 +1014,60 @@ def free_variables(expr: ScalarExpr) -> set:
 # ---------------------------------------------------------------------------
 # calculus and evaluation
 
-def differentiate(expr: ScalarExpr, var: str,
-                  chart: Optional[Sequence[str]] = None,
-                  registry: Optional[OpaqueRegistry] = None) -> ScalarExpr:
+def differentiate(expr: ScalarExpr, var: str, chart) -> ScalarExpr:
     """Partial derivative with respect to a chart variable, normalized.
 
-    Opaque applications use the registry's derivative rule and the chain
-    rule; the rule's target must itself be registered.  Without a
-    registry the rules are those of the chart, when it is a
-    `vecfield.Chart`.
+    Opaque applications use the derivative rule of the chart's registry
+    and the chain rule; the rule's target must itself be registered.
     """
-    names = _names(chart)
-    if names is not None and var not in names:
+    if var not in chart.variables:
         raise UndeclaredVariableError(var)
-    return _printed(_derivative(expr, var, _chart_key(chart),
-                                _registry(registry, chart)))
+    return _printed(_derivative(expr, var, chart))
 
 
 @memoized
-def _derivative(expr: ScalarExpr, var: str, chart,
-                reg: OpaqueRegistry) -> _NormalForm:
-    """The normal form of `differentiate`, memoized on the registry
-    object too: a registry is write-once, so the rules a derivative used
-    cannot change under it."""
-    nf = _carried(expr, _names(chart))
+def _derivative(expr: ScalarExpr, var: str, chart) -> _NormalForm:
+    """The normal form of `differentiate`.  The chart's memo is shared
+    only by charts with its registry, which is write-once, so the rules
+    a derivative used cannot change under it."""
+    nf = _carried(expr, chart.variables)
     if nf is not None and nf.den.keys() == {0}:
-        return _polynomial_derivative(nf, var)
+        return _polynomial_derivative(nf, var, chart)
+    return _normal_form(_tree_derivative(expr, var, chart.registry), chart)
 
-    def d(node: ScalarExpr) -> ScalarExpr:
-        if isinstance(node, Const):
+
+def _tree_derivative(node: ScalarExpr, var: str,
+                     registry: OpaqueRegistry) -> ScalarExpr:
+    """The unnormalized tree of d(node)/d(var): the sum, product, power
+    and chain rules, with the registry's rule for an opaque."""
+    if isinstance(node, Const):
+        return ZERO
+    if isinstance(node, Var):
+        return ONE if node.name == var else ZERO
+    if isinstance(node, Sum):
+        return Sum(tuple(_tree_derivative(t, var, registry)
+                         for t in node.terms))
+    if isinstance(node, Prod):
+        pieces = []
+        for i in range(len(node.factors)):
+            fs = list(node.factors)
+            fs[i] = _tree_derivative(fs[i], var, registry)
+            pieces.append(Prod(tuple(fs)))
+        return Sum(tuple(pieces))
+    if isinstance(node, Pow):
+        if node.exponent == 0:
             return ZERO
-        if isinstance(node, Var):
-            return ONE if node.name == var else ZERO
-        if isinstance(node, Sum):
-            return Sum(tuple(d(t) for t in node.terms))
-        if isinstance(node, Prod):
-            pieces = []
-            for i in range(len(node.factors)):
-                fs = list(node.factors)
-                fs[i] = d(fs[i])
-                pieces.append(Prod(tuple(fs)))
-            return Sum(tuple(pieces))
-        if isinstance(node, Pow):
-            if node.exponent == 0:
-                return ZERO
-            return Prod((Const(Fraction(node.exponent)),
-                         Pow(node.base, node.exponent - 1), d(node.base)))
-        if isinstance(node, Opaque):
-            outer = reg.derivative_of(node.name, node.arg)
-            return Prod((outer, d(node.arg)))
-        raise TypeError(f"not a scalar expression: {node!r}")
-
-    return _normal_form(d(expr), chart)
+        return Prod((Const(Fraction(node.exponent)),
+                     Pow(node.base, node.exponent - 1),
+                     _tree_derivative(node.base, var, registry)))
+    if isinstance(node, Opaque):
+        outer = registry.derivative_of(node.name, node.arg)
+        return Prod((outer, _tree_derivative(node.arg, var, registry)))
+    raise TypeError(f"not a scalar expression: {node!r}")
 
 
-def _polynomial_derivative(nf: _NormalForm, var: str) -> _NormalForm:
+def _polynomial_derivative(nf: _NormalForm, var: str,
+                           chart) -> _NormalForm:
     """The normal form of d/d(var) of N/c printed from `nf`, N an integer
     polynomial and c a constant.
 
@@ -1096,7 +1075,7 @@ def _polynomial_derivative(nf: _NormalForm, var: str) -> _NormalForm:
     constant, so the fold is a multiple of (dN/d(var), c), and a normal
     form with a constant denominator is the one pair of coprime content
     for its polynomial: this is that pair, taken term by term."""
-    builder = _NFBuilder(nf.chart_key)
+    builder = _NFBuilder(chart)
     builder.reuse(nf)
     offset = nf.var_offset(var)
     derivative = {}
@@ -1313,24 +1292,21 @@ _ZERO_SAMPLES = 32
 _NUMERIC_TOL = 1e-9
 
 
-def is_zero(expr: ScalarExpr, box: Box,
-            chart: Optional[Sequence[str]] = None,
-            registry: Optional[OpaqueRegistry] = None) -> ZeroCheck:
+def is_zero(expr: ScalarExpr, box: Box, chart) -> ZeroCheck:
     """Decide whether an expression vanishes identically on a box.
 
     Opaque-free input is decided exactly from the normal form; otherwise
     32 quasi-random rational points are evaluated and compared
     against 1e-9 * (1 + max |coefficient|).  Coordinates the box fixes
     (zero-width intervals) are substituted first, so the decision is
-    about the expression on the box, not on the whole chart.  Without a
-    registry the opaques are those of the chart, when it is a
-    `vecfield.Chart`.
+    about the expression on the box, not on the whole chart.  The
+    opaques are those of the chart's registry.
     """
-    registry = _registry(registry, chart)
+    registry = chart.registry
     fixed = {name: lo for name, lo, hi in box.intervals if lo == hi}
     if fixed:
         expr = substitute(expr, fixed)
-    nf = _normal_form(expr, _chart_key(chart))
+    nf = _normal_form(expr, chart)
     if not nf.num:
         # opaque atoms may appear in the tree, but if none survive in the
         # numerator the function is the zero rational function
@@ -1368,13 +1344,12 @@ def is_zero(expr: ScalarExpr, box: Box,
     return ZeroCheck("numerically-zero", witness=worst_pt, value=worst_val)
 
 
-def min_degree(expr: ScalarExpr, var: str,
-               chart: Optional[Sequence[str]] = None) -> Optional[int]:
+def min_degree(expr: ScalarExpr, var: str, chart) -> Optional[int]:
     """The order of vanishing of `expr` in `var`, read from its normal
     form: the lowest power of `var` among the numerator terms minus the
     lowest among the denominator terms.  None for the zero expression
     and when an opaque atom is present."""
-    nf = _normal_form(expr, _chart_key(chart))
+    nf = _normal_form(expr, chart)
     if not nf.num or any(key[0] != 0 for key, _, _ in nf.atoms):
         return None
     offset = nf.var_offset(var)

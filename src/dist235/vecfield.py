@@ -46,7 +46,8 @@ class Chart:
     they share it, so fields whose opaques differ never mix.  `memo` is
     the `memo.Memo` that the normal forms, derivatives and brackets
     computed on the chart fill: each `Chart(...)` starts a fresh one and
-    `extend` hands it on; equality, hashing and `repr` ignore it."""
+    `extend` hands it on with the registry, so the charts that share a
+    memo share one registry; equality, hashing and `repr` ignore it."""
 
     variables: tuple
     registry: Optional[OpaqueRegistry] = field(default=None, repr=False)
@@ -164,10 +165,9 @@ def coordinate_field(chart: Chart, name: str) -> VectorField:
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     """[v, w]^j = sum_i v^i d(w^j)/dx_i - w^i d(v^j)/dx_i, normalized.
 
-    Memoized in the chart's memo, keyed by the chart (which carries the
-    registry of its opaques) and the components of v and w (field names
-    play no part), so asking again for a bracket on a chart that shares
-    the memo returns the same field object.
+    Memoized in the chart's memo, keyed by the chart's names and the
+    components of v and w (field names play no part), so asking again
+    for a bracket on a chart that shares the memo computes nothing new.
     A field's bracket with itself is the zero field, built without a
     fold: the fold of its terms, which cancel pairwise, is `ZERO` in
     every component."""
@@ -175,13 +175,14 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
         raise ChartMismatchError("bracket of fields on different charts")
     if v.components == w.components:
         return VectorField(v.chart, (ZERO,) * v.chart.dimension)
-    return _bracket(v.chart, v.components, w.components)
+    return VectorField(v.chart, _bracket(v.chart, v.components, w.components))
 
 
 @memoized
-def _bracket(chart: Chart, v: tuple, w: tuple) -> VectorField:
-    """Each component is the fold of sum_i v^i d(w^j) + (-1) w^i d(v^j),
-    in that order, on records in one builder, printed once."""
+def _bracket(chart: Chart, v: tuple, w: tuple) -> tuple:
+    """The components of [v, w]: each the fold of sum_i v^i d(w^j) +
+    (-1) w^i d(v^j), in that order, on records in one builder, printed
+    once."""
     builder = _NFBuilder(chart)
     minus_one = builder.visit(MINUS_ONE)
     vs = [builder.visit(c) for c in v]
@@ -191,19 +192,20 @@ def _bracket(chart: Chart, v: tuple, w: tuple) -> VectorField:
         terms = []
         for i, var in enumerate(chart.variables):
             terms.append(builder.product((
-                vs[i], builder.derivative(w[j], var, chart.registry))))
+                vs[i], builder.derivative(w[j], var))))
             terms.append(builder.product((
-                minus_one, ws[i],
-                builder.derivative(v[j], var, chart.registry))))
+                minus_one, ws[i], builder.derivative(v[j], var))))
         comps.append(_printed(builder.finish(builder.sum(terms))))
-    return VectorField(chart, tuple(comps))
+    return tuple(comps)
 
 
 class PointValues:
     """Field values and frame spans at one point, each computed once.
 
-    Fields and frames are keyed by identity; the table holds every object
-    it keys on, so no `id` is reused while it is alive.  Each field's
+    A field is keyed by its registry and components, so equal fields (a
+    bracket asked for twice, a renamed field) share a row; a frame is
+    keyed by identity, and the table holds every frame it keys on, so no
+    `id` is reused while it is alive.  Each field's
     values are scaled to an integer row once (a `linalg.Row`), and rank
     and membership are decided by `linalg`: exactly when the values are
     rational, with its relative tolerance otherwise.
@@ -211,15 +213,15 @@ class PointValues:
 
     def __init__(self, point: dict):
         self.point = point
-        self._rows = {}   # id(field) -> (field, linalg.Row)
+        self._rows = {}   # (registry, components) -> linalg.Row
         self._spans = {}  # id(frame) -> (frame, linalg.Span)
 
     def row(self, f: VectorField) -> linalg.Row:
-        entry = self._rows.get(id(f))
-        if entry is None:
-            entry = (f, linalg.as_row(f.evaluate_at(self.point)))
-            self._rows[id(f)] = entry
-        return entry[1]
+        key = (f.chart.registry, f.components)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = linalg.as_row(f.evaluate_at(self.point))
+        return row
 
     def value(self, f: VectorField) -> list:
         return self.row(f).values
@@ -482,15 +484,15 @@ def exterior_derivative(alpha: OneForm) -> TwoForm:
     chart = alpha.chart
     builder = _NFBuilder(chart)
     minus_one = builder.visit(MINUS_ONE)
-    a, names, registry = alpha.components, chart.variables, chart.registry
+    a, names = alpha.components, chart.variables
     comps = {}
     n = chart.dimension
     for i in range(n):
         for j in range(i + 1, n):
             nf = builder.finish(builder.sum((
-                builder.derivative(a[j], names[i], registry),
+                builder.derivative(a[j], names[i]),
                 builder.product((minus_one, builder.derivative(
-                    a[i], names[j], registry))))))
+                    a[i], names[j]))))))
             if nf.num:
                 comps[(i, j)] = _printed(nf)
     return TwoForm(chart, comps)

@@ -80,20 +80,21 @@ def random_nf_tree(rng: random.Random, variables, opaques=(),
 
 
 def normalized_pieces(rng: random.Random, count: int, charts, variables,
-                      opaques=(), registry=None) -> list:
+                      opaques=()) -> list:
     """`count` outputs of `normalize` under charts drawn from `charts`,
     and now and then the derivative of one: trees that carry their
     normal form mixed with ones that do not (opaque atoms, variables
-    outside the chart, atom roots).  `registry` holds the opaques."""
+    outside the chart, atom roots).  The charts' registry holds the
+    opaques."""
     pieces = []
     while len(pieces) < count:
         chart = rng.choice(charts)
         tree = random_nf_tree(rng, variables, opaques, depth=2)
         try:
             piece = scalar.normalize(tree, chart)
-            if chart is not None and rng.random() < 0.3:
-                piece = scalar.differentiate(piece, rng.choice(chart), chart,
-                                             registry)
+            if chart.variables and rng.random() < 0.3:
+                piece = scalar.differentiate(
+                    piece, rng.choice(chart.variables), chart)
         except scalar.ZeroDenominatorError:
             continue
         pieces.append(piece)
@@ -246,15 +247,14 @@ def tree_bracket(chart, v, w) -> VectorField:
     normal form of the tree sum_i v^i d(w^j) + (-1) w^i d(v^j), built
     from the printed derivatives.  The reference of the fold on
     records."""
-    chart_vars = chart.variables
     comps = []
     for j in range(chart.dimension):
         terms = []
-        for i, var in enumerate(chart_vars):
+        for i, var in enumerate(chart.variables):
             terms.append(Prod((v[i], scalar.differentiate(w[j], var, chart))))
             terms.append(Prod((scalar.MINUS_ONE, w[i],
                                scalar.differentiate(v[j], var, chart))))
-        comps.append(scalar.normalize(Sum(tuple(terms)), chart_vars))
+        comps.append(scalar.normalize(Sum(tuple(terms)), chart))
     return VectorField(chart, tuple(comps))
 
 
@@ -306,10 +306,9 @@ def full_width_decompose(targets, basis, base_point):
     reads included.  The reference of the live-column elimination."""
     chart = targets[0].chart
     n = chart.dimension
-    variables = chart.variables
     columns = tuple(basis) + tuple(targets)
     width = len(columns)
-    rows = [[scalar.normalize(f.components[i], variables) for f in columns]
+    rows = [[scalar.normalize(f.components[i], chart) for f in columns]
             for i in range(n)]
     pivot_of_col = {}
     free = list(range(n))
@@ -320,7 +319,7 @@ def full_width_decompose(targets, basis, base_point):
         best_row = free.pop(pick)
         pivot_of_col[col] = best_row
         inv = Pow(rows[best_row][col], -1)
-        rows[best_row] = [scalar.normalize(Prod((entry, inv)), variables)
+        rows[best_row] = [scalar.normalize(Prod((entry, inv)), chart)
                           for entry in rows[best_row]]
         for r in range(n):
             if r == best_row:
@@ -331,7 +330,7 @@ def full_width_decompose(targets, basis, base_point):
             rows[r] = [scalar.normalize(
                 Sum((rows[r][j],
                      Prod((scalar.MINUS_ONE, factor, rows[best_row][j])))),
-                variables) for j in range(width)]
+                chart) for j in range(width)]
     return tuple(tuple(rows[pivot_of_col[col]][j] for col in range(n))
                  for j in range(n, width))
 
@@ -445,9 +444,12 @@ def record_evaluations(monkeypatch) -> list:
 
 
 def repeated_evaluations(calls) -> list:
-    """The (field name, point) pairs evaluated more than once."""
-    counts = Counter((id(f), pt) for f, pt in calls)
-    names = {id(f): f.name for f, _ in calls}
+    """The (field name, point) pairs at which a field, or one equal to
+    it (the same registry and components), was evaluated more than
+    once."""
+    counts = Counter(((f.chart.registry, f.components), pt)
+                     for f, pt in calls)
+    names = {(f.chart.registry, f.components): f.name for f, _ in calls}
     return [(names[key], pt) for (key, pt), n in counts.items() if n > 1]
 
 
@@ -546,14 +548,12 @@ def _sorted_poly(poly):
 
 class _ReferenceBuilder:
     def __init__(self, chart):
-        # a `vecfield.Chart` or a sequence of names
-        names = getattr(chart, "variables", chart)
-        self.chart = list(names) if names is not None else None
+        self.names = list(chart.variables)
         self.atom_exprs = {}
 
     def var_atom(self, name: str):
-        if self.chart is not None and name in self.chart:
-            idx = self.chart.index(name)
+        if name in self.names:
+            idx = self.names.index(name)
         else:
             idx = scalar._NO_CHART_INDEX
         key = (0, idx, name)
@@ -638,10 +638,11 @@ def _content_normalize(num, den):
     return num, den
 
 
-def reference_normal_form(expr, chart_key):
-    """The numerator and denominator terms of `expr`, built in `Fraction`
-    arithmetic, and the atoms ((atom key, expr), ...) of those terms."""
-    builder = _ReferenceBuilder(chart_key)
+def reference_normal_form(expr, chart):
+    """The numerator and denominator terms of `expr` on `chart`, built in
+    `Fraction` arithmetic, and the atoms ((atom key, expr), ...) of those
+    terms."""
+    builder = _ReferenceBuilder(chart)
     num, den = _content_normalize(*builder.visit(expr))
     used = {atom for poly in (num, den) for mono in poly for atom, _ in mono}
     return (_sorted_poly(num), _sorted_poly(den),
@@ -664,16 +665,16 @@ def normal_form_terms(nf):
             tuple((key, expr) for key, _, expr in nf.atoms))
 
 
-def integer_normal_form(expr, chart_key):
-    """`normal_form_terms` of what `scalar._normal_form` builds for expr,
-    bypassing its cache."""
-    return normal_form_terms(scalar._normal_form.__wrapped__(expr, chart_key))
+def integer_normal_form(expr, chart):
+    """`normal_form_terms` of what `scalar._normal_form` builds for expr
+    on `chart`, bypassing its memo."""
+    return normal_form_terms(scalar._normal_form.__wrapped__(expr, chart))
 
 
-def normal_form_outcome(build, expr, chart_key):
-    """What `build` gives for expr: its normal form, or the type and
-    message of the error it raises."""
+def normal_form_outcome(build, expr, chart):
+    """What `build` gives for expr on `chart`: its normal form, or the
+    type and message of the error it raises."""
     try:
-        return build(expr, chart_key)
+        return build(expr, chart)
     except (scalar.ExprError, TypeError) as exc:
         return type(exc), str(exc)

@@ -51,11 +51,12 @@ def _verdict(index: int, summary: str, elapsed: float,
     print(f"acceptance {index:02d}: pass - {summary} ({budget})")
 
 
-def _assert_components(field, expected, variables, registry):
+def _assert_components(field, expected):
+    chart = field.chart
     for comp, text in zip(field.components, expected):
-        want = parse_expr(text, variables, registry)
+        want = parse_expr(text, chart.variables, chart.registry)
         diff = normalize(
-            Sum((comp, Prod((Const(Fraction(-1)), want)))), variables)
+            Sum((comp, Prod((Const(Fraction(-1)), want)))), chart)
         assert to_text(diff) == "0", \
             f"component {to_text(comp)} differs from {text}"
 
@@ -96,13 +97,9 @@ def test_01_growth_and_exact_brackets():
                        samples=32)
     assert report.passed
     assert report.growth == (2, 3, 5)
-    variables = dist.chart.variables
-    _assert_components(dist.eta3, ("0", "0", "-1", "0", "-2*y2"),
-                       variables, dist.chart.registry)
-    _assert_components(dist.eta4, ("0", "1", "0", "0", "0"),
-                       variables, dist.chart.registry)
-    _assert_components(dist.eta5, ("0", "0", "0", "0", "-2"),
-                       variables, dist.chart.registry)
+    _assert_components(dist.eta3, ("0", "0", "-1", "0", "-2*y2"))
+    _assert_components(dist.eta4, ("0", "1", "0", "0", "0"))
+    _assert_components(dist.eta5, ("0", "0", "0", "0", "-2"))
     _verdict(1, "growth (2, 3, 5) over 32 samples with exact brackets",
              time.perf_counter() - start, 1.0)
 
@@ -112,14 +109,11 @@ def test_02_prolongation_and_zero_correction():
     dist = _hilbert_cartan()
     prolonged = prolong_235(dist)
     assert prolonged.growth == (2, 3, 4, 5, 6)
-    z_vars = prolonged.z_chart.variables
     bracket = lie_bracket(prolonged.zeta1, prolonged.zeta2)
-    _assert_components(bracket, ("0", "0", "0", "-1", "0", "0"),
-                       z_vars, dist.chart.registry)
+    _assert_components(bracket, ("0", "0", "0", "-1", "0", "0"))
     solved = solve_e(prolonged)
     assert solved.expression is not None
-    verdict = is_zero(solved.expression, prolonged.box, z_vars,
-                      dist.chart.registry)
+    verdict = is_zero(solved.expression, prolonged.box, prolonged.z_chart)
     assert verdict.status == "provably-zero"
     _verdict(2, "growth (2, 3, 4, 5, 6) and a provably-zero correction",
              time.perf_counter() - start, 5.0)
@@ -148,18 +142,18 @@ def test_03_splitting_certified_and_swap_breaks_it():
              time.perf_counter() - start, 10.0)
 
 
-def _defect(b_text: str, c_text: str, registry):
+def _defect(b_text: str, c_text: str, chart):
     """The residual c' - 3*th*b' + 3*b that obstructs the turning
-    bracket from staying inside the osculating span."""
-    variables = ("th",)
-    b = parse_expr(b_text, variables, registry)
-    c = parse_expr(c_text, variables, registry)
-    b_th = differentiate(b, "th", variables, registry)
-    c_th = differentiate(c, "th", variables, registry)
+    bracket from staying inside the osculating span, on the chart of
+    th."""
+    b = parse_expr(b_text, chart.variables, chart.registry)
+    c = parse_expr(c_text, chart.variables, chart.registry)
+    b_th = differentiate(b, "th", chart)
+    c_th = differentiate(c, "th", chart)
     expr = Sum((c_th,
                 Prod((Const(Fraction(-3)), Var("th"), b_th)),
                 Prod((Const(Fraction(3)), b))))
-    return normalize(expr, variables)
+    return normalize(expr, chart)
 
 
 def _random_direction_poly(rng, low_order: int, top_order: int) -> str:
@@ -188,7 +182,7 @@ def test_04_osculating_condition_matches_the_defect():
     z_vars = violating.z_chart.variables
     registry = violating.z_chart.registry
     witness = parse_expr(witness_texts[0], z_vars, registry)
-    oracle = _defect("th^3", "th^4", registry)
+    oracle = _defect("th^3", "th^4", Chart(("th",), registry))
     probes = (Fraction(1, 8), Fraction(-1, 8), Fraction(1, 4),
               Fraction(3, 16), Fraction(-5, 16))
     pairs = []
@@ -209,9 +203,9 @@ def test_04_osculating_condition_matches_the_defect():
         c_text = _random_direction_poly(rng, 4, 7)
         family = builtin_model("noncubic-bc", {"b": b_text, "c": c_text})
         decided = check_osculating_condition(family).passed
-        registry = family.x_chart.registry
-        oracle_zero = bool(is_zero(_defect(b_text, c_text, registry),
-                                   theta_box, ("th",), registry))
+        theta = Chart(("th",), family.x_chart.registry)
+        oracle_zero = bool(is_zero(_defect(b_text, c_text, theta),
+                                   theta_box, theta))
         assert decided == oracle_zero, (b_text, c_text)
         agreements += 1
     assert agreements == 50
@@ -342,6 +336,7 @@ def test_07_fiber_lift_asymmetry():
 
 
 _EXPR_VARIABLES = ("x", "y", "w")
+_EXPR_CHART = Chart(_EXPR_VARIABLES)
 
 
 def _random_expr(rng, depth: int, allow_inverse: bool = True):
@@ -375,7 +370,7 @@ def test_08_scalar_engine():
         var = rng.choice(_EXPR_VARIABLES)
         point = {v: 0.4 + 0.8 * rng.random() for v in _EXPR_VARIABLES}
         try:
-            deriv = differentiate(expr, var, _EXPR_VARIABLES)
+            deriv = differentiate(expr, var, _EXPR_CHART)
             h = 1e-6
             up = dict(point)
             down = dict(point)
@@ -421,7 +416,7 @@ def test_08_scalar_engine():
         expr = _random_expr(rng, 2, allow_inverse=False)
         if trial % 5 == 0:
             expr = Sum((expr, Prod((Const(Fraction(-1)), expr))))
-        verdict = is_zero(expr, box, _EXPR_VARIABLES)
+        verdict = is_zero(expr, box, _EXPR_CHART)
         if trial % 5 == 0:
             assert bool(verdict)
         if verdict:

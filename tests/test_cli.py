@@ -990,6 +990,24 @@ class TestMain:
         assert capsys.readouterr().err == (
             f"error: {where}: 1e400 is too large for a float\n")
 
+    @pytest.mark.parametrize("option, value", [
+        ("--T", "-1/8"), ("--T", "-1e-3"), ("--theta0", "-1/8"),
+        ("--x0", "-1/8,0,0,0,0")])
+    def test_trace_negative_value_after_its_option(self, option, value,
+                                                   capsys):
+        # a negative rational is a value, not an unknown option
+        assert main(["trace", "flat-cone", f"{option}={value}"]) == 0
+        joined = capsys.readouterr().out
+        assert main(["trace", "flat-cone", option, value]) == 0
+        assert capsys.readouterr().out == joined
+        assert len(joined.splitlines()) >= 2
+
+    def test_analyze_negative_box_scale_exit_three(self, capsys):
+        assert main(["analyze", "hilbert-cartan", "--box-scale",
+                     "-1/2"]) == 3
+        assert capsys.readouterr().err == (
+            "error: --box-scale must be positive\n")
+
     def test_trace_bad_x0_exit_three(self, capsys):
         assert main(["trace", "flat-cone", "--x0", "1,2"]) == 3
         assert "--x0 needs 5" in capsys.readouterr().err

@@ -194,7 +194,7 @@ class TestProlong:
             total = parse_expr(f"({to_text(got)}) + ({to_text(want)})",
                                pro.z_chart.variables)
             assert is_zero(total, pro.box,
-                           pro.z_chart.variables).status == "provably-zero"
+                           pro.z_chart).status == "provably-zero"
 
     def test_fiber_name_collision_rejected(self):
         # a model chart may name a coordinate after the fiber
@@ -273,7 +273,7 @@ class TestSolveE:
         difference = parse_expr(
             f"({to_text(result.expression)}) - 3*y1*y2", pro.z_chart.variables)
         assert is_zero(difference, pro.box,
-                       pro.z_chart.variables).status == "provably-zero"
+                       pro.z_chart).status == "provably-zero"
 
     def test_cubic_model_against_pointwise_oracle(self):
         # Independent oracle: at 50 random points, solve the 6x6 linear
@@ -429,6 +429,14 @@ class TestVerifyPseudoProduct:
         assert report.growth == (2, 3, 4, 5, 6)
         assert all(c.passed for c in report.conditions)
         assert len(report.conditions) == 7
+
+    def test_each_field_evaluated_once_per_point(self, monkeypatch):
+        # conditions on nested frames ask for the same brackets again:
+        # equal fields share one row of the point's table
+        _, structure = build_flat_structure()
+        calls = record_evaluations(monkeypatch)
+        assert verify_pseudo_product(structure).valid
+        assert calls and repeated_evaluations(calls) == []
 
     def test_cubic_structure_valid(self):
         eta1, eta2 = cubic_model()

@@ -1,7 +1,8 @@
 """Tests for the memo tables' lifetime: each `Chart(...)` starts a memo
 that every chart it extends to shares, so a suite run, a trace and a cone
-family each fill a memo of their own; the process default is left alone,
-the process-wide counts the benchmark reads still add up, and a box keeps
+family each fill a memo of their own, which reference counting frees
+with the model; all the work lands in the model's memo, the
+process-wide counts the benchmark reads still add up, and a box keeps
 its own exact Halton points."""
 
 import gc
@@ -51,30 +52,48 @@ def swept_family(params=None):
     return family
 
 
+MEMOIZED = (scalar._normal_form, scalar._derivative, vecfield._bracket)
+
+
 @pytest.fixture
-def default_memo(monkeypatch):
-    """An empty process default for the test, which what it runs must
-    leave empty."""
-    default = memo.Memo()
-    monkeypatch.setattr(memo, "DEFAULT", default)
-    yield default
-    assert default.tables == {}
+def model_memos():
+    """A list the test fills with the memos of the model charts it works
+    on.  There is no process default memo: every miss of a memoized
+    function during the test must be a miss in one of those memos."""
+    memos = []
+    before = [fn.cache_info().misses for fn in MEMOIZED]
+    yield memos
+    kept = set(memos)
+    for fn, start in zip(MEMOIZED, before):
+        assert fn.cache_info().misses - start == sum(
+            m.tables[fn].misses for m in kept if fn in m.tables), fn.__name__
+
+
+@pytest.fixture
+def no_cyclic_collector():
+    """Only reference counting frees what the test drops."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
 
 
 def test_a_chart_starts_a_memo_that_its_extensions_share():
     chart = Chart(("x", "y"))
     other = Chart(("x", "y"))
     assert isinstance(chart.memo, memo.Memo)
-    assert chart.memo is not memo.DEFAULT and other.memo is not chart.memo
+    assert other.memo is not chart.memo
     extended = chart.extend("z")
     assert extended.memo is chart.memo
     assert extended.extend("u", "v").memo is chart.memo
     assert Chart(extended.variables).memo is not chart.memo
     # what is computed on an extension fills the memo of the chart
     tree = normalize(parse_expr("(x + z)^2", extended.variables), extended)
-    assert chart.memo.cache_info()["scalar._normal_form"].currsize == 1
+    assert chart.memo.cache_info()["scalar._normal_form"].misses == 1
     assert normalize(tree, extended.extend("w")) == tree
-    assert chart.memo.cache_info()["scalar._normal_form"].currsize == 2
+    assert chart.memo.cache_info()["scalar._normal_form"].misses == 2
+    assert len(chart.memo.tables[scalar._normal_form]) == 2
     assert other.memo.tables == {}
 
 
@@ -90,11 +109,11 @@ def test_equality_and_hash_ignore_the_memo():
     assert len({chart, same, chart.extend()}) == 1
 
 
-def test_a_family_leaves_the_default_memo_alone(default_memo):
-    swept_family()
+def test_a_family_leaves_the_default_memo_alone(model_memos):
+    model_memos.append(swept_family().x_chart.memo)
 
 
-def test_a_distribution_leaves_the_default_memo_alone(default_memo):
+def test_a_distribution_leaves_the_default_memo_alone(model_memos):
     dist = builtin_model("hilbert-cartan")
     prolonged = prolong_235(dist)
     solved = solve_e(prolonged)
@@ -106,7 +125,8 @@ def test_a_distribution_leaves_the_default_memo_alone(default_memo):
     symbol_algebra_at(structure)
     # every chart the work derives shares the memo of the model's chart
     kept = dist.chart.memo
-    assert kept.cache_info()["vecfield._bracket"].currsize > 0
+    model_memos.append(kept)
+    assert kept.cache_info()["vecfield._bracket"].misses > 0
     for chart in (prolonged.z_chart, structure.z_chart, swapped.z_chart,
                   solved.k_field.chart):
         assert chart.memo is kept
@@ -119,7 +139,7 @@ def test_a_distribution_leaves_the_default_memo_alone(default_memo):
 
 
 def test_every_entry_point_on_a_model_leaves_the_default_memo_alone(
-        default_memo):
+        model_memos):
     # the family checks, control systems and their compiled batches,
     # launches, lifts, duality checks and derived brackets, and a
     # distribution built directly, all work on charts with a memo
@@ -146,16 +166,63 @@ def test_every_entry_point_on_a_model_leaves_the_default_memo_alone(
     direct_prolonged = prolong_235(direct)
     solve_e(direct_prolonged).structure(direct_prolonged)
     assert chart.memo.cache_info()["vecfield._bracket"].misses > 0
+    model_memos.extend((family.x_chart.memo, dist.chart.memo, chart.memo))
 
 
-def test_a_family_memo_dies_with_the_family():
+def test_a_family_memo_dies_with_the_family(no_cyclic_collector):
+    # no memo entry refers to a chart, so no cycle keeps a memo alive
     family = swept_family()
     kept = family.x_chart.memo
-    assert kept.cache_info()["scalar._normal_form"].currsize > 0
+    assert kept.cache_info()["scalar._normal_form"].misses > 0
+    assert kept.cache_info()["vecfield._bracket"].misses > 0
     alive = weakref.ref(kept)
     del family, kept
-    gc.collect()
     assert alive() is None
+
+
+def started_memos(monkeypatch) -> list:
+    """Weak references to every memo started from now on."""
+    started = []
+    start = memo.Memo.__init__
+
+    def recording(self):
+        start(self)
+        started.append(weakref.ref(self))
+
+    monkeypatch.setattr(memo.Memo, "__init__", recording)
+    return started
+
+
+def test_a_suite_runs_memo_dies_with_the_run(monkeypatch,
+                                             no_cyclic_collector):
+    started = started_memos(monkeypatch)
+    report = run_suite(load_model("noncubic-bc"), "all", 7)
+    assert report["summary"]["error"] == 0
+    assert started and all(alive() is None for alive in started)
+
+
+def test_every_chart_sharing_a_memo_has_its_registry(monkeypatch):
+    # `extend` hands the registry on with the memo, so a memo's tables,
+    # keyed by the charts' names, serve one registry
+    from test_cli import TestReportPins as pins
+    charts = []
+    init = Chart.__post_init__
+
+    def recording(self):
+        init(self)
+        charts.append(self)
+
+    monkeypatch.setattr(Chart, "__post_init__", recording)
+    for name in BUNDLED:
+        run_suite(load_model(name), "all", 7)
+    for name in pins.OPAQUE:
+        pins.opaque_report(name)
+    registries = {}
+    for chart in charts:
+        registries.setdefault(id(chart.memo), set()).add(id(chart.registry))
+    assert len(registries) > 5
+    assert all(len(kept) == 1 for kept in registries.values())
+    assert len(set().union(*registries.values())) > 2
 
 
 @pytest.mark.parametrize("name,misses", [
@@ -179,13 +246,13 @@ def test_a_bracket_is_shared_within_a_memo_only():
     v = text_field(chart, ("1", "0", "y"))
     w = text_field(chart, ("0", "1", "x"))
     first = lie_bracket(v, w)
-    assert lie_bracket(v, w) is first
+    assert lie_bracket(v, w) == first
     # the same fields on a fresh chart miss in its fresh memo
     fresh = Chart(chart.variables)
     again = lie_bracket(*(VectorField(fresh, f.components) for f in (v, w)))
-    assert again is not first and again == first
-    assert chart.memo.cache_info()["vecfield._bracket"] == (1, 1, None, 1)
-    assert fresh.memo.cache_info()["vecfield._bracket"] == (0, 1, None, 1)
+    assert again == first
+    assert chart.memo.cache_info()["vecfield._bracket"] == (1, 1)
+    assert fresh.memo.cache_info()["vecfield._bracket"] == (0, 1)
 
 
 def test_a_box_keeps_its_own_halton_points():

@@ -193,7 +193,7 @@ class TestControlSystems:
         assert [to_text(c) for c in cs.dynamics] == [
             to_text(normalize(Sum((Prod((Var("u1"), k)),
                                    Prod((Var("u2"), l)))),
-                              cs.state_chart.variables + ("u1", "u2")))
+                              cs.state_chart.extend("u1", "u2")))
             for k, l in zip(structure.k_field.components,
                             structure.l_field.components)]
 
@@ -284,11 +284,11 @@ class TestControlSystems:
         # the integer record instead of expanding the tree
         cs = cone_system(builtin_model("noncubic-bc",
                                        {"b": "th^3", "c": "th^5 - th^4"}))
-        chart_key = cs.state_chart.variables + cs.control_names
+        names = cs.state_chart.variables + cs.control_names
         compound = [c for c in cs.dynamics
                     if isinstance(c, (Sum, Prod, Pow))]
         assert len(compound) == 4
-        assert all(_carried(c, chart_key) is not None for c in compound)
+        assert all(_carried(c, names) is not None for c in compound)
 
 # ---------------------------------------------------------------------------
 # the costate pairing
@@ -303,7 +303,7 @@ class TestHamiltonian:
             for p, comp in zip(ham.costate_names, cs.dynamics)))
         difference = normalize(Sum((ham.h, Prod((parse_expr("-1", ()),
                                                  reconstructed)))),
-                               ham.variables)
+                               ham.chart)
         assert to_text(difference) == "0"
 
     def test_flat_cone_pairing_text(self):
@@ -318,10 +318,8 @@ class TestHamiltonian:
         cs = distribution_system(hilbert_cartan())
         ham = hamiltonian(cs)
         for p, comp in zip(ham.costate_names, cs.dynamics):
-            partial = differentiate(ham.h, p, ham.variables,
-                                    cs.state_chart.registry)
-            assert to_text(partial) == to_text(
-                normalize(comp, ham.variables))
+            partial = differentiate(ham.h, p, ham.chart)
+            assert to_text(partial) == to_text(normalize(comp, ham.chart))
 
     def test_single_field_pairing(self):
         chart = Chart(("x1", "x2"))
@@ -330,7 +328,7 @@ class TestHamiltonian:
                                      parse_expr("0", ())))
         ham = hamiltonian(cs)
         assert to_text(ham.h) == "p1"
-        assert [to_text(differentiate(ham.h, x, ham.variables))
+        assert [to_text(differentiate(ham.h, x, ham.chart))
                 for x in ham.state_names] == ["0", "0"]
         assert [to_text(d) for d in ham.dh_du] == ["0"]
 

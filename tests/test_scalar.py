@@ -10,6 +10,7 @@ import sympy
 
 from dist235 import scalar
 from dist235.boxes import Box
+from dist235.vecfield import Chart
 from dist235.scalar import (
     MINUS_ONE, ONE, ZERO, Const, Opaque, OpaqueRegistry, ParseError, Pow,
     Prod, ScalarExpr, Sum,
@@ -24,8 +25,8 @@ from helpers import (
     random_tree_with_pieces, reference_normal_form, stripped,
 )
 
-CHART = ("x1", "x2", "x3", "x4", "x5")
-BOX = Box.around({v: 0 for v in CHART}, Fraction(1, 4))
+NAMES = ("x1", "x2", "x3", "x4", "x5")
+BOX = Box.around({v: 0 for v in NAMES}, Fraction(1, 4))
 
 
 def make_registry():
@@ -34,6 +35,10 @@ def make_registry():
     reg.register("a1", lambda u: 3 * u ** 2, derivative="a2")
     reg.register("a2", lambda u: 6 * u, derivative=Const(Fraction(6)))
     return reg
+
+
+# the chart of the tests, with the opaques of `make_registry`
+CHART = Chart(NAMES, make_registry())
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +72,7 @@ class TestHalton:
 
 class TestParse:
     def test_basic_structure(self):
-        e = parse_expr("x1^2*x2 - 3/4*x3", CHART)
+        e = parse_expr("x1^2*x2 - 3/4*x3", NAMES)
         assert isinstance(e, Sum)
         assert len(e.terms) == 2
         first = e.terms[0]
@@ -75,24 +80,24 @@ class TestParse:
         assert first.factors[0] == Pow(Var("x1"), 2)
 
     def test_rational_literal(self):
-        assert parse_expr("3/4", CHART) == Const(Fraction(3, 4))
-        assert parse_expr("-3/4", CHART) == Const(Fraction(-3, 4))
+        assert parse_expr("3/4", NAMES) == Const(Fraction(3, 4))
+        assert parse_expr("-3/4", NAMES) == Const(Fraction(-3, 4))
         # division with a non-literal numerator stays a product
-        e = parse_expr("x1/2", CHART)
+        e = parse_expr("x1/2", NAMES)
         assert e == Prod((Var("x1"), Const(Fraction(1, 2))))
 
     def test_negative_exponent(self):
-        e = parse_expr("x1^-2", CHART)
+        e = parse_expr("x1^-2", NAMES)
         assert e == Pow(Var("x1"), -2)
 
     def test_unary_minus_folds_into_constants(self):
-        assert parse_expr("-5", CHART) == Const(Fraction(-5))
-        e = parse_expr("-2*x1", CHART)
+        assert parse_expr("-5", NAMES) == Const(Fraction(-5))
+        e = parse_expr("-2*x1", NAMES)
         assert e == Prod((Const(Fraction(-2)), Var("x1")))
 
     def test_opaque_application(self):
         reg = make_registry()
-        e = parse_expr("a(x1 + x2)", CHART, reg)
+        e = parse_expr("a(x1 + x2)", NAMES, reg)
         assert e == Opaque("a", Sum((Var("x1"), Var("x2"))))
 
     def test_error_offset(self):
@@ -102,33 +107,43 @@ class TestParse:
 
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbolError):
-            parse_expr("x1 + q", CHART)
+            parse_expr("x1 + q", NAMES)
         with pytest.raises(UnknownSymbolError):
-            parse_expr("q(x1)", CHART, OpaqueRegistry())
+            parse_expr("q(x1)", NAMES, OpaqueRegistry())
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
-            parse_expr("x1 x2", CHART)
+            parse_expr("x1 x2", NAMES)
         with pytest.raises(ParseError):
-            parse_expr("x1^2^3", CHART)
+            parse_expr("x1^2^3", NAMES)
 
     def test_bad_character(self):
         with pytest.raises(ParseError) as err:
-            parse_expr("x1 + $", CHART)
+            parse_expr("x1 + $", NAMES)
         assert err.value.offset == 5
 
     def test_a_chart_gives_its_names_and_opaques(self):
-        # as normalize, differentiate and is_zero take a vecfield.Chart
-        from dist235.vecfield import Chart
-        chart = Chart(CHART, make_registry())
-        assert parse_expr("x1*a(x2) - 1/2", chart) == \
-            parse_expr("x1*a(x2) - 1/2", CHART, chart.registry)
+        # normalize, differentiate and is_zero read the names and the
+        # opaques of their vecfield.Chart; parsing takes the two
+        # themselves, and no chart
+        reg = OpaqueRegistry()
+        reg.register("a", lambda u: 2 * u, derivative=Const(Fraction(2)))
+        chart = Chart(NAMES, reg)
+        tree = parse_expr("x1*a(x2) - 1/2", chart.variables, chart.registry)
+        assert to_text(differentiate(tree, "x2", chart)) == "2*x1"
+        assert to_text(differentiate(tree, "x2", CHART)) == "x1*a1(x2)"
+        assert is_zero(tree - parse_expr("2*x1*x2 - 1/2"), BOX,
+                       chart).status == "numerically-zero"
+        assert is_zero(tree - parse_expr("x1*x2^3 - 1/2"), BOX,
+                       CHART).status == "numerically-zero"
         for text in ("w + x1", "q(x1)"):
             with pytest.raises(UnknownSymbolError):
-                parse_expr(text, chart)
-        # a registry given beside the chart is the one read
+                parse_expr(text, chart.variables, chart.registry)
+        # the registry given is the one read
         with pytest.raises(UnknownSymbolError):
-            parse_expr("a(x1)", chart, OpaqueRegistry())
+            parse_expr("a(x1)", chart.variables, OpaqueRegistry())
+        with pytest.raises(TypeError):
+            parse_expr("x1", chart)
 
     @pytest.mark.parametrize("text,offset", [
         ("x^\u00b2", 2), ("th^\u0663", 3), ("\u0661\u0662", 0),
@@ -158,7 +173,7 @@ class TestNodes:
         assert hash(node) == hash(fields)  # the kept hash
 
     def test_hash_ignores_the_carried_normal_form(self):
-        tree = normalize(parse_expr("(x1 + x2)^2", CHART), CHART)
+        tree = normalize(parse_expr("(x1 + x2)^2", NAMES), CHART)
         assert tree._nf is not None
         bare = Sum(tree.terms)
         assert bare._nf is None
@@ -181,7 +196,7 @@ class TestNodes:
         assert node == Pow(Var("x1"), 2)
 
     def test_copies_and_pickles_are_equal_nodes(self):
-        tree = normalize(parse_expr("a(x1)^2 - x2/3", CHART, make_registry()),
+        tree = normalize(parse_expr("a(x1)^2 - x2/3", NAMES, make_registry()),
                          CHART)
         hash(tree)
         for again in (copy.copy(tree), copy.deepcopy(tree),
@@ -196,12 +211,12 @@ class TestNodes:
             "Opaque(name='a', arg=Const(value=Fraction(0, 1)))")
 
     def test_a_zero_normal_form_is_the_shared_zero(self):
-        assert normalize(parse_expr("x1 - x1", CHART), CHART) is ZERO
+        assert normalize(parse_expr("x1 - x1", NAMES), CHART) is ZERO
         assert differentiate(self.X, "x1", CHART) == ONE
         assert differentiate(self.X, "x2", CHART) is ZERO
 
     def test_a_second_hash_computes_no_child_hash(self, monkeypatch):
-        tree = normalize(parse_expr("(x1 + 2*x2)^3 - x3/(1 + x1)", CHART),
+        tree = normalize(parse_expr("(x1 + 2*x2)^3 - x3/(1 + x1)", NAMES),
                          CHART)
         calls = count_calls(monkeypatch, ScalarExpr, "__hash__")
         first = hash(tree)
@@ -225,19 +240,19 @@ class TestPrintParse:
     @pytest.mark.parametrize("text", PRINT_PARSE_CORPUS)
     def test_corpus_round_trip(self, text):
         reg = make_registry()
-        tree = parse_expr(text, CHART, reg)
+        tree = parse_expr(text, NAMES, reg)
         printed = to_text(tree)
-        again = parse_expr(printed, CHART, reg)
+        again = parse_expr(printed, NAMES, reg)
         assert again == tree, f"{text!r} -> {printed!r} reparsed differently"
 
     def test_random_trees_round_trip(self):
         rng = random.Random(20260822)
         reg = make_registry()
         for _ in range(200):
-            tree = random_tree(rng, CHART, depth=4, allow_quotients=True,
+            tree = random_tree(rng, NAMES, depth=4, allow_quotients=True,
                                opaques=("a", "a1"))
             printed = to_text(tree)
-            reparsed = parse_expr(printed, CHART, reg)
+            reparsed = parse_expr(printed, NAMES, reg)
             # printing a parser-shaped tree is exact; arbitrary trees agree
             # after normalization
             try:
@@ -245,7 +260,7 @@ class TestPrintParse:
             except ZeroDenominatorError:
                 pass
             # and from then on the round trip is exact
-            assert parse_expr(to_text(reparsed), CHART, reg) == reparsed
+            assert parse_expr(to_text(reparsed), NAMES, reg) == reparsed
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +268,13 @@ class TestPrintParse:
 
 class TestNormalize:
     def test_expansion_cancels(self):
-        e = parse_expr("(x1 + x2)^2 - x1^2 - 2*x1*x2 - x2^2", CHART)
+        e = parse_expr("(x1 + x2)^2 - x1^2 - 2*x1*x2 - x2^2", NAMES)
         assert normalize(e, CHART) == Const(Fraction(0))
 
     def test_idempotent(self):
         rng = random.Random(7)
         for _ in range(100):
-            tree = random_tree(rng, CHART, depth=4, allow_quotients=True)
+            tree = random_tree(rng, NAMES, depth=4, allow_quotients=True)
             try:
                 n1 = normalize(tree, CHART)
             except ZeroDenominatorError:
@@ -268,19 +283,19 @@ class TestNormalize:
 
     def test_graded_lex_order(self):
         # higher total degree first; ties broken by earlier chart variable
-        e = parse_expr("x2 + x1 + x2^2 + x1*x2", CHART)
+        e = parse_expr("x2 + x1 + x2^2 + x1*x2", NAMES)
         assert to_text(normalize(e, CHART)) == "x1*x2 + x2^2 + x1 + x2"
 
     def test_quotient_normal_form(self):
-        e = parse_expr("x1/(x2 + 1) + x2/(x2 + 1)", CHART)
+        e = parse_expr("x1/(x2 + 1) + x2/(x2 + 1)", NAMES)
         assert to_text(normalize(e, CHART)) == "(x1 + x2)*(x2 + 1)^-1"
 
     def test_content_is_coprime(self):
-        e = parse_expr("(2*x1 + 2*x2)/(4*x3)", CHART)
+        e = parse_expr("(2*x1 + 2*x2)/(4*x3)", NAMES)
         assert to_text(normalize(e, CHART)) == "(x1 + x2)*(2*x3)^-1"
 
     def test_zero_denominator_detected(self):
-        e = parse_expr("1/(x1 - x1)", CHART)
+        e = parse_expr("1/(x1 - x1)", NAMES)
         with pytest.raises(ZeroDenominatorError):
             normalize(e, CHART)
 
@@ -290,28 +305,28 @@ class TestNormalize:
 
 class TestDifferentiate:
     def test_power_rule(self):
-        e = parse_expr("x1^3*x2 + x2^2", CHART)
+        e = parse_expr("x1^3*x2 + x2^2", NAMES)
         d = differentiate(e, "x1", CHART)
-        assert d == normalize(parse_expr("3*x1^2*x2", CHART), CHART)
+        assert d == normalize(parse_expr("3*x1^2*x2", NAMES), CHART)
 
     def test_quotient(self):
-        e = parse_expr("x1/x2", CHART)
+        e = parse_expr("x1/x2", NAMES)
         d = differentiate(e, "x2", CHART)
-        assert normalize(d - parse_expr("-x1/x2^2", CHART), CHART) \
+        assert normalize(d - parse_expr("-x1/x2^2", NAMES), CHART) \
             == Const(Fraction(0))
 
     def test_opaque_chain_rule(self):
         reg = make_registry()
-        e = parse_expr("a(x1^2)*x2", CHART, reg)
-        d = differentiate(e, "x1", CHART, reg)
-        expect = parse_expr("2*x1*x2*a1(x1^2)", CHART, reg)
+        e = parse_expr("a(x1^2)*x2", NAMES, reg)
+        d = differentiate(e, "x1", CHART)
+        expect = parse_expr("2*x1*x2*a1(x1^2)", NAMES, reg)
         assert normalize(d - expect, CHART) == Const(Fraction(0))
 
     def test_unregistered_derivative(self):
         reg = OpaqueRegistry()
         reg.register("f", lambda u: u, derivative="f_missing")
         with pytest.raises(UnregisteredOpaqueError):
-            differentiate(Opaque("f", Var("x1")), "x1", CHART, reg)
+            differentiate(Opaque("f", Var("x1")), "x1", Chart(NAMES, reg))
 
     def test_derivative_of_nonchart_variable_rejected(self):
         with pytest.raises(UndeclaredVariableError):
@@ -320,8 +335,8 @@ class TestDifferentiate:
     def test_leibniz_random(self):
         rng = random.Random(11)
         for _ in range(60):
-            f = random_tree(rng, CHART[:3], depth=3, allow_quotients=True)
-            g = random_tree(rng, CHART[:3], depth=3, allow_quotients=True)
+            f = random_tree(rng, NAMES[:3], depth=3, allow_quotients=True)
+            g = random_tree(rng, NAMES[:3], depth=3, allow_quotients=True)
             try:
                 lhs = differentiate(Prod((f, g)), "x1", CHART)
                 rhs = Sum((Prod((differentiate(f, "x1", CHART), g)),
@@ -336,13 +351,13 @@ class TestDifferentiate:
         reg = make_registry()
         checked = 0
         while checked < 200:
-            tree = random_tree(rng, CHART[:3], depth=4)
+            tree = random_tree(rng, NAMES[:3], depth=4)
             var = "x1"
             try:
-                d = differentiate(tree, var, CHART, reg)
+                d = differentiate(tree, var, CHART)
             except ZeroDenominatorError:
                 continue
-            pt = {k: float(v) for k, v in random_point(rng, CHART[:3]).items()}
+            pt = {k: float(v) for k, v in random_point(rng, NAMES[:3]).items()}
             h = 1e-6
             up = dict(pt, **{var: pt[var] + h})
             dn = dict(pt, **{var: pt[var] - h})
@@ -358,14 +373,14 @@ class TestDifferentiate:
 
 class TestSubstitute:
     def test_variable_replacement(self):
-        e = parse_expr("x1^2 + x2", CHART)
-        s = substitute(e, {"x1": parse_expr("x3 + 1", CHART)})
+        e = parse_expr("x1^2 + x2", NAMES)
+        s = substitute(e, {"x1": parse_expr("x3 + 1", NAMES)})
         assert normalize(s, CHART) == \
-            normalize(parse_expr("x3^2 + 2*x3 + 1 + x2", CHART), CHART)
+            normalize(parse_expr("x3^2 + 2*x3 + 1 + x2", NAMES), CHART)
 
     def test_inside_opaque_argument(self):
         reg = make_registry()
-        e = parse_expr("a(x1)", CHART, reg)
+        e = parse_expr("a(x1)", NAMES, reg)
         s = substitute(e, {"x1": Var("x2")})
         assert s == Opaque("a", Var("x2"))
 
@@ -375,38 +390,38 @@ class TestSubstitute:
 
 class TestEvaluate:
     def test_exact_rational(self):
-        e = parse_expr("x1^2/4 + x2", CHART)
+        e = parse_expr("x1^2/4 + x2", NAMES)
         v = evaluate(e, {"x1": Fraction(1, 2), "x2": 2})
         assert v == Fraction(33, 16)
         assert isinstance(v, Fraction)
 
     def test_float_contaminates(self):
-        e = parse_expr("x1 + x2", CHART)
+        e = parse_expr("x1 + x2", NAMES)
         v = evaluate(e, {"x1": 0.5, "x2": Fraction(1, 2)})
         assert isinstance(v, float)
 
     def test_missing_assignment(self):
         from dist235.scalar import MissingAssignmentError
         with pytest.raises(MissingAssignmentError):
-            evaluate(parse_expr("x1 + x2", CHART), {"x1": 1})
+            evaluate(parse_expr("x1 + x2", NAMES), {"x1": 1})
 
     def test_pole(self):
         with pytest.raises(ZeroDivisionError):
-            evaluate(parse_expr("1/x1", CHART), {"x1": 0})
+            evaluate(parse_expr("1/x1", NAMES), {"x1": 0})
 
     def test_opaque_evaluation(self):
         reg = make_registry()
-        v = evaluate(parse_expr("a(x1) + 1", CHART, reg), {"x1": 2}, reg)
+        v = evaluate(parse_expr("a(x1) + 1", NAMES, reg), {"x1": 2}, reg)
         assert v == pytest.approx(9.0)
 
     def test_compiled_matches_interpreted(self):
         rng = random.Random(99)
         reg = make_registry()
         for _ in range(50):
-            tree = random_tree(rng, CHART[:3], depth=3, opaques=("a",))
-            fn = compile_expr(tree, CHART[:3], reg)
-            pt = random_point(rng, CHART[:3])
-            args = [float(pt[v]) for v in CHART[:3]]
+            tree = random_tree(rng, NAMES[:3], depth=3, opaques=("a",))
+            fn = compile_expr(tree, NAMES[:3], reg)
+            pt = random_point(rng, NAMES[:3])
+            args = [float(pt[v]) for v in NAMES[:3]]
             want = float(evaluate(tree, {k: float(v) for k, v in pt.items()},
                                   reg))
             assert fn(*args) == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -417,11 +432,11 @@ class TestEvaluate:
 
 class TestIsZero:
     def test_provably_zero(self):
-        e = parse_expr("(x1 + x2)^2 - x1^2 - 2*x1*x2 - x2^2", CHART)
+        e = parse_expr("(x1 + x2)^2 - x1^2 - 2*x1*x2 - x2^2", NAMES)
         assert is_zero(e, BOX, CHART).status == "provably-zero"
 
     def test_nonzero_with_witness(self):
-        e = parse_expr("x1*x2 - x2*x1 + x3", CHART)
+        e = parse_expr("x1*x2 - x2*x1 + x3", NAMES)
         r = is_zero(e, BOX, CHART)
         assert r.status == "nonzero"
         assert evaluate(e, r.witness) == r.value
@@ -431,33 +446,33 @@ class TestIsZero:
         reg = make_registry()
         # a evaluates to u^3, so this vanishes at every sample, but the
         # engine cannot prove it
-        e = parse_expr("a(x1) - x1^3", CHART, reg)
-        r = is_zero(e, BOX, CHART, reg)
+        e = parse_expr("a(x1) - x1^3", NAMES, reg)
+        r = is_zero(e, BOX, CHART)
         assert r.status == "numerically-zero"
 
     def test_opaque_nonzero(self):
         reg = make_registry()
-        e = parse_expr("a(x1) - x1^2", CHART, reg)
-        r = is_zero(e, BOX, CHART, reg)
+        e = parse_expr("a(x1) - x1^2", NAMES, reg)
+        r = is_zero(e, BOX, CHART)
         assert r.status == "nonzero"
 
     def test_opaque_cancellation_is_provable(self):
         reg = make_registry()
-        e = parse_expr("a(x1)*x2 - x2*a(x1)", CHART, reg)
-        assert is_zero(e, BOX, CHART, reg).status == "provably-zero"
+        e = parse_expr("a(x1)*x2 - x2*a(x1)", NAMES, reg)
+        assert is_zero(e, BOX, CHART).status == "provably-zero"
 
     def test_zero_width_interval_vanishing(self):
         # x1 is pinned to 0 by the box: x1*x2 vanishes on it, although
         # its normal form on the chart is nonzero.
         box = Box((("x1", Fraction(0), Fraction(0)),
                    ("x2", Fraction(-1), Fraction(1))))
-        e = parse_expr("x1*x2", CHART)
+        e = parse_expr("x1*x2", NAMES)
         assert is_zero(e, box, CHART).status == "provably-zero"
 
     def test_zero_width_interval_nonzero_has_witness(self):
         box = Box((("x1", Fraction(1, 2), Fraction(1, 2)),
                    ("x2", Fraction(-1), Fraction(1))))
-        e = parse_expr("x1*x2 - x2/2 + x2^2", CHART)
+        e = parse_expr("x1*x2 - x2/2 + x2^2", NAMES)
         r = is_zero(e, box, CHART)
         assert r.status == "nonzero"
         assert box.contains(r.witness)
@@ -471,7 +486,7 @@ class TestIsZero:
         first = box.sample_points(1)[0]
         for text in ("x1*w + u^2", "u*x1/(w + 1)", "w^3 + u*w + x2",
                      "(x1 + u)/(x2 + w)"):
-            for chart in (CHART, None, CHART + ("u", "w")):
+            for chart in (CHART, Chart(()), CHART.extend("u", "w")):
                 e = parse_expr(text)
                 with pytest.raises(MissingAssignmentError) as walk:
                     evaluate(normalize(e, chart), first)
@@ -486,7 +501,7 @@ class TestIsZero:
         nonzero_seen = 0
         trials = 0
         while trials < 500:
-            tree = random_tree(rng, CHART[:4], depth=3)
+            tree = random_tree(rng, NAMES[:4], depth=3)
             try:
                 r = is_zero(tree, BOX, CHART)
             except ZeroDenominatorError:
@@ -505,21 +520,21 @@ class TestIsZero:
 
 class TestMinDegree:
     def test_plain(self):
-        assert min_degree(parse_expr("x1^3*x2 + x1^4", CHART), "x1", CHART) == 3
-        assert min_degree(parse_expr("x2 + x1^2", CHART), "x1", CHART) == 0
+        assert min_degree(parse_expr("x1^3*x2 + x1^4", NAMES), "x1", CHART) == 3
+        assert min_degree(parse_expr("x2 + x1^2", NAMES), "x1", CHART) == 0
         assert min_degree(Const(Fraction(0)), "x1", CHART) is None
 
     def test_order_of_a_quotient(self):
         # the lowest power in the numerator minus that in the denominator
-        assert min_degree(parse_expr("x1^3/(x1 + x1^2)", CHART), "x1",
+        assert min_degree(parse_expr("x1^3/(x1 + x1^2)", NAMES), "x1",
                           CHART) == 2
-        assert min_degree(parse_expr("x2/x1", CHART), "x1", CHART) == -1
-        assert min_degree(parse_expr("x1^2/(1 + x1)", CHART), "x1",
+        assert min_degree(parse_expr("x2/x1", NAMES), "x1", CHART) == -1
+        assert min_degree(parse_expr("x1^2/(1 + x1)", NAMES), "x1",
                           CHART) == 2
 
     def test_opaque_atom_gives_none(self):
         reg = make_registry()
-        assert min_degree(parse_expr("x1^3*a(x2)", CHART, reg), "x1",
+        assert min_degree(parse_expr("x1^3*a(x2)", NAMES, reg), "x1",
                           CHART) is None
 
 
@@ -562,7 +577,7 @@ def oracle_trees(seed, count, opaques=()):
     rng = random.Random(seed)
     trees = []
     while len(trees) < count:
-        tree = random_nf_tree(rng, CHART[:3], opaques, depth=3)
+        tree = random_nf_tree(rng, NAMES[:3], opaques, depth=3)
         try:
             normalize(tree, CHART)
         except ZeroDenominatorError:
@@ -586,7 +601,7 @@ class TestSympyOracle:
         x1 = sympy.Symbol("x1")
         for tree in oracle_trees(602, 120, opaques=("a", "a1", "a2")):
             try:
-                d = differentiate(tree, "x1", CHART, reg)
+                d = differentiate(tree, "x1", CHART)
             except ZeroDenominatorError:
                 continue
             expected = sympy.diff(to_sympy(tree), x1)
@@ -616,9 +631,9 @@ class TestSympyOracle:
 # the integer builder against the kept Fraction builder
 
 CHART_SETTINGS = {
-    "no chart": None,
+    "no chart": Chart(()),
     "non-strict": CHART,
-    "permuted": ("x3", "x1", "x5", "x2", "x4"),
+    "permuted": Chart(("x3", "x1", "x5", "x2", "x4"), CHART.registry),
 }
 
 
@@ -629,16 +644,15 @@ class TestNormalFormMatchesReference:
 
     @pytest.mark.parametrize("setting", sorted(CHART_SETTINGS))
     def test_random_trees(self, setting):
-        chart_key = CHART_SETTINGS[setting]
+        chart = CHART_SETTINGS[setting]
         rng = random.Random(20261018)
         # "w" is outside every chart
-        variables = CHART[:3] + ("w",)
+        variables = NAMES[:3] + ("w",)
         kinds = set()
         for _ in range(3000):
             tree = random_nf_tree(rng, variables, ("a", "a1"), depth=4)
-            got = normal_form_outcome(integer_normal_form, tree, chart_key)
-            want = normal_form_outcome(reference_normal_form, tree,
-                                       chart_key)
+            got = normal_form_outcome(integer_normal_form, tree, chart)
+            want = normal_form_outcome(reference_normal_form, tree, chart)
             assert got == want, to_text(tree)
             kinds.add(want[0] if isinstance(want[0], type) else "form")
         assert kinds == {"form", ZeroDenominatorError}
@@ -654,9 +668,9 @@ class TestNormalFormMatchesReference:
         cached = scalar._normal_form
         calls = {}
 
-        def recording(expr, chart_key):
-            calls[expr, chart_key] = None
-            return cached(expr, chart_key)
+        def recording(expr, chart):
+            calls[expr, chart] = None
+            return cached(expr, chart)
 
         # brackets and decompositions fold on records, with no normal
         # form to record: each is recorded and compared below with its
@@ -665,7 +679,7 @@ class TestNormalFormMatchesReference:
         bracket, decompose = vecfield._bracket, vecfield.symbolic_decompose
 
         def recording_bracket(chart, v, w):
-            folds[chart, v, w] = result = bracket(chart, v, w)
+            folds["bracket", chart, v, w] = result = bracket(chart, v, w)
             return result
 
         def recording_decompose(targets, basis, base_point):
@@ -691,10 +705,10 @@ class TestNormalFormMatchesReference:
         brackets = decompositions = 0
         for key, result in folds.items():
             key = on_fresh_charts(key)
-            if isinstance(result, vecfield.VectorField):
+            if key[0] == "bracket":
                 brackets += 1
-                want = tree_bracket(*key).components
-                got = result.components
+                want = tree_bracket(*key[1:]).components
+                got = result
             else:
                 decompositions += 1
                 want = full_width_decompose(key[0], key[1], dict(key[2]))
@@ -703,18 +717,18 @@ class TestNormalFormMatchesReference:
             assert [to_text(c) for c in got] == [to_text(c) for c in want]
         assert brackets > 20 and decompositions > 5
         assert len(calls) > 500
-        for expr, chart_key in calls:
-            assert normal_form_terms(cached.__wrapped__(expr, chart_key)) \
-                == reference_normal_form(expr, chart_key), to_text(expr)
+        for expr, chart in calls:
+            assert normal_form_terms(cached.__wrapped__(expr, chart)) \
+                == reference_normal_form(expr, chart), to_text(expr)
 
     def test_fold_builds_no_fraction(self, monkeypatch):
         # Fractions appear only at the boundaries: the result of
         # _normal_form and the arguments of opaque atoms; a reused pair
         # is one of them only in its normal form
         rng = random.Random(20261019)
-        trees = [random_nf_tree(rng, CHART[:3], depth=4) for _ in range(300)]
-        pieces = normalized_pieces(rng, 60, (CHART,), CHART[:3])
-        trees += [random_tree_with_pieces(rng, CHART[:3], pieces)
+        trees = [random_nf_tree(rng, NAMES[:3], depth=4) for _ in range(300)]
+        pieces = normalized_pieces(rng, 60, (CHART,), NAMES[:3])
+        trees += [random_tree_with_pieces(rng, NAMES[:3], pieces)
                   for _ in range(300)]
         reused = count_calls(monkeypatch, scalar._NFBuilder, "reuse")
         made = []
@@ -757,7 +771,8 @@ class TestNormalFormMatchesReference:
 # ---------------------------------------------------------------------------
 # trees that carry the normal form they were printed from
 
-PIECE_CHARTS = (CHART, CHART_SETTINGS["permuted"], None)
+PIECE_CHARTS = (CHART, CHART_SETTINGS["permuted"],
+                CHART_SETTINGS["no chart"])
 
 
 class TestCarriedPairs:
@@ -766,34 +781,33 @@ class TestCarriedPairs:
 
     @pytest.mark.parametrize("setting", sorted(CHART_SETTINGS))
     def test_reuse_gives_the_same_fold(self, setting, monkeypatch):
-        chart_key = CHART_SETTINGS[setting]
+        chart = CHART_SETTINGS[setting]
         rng = random.Random(20261020)
-        variables = CHART[:3] + ("w",)
+        variables = NAMES[:3] + ("w",)
         pieces = normalized_pieces(rng, 200, PIECE_CHARTS, variables,
-                                   ("a", "a1"), make_registry())
+                                   ("a", "a1"))
         reused = count_calls(monkeypatch, scalar._NFBuilder, "reuse")
         kinds = set()
         for _ in range(1500):
             tree = random_tree_with_pieces(rng, variables, pieces,
                                            ("a", "a1"))
-            got = normal_form_outcome(integer_normal_form, tree, chart_key)
-            want = normal_form_outcome(reference_normal_form, tree,
-                                       chart_key)
+            got = normal_form_outcome(integer_normal_form, tree, chart)
+            want = normal_form_outcome(reference_normal_form, tree, chart)
             assert got == want, to_text(tree)
             kinds.add(want[0] if isinstance(want[0], type) else "form")
         assert reused and "form" in kinds and ZeroDenominatorError in kinds
 
     def test_reused_pair_and_bound_equal_the_fresh_fold(self):
         rng = random.Random(20261021)
-        pieces = normalized_pieces(rng, 400, PIECE_CHARTS, CHART[:3])
+        pieces = normalized_pieces(rng, 400, PIECE_CHARTS, NAMES[:3])
         checked = 0
-        for chart_key in CHART_SETTINGS.values():
+        for chart in CHART_SETTINGS.values():
             for piece in pieces:
                 nf = piece._nf
-                if nf is None or nf.chart_key != chart_key:
+                if nf is None or nf.names != chart.variables:
                     continue
-                reused = scalar._NFBuilder(chart_key)
-                fresh = scalar._NFBuilder(chart_key)
+                reused = scalar._NFBuilder(chart)
+                fresh = scalar._NFBuilder(chart)
                 # (numerator, denominator, degree bound)
                 assert reused.visit(piece) == fresh.visit(stripped(piece))
                 assert reused.atoms == fresh.atoms
@@ -808,7 +822,7 @@ class TestCarriedPairs:
                 ("a(x1) + x2", CHART, False),
                 ("a(x1) - a(x1) + x1*x2", CHART, True),
                 ("w*x1 + 1", CHART, False),
-                ("x1*x2 + 1", None, False),
+                ("x1*x2 + 1", CHART_SETTINGS["no chart"], False),
                 ("3/4", CHART, True)):
             tree = normalize(parse_expr(text, registry=reg), chart)
             assert (tree._nf is not None) == carries, text
@@ -817,17 +831,16 @@ class TestCarriedPairs:
             self, monkeypatch):
         # the memo is bypassed: an equal tree would return the cached form
         rng = random.Random(20261022)
-        reg = make_registry()
         pieces = normalized_pieces(rng, 300, (CHART, PIECE_CHARTS[1]),
-                                   CHART[:3])
+                                   NAMES[:3])
         direct = count_calls(monkeypatch, scalar, "_polynomial_derivative")
         derive = scalar._derivative.__wrapped__
         for piece in pieces:
-            chart = piece._nf.chart_key if piece._nf else CHART
+            chart = PIECE_CHARTS[1] if piece._nf and \
+                piece._nf.names == PIECE_CHARTS[1].variables else CHART
             for var in ("x1", "x3", "x5"):
-                got = scalar._printed(derive(piece, var, chart, reg))
-                want = scalar._printed(derive(stripped(piece), var, chart,
-                                              reg))
+                got = scalar._printed(derive(piece, var, chart))
+                want = scalar._printed(derive(stripped(piece), var, chart))
                 assert got == want, to_text(piece)
                 if got._nf is not None:
                     assert integer_normal_form(got, chart) \
@@ -856,7 +869,7 @@ class TestCarriedPairs:
         assert 2 * carried <= bare
 
     def test_denominator_one_is_one_shared_dict(self):
-        forms = [scalar._normal_form(parse_expr(text, CHART), CHART)
+        forms = [scalar._normal_form(parse_expr(text, NAMES), CHART)
                  for text in ("x1^2 + x2", "x3*x1 - 1", "x2 - x2")]
         assert forms[0].den == {0: 1}
         assert forms[0].den is forms[1].den is forms[2].den
@@ -871,7 +884,7 @@ class TestExactEvaluation:
         rng = random.Random(seed)
         trees = []
         while len(trees) < count:
-            tree = random_nf_tree(rng, CHART[:3], opaques, depth=3)
+            tree = random_nf_tree(rng, NAMES[:3], opaques, depth=3)
             try:
                 canon = normalize(tree, CHART)
             except ZeroDenominatorError:
@@ -889,7 +902,7 @@ class TestExactEvaluation:
         return type(value), repr(value)
 
     POINTS = (BOX.sample_points(12)
-              + [{v: 0 for v in CHART},
+              + [{v: 0 for v in NAMES},
                  {"x1": Fraction(1, 3), "x2": 0, "x3": 2, "x4": 0, "x5": 0},
                  {"x1": -1, "x2": Fraction(-5, 7), "x3": Fraction(9, 4)}])
 
@@ -932,7 +945,7 @@ class TestExactEvaluation:
     def test_an_opaque_atom_is_never_read_as_its_argument(self):
         # the key of a(x1) names the text x1: the walk decides
         reg = make_registry()
-        nf = scalar._normal_form(parse_expr("a(x1) + x1", CHART, reg), CHART)
+        nf = scalar._normal_form(parse_expr("a(x1) + x1", NAMES, reg), CHART)
         point = {"x1": Fraction(2)}
         assert scalar._evaluate_exact(nf, point) is None
         assert scalar._value(nf, point, reg) == pytest.approx(10.0)
@@ -943,7 +956,7 @@ class TestExactEvaluation:
 
     def test_missing_assignment_is_unchanged(self):
         from dist235.scalar import MissingAssignmentError
-        tree = normalize(parse_expr("x1^2*x3 + x2/(x3 + 1)", CHART), CHART)
+        tree = normalize(parse_expr("x1^2*x3 + x2/(x3 + 1)", NAMES), CHART)
         assert tree._nf is not None
         for pt in ({"x1": 1}, {"x2": 1, "x3": Fraction(1, 2)},
                    {"x1": 0.5, "x3": 2}):
