@@ -606,8 +606,8 @@ def _parse_x0(text: str, model: ModelFile) -> dict:
 class _ArgumentParser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # an argument such as -1/8, -1e-3 or -1/8,0,0,0,0 is a negative
-        # value, not an option (argparse reads only -1 and -0.5 so)
+        # -1/8, -1e-3 and -1/8,0,0,0,0 are values, not options: argparse's
+        # own pattern takes only forms such as -1 and -0.5 for numbers
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):

@@ -2,7 +2,7 @@
 
 A `Memo` holds one unbounded table per memoized function (the normal
 forms and derivatives of `scalar`, the Lie brackets of `vecfield`), each
-with its hit and miss counts.  A memoized function takes a `chart`
+counting the hits and misses of its lookups.  A memoized function takes a `chart`
 argument and finds its table in the memo of that chart: every
 `vecfield.Chart(...)` starts a fresh memo and every chart `extend`
 derives shares it, so one model (built once per suite run, trace or
