@@ -744,6 +744,54 @@ class TestReportPins:
         assert self.digest(report) == self.OPAQUE[name][3]
 
 
+class TestRationalComponentPins:
+    """SHA-256 of the stdout of runs on documents whose components are
+    quotients over a non-constant denominator: bundled documents with
+    one expression replaced, written to a file and run through `main`."""
+
+    TRACE_ARGS = ["--x0", "1/8,-1/8,1/8,1/16,0", "--theta0", "1/4",
+                  "--T", "1/16"]
+
+    # (bundled document, its expressions, command, exit code, digest)
+    PINS = {
+        "hc-half-quotient-trace": (
+            "hilbert-cartan",
+            {"eta1": ["1", "y1", "y2", "0", "(1/2)*y2^2/(1+y1)"],
+             "eta2": ["0", "0", "0", "1", "0"]},
+            ["trace"] + TRACE_ARGS, 0,
+            "96fa058f3e2641e99c6b6578a20d5aeb"
+            "19f046d125119052b2d4dfe6a5a048b1"),
+        "hc-quotient-trace": (
+            "hilbert-cartan",
+            {"eta1": ["1", "y1", "y2", "0", "y2^2/(1+y1)"],
+             "eta2": ["0", "0", "0", "1", "0"]},
+            ["trace"] + TRACE_ARGS, 0,
+            "0bace3db36e2715687c3443c771ccaa9"
+            "dbb5f5930d42f9cec3259b41bb7f72be"),
+        "cubic-a-quotient": (
+            "cubic-a", {"a": "x1^2/(1+x1)"},
+            ["analyze", "--suite", "all", "--seed", "3"], 2,
+            "f3135630af4a20ad3b1d77a8b016a46d"
+            "db878cb819b0a92ce189a589da1e624f"),
+        "noncubic-bc-quotient": (
+            "noncubic-bc", {"b": "th^3", "c": "th^4/(1+th)"},
+            ["analyze", "--suite", "all", "--seed", "3"], 2,
+            "b791622cc7ef0ec4b2f17ea4c35974d8"
+            "12e2c4510eae84c8ee8e025b2026c861"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_output_is_pinned(self, name, tmp_path, capsys):
+        base, expressions, command, code, digest = self.PINS[name]
+        doc = dict(json.loads(bundled_document(base)), name=name,
+                   expressions=expressions)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main([command[0], str(path)] + command[1:]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # text rendering
 # ---------------------------------------------------------------------------
