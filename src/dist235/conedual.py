@@ -29,14 +29,14 @@ from .distduality import (
 )
 from .models import BUNDLED, _FIELDS, ModelFile, document_text, parse_model
 from .scalar import (
-    MINUS_ONE, ONE, ZERO, Const, Pow, Prod, ScalarExpr, Sum, Var,
-    differentiate, evaluate, free_variables, is_zero, min_degree,
-    normalize, substitute, to_text,
+    _MINUS_ONE, _NF_ONE, _NF_ZERO, Const, Pow, Prod, ScalarExpr, Sum, Var,
+    _derivative, _is_zero, _NFBuilder, _printed, evaluate, free_variables,
+    is_zero, min_degree, normalize, substitute, to_text,
 )
 from .vecfield import (
     Chart, ChartError, DegenerateFrameError, Frame, OneForm, PointValues,
-    VectorField, check_contact, coordinate_field, exterior_derivative,
-    lie_bracket, pair, rank_at, symbolic_decompose,
+    VectorField, _pair, _record, check_contact, combine, coordinate_field,
+    exterior_derivative, lie_bracket, rank_at, symbolic_decompose,
 )
 
 
@@ -87,14 +87,15 @@ class DirectionField:
 class ConeFamily:
     """A one-parameter family of base directions in normal form, together
     with the contact form whose kernel contains every direction.  It keeps
-    the default-argument results of `check_nondegenerate`,
-    `check_lagrangian`, `check_osculating_condition` and `solve_U`; what
-    they, `prolong_cone` and the derived zetas compute fills the memo of
-    its chart."""
+    the records of A, B, S, T on the extended chart, which `components`
+    prints when read, and the default-argument results of
+    `check_nondegenerate`, `check_lagrangian`,
+    `check_osculating_condition` and `solve_U`; what they, `prolong_cone`
+    and the derived zetas compute fills the memo of its chart."""
 
     x_chart: Chart
     theta: str
-    components: tuple  # (A, B, S, T) on the extended chart
+    records: tuple  # of (A, B, S, T) on the extended chart
     alpha: OneForm
     base_point: dict = field(compare=False)
     box: Box = field(compare=False)
@@ -118,10 +119,11 @@ class ConeFamily:
                 f"direction coordinate {theta!r} collides with a base "
                 "coordinate")
         z_chart = x_chart.extend(theta)
-        comps = tuple(normalize(c, z_chart) for c in components)
-        if len(comps) != 4:
+        components = tuple(components)
+        if len(components) != 4:
             raise StructureError(
                 "a family needs the four non-trivial generator components")
+        records = tuple(_record(z_chart, c) for c in components)
         if alpha.chart != x_chart:
             raise ChartError("contact form lives on the wrong chart")
         if base_point is None:
@@ -130,7 +132,7 @@ class ConeFamily:
             box = default_box({v: base_point[v] for v in z_chart.variables},
                               theta)
 
-        family = cls(x_chart=x_chart, theta=theta, components=comps,
+        family = cls(x_chart=x_chart, theta=theta, records=records,
                      alpha=alpha, base_point=base_point, box=box,
                      name=name)
 
@@ -138,8 +140,8 @@ class ConeFamily:
         if not check_contact(alpha, x_base):
             raise StructureError(
                 f"{name}: the one-form is not contact at the base point")
-        annihilation = pair(family.lifted_alpha, family.zeta(2))
-        verdict = is_zero(annihilation, box, z_chart)
+        annihilation = _pair(family.lifted_alpha, family.zeta(2))
+        verdict = _is_zero(annihilation, box, z_chart)
         if verdict.status == "nonzero":
             raise StructureError(
                 f"{name}: the contact form does not annihilate the "
@@ -147,15 +149,19 @@ class ConeFamily:
         object.__setattr__(family, "alpha_status", verdict.status)
         return family
 
-    @property
+    @cached_property
+    def components(self) -> tuple:
+        return tuple(map(_printed, self.records))
+
+    @cached_property
     def z_chart(self) -> Chart:
         return self.x_chart.extend(self.theta)
 
-    @property
+    @cached_property
     def lifted_alpha(self) -> OneForm:
-        return OneForm(self.z_chart,
-                       tuple(c for c in self.alpha.components)
-                       + (ZERO,))
+        """The contact form on the extended chart: its records padded
+        with a zero record, as `VectorField.lifted` pads."""
+        return OneForm(self.z_chart, self.alpha.records + (_NF_ZERO,))
 
     def zeta(self, k: int) -> VectorField:
         """zeta1 is the direction-coordinate field; zeta2 the moving
@@ -166,21 +172,21 @@ class ConeFamily:
     def _zetas(self) -> tuple:
         z_chart = self.z_chart
         zeta1 = coordinate_field(z_chart, self.theta).renamed("zeta1")
-        comps = (ONE,) + self.components + (ZERO,)
-        fields = [zeta1, VectorField(z_chart, comps, "zeta2")]
+        records = (_NF_ONE,) + self.records + (_NF_ZERO,)
+        fields = [zeta1, VectorField(z_chart, records, "zeta2")]
         for k in (3, 4, 5):
             prev = fields[-1]
             fields.append(VectorField(
                 z_chart,
-                tuple(differentiate(c, self.theta, z_chart)
-                      for c in prev.components),
+                tuple(_derivative(nf, self.theta, z_chart)
+                      for nf in prev.records),
                 f"zeta{k}"))
         return tuple(fields)
 
     @cached_property
     def bracket_decomposition(self) -> tuple:
-        """(coefficients, complement): the coefficients of
-        [zeta2, zeta3] over the 6-frame of the zetas completed by the
+        """(coefficients, complement): the records of the coefficients
+        of [zeta2, zeta3] over the 6-frame of the zetas completed by the
         field `complement`, with pivots chosen at the base point."""
         fields, complement = _full_frame(self)
         bracket = lie_bracket(self.zeta(2), self.zeta(3))
@@ -257,29 +263,28 @@ def check_lagrangian(family: ConeFamily,
     d_alpha = exterior_derivative(alpha)
     zeta2, zeta3 = family.zeta(2), family.zeta(3)
     quantities = (
-        ("contact form annihilates the generator", pair(alpha, zeta2)),
+        ("contact form annihilates the generator", _pair(alpha, zeta2)),
         ("contact form annihilates the derivative direction",
-         pair(alpha, zeta3)),
-        ("tangent plane is isotropic", pair(d_alpha, zeta2, zeta3)),
+         _pair(alpha, zeta3)),
+        ("tangent plane is isotropic", _pair(d_alpha, zeta2, zeta3)),
     )
     if section is None:
         check_box = family.box
-        chart = family.z_chart
-        exprs = quantities
+        verdicts = [(name, _is_zero(nf, check_box, family.z_chart))
+                    for name, nf in quantities]
         section_text = None
     else:
         check_box = Box(tuple(iv for iv in family.box.intervals
                               if iv[0] != family.theta))
         chart = family.x_chart
         mapping = {family.theta: section.expr}
-        exprs = tuple((name, normalize(substitute(q, mapping), chart))
-                      for name, q in quantities)
+        verdicts = [(name, is_zero(
+            normalize(substitute(_printed(nf), mapping), chart),
+            check_box, chart)) for name, nf in quantities]
         section_text = to_text(section.expr)
 
-    checks = []
-    for name, expr in exprs:
-        verdict = is_zero(expr, check_box, chart)
-        checks.append((name, verdict.status, _witness(verdict)))
+    checks = [(name, verdict.status, _witness(verdict))
+              for name, verdict in verdicts]
     return LagrangianReport(passed=all(w is None for _, _, w in checks),
                             checks=tuple(checks), box=check_box,
                             section=section_text)
@@ -312,15 +317,20 @@ class OsculatingConditionReport:
     The two residual coefficients (along the third derivative and along
     the completing coordinate direction) are recorded as expressions with
     their zero-check statuses; a failure carries a pointwise witness.
+    `coefficients` prints the records of all six when read.
     """
 
     passed: bool
     residuals: tuple       # (label, expression text, status, witness)
-    coefficients: tuple = field(compare=False, default=())
+    records: tuple = field(compare=False, default=())
     box: Optional[Box] = field(compare=False, default=None)
 
     def __bool__(self):
         return self.passed
+
+    @cached_property
+    def coefficients(self) -> tuple:
+        return tuple(to_text(_printed(c)) for c in self.records)
 
 
 @_once_per_family
@@ -337,14 +347,13 @@ def check_osculating_condition(family: ConeFamily
     labels = ("coefficient along the third derivative direction",
               f"coefficient along {complement.name}")
     residuals = []
-    for label, expr in zip(labels, coeffs[4:6]):
-        verdict = is_zero(expr, box, family.z_chart)
-        residuals.append((label, to_text(expr), verdict.status,
+    for label, nf in zip(labels, coeffs[4:6]):
+        verdict = _is_zero(nf, box, family.z_chart)
+        residuals.append((label, to_text(_printed(nf)), verdict.status,
                           _witness(verdict)))
     return OsculatingConditionReport(
         passed=all(w is None for _, _, _, w in residuals),
-        residuals=tuple(residuals),
-        coefficients=tuple(to_text(c) for c in coeffs), box=box)
+        residuals=tuple(residuals), records=coeffs, box=box)
 
 
 @dataclass(frozen=True)
@@ -374,9 +383,10 @@ def solve_U(family: ConeFamily) -> SolveUResult:
             f"{family.name}: no correction scalar exists, the bracket "
             f"leaves the osculating span ({details})")
     coeffs, _ = family.bracket_decomposition
-    u_expr = normalize(Prod((MINUS_ONE, coeffs[3])), family.z_chart)
+    builder = _NFBuilder(family.z_chart)
+    u = builder.finish(builder.product((_MINUS_ONE, builder.reuse(coeffs[3]))))
     zeta1, zeta2 = family.zeta(1), family.zeta(2)
-    l_field = (zeta2 + zeta1 * u_expr).normalized("L")
+    l_field = combine(zeta2, u, zeta1, "L")
     # Self-check: the corrected generator's bracket with zeta3 reduces
     # into (zeta1, zeta2, zeta3) at 20 Halton points of the box.
     low_frame = Frame(family.z_chart,
@@ -389,7 +399,7 @@ def solve_U(family: ConeFamily) -> SolveUResult:
             raise StructureError(
                 "correction self-check failed: the corrected bracket "
                 f"leaves the low span at {_format_point(point)}")
-    return SolveUResult(expression=u_expr, l_field=l_field,
+    return SolveUResult(expression=_printed(u), l_field=l_field,
                         k_field=zeta1.renamed("K"), report=report)
 
 

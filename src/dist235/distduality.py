@@ -23,13 +23,13 @@ from typing import Optional, Sequence
 from . import linalg
 from .boxes import DIRECTION_HALF_WIDTH, Box, default_box
 from .scalar import (
-    MINUS_ONE, Pow, Prod, ScalarExpr, Sum, Var, evaluate, is_zero,
-    normalize, to_text,
+    _MINUS_ONE, ScalarExpr, Var, _is_zero, _NFBuilder, _printed, _value,
+    to_text,
 )
 from .vecfield import (
     Chart, ChartError, ChartMismatchError, DistributionFlag, Frame,
-    PointValues, VectorField, coordinate_field, derived_flag, lie_bracket,
-    symbolic_decompose,
+    PointValues, VectorField, combine, coordinate_field, derived_flag,
+    lie_bracket, symbolic_decompose,
 )
 
 
@@ -228,7 +228,7 @@ def prolong_235(dist: Distribution235) -> ProlongedDistribution:
     z_chart = dist.chart.extend(FIBER)
     e1, e2 = (f.lifted(z_chart) for f in (dist.eta1, dist.eta2))
     zeta2 = coordinate_field(z_chart, FIBER).renamed("zeta2")
-    zeta1 = (e1 + e2 * Var(FIBER)).normalized("zeta1")
+    zeta1 = combine(e1, Var(FIBER), e2, "zeta1")
 
     z_base = dict(dist.base_point)
     z_base[FIBER] = Fraction(0)
@@ -511,14 +511,17 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
     # point; for the Hilbert-Cartan model this is the bracket with the
     # last layer-3 generator, whose coefficient is exactly 1.
     best = linalg.largest_nonzero(
-        [evaluate(b, prolonged.base_point, z_chart.registry)
+        [_value(b, prolonged.base_point, z_chart.registry)
          for _, b in pairs])
     if best is None:
         raise StructureError(
             "no bracket produces a usable linear coefficient for the "
             "correction scalar at the base point")
     a, b = pairs[best]
-    e_expr = normalize(Prod((MINUS_ONE, a, Pow(b, -1))), z_chart)
+    builder = _NFBuilder(z_chart)
+    reuse = builder.reuse
+    e = builder.finish(builder.product(
+        (_MINUS_ONE, reuse(a), builder.power(reuse(b), -1))))
 
     # Consistency: every other equation a_w + e*b_w must vanish (the
     # picked one is a - (a/b)*b, zero in exact arithmetic).  The check
@@ -526,16 +529,17 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
     # coefficients), with a hard failure instead of a silent bad answer.
     box = prolonged.box
     for a_w, b_w in pairs[:best] + pairs[best + 1:]:
-        residual = normalize(Sum((a_w, Prod((e_expr, b_w)))), z_chart)
-        verdict = is_zero(residual, box, z_chart)
+        residual = builder.finish(builder.sum(
+            (reuse(a_w), builder.product((reuse(e), reuse(b_w))))))
+        verdict = _is_zero(residual, box, z_chart)
         if verdict.status == "nonzero":
             raise StructureError(
                 "correction equations are inconsistent: residual "
-                f"{to_text(residual)} is nonzero at "
+                f"{to_text(_printed(residual))} is nonzero at "
                 f"{_format_point(verdict.witness)}")
 
-    k_field = (prolonged.zeta1 + prolonged.zeta2 * e_expr).normalized("K")
-    return SolveEResult(expression=e_expr, k_field=k_field,
+    k_field = combine(prolonged.zeta1, e, prolonged.zeta2, "K")
+    return SolveEResult(expression=_printed(e), k_field=k_field,
                         l_field=l_field.renamed("L"))
 
 

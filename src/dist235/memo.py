@@ -12,6 +12,11 @@ call's arguments with the chart's names in place of the chart.  No
 entry refers to a chart, so a memo is freed with the last of its
 charts.  A memo is a pure cache: a call on another chart lineage
 returns the same result and only misses the entries it could have hit.
+
+A memo also holds the lineage's atom table (`offsets`): the exponent
+field of every variable and opaque atom that a normal form on one of
+its charts holds, fixed the first time a builder meets the atom, so a
+record means the same thing in every builder on the lineage's charts.
 """
 
 from __future__ import annotations
@@ -35,10 +40,11 @@ class _Table(dict):
 
 class Memo:
     """One `_Table` per memoized function, made on the function's first
-    call in this memo."""
+    call in this memo, and the atom table of the lineage."""
 
     def __init__(self):
         self.tables = {}  # memoized function -> its _Table in this memo
+        self.offsets = {}  # variable name or opaque atom key -> offset
 
     def cache_info(self) -> dict:
         """{"module.function": Counts} of every table."""

@@ -24,10 +24,10 @@ from .distduality import (
 )
 from .linalg import is_zero_value, nullspace
 from .scalar import (
-    Prod, ScalarExpr, Sum, Var, compile_exprs, differentiate, evaluate,
-    free_variables, normalize,
+    Prod, ScalarExpr, Sum, Var, _NFBuilder, _printed, compile_exprs,
+    differentiate, evaluate, free_variables, normalize,
 )
-from .vecfield import Chart, ChartError, VectorField
+from .vecfield import Chart, ChartError, VectorField, combine
 
 
 class IntegrationError(RuntimeError):
@@ -149,15 +149,11 @@ def cone_system(family: ConeFamily) -> ControlSystem:
         raise ChartError(
             f"radial control {_RADIAL!r} collides with a coordinate")
     controls = (_RADIAL, family.theta)
-    # normalized on the chart `PreparedSystem` differentiates them on
-    dynamics = tuple(
-        normalize(Prod((Var(_RADIAL), comp)),
-                  _control_chart(family.x_chart, controls))
-        for comp in family.zeta(2).components[:5])
     return ControlSystem(
         state_chart=family.x_chart,
         control_names=controls,
-        dynamics=dynamics,
+        dynamics=_controlled(_control_chart(family.x_chart, controls),
+                             (_RADIAL,), (family.zeta(2).records[:5],)),
         source=family)
 
 
@@ -171,14 +167,24 @@ def _control_chart(state_chart: Chart, controls: tuple) -> Chart:
     return state_chart.extend(*controls)
 
 
+def _controlled(chart: Chart, controls: tuple, columns: tuple) -> tuple:
+    """The dynamics sum_k controls[k] * columns[k] on `chart`, the
+    chart `PreparedSystem` differentiates them on: each component the
+    fold of its terms on the columns' records in one builder, printed."""
+    builder = _NFBuilder(chart)
+    us = [builder.visit(Var(u)) for u in controls]
+    return tuple(
+        _printed(builder.finish(builder.sum(
+            builder.product((u, builder.reuse(nf)))
+            for u, nf in zip(us, row))))
+        for row in zip(*columns))
+
+
 def _linear_dynamics(a_field: VectorField, b_field: VectorField) -> tuple:
     """The dynamics u1 * A + u2 * B on the chart of A and B, linear in
     the two controls."""
-    u1, u2 = (Var(u) for u in _CONTROLS)
-    chart = _control_chart(a_field.chart, _CONTROLS)
-    return tuple(
-        normalize(Sum((Prod((u1, a)), Prod((u2, b)))), chart)
-        for a, b in zip(a_field.components, b_field.components))
+    return _controlled(_control_chart(a_field.chart, _CONTROLS), _CONTROLS,
+                       (a_field.records, b_field.records))
 
 
 def distribution_system(dist: Distribution235) -> ControlSystem:
@@ -805,8 +811,7 @@ def singular_launch(cs: ControlSystem, x0: dict, theta0):
     if isinstance(cs.source, Distribution235):
         dist = cs.source
         ratio = as_fraction(theta0)
-        mixed = (dist.eta4 + dist.eta5 * ratio).normalized(
-            "eta4+ratio*eta5")
+        mixed = combine(dist.eta4, ratio, dist.eta5, "eta4+ratio*eta5")
         rows = [f.evaluate_at(x0)
                 for f in (dist.eta1, dist.eta2, dist.eta3, mixed)]
         prefer = dist.eta5.evaluate_at(x0)

@@ -13,12 +13,12 @@ zero test needs only that the numerator vanish identically.
 Trees are for parsing and printing.  A normal form is one record, built
 in integer arithmetic with every monomial packed into one int of 64-bit
 exponent fields (a degree that could reach 2^64 raises `ExprError`).
-Lie brackets, eliminations, exterior derivatives and pairings
-(`vecfield`) fold on records in one builder and print each result once;
-the zero decision and `min_degree` read the record, and `evaluate` at a
-rational point computes the value of a tree that carries its record in
-integers.  Normalizing, differentiating and the zero decision work on
-a `vecfield.Chart`, which gives the names, the opaque registry and the
+Vector fields and forms (`vecfield`) hold records: a tree is folded once
+when it enters, and brackets, eliminations, exterior derivatives,
+pairings, derivatives, the zero decision and exact evaluation read
+records; a tree is printed from one only for a caller that reads it.
+Normalizing, differentiating and the zero decision work on a
+`vecfield.Chart`, which gives the names, the opaque registry and the
 memo that its normal forms and derivatives fill (`memo`); parsing,
 evaluating and compiling take names and a registry.
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -107,10 +107,8 @@ class ScalarExpr:
     again (a memo lookup keyed by it) costs one call, not a walk.
     """
 
-    # `_hash` is None until first use.  `_nf` is the `_NormalForm` a
-    # tree returned by `normalize` was printed from (see "normal form"
-    # below), else None; equality, hashing and printing ignore both.
-    __slots__ = ("_hash", "_nf")
+    # `_hash` is None until first use; equality and printing ignore it
+    __slots__ = ("_hash",)
 
     def _fields(self) -> tuple:
         raise NotImplementedError
@@ -159,7 +157,6 @@ class Const(ScalarExpr):
         _setattr(self, "value", value if isinstance(value, Fraction)
                  else as_fraction(value))
         _setattr(self, "_hash", None)
-        _setattr(self, "_nf", None)
 
     def _fields(self) -> tuple:
         return (self.value,)
@@ -171,7 +168,6 @@ class Var(ScalarExpr):
     def __init__(self, name: str):
         _setattr(self, "name", name)
         _setattr(self, "_hash", None)
-        _setattr(self, "_nf", None)
 
     def _fields(self) -> tuple:
         return (self.name,)
@@ -183,7 +179,6 @@ class Sum(ScalarExpr):
     def __init__(self, terms: tuple):
         _setattr(self, "terms", terms)
         _setattr(self, "_hash", None)
-        _setattr(self, "_nf", None)
 
     def _fields(self) -> tuple:
         return (self.terms,)
@@ -195,7 +190,6 @@ class Prod(ScalarExpr):
     def __init__(self, factors: tuple):
         _setattr(self, "factors", factors)
         _setattr(self, "_hash", None)
-        _setattr(self, "_nf", None)
 
     def _fields(self) -> tuple:
         return (self.factors,)
@@ -208,7 +202,6 @@ class Pow(ScalarExpr):
         _setattr(self, "base", base)
         _setattr(self, "exponent", exponent)
         _setattr(self, "_hash", None)
-        _setattr(self, "_nf", None)
 
     def _fields(self) -> tuple:
         return (self.base, self.exponent)
@@ -221,7 +214,6 @@ class Opaque(ScalarExpr):
         _setattr(self, "name", name)
         _setattr(self, "arg", arg)
         _setattr(self, "_hash", None)
-        _setattr(self, "_nf", None)
 
     def _fields(self) -> tuple:
         return (self.name, self.arg)
@@ -618,25 +610,26 @@ def to_text(expr: ScalarExpr) -> str:
 # them.  A monomial is one int in which every atom owns a bit field of
 # width _EXP_BITS, so multiplying monomials is adding ints: the chart
 # variable at position i owns the field at offset i * _EXP_BITS, and
-# other atoms (opaque atoms, variables outside the chart) take the fields
-# after the chart's in the order the builder meets them.  An `ExprError`
-# is raised before the degree bound, and so any exponent, could reach
-# 2^_EXP_BITS, so a field never carries into the next.
+# the memo's atom table (`memo.Memo.offsets`) fixes the field of every
+# atom (a variable, by name, or an opaque atom, by key) the first time a
+# builder on one of the memo's charts meets it, so the builders of a
+# chart lineage pack every atom alike.  An `ExprError` is raised before
+# the degree bound, and so any exponent, could reach 2^_EXP_BITS, so a
+# field never carries into the next.
 #
 # `finish` ends a fold in a `_NormalForm`: the numerator and denominator
 # as integer polynomials of joint content 1 with a positive leading
 # denominator coefficient, and the atoms of their terms (keys order chart
 # variables by position, then opaque atoms by name and printed argument).
 # `reuse` re-enters one as the triple the fold of its printed tree gives,
-# moving other atoms to this builder's fields.  So a Lie bracket or an
-# elimination folds on records in one builder, and only what it returns
-# becomes a tree, once (`_printed`, terms graded-lex descending); the
-# builder also prints the canonical argument of an opaque atom.  A
-# printed tree whose atoms are all chart variables (`_NormalForm.reusable`)
-# carries its form (`ScalarExpr._nf`): a builder on the chart reuses it
-# instead of folding the tree, `evaluate` at a rational point reads its
-# integer terms (`_evaluate_exact`), and a derivative over a constant
-# denominator is taken on the integer numerator (`_polynomial_derivative`).
+# read from the record on its chart and the charts that extend it.  So
+# vector fields and forms hold records, a Lie bracket or an elimination
+# folds on them in one builder, and a tree is printed (`_printed`, terms
+# graded-lex descending) only for a caller that reads one; the builder
+# also prints the canonical argument of an opaque atom.  `evaluate` at a
+# rational point reads the integer terms of a record (`_evaluate_exact`),
+# and a derivative over a constant denominator is taken on the integer
+# numerator (`_polynomial_derivative`).
 
 _NO_CHART_INDEX = 10**6
 
@@ -735,15 +728,38 @@ def _print_order(poly: dict, atoms) -> list:
     return sorted(poly, key=key, reverse=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _NormalForm:
-    """The quotient a fold ends with (see "normal form" above)."""
+    """The quotient a fold ends with (see "normal form" above).  Two
+    records are equal when their terms and their atoms' keys and fields
+    are: then they are the same function."""
 
     names: tuple    # of the chart it was built on
     num: dict       # {monomial: int}
     den: dict
     atoms: tuple    # ((atom key, offset, ScalarExpr), ...) of the terms,
                     # sorted by key
+    table: Optional[dict] = field(default=None, repr=False)
+                    # the atom table that fixed the offsets
+
+    @functools.cached_property
+    def identity(self) -> tuple:
+        return (frozenset(self.num.items()), frozenset(self.den.items()),
+                tuple((key, offset) for key, offset, _ in self.atoms))
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(self.identity)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not _NormalForm:
+            return NotImplemented
+        return self.identity == other.identity
 
     @functools.cached_property
     def order(self) -> tuple:
@@ -758,43 +774,33 @@ class _NormalForm:
         return sum(sum(_exponents(order[0], self.atoms))
                    for order in self.order if order)
 
-    def var_offset(self, var: str) -> Optional[int]:
-        """The offset of the field of the variable `var`, None when no
-        term holds it."""
-        return next((offset for key, offset, _ in self.atoms
-                     if key[0] == 0 and key[2] == var), None)
-
     @functools.cached_property
-    def reusable(self) -> bool:
-        """Whether every atom is a chart variable, so that a builder on
-        the chart gives each the offset it has here."""
-        return all(key[0] == 0 and key[1] != _NO_CHART_INDEX
-                   for key, _, _ in self.atoms)
+    def opaque_free(self) -> bool:
+        """Whether every atom is a variable."""
+        return all(key[0] == 0 for key, _, _ in self.atoms)
 
 
 class _NFBuilder:
     """Folds trees and records into quotients of integer polynomial
     pairs (see "normal form" above) on a `vecfield.Chart`, whose memo
-    the derivatives it takes fill."""
+    holds the atom table and fills with the derivatives it takes."""
 
     def __init__(self, chart):
         self.chart = chart
         self.names = chart.variables
+        self.offsets = chart.memo.offsets
         self.atoms = {}  # atom key -> (offset of its exponent field, expr)
-        # the first field after the chart variables'
-        self.free_offset = _EXP_BITS * len(self.names)
 
-    def atom(self, key, expr: ScalarExpr) -> int:
-        """The offset of the field of the atom `key`."""
+    def atom(self, key, name, expr: ScalarExpr) -> int:
+        """The monomial of the atom `key`, `name` in the atom table."""
         entry = self.atoms.get(key)
         if entry is None:
-            if key[0] == 0 and key[1] != _NO_CHART_INDEX:
-                offset = _EXP_BITS * key[1]
-            else:
-                offset = self.free_offset
-                self.free_offset += _EXP_BITS
+            offsets = self.offsets
+            offset = offsets.get(name)
+            if offset is None:
+                offset = offsets[name] = _EXP_BITS * len(offsets)
             entry = self.atoms[key] = (offset, expr)
-        return entry[0]
+        return 1 << entry[0]
 
     def var_atom(self, var: Var) -> int:
         name = var.name
@@ -802,7 +808,7 @@ class _NFBuilder:
             idx = self.names.index(name)
         else:
             idx = _NO_CHART_INDEX
-        return 1 << self.atom((0, idx, name), var)
+        return self.atom((0, idx, name), name, var)
 
     def opaque_atom(self, name: str, arg: ScalarExpr) -> int:
         num, den, _ = self.visit(arg)
@@ -810,8 +816,14 @@ class _NFBuilder:
         canon_arg = _quotient_tree(
             num, den, (_print_order(num[0], atoms),
                        _print_order(den[0], atoms)), atoms)
-        return 1 << self.atom((1, name, to_text(canon_arg)),
-                              Opaque(name, canon_arg))
+        key = (1, name, to_text(canon_arg))
+        return self.atom(key, key, Opaque(name, canon_arg))
+
+    def undeclared(self) -> list:
+        """The names of the variables outside the chart that this
+        builder met, inside opaque arguments too, sorted."""
+        return sorted(key[2] for key in self.atoms
+                      if key[0] == 0 and key[1] == _NO_CHART_INDEX)
 
     def term_atoms(self, *polys) -> tuple:
         """((atom key, offset, expr), ...) sorted by key, of the atoms
@@ -825,19 +837,24 @@ class _NFBuilder:
                      if (bits >> offset) & _EXP_MASK)
 
     def reuse(self, nf: _NormalForm):
-        """The triple of the printed tree of `nf`, a normal form on this
-        chart, read from the record: an atom whose field sits elsewhere
-        here (an opaque atom of another builder) moves to its field."""
-        moves = [(offset, self.atom(key, expr))
-                 for key, offset, expr in nf.atoms]
-        num, den = nf.num, nf.den
-        if any(offset != to for offset, to in moves):
-            num, den = _moved(num, moves), _moved(den, moves)
-        return (num, 1), (den, 1), nf.deg
+        """The triple of the printed tree of `nf`, read from the record
+        when it was built on this chart's lineage and on a prefix of its
+        names, so that its atoms sit in their fields here; else the
+        printed tree is folded."""
+        if nf.atoms:
+            if nf.table is not self.offsets or (
+                    nf.names is not self.names
+                    and nf.names != self.names[:len(nf.names)]):
+                return self.visit(_printed(nf))
+            atoms = self.atoms
+            for key, offset, expr in nf.atoms:
+                if key not in atoms:
+                    atoms[key] = (offset, expr)
+        return (nf.num, 1), (nf.den, 1), nf.deg
 
-    def derivative(self, expr: ScalarExpr, var: str):
-        """The triple of d(expr)/d(var), as `differentiate` prints it."""
-        return self.reuse(_derivative(expr, var, self.chart))
+    def derivative(self, nf: _NormalForm, var: str):
+        """The triple of d/d(var) of the record `nf` (see `_derivative`)."""
+        return self.reuse(_derivative(nf, var, self.chart))
 
     def visit(self, expr: ScalarExpr):
         """(numerator, denominator, bound on their total degrees)."""
@@ -849,9 +866,6 @@ class _NFBuilder:
         if isinstance(expr, Opaque):
             mono = self.opaque_atom(expr.name, expr.arg)
             return ({mono: 1}, 1), _POLY_ONE, 1
-        nf = _carried(expr, self.names)
-        if nf is not None:
-            return self.reuse(nf)
         if isinstance(expr, Sum):
             return self.sum(map(self.visit, expr.terms))
         if isinstance(expr, Prod):
@@ -900,7 +914,8 @@ class _NFBuilder:
         if not dn:
             raise ZeroDenominatorError("denominator normalizes to zero")
         if not nn:
-            return _NormalForm(self.names, {}, _POLY_ONE[0], ())
+            return _NormalForm(self.names, {}, _POLY_ONE[0], (),
+                               self.offsets)
         # (nn/nd) / (dn/dd) = (nn*dd) / (dn*nd), over their joint content
         # g, signed to make the leading denominator coefficient positive
         atoms = self.term_atoms(nn, dn)
@@ -912,22 +927,14 @@ class _NFBuilder:
         return _NormalForm(self.names,
                            {m: c * dd // g for m, c in nn.items()},
                            _POLY_ONE[0] if den == _POLY_ONE[0] else den,
-                           atoms)
+                           atoms, self.offsets)
 
 
-def _moved(poly: dict, moves) -> dict:
-    """`poly` with each exponent field f moved to t, (f, t) in `moves`."""
-    return {sum(((m >> f) & _EXP_MASK) << t for f, t in moves): c
-            for m, c in poly.items()}
-
-
-def _carried(expr, names) -> Optional[_NormalForm]:
-    """The normal form `expr` was printed from, when it was built on a
-    chart of `names`."""
-    nf = getattr(expr, "_nf", None)
-    if nf is not None and nf.names == names:
-        return nf
-    return None
+# the records of the constants 0 and 1, which hold on every chart, and
+# the triple of -1
+_NF_ZERO = _NormalForm((), {}, _POLY_ONE[0], ())
+_NF_ONE = _NormalForm((), {0: 1}, _POLY_ONE[0], ())
+_MINUS_ONE = ({0: -1}, 1), _POLY_ONE, 0
 
 
 def _term_tree(c: int, d: int, m: int, atoms) -> ScalarExpr:
@@ -979,17 +986,13 @@ def normalize(expr: ScalarExpr, chart) -> ScalarExpr:
     """Canonical form: expanded numerator over expanded denominator, terms
     in graded-lex order.  Idempotent; equal outputs mean equal functions,
     and equality of two expressions is decided by is_zero of their
-    difference (no polynomial gcd is cancelled here).  The result
-    carries its normal form when that is reusable."""
+    difference (no polynomial gcd is cancelled here)."""
     return _printed(_normal_form(expr, chart))
 
 
 def _printed(nf: _NormalForm) -> ScalarExpr:
-    tree = _quotient_tree((nf.num, 1), (nf.den, 1), nf.order, nf.atoms)
-    # an atom root is the very node of the input, so it is left bare
-    if nf.reusable and isinstance(tree, (Sum, Prod, Pow)):
-        _setattr(tree, "_nf", nf)
-    return tree
+    """The tree of the record `nf`."""
+    return _quotient_tree((nf.num, 1), (nf.den, 1), nf.order, nf.atoms)
 
 
 def free_variables(expr: ScalarExpr) -> set:
@@ -1017,23 +1020,26 @@ def free_variables(expr: ScalarExpr) -> set:
 def differentiate(expr: ScalarExpr, var: str, chart) -> ScalarExpr:
     """Partial derivative with respect to a chart variable, normalized.
 
+    The derivative of the normal form of `expr` (see `_derivative`).
     Opaque applications use the derivative rule of the chart's registry
     and the chain rule; the rule's target must itself be registered.
     """
     if var not in chart.variables:
         raise UndeclaredVariableError(var)
-    return _printed(_derivative(expr, var, chart))
+    return _printed(_derivative(_normal_form(expr, chart), var, chart))
 
 
 @memoized
-def _derivative(expr: ScalarExpr, var: str, chart) -> _NormalForm:
-    """The normal form of `differentiate`.  The chart's memo is shared
-    only by charts with its registry, which is write-once, so the rules
-    a derivative used cannot change under it."""
-    nf = _carried(expr, chart.variables)
-    if nf is not None and nf.den.keys() == {0}:
+def _derivative(nf: _NormalForm, var: str, chart) -> _NormalForm:
+    """The normal form of the product-rule fold of d/d(var) of the
+    printed tree of `nf`, taken on the integer numerator when the
+    denominator is a constant and every atom a variable.  The chart's
+    memo is shared only by charts with its registry, which is
+    write-once, so the rules a derivative used cannot change under it."""
+    if nf.den.keys() == {0} and nf.opaque_free:
         return _polynomial_derivative(nf, var, chart)
-    return _normal_form(_tree_derivative(expr, var, chart.registry), chart)
+    return _normal_form(
+        _tree_derivative(_printed(nf), var, chart.registry), chart)
 
 
 def _tree_derivative(node: ScalarExpr, var: str,
@@ -1076,16 +1082,17 @@ def _polynomial_derivative(nf: _NormalForm, var: str,
     form with a constant denominator is the one pair of coprime content
     for its polynomial: this is that pair, taken term by term."""
     builder = _NFBuilder(chart)
-    builder.reuse(nf)
-    offset = nf.var_offset(var)
+    (num, _), (den, _), _ = builder.reuse(nf)
+    entry = builder.atoms.get((0, chart.variables.index(var), var))
     derivative = {}
-    if offset is not None:
+    if entry is not None:
+        offset = entry[0]
         one = 1 << offset
-        for m, c in nf.num.items():
+        for m, c in num.items():
             e = (m >> offset) & _EXP_MASK
             if e:
                 derivative[m - one] = c * e
-    return builder.finish(((derivative, 1), (nf.den, 1), 0))
+    return builder.finish(((derivative, 1), (den, 1), 0))
 
 
 def substitute(expr: ScalarExpr, mapping: dict) -> ScalarExpr:
@@ -1118,6 +1125,8 @@ def _evaluate_exact(nf: _NormalForm, point: dict) -> Optional[Fraction]:
     denominator.  None when an atom is opaque or a value is missing or
     not rational (the tree walk then decides); ZeroDivisionError at a
     pole, as the walk raises at the reciprocal of the denominator."""
+    if not nf.atoms:
+        return Fraction(nf.num.get(0, 0), nf.den[0])
     values = []
     scale = 1
     for key, offset, _ in nf.atoms:
@@ -1172,17 +1181,11 @@ def evaluate(expr: ScalarExpr, point: dict,
     """Evaluate at a point (dict of variable values).
 
     Returns an exact Fraction when the expression is opaque-free and all
-    used values are rational; otherwise a float.  A tree `normalize`
-    returned with its normal form is evaluated in integers at such a
-    point, and a constant is its value; every other case walks the tree.
+    used values are rational; otherwise a float.  A constant is its
+    value; every other case walks the tree (`_value` evaluates a record).
     """
     if expr.__class__ is Const:
         return expr.value
-    nf = getattr(expr, "_nf", None)
-    if nf is not None:
-        value = _evaluate_exact(nf, point)
-        if value is not None:
-            return value
     reg = _registry(registry)
 
     def ev(node: ScalarExpr):
@@ -1302,16 +1305,25 @@ def is_zero(expr: ScalarExpr, box: Box, chart) -> ZeroCheck:
     about the expression on the box, not on the whole chart.  The
     opaques are those of the chart's registry.
     """
-    registry = chart.registry
     fixed = {name: lo for name, lo, hi in box.intervals if lo == hi}
     if fixed:
         expr = substitute(expr, fixed)
-    nf = _normal_form(expr, chart)
+    return _is_zero(_normal_form(expr, chart), box, chart, expr)
+
+
+def _is_zero(nf: _NormalForm, box: Box, chart,
+             expr: Optional[ScalarExpr] = None) -> ZeroCheck:
+    """The decision of `is_zero` on the normal form `nf` of `expr`, a
+    tree in no coordinate the box fixes, which the sampled rule
+    evaluates; with no `expr`, that of the printed tree of `nf`."""
+    if expr is None and any(lo == hi for _, lo, hi in box.intervals):
+        return is_zero(_printed(nf), box, chart)
+    registry = chart.registry
     if not nf.num:
         # opaque atoms may appear in the tree, but if none survive in the
         # numerator the function is the zero rational function
         return ZeroCheck("provably-zero")
-    if all(key[0] == 0 for key, _, _ in nf.atoms):
+    if nf.opaque_free:
         # exact witness search over Halton points; skip denominator zeros
         tried = 0
         skip = 0
@@ -1330,6 +1342,8 @@ def is_zero(expr: ScalarExpr, box: Box, chart) -> ZeroCheck:
     for c in nf.num.values():
         max_coeff = max(max_coeff, abs(float(c)))
     threshold = _NUMERIC_TOL * (1.0 + max_coeff)
+    if expr is None:
+        expr = _printed(nf)
     worst_pt, worst_val = None, 0.0
     for pt in box.sample_points(_ZERO_SAMPLES):
         fpt = {k: float(v) for k, v in pt.items()}
@@ -1350,9 +1364,10 @@ def min_degree(expr: ScalarExpr, var: str, chart) -> Optional[int]:
     lowest among the denominator terms.  None for the zero expression
     and when an opaque atom is present."""
     nf = _normal_form(expr, chart)
-    if not nf.num or any(key[0] != 0 for key, _, _ in nf.atoms):
+    if not nf.num or not nf.opaque_free:
         return None
-    offset = nf.var_offset(var)
+    offset = next((offset for key, offset, _ in nf.atoms if key[2] == var),
+                  None)
     if offset is None:
         return 0
     return (min((m >> offset) & _EXP_MASK for m in nf.num)

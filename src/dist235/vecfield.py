@@ -1,9 +1,12 @@
 """Vector fields, frames, derived flags, and differential forms on charts.
 
-All coefficient arithmetic is symbolic through the scalar engine; rank
-and membership decisions happen pointwise, exactly at rational points,
-and every one of them reads a `PointValues` table: each field is
-evaluated once per point and each frame eliminated once per point.
+A field or form holds one normal-form record of the scalar engine per
+coefficient: a tree given to its constructor is folded there, once, and
+`components` prints the records only when a caller reads them.  All
+coefficient arithmetic folds records; rank and membership decisions
+happen pointwise, exactly at rational points, and every one of them
+reads a `PointValues` table: each field is evaluated once per point and
+each frame eliminated once per point.
 """
 
 from __future__ import annotations
@@ -11,15 +14,16 @@ from __future__ import annotations
 import re
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg
 from .boxes import Box, as_fraction
 from .memo import Memo, memoized
 from .scalar import (
-    MINUS_ONE, ONE, ZERO, Const, OpaqueRegistry, Prod, ScalarExpr, Sum,
-    _NFBuilder, _printed, _value, default_registry, evaluate, free_variables,
-    normalize,
+    _MINUS_ONE, _NF_ONE, _NF_ZERO, OpaqueRegistry, ScalarExpr, _coerce,
+    _evaluate_exact, _NFBuilder, _NormalForm, _printed, _value,
+    default_registry, evaluate,
 )
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -92,34 +96,58 @@ class Chart:
         return {name: Fraction(0) for name in self.variables}
 
 
-def _check_components(chart: Chart, components) -> tuple:
+def _record(chart: Chart, component) -> _NormalForm:
+    """The record of a coefficient on the chart: a record is kept, and a
+    tree folded, once; a variable outside the chart anywhere in the tree
+    (inside an opaque argument or a denominator too) is a ChartError."""
+    if isinstance(component, _NormalForm):
+        return component
+    if not isinstance(component, ScalarExpr):
+        raise TypeError(f"component {component!r} is not a scalar expression")
+    builder = _NFBuilder(chart)
+    nf = builder.finish(builder.visit(component))
+    extra = builder.undeclared()
+    if extra:
+        raise ChartError(f"components use undeclared variables {extra}")
+    return nf
+
+
+def _records(chart: Chart, components) -> tuple:
+    """One record per chart coordinate (see `_record`)."""
     comps = tuple(components)
     if len(comps) != chart.dimension:
         raise ChartError(
             f"expected {chart.dimension} components, got {len(comps)}")
-    for c in comps:
-        if not isinstance(c, ScalarExpr):
-            raise TypeError(f"component {c!r} is not a scalar expression")
-        extra = free_variables(c) - set(chart.variables)
-        if extra:
-            raise ChartError(
-                f"components use undeclared variables {sorted(extra)}")
-    return comps
+    return tuple(_record(chart, c) for c in comps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VectorField:
+    """A vector field: one record per chart coordinate (`_records`), and
+    the trees they print as `components`, made when first read."""
+
     chart: Chart
-    components: tuple
+    records: tuple
     name: str = ""
 
-    def __post_init__(self):
-        object.__setattr__(self, "components",
-                           _check_components(self.chart, self.components))
+    def __init__(self, chart: Chart, components, name: str = ""):
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "records", _records(chart, components))
+        object.__setattr__(self, "name", name)
+
+    @cached_property
+    def components(self) -> tuple:
+        return tuple(map(_printed, self.records))
 
     def evaluate_at(self, point: dict) -> list:
-        registry = self.chart.registry
-        return [evaluate(c, point, registry) for c in self.components]
+        """The components' values: read from the records where that is
+        exact (`scalar._evaluate_exact`), else by walking `components`."""
+        values = [_evaluate_exact(nf, point) for nf in self.records]
+        if any(v is None for v in values):
+            registry = self.chart.registry
+            values = [evaluate(c, point, registry) if v is None else v
+                      for v, c in zip(values, self.components)]
+        return values
 
     def lifted(self, chart: Chart) -> "VectorField":
         """The same field on an extended chart (zero new components)."""
@@ -128,36 +156,31 @@ class VectorField:
                 or chart.registry is not self.chart.registry):
             raise ChartMismatchError(
                 "target chart does not extend this field's chart")
-        pad = (ZERO,) * (chart.dimension - n)
-        return VectorField(chart, self.components + pad, self.name)
+        pad = (_NF_ZERO,) * (chart.dimension - n)
+        return VectorField(chart, self.records + pad, self.name)
 
     def renamed(self, name: str) -> "VectorField":
-        return VectorField(self.chart, self.components, name)
+        return VectorField(self.chart, self.records, name)
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        if self.chart != other.chart:
-            raise ChartMismatchError("cannot add fields on different charts")
-        comps = tuple(Sum((a, b))
-                      for a, b in zip(self.components, other.components))
-        return VectorField(self.chart, comps)
 
-    def __mul__(self, factor) -> "VectorField":
-        if not isinstance(factor, ScalarExpr):
-            factor = Const(as_fraction(factor))
-        comps = tuple(Prod((factor, c)) for c in self.components)
-        return VectorField(self.chart, comps)
-
-    def normalized(self, name: str) -> "VectorField":
-        """The field with every component normalized on its chart: with
-        `+` and `*` this is the one field combination, v + w * s."""
-        return VectorField(self.chart, tuple(
-            normalize(c, self.chart) for c in self.components),
-            name)
+def combine(v: VectorField, s, w: VectorField, name: str) -> VectorField:
+    """The field v + s * w, each component the fold of v^i + s * w^i on
+    records in one builder: the one way fields are combined.  The scalar
+    s is a record, a tree or a rational number."""
+    if v.chart != w.chart:
+        raise ChartMismatchError("cannot add fields on different charts")
+    builder = _NFBuilder(v.chart)
+    reuse, product = builder.reuse, builder.product
+    factor = (reuse(s) if isinstance(s, _NormalForm)
+              else builder.visit(_coerce(s)))
+    return VectorField(v.chart, tuple(
+        builder.finish(builder.sum((reuse(a), product((factor, reuse(b))))))
+        for a, b in zip(v.records, w.records)), name)
 
 
 def coordinate_field(chart: Chart, name: str) -> VectorField:
     i = chart.index(name)
-    comps = tuple(ONE if j == i else ZERO
+    comps = tuple(_NF_ONE if j == i else _NF_ZERO
                   for j in range(chart.dimension))
     return VectorField(chart, comps, name=f"d/d{name}")
 
@@ -166,27 +189,25 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     """[v, w]^j = sum_i v^i d(w^j)/dx_i - w^i d(v^j)/dx_i, normalized.
 
     Memoized in the chart's memo, keyed by the chart's names and the
-    components of v and w (field names play no part), so asking again
-    for a bracket on a chart that shares the memo computes nothing new.
-    A field's bracket with itself is the zero field, built without a
-    fold: the fold of its terms, which cancel pairwise, is `ZERO` in
-    every component."""
+    records of v and w (field names play no part), so asking again for a
+    bracket on a chart that shares the memo computes nothing new.  A
+    field's bracket with itself is the zero field, built without a fold:
+    the fold of its terms, which cancel pairwise, is zero in every
+    component."""
     if v.chart != w.chart:
         raise ChartMismatchError("bracket of fields on different charts")
-    if v.components == w.components:
-        return VectorField(v.chart, (ZERO,) * v.chart.dimension)
-    return VectorField(v.chart, _bracket(v.chart, v.components, w.components))
+    if v.records == w.records:
+        return VectorField(v.chart, (_NF_ZERO,) * v.chart.dimension)
+    return VectorField(v.chart, _bracket(v.chart, v.records, w.records))
 
 
 @memoized
 def _bracket(chart: Chart, v: tuple, w: tuple) -> tuple:
-    """The components of [v, w]: each the fold of sum_i v^i d(w^j) +
-    (-1) w^i d(v^j), in that order, on records in one builder, printed
-    once."""
+    """The records of [v, w]: each the fold of sum_i v^i d(w^j) +
+    (-1) w^i d(v^j), in that order, in one builder."""
     builder = _NFBuilder(chart)
-    minus_one = builder.visit(MINUS_ONE)
-    vs = [builder.visit(c) for c in v]
-    ws = [builder.visit(c) for c in w]
+    vs = [builder.reuse(c) for c in v]
+    ws = [builder.reuse(c) for c in w]
     comps = []
     for j in range(chart.dimension):
         terms = []
@@ -194,15 +215,15 @@ def _bracket(chart: Chart, v: tuple, w: tuple) -> tuple:
             terms.append(builder.product((
                 vs[i], builder.derivative(w[j], var))))
             terms.append(builder.product((
-                minus_one, ws[i], builder.derivative(v[j], var))))
-        comps.append(_printed(builder.finish(builder.sum(terms))))
+                _MINUS_ONE, ws[i], builder.derivative(v[j], var))))
+        comps.append(builder.finish(builder.sum(terms)))
     return tuple(comps)
 
 
 class PointValues:
     """Field values and frame spans at one point, each computed once.
 
-    A field is keyed by its registry and components, so equal fields (a
+    A field is keyed by its registry and records, so equal fields (a
     bracket asked for twice, a renamed field) share a row; a frame is
     keyed by identity, and the table holds every frame it keys on, so no
     `id` is reused while it is alive.  Each field's
@@ -213,11 +234,11 @@ class PointValues:
 
     def __init__(self, point: dict):
         self.point = point
-        self._rows = {}   # (registry, components) -> linalg.Row
+        self._rows = {}   # (registry, records) -> linalg.Row
         self._spans = {}  # id(frame) -> (frame, linalg.Span)
 
     def row(self, f: VectorField) -> linalg.Row:
-        key = (f.chart.registry, f.components)
+        key = (f.chart.registry, f.records)
         row = self._rows.get(key)
         if row is None:
             row = self._rows[key] = linalg.as_row(f.evaluate_at(self.point))
@@ -285,7 +306,7 @@ class Frame:
 def symbolic_decompose(targets: Sequence[VectorField],
                        basis: Sequence[VectorField], base_point: dict
                        ) -> tuple:
-    """For each target v, the coefficient expressions c_i with
+    """For each target v, the records of the coefficients c_i with
     v = sum_i c_i * basis_i, obtained by one symbolic Gauss-Jordan
     elimination of the basis with every target appended as a column.
 
@@ -301,8 +322,8 @@ def symbolic_decompose(targets: Sequence[VectorField],
     Only live columns are computed: the step that pivots on column `col`
     scales and eliminates the columns after it, since no later step and
     not the result reads column `col` or one before it again.  Entries
-    are records of one builder, folded as their trees would fold, and
-    only the returned coefficients are printed.
+    are records, folded in one builder as their trees would fold, and
+    none is printed.
     """
     if not targets:
         return ()
@@ -318,12 +339,10 @@ def symbolic_decompose(targets: Sequence[VectorField],
             raise ChartMismatchError("field on a different chart")
     builder = _NFBuilder(chart)
     reuse, finish = builder.reuse, builder.finish
-    minus_one = builder.visit(MINUS_ONE)
     # Augmented rows: one per chart component, columns follow the basis
     # order with the targets appended.
     width = len(columns)
-    rows = [[finish(builder.visit(f.components[i])) for f in columns]
-            for i in range(n)]
+    rows = [[f.records[i] for f in columns] for i in range(n)]
     pivot_of_col = {}
     free = list(range(n))  # the rows not yet holding a pivot, ascending
     for col in range(n):
@@ -344,12 +363,12 @@ def symbolic_decompose(targets: Sequence[VectorField],
         for r, row in enumerate(rows):
             if r == best_row or not row[col].num:
                 continue
-            negated = builder.product((minus_one, reuse(row[col])))
+            negated = builder.product((_MINUS_ONE, reuse(row[col])))
             for j in live:
                 row[j] = finish(builder.sum((reuse(row[j]), builder.product(
                     (negated, reuse(pivot_row[j]))))))
-    return tuple(tuple(_printed(rows[pivot_of_col[col]][j])
-                       for col in range(n)) for j in range(n, width))
+    return tuple(tuple(rows[pivot_of_col[col]][j] for col in range(n))
+                 for j in range(n, width))
 
 
 @dataclass(frozen=True)
@@ -407,7 +426,7 @@ def derived_flag(generators: Frame, box: Optional[Box] = None,
         current = frames[-1]
         extended = list(current.fields)
         for b in _pass_brackets(generators, current, start):
-            if all(c == ZERO for c in b.components):
+            if not any(nf.num for nf in b.records):
                 continue
             if at_base.rank(extended + [b]) > len(extended):
                 extended.append(b)
@@ -448,85 +467,103 @@ def derived_flag(generators: Frame, box: Optional[Box] = None,
 # ---------------------------------------------------------------------------
 # differential forms
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OneForm:
-    chart: Chart
-    components: tuple  # coefficient of dx_i per chart variable
+    """A one-form: the record of the coefficient of dx_i per chart
+    variable (see `VectorField`), printed as `components` when read."""
 
-    def __post_init__(self):
-        # normalized once here, so `exterior_derivative` differentiates
-        # each component as a polynomial, not through its parsed tree
-        object.__setattr__(self, "components", tuple(
-            normalize(c, self.chart)
-            for c in _check_components(self.chart, self.components)))
+    chart: Chart
+    records: tuple
+
+    def __init__(self, chart: Chart, components):
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "records", _records(chart, components))
+
+    @cached_property
+    def components(self) -> tuple:
+        return tuple(map(_printed, self.records))
 
 
 @dataclass(frozen=True)
 class TwoForm:
+    """A two-form: the record of the coefficient of dx_i ^ dx_j for each
+    i < j where it is not zero, printed as `components` when read."""
+
     chart: Chart
-    components: dict  # (i, j) with i < j -> coefficient of dx_i ^ dx_j
+    records: dict
+
+    @cached_property
+    def components(self) -> dict:
+        return {ij: _printed(nf) for ij, nf in self.records.items()}
+
+    def record(self, i: int, j: int) -> _NormalForm:
+        if i == j:
+            return _NF_ZERO
+        if i < j:
+            return self.records.get((i, j), _NF_ZERO)
+        builder = _NFBuilder(self.chart)
+        flipped = self.records.get((j, i), _NF_ZERO)
+        return builder.finish(builder.product(
+            (_MINUS_ONE, builder.reuse(flipped))))
 
     def coefficient(self, i: int, j: int) -> ScalarExpr:
-        if i == j:
-            return ZERO
-        if i < j:
-            return self.components.get((i, j), ZERO)
-        builder = _NFBuilder(self.chart)
-        flipped = self.components.get((j, i), ZERO)
-        return _printed(builder.finish(builder.product(
-            (builder.visit(MINUS_ONE), builder.visit(flipped)))))
+        return _printed(self.record(i, j))
 
 
 def exterior_derivative(alpha: OneForm) -> TwoForm:
     """d(sum a_i dx_i) = sum_{i<j} (da_j/dx_i - da_i/dx_j) dx_i ^ dx_j,
     each coefficient the fold of da_j/dx_i + (-1) da_i/dx_j on records in
-    one builder, printed when it is not zero."""
+    one builder, kept when it is not zero."""
     chart = alpha.chart
     builder = _NFBuilder(chart)
-    minus_one = builder.visit(MINUS_ONE)
-    a, names = alpha.components, chart.variables
+    a, names = alpha.records, chart.variables
     comps = {}
     n = chart.dimension
     for i in range(n):
         for j in range(i + 1, n):
             nf = builder.finish(builder.sum((
                 builder.derivative(a[j], names[i]),
-                builder.product((minus_one, builder.derivative(
+                builder.product((_MINUS_ONE, builder.derivative(
                     a[i], names[j]))))))
             if nf.num:
-                comps[(i, j)] = _printed(nf)
+                comps[(i, j)] = nf
     return TwoForm(chart, comps)
 
 
 def pair(form, v: VectorField, w: Optional[VectorField] = None) -> ScalarExpr:
     """Pair a one-form with a field, or a two-form with two fields: the
-    fold of sum_i a_i v^i, or of sum_{i<j} c_ij (v^i w^j + (-1) v^j w^i),
-    on records in one builder, printed once."""
+    printed tree of `_pair`."""
+    return _printed(_pair(form, v, w))
+
+
+def _pair(form, v: VectorField, w: Optional[VectorField] = None
+          ) -> _NormalForm:
+    """The record of the fold of sum_i a_i v^i, or of sum_{i<j} c_ij
+    (v^i w^j + (-1) v^j w^i), on records in one builder."""
     if isinstance(form, OneForm):
         if w is not None:
             raise TypeError("one-form pairs with a single field")
         if form.chart != v.chart:
             raise ChartMismatchError("form and field on different charts")
         builder = _NFBuilder(form.chart)
-        visit, product = builder.visit, builder.product
-        return _printed(builder.finish(builder.sum(
-            product((visit(a), visit(c)))
-            for a, c in zip(form.components, v.components))))
+        reuse, product = builder.reuse, builder.product
+        return builder.finish(builder.sum(
+            product((reuse(a), reuse(c)))
+            for a, c in zip(form.records, v.records)))
     if isinstance(form, TwoForm):
         if w is None:
             raise TypeError("two-form needs two fields")
         if form.chart != v.chart or form.chart != w.chart:
             raise ChartMismatchError("form and fields on different charts")
         builder = _NFBuilder(form.chart)
-        visit, product = builder.visit, builder.product
-        minus_one = visit(MINUS_ONE)
-        vs = [visit(c) for c in v.components]
-        ws = [visit(c) for c in w.components]
-        return _printed(builder.finish(builder.sum(
-            product((visit(c), builder.sum((
+        reuse, product = builder.reuse, builder.product
+        vs = [reuse(c) for c in v.records]
+        ws = [reuse(c) for c in w.records]
+        return builder.finish(builder.sum(
+            product((reuse(c), builder.sum((
                 product((vs[i], ws[j])),
-                product((minus_one, vs[j], ws[i]))))))
-            for (i, j), c in sorted(form.components.items()))))
+                product((_MINUS_ONE, vs[j], ws[i]))))))
+            for (i, j), c in sorted(form.records.items())))
     raise TypeError(f"not a form: {form!r}")
 
 
@@ -538,9 +575,9 @@ def check_contact(alpha: OneForm, point: dict) -> bool:
         raise ChartError("contact check needs a 5-dimensional chart")
     d = exterior_derivative(alpha)
     registry = alpha.chart.registry
-    a = [evaluate(c, point, registry) for c in alpha.components]
+    a = [_value(nf, point, registry) for nf in alpha.records]
     rows = [[0] + a] + [
-        [-a[i]] + [evaluate(d.coefficient(i, j), point, registry)
+        [-a[i]] + [_value(d.record(i, j), point, registry)
                    for j in range(5)]
         for i in range(5)]
     return linalg.matrix_rank(rows) == 6

@@ -82,10 +82,9 @@ def random_nf_tree(rng: random.Random, variables, opaques=(),
 def normalized_pieces(rng: random.Random, count: int, charts, variables,
                       opaques=()) -> list:
     """`count` outputs of `normalize` under charts drawn from `charts`,
-    and now and then the derivative of one: trees that carry their
-    normal form mixed with ones that do not (opaque atoms, variables
-    outside the chart, atom roots).  The charts' registry holds the
-    opaques."""
+    and now and then the derivative of one, with opaque atoms, variables
+    outside the chart and atom roots among them.  The charts' registry
+    holds the opaques."""
     pieces = []
     while len(pieces) < count:
         chart = rng.choice(charts)
@@ -125,20 +124,6 @@ def random_tree_with_pieces(rng: random.Random, variables, pieces,
     if kind < 0.8:
         return Prod(tuple(children))
     return Pow(children[0], rng.randint(-2, 2))
-
-
-def stripped(tree):
-    """The same tree with no node carrying the normal form `normalize`
-    printed it from."""
-    if isinstance(tree, Sum):
-        return Sum(tuple(stripped(t) for t in tree.terms))
-    if isinstance(tree, Prod):
-        return Prod(tuple(stripped(f) for f in tree.factors))
-    if isinstance(tree, Pow):
-        return Pow(stripped(tree.base), tree.exponent)
-    if isinstance(tree, Opaque):
-        return Opaque(tree.name, stripped(tree.arg))
-    return tree
 
 
 def count_calls(monkeypatch, owner, name: str) -> list:
@@ -273,7 +258,7 @@ def tree_exterior_derivative(alpha) -> vecfield.TwoForm:
                     alpha.components[i], chart.variables[j], chart))))),
                 chart)
             if c != scalar.ZERO:
-                comps[(i, j)] = c
+                comps[(i, j)] = scalar._normal_form(c, chart)
     return vecfield.TwoForm(chart, comps)
 
 

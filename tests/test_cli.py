@@ -759,8 +759,8 @@ class TestRationalComponentPins:
             {"eta1": ["1", "y1", "y2", "0", "(1/2)*y2^2/(1+y1)"],
              "eta2": ["0", "0", "0", "1", "0"]},
             ["trace"] + TRACE_ARGS, 0,
-            "96fa058f3e2641e99c6b6578a20d5aeb"
-            "19f046d125119052b2d4dfe6a5a048b1"),
+            "3a12ee2a0b9682887e7c3aeab91ceb49"
+            "33a87a7fe855474b34fc3bfa58fcda67"),
         "hc-quotient-trace": (
             "hilbert-cartan",
             {"eta1": ["1", "y1", "y2", "0", "y2^2/(1+y1)"],

@@ -20,7 +20,8 @@ from dist235.distduality import (
 )
 from dist235.models import BUNDLED, ModelError, parse_model
 from dist235.scalar import (
-    OpaqueRegistry, Sum, evaluate, is_zero, normalize, parse_expr, to_text,
+    OpaqueRegistry, Sum, _printed, evaluate, is_zero, normalize, parse_expr,
+    to_text,
 )
 from dist235.vecfield import (
     Chart, ChartError, Frame, OneForm, PointValues, exterior_derivative,
@@ -109,6 +110,20 @@ class TestConeFamilyBuild:
                            for text in ("th", "th^2", "th^3 + u", "0"))
         with pytest.raises(ChartError, match="undeclared"):
             ConeFamily.build(X_CHART, components, ALPHA)
+
+    @pytest.mark.parametrize("text", (
+        "th^3 + F(u)", "th^3/(1 + u)", "th^3 + F(th*u^2)/x1", "th^3 + u - u"))
+    def test_hidden_variable_outside_the_chart_rejected(self, text):
+        # inside an opaque argument, only in a denominator, or cancelled:
+        # a variable the chart does not declare is still named
+        registry = OpaqueRegistry()
+        registry.register("F", lambda u: u, "F")
+        x_chart = Chart(X_CHART.variables, registry)
+        alpha = OneForm(x_chart, ALPHA.components)
+        components = tuple(parse_expr(t, registry=registry)
+                           for t in ("th", "th^2", text, "0"))
+        with pytest.raises(ChartError, match=r"undeclared variables \['u'\]"):
+            ConeFamily.build(x_chart, components, alpha)
 
     def test_contact_form_on_another_chart_rejected(self):
         chart = Chart(("y1", "y2", "y3", "y4", "y5"))
@@ -712,7 +727,7 @@ class TestDefectIdentities:
                                opaque)
         d_alpha = exterior_derivative(family.lifted_alpha)
         iso = pair(d_alpha, family.zeta(2), family.zeta(3))
-        defect = family.bracket_decomposition[0][5]
+        defect = _printed(family.bracket_decomposition[0][5])
         assert sum_text(family, iso, defect) == "0"
         closed_form = parse_expr(
             "C1(th) - 3*th*B1(th) + 3*B(th)", family.z_chart.variables,
@@ -723,7 +738,7 @@ class TestDefectIdentities:
         family = opaque_family(
             "cubic-a", {"a": "F(x1)"},
             opaque_chain("F", ("u^2", "2*u", "2"), "0"))
-        along_third = family.bracket_decomposition[0][4]
+        along_third = _printed(family.bracket_decomposition[0][4])
         half_slope = parse_expr("F1(x1)/2", family.z_chart.variables,
                                 family.z_chart.registry)
         assert sum_text(family, along_third, half_slope) == "0"

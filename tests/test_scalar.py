@@ -22,7 +22,7 @@ from dist235.scalar import (
 from helpers import (
     count_calls, integer_normal_form, normal_form_outcome, normal_form_terms,
     normalized_pieces, random_nf_tree, random_point, random_tree,
-    random_tree_with_pieces, reference_normal_form, stripped,
+    random_tree_with_pieces, reference_normal_form,
 )
 
 NAMES = ("x1", "x2", "x3", "x4", "x5")
@@ -172,14 +172,6 @@ class TestNodes:
         assert hash(node) == hash(fields)
         assert hash(node) == hash(fields)  # the kept hash
 
-    def test_hash_ignores_the_carried_normal_form(self):
-        tree = normalize(parse_expr("(x1 + x2)^2", NAMES), CHART)
-        assert tree._nf is not None
-        bare = Sum(tree.terms)
-        assert bare._nf is None
-        assert bare == tree and hash(bare) == hash(tree)
-        assert hash(tree) == hash((tree.terms,))
-
     def test_kinds_with_equal_fields_differ(self):
         x = self.X
         assert Sum((x,)) != Prod((x,))
@@ -188,7 +180,7 @@ class TestNodes:
 
     def test_nodes_are_frozen(self):
         node = Pow(self.X, 2)
-        for name in ("base", "exponent", "_nf", "_hash", "other"):
+        for name in ("base", "exponent", "_hash", "other"):
             with pytest.raises(AttributeError):
                 setattr(node, name, None)
         with pytest.raises(AttributeError):
@@ -707,14 +699,17 @@ class TestNormalFormMatchesReference:
             key = on_fresh_charts(key)
             if key[0] == "bracket":
                 brackets += 1
-                want = tree_bracket(*key[1:]).components
+                want = tree_bracket(key[1], *(
+                    tuple(map(scalar._printed, side))
+                    for side in key[2:])).components
                 got = result
             else:
                 decompositions += 1
                 want = full_width_decompose(key[0], key[1], dict(key[2]))
                 want = [c for coeffs in want for c in coeffs]
                 got = [c for coeffs in result for c in coeffs]
-            assert [to_text(c) for c in got] == [to_text(c) for c in want]
+            assert [to_text(scalar._printed(c)) for c in got] == \
+                [to_text(c) for c in want]
         assert brackets > 20 and decompositions > 5
         assert len(calls) > 500
         for expr, chart in calls:
@@ -723,13 +718,14 @@ class TestNormalFormMatchesReference:
 
     def test_fold_builds_no_fraction(self, monkeypatch):
         # Fractions appear only at the boundaries: the result of
-        # _normal_form and the arguments of opaque atoms; a reused pair
+        # _normal_form and the arguments of opaque atoms; a reused record
         # is one of them only in its normal form
         rng = random.Random(20261019)
         trees = [random_nf_tree(rng, NAMES[:3], depth=4) for _ in range(300)]
         pieces = normalized_pieces(rng, 60, (CHART,), NAMES[:3])
         trees += [random_tree_with_pieces(rng, NAMES[:3], pieces)
                   for _ in range(300)]
+        records = [scalar._normal_form(piece, CHART) for piece in pieces]
         reused = count_calls(monkeypatch, scalar._NFBuilder, "reuse")
         made = []
         real_new = Fraction.__new__
@@ -746,8 +742,12 @@ class TestNormalFormMatchesReference:
             except ZeroDenominatorError:
                 continue
             folded += 1
+        for _ in range(100):
+            builder = scalar._NFBuilder(CHART)
+            a, b, c = (builder.reuse(rng.choice(records)) for _ in range(3))
+            builder.sum((a, builder.product((b, c))))
         monkeypatch.undo()
-        assert folded > 400 and made == [] and len(reused) > 100
+        assert folded > 400 and made == [] and len(reused) == 300
 
     def test_exponent_overflow_raises(self):
         # an exponent of 2^64 would carry into the next atom's field:
@@ -769,104 +769,100 @@ class TestNormalFormMatchesReference:
 
 
 # ---------------------------------------------------------------------------
-# trees that carry the normal form they were printed from
+# records read back into a builder, differentiated and evaluated
 
 PIECE_CHARTS = (CHART, CHART_SETTINGS["permuted"],
                 CHART_SETTINGS["no chart"])
 
 
+def piece_records(rng, count, variables, opaques=()):
+    """The records of `normalized_pieces` on charts drawn from
+    `PIECE_CHARTS`: some on the chart of a test, some on charts with
+    other names or another memo."""
+    return [scalar._normal_form(piece, rng.choice(PIECE_CHARTS))
+            for piece in normalized_pieces(rng, count, PIECE_CHARTS,
+                                           variables, opaques)]
+
+
+def record_expression(rng, builder, records, depth=2):
+    """A random sum, product or power of `records`: the tree of their
+    printed trees, and the triple the builder folds for it on records."""
+    kind = rng.random()
+    if depth <= 0 or kind < 0.25:
+        nf = rng.choice(records)
+        return scalar._printed(nf), builder.reuse(nf)
+    if kind < 0.85:
+        kids = [record_expression(rng, builder, records, depth - 1)
+                for _ in range(rng.randint(2, 3))]
+        trees, triples = zip(*kids)
+        if kind < 0.55:
+            return Sum(trees), builder.sum(triples)
+        return Prod(trees), builder.product(triples)
+    k = rng.randint(-2, 2)
+    tree, triple = record_expression(rng, builder, records, depth - 1)
+    return Pow(tree, k), builder.power(triple, k)
+
+
 class TestCarriedPairs:
-    """A normalized tree carries its integer pair; folding, differentiating
-    and evaluating it must give what the tree itself gives."""
+    """A record carries its integer pairs: reading it back into a
+    builder (`_NFBuilder.reuse`), differentiating and evaluating it must
+    give what its printed tree gives."""
 
     @pytest.mark.parametrize("setting", sorted(CHART_SETTINGS))
     def test_reuse_gives_the_same_fold(self, setting, monkeypatch):
         chart = CHART_SETTINGS[setting]
         rng = random.Random(20261020)
-        variables = NAMES[:3] + ("w",)
-        pieces = normalized_pieces(rng, 200, PIECE_CHARTS, variables,
-                                   ("a", "a1"))
+        records = piece_records(rng, 200, NAMES[:3] + ("w",), ("a", "a1"))
         reused = count_calls(monkeypatch, scalar._NFBuilder, "reuse")
         kinds = set()
         for _ in range(1500):
-            tree = random_tree_with_pieces(rng, variables, pieces,
-                                           ("a", "a1"))
-            got = normal_form_outcome(integer_normal_form, tree, chart)
-            want = normal_form_outcome(reference_normal_form, tree, chart)
-            assert got == want, to_text(tree)
-            kinds.add(want[0] if isinstance(want[0], type) else "form")
-        assert reused and "form" in kinds and ZeroDenominatorError in kinds
+            builder = scalar._NFBuilder(chart)
+            try:
+                tree, triple = record_expression(rng, builder, records)
+                got = normal_form_terms(builder.finish(triple))
+            except ZeroDenominatorError as exc:
+                got, tree = (type(exc), str(exc)), None
+            if tree is not None:
+                want = normal_form_outcome(reference_normal_form, tree, chart)
+                assert got == want, to_text(tree)
+            kinds.add(got[0] if isinstance(got[0], type) else "form")
+        assert reused and kinds == {"form", ZeroDenominatorError}
 
     def test_reused_pair_and_bound_equal_the_fresh_fold(self):
         rng = random.Random(20261021)
-        pieces = normalized_pieces(rng, 400, PIECE_CHARTS, NAMES[:3])
+        records = piece_records(rng, 400, NAMES[:3])
         checked = 0
         for chart in CHART_SETTINGS.values():
-            for piece in pieces:
-                nf = piece._nf
-                if nf is None or nf.names != chart.variables:
+            for nf in records:
+                if nf.atoms and nf.table is not chart.memo.offsets:
                     continue
                 reused = scalar._NFBuilder(chart)
                 fresh = scalar._NFBuilder(chart)
                 # (numerator, denominator, degree bound)
-                assert reused.visit(piece) == fresh.visit(stripped(piece))
+                assert reused.reuse(nf) == fresh.visit(scalar._printed(nf))
                 assert reused.atoms == fresh.atoms
                 checked += 1
         assert checked > 150
 
-    def test_only_opaque_free_chart_forms_carry(self):
-        reg = make_registry()
-        for text, chart, carries in (
-                ("x1^2 + x2/3", CHART, True),
-                ("(x1 + 1)/(x2 - 1)", CHART, True),
-                ("a(x1) + x2", CHART, False),
-                ("a(x1) - a(x1) + x1*x2", CHART, True),
-                ("w*x1 + 1", CHART, False),
-                ("x1*x2 + 1", CHART_SETTINGS["no chart"], False),
-                ("3/4", CHART, True)):
-            tree = normalize(parse_expr(text, registry=reg), chart)
-            assert (tree._nf is not None) == carries, text
-
     def test_derivative_on_the_pair_equals_the_product_rule_fold(
             self, monkeypatch):
-        # the memo is bypassed: an equal tree would return the cached form
+        # the memo is bypassed: an equal record would return the cached
+        # form
         rng = random.Random(20261022)
-        pieces = normalized_pieces(rng, 300, (CHART, PIECE_CHARTS[1]),
-                                   NAMES[:3])
+        records = piece_records(rng, 300, NAMES[:3])
         direct = count_calls(monkeypatch, scalar, "_polynomial_derivative")
         derive = scalar._derivative.__wrapped__
-        for piece in pieces:
-            chart = PIECE_CHARTS[1] if piece._nf and \
-                piece._nf.names == PIECE_CHARTS[1].variables else CHART
-            for var in ("x1", "x3", "x5"):
-                got = scalar._printed(derive(piece, var, chart))
-                want = scalar._printed(derive(stripped(piece), var, chart))
-                assert got == want, to_text(piece)
-                if got._nf is not None:
+        fold = scalar._normal_form.__wrapped__
+        for nf in records:
+            for chart in PIECE_CHARTS[:2]:
+                for var in ("x1", "x3", "x5"):
+                    got = scalar._printed(derive(nf, var, chart))
+                    want = scalar._printed(fold(scalar._tree_derivative(
+                        scalar._printed(nf), var, chart.registry), chart))
+                    assert got == want, to_text(scalar._printed(nf))
                     assert integer_normal_form(got, chart) \
                         == reference_normal_form(got, chart)
         assert len(direct) > 300
-
-    def test_osculating_check_folds_half_as_much(self, monkeypatch):
-        # a count, not a time: the bundled noncubic-bc osculating check,
-        # each family in a fresh memo, with pairs carried and with none
-        # reusable
-        from dist235 import conedual
-        from dist235.models import BUNDLED
-
-        def visits(reusable):
-            with monkeypatch.context() as patch:
-                patch.setattr(scalar._NormalForm, "reusable", reusable)
-                calls = count_calls(patch, scalar._NFBuilder, "visit")
-                family = conedual.builtin_model(
-                    "noncubic-bc", dict(BUNDLED["noncubic-bc"]
-                                        ["expressions"]))
-                assert conedual.check_osculating_condition(family).passed
-            return len(calls)
-
-        carried = visits(scalar._NormalForm.reusable)
-        bare = visits(property(lambda self: False))
-        assert 2 * carried <= bare
 
     def test_denominator_one_is_one_shared_dict(self):
         forms = [scalar._normal_form(parse_expr(text, NAMES), CHART)
@@ -874,32 +870,54 @@ class TestCarriedPairs:
         assert forms[0].den == {0: 1}
         assert forms[0].den is forms[1].den is forms[2].den
 
+    def test_equal_records_are_one_key(self):
+        # a record is equal to, and hashes as, one with the same terms
+        # and atoms wherever it was folded: a memo or `PointValues` key
+        chart = Chart(NAMES, CHART.registry)
+        texts = ("(x1 + a(x2))^2/(1 - x3)", "x1*x2 - 3/4", "0", "5")
+        first = [scalar._normal_form(parse_expr(t, NAMES, chart.registry),
+                                     chart) for t in texts]
+        builder = scalar._NFBuilder(chart)
+        again = [builder.finish(builder.visit(scalar._printed(nf)))
+                 for nf in first]
+        assert again == first and again[0] is not first[0]
+        assert [hash(nf) for nf in again] == [hash(nf) for nf in first]
+        assert len(set(first)) == len(texts)
+        assert scalar._NF_ZERO == first[2] and scalar._NF_ONE != first[3]
+
 
 class TestExactEvaluation:
-    """`evaluate` on a carried tree at a rational point computes in
-    integers; every answer must be the tree walk's."""
+    """`_value` of a record at a rational point computes in integers;
+    every answer must be the walk of its printed tree."""
 
     @staticmethod
-    def carried_trees(seed, count, opaques=()):
+    def records(seed, count, opaques=()):
         rng = random.Random(seed)
-        trees = []
-        while len(trees) < count:
+        records = []
+        while len(records) < count:
             tree = random_nf_tree(rng, NAMES[:3], opaques, depth=3)
             try:
-                canon = normalize(tree, CHART)
+                nf = scalar._normal_form(tree, CHART)
             except ZeroDenominatorError:
                 continue
-            if canon._nf is not None or opaques:
-                trees.append(canon)
-        return trees
+            if nf.opaque_free or opaques:
+                records.append(nf)
+        return records
 
     @staticmethod
-    def outcome(tree, point, registry=None):
+    def outcome(value, *args):
         try:
-            value = evaluate(tree, point, registry)
+            got = value(*args)
         except ZeroDivisionError as exc:
             return "pole", str(exc)
-        return type(value), repr(value)
+        return type(got), repr(got)
+
+    def same(self, nf, point, registry=None):
+        got = self.outcome(scalar._value, nf, point, registry)
+        assert got == self.outcome(evaluate, scalar._printed(nf), point,
+                                   registry), (to_text(scalar._printed(nf)),
+                                               point)
+        return got
 
     POINTS = (BOX.sample_points(12)
               + [{v: 0 for v in NAMES},
@@ -908,37 +926,25 @@ class TestExactEvaluation:
 
     def test_rational_points_match_the_tree_walk(self, monkeypatch):
         exact = count_calls(monkeypatch, scalar, "_integer_value")
-        seen = set()
-        for tree in self.carried_trees(701, 150):
-            walk = stripped(tree)
-            for pt in self.POINTS:
-                got = self.outcome(tree, pt)
-                assert got == self.outcome(walk, pt), (to_text(tree), pt)
-                seen.add(got[0])
+        seen = {self.same(nf, pt)[0] for nf in self.records(701, 150)
+                for pt in self.POINTS}
         assert seen == {Fraction, "pole"} and len(exact) > 2000
 
     def test_float_points_keep_the_walk_bits(self):
         points = [{k: float(v) for k, v in pt.items()} for pt in self.POINTS]
         points += [dict(pt, x1=float(pt["x1"]) + 0.1) for pt in self.POINTS]
-        seen = set()
-        for tree in self.carried_trees(702, 100):
-            walk = stripped(tree)
-            for pt in points:
-                got = self.outcome(tree, pt)
-                assert got == self.outcome(walk, pt), (to_text(tree), pt)
-                seen.add(got[0])
+        seen = {self.same(nf, pt)[0] for nf in self.records(702, 100)
+                for pt in points}
         assert {float, "pole"} <= seen
 
     def test_opaque_atoms_keep_the_walk_bits(self):
         reg = make_registry()
         checked = 0
-        for tree in self.carried_trees(703, 100, opaques=("a", "a1")):
-            if tree._nf is not None:
+        for nf in self.records(703, 100, opaques=("a", "a1")):
+            if nf.opaque_free:
                 continue
-            walk = stripped(tree)
             for pt in self.POINTS:
-                assert self.outcome(tree, pt, reg) == \
-                    self.outcome(walk, pt, reg)
+                self.same(nf, pt, reg)
             checked += 1
         assert checked > 20
 
@@ -956,14 +962,15 @@ class TestExactEvaluation:
 
     def test_missing_assignment_is_unchanged(self):
         from dist235.scalar import MissingAssignmentError
-        tree = normalize(parse_expr("x1^2*x3 + x2/(x3 + 1)", NAMES), CHART)
-        assert tree._nf is not None
+        nf = scalar._normal_form(
+            parse_expr("x1^2*x3 + x2/(x3 + 1)", NAMES), CHART)
         for pt in ({"x1": 1}, {"x2": 1, "x3": Fraction(1, 2)},
                    {"x1": 0.5, "x3": 2}):
             names = []
-            for t in (tree, stripped(tree)):
+            for value, arg in ((scalar._value, nf),
+                               (evaluate, scalar._printed(nf))):
                 with pytest.raises(MissingAssignmentError) as info:
-                    evaluate(t, pt)
+                    value(arg, pt, None)
                 names.append(info.value.name)
             assert names[0] == names[1]
 

@@ -6,6 +6,7 @@ import inspect
 import json
 import pkgutil
 import random
+import traceback
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from dist235.scalar import (
 )
 from dist235.vecfield import (
     Chart, ChartError, ChartMismatchError, DegenerateFrameError, Frame,
-    OneForm, PointValues, VectorField, _bracket, check_contact,
+    OneForm, PointValues, VectorField, _bracket, check_contact, combine,
     coordinate_field, derived_flag, exterior_derivative, lie_bracket, pair,
     rank_at,
 )
@@ -42,6 +43,11 @@ from test_conedual import opaque_chain
 CH5 = Chart(("x", "y", "y1", "y2", "z"))
 BASE = CH5.origin()
 BOX = Box.around(BASE, Fraction(1, 4))
+
+
+def scaled(s, v):
+    """The field s * v."""
+    return combine(zero_field(v.chart), s, v, "")
 
 
 def growth_frame():
@@ -84,7 +90,7 @@ class TestChart:
         with pytest.raises(ChartMismatchError):
             lie_bracket(eta1, twin)
         with pytest.raises(ChartMismatchError):
-            eta1 + twin
+            combine(eta1, 1, twin, "sum")
         with pytest.raises(ChartMismatchError):
             Frame(CH5, (eta1, twin), BASE)
         with pytest.raises(ChartMismatchError):
@@ -129,9 +135,10 @@ class TestBracket:
             u = self._random_field(rng)
             v = self._random_field(rng)
             w = self._random_field(rng)
-            total = (lie_bracket(u, lie_bracket(v, w))
-                     + lie_bracket(v, lie_bracket(w, u))
-                     + lie_bracket(w, lie_bracket(u, v)))
+            total = combine(combine(
+                lie_bracket(u, lie_bracket(v, w)), 1,
+                lie_bracket(v, lie_bracket(w, u)), ""), 1,
+                lie_bracket(w, lie_bracket(u, v)), "")
             for c in total.components:
                 assert normalize(c, CH5) == Const(Fraction(0))
 
@@ -142,8 +149,9 @@ class TestBracket:
             v = self._random_field(rng)
             w = self._random_field(rng)
             f = random_tree(rng, CH5.variables[:3], depth=2)
-            lhs = lie_bracket(v, w * f)
-            rhs = (lie_bracket(v, w) * f) + (w * apply_to(v, f))
+            lhs = lie_bracket(v, scaled(f, w))
+            rhs = combine(scaled(f, lie_bracket(v, w)), apply_to(v, f), w,
+                          "")
             for c1, c2 in zip(lhs.components, rhs.components):
                 diff = normalize(Sum((c1, Prod((Const(Fraction(-1)), c2)))),
                                  CH5)
@@ -521,7 +529,7 @@ class TestReduceMod:
     def test_member(self):
         eta1, eta2 = growth_frame()
         eta3 = lie_bracket(eta1, eta2)
-        combo = (eta1 * Const(Fraction(2))) + (eta3 * Const(Fraction(-1, 3)))
+        combo = combine(scaled(2, eta1), Fraction(-1, 3), eta3, "combo")
         fr = Frame(CH5, (eta1, eta2, eta3), BASE)
         at = PointValues(BASE)
         assert at.residual(combo, fr) is None
@@ -550,21 +558,23 @@ class TestReduceMod:
 
 
 class TestFieldCombination:
-    """v + w * s, normalized: the one way fields are combined."""
+    """v + s * w, folded on records: the one way fields are combined."""
 
     def test_components_are_the_normalized_combination(self):
         eta1, eta2 = growth_frame()
         v = lie_bracket(eta1, eta2)
         w = lie_bracket(eta1, v)
         s = parse_expr("y2^2 - 3*x/2", CH5.variables)
-        combo = (v + w * s).normalized("combo")
+        combo = combine(v, s, w, "combo")
         assert combo.name == "combo" and combo.chart == CH5
+        assert combine(v, normalize(s, CH5), w, "combo") == combo
+        assert combine(v, scalar._normal_form(s, CH5), w, "combo") == combo
         for c, a, b in zip(combo.components, v.components, w.components):
             assert c == normalize(Sum((a, Prod((s, b)))), CH5)
 
     def test_rational_factor_is_a_constant(self):
         eta1, eta2 = growth_frame()
-        combo = (eta1 + eta2 * Fraction(1, 8)).normalized("combo")
+        combo = combine(eta1, Fraction(1, 8), eta2, "combo")
         assert [to_text(c) for c in combo.components] == \
             ["1", "y1", "y2", "8^-1", "y2^2"]
 
@@ -572,9 +582,10 @@ class TestFieldCombination:
         eta1, _ = growth_frame()
         other = coordinate_field(Chart(("x1", "x2", "x3", "x4", "x5")), "x1")
         with pytest.raises(ChartMismatchError):
-            eta1 + other
+            combine(eta1, 1, other, "sum")
         with pytest.raises(ChartMismatchError):
-            eta1 + other * parse_expr("x2", other.chart.variables)
+            combine(eta1, parse_expr("x2", other.chart.variables), other,
+                    "sum")
 
 
 class TestSymbolicDecompose:
@@ -669,7 +680,8 @@ class TestOnlyLiveWork:
                 *on_fresh_charts((targets, basis)), base)
             full = full_width_decompose(
                 *on_fresh_charts((targets, basis)), base)
-            assert [[to_text(c) for c in coeffs] for coeffs in live] == \
+            assert [[to_text(scalar._printed(c)) for c in coeffs]
+                    for coeffs in live] == \
                 [[to_text(c) for c in coeffs] for coeffs in full]
 
     def test_opaque_models_rank_float_rows(self):
@@ -710,8 +722,8 @@ class TestOnlyLiveWork:
             misses = _bracket.cache_info().misses
             zero = lie_bracket(v, VectorField(chart, comps, "copy"))
             assert _bracket.cache_info().misses == misses
-            folded = _bracket(chart, comps, comps)
-            assert zero.components == folded
+            folded = _bracket(chart, v.records, v.records)
+            assert zero.records == folded
             assert all(c is ZERO for c in zero.components)
 
     def test_a_pass_stops_when_its_frame_fills_the_chart(self):
@@ -800,7 +812,9 @@ def outcome(function, *args):
         return type(exc), str(exc)
     if isinstance(result, VectorField):
         return [to_text(c) for c in result.components]
-    return [[to_text(c) for c in coeffs] for coeffs in result]
+    return [[to_text(c if isinstance(c, scalar.ScalarExpr)
+                     else scalar._printed(c)) for c in coeffs]
+            for coeffs in result]
 
 
 class TestRecordFold:
@@ -857,17 +871,30 @@ class TestRecordFold:
                              or "F" in text)
         assert decided >= 8 and kinds == {"rational", "opaque"}
 
-    def test_a_bracket_miss_prints_one_tree_per_component(self, monkeypatch):
-        chart = Chart(("x", "y", "z", "u"))
-        v = text_field(chart, ("1", "y/(1 + x)", "x^2*z", "1/2"))
-        w = text_field(chart, ("z", "0", "x*y - u", "y^2")).normalized("w")
-        printed = count_calls(monkeypatch, scalar, "_quotient_tree")
-        misses = _bracket.cache_info().misses
-        bracket = lie_bracket(v, w)
-        assert _bracket.cache_info().misses == misses + 1
-        assert len(printed) == chart.dimension
-        assert [to_text(c) for c in bracket.components] == \
-            outcome(tree_bracket, chart, v.components, w.components)
+    def test_a_built_family_folds_no_tree_and_prints_what_is_read(
+            self, monkeypatch):
+        # once a family is built its fields hold records: splitting it
+        # folds no tree, and brackets, flags and decompositions print
+        # nothing; what is printed is what the reports read, the two
+        # osculating residuals and the correction scalar U
+        family = builtin_model("noncubic-bc")
+        visits = count_calls(monkeypatch, scalar._NFBuilder, "visit")
+        printed = []
+        real = scalar._quotient_tree
+
+        def printing(*args):
+            printed.append({frame.name for frame in traceback.extract_stack()})
+            return real(*args)
+
+        monkeypatch.setattr(scalar, "_quotient_tree", printing)
+        prolong_cone(family)
+        assert visits == []
+        assert len(printed) == 3
+        inside = {"lie_bracket", "_bracket", "derived_flag",
+                  "symbolic_decompose"}
+        assert not any(names & inside for names in printed)
+        assert [bool(names & {"check_osculating_condition"})
+                for names in printed] == [True, True, False]
 
     def test_a_decomposition_prints_only_its_coefficients(self, monkeypatch):
         chart = Chart(("x", "y", "z"))
@@ -878,9 +905,10 @@ class TestRecordFold:
         base = {"x": Fraction(1, 3), "y": Fraction(-1, 2), "z": Fraction(1)}
         printed = count_calls(monkeypatch, scalar, "_quotient_tree")
         coeffs = vecfield.symbolic_decompose(targets, basis, base)
+        assert not printed
+        texts = [[to_text(scalar._printed(c)) for c in row] for row in coeffs]
         assert len(printed) == chart.dimension * len(targets)
-        assert [[to_text(c) for c in row] for row in coeffs] == outcome(
-            full_width_decompose, targets, basis, base)
+        assert texts == outcome(full_width_decompose, targets, basis, base)
 
     @pytest.mark.parametrize("dimension", (3, 4, 5))
     def test_forms_equal_the_tree_fold(self, dimension):
@@ -921,7 +949,9 @@ class TestRecordFold:
         w = text_field(chart, ("z", "0", "x*y - 1"))
         printed = count_calls(monkeypatch, scalar, "_quotient_tree")
         d = exterior_derivative(alpha)
-        assert len(printed) == len(d.components) == 2  # d(alpha)_02 = 0
+        # d(alpha)_02 = 0, and the derivatives of y/(1 + x) in x and z
+        # take the product rule on its printed tree
+        assert len(printed) == len(d.records) == 2
         pair(d, v, w)
         pair(alpha, v)
         d.coefficient(2, 0)
@@ -953,6 +983,22 @@ class TestForms:
         assert alpha.components == tuple(normalize(c, CHX)
                                          for c in comps)
         assert alpha == sample_contact_form()
+
+    @pytest.mark.parametrize("kind", (VectorField, OneForm))
+    @pytest.mark.parametrize("text", (
+        "x1 + F(u)", "x2/(1 + u)", "F(x1*u^2)/x3", "x4 + u - u"))
+    def test_hidden_variable_outside_the_chart_rejected(self, kind, text):
+        # inside an opaque argument, only in a denominator, or cancelled:
+        # the record's fold still names the variable the chart lacks
+        registry = OpaqueRegistry()
+        registry.register("F", lambda u: u, "F")
+        chart = Chart(CHX.variables, registry)
+        comps = tuple(parse_expr(t, registry=registry)
+                      for t in ("0", text, "1", "x1", "0"))
+        with pytest.raises(ChartError,
+                           match=r"components use undeclared variables "
+                                 r"\['u'\]"):
+            kind(chart, comps)
 
     def test_pair_one_form(self):
         alpha = sample_contact_form()
