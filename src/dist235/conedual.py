@@ -30,13 +30,13 @@ from .distduality import (
 from .models import BUNDLED, _FIELDS, ModelFile, document_text, parse_model
 from .scalar import (
     _MINUS_ONE, _NF_ONE, _NF_ZERO, Const, Pow, Prod, ScalarExpr, Sum, Var,
-    _derivative, _is_zero, _NFBuilder, _printed, evaluate, free_variables,
-    is_zero, min_degree, normalize, substitute, to_text,
+    _derivative, _is_zero, _NFBuilder, evaluate, is_zero,
+    min_degree, normalize, substitute, to_text,
 )
 from .vecfield import (
     Chart, ChartError, DegenerateFrameError, Frame, OneForm, PointValues,
-    VectorField, _pair, _record, check_contact, combine, coordinate_field,
-    exterior_derivative, lie_bracket, rank_at, symbolic_decompose,
+    VectorField, check_contact, combine, coordinate_field,
+    exterior_derivative, lie_bracket, pair, rank_at, symbolic_decompose,
 )
 
 
@@ -87,16 +87,16 @@ class DirectionField:
 class ConeFamily:
     """A one-parameter family of base directions in normal form, together
     with the contact form whose kernel contains every direction.  It keeps
-    the records of A, B, S, T on the extended chart, which `components`
-    prints when read, and the default-argument results of
-    `check_nondegenerate`, `check_lagrangian`,
-    `check_osculating_condition` and `solve_U`; what they, `prolong_cone`
-    and the derived zetas compute fills the memo of its chart."""
+    the default-argument results of `check_nondegenerate`,
+    `check_lagrangian`, `check_osculating_condition` and `solve_U`; what
+    they, `prolong_cone` and the derived zetas compute fills the memo of
+    its chart."""
 
     x_chart: Chart
     theta: str
     records: tuple  # of (A, B, S, T) on the extended chart
     alpha: OneForm
+    z_chart: Chart = field(compare=False, repr=False)  # the extended chart
     base_point: dict = field(compare=False)
     box: Box = field(compare=False)
     name: str = "cone-family"
@@ -123,7 +123,8 @@ class ConeFamily:
         if len(components) != 4:
             raise StructureError(
                 "a family needs the four non-trivial generator components")
-        records = tuple(_record(z_chart, c) for c in components)
+        records = VectorField(z_chart, (_NF_ONE,) + components
+                              + (_NF_ZERO,)).records[1:5]
         if alpha.chart != x_chart:
             raise ChartError("contact form lives on the wrong chart")
         if base_point is None:
@@ -133,14 +134,14 @@ class ConeFamily:
                               theta)
 
         family = cls(x_chart=x_chart, theta=theta, records=records,
-                     alpha=alpha, base_point=base_point, box=box,
-                     name=name)
+                     alpha=alpha, z_chart=z_chart, base_point=base_point,
+                     box=box, name=name)
 
         x_base = {v: base_point[v] for v in x_chart.variables}
         if not check_contact(alpha, x_base):
             raise StructureError(
                 f"{name}: the one-form is not contact at the base point")
-        annihilation = _pair(family.lifted_alpha, family.zeta(2))
+        annihilation = pair(family.lifted_alpha, family.zeta(2))
         verdict = _is_zero(annihilation, box, z_chart)
         if verdict.status == "nonzero":
             raise StructureError(
@@ -149,18 +150,13 @@ class ConeFamily:
         object.__setattr__(family, "alpha_status", verdict.status)
         return family
 
-    @cached_property
+    @property
     def components(self) -> tuple:
-        return tuple(map(_printed, self.records))
-
-    @cached_property
-    def z_chart(self) -> Chart:
-        return self.x_chart.extend(self.theta)
+        return tuple(nf.tree for nf in self.records)
 
     @cached_property
     def lifted_alpha(self) -> OneForm:
-        """The contact form on the extended chart: its records padded
-        with a zero record, as `VectorField.lifted` pads."""
+        """The contact form's records padded with a zero record."""
         return OneForm(self.z_chart, self.alpha.records + (_NF_ZERO,))
 
     def zeta(self, k: int) -> VectorField:
@@ -263,10 +259,10 @@ def check_lagrangian(family: ConeFamily,
     d_alpha = exterior_derivative(alpha)
     zeta2, zeta3 = family.zeta(2), family.zeta(3)
     quantities = (
-        ("contact form annihilates the generator", _pair(alpha, zeta2)),
+        ("contact form annihilates the generator", pair(alpha, zeta2)),
         ("contact form annihilates the derivative direction",
-         _pair(alpha, zeta3)),
-        ("tangent plane is isotropic", _pair(d_alpha, zeta2, zeta3)),
+         pair(alpha, zeta3)),
+        ("tangent plane is isotropic", pair(d_alpha, zeta2, zeta3)),
     )
     if section is None:
         check_box = family.box
@@ -279,7 +275,7 @@ def check_lagrangian(family: ConeFamily,
         chart = family.x_chart
         mapping = {family.theta: section.expr}
         verdicts = [(name, is_zero(
-            normalize(substitute(_printed(nf), mapping), chart),
+            normalize(substitute(nf.tree, mapping), chart),
             check_box, chart)) for name, nf in quantities]
         section_text = to_text(section.expr)
 
@@ -317,20 +313,14 @@ class OsculatingConditionReport:
     The two residual coefficients (along the third derivative and along
     the completing coordinate direction) are recorded as expressions with
     their zero-check statuses; a failure carries a pointwise witness.
-    `coefficients` prints the records of all six when read.
     """
 
     passed: bool
     residuals: tuple       # (label, expression text, status, witness)
-    records: tuple = field(compare=False, default=())
     box: Optional[Box] = field(compare=False, default=None)
 
     def __bool__(self):
         return self.passed
-
-    @cached_property
-    def coefficients(self) -> tuple:
-        return tuple(to_text(_printed(c)) for c in self.records)
 
 
 @_once_per_family
@@ -349,11 +339,11 @@ def check_osculating_condition(family: ConeFamily
     residuals = []
     for label, nf in zip(labels, coeffs[4:6]):
         verdict = _is_zero(nf, box, family.z_chart)
-        residuals.append((label, to_text(_printed(nf)), verdict.status,
+        residuals.append((label, to_text(nf.tree), verdict.status,
                           _witness(verdict)))
     return OsculatingConditionReport(
         passed=all(w is None for _, _, _, w in residuals),
-        residuals=tuple(residuals), records=coeffs, box=box)
+        residuals=tuple(residuals), box=box)
 
 
 @dataclass(frozen=True)
@@ -399,7 +389,7 @@ def solve_U(family: ConeFamily) -> SolveUResult:
             raise StructureError(
                 "correction self-check failed: the corrected bracket "
                 f"leaves the low span at {_format_point(point)}")
-    return SolveUResult(expression=_printed(u), l_field=l_field,
+    return SolveUResult(expression=u.tree, l_field=l_field,
                         k_field=zeta1.renamed("K"), report=report)
 
 
@@ -518,7 +508,7 @@ def _driver_components(params: dict, chart: Chart) -> tuple:
     th = Var("th")
     if "a" in params:
         a = params["a"]
-        extra = _free_outside(a, ("x1",))
+        extra = _free_outside(a, ("x1",), chart)
         if extra:
             raise StructureError(
                 f"parameter 'a' may only involve x1, found {extra}")
@@ -530,7 +520,7 @@ def _driver_components(params: dict, chart: Chart) -> tuple:
     else:
         b, c = params["b"], params["c"]
         for label, expr, bound in (("b", b, 3), ("c", c, 4)):
-            extra = _free_outside(expr, ("th",))
+            extra = _free_outside(expr, ("th",), chart)
             if extra:
                 raise StructureError(
                     f"parameter {label!r} may only involve the direction "
@@ -547,5 +537,9 @@ def _driver_components(params: dict, chart: Chart) -> tuple:
     return (th, comp_b, comp_s, comp_t)
 
 
-def _free_outside(expr: ScalarExpr, allowed: tuple) -> tuple:
-    return tuple(sorted(free_variables(expr) - set(allowed)))
+def _free_outside(expr: ScalarExpr, allowed: tuple, chart: Chart) -> tuple:
+    """The variables of `expr` outside `allowed`, as its fold on the
+    chart meets them."""
+    builder = _NFBuilder(chart)
+    builder.visit(expr)
+    return tuple(sorted(builder.variables() - set(allowed)))

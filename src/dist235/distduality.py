@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .boxes import DIRECTION_HALF_WIDTH, Box, default_box
 from .scalar import (
-    _MINUS_ONE, ScalarExpr, Var, _is_zero, _NFBuilder, _printed, _value,
+    _MINUS_ONE, ScalarExpr, Var, _is_zero, _NFBuilder, _value,
     to_text,
 )
 from .vecfield import (
@@ -535,11 +535,11 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
         if verdict.status == "nonzero":
             raise StructureError(
                 "correction equations are inconsistent: residual "
-                f"{to_text(_printed(residual))} is nonzero at "
+                f"{to_text(residual.tree)} is nonzero at "
                 f"{_format_point(verdict.witness)}")
 
     k_field = combine(prolonged.zeta1, e, prolonged.zeta2, "K")
-    return SolveEResult(expression=_printed(e), k_field=k_field,
+    return SolveEResult(expression=e.tree, k_field=k_field,
                         l_field=l_field.renamed("L"))
 
 

@@ -13,10 +13,8 @@ entry refers to a chart, so a memo is freed with the last of its
 charts.  A memo is a pure cache: a call on another chart lineage
 returns the same result and only misses the entries it could have hit.
 
-A memo also holds the lineage's atom table (`offsets`): the exponent
-field of every variable and opaque atom that a normal form on one of
-its charts holds, fixed the first time a builder meets the atom, so a
-record means the same thing in every builder on the lineage's charts.
+A memo also holds the lineage's atom table (`offsets`), which fixes
+the exponent field of every atom of a normal form on its charts.
 """
 
 from __future__ import annotations

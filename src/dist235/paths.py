@@ -24,8 +24,8 @@ from .distduality import (
 )
 from .linalg import is_zero_value, nullspace
 from .scalar import (
-    Prod, ScalarExpr, Sum, Var, _NFBuilder, _printed, compile_exprs,
-    differentiate, evaluate, free_variables, normalize,
+    Prod, ScalarExpr, Sum, Var, _NFBuilder, compile_exprs,
+    differentiate, evaluate, normalize,
 )
 from .vecfield import Chart, ChartError, VectorField, combine
 
@@ -123,13 +123,14 @@ class ControlSystem:
             raise StructureError("a control system needs controls")
         if len(set(self.control_names)) != len(self.control_names):
             raise StructureError("duplicate control names")
-        _control_chart(self.state_chart, self.control_names)
-        allowed = set(self.state_chart.variables) | set(self.control_names)
+        chart = _control_chart(self.state_chart, self.control_names)
+        builder = _NFBuilder(chart)
         for comp in self.dynamics:
-            stray = free_variables(comp) - allowed
-            if stray:
-                raise ChartError(
-                    f"dynamics mention unknown symbols {sorted(stray)}")
+            builder.visit(comp)
+        stray = builder.variables() - set(chart.variables)
+        if stray:
+            raise ChartError(
+                f"dynamics mention unknown symbols {sorted(stray)}")
         if not isinstance(self.source,
                           (ConeFamily, Distribution235, type(None))):
             raise StructureError(
@@ -168,23 +169,15 @@ def _control_chart(state_chart: Chart, controls: tuple) -> Chart:
 
 
 def _controlled(chart: Chart, controls: tuple, columns: tuple) -> tuple:
-    """The dynamics sum_k controls[k] * columns[k] on `chart`, the
-    chart `PreparedSystem` differentiates them on: each component the
-    fold of its terms on the columns' records in one builder, printed."""
+    """The dynamics sum_k controls[k] * columns[k], each component folded
+    on records on `chart`, the chart `PreparedSystem` differentiates on."""
     builder = _NFBuilder(chart)
     us = [builder.visit(Var(u)) for u in controls]
     return tuple(
-        _printed(builder.finish(builder.sum(
+        builder.finish(builder.sum(
             builder.product((u, builder.reuse(nf)))
-            for u, nf in zip(us, row))))
+            for u, nf in zip(us, row))).tree
         for row in zip(*columns))
-
-
-def _linear_dynamics(a_field: VectorField, b_field: VectorField) -> tuple:
-    """The dynamics u1 * A + u2 * B on the chart of A and B, linear in
-    the two controls."""
-    return _controlled(_control_chart(a_field.chart, _CONTROLS), _CONTROLS,
-                       (a_field.records, b_field.records))
 
 
 def distribution_system(dist: Distribution235) -> ControlSystem:
@@ -194,7 +187,9 @@ def distribution_system(dist: Distribution235) -> ControlSystem:
     return ControlSystem(
         state_chart=dist.chart,
         control_names=_CONTROLS,
-        dynamics=_linear_dynamics(dist.eta1, dist.eta2),
+        dynamics=_controlled(
+            _control_chart(dist.chart, _CONTROLS), _CONTROLS,
+            (dist.eta1.records, dist.eta2.records)),
         source=dist)
 
 
@@ -206,7 +201,9 @@ def prolonged_system(structure: PseudoProductStructure) -> ControlSystem:
     return ControlSystem(
         state_chart=structure.z_chart,
         control_names=_CONTROLS,
-        dynamics=_linear_dynamics(structure.k_field, structure.l_field))
+        dynamics=_controlled(
+            _control_chart(structure.z_chart, _CONTROLS), _CONTROLS,
+            (structure.k_field.records, structure.l_field.records)))
 
 
 # ---------------------------------------------------------------------------

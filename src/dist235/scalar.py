@@ -46,7 +46,6 @@ __all__ = [
     "UnregisteredOpaqueError", "ZeroDenominatorError", "MissingAssignmentError",
     "parse_expr", "to_text", "normalize", "differentiate", "substitute",
     "evaluate", "compile_expr", "compile_exprs", "is_zero", "min_degree",
-    "free_variables",
 ]
 
 
@@ -329,11 +328,6 @@ def default_registry() -> OpaqueRegistry:
     return _DEFAULT_REGISTRY
 
 
-def _registry(registry: Optional[OpaqueRegistry]) -> OpaqueRegistry:
-    """`registry`, else the default."""
-    return registry if registry is not None else _DEFAULT_REGISTRY
-
-
 # ---------------------------------------------------------------------------
 # lexer / parser
 #
@@ -500,7 +494,8 @@ def parse_expr(text: str, names: Optional[Sequence[str]] = None,
     registry when none is given).  Errors carry the byte offset of the
     offending token.
     """
-    return _Parser(_tokenize(text), names, _registry(registry)).parse()
+    return _Parser(_tokenize(text), names,
+                   registry or _DEFAULT_REGISTRY).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +603,14 @@ def to_text(expr: ScalarExpr) -> str:
 # the denominators are equal polynomials; the forms are not
 # gcd-cancelled, so that choice, and so the order of the terms, shows in
 # them.  A monomial is one int in which every atom owns a bit field of
-# width _EXP_BITS, so multiplying monomials is adding ints: the chart
-# variable at position i owns the field at offset i * _EXP_BITS, and
-# the memo's atom table (`memo.Memo.offsets`) fixes the field of every
-# atom (a variable, by name, or an opaque atom, by key) the first time a
-# builder on one of the memo's charts meets it, so the builders of a
-# chart lineage pack every atom alike.  An `ExprError` is raised before
-# the degree bound, and so any exponent, could reach 2^_EXP_BITS, so a
-# field never carries into the next.
+# width _EXP_BITS, so multiplying monomials is adding ints.  The memo's
+# atom table (`memo.Memo.offsets`) fixes the field of every atom (a
+# variable, by name, or an opaque atom, by key) the first time a builder
+# on one of the memo's charts meets it, so the builders of a chart
+# lineage pack every atom alike.  An `ExprError` is raised before the
+# degree bound, and so any exponent, could reach 2^_EXP_BITS, so a field
+# never carries into the next.  A builder lists the variables it met
+# (`variables`).
 #
 # `finish` ends a fold in a `_NormalForm`: the numerator and denominator
 # as integer polynomials of joint content 1 with a positive leading
@@ -624,12 +619,12 @@ def to_text(expr: ScalarExpr) -> str:
 # `reuse` re-enters one as the triple the fold of its printed tree gives,
 # read from the record on its chart and the charts that extend it.  So
 # vector fields and forms hold records, a Lie bracket or an elimination
-# folds on them in one builder, and a tree is printed (`_printed`, terms
-# graded-lex descending) only for a caller that reads one; the builder
-# also prints the canonical argument of an opaque atom.  `evaluate` at a
-# rational point reads the integer terms of a record (`_evaluate_exact`),
-# and a derivative over a constant denominator is taken on the integer
-# numerator (`_polynomial_derivative`).
+# folds on them in one builder, and a record is printed (its `tree`,
+# terms graded-lex descending, made once) only when a caller reads it;
+# the builder also prints the canonical argument of an opaque atom.  The
+# value at a rational point is read from the integer terms of a record
+# (`_evaluate_exact`), and a derivative over a constant denominator is
+# taken on the integer numerator (`_polynomial_derivative`).
 
 _NO_CHART_INDEX = 10**6
 
@@ -730,9 +725,7 @@ def _print_order(poly: dict, atoms) -> list:
 
 @dataclass(frozen=True, eq=False)
 class _NormalForm:
-    """The quotient a fold ends with (see "normal form" above).  Two
-    records are equal when their terms and their atoms' keys and fields
-    are: then they are the same function."""
+    """The quotient a fold ends with (see "normal form" above)."""
 
     names: tuple    # of the chart it was built on
     num: dict       # {monomial: int}
@@ -744,22 +737,17 @@ class _NormalForm:
 
     @functools.cached_property
     def identity(self) -> tuple:
+        """Its terms and its atoms' keys and fields: records that share
+        it are the same function, and equal."""
         return (frozenset(self.num.items()), frozenset(self.den.items()),
                 tuple((key, offset) for key, offset, _ in self.atoms))
 
-    @functools.cached_property
-    def _hash(self) -> int:
+    def __hash__(self):
         return hash(self.identity)
 
-    def __hash__(self):
-        return self._hash
-
     def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not _NormalForm:
-            return NotImplemented
-        return self.identity == other.identity
+        return (isinstance(other, _NormalForm)
+                and self.identity == other.identity)
 
     @functools.cached_property
     def order(self) -> tuple:
@@ -773,6 +761,12 @@ class _NormalForm:
         of the numerator plus that of the denominator."""
         return sum(sum(_exponents(order[0], self.atoms))
                    for order in self.order if order)
+
+    @functools.cached_property
+    def tree(self) -> ScalarExpr:
+        """The printed tree, terms graded-lex descending, made once."""
+        return _quotient_tree((self.num, 1), (self.den, 1), self.order,
+                              self.atoms)
 
     @functools.cached_property
     def opaque_free(self) -> bool:
@@ -819,11 +813,10 @@ class _NFBuilder:
         key = (1, name, to_text(canon_arg))
         return self.atom(key, key, Opaque(name, canon_arg))
 
-    def undeclared(self) -> list:
-        """The names of the variables outside the chart that this
-        builder met, inside opaque arguments too, sorted."""
-        return sorted(key[2] for key in self.atoms
-                      if key[0] == 0 and key[1] == _NO_CHART_INDEX)
+    def variables(self) -> set:
+        """The names of the variables this builder met, inside opaque
+        arguments too."""
+        return {key[2] for key in self.atoms if key[0] == 0}
 
     def term_atoms(self, *polys) -> tuple:
         """((atom key, offset, expr), ...) sorted by key, of the atoms
@@ -845,7 +838,7 @@ class _NFBuilder:
             if nf.table is not self.offsets or (
                     nf.names is not self.names
                     and nf.names != self.names[:len(nf.names)]):
-                return self.visit(_printed(nf))
+                return self.visit(nf.tree)
             atoms = self.atoms
             for key, offset, expr in nf.atoms:
                 if key not in atoms:
@@ -987,31 +980,7 @@ def normalize(expr: ScalarExpr, chart) -> ScalarExpr:
     in graded-lex order.  Idempotent; equal outputs mean equal functions,
     and equality of two expressions is decided by is_zero of their
     difference (no polynomial gcd is cancelled here)."""
-    return _printed(_normal_form(expr, chart))
-
-
-def _printed(nf: _NormalForm) -> ScalarExpr:
-    """The tree of the record `nf`."""
-    return _quotient_tree((nf.num, 1), (nf.den, 1), nf.order, nf.atoms)
-
-
-def free_variables(expr: ScalarExpr) -> set:
-    """All variable names appearing in the tree (inside opaque args too)."""
-    out = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, Sum):
-            stack.extend(node.terms)
-        elif isinstance(node, Prod):
-            stack.extend(node.factors)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, Opaque):
-            stack.append(node.arg)
-    return out
+    return _normal_form(expr, chart).tree
 
 
 # ---------------------------------------------------------------------------
@@ -1026,7 +995,7 @@ def differentiate(expr: ScalarExpr, var: str, chart) -> ScalarExpr:
     """
     if var not in chart.variables:
         raise UndeclaredVariableError(var)
-    return _printed(_derivative(_normal_form(expr, chart), var, chart))
+    return _derivative(_normal_form(expr, chart), var, chart).tree
 
 
 @memoized
@@ -1039,7 +1008,7 @@ def _derivative(nf: _NormalForm, var: str, chart) -> _NormalForm:
     if nf.den.keys() == {0} and nf.opaque_free:
         return _polynomial_derivative(nf, var, chart)
     return _normal_form(
-        _tree_derivative(_printed(nf), var, chart.registry), chart)
+        _tree_derivative(nf.tree, var, chart.registry), chart)
 
 
 def _tree_derivative(node: ScalarExpr, var: str,
@@ -1151,7 +1120,7 @@ def _evaluate_exact(nf: _NormalForm, point: dict) -> Optional[Fraction]:
 def _value(nf: _NormalForm, point: dict, registry: OpaqueRegistry):
     """`_evaluate_exact`, else the walk of the printed tree of `nf`."""
     value = _evaluate_exact(nf, point)
-    return evaluate(_printed(nf), point, registry) if value is None else value
+    return evaluate(nf.tree, point, registry) if value is None else value
 
 
 def _integer_value(poly: dict, order: list, values: list, scale: int):
@@ -1186,7 +1155,7 @@ def evaluate(expr: ScalarExpr, point: dict,
     """
     if expr.__class__ is Const:
         return expr.value
-    reg = _registry(registry)
+    reg = registry or _DEFAULT_REGISTRY
 
     def ev(node: ScalarExpr):
         if isinstance(node, Const):
@@ -1235,7 +1204,7 @@ def compile_exprs(exprs: Sequence[ScalarExpr], var_order: Sequence[str],
     """Compile a batch of expressions into one function taking a value
     sequence ordered like var_order and returning the list of their
     float values.  Used in integrator hot loops."""
-    reg = _registry(registry)
+    reg = registry or _DEFAULT_REGISTRY
     order = list(var_order)
     opaque_fns = {}
 
@@ -1317,7 +1286,7 @@ def _is_zero(nf: _NormalForm, box: Box, chart,
     tree in no coordinate the box fixes, which the sampled rule
     evaluates; with no `expr`, that of the printed tree of `nf`."""
     if expr is None and any(lo == hi for _, lo, hi in box.intervals):
-        return is_zero(_printed(nf), box, chart)
+        return is_zero(nf.tree, box, chart)
     registry = chart.registry
     if not nf.num:
         # opaque atoms may appear in the tree, but if none survive in the
@@ -1343,7 +1312,7 @@ def _is_zero(nf: _NormalForm, box: Box, chart,
         max_coeff = max(max_coeff, abs(float(c)))
     threshold = _NUMERIC_TOL * (1.0 + max_coeff)
     if expr is None:
-        expr = _printed(nf)
+        expr = nf.tree
     worst_pt, worst_val = None, 0.0
     for pt in box.sample_points(_ZERO_SAMPLES):
         fpt = {k: float(v) for k, v in pt.items()}

@@ -1,8 +1,6 @@
 """Vector fields, frames, derived flags, and differential forms on charts.
 
-A field or form holds one normal-form record of the scalar engine per
-coefficient: a tree given to its constructor is folded there, once, and
-`components` prints the records only when a caller reads them.  All
+Fields and forms hold one normal-form record per coefficient, and all
 coefficient arithmetic folds records; rank and membership decisions
 happen pointwise, exactly at rational points, and every one of them
 reads a `PointValues` table: each field is evaluated once per point and
@@ -14,16 +12,14 @@ from __future__ import annotations
 import re
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg
 from .boxes import Box, as_fraction
 from .memo import Memo, memoized
 from .scalar import (
-    _MINUS_ONE, _NF_ONE, _NF_ZERO, OpaqueRegistry, ScalarExpr, _coerce,
-    _evaluate_exact, _NFBuilder, _NormalForm, _printed, _value,
-    default_registry, evaluate,
+    _MINUS_ONE, _NF_ONE, _NF_ZERO, OpaqueRegistry, _coerce,
+    _NFBuilder, _NormalForm, _value, default_registry,
 )
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -96,58 +92,48 @@ class Chart:
         return {name: Fraction(0) for name in self.variables}
 
 
-def _record(chart: Chart, component) -> _NormalForm:
-    """The record of a coefficient on the chart: a record is kept, and a
-    tree folded, once; a variable outside the chart anywhere in the tree
-    (inside an opaque argument or a denominator too) is a ChartError."""
-    if isinstance(component, _NormalForm):
-        return component
-    if not isinstance(component, ScalarExpr):
-        raise TypeError(f"component {component!r} is not a scalar expression")
-    builder = _NFBuilder(chart)
-    nf = builder.finish(builder.visit(component))
-    extra = builder.undeclared()
-    if extra:
-        raise ChartError(f"components use undeclared variables {extra}")
-    return nf
-
-
 def _records(chart: Chart, components) -> tuple:
-    """One record per chart coordinate (see `_record`)."""
+    """One record per chart coordinate: a record is kept, and a tree
+    folded, once; a variable outside the chart anywhere in a tree
+    (inside an opaque argument or a denominator too) is a ChartError."""
     comps = tuple(components)
     if len(comps) != chart.dimension:
         raise ChartError(
             f"expected {chart.dimension} components, got {len(comps)}")
-    return tuple(_record(chart, c) for c in comps)
+    builder = _NFBuilder(chart)
+    records = tuple(c if isinstance(c, _NormalForm)
+                    else builder.finish(builder.visit(c)) for c in comps)
+    extra = builder.variables() - set(chart.variables)
+    if extra:
+        raise ChartError(
+            f"components use undeclared variables {sorted(extra)}")
+    return records
 
 
-@dataclass(frozen=True, init=False)
-class VectorField:
-    """A vector field: one record per chart coordinate (`_records`), and
-    the trees they print as `components`, made when first read."""
+@dataclass(frozen=True)
+class _Coefficients:
+    """One record per chart coordinate, made from the records or trees
+    it is given (`_records`), and printed as `components`."""
 
     chart: Chart
     records: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "records",
+                           _records(self.chart, self.records))
+
+    @property
+    def components(self) -> tuple:
+        return tuple(nf.tree for nf in self.records)
+
+
+@dataclass(frozen=True)
+class VectorField(_Coefficients):
     name: str = ""
 
-    def __init__(self, chart: Chart, components, name: str = ""):
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "records", _records(chart, components))
-        object.__setattr__(self, "name", name)
-
-    @cached_property
-    def components(self) -> tuple:
-        return tuple(map(_printed, self.records))
-
     def evaluate_at(self, point: dict) -> list:
-        """The components' values: read from the records where that is
-        exact (`scalar._evaluate_exact`), else by walking `components`."""
-        values = [_evaluate_exact(nf, point) for nf in self.records]
-        if any(v is None for v in values):
-            registry = self.chart.registry
-            values = [evaluate(c, point, registry) if v is None else v
-                      for v, c in zip(values, self.components)]
-        return values
+        registry = self.chart.registry
+        return [_value(nf, point, registry) for nf in self.records]
 
     def lifted(self, chart: Chart) -> "VectorField":
         """The same field on an extended chart (zero new components)."""
@@ -467,36 +453,20 @@ def derived_flag(generators: Frame, box: Optional[Box] = None,
 # ---------------------------------------------------------------------------
 # differential forms
 
-@dataclass(frozen=True, init=False)
-class OneForm:
-    """A one-form: the record of the coefficient of dx_i per chart
-    variable (see `VectorField`), printed as `components` when read."""
-
-    chart: Chart
-    records: tuple
-
-    def __init__(self, chart: Chart, components):
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "records", _records(chart, components))
-
-    @cached_property
-    def components(self) -> tuple:
-        return tuple(map(_printed, self.records))
+@dataclass(frozen=True)
+class OneForm(_Coefficients):
+    """The coefficient of dx_i per chart variable."""
 
 
 @dataclass(frozen=True)
 class TwoForm:
     """A two-form: the record of the coefficient of dx_i ^ dx_j for each
-    i < j where it is not zero, printed as `components` when read."""
+    i < j where it is not zero."""
 
     chart: Chart
     records: dict
 
-    @cached_property
-    def components(self) -> dict:
-        return {ij: _printed(nf) for ij, nf in self.records.items()}
-
-    def record(self, i: int, j: int) -> _NormalForm:
+    def coefficient(self, i: int, j: int) -> _NormalForm:
         if i == j:
             return _NF_ZERO
         if i < j:
@@ -505,9 +475,6 @@ class TwoForm:
         flipped = self.records.get((j, i), _NF_ZERO)
         return builder.finish(builder.product(
             (_MINUS_ONE, builder.reuse(flipped))))
-
-    def coefficient(self, i: int, j: int) -> ScalarExpr:
-        return _printed(self.record(i, j))
 
 
 def exterior_derivative(alpha: OneForm) -> TwoForm:
@@ -530,15 +497,10 @@ def exterior_derivative(alpha: OneForm) -> TwoForm:
     return TwoForm(chart, comps)
 
 
-def pair(form, v: VectorField, w: Optional[VectorField] = None) -> ScalarExpr:
+def pair(form, v: VectorField, w: Optional[VectorField] = None
+         ) -> _NormalForm:
     """Pair a one-form with a field, or a two-form with two fields: the
-    printed tree of `_pair`."""
-    return _printed(_pair(form, v, w))
-
-
-def _pair(form, v: VectorField, w: Optional[VectorField] = None
-          ) -> _NormalForm:
-    """The record of the fold of sum_i a_i v^i, or of sum_{i<j} c_ij
+    record of the fold of sum_i a_i v^i, or of sum_{i<j} c_ij
     (v^i w^j + (-1) v^j w^i), on records in one builder."""
     if isinstance(form, OneForm):
         if w is not None:
@@ -577,7 +539,7 @@ def check_contact(alpha: OneForm, point: dict) -> bool:
     registry = alpha.chart.registry
     a = [_value(nf, point, registry) for nf in alpha.records]
     rows = [[0] + a] + [
-        [-a[i]] + [_value(d.record(i, j), point, registry)
+        [-a[i]] + [_value(d.coefficient(i, j), point, registry)
                    for j in range(5)]
         for i in range(5)]
     return linalg.matrix_rank(rows) == 6

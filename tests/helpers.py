@@ -266,9 +266,9 @@ def tree_coefficient(form, i: int, j: int):
     """`vecfield.TwoForm.coefficient` by the tree fold: below the
     diagonal, the normal form of the tree (-1) c_ji."""
     if i <= j:
-        return form.coefficient(i, j)
-    return scalar.normalize(Prod((scalar.MINUS_ONE, form.components.get(
-        (j, i), scalar.ZERO))), form.chart)
+        return form.coefficient(i, j).tree
+    return scalar.normalize(Prod((scalar.MINUS_ONE,
+                                  form.coefficient(j, i).tree)), form.chart)
 
 
 def tree_pair(form, v, w=None):
@@ -282,7 +282,9 @@ def tree_pair(form, v, w=None):
         Prod((c, Sum((Prod((v.components[i], w.components[j])),
                       Prod((scalar.MINUS_ONE, v.components[j],
                             w.components[i]))))))
-        for (i, j), c in sorted(form.components.items()))), form.chart)
+        for (i, j), c in sorted(
+            (ij, nf.tree) for ij, nf in form.records.items()))),
+        form.chart)
 
 
 def full_width_decompose(targets, basis, base_point):
@@ -383,7 +385,7 @@ def contact_volume(alpha, point: dict):
     d_vals = {}
     for i in range(5):
         for j in range(5):
-            d_vals[(i, j)] = scalar.evaluate(d.coefficient(i, j), point,
+            d_vals[(i, j)] = scalar.evaluate(d.coefficient(i, j).tree, point,
                                              registry)
     total = 0
     indices = range(5)

@@ -700,7 +700,7 @@ class TestNormalFormMatchesReference:
             if key[0] == "bracket":
                 brackets += 1
                 want = tree_bracket(key[1], *(
-                    tuple(map(scalar._printed, side))
+                    tuple(nf.tree for nf in side)
                     for side in key[2:])).components
                 got = result
             else:
@@ -708,7 +708,7 @@ class TestNormalFormMatchesReference:
                 want = full_width_decompose(key[0], key[1], dict(key[2]))
                 want = [c for coeffs in want for c in coeffs]
                 got = [c for coeffs in result for c in coeffs]
-            assert [to_text(scalar._printed(c)) for c in got] == \
+            assert [to_text(c.tree) for c in got] == \
                 [to_text(c) for c in want]
         assert brackets > 20 and decompositions > 5
         assert len(calls) > 500
@@ -790,7 +790,7 @@ def record_expression(rng, builder, records, depth=2):
     kind = rng.random()
     if depth <= 0 or kind < 0.25:
         nf = rng.choice(records)
-        return scalar._printed(nf), builder.reuse(nf)
+        return nf.tree, builder.reuse(nf)
     if kind < 0.85:
         kids = [record_expression(rng, builder, records, depth - 1)
                 for _ in range(rng.randint(2, 3))]
@@ -839,7 +839,7 @@ class TestCarriedPairs:
                 reused = scalar._NFBuilder(chart)
                 fresh = scalar._NFBuilder(chart)
                 # (numerator, denominator, degree bound)
-                assert reused.reuse(nf) == fresh.visit(scalar._printed(nf))
+                assert reused.reuse(nf) == fresh.visit(nf.tree)
                 assert reused.atoms == fresh.atoms
                 checked += 1
         assert checked > 150
@@ -856,10 +856,10 @@ class TestCarriedPairs:
         for nf in records:
             for chart in PIECE_CHARTS[:2]:
                 for var in ("x1", "x3", "x5"):
-                    got = scalar._printed(derive(nf, var, chart))
-                    want = scalar._printed(fold(scalar._tree_derivative(
-                        scalar._printed(nf), var, chart.registry), chart))
-                    assert got == want, to_text(scalar._printed(nf))
+                    got = derive(nf, var, chart).tree
+                    want = fold(scalar._tree_derivative(
+                        nf.tree, var, chart.registry), chart).tree
+                    assert got == want, to_text(nf.tree)
                     assert integer_normal_form(got, chart) \
                         == reference_normal_form(got, chart)
         assert len(direct) > 300
@@ -878,7 +878,7 @@ class TestCarriedPairs:
         first = [scalar._normal_form(parse_expr(t, NAMES, chart.registry),
                                      chart) for t in texts]
         builder = scalar._NFBuilder(chart)
-        again = [builder.finish(builder.visit(scalar._printed(nf)))
+        again = [builder.finish(builder.visit(nf.tree))
                  for nf in first]
         assert again == first and again[0] is not first[0]
         assert [hash(nf) for nf in again] == [hash(nf) for nf in first]
@@ -914,8 +914,8 @@ class TestExactEvaluation:
 
     def same(self, nf, point, registry=None):
         got = self.outcome(scalar._value, nf, point, registry)
-        assert got == self.outcome(evaluate, scalar._printed(nf), point,
-                                   registry), (to_text(scalar._printed(nf)),
+        assert got == self.outcome(evaluate, nf.tree, point,
+                                   registry), (to_text(nf.tree),
                                                point)
         return got
 
@@ -968,7 +968,7 @@ class TestExactEvaluation:
                    {"x1": 0.5, "x3": 2}):
             names = []
             for value, arg in ((scalar._value, nf),
-                               (evaluate, scalar._printed(nf))):
+                               (evaluate, nf.tree)):
                 with pytest.raises(MissingAssignmentError) as info:
                     value(arg, pt, None)
                 names.append(info.value.name)
