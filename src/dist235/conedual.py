@@ -150,10 +150,6 @@ class ConeFamily:
         object.__setattr__(family, "alpha_status", verdict.status)
         return family
 
-    @property
-    def components(self) -> tuple:
-        return tuple(nf.tree for nf in self.records)
-
     @cached_property
     def lifted_alpha(self) -> OneForm:
         """The contact form's records padded with a zero record."""
@@ -538,8 +534,7 @@ def _driver_components(params: dict, chart: Chart) -> tuple:
 
 
 def _free_outside(expr: ScalarExpr, allowed: tuple, chart: Chart) -> tuple:
-    """The variables of `expr` outside `allowed`, as its fold on the
-    chart meets them."""
+    """The variables its fold on the chart meets outside `allowed`."""
     builder = _NFBuilder(chart)
     builder.visit(expr)
     return tuple(sorted(builder.variables() - set(allowed)))

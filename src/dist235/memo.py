@@ -12,9 +12,6 @@ call's arguments with the chart's names in place of the chart.  No
 entry refers to a chart, so a memo is freed with the last of its
 charts.  A memo is a pure cache: a call on another chart lineage
 returns the same result and only misses the entries it could have hit.
-
-A memo also holds the lineage's atom table (`offsets`), which fixes
-the exponent field of every atom of a normal form on its charts.
 """
 
 from __future__ import annotations
@@ -38,7 +35,8 @@ class _Table(dict):
 
 class Memo:
     """One `_Table` per memoized function, made on the function's first
-    call in this memo, and the atom table of the lineage."""
+    call in this memo, and the lineage's atom table, which fixes the
+    exponent field of every atom of a normal form on its charts."""
 
     def __init__(self):
         self.tables = {}  # memoized function -> its _Table in this memo

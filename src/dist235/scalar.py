@@ -736,18 +736,24 @@ class _NormalForm:
                     # the atom table that fixed the offsets
 
     @functools.cached_property
-    def identity(self) -> tuple:
-        """Its terms and its atoms' keys and fields: records that share
-        it are the same function, and equal."""
-        return (frozenset(self.num.items()), frozenset(self.den.items()),
-                tuple((key, offset) for key, offset, _ in self.atoms))
+    def _hash(self) -> int:
+        # of what no atom table fixes: equal records hash alike
+        return hash((tuple(key for key, _, _ in self.atoms),
+                     frozenset(self.num.values()),
+                     frozenset(self.den.values())))
 
     def __hash__(self):
-        return hash(self.identity)
+        return self._hash
 
     def __eq__(self, other):
-        return (isinstance(other, _NormalForm)
-                and self.identity == other.identity)
+        """The same function: the same terms and atoms on one atom
+        table, else (two chart lineages) the same printed tree."""
+        if not isinstance(other, _NormalForm):
+            return False
+        if self.atoms and self.table is not other.table:
+            return self.tree == other.tree
+        return (self.num == other.num and self.den == other.den
+                and self.atoms == other.atoms)
 
     @functools.cached_property
     def order(self) -> tuple:

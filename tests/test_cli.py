@@ -378,7 +378,8 @@ class TestLoadAndBundled:
         chart = Chart(model.chart, model.registry)
         if model.kind == "cone-family":
             default = ConeFamily.build(
-                chart, built.components, built.alpha, theta=model.theta,
+                chart, [nf.tree for nf in built.records], built.alpha,
+                theta=model.theta,
                 base_point=dict(model.base_point)).box
         else:
             default = Distribution235(chart, built.eta1, built.eta2,

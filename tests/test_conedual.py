@@ -300,12 +300,12 @@ class TestOsculatingCondition:
                                   {"b": "th^3", "c": "3/2*th^4"})
         base = dict(at_origin.base_point, x1=Fraction(1, 8),
                     th=Fraction(1, 4))
-        moved = ConeFamily.build(at_origin.x_chart, at_origin.components,
+        moved = ConeFamily.build(at_origin.x_chart, at_origin.records,
                                  at_origin.alpha, base_point=base,
                                  name=at_origin.name)
         other_chart = Chart(at_origin.x_chart.variables, OpaqueRegistry())
         other_registry = ConeFamily.build(
-            other_chart, at_origin.components,
+            other_chart, [nf.tree for nf in at_origin.records],
             OneForm(other_chart, at_origin.alpha.components),
             name=at_origin.name)
         assert moved == at_origin != other_registry
@@ -489,7 +489,7 @@ class TestProlongCone:
                     x3=Fraction(3), th=Fraction(1, 4))
         with time_budget(10.0):
             family = ConeFamily.build(
-                at_origin.x_chart, at_origin.components, at_origin.alpha,
+                at_origin.x_chart, at_origin.records, at_origin.alpha,
                 base_point=base, name=at_origin.name)
             report = check_osculating_condition(family)
             solve_U(family)
@@ -531,7 +531,7 @@ class TestPerFamilyResults:
 
     def test_each_family_reports_its_own_box(self):
         family = builtin_model("flat-cone")
-        wide = ConeFamily.build(family.x_chart, family.components,
+        wide = ConeFamily.build(family.x_chart, family.records,
                                 family.alpha, box=family.box.scaled(2),
                                 name=family.name)
         assert wide == family and wide.box != family.box
@@ -565,9 +565,10 @@ class TestBuiltinModels:
     def test_flat_cone_equals_cubic_a_at_zero(self):
         flat = builtin_model("flat-cone")
         cubic = builtin_model("cubic-a", {"a": "0"})
-        for lhs, rhs in zip(flat.components, cubic.components):
+        for lhs, rhs in zip(flat.records, cubic.records):
             difference = parse_expr(
-                f"({to_text(lhs)}) - ({to_text(rhs)})", flat.z_chart.variables)
+                f"({to_text(lhs.tree)}) - ({to_text(rhs.tree)})",
+                flat.z_chart.variables)
             assert is_zero(difference, flat.box,
                            flat.z_chart).status == \
                 "provably-zero"
@@ -635,7 +636,7 @@ class TestBuiltinModels:
     def test_cubic_a_without_parameters_is_the_bundled_driver(self):
         bundled = builtin_model("cubic-a")
         explicit = builtin_model("cubic-a", {"a": "x1"})
-        assert bundled.components == explicit.components
+        assert bundled.records == explicit.records
 
     def test_malformed_parameter_is_a_model_error(self):
         with pytest.raises(ModelError, match=r"expressions\.b"):

@@ -871,17 +871,24 @@ class TestCarriedPairs:
         assert forms[0].den is forms[1].den is forms[2].den
 
     def test_equal_records_are_one_key(self):
-        # a record is equal to, and hashes as, one with the same terms
-        # and atoms wherever it was folded: a memo or `PointValues` key
-        chart = Chart(NAMES, CHART.registry)
+        # a record is equal to, and hashes as, one of the same function
+        # wherever it was folded, on the memo of another chart too, whose
+        # atom table gave its atoms other fields: a memo or
+        # `PointValues` key
+        chart, other = (Chart(NAMES, CHART.registry) for _ in range(2))
         texts = ("(x1 + a(x2))^2/(1 - x3)", "x1*x2 - 3/4", "0", "5")
         first = [scalar._normal_form(parse_expr(t, NAMES, chart.registry),
                                      chart) for t in texts]
-        builder = scalar._NFBuilder(chart)
-        again = [builder.finish(builder.visit(nf.tree))
-                 for nf in first]
-        assert again == first and again[0] is not first[0]
-        assert [hash(nf) for nf in again] == [hash(nf) for nf in first]
+        scalar._normal_form(parse_expr("x3 - x2", NAMES), other)
+
+        def refolded(on):
+            builder = scalar._NFBuilder(on)
+            return [builder.finish(builder.visit(nf.tree)) for nf in first]
+
+        for again in (refolded(chart), refolded(other)):
+            assert again == first and again[0] is not first[0]
+            assert [hash(nf) for nf in again] == [hash(nf) for nf in first]
+        assert again[0].atoms != first[0].atoms
         assert len(set(first)) == len(texts)
         assert scalar._NF_ZERO == first[2] and scalar._NF_ONE != first[3]
 
