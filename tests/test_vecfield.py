@@ -818,10 +818,10 @@ def outcome(function, *args):
 
 
 class TestRecordFold:
-    """`lie_bracket` and `symbolic_decompose` fold on records and print
-    only what they return: each must print what the tree folds print
-    (`helpers.tree_bracket`, `helpers.full_width_decompose`), to the
-    byte."""
+    """`lie_bracket`, `symbolic_decompose` and the forms fold on records
+    and print only what a caller reads: what they return must print as
+    the tree folds print (`helpers.tree_bracket`,
+    `helpers.full_width_decompose`), to the byte."""
 
     @pytest.mark.parametrize("dimension", (3, 4, 5))
     def test_bracket_equals_the_tree_fold(self, dimension):
