@@ -870,6 +870,19 @@ class TestCarriedPairs:
         assert forms[0].den == {0: 1}
         assert forms[0].den is forms[1].den is forms[2].den
 
+    def test_a_record_off_its_chart_line_is_refolded(self):
+        # (x, y, z) and (x, y, w, z) share a memo, but the second does not
+        # extend the first: z sits at another position, so a record of
+        # the first is read on the second through its printed tree
+        base = Chart(("x", "y"))
+        xyz, xywz = base.extend("z"), base.extend("w", "z")
+        nf = scalar._normal_form(parse_expr("x*z^2 - y/(1 + z)"), xyz)
+        builder = scalar._NFBuilder(xywz)
+        got = builder.finish(builder.product(
+            (builder.reuse(nf), builder.visit(parse_expr("w + z")))))
+        tree = Prod((nf.tree, parse_expr("w + z")))
+        assert normal_form_terms(got) == reference_normal_form(tree, xywz)
+
     def test_equal_records_are_one_key(self):
         # a record is equal to, and hashes as, one of the same function
         # wherever it was folded, on the memo of another chart too, whose
