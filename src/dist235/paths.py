@@ -7,13 +7,14 @@ control kept on the constraint manifold by per-stage projection.  Traces
 are classified by which annihilation conditions the costate maintains,
 and the leaf/path correspondence between the two sides of a splitting is
 cross-validated numerically.  A system's dynamics, pairing and
-derivatives are normalized on its state chart extended by the controls
-(and costates), which shares the memo of the state chart.
+derivatives are records on its state chart extended by the costates and
+the controls, which shares its memo; only compiling prints a tree.
 """
 
 import bisect
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
@@ -24,8 +25,7 @@ from .distduality import (
 )
 from .linalg import is_zero_value, nullspace
 from .scalar import (
-    Prod, ScalarExpr, Sum, Var, _NFBuilder, compile_exprs,
-    differentiate, evaluate, normalize,
+    Var, _derivative, _NFBuilder, _NormalForm, compile_exprs,
 )
 from .vecfield import Chart, ChartError, VectorField, combine
 
@@ -77,12 +77,14 @@ def _max_abs(values) -> float:
 
 def _at(t: float, fn, *args):
     """fn(*args), where float arithmetic raising on a division by zero
-    or an overflowing power means a pole: an IntegrationError at t."""
+    (a pole) or on an overflowing power is an IntegrationError at t."""
     try:
         return fn(*args)
     except (ZeroDivisionError, OverflowError) as exc:
+        what = ("hit a pole" if isinstance(exc, ZeroDivisionError)
+                else "overflowed")
         raise IntegrationError(
-            f"a compiled batch hit a pole at t={t:.6g}: {exc}") from exc
+            f"a compiled batch {what} at t={t:.6g}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +93,9 @@ def _at(t: float, fn, *args):
 
 @dataclass(frozen=True)
 class ControlSystem:
-    """Dynamics F(x, u) over a state chart with named controls.
+    """Dynamics F(x, u) over a state chart with named controls: one
+    record per state coordinate on `chart`, where a tree given for one
+    is folded once.
 
     `source` is the object the system was built from, and its type fixes
     how the control is kept on the singular-constraint manifold during
@@ -123,11 +127,13 @@ class ControlSystem:
             raise StructureError("a control system needs controls")
         if len(set(self.control_names)) != len(self.control_names):
             raise StructureError("duplicate control names")
-        chart = _control_chart(self.state_chart, self.control_names)
-        builder = _NFBuilder(chart)
-        for comp in self.dynamics:
-            builder.visit(comp)
-        stray = builder.variables() - set(chart.variables)
+        builder = _NFBuilder(self.chart)
+        object.__setattr__(self, "dynamics", tuple(
+            comp if isinstance(comp, _NormalForm)
+            else builder.finish(builder.visit(comp))
+            for comp in self.dynamics))
+        stray = builder.variables() - set(self.state_chart.variables) \
+            - set(self.control_names)
         if stray:
             raise ChartError(
                 f"dynamics mention unknown symbols {sorted(stray)}")
@@ -137,9 +143,43 @@ class ControlSystem:
                 "the source must be a cone family, a distribution or None")
 
     @cached_property
+    def chart(self) -> Chart:
+        """The chart of the dynamics, the pairing and their derivatives."""
+        return _system_chart(self.state_chart, self.control_names)
+
+    @cached_property
     def prepared(self) -> "PreparedSystem":
         """The pairing and compiled batches, built on first use."""
         return PreparedSystem(self)
+
+
+def _system_chart(state_chart: Chart, controls) -> Chart:
+    """The state chart extended by the costates p1, ..., pm and then the
+    controls; a control named like a state, or a costate named like a
+    state or a control, is a `ChartError`."""
+    states = state_chart.variables
+    costates = tuple(f"p{i + 1}" for i in range(len(states)))
+    for kind, names, taken in (("control", controls, states),
+                               ("costate name", costates,
+                                (*states, *controls))):
+        for name in names:
+            if name in taken:
+                raise ChartError(f"{kind} {name!r} collides with a coordinate")
+    return state_chart.extend(*costates, *controls)
+
+
+def _controlled(state_chart: Chart, controls: tuple, columns: tuple,
+                source=None) -> ControlSystem:
+    """The system whose dynamics are sum_k controls[k] * columns[k], over
+    the first len(columns) controls, each component folded on records
+    on the chart of the system."""
+    builder = _NFBuilder(_system_chart(state_chart, controls))
+    us = [builder.visit(Var(u)) for u in controls[:len(columns)]]
+    return ControlSystem(state_chart, controls, tuple(
+        builder.finish(builder.sum(
+            builder.product((u, builder.reuse(nf)))
+            for u, nf in zip(us, row)))
+        for row in zip(*columns)), source)
 
 
 def cone_system(family: ConeFamily) -> ControlSystem:
@@ -149,48 +189,16 @@ def cone_system(family: ConeFamily) -> ControlSystem:
     if _RADIAL in family.x_chart.variables or _RADIAL == family.theta:
         raise ChartError(
             f"radial control {_RADIAL!r} collides with a coordinate")
-    controls = (_RADIAL, family.theta)
-    return ControlSystem(
-        state_chart=family.x_chart,
-        control_names=controls,
-        dynamics=_controlled(_control_chart(family.x_chart, controls),
-                             (_RADIAL,), (family.zeta(2).records[:5],)),
-        source=family)
-
-
-def _control_chart(state_chart: Chart, controls: tuple) -> Chart:
-    """The state chart extended by the controls; a control named like a
-    state coordinate is a `ChartError`."""
-    for control in controls:
-        if control in state_chart.variables:
-            raise ChartError(
-                f"control {control!r} collides with a state coordinate")
-    return state_chart.extend(*controls)
-
-
-def _controlled(chart: Chart, controls: tuple, columns: tuple) -> tuple:
-    """The dynamics sum_k controls[k] * columns[k], each component folded
-    on records on `chart`, the chart `PreparedSystem` differentiates on."""
-    builder = _NFBuilder(chart)
-    us = [builder.visit(Var(u)) for u in controls]
-    return tuple(
-        builder.finish(builder.sum(
-            builder.product((u, builder.reuse(nf)))
-            for u, nf in zip(us, row))).tree
-        for row in zip(*columns))
+    return _controlled(family.x_chart, (_RADIAL, family.theta),
+                       (family.zeta(2).records[:5],), family)
 
 
 def distribution_system(dist: Distribution235) -> ControlSystem:
     """Control system of a rank-2 distribution: dynamics linear in the
     controls `u1`, `u2` along the generators, with the singular-control
     rule on the depth-three brackets (eta4, eta5)."""
-    return ControlSystem(
-        state_chart=dist.chart,
-        control_names=_CONTROLS,
-        dynamics=_controlled(
-            _control_chart(dist.chart, _CONTROLS), _CONTROLS,
-            (dist.eta1.records, dist.eta2.records)),
-        source=dist)
+    return _controlled(dist.chart, _CONTROLS,
+                       (dist.eta1.records, dist.eta2.records), dist)
 
 
 def prolonged_system(structure: PseudoProductStructure) -> ControlSystem:
@@ -198,12 +206,8 @@ def prolonged_system(structure: PseudoProductStructure) -> ControlSystem:
     chart: dynamics linear in the controls `u1`, `u2` along the K- and
     L-generators, with the control held fixed, so that it transports
     along one leaf."""
-    return ControlSystem(
-        state_chart=structure.z_chart,
-        control_names=_CONTROLS,
-        dynamics=_controlled(
-            _control_chart(structure.z_chart, _CONTROLS), _CONTROLS,
-            (structure.k_field.records, structure.l_field.records)))
+    return _controlled(structure.z_chart, _CONTROLS,
+                       (structure.k_field.records, structure.l_field.records))
 
 
 # ---------------------------------------------------------------------------
@@ -212,40 +216,27 @@ def prolonged_system(structure: PseudoProductStructure) -> ControlSystem:
 
 @dataclass(frozen=True)
 class HamiltonianData:
-    """The costate pairing H = sum_i p_i F^i and its control partials,
-    which the singular constraint dH/du = 0 reads, on `chart`: the state
-    chart extended by the costates and the controls."""
+    """The record of the costate pairing H = sum_i p_i F^i and those of
+    its control partials, which the singular constraint dH/du = 0 reads,
+    on `chart`, the chart of the system."""
 
-    state_names: tuple
     costate_names: tuple
-    control_names: tuple
-    h: ScalarExpr
+    h: _NormalForm
     dh_du: tuple
     chart: Chart
 
-    @property
-    def variables(self) -> tuple:
-        return self.chart.variables
-
 
 def hamiltonian(cs: ControlSystem) -> HamiltonianData:
-    """Build the pairing of a costate with the dynamics, plus its exact
-    partial derivatives in the controls."""
-    states = cs.state_chart.variables
-    costates = tuple(f"p{i + 1}" for i in range(len(states)))
-    taken = set(states) | set(cs.control_names)
-    for name in costates:
-        if name in taken:
-            raise ChartError(
-                f"costate name {name!r} collides with a coordinate")
-    chart = cs.state_chart.extend(*costates, *cs.control_names)
-    h = normalize(
-        Sum(tuple(Prod((Var(p), comp))
-                  for p, comp in zip(costates, cs.dynamics))),
-        chart)
-    dh_du = tuple(differentiate(h, v, chart) for v in cs.control_names)
-    return HamiltonianData(states, costates, cs.control_names, h, dh_du,
-                           chart)
+    """The pairing of a costate with the dynamics, folded on records in
+    one builder, and its exact partial derivatives in the controls."""
+    chart, m = cs.chart, cs.state_chart.dimension
+    costates = chart.variables[m:2 * m]
+    builder = _NFBuilder(chart)
+    h = builder.finish(builder.sum(
+        builder.product((builder.visit(Var(p)), builder.reuse(comp)))
+        for p, comp in zip(costates, cs.dynamics)))
+    dh_du = tuple(_derivative(h, u, chart) for u in cs.control_names)
+    return HamiltonianData(costates, h, dh_du, chart)
 
 
 class PreparedSystem:
@@ -258,23 +249,25 @@ class PreparedSystem:
         self.source = source = cs.source
         self.m = cs.state_chart.dimension
         self.ham = ham = hamiltonian(cs)
-        states, reg = cs.state_chart.variables, cs.state_chart.registry
-        f_chart = _control_chart(cs.state_chart, cs.control_names)
-        f_vars = f_chart.variables
-        self.f_fn = compile_exprs(cs.dynamics, f_vars, reg)
-        self.jac_fn = compile_exprs(
-            tuple(differentiate(comp, v, f_chart)
-                  for comp in cs.dynamics for v in states), f_vars, reg)
-        self.res_fn = compile_exprs(ham.dh_du, ham.variables, reg)
+        chart, states = cs.chart, cs.state_chart.variables
+
+        def compiled(records, names=chart.variables):
+            return compile_exprs([nf.tree for nf in records], names,
+                                 chart.registry)
+
+        f_vars = states + tuple(cs.control_names)
+        self.f_fn = compiled(cs.dynamics, f_vars)
+        self.jac_fn = compiled([_derivative(comp, v, chart)
+                                for comp in cs.dynamics for v in states],
+                               f_vars)
+        self.res_fn = compiled(ham.dh_du)
         if isinstance(source, ConeFamily):
             self.slot = cs.control_names.index(source.theta)
             g = ham.dh_du[self.slot]
-            gp = differentiate(g, source.theta, ham.chart)
-            self.g_fn = compile_exprs((g, gp), ham.variables, reg)
+            self.g_fn = compiled((g, _derivative(g, source.theta, chart)))
         elif isinstance(source, Distribution235):
-            self.rule_fn = compile_exprs(
-                source.eta4.components + source.eta5.components, states,
-                reg)
+            self.rule_fn = compiled(source.eta4.records + source.eta5.records,
+                                    states)
 
     def resolve(self, x, p, u, max_newton: int) -> tuple:
         """The control at (x, p) projected onto the constraint manifold
@@ -484,12 +477,8 @@ def integrate_flow(flow: VectorField, z0: dict, t_end: float, *,
     chart = flow.chart
     fn = compile_exprs(flow.components, chart.variables, chart.registry)
     y0 = tuple(float(z0[v]) for v in chart.variables)
-
-    def rhs(_t, y):
-        return fn(y)
-
     times, states, derivs = _integrate(
-        rhs, y0, t_end, rtol=rtol, atol=atol, h_max=h_max,
+        lambda _t, y: fn(y), y0, t_end, rtol=rtol, atol=atol, h_max=h_max,
         fixed_step=fixed_step)
     return FlowTrace(chart, times, states, derivs)
 
@@ -659,6 +648,21 @@ def classify_biextremal(structure: PseudoProductStructure,
 # leaf generators and fiber lifts
 # ---------------------------------------------------------------------------
 
+def _float_direction(vec) -> list:
+    """The entries of a vector as floats, first divided exactly by the
+    largest |entry| where plain conversion overflows or gives no finite
+    positive norm, as a rational vector of huge or tiny entries does."""
+    try:
+        floats = [float(a) for a in vec]
+        if 0.0 < _norm(floats) < math.inf \
+                or not all(map(math.isfinite, floats)):
+            return floats
+    except OverflowError:
+        pass
+    top = max(abs(Fraction(a)) for a in vec)
+    return [float(Fraction(a) / top) for a in vec] if top else floats
+
+
 def _annihilating_costate(rows, prefer_row) -> tuple:
     """A nullspace element of the rows, chosen to maximize the pairing
     with `prefer_row`, unit-normalized.  Exact elimination for rational
@@ -666,10 +670,10 @@ def _annihilating_costate(rows, prefer_row) -> tuple:
     basis = nullspace(rows)
     if not basis:
         raise StructureError("the annihilator conditions leave no costate")
-    prefer = [float(b) for b in prefer_row]
+    prefer = _float_direction(prefer_row)
     best, best_val = None, -1.0
     for vec in basis:
-        vec = [float(a) for a in vec]
+        vec = _float_direction(vec)
         val = abs(_dot(vec, prefer))
         if val > best_val:
             best, best_val = vec, val
@@ -797,14 +801,11 @@ def singular_launch(cs: ControlSystem, x0: dict, theta0):
     """
     if isinstance(cs.source, ConeFamily):
         family = cs.source
-        z0 = dict(x0)
-        z0[family.theta] = theta0
+        z0 = {**x0, family.theta: theta0}
         rows = [family.zeta(k).evaluate_at(z0)[:5] for k in (2, 3)]
         prefer = family.zeta(4).evaluate_at(z0)[:5]
         p0 = _annihilating_costate(rows, prefer)
-        u0 = {cs.control_names[0]: 1.0,
-              cs.control_names[1]: float(theta0)}
-        return p0, u0
+        return p0, (1.0, float(theta0))
     if isinstance(cs.source, Distribution235):
         dist = cs.source
         ratio = as_fraction(theta0)
@@ -843,19 +844,15 @@ def verify_duality(structure: PseudoProductStructure, cs: ControlSystem,
             "the control system chart must be the splitting chart minus "
             "one fiber coordinate")
     fiber = extra[0]
-    z0 = dict(x0)
-    z0[fiber] = theta0
+    z0 = {**x0, fiber: theta0}
 
     # Which generator projects to a moving direction (a value that is
     # not zero by linalg's rule) decides the side.
     keep = [i for i, v in enumerate(z_vars) if v != fiber]
-    registry = structure.z_chart.registry
-    k_proj = [evaluate(structure.k_field.components[i], z0, registry)
-              for i in keep]
-    l_proj = [evaluate(structure.l_field.components[i], z0, registry)
-              for i in keep]
-    k_moves = not all(map(is_zero_value, k_proj))
-    l_moves = not all(map(is_zero_value, l_proj))
+    k_moves, l_moves = (
+        not all(is_zero_value(values[i]) for i in keep)
+        for values in (structure.k_field.evaluate_at(z0),
+                       structure.l_field.evaluate_at(z0)))
     if k_moves == l_moves:
         raise StructureError(
             "cannot decide the leaf side: exactly one generator must "
@@ -873,12 +870,10 @@ def verify_duality(structure: PseudoProductStructure, cs: ControlSystem,
         raise IntegrationError(f"leaf-flow leg failed: {exc}") from exc
 
     # Initial costate from exact annihilator conditions, by side.
-    if side == "L" and not isinstance(cs.source, ConeFamily):
-        raise StructureError(
-            "the control system does not carry its cone family")
-    if side == "K" and not isinstance(cs.source, Distribution235):
-        raise StructureError(
-            "the control system does not carry its distribution")
+    kind, what = ((ConeFamily, "cone family") if side == "L"
+                  else (Distribution235, "distribution"))
+    if not isinstance(cs.source, kind):
+        raise StructureError(f"the control system does not carry its {what}")
     p0, u0 = singular_launch(cs, x0, theta0)
 
     try:

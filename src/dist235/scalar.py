@@ -13,14 +13,16 @@ zero test needs only that the numerator vanish identically.
 Trees are for parsing and printing.  A normal form is one record, built
 in integer arithmetic with every monomial packed into one int of 64-bit
 exponent fields (a degree that could reach 2^64 raises `ExprError`).
-Vector fields and forms (`vecfield`) hold records: a tree is folded once
-when it enters, and brackets, eliminations, exterior derivatives,
-pairings, derivatives, the zero decision and exact evaluation read
-records; a tree is printed from one only for a caller that reads it.
-Normalizing, differentiating and the zero decision work on a
-`vecfield.Chart`, which gives the names, the opaque registry and the
-memo that its normal forms and derivatives fill (`memo`); parsing,
-evaluating and compiling take names and a registry.
+Vector fields and forms (`vecfield`) and control systems (`paths`) hold
+records: a tree is folded once when it enters, brackets, eliminations,
+exterior derivatives, pairings, derivatives, the zero decision and exact
+evaluation read records, and a tree is printed from one only for a
+caller that reads or compiles it.  So `normalize` and `differentiate`,
+which fold a tree, serve the tests and (`normalize`) the section
+Lagrangian check of `conedual`.  Normalizing, differentiating and the
+zero decision work on a `vecfield.Chart`, which gives the names, the
+opaque registry and the memo that its normal forms and derivatives fill
+(`memo`); parsing, evaluating and compiling take names and a registry.
 
 Opaque atoms model smooth functions known only through a registry entry
 (numeric evaluator plus derivative rule); everything else is exact.

@@ -18,7 +18,7 @@ from dist235.conedual import (
 from dist235.distduality import (
     Distribution235, StructureError, prolong_235, solve_e,
 )
-from dist235 import paths
+from dist235 import paths, scalar
 from dist235.linalg import exact_nullspace
 from dist235.models import BUNDLED, parse_model
 from dist235.paths import (
@@ -173,15 +173,15 @@ class TestControlSystems:
         assert cs.state_chart == family.x_chart
         assert cs.control_names == ("r", "th")
         assert cs.source is family
-        assert to_text(cs.dynamics[0]) == "r"
+        assert to_text(cs.dynamics[0].tree) == "r"
 
     def test_distribution_system_shape(self):
         dist = hilbert_cartan()
         cs = distribution_system(dist)
         assert cs.source is dist
         assert cs.control_names == ("u1", "u2")
-        assert to_text(cs.dynamics[0]) == "u1"
-        assert to_text(cs.dynamics[3]) == "u2"
+        assert to_text(cs.dynamics[0].tree) == "u1"
+        assert to_text(cs.dynamics[3].tree) == "u2"
 
     def test_prolonged_system_fixed_mode(self):
         assert list(inspect.signature(prolonged_system).parameters) == [
@@ -190,7 +190,7 @@ class TestControlSystems:
         cs = prolonged_system(structure)
         assert cs.source is None
         assert cs.state_chart == structure.z_chart
-        assert [to_text(c) for c in cs.dynamics] == [
+        assert [to_text(c.tree) for c in cs.dynamics] == [
             to_text(normalize(Sum((Prod((Var("u1"), k)),
                                    Prod((Var("u2"), l)))),
                               cs.state_chart.extend("u1", "u2")))
@@ -279,16 +279,18 @@ class TestControlSystems:
         assert cs.prepared.resolve((1.0,), (1.0,), u, 50) is u
 
     def test_cone_dynamics_carry_their_normal_forms(self):
-        # normalized on the states plus the controls, the chart the
-        # Jacobian is differentiated on, so that each derivative folds
-        # a normal form on that chart
+        # records on the system's chart, the chart the pairing and the
+        # Jacobian are folded on: each printed compound component is its
+        # own normal form there
         cs = cone_system(builtin_model("noncubic-bc",
                                        {"b": "th^3", "c": "th^5 - th^4"}))
-        chart = cs.state_chart.extend(*cs.control_names)
-        compound = [c for c in cs.dynamics
-                    if isinstance(c, (Sum, Prod, Pow))]
+        assert cs.chart.variables == cs.state_chart.variables + (
+            "p1", "p2", "p3", "p4", "p5", "r", "th")
+        assert all(c.names == cs.chart.variables for c in cs.dynamics)
+        compound = [c.tree for c in cs.dynamics
+                    if isinstance(c.tree, (Sum, Prod, Pow))]
         assert len(compound) == 4
-        assert all(normalize(c, chart) == c for c in compound)
+        assert all(normalize(c, cs.chart) == c for c in compound)
 
 # ---------------------------------------------------------------------------
 # the costate pairing
@@ -299,9 +301,9 @@ class TestHamiltonian:
         cs = distribution_system(cubic_distribution())
         ham = hamiltonian(cs)
         reconstructed = Sum(tuple(
-            Prod((Var(p), comp))
+            Prod((Var(p), comp.tree))
             for p, comp in zip(ham.costate_names, cs.dynamics)))
-        difference = normalize(Sum((ham.h, Prod((parse_expr("-1", ()),
+        difference = normalize(Sum((ham.h.tree, Prod((parse_expr("-1", ()),
                                                  reconstructed)))),
                                ham.chart)
         assert to_text(difference) == "0"
@@ -310,7 +312,7 @@ class TestHamiltonian:
         # Frozen by hand: the pairing of the scaled moving generator.
         cs = cone_system(flat_cone_family())
         ham = hamiltonian(cs)
-        assert to_text(ham.h) == (
+        assert to_text(ham.h.tree) == (
             "x1*p5*r*th^3 - 2*x2*p5*r*th^2 + p4*r*th^3 + x3*p5*r*th "
             "+ p3*r*th^2 + p2*r*th + p1*r")
 
@@ -318,8 +320,8 @@ class TestHamiltonian:
         cs = distribution_system(hilbert_cartan())
         ham = hamiltonian(cs)
         for p, comp in zip(ham.costate_names, cs.dynamics):
-            partial = differentiate(ham.h, p, ham.chart)
-            assert to_text(partial) == to_text(normalize(comp, ham.chart))
+            partial = differentiate(ham.h.tree, p, ham.chart)
+            assert to_text(partial) == to_text(comp.tree)
 
     def test_single_field_pairing(self):
         chart = Chart(("x1", "x2"))
@@ -327,18 +329,20 @@ class TestHamiltonian:
                            dynamics=(parse_expr("1", ()),
                                      parse_expr("0", ())))
         ham = hamiltonian(cs)
-        assert to_text(ham.h) == "p1"
-        assert [to_text(differentiate(ham.h, x, ham.chart))
-                for x in ham.state_names] == ["0", "0"]
-        assert [to_text(d) for d in ham.dh_du] == ["0"]
+        assert to_text(ham.h.tree) == "p1"
+        assert [to_text(differentiate(ham.h.tree, x, ham.chart))
+                for x in chart.variables] == ["0", "0"]
+        assert [to_text(d.tree) for d in ham.dh_du] == ["0"]
 
     def test_costate_name_collision_rejected(self):
-        chart = Chart(("p1", "q"))
-        cs = ControlSystem(state_chart=chart, control_names=("u",),
-                           dynamics=(parse_expr("0", ()),
-                                     parse_expr("0", ())))
-        with pytest.raises(ChartError, match="collides"):
-            hamiltonian(cs)
+        # the costates are coordinates of the system's chart, so a state
+        # or a control named like one is rejected when the system is built
+        for states, control in ((("p1", "q"), "u"), (("x", "q"), "p2")):
+            with pytest.raises(ChartError, match="costate name"):
+                ControlSystem(state_chart=Chart(states),
+                              control_names=(control,),
+                              dynamics=(parse_expr("0", ()),
+                                        parse_expr("0", ())))
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +462,12 @@ class TestNonFinite:
         with pytest.raises(IntegrationError, match=r"pole at t=0\.5"):
             integrate_flow(flow, {"a": Fraction(-1, 2), "b": 0}, 1.0,
                            fixed_step=0.25)
+
+    def test_overflow_is_not_a_pole(self):
+        chart = Chart(("a",))
+        flow = text_field(chart, ["a^3"], name="cube")
+        with pytest.raises(IntegrationError, match="overflowed at t=0"):
+            integrate_flow(flow, {"a": 10 ** 200}, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +645,122 @@ class TestPreparedSystem:
         assert len(built) == 1
         # dynamics, Jacobian, constraint, Newton pair; one leaf per run
         assert len(compiled) == 4 + 3
+
+
+class TestRecordOracle:
+    """A system compiles what the tree path compiled: the normal forms
+    and derivatives of printed trees, on the states plus the controls
+    for the dynamics and their Jacobian, and on the states, costates and
+    controls for the pairing, its control partials and the Newton pair.
+    The tree path runs on a fresh chart of the same names and registry,
+    whose memo holds none of the records' entries."""
+
+    @staticmethod
+    def tree_path(cs, columns, scaled_by):
+        """(dynamics, H, the batches PreparedSystem compiles but the
+        distribution's rule), each a printed tree, from the printed
+        columns that `scaled_by` scale."""
+        states, controls = cs.state_chart.variables, cs.control_names
+        fresh = Chart(states, cs.state_chart.registry)
+        f_chart = fresh.extend(*controls)
+        dynamics = [normalize(Sum(tuple(Prod((Var(u), c.tree))
+                                        for u, c in zip(scaled_by, row))),
+                              f_chart)
+                    for row in zip(*columns)]
+        costates = tuple(f"p{i + 1}" for i in range(len(states)))
+        h_chart = fresh.extend(*costates, *controls)
+        h = normalize(Sum(tuple(Prod((Var(p), comp))
+                                for p, comp in zip(costates, dynamics))),
+                      h_chart)
+        dh_du = [differentiate(h, u, h_chart) for u in controls]
+        batches = [dynamics,
+                   [differentiate(comp, v, f_chart)
+                    for comp in dynamics for v in states],
+                   dh_du]
+        if isinstance(cs.source, ConeFamily):
+            g = dh_du[controls.index(cs.source.theta)]
+            batches.append([g, differentiate(g, cs.source.theta, h_chart)])
+        return dynamics, h, batches
+
+    @staticmethod
+    def cases():
+        """(name, system, columns, controls scaling them)."""
+        quotients = {
+            name: parse_model(json.dumps(dict(
+                BUNDLED["hilbert-cartan"],
+                expressions=test_cli.TestRationalComponentPins.PINS[name][1])),
+                name)
+            for name in ("hc-half-quotient-trace", "hc-quotient-trace")}
+        for name, dist in [("hilbert-cartan", hilbert_cartan())] + [
+                (name, build_model(model))
+                for name, model in quotients.items()]:
+            yield (name, distribution_system(dist),
+                   (dist.eta1.records, dist.eta2.records), ("u1", "u2"))
+        for name in ("flat-cone", "noncubic-bc"):
+            family = builtin_model(name)
+            yield (name, cone_system(family),
+                   (family.zeta(2).records[:5],), ("r",))
+        structure = structure_of(hilbert_cartan())
+        yield ("hilbert-cartan prolonged", prolonged_system(structure),
+               (structure.k_field.records, structure.l_field.records),
+               ("u1", "u2"))
+
+    def test_records_print_the_tree_path(self, monkeypatch):
+        compiled = []
+        real = paths.compile_exprs
+        monkeypatch.setattr(paths, "compile_exprs", lambda exprs, *rest: (
+            compiled.append(list(exprs)), real(exprs, *rest))[1])
+        for name, cs, columns, scaled_by in self.cases():
+            dynamics, h, batches = self.tree_path(cs, columns, scaled_by)
+            assert [c.tree for c in cs.dynamics] == dynamics, name
+            compiled.clear()
+            prepared = cs.prepared
+            assert prepared.ham.h.tree == h, name
+            assert [d.tree for d in prepared.ham.dh_du] == batches[2], name
+            assert compiled[:len(batches)] == batches, name
+
+    def test_preparing_a_polynomial_system_folds_no_tree(self, monkeypatch):
+        # no normal-form lookup, and the pairing's builder visits only
+        # the costate variables: it reads the dynamics records in place
+        visited = []
+        visit = scalar._NFBuilder.visit
+        monkeypatch.setattr(scalar._NFBuilder, "visit", lambda self, expr: (
+            visited.append(type(expr)), visit(self, expr))[1])
+        for name in ("hilbert-cartan", "flat-cone", "noncubic-bc"):
+            built = builtin_model(name)
+            cs = (cone_system(built) if isinstance(built, ConeFamily)
+                  else distribution_system(built))
+            before = scalar._normal_form.cache_info()
+            visited.clear()
+            assert cs.prepared.ham.dh_du
+            assert scalar._normal_form.cache_info() == before, name
+            assert set(visited) == {Var}, name
+
+
+class TestSingularLaunch:
+    """A launch toward a huge direction parameter gets a unit costate
+    from exact annihilator rows whose floats would overflow."""
+
+    def test_huge_direction_gives_a_unit_costate(self):
+        dist = hilbert_cartan()
+        p0, u0 = paths.singular_launch(distribution_system(dist),
+                                       dict(dist.base_point), 10 ** 160)
+        assert math.hypot(*p0) == pytest.approx(1.0, abs=1e-12)
+        assert u0 == (1e-160, 1.0)
+
+    def test_huge_cone_direction_converts(self):
+        family = flat_cone_family()
+        p0, _ = paths.singular_launch(cone_system(family),
+                                      X_CHART.origin(), 10 ** 200)
+        assert math.hypot(*p0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_only_a_vector_that_does_not_convert_is_scaled(self):
+        assert paths._float_direction(
+            [Fraction(0), Fraction(2, 7), Fraction(10 ** 100)]) \
+            == [0.0, 2 / 7, 1e100]
+        tiny = Fraction(1, 10 ** 200)
+        assert paths._float_direction([tiny, -2 * tiny]) == [0.5, -1.0]
+        assert paths._float_direction([0, 0]) == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
