@@ -23,19 +23,18 @@ from functools import cached_property, wraps
 from typing import Optional, Sequence
 
 from . import linalg
-from .boxes import Box, as_fraction, default_box
+from .boxes import Box, default_box
 from .distduality import (
     Distribution235, PseudoProductStructure, StructureError, _format_point,
 )
 from .models import BUNDLED, _FIELDS, ModelFile, document_text, parse_model
 from .scalar import (
-    _MINUS_ONE, _NF_ONE, _NF_ZERO, Const, Pow, Prod, ScalarExpr, Sum, Var,
-    _derivative, _is_zero, _NFBuilder, evaluate, is_zero,
-    min_degree, normalize, substitute, to_text,
+    _MINUS_ONE, _NF_ONE, _NF_ZERO, Const, ScalarExpr, Var, _derivative,
+    _NFBuilder, evaluate, is_zero, min_degree, substitute, to_text,
 )
 from .vecfield import (
     Chart, ChartError, DegenerateFrameError, Frame, OneForm, PointValues,
-    VectorField, check_contact, combine, coordinate_field,
+    TwoForm, VectorField, check_contact, combine, coordinate_field,
     exterior_derivative, lie_bracket, pair, rank_at, symbolic_decompose,
 )
 
@@ -62,21 +61,6 @@ def _once_per_family(check):
             family.__dict__[key] = check(family)
         return family.__dict__[key]
     return once
-
-
-# ---------------------------------------------------------------------------
-# direction fields (sections of the direction bundle)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DirectionField:
-    """A choice of cone direction over the base: theta = s(x)."""
-
-    expr: ScalarExpr
-
-    @classmethod
-    def constant(cls, value) -> "DirectionField":
-        return cls(Const(as_fraction(value)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +92,8 @@ class ConeFamily:
               box: Optional[Box] = None,
               name: str = "cone-family") -> "ConeFamily":
         """The family whose generator has the components (A, B, S, T),
-        trees on `x_chart` extended by `theta`, checked against the
-        contact form `alpha` on `x_chart`.  The box defaults to
+        trees or records on `x_chart` extended by `theta`, checked against
+        the contact form `alpha` on `x_chart`.  The box defaults to
         `boxes.default_box` about the base point, `theta` last."""
         if x_chart.dimension != 5:
             raise ChartError("cone families live over a 5-dimensional "
@@ -142,7 +126,7 @@ class ConeFamily:
             raise StructureError(
                 f"{name}: the one-form is not contact at the base point")
         annihilation = pair(family.lifted_alpha, family.zeta(2))
-        verdict = _is_zero(annihilation, box, z_chart)
+        verdict = is_zero(annihilation, box, z_chart)
         if verdict.status == "nonzero":
             raise StructureError(
                 f"{name}: the contact form does not annihilate the "
@@ -245,14 +229,17 @@ class LagrangianReport:
 
 @_once_per_family
 def check_lagrangian(family: ConeFamily,
-                     section: Optional[DirectionField] = None
+                     section: Optional[ScalarExpr] = None
                      ) -> LagrangianReport:
     """Check that the plane spanned by the generator and its first
     direction-derivative is annihilated by the contact form and isotropic
-    for its exterior derivative, over the family's box (its base part
-    when a section is given)."""
+    for its exterior derivative, over the family's box; with a section
+    theta = s(x), a tree on the base chart, substituted into each
+    quantity, over the base part of the box."""
     alpha = family.lifted_alpha
-    d_alpha = exterior_derivative(alpha)
+    # d(alpha) has no theta part, so the base chart's records serve
+    d_alpha = TwoForm(family.z_chart,
+                      exterior_derivative(family.alpha).records)
     zeta2, zeta3 = family.zeta(2), family.zeta(3)
     quantities = (
         ("contact form annihilates the generator", pair(alpha, zeta2)),
@@ -262,18 +249,24 @@ def check_lagrangian(family: ConeFamily,
     )
     if section is None:
         check_box = family.box
-        verdicts = [(name, _is_zero(nf, check_box, family.z_chart))
+        verdicts = [(name, is_zero(nf, check_box, family.z_chart))
                     for name, nf in quantities]
         section_text = None
     else:
+        chart = family.x_chart
+        builder = _NFBuilder(chart)
+        builder.visit(section)
+        extra = builder.variables() - set(chart.variables)
+        if extra:
+            raise ChartError(
+                f"section uses undeclared variables {sorted(extra)}")
         check_box = Box(tuple(iv for iv in family.box.intervals
                               if iv[0] != family.theta))
-        chart = family.x_chart
-        mapping = {family.theta: section.expr}
-        verdicts = [(name, is_zero(
-            normalize(substitute(nf.tree, mapping), chart),
-            check_box, chart)) for name, nf in quantities]
-        section_text = to_text(section.expr)
+        mapping = {family.theta: section}
+        verdicts = [(name, is_zero(substitute(nf.tree, mapping),
+                                   check_box, chart))
+                    for name, nf in quantities]
+        section_text = to_text(section)
 
     checks = [(name, verdict.status, _witness(verdict))
               for name, verdict in verdicts]
@@ -334,7 +327,7 @@ def check_osculating_condition(family: ConeFamily
               f"coefficient along {complement.name}")
     residuals = []
     for label, nf in zip(labels, coeffs[4:6]):
-        verdict = _is_zero(nf, box, family.z_chart)
+        verdict = is_zero(nf, box, family.z_chart)
         residuals.append((label, to_text(nf.tree), verdict.status,
                           _witness(verdict)))
     return OsculatingConditionReport(
@@ -496,15 +489,18 @@ def builtin_model(name: str, params: Optional[dict] = None):
 
 
 def _driver_components(params: dict, chart: Chart) -> tuple:
-    """The components (A, B, S, T) of a parameter-driven family over the
-    standard chart `chart`, after checking its parameters: ``a`` for the
-    cubic family (b = a, c = -3*th*a), ``b`` and ``c`` for the non-cubic
-    one; each is the tree its formula parses to (shape fixes normal
-    form)."""
-    th = Var("th")
+    """The records of the components (A, B, S, T) of a parameter-driven
+    family over the standard chart `chart` extended by ``th``, after
+    checking its parameters: ``a`` for the cubic family (b = a,
+    c = -3*th*a), ``b`` and ``c`` for the non-cubic one.  One builder
+    folds each parameter tree once and composes B = th^2 + b,
+    S = th^3 + c and T = x3*th - 2*x2*B + x1*S on the triples."""
+    builder = _NFBuilder(chart.extend("th"))
+    fold, product = builder.visit, builder.product
     if "a" in params:
         a = params["a"]
-        extra = _free_outside(a, ("x1",), chart)
+        b = fold(a)
+        extra = tuple(sorted(builder.variables() - {"x1"}))
         if extra:
             raise StructureError(
                 f"parameter 'a' may only involve x1, found {extra}")
@@ -512,29 +508,29 @@ def _driver_components(params: dict, chart: Chart) -> tuple:
                                              chart.registry)):
             raise StructureError(
                 "parameter 'a' must vanish at the base point")
-        b, c = a, Prod((Const(-3), th, a))
+        c = product((fold(Const(-3)), fold(Var("th")), b))
     else:
-        b, c = params["b"], params["c"]
-        for label, expr, bound in (("b", b, 3), ("c", c, 4)):
-            extra = _free_outside(expr, ("th",), chart)
+        drivers = []
+        for label, bound in (("b", 3), ("c", 4)):
+            triple = fold(params[label])
+            extra = tuple(sorted(builder.variables() - {"th"}))
             if extra:
                 raise StructureError(
                     f"parameter {label!r} may only involve the direction "
                     f"coordinate, found {extra}")
-            order = min_degree(expr, "th", chart)
+            order = min_degree(builder.finish(triple), "th")
             if order is not None and order < bound:
                 raise StructureError(
                     f"parameter {label!r} has lowest order {order}, "
                     f"need at least {bound}")
-    comp_b, comp_s = Sum((Pow(th, 2), b)), Sum((Pow(th, 3), c))
+            drivers.append(triple)
+        b, c = drivers
+    th = fold(Var("th"))
+    comp_b = builder.sum((builder.power(th, 2), b))
+    comp_s = builder.sum((builder.power(th, 3), c))
     # T makes the standard contact form annihilate the generator.
-    comp_t = Sum((Prod((Var("x3"), th)), Prod((Const(-2), Var("x2"), comp_b)),
-                  Prod((Var("x1"), comp_s))))
-    return (th, comp_b, comp_s, comp_t)
-
-
-def _free_outside(expr: ScalarExpr, allowed: tuple, chart: Chart) -> tuple:
-    """The variables its fold on the chart meets outside `allowed`."""
-    builder = _NFBuilder(chart)
-    builder.visit(expr)
-    return tuple(sorted(builder.variables() - set(allowed)))
+    comp_t = builder.sum((
+        product((fold(Var("x3")), th)),
+        product((fold(Const(-2)), fold(Var("x2")), comp_b)),
+        product((fold(Var("x1")), comp_s))))
+    return tuple(map(builder.finish, (th, comp_b, comp_s, comp_t)))

@@ -23,8 +23,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .boxes import DIRECTION_HALF_WIDTH, Box, default_box
 from .scalar import (
-    _MINUS_ONE, ScalarExpr, Var, _is_zero, _NFBuilder, _value,
-    to_text,
+    _MINUS_ONE, ScalarExpr, Var, _NFBuilder, _value, is_zero, to_text,
 )
 from .vecfield import (
     Chart, ChartError, ChartMismatchError, DistributionFlag, Frame,
@@ -531,7 +530,7 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
     for a_w, b_w in pairs[:best] + pairs[best + 1:]:
         residual = builder.finish(builder.sum(
             (reuse(a_w), builder.product((reuse(e), reuse(b_w))))))
-        verdict = _is_zero(residual, box, z_chart)
+        verdict = is_zero(residual, box, z_chart)
         if verdict.status == "nonzero":
             raise StructureError(
                 "correction equations are inconsistent: residual "

@@ -13,16 +13,17 @@ zero test needs only that the numerator vanish identically.
 Trees are for parsing and printing.  A normal form is one record, built
 in integer arithmetic with every monomial packed into one int of 64-bit
 exponent fields (a degree that could reach 2^64 raises `ExprError`).
-Vector fields and forms (`vecfield`) and control systems (`paths`) hold
-records: a tree is folded once when it enters, brackets, eliminations,
-exterior derivatives, pairings, derivatives, the zero decision and exact
+Vector fields and forms (`vecfield`), control systems (`paths`) and the
+components of a parameter-driven cone family (`conedual`) hold records:
+a tree is folded once when it enters, brackets, eliminations, exterior
+derivatives, pairings, derivatives, the zero decision and exact
 evaluation read records, and a tree is printed from one only for a
 caller that reads or compiles it.  So `normalize` and `differentiate`,
-which fold a tree, serve the tests and (`normalize`) the section
-Lagrangian check of `conedual`.  Normalizing, differentiating and the
-zero decision work on a `vecfield.Chart`, which gives the names, the
-opaque registry and the memo that its normal forms and derivatives fill
-(`memo`); parsing, evaluating and compiling take names and a registry.
+which fold a tree, serve the tests and library callers only, and the
+one zero decision, `is_zero`, folds a tree it is given once.  These
+work on a `vecfield.Chart`, which gives the names, the opaque registry
+and the memo that its normal forms and derivatives fill (`memo`);
+parsing, evaluating and compiling take names and a registry.
 
 Opaque atoms model smooth functions known only through a registry entry
 (numeric evaluator plus derivative rule); everything else is exact.
@@ -1272,29 +1273,24 @@ _ZERO_SAMPLES = 32
 _NUMERIC_TOL = 1e-9
 
 
-def is_zero(expr: ScalarExpr, box: Box, chart) -> ZeroCheck:
-    """Decide whether an expression vanishes identically on a box.
-
-    Opaque-free input is decided exactly from the normal form; otherwise
-    32 quasi-random rational points are evaluated and compared
-    against 1e-9 * (1 + max |coefficient|).  Coordinates the box fixes
-    (zero-width intervals) are substituted first, so the decision is
-    about the expression on the box, not on the whole chart.  The
-    opaques are those of the chart's registry.
+def is_zero(x, box: Box, chart) -> ZeroCheck:
+    """Decide whether `x`, a tree or a normal-form record, vanishes
+    identically on a box, not on the whole chart: a tree has the
+    coordinates the box fixes (zero-width intervals) substituted and is
+    folded once, and a record that may use one (a variable, or an opaque
+    atom through its argument) is printed once and decided as that tree.
+    An opaque-free normal form is decided exactly; otherwise its printed
+    tree is evaluated at 32 quasi-random rational points and compared
+    against 1e-9 * (1 + max |coefficient|).  The opaques are those of
+    the chart's registry.
     """
     fixed = {name: lo for name, lo, hi in box.intervals if lo == hi}
-    if fixed:
-        expr = substitute(expr, fixed)
-    return _is_zero(_normal_form(expr, chart), box, chart, expr)
-
-
-def _is_zero(nf: _NormalForm, box: Box, chart,
-             expr: Optional[ScalarExpr] = None) -> ZeroCheck:
-    """The decision of `is_zero` on the normal form `nf` of `expr`, a
-    tree in no coordinate the box fixes, which the sampled rule
-    evaluates; with no `expr`, that of the printed tree of `nf`."""
-    if expr is None and any(lo == hi for _, lo, hi in box.intervals):
-        return is_zero(nf.tree, box, chart)
+    if isinstance(x, _NormalForm) and not (fixed and any(
+            key[0] or key[2] in fixed for key, _, _ in x.atoms)):
+        nf = x
+    else:
+        tree = x.tree if isinstance(x, _NormalForm) else x
+        nf = _normal_form(substitute(tree, fixed) if fixed else tree, chart)
     registry = chart.registry
     if not nf.num:
         # opaque atoms may appear in the tree, but if none survive in the
@@ -1319,13 +1315,11 @@ def _is_zero(nf: _NormalForm, box: Box, chart,
     for c in nf.num.values():
         max_coeff = max(max_coeff, abs(float(c)))
     threshold = _NUMERIC_TOL * (1.0 + max_coeff)
-    if expr is None:
-        expr = nf.tree
     worst_pt, worst_val = None, 0.0
     for pt in box.sample_points(_ZERO_SAMPLES):
         fpt = {k: float(v) for k, v in pt.items()}
         try:
-            v = float(evaluate(expr, fpt, registry))
+            v = float(evaluate(nf.tree, fpt, registry))
         except ZeroDivisionError:
             continue
         if abs(v) > abs(worst_val):
@@ -1335,12 +1329,11 @@ def _is_zero(nf: _NormalForm, box: Box, chart,
     return ZeroCheck("numerically-zero", witness=worst_pt, value=worst_val)
 
 
-def min_degree(expr: ScalarExpr, var: str, chart) -> Optional[int]:
-    """The order of vanishing of `expr` in `var`, read from its normal
-    form: the lowest power of `var` among the numerator terms minus the
-    lowest among the denominator terms.  None for the zero expression
-    and when an opaque atom is present."""
-    nf = _normal_form(expr, chart)
+def min_degree(nf: _NormalForm, var: str) -> Optional[int]:
+    """The order of vanishing in `var` of the record `nf`: the lowest
+    power of `var` among the numerator terms minus the lowest among the
+    denominator terms.  None for zero and when an opaque atom is
+    present."""
     if not nf.num or not nf.opaque_free:
         return None
     offset = next((offset for key, offset, _ in nf.atoms if key[2] == var),

@@ -18,8 +18,8 @@ from pathlib import Path
 
 from dist235.boxes import Box
 from dist235.cli import bundled_document, canonical_json, main, run_suite
-from dist235.conedual import DirectionField, builtin_model, \
-    check_lagrangian, check_osculating_condition, prolong_cone
+from dist235.conedual import builtin_model, check_lagrangian, \
+    check_osculating_condition, prolong_cone
 from dist235.distduality import Distribution235, check_235, prolong_235, \
     solve_e, symbol_algebra_at, verify_pseudo_product
 from dist235.models import BUNDLED, parse_model
@@ -224,9 +224,8 @@ def test_05_lagrangian_and_contact_certificates():
         assert symbolic.passed
         assert all(status == "provably-zero"
                    for _, status, _ in symbolic.checks)
-        section = DirectionField(
-            parse_expr("x1", family.x_chart.variables,
-                       family.x_chart.registry))
+        section = parse_expr("x1", family.x_chart.variables,
+                             family.x_chart.registry)
         sectioned = check_lagrangian(family, section=section)
         assert sectioned.passed
         assert all(status == "provably-zero"

@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 from dist235 import conedual
+from dist235.cli import canonical_json, run_suite
 from dist235.conedual import (
-    ConeFamily, DirectionField, build_model, builtin_model,
+    ConeFamily, build_model, builtin_model,
     check_lagrangian, check_nondegenerate, check_osculating_condition,
     cone_frame, prolong_cone, solve_U,
 )
@@ -20,7 +21,8 @@ from dist235.distduality import (
 )
 from dist235.models import BUNDLED, ModelError, parse_model
 from dist235.scalar import (
-    OpaqueRegistry, Sum, evaluate, is_zero, normalize, parse_expr, to_text,
+    Const, OpaqueRegistry, Sum, _normal_form, evaluate, is_zero, normalize,
+    parse_expr, to_text,
 )
 from dist235.vecfield import (
     Chart, ChartError, Frame, OneForm, PointValues, exterior_derivative,
@@ -28,6 +30,7 @@ from dist235.vecfield import (
 )
 
 from helpers import count_calls, time_budget
+from test_cli import check_named
 
 TOL = 1e-9
 SEED = 47110815
@@ -216,10 +219,32 @@ class TestLagrangian:
 
     def test_flat_family_with_zero_section(self):
         report = check_lagrangian(builtin_model("flat-cone"),
-                                  DirectionField.constant(0))
+                                  Const(0))
         assert report.passed
         assert report.section == "0"
         assert "th" not in report.box.variables
+
+    @pytest.mark.parametrize("name, text, extra", [
+        ("flat-cone", "y", "['y']"),
+        ("flat-cone", "th", "['th']"),
+        ("noncubic-bc-violating", "y", "['y']"),
+        ("noncubic-bc-violating", "th", "['th']"),
+        ("noncubic-bc-violating", "x1 + z*y/(1 + w)", "['w', 'y', 'z']"),
+    ])
+    def test_section_off_the_base_chart_rejected(self, name, text, extra):
+        with pytest.raises(ChartError) as err:
+            check_lagrangian(builtin_model(name), parse_expr(text))
+        assert str(err.value) == f"section uses undeclared variables {extra}"
+
+    def test_section_with_the_direction_inside_an_opaque_rejected(self):
+        family = opaque_family(
+            "cubic-a", {"a": "F(x1)"},
+            opaque_chain("F", ("u^2", "2*u", "2"), "0"))
+        section = parse_expr("x2 + F(x1 + th)",
+                             registry=family.z_chart.registry)
+        with pytest.raises(ChartError) as err:
+            check_lagrangian(family, section)
+        assert str(err.value) == "section uses undeclared variables ['th']"
 
     def test_compliant_bc_random_constant_sections(self):
         family = builtin_model("noncubic-bc",
@@ -228,7 +253,7 @@ class TestLagrangian:
         for _ in range(10):
             value = Fraction(rng.randint(-8, 8), 16)
             report = check_lagrangian(family,
-                                      DirectionField.constant(value))
+                                      Const(value))
             assert report.passed
 
     def test_isotropy_failure_detected(self):
@@ -548,7 +573,7 @@ class TestPerFamilyResults:
         ranks = count_calls(monkeypatch, conedual, "rank_at")
         assert not check_nondegenerate(family, probe)
         assert ranks
-        section = DirectionField.constant(Fraction(1, 8))
+        section = Const(Fraction(1, 8))
         assert check_lagrangian(family, section=section).section == "1/8"
 
 
@@ -649,12 +674,52 @@ class TestBuiltinModels:
             builtin_model("hilbert-cartan", {"b": "0"})
 
 
+def seeded_drivers(rng):
+    """(model, expressions, opaque) for seeded drivers of both families:
+    a polynomial, a rational one with its poles off the base point, an
+    opaque one and a nested opaque one."""
+    def coefficient():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+
+    def poly(var, low, high):
+        return " + ".join(f"({coefficient()})*{var}^{k}"
+                          for k in range(low, high + 1))
+
+    def pole_free(var):  # a denominator that is 1 at the base point
+        return f"1 + ({coefficient()})*{var} + ({coefficient()})*{var}^2"
+
+    chain = [{"name": "F", "evaluator": "u^2", "derivative": "F1"},
+             {"name": "F1", "evaluator": "2*u", "derivative": "2"},
+             {"name": "G", "evaluator": "u + 1", "derivative": "1"}]
+    cases = []
+    for _ in range(2):
+        cases += [
+            ("cubic-a", {"a": poly("x1", 1, 3)}, []),
+            ("cubic-a", {"a": f"({poly('x1', 1, 2)})/({pole_free('x1')})"},
+             []),
+            ("cubic-a", {"a": f"({coefficient()})*F(x1)"}, chain),
+            ("cubic-a", {"a": f"F(x1*G({poly('x1', 1, 2)}))"}, chain),
+            ("noncubic-bc", {"b": poly("th", 3, 5), "c": poly("th", 4, 6)},
+             []),
+            ("noncubic-bc", {"b": f"({poly('th', 3, 4)})/({pole_free('th')})",
+                             "c": f"({poly('th', 4, 5)})/({pole_free('th')})"},
+             []),
+            ("noncubic-bc", {"b": f"({coefficient()})*F(th)",
+                             "c": "th^4*G(th)"}, chain),
+            ("noncubic-bc", {"b": "F(th*G(th^2))",
+                             "c": f"th^4*F(G({poly('th', 1, 2)}))"}, chain),
+        ]
+    return cases
+
+
 class TestDriverTrees:
-    """The components of a parameter-driven family are the trees of the
-    texts ``th``, ``th^2 + (b)``, ``th^3 + (c)`` and
+    """The components of a parameter-driven family are the records of
+    the trees of the texts ``th``, ``th^2 + (b)``, ``th^3 + (c)`` and
     ``x3*th - 2*x2*(B) + x1*(S)``, with b = a and c = -3*th*a for the
-    cubic family: `Sum` takes its common-denominator shortcut by tree
-    shape, so another shape could print another normal form."""
+    cubic family: a sum takes its common-denominator shortcut in the
+    order its terms fold, so another order could give another normal
+    form.  A rejected driver fails the build check with the record it
+    had when the template trees were built."""
 
     @staticmethod
     def reference_texts(expressions):
@@ -675,23 +740,50 @@ class TestDriverTrees:
         ("cubic-a", {"a": "x1^2/(1+x1)"}, []),
         ("noncubic-bc", {"b": "th^3", "c": "(3/2)*th^4"}, []),
         ("noncubic-bc", {"b": "th^3", "c": "th^4/(1+th)"}, []),
-    ])
-    def test_components_are_the_template_trees(self, monkeypatch, name,
-                                               expressions, opaque):
-        built = []
-        real_build = ConeFamily.build
-
-        def build(x_chart, components, *args, **kwargs):
-            built.append(components)
-            return real_build(x_chart, components, *args, **kwargs)
-
-        monkeypatch.setattr(ConeFamily, "build", build)
+    ] + seeded_drivers(random.Random(SEED + 11)))
+    def test_components_are_the_template_trees(self, name, expressions,
+                                               opaque):
         doc = dict(BUNDLED[name], expressions=expressions, opaque=opaque)
         family = build_model(parse_model(json.dumps(doc), name))
         z_chart = family.z_chart
-        assert built == [tuple(parse_expr(text, z_chart.variables,
-                                          z_chart.registry)
-                               for text in self.reference_texts(expressions))]
+        assert family.records == tuple(
+            _normal_form(parse_expr(text, z_chart.variables,
+                                    z_chart.registry), z_chart)
+            for text in self.reference_texts(expressions))
+
+    @pytest.mark.parametrize("name, expressions, detail", [
+        ("noncubic-bc", {"b": "th^3", "c": "th^4 + x1"},
+         "StructureError: parameter 'c' may only involve the direction "
+         "coordinate, found ('x1',)"),
+        ("cubic-a", {"a": "x1*th"},
+         "StructureError: parameter 'a' may only involve x1, found "
+         "('th',)"),
+        ("noncubic-bc", {"b": "th^2", "c": "th^4"},
+         "StructureError: parameter 'b' has lowest order 2, need at "
+         "least 3"),
+        ("noncubic-bc", {"b": "th^3", "c": "1/th"},
+         "StructureError: parameter 'c' has lowest order -1, need at "
+         "least 4"),
+        ("noncubic-bc", {"b": "th^3/(th-th)", "c": "th^4"},
+         "ZeroDenominatorError: negative power of an identically zero "
+         "base"),
+        ("noncubic-bc", {"b": "th^3", "c": "th^18446744073709551616"},
+         "ExprError: exponent overflow: a degree of up to "
+         "18446744073709551616 does not fit the 64-bit exponent field"),
+        ("cubic-a", {"a": "1/x1"},
+         "ZeroDivisionError: pole: zero base with negative exponent"),
+        ("cubic-a", {"a": "x1^2/x1"},
+         "ZeroDivisionError: pole: zero base with negative exponent"),
+    ])
+    def test_rejected_driver_record(self, name, expressions, detail):
+        doc = dict(BUNDLED[name], expressions=expressions)
+        report = run_suite(parse_model(json.dumps(doc), name), "verify", 0)
+        message = detail.partition(": ")[2]
+        assert canonical_json(check_named(report, "family-build")) == \
+            canonical_json({"box": None, "detail": detail,
+                            "name": "family-build", "residual": None,
+                            "status": "fail",
+                            "witness": {"message": message}})
 
 
 # ---------------------------------------------------------------------------
