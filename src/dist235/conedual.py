@@ -525,6 +525,7 @@ def _driver_components(params: dict, chart: Chart) -> tuple:
                     f"need at least {bound}")
             drivers.append(triple)
         b, c = drivers
+    # th is folded after the checks: they read every variable met so far
     th = fold(Var("th"))
     comp_b = builder.sum((builder.power(th, 2), b))
     comp_s = builder.sum((builder.power(th, 3), c))
