@@ -347,7 +347,7 @@ class _SuiteRun:
 
     def check_solve_e(self):
         solved = self.solved_e()
-        return _record("pass", f"e = {to_text(solved.expression)}")
+        return _record("pass", f"e = {to_text(solved.expression.tree)}")
 
     def check_built(self, detail: str):
         """The build check: `detail`, formatted with the built object,
@@ -399,7 +399,7 @@ class _SuiteRun:
         family = self.built()
         solved = self._memo("solved_u", lambda: solve_U(family),
                             "the correction scalar")
-        return _record("pass", f"U = {to_text(solved.expression)}")
+        return _record("pass", f"U = {to_text(solved.expression.tree)}")
 
 
 def _check_sequence(kind: str, suite: str) -> tuple:

@@ -30,12 +30,13 @@ from .distduality import (
 from .models import BUNDLED, _FIELDS, ModelFile, document_text, parse_model
 from .scalar import (
     _MINUS_ONE, _NF_ONE, _NF_ZERO, Const, ScalarExpr, Var, _derivative,
-    _NFBuilder, evaluate, is_zero, min_degree, substitute, to_text,
+    _NFBuilder, _NormalForm, evaluate, is_zero, min_degree, substitute,
+    to_text,
 )
 from .vecfield import (
     Chart, ChartError, DegenerateFrameError, Frame, OneForm, PointValues,
-    TwoForm, VectorField, check_contact, combine, coordinate_field,
-    exterior_derivative, lie_bracket, pair, rank_at, symbolic_decompose,
+    TwoForm, VectorField, _records, check_contact, combine,
+    coordinate_field, lie_bracket, pair, rank_at, symbolic_decompose,
 )
 
 
@@ -107,8 +108,7 @@ class ConeFamily:
         if len(components) != 4:
             raise StructureError(
                 "a family needs the four non-trivial generator components")
-        records = VectorField(z_chart, (_NF_ONE,) + components
-                              + (_NF_ZERO,)).records[1:5]
+        records = _records(z_chart, components)
         if alpha.chart != x_chart:
             raise ChartError("contact form lives on the wrong chart")
         if base_point is None:
@@ -136,8 +136,8 @@ class ConeFamily:
 
     @cached_property
     def lifted_alpha(self) -> OneForm:
-        """The contact form's records padded with a zero record."""
-        return OneForm(self.z_chart, self.alpha.records + (_NF_ZERO,))
+        """The contact form on the extended chart."""
+        return self.alpha.lifted(self.z_chart)
 
     def zeta(self, k: int) -> VectorField:
         """zeta1 is the direction-coordinate field; zeta2 the moving
@@ -237,9 +237,9 @@ def check_lagrangian(family: ConeFamily,
     theta = s(x), a tree on the base chart, substituted into each
     quantity, over the base part of the box."""
     alpha = family.lifted_alpha
-    # d(alpha) has no theta part, so the base chart's records serve
-    d_alpha = TwoForm(family.z_chart,
-                      exterior_derivative(family.alpha).records)
+    # d(alpha) has no theta part, so the base chart's records, which
+    # the contact check of `ConeFamily.build` read, serve
+    d_alpha = TwoForm(family.z_chart, family.alpha.derivative.records)
     zeta2, zeta3 = family.zeta(2), family.zeta(3)
     quantities = (
         ("contact form annihilates the generator", pair(alpha, zeta2)),
@@ -254,12 +254,7 @@ def check_lagrangian(family: ConeFamily,
         section_text = None
     else:
         chart = family.x_chart
-        builder = _NFBuilder(chart)
-        builder.visit(section)
-        extra = builder.variables() - set(chart.variables)
-        if extra:
-            raise ChartError(
-                f"section uses undeclared variables {sorted(extra)}")
+        _records(chart, (section,), what="section uses undeclared variables")
         check_box = Box(tuple(iv for iv in family.box.intervals
                               if iv[0] != family.theta))
         mapping = {family.theta: section}
@@ -340,7 +335,7 @@ class SolveUResult:
     """The correction scalar making the generator a Cauchy characteristic
     of the derived plane field, with the corrected generator."""
 
-    expression: ScalarExpr
+    expression: _NormalForm
     l_field: VectorField
     k_field: VectorField
     report: OsculatingConditionReport
@@ -378,7 +373,7 @@ def solve_U(family: ConeFamily) -> SolveUResult:
             raise StructureError(
                 "correction self-check failed: the corrected bracket "
                 f"leaves the low span at {_format_point(point)}")
-    return SolveUResult(expression=u.tree, l_field=l_field,
+    return SolveUResult(expression=u, l_field=l_field,
                         k_field=zeta1.renamed("K"), report=report)
 
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .boxes import DIRECTION_HALF_WIDTH, Box, default_box
 from .scalar import (
-    _MINUS_ONE, ScalarExpr, Var, _NFBuilder, _value, is_zero, to_text,
+    _MINUS_ONE, Var, _NFBuilder, _NormalForm, _value, is_zero, to_text,
 )
 from .vecfield import (
     Chart, ChartError, ChartMismatchError, DistributionFlag, Frame,
@@ -465,7 +465,7 @@ class SolveEResult:
     on layer 3, as a closed form, together with the resulting K and L
     generators."""
 
-    expression: ScalarExpr
+    expression: _NormalForm
     k_field: VectorField
     l_field: VectorField
 
@@ -538,7 +538,7 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
                 f"{_format_point(verdict.witness)}")
 
     k_field = combine(prolonged.zeta1, e, prolonged.zeta2, "K")
-    return SolveEResult(expression=e.tree, k_field=k_field,
+    return SolveEResult(expression=e, k_field=k_field,
                         l_field=l_field.renamed("L"))
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .boxes import Box, default_box
-from .scalar import OpaqueRegistry, compile_expr, default_registry, \
+from .scalar import OpaqueRegistry, compile_exprs, default_registry, \
     parse_expr
 
 _KINDS = ("distribution235", "cone-family", "pseudo-product")
@@ -210,13 +210,13 @@ def _build_registry(doc: dict, origin: str) -> OpaqueRegistry:
         dv_text = _string(_require(entry, "derivative", where),
                           f"{where}.derivative")
         ev_expr = _parse_text(ev_text, ("u",), None, f"{where}.evaluator")
-        evaluator = compile_expr(ev_expr, ("u",))
+        batch = compile_exprs((ev_expr,), ("u",))
         if dv_text in declared:
             derivative = dv_text
         else:
             derivative = _parse_text(dv_text, ("u",), None,
                                      f"{where}.derivative")
-        registry.register(name, evaluator, derivative)
+        registry.register(name, lambda u, f=batch: f((u,))[0], derivative)
     return registry
 
 

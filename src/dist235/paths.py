@@ -27,7 +27,7 @@ from .linalg import is_zero_value, nullspace
 from .scalar import (
     Var, _derivative, _NFBuilder, _NormalForm, compile_exprs,
 )
-from .vecfield import Chart, ChartError, VectorField, combine
+from .vecfield import Chart, ChartError, VectorField, _records, combine
 
 
 class IntegrationError(RuntimeError):
@@ -94,8 +94,8 @@ def _at(t: float, fn, *args):
 @dataclass(frozen=True)
 class ControlSystem:
     """Dynamics F(x, u) over a state chart with named controls: one
-    record per state coordinate on `chart`, where a tree given for one
-    is folded once.
+    record per state coordinate on `chart` from `vecfield._records`, the
+    gate that rejects a symbol that is neither a state nor a control.
 
     `source` is the object the system was built from, and its type fixes
     how the control is kept on the singular-constraint manifold during
@@ -127,16 +127,10 @@ class ControlSystem:
             raise StructureError("a control system needs controls")
         if len(set(self.control_names)) != len(self.control_names):
             raise StructureError("duplicate control names")
-        builder = _NFBuilder(self.chart)
-        object.__setattr__(self, "dynamics", tuple(
-            comp if isinstance(comp, _NormalForm)
-            else builder.finish(builder.visit(comp))
-            for comp in self.dynamics))
-        stray = builder.variables() - set(self.state_chart.variables) \
-            - set(self.control_names)
-        if stray:
-            raise ChartError(
-                f"dynamics mention unknown symbols {sorted(stray)}")
+        object.__setattr__(self, "dynamics", _records(
+            self.chart, self.dynamics,
+            self.state_chart.variables + tuple(self.control_names),
+            "dynamics mention unknown symbols"))
         if not isinstance(self.source,
                           (ConeFamily, Distribution235, type(None))):
             raise StructureError(

@@ -13,17 +13,18 @@ zero test needs only that the numerator vanish identically.
 Trees are for parsing and printing.  A normal form is one record, built
 in integer arithmetic with every monomial packed into one int of 64-bit
 exponent fields (a degree that could reach 2^64 raises `ExprError`).
-Vector fields and forms (`vecfield`), control systems (`paths`) and the
-components of a parameter-driven cone family (`conedual`) hold records:
-a tree is folded once when it enters, brackets, eliminations, exterior
-derivatives, pairings, derivatives, the zero decision and exact
-evaluation read records, and a tree is printed from one only for a
-caller that reads or compiles it.  So `normalize` and `differentiate`,
-which fold a tree, serve the tests and library callers only, and the
-one zero decision, `is_zero`, folds a tree it is given once.  These
-work on a `vecfield.Chart`, which gives the names, the opaque registry
-and the memo that its normal forms and derivatives fill (`memo`);
-parsing, evaluating and compiling take names and a registry.
+Fields, forms, control systems, cone families and solved closed forms
+hold records: outside this module an input tree is folded once, at the
+gate `vecfield._records` (a driven cone family's parameters aside),
+brackets, eliminations, exterior derivatives, pairings, derivatives, the
+zero decision and exact evaluation read records, and a tree is printed
+from one only for a caller that reads or compiles it.  So `normalize`
+and `differentiate`, which fold a tree, serve the tests and library
+callers only, and the one zero decision, `is_zero`, folds a tree it is
+given once.  These work on a `vecfield.Chart`, which gives the names,
+the opaque registry and the memo that its normal forms and derivatives
+fill (`memo`); parsing, evaluating and compiling take names and a
+registry.
 
 Opaque atoms model smooth functions known only through a registry entry
 (numeric evaluator plus derivative rule); everything else is exact.
@@ -48,7 +49,7 @@ __all__ = [
     "ExprError", "ParseError", "UnknownSymbolError", "UndeclaredVariableError",
     "UnregisteredOpaqueError", "ZeroDenominatorError", "MissingAssignmentError",
     "parse_expr", "to_text", "normalize", "differentiate", "substitute",
-    "evaluate", "compile_expr", "compile_exprs", "is_zero", "min_degree",
+    "evaluate", "compile_exprs", "is_zero", "min_degree",
 ]
 
 
@@ -1198,14 +1199,6 @@ def evaluate(expr: ScalarExpr, point: dict,
         raise TypeError(f"not a scalar expression: {node!r}")
 
     return ev(expr)
-
-
-def compile_expr(expr: ScalarExpr, var_order: Sequence[str],
-                 registry: Optional[OpaqueRegistry] = None) -> Callable:
-    """Compile to a float function of positional arguments, one per name
-    in var_order."""
-    batch = compile_exprs((expr,), var_order, registry)
-    return lambda *values: batch(values)[0]
 
 
 def compile_exprs(exprs: Sequence[ScalarExpr], var_order: Sequence[str],

@@ -10,7 +10,7 @@ each frame eliminated once per point.
 from __future__ import annotations
 
 import re
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -92,39 +92,54 @@ class Chart:
         return {name: Fraction(0) for name in self.variables}
 
 
-def _records(chart: Chart, components) -> tuple:
-    """One record per chart coordinate: a record is kept, and a tree
-    folded, once; a variable outside the chart anywhere in a tree
-    (inside an opaque argument or a denominator too) is a ChartError."""
-    comps = tuple(components)
-    if len(comps) != chart.dimension:
-        raise ChartError(
-            f"expected {chart.dimension} components, got {len(comps)}")
-    builder = _NFBuilder(chart)
+def _records(chart: Chart, components, allowed=None,
+             what: str = "components use undeclared variables",
+             builder: Optional[_NFBuilder] = None) -> tuple:
+    """The one gate outside `scalar` from input trees to records: a
+    record is kept, and a tree folded once, in one builder (`builder`,
+    else a new one); a variable it met outside `allowed` (the chart's by
+    default), in an opaque argument or a denominator too, is a
+    ChartError: `what` and the variables, sorted."""
+    if builder is None:
+        builder = _NFBuilder(chart)
     records = tuple(c if isinstance(c, _NormalForm)
-                    else builder.finish(builder.visit(c)) for c in comps)
-    extra = builder.variables() - set(chart.variables)
+                    else builder.finish(builder.visit(c)) for c in components)
+    extra = builder.variables() - set(
+        chart.variables if allowed is None else allowed)
     if extra:
-        raise ChartError(
-            f"components use undeclared variables {sorted(extra)}")
+        raise ChartError(f"{what} {sorted(extra)}")
     return records
 
 
 @dataclass(frozen=True)
 class _Coefficients:
-    """One record per chart coordinate, made from the records or trees
-    it is given (`_records`), and printed as `components`."""
+    """One record per chart coordinate, made by the gate `_records` from
+    the records or trees it is given, and printed as `components`."""
 
     chart: Chart
     records: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "records",
-                           _records(self.chart, self.records))
+        comps = tuple(self.records)
+        if len(comps) != self.chart.dimension:
+            raise ChartError(f"expected {self.chart.dimension} components, "
+                             f"got {len(comps)}")
+        object.__setattr__(self, "records", _records(self.chart, comps))
 
     @property
     def components(self) -> tuple:
         return tuple(nf.tree for nf in self.records)
+
+    def lifted(self, chart: Chart):
+        """The same field or form on an extended chart (zero new
+        components)."""
+        n = self.chart.dimension
+        if (chart.variables[:n] != self.chart.variables
+                or chart.registry is not self.chart.registry):
+            raise ChartMismatchError(
+                "target chart does not extend this field's chart")
+        pad = (_NF_ZERO,) * (chart.dimension - n)
+        return replace(self, chart=chart, records=self.records + pad)
 
 
 @dataclass(frozen=True)
@@ -135,16 +150,6 @@ class VectorField(_Coefficients):
         registry = self.chart.registry
         return [_value(nf, point, registry) for nf in self.records]
 
-    def lifted(self, chart: Chart) -> "VectorField":
-        """The same field on an extended chart (zero new components)."""
-        n = self.chart.dimension
-        if (chart.variables[:n] != self.chart.variables
-                or chart.registry is not self.chart.registry):
-            raise ChartMismatchError(
-                "target chart does not extend this field's chart")
-        pad = (_NF_ZERO,) * (chart.dimension - n)
-        return VectorField(chart, self.records + pad, self.name)
-
     def renamed(self, name: str) -> "VectorField":
         return VectorField(self.chart, self.records, name)
 
@@ -152,13 +157,15 @@ class VectorField(_Coefficients):
 def combine(v: VectorField, s, w: VectorField, name: str) -> VectorField:
     """The field v + s * w, each component the fold of v^i + s * w^i on
     records in one builder: the one way fields are combined.  The scalar
-    s is a record, a tree or a rational number."""
+    s, a record, a tree or a rational number, is checked by `_records`."""
     if v.chart != w.chart:
         raise ChartMismatchError("cannot add fields on different charts")
     builder = _NFBuilder(v.chart)
     reuse, product = builder.reuse, builder.product
     factor = (reuse(s) if isinstance(s, _NormalForm)
               else builder.visit(_coerce(s)))
+    _records(v.chart, (), what="scalar uses undeclared variables",
+             builder=builder)
     return VectorField(v.chart, tuple(
         builder.finish(builder.sum((reuse(a), product((factor, reuse(b))))))
         for a, b in zip(v.records, w.records)), name)
@@ -457,6 +464,14 @@ def derived_flag(generators: Frame, box: Optional[Box] = None,
 class OneForm(_Coefficients):
     """The coefficient of dx_i per chart variable."""
 
+    @property
+    def derivative(self) -> "TwoForm":
+        """`exterior_derivative` of the form, taken once and kept."""
+        d = self.__dict__.get("_derivative")
+        if d is None:
+            d = self.__dict__["_derivative"] = exterior_derivative(self)
+        return d
+
 
 @dataclass(frozen=True)
 class TwoForm:
@@ -535,7 +550,7 @@ def check_contact(alpha: OneForm, point: dict) -> bool:
     which holds exactly when alpha ^ d(alpha) ^ d(alpha) is nonzero."""
     if alpha.chart.dimension != 5:
         raise ChartError("contact check needs a 5-dimensional chart")
-    d = exterior_derivative(alpha)
+    d = alpha.derivative
     registry = alpha.chart.registry
     a = [_value(nf, point, registry) for nf in alpha.records]
     rows = [[0] + a] + [

@@ -126,6 +126,19 @@ def random_tree_with_pieces(rng: random.Random, variables, pieces,
     return Pow(children[0], rng.randint(-2, 2))
 
 
+# a variable u no chart of the tests declares, only inside an argument
+# of the opaque F (see `identity_registry`), only in a denominator, or
+# present but cancelled
+HIDDEN_OFF_CHART = ("x1 + F(u)", "x2/(1 + u)", "F(x1*u^2)/x3", "x4 + u - u")
+
+
+def identity_registry() -> scalar.OpaqueRegistry:
+    """A registry with the opaque F, evaluated as the identity."""
+    registry = scalar.OpaqueRegistry()
+    registry.register("F", lambda u: u, "F")
+    return registry
+
+
 def count_calls(monkeypatch, owner, name: str) -> list:
     """Patch owner.name to append the positional arguments of each call
     to the returned list."""

@@ -219,7 +219,7 @@ class TestSolveE:
         pro = prolong_235(Distribution235(BASE_CHART, eta1, eta2,
                                           BASE_CHART.origin()))
         calls = count_calls(monkeypatch, distduality, "symbolic_decompose")
-        assert to_text(solve_e(pro).expression) == "3*y1*y2"
+        assert to_text(solve_e(pro).expression.tree) == "3*y1*y2"
         assert len(calls) == 1
         layer3, layer4 = pro.flag.frames[3:5]
         basis = layer4.fields
@@ -252,7 +252,7 @@ class TestSolveE:
         pro = prolong_235(Distribution235(BASE_CHART, *cubic_model(),
                                           BASE_CHART.origin()))
         calls = count_calls(monkeypatch, distduality, "is_zero")
-        assert to_text(solve_e(pro).expression) == "3*y1*y2"
+        assert to_text(solve_e(pro).expression.tree) == "3*y1*y2"
         assert len(calls) == 4
 
     def test_flat_model_correction_vanishes(self):
@@ -260,7 +260,7 @@ class TestSolveE:
         dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin())
         pro = prolong_235(dist)
         result = solve_e(pro)
-        assert to_text(result.expression) == "0"
+        assert to_text(result.expression.tree) == "0"
 
     def test_cubic_model_closed_form(self):
         # Frozen by hand: the cubic perturbation contributes
@@ -271,7 +271,7 @@ class TestSolveE:
         pro = prolong_235(dist)
         result = solve_e(pro)
         difference = parse_expr(
-            f"({to_text(result.expression)}) - 3*y1*y2", pro.z_chart.variables)
+            f"({to_text(result.expression.tree)}) - 3*y1*y2", pro.z_chart.variables)
         assert is_zero(difference, pro.box,
                        pro.z_chart).status == "provably-zero"
 
@@ -297,7 +297,7 @@ class TestSolveE:
                 [float(v) for v in bracket.evaluate_at(point)]))[-1]
                 for bracket in brackets)
             oracle = -a / b
-            symbolic = float(evaluate(result.expression, point))
+            symbolic = float(evaluate(result.expression.tree, point))
             assert abs(symbolic - oracle) <= TOL * (1.0 + abs(oracle))
 
     def test_self_check_bracket_invariance_at_samples(self):
@@ -327,7 +327,7 @@ class TestSolveE:
         rng = random.Random(SEED + 1)
         for _ in range(30):
             point = random_point(rng, pro.z_chart.variables)
-            got = float(evaluate(result.expression, point, registry))
+            got = float(evaluate(result.expression.tree, point, registry))
             want = 3.0 * float(point["y1"]) * float(point["y2"])
             assert abs(got - want) <= TOL * (1.0 + abs(want))
 
@@ -340,7 +340,7 @@ class TestSolveE:
             BASE_CHART, ["0", "0", "0", "1/10000000", "0"], name="eta2")
         dist = Distribution235(BASE_CHART, eta1, eta2, BASE_CHART.origin())
         result = solve_e(prolong_235(dist))
-        assert to_text(result.expression) == "0"
+        assert to_text(result.expression.tree) == "0"
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,9 @@ from dist235.scalar import (
 )
 from dist235.vecfield import Chart, ChartError, OneForm, VectorField
 
-from helpers import end_point, text_field
+from helpers import (
+    HIDDEN_OFF_CHART, end_point, identity_registry, text_field,
+)
 import test_cli
 
 TOL = 1e-9
@@ -260,6 +262,21 @@ class TestControlSystems:
         with pytest.raises(ChartError, match="unknown symbols"):
             ControlSystem(state_chart=chart, control_names=("u",),
                           dynamics=(parse_expr("q", ("q",)),))
+
+    @pytest.mark.parametrize("text", HIDDEN_OFF_CHART)
+    def test_hidden_dynamics_symbol_rejected(self, text):
+        # inside an opaque argument, only in a denominator, or cancelled:
+        # the fold of the dynamics still names the stray symbol
+        registry = identity_registry()
+        chart = Chart(("x1", "x2", "x3", "x4"), registry)
+        dynamics = (parse_expr(text, registry=registry),
+                    parse_expr("v", ("v",)), parse_expr("x1*v", ("x1", "v")),
+                    parse_expr("0", ()))
+        with pytest.raises(ChartError,
+                           match=r"dynamics mention unknown symbols "
+                                 r"\['u'\]"):
+            ControlSystem(state_chart=chart, control_names=("v",),
+                          dynamics=dynamics)
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(ControlSystem)] == [

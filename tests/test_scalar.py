@@ -17,7 +17,7 @@ from dist235.scalar import (
     MINUS_ONE, ONE, ZERO, Const, Opaque, OpaqueRegistry, ParseError, Pow,
     Prod, ScalarExpr, Sum,
     UndeclaredVariableError, UnknownSymbolError, UnregisteredOpaqueError, Var,
-    ExprError, ZeroDenominatorError, compile_expr, differentiate, evaluate,
+    ExprError, ZeroDenominatorError, compile_exprs, differentiate, evaluate,
     is_zero, min_degree, normalize, parse_expr, substitute, to_text,
 )
 
@@ -413,12 +413,13 @@ class TestEvaluate:
         reg = make_registry()
         for _ in range(50):
             tree = random_tree(rng, NAMES[:3], depth=3, opaques=("a",))
-            fn = compile_expr(tree, NAMES[:3], reg)
+            fn = compile_exprs((tree,), NAMES[:3], reg)
             pt = random_point(rng, NAMES[:3])
             args = [float(pt[v]) for v in NAMES[:3]]
             want = float(evaluate(tree, {k: float(v) for k, v in pt.items()},
                                   reg))
-            assert fn(*args) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            (got,) = fn(args)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1094,3 +1095,24 @@ def test_only_scalar_folds_trees():
         assert not names & folds, path.name
         if path.name == "conedual.py":
             assert not names & {"Sum", "Prod", "Pow"}
+
+
+def test_one_gate_checks_the_variables_of_a_fold():
+    # outside this module, a builder's variables are read (to reject a
+    # variable off the chart) only by the gate `vecfield._records` and by
+    # the driver checks of a parameter-driven cone family
+    src = Path(scalar.__file__).parent
+    readers = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "scalar.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "variables"):
+                    readers.add((path.stem, fn.name))
+    assert readers == {("vecfield", "_records"),
+                       ("conedual", "_driver_components")}
