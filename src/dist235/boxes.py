@@ -10,9 +10,11 @@ lives; each call returns them as fresh dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional
+
+from .frozen import Frozen
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -63,20 +65,21 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
-@dataclass(frozen=True)
-class Box:
-    """Product of rational intervals keyed by coordinate name."""
+class Box(Frozen):
+    """Product of rational intervals keyed by coordinate name:
+    `intervals` holds (name, lo, hi) triples."""
 
-    intervals: tuple[tuple[str, Fraction, Fraction], ...]
+    _key = attrgetter("intervals")
 
-    def __post_init__(self):
+    def __init__(self, intervals: tuple[tuple[str, Fraction, Fraction], ...]):
         seen = set()
-        for name, lo, hi in self.intervals:
+        for name, lo, hi in intervals:
             if name in seen:
                 raise ValueError(f"duplicate coordinate {name!r} in box")
             seen.add(name)
             if lo > hi:
                 raise ValueError(f"empty interval for {name!r}: [{lo}, {hi}]")
+        self.__dict__["intervals"] = intervals
 
     @classmethod
     def around(cls, center: dict, half_width) -> "Box":

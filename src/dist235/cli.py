@@ -31,8 +31,6 @@ from .distduality import FIBER, GrowthError, ProlongedDistribution, \
     symbol_algebra_at, verify_pseudo_product
 from .models import BUNDLED, ModelError, ModelFile, _rational, \
     document_text, parse_model
-from .paths import cone_system, distribution_system, integrate_biextremal, \
-    singular_launch, verify_duality
 from .scalar import to_text
 
 __all__ = [
@@ -86,7 +84,7 @@ def _emit(value, out: list):
             out.append(":")
             _emit(value[key], out)
         out.append("}")
-    elif isinstance(value, (list, tuple)):
+    elif type(value) in (list, tuple):  # a record is no JSON array
         out.append("[")
         for i, item in enumerate(value):
             if i:
@@ -167,8 +165,15 @@ _BUILT = {"distribution235": "the distribution",
           "cone-family": "the cone family",
           "pseudo-product": "the splitting"}
 
-_SYSTEMS = {"distribution235": distribution_system,
-            "cone-family": cone_system}
+
+def _control_system(kind: str, built):
+    """The control system of a built distribution235 or cone-family
+    model.  `paths` is imported here, and by the other functions that
+    integrate: only the duality checks and `trace` need it."""
+    from .paths import cone_system, distribution_system
+    if kind == "cone-family":
+        return cone_system(built)
+    return distribution_system(built)
 
 
 class _SuiteRun:
@@ -245,9 +250,9 @@ class _SuiteRun:
                 self.prolonged(), name=self.model.name), "the splitting")
 
     def control_system(self):
-        system = _SYSTEMS[self.model.kind]
         return self._memo(
-            "system", lambda: system(self.built()), "the control system")
+            "system", lambda: _control_system(self.model.kind, self.built()),
+            "the control system")
 
     # -- shared check bodies ----------------------------------------------
 
@@ -312,6 +317,7 @@ class _SuiteRun:
     def check_duality(self, index: int):
         structure = self.structure()
         system = self.control_system()
+        from .paths import verify_duality
         x0, theta0 = self.duality_launch(index)
         report = verify_duality(structure, system, x0, theta0,
                                 float(_DUALITY_T))
@@ -553,10 +559,11 @@ def trace_lines(model: ModelFile, x0: Optional[dict], theta0: Fraction,
                 t_end: Fraction, tol: float) -> list:
     """Integrate one singular path of the model, built anew, and return
     its nodes as canonical JSON lines."""
-    if model.kind not in _SYSTEMS:
+    if model.kind not in ("distribution235", "cone-family"):
         raise ModelError(
             "trace requires a distribution235 or cone-family model")
-    system = _SYSTEMS[model.kind](build_model(model))
+    from .paths import integrate_biextremal, singular_launch
+    system = _control_system(model.kind, build_model(model))
     if x0 is None:
         x0 = {var: as_fraction(model.base_point[var])
               for var in system.state_chart.variables}

@@ -17,16 +17,17 @@ the path integration module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .boxes import Box, default_box
 from .distduality import (
     Distribution235, PseudoProductStructure, StructureError, _format_point,
 )
+from .frozen import Frozen
 from .models import BUNDLED, _FIELDS, ModelFile, document_text, parse_model
 from .scalar import (
     _MINUS_ONE, _NF_ONE, _NF_ZERO, Const, ScalarExpr, Var, _derivative,
@@ -68,24 +69,25 @@ def _once_per_family(check):
 # the family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConeFamily:
+class ConeFamily(Frozen):
     """A one-parameter family of base directions in normal form, together
-    with the contact form whose kernel contains every direction.  It keeps
-    the default-argument results of `check_nondegenerate`,
-    `check_lagrangian`, `check_osculating_condition` and `solve_U`; what
-    they, `prolong_cone` and the derived zetas compute fills the memo of
-    its chart."""
+    with the contact form whose kernel contains every direction: the
+    `records` of (A, B, S, T) on `z_chart`, `x_chart` extended by
+    `theta`.  It keeps the default-argument results of
+    `check_nondegenerate`, `check_lagrangian`,
+    `check_osculating_condition` and `solve_U`; what they, `prolong_cone`
+    and the derived zetas compute fills the memo of its chart.  Equality
+    ignores `z_chart`, the base point, the box and `alpha_status`."""
 
-    x_chart: Chart
-    theta: str
-    records: tuple  # of (A, B, S, T) on the extended chart
-    alpha: OneForm
-    z_chart: Chart = field(compare=False, repr=False)  # the extended chart
-    base_point: dict = field(compare=False)
-    box: Box = field(compare=False)
-    name: str = "cone-family"
-    alpha_status: str = field(default="unchecked", compare=False)
+    _key = attrgetter("x_chart", "theta", "records", "alpha", "name")
+
+    def __init__(self, x_chart: Chart, theta: str, records: tuple,
+                 alpha: OneForm, z_chart: Chart, base_point: dict, box: Box,
+                 name: str = "cone-family", alpha_status: str = "unchecked"):
+        self.__dict__.update(x_chart=x_chart, theta=theta, records=records,
+                             alpha=alpha, z_chart=z_chart,
+                             base_point=base_point, box=box, name=name,
+                             alpha_status=alpha_status)
 
     @classmethod
     def build(cls, x_chart: Chart, components: Sequence, alpha: OneForm,
@@ -125,19 +127,24 @@ class ConeFamily:
         if not check_contact(alpha, x_base):
             raise StructureError(
                 f"{name}: the one-form is not contact at the base point")
-        annihilation = pair(family.lifted_alpha, family.zeta(2))
-        verdict = is_zero(annihilation, box, z_chart)
+        verdict = is_zero(family.annihilation, box, z_chart)
         if verdict.status == "nonzero":
             raise StructureError(
                 f"{name}: the contact form does not annihilate the "
                 f"directions; {_witness(verdict)}")
-        object.__setattr__(family, "alpha_status", verdict.status)
+        family.__dict__["alpha_status"] = verdict.status
         return family
 
     @cached_property
     def lifted_alpha(self) -> OneForm:
         """The contact form on the extended chart."""
         return self.alpha.lifted(self.z_chart)
+
+    @cached_property
+    def annihilation(self) -> _NormalForm:
+        """The record of the lifted contact form paired with zeta2, which
+        `build` certifies zero on the box and `check_lagrangian` reports."""
+        return pair(self.lifted_alpha, self.zeta(2))
 
     def zeta(self, k: int) -> VectorField:
         """zeta1 is the direction-coordinate field; zeta2 the moving
@@ -208,8 +215,7 @@ def check_nondegenerate(family: ConeFamily,
 # Lagrangian compatibility
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LagrangianReport:
+class LagrangianReport(NamedTuple):
     """Outcome of the isotropy checks for the family's tangent planes.
 
     With no section given the checks run symbolically in the direction
@@ -220,7 +226,7 @@ class LagrangianReport:
 
     passed: bool
     checks: tuple          # (name, status, witness text or None)
-    box: Box = field(compare=False)
+    box: Box
     section: Optional[str] = None
 
     def __bool__(self):
@@ -236,15 +242,14 @@ def check_lagrangian(family: ConeFamily,
     for its exterior derivative, over the family's box; with a section
     theta = s(x), a tree on the base chart, substituted into each
     quantity, over the base part of the box."""
-    alpha = family.lifted_alpha
     # d(alpha) has no theta part, so the base chart's records, which
     # the contact check of `ConeFamily.build` read, serve
     d_alpha = TwoForm(family.z_chart, family.alpha.derivative.records)
     zeta2, zeta3 = family.zeta(2), family.zeta(3)
     quantities = (
-        ("contact form annihilates the generator", pair(alpha, zeta2)),
+        ("contact form annihilates the generator", family.annihilation),
         ("contact form annihilates the derivative direction",
-         pair(alpha, zeta3)),
+         pair(family.lifted_alpha, zeta3)),
         ("tangent plane is isotropic", pair(d_alpha, zeta2, zeta3)),
     )
     if section is None:
@@ -288,8 +293,7 @@ def _full_frame(family: ConeFamily) -> tuple:
         "point")
 
 
-@dataclass(frozen=True)
-class OsculatingConditionReport:
+class OsculatingConditionReport(NamedTuple):
     """Verdict of the bracket-osculation condition: the bracket of the
     generator with its derivative must stay in the span of the fiber
     field, the generator, and its first two derivatives, identically.
@@ -301,7 +305,7 @@ class OsculatingConditionReport:
 
     passed: bool
     residuals: tuple       # (label, expression text, status, witness)
-    box: Optional[Box] = field(compare=False, default=None)
+    box: Optional[Box] = None
 
     def __bool__(self):
         return self.passed
@@ -330,8 +334,7 @@ def check_osculating_condition(family: ConeFamily
         residuals=tuple(residuals), box=box)
 
 
-@dataclass(frozen=True)
-class SolveUResult:
+class SolveUResult(NamedTuple):
     """The correction scalar making the generator a Cauchy characteristic
     of the derived plane field, with the corrected generator."""
 

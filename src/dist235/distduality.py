@@ -15,13 +15,14 @@ which the prolonged chart shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .boxes import DIRECTION_HALF_WIDTH, Box, default_box
+from .frozen import Frozen
 from .scalar import (
     _MINUS_ONE, Var, _NFBuilder, _NormalForm, _value, is_zero, to_text,
 )
@@ -74,15 +75,14 @@ def _rank_drop(flag: DistributionFlag, witness) -> str:
 # growth-(2,3,5) verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Check235Report:
+class Check235Report(NamedTuple):
     """Outcome of the growth check for a pair of candidate generators."""
 
     growth: tuple
     passed: bool
     constant_rank: bool
     failures: tuple = ()
-    flag: Optional[DistributionFlag] = field(default=None, compare=False)
+    flag: Optional[DistributionFlag] = None
 
     def __bool__(self):
         return self.passed
@@ -132,38 +132,31 @@ def check_235(eta1: VectorField, eta2: VectorField, base_point: dict,
                           failures=tuple(failures), flag=flag)
 
 
-@dataclass(frozen=True)
-class Distribution235:
+class Distribution235(Frozen):
     """A plane field of growth (2, 3, 5) on a 5-dimensional chart.
 
     Construction checks that the generators live on `chart` and validates
-    the growth vector; the brackets that fill the weak derived flag are
-    exposed as `eta3`, `eta4`, `eta5`.
+    the growth vector (its passed check is `report`); the brackets that
+    fill the weak derived flag are exposed as `eta3`, `eta4`, `eta5`.
     """
 
-    chart: Chart
-    eta1: VectorField
-    eta2: VectorField
-    base_point: dict = field(compare=False)
-    box: Optional[Box] = field(default=None, compare=False)
-    name: str = "distribution"
+    _key = attrgetter("chart", "eta1", "eta2", "name")
 
-    def __post_init__(self):
-        if self.eta1.chart != self.chart:
+    def __init__(self, chart: Chart, eta1: VectorField, eta2: VectorField,
+                 base_point: dict, box: Optional[Box] = None,
+                 name: str = "distribution"):
+        if eta1.chart != chart:
             raise ChartMismatchError(
                 "generators live on another chart than the distribution")
-        if self.box is None:
-            object.__setattr__(self, "box", default_box(self.base_point))
-        report = check_235(self.eta1, self.eta2, self.base_point,
-                           box=self.box)
+        if box is None:
+            box = default_box(base_point)
+        report = check_235(eta1, eta2, base_point, box=box)
         if not report.passed:
-            raise GrowthError(
-                f"{self.name}: " + "; ".join(report.failures), report)
-        object.__setattr__(self, "_report", report)
-
-    @property
-    def report(self) -> Check235Report:
-        return self._report
+            raise GrowthError(f"{name}: " + "; ".join(report.failures),
+                              report)
+        self.__dict__.update(chart=chart, eta1=eta1, eta2=eta2,
+                             base_point=base_point, box=box, name=name,
+                             report=report)
 
     @cached_property
     def eta3(self) -> VectorField:
@@ -195,8 +188,7 @@ def _check_prolonged_flag(flag: DistributionFlag, what: str) -> None:
             f"{what} has {_rank_drop(flag, flag.rank_witnesses[0])}")
 
 
-@dataclass(frozen=True)
-class ProlongedDistribution:
+class ProlongedDistribution(NamedTuple):
     """The rank-2 plane field E on the 6-chart of fiberwise directions.
 
     `zeta1` is the horizontal generator (the direction being prolonged),
@@ -208,9 +200,9 @@ class ProlongedDistribution:
     z_chart: Chart
     zeta1: VectorField
     zeta2: VectorField
-    base_point: dict = field(compare=False)
-    box: Box = field(compare=False)
-    flag: DistributionFlag = field(compare=False)
+    base_point: dict
+    box: Box
+    flag: DistributionFlag
 
     @property
     def growth(self) -> tuple:
@@ -246,8 +238,7 @@ def prolong_235(dist: Distribution235) -> ProlongedDistribution:
 # the splitting of E and its certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(NamedTuple):
     """One of the seven bracket conditions, evaluated over sample points."""
 
     index: int
@@ -262,8 +253,7 @@ class ConditionResult:
         return self.inclusion_ok and self.growth_ok
 
 
-@dataclass(frozen=True)
-class PseudoProductReport:
+class PseudoProductReport(NamedTuple):
     """Aggregate verdict over the seven bracket conditions."""
 
     conditions: tuple
@@ -282,22 +272,25 @@ class PseudoProductReport:
         return tuple(c.index for c in self.conditions if not c.passed)
 
 
-@dataclass(frozen=True)
-class PseudoProductStructure:
+class PseudoProductStructure(Frozen):
     """A rank-2 plane field E on a 6-chart together with two line fields
     K, L that split it.  `build` validates the splitting and computes the
     weak derived flag of E; `verify_pseudo_product` certifies the seven
     bracket conditions.  Everything `build` validates is symmetric in K
-    and L, and the flag depends on E alone, so `swapped` reuses both."""
+    and L, and the flag depends on E alone, so `swapped` reuses both.
+    Equality ignores the base point, the box and the flag."""
 
-    z_chart: Chart
-    e_generators: tuple
-    k_field: VectorField
-    l_field: VectorField
-    base_point: dict = field(compare=False)
-    box: Box = field(compare=False)
-    flag: DistributionFlag = field(compare=False)
-    name: str = "structure"
+    _key = attrgetter("z_chart", "e_generators", "k_field", "l_field",
+                      "name")
+
+    def __init__(self, z_chart: Chart, e_generators: tuple,
+                 k_field: VectorField, l_field: VectorField,
+                 base_point: dict, box: Box, flag: DistributionFlag,
+                 name: str = "structure"):
+        self.__dict__.update(z_chart=z_chart, e_generators=e_generators,
+                             k_field=k_field, l_field=l_field,
+                             base_point=base_point, box=box, flag=flag,
+                             name=name)
 
     @classmethod
     def build(cls, z_chart: Chart, e_generators: Sequence[VectorField],
@@ -351,8 +344,9 @@ class PseudoProductStructure:
 
     def swapped(self) -> "PseudoProductStructure":
         """The same plane field with the roles of K and L exchanged."""
-        return replace(self, k_field=self.l_field, l_field=self.k_field,
-                       name=self.name + "-swapped")
+        return PseudoProductStructure(
+            self.z_chart, self.e_generators, self.l_field, self.k_field,
+            self.base_point, self.box, self.flag, self.name + "-swapped")
 
 
 _CONDITIONS = (
@@ -459,8 +453,7 @@ def verify_pseudo_product(structure: PseudoProductStructure,
 # solving for the K-generator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SolveEResult:
+class SolveEResult(NamedTuple):
     """The correction scalar making the horizontal line bracket-invariant
     on layer 3, as a closed form, together with the resulting K and L
     generators."""
@@ -546,8 +539,7 @@ def solve_e(prolonged: ProlongedDistribution) -> SolveEResult:
 # symbol algebra at a point
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymbolAlgebraReport:
+class SymbolAlgebraReport(NamedTuple):
     """Graded bracket table of the splitting at a point.
 
     The graded basis is built by bracketing: the K and L values span the

@@ -17,7 +17,6 @@ returns the same result and only misses the entries it could have hit.
 from __future__ import annotations
 
 import functools
-import inspect
 from collections import namedtuple
 
 __all__ = ["Memo", "Counts", "memoized"]
@@ -53,7 +52,8 @@ def memoized(function):
     """`function`, memoized in the memo of its argument `chart` (see
     above).  Its `cache_info()` counts the hits and misses of every memo
     of the process, those already gone included."""
-    at = list(inspect.signature(function).parameters).index("chart")
+    code = function.__code__
+    at = code.co_varnames[:code.co_argcount].index("chart")
     totals = [0, 0]  # hits, misses
 
     @functools.wraps(function)

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .boxes import Box, default_box
 from .scalar import OpaqueRegistry, compile_exprs, default_registry, \
@@ -110,8 +109,7 @@ def document_text(doc: dict) -> str:
 # model files
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelFile:
+class ModelFile(NamedTuple):
     """A parsed and schema-checked model document.
 
     Each expression text is parsed once against the declared chart and
@@ -125,14 +123,14 @@ class ModelFile:
     kind: str
     name: str
     chart: tuple
-    expressions: dict = field(compare=False)
-    box: Box = field(compare=False)
-    theta: Optional[str] = None
-    alpha: Optional[tuple] = None
-    base_point: dict = field(default_factory=dict, compare=False)
-    notes: tuple = ()
-    registry: Optional[OpaqueRegistry] = field(default=None, compare=False)
-    sha256: str = ""
+    expressions: dict
+    box: Box
+    theta: Optional[str]
+    alpha: Optional[tuple]
+    base_point: dict
+    notes: tuple
+    registry: Optional[OpaqueRegistry]
+    sha256: str
 
 
 def _require(doc: dict, key: str, origin: str):

@@ -13,16 +13,17 @@ the controls, which shares its memo; only compiling prints a tree.
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 from .boxes import as_fraction
 from .conedual import ConeFamily
 from .distduality import (
     Distribution235, PseudoProductStructure, StructureError,
 )
+from .frozen import Frozen
 from .linalg import is_zero_value, nullspace
 from .scalar import (
     Var, _derivative, _NFBuilder, _NormalForm, compile_exprs,
@@ -91,8 +92,7 @@ def _at(t: float, fn, *args):
 # control systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ControlSystem:
+class ControlSystem(Frozen):
     """Dynamics F(x, u) over a state chart with named controls: one
     record per state coordinate on `chart` from `vecfield._records`, the
     gate that rejects a symbol that is neither a state nor a control.
@@ -111,30 +111,31 @@ class ControlSystem:
       `eta5`, oriented continuously.
     - None: the control is held constant; this is the fixed-control
       leaf transport of a splitting's system, which `lift_fiber` uses.
+
+    Equality ignores the source.
     """
 
-    state_chart: Chart
-    control_names: tuple
-    dynamics: tuple
-    source: Optional[Union[ConeFamily, Distribution235]] = field(
-        default=None, compare=False)
+    _key = attrgetter("state_chart", "control_names", "dynamics")
 
-    def __post_init__(self):
-        if len(self.dynamics) != self.state_chart.dimension:
+    def __init__(self, state_chart: Chart, control_names: tuple,
+                 dynamics: tuple, source=None):
+        if len(dynamics) != state_chart.dimension:
             raise ChartError(
                 "dynamics must have one component per state coordinate")
-        if not self.control_names:
+        if not control_names:
             raise StructureError("a control system needs controls")
-        if len(set(self.control_names)) != len(self.control_names):
+        if len(set(control_names)) != len(control_names):
             raise StructureError("duplicate control names")
-        object.__setattr__(self, "dynamics", _records(
-            self.chart, self.dynamics,
-            self.state_chart.variables + tuple(self.control_names),
-            "dynamics mention unknown symbols"))
-        if not isinstance(self.source,
-                          (ConeFamily, Distribution235, type(None))):
+        d = self.__dict__
+        d["state_chart"], d["control_names"] = state_chart, control_names
+        d["dynamics"] = _records(
+            self.chart, dynamics,
+            state_chart.variables + tuple(control_names),
+            "dynamics mention unknown symbols")
+        if not isinstance(source, (ConeFamily, Distribution235, type(None))):
             raise StructureError(
                 "the source must be a cone family, a distribution or None")
+        d["source"] = source
 
     @cached_property
     def chart(self) -> Chart:
@@ -208,8 +209,7 @@ def prolonged_system(structure: PseudoProductStructure) -> ControlSystem:
 # the Hamiltonian pairing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HamiltonianData:
+class HamiltonianData(NamedTuple):
     """The record of the costate pairing H = sum_i p_i F^i and those of
     its control partials, which the singular constraint dH/du = 0 reads,
     on `chart`, the chart of the system."""
@@ -451,16 +451,15 @@ def _integrate(rhs, y0, t_end, *, rtol, atol, h_max=None, fixed_step=None,
 # plain flows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlowTrace:
+class FlowTrace(NamedTuple):
     """Integral curve of a vector field: nodes with exact derivatives.
     `times` is a tuple of floats; `states` and `derivatives` hold one
     tuple of floats per node."""
 
     chart: Chart
-    times: tuple = field(compare=False)
-    states: tuple = field(compare=False)
-    derivatives: tuple = field(compare=False)
+    times: tuple
+    states: tuple
+    derivatives: tuple
 
 
 def integrate_flow(flow: VectorField, z0: dict, t_end: float, *,
@@ -481,19 +480,18 @@ def integrate_flow(flow: VectorField, z0: dict, t_end: float, *,
 # bi-extremal traces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BiExtremalTrace:
+class BiExtremalTrace(NamedTuple):
     """A singular trajectory with its costate, resolved controls, and
     per-node constraint residuals.  `times` and `residuals` are tuples
     of floats; `states`, `costates` and `controls` hold one tuple of
     floats per node."""
 
     chart: Chart
-    times: tuple = field(compare=False)
-    states: tuple = field(compare=False)
-    costates: tuple = field(compare=False)
-    controls: tuple = field(compare=False)
-    residuals: tuple = field(compare=False)
+    times: tuple
+    states: tuple
+    costates: tuple
+    controls: tuple
+    residuals: tuple
 
     @property
     def max_residual(self) -> float:
@@ -707,10 +705,10 @@ def lift_fiber(structure: PseudoProductStructure, side: str,
 # cross-validation of the two-sided correspondence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     """Outcome of comparing a projected leaf against an independently
-    integrated singular bi-extremal."""
+    integrated singular bi-extremal; `meta` holds the step counts and
+    residuals of the comparison that `verify_duality` made."""
 
     passed: bool
     sup_distance: float
@@ -719,7 +717,7 @@ class DualityReport:
     coordinate: str
     interval: tuple
     samples: int
-    meta: dict = field(default_factory=dict, compare=False)
+    meta: Optional[dict] = None
 
     def __bool__(self):
         return self.passed

@@ -35,11 +35,11 @@ from __future__ import annotations
 import functools
 import math
 import string
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .boxes import Box, as_fraction
+from .frozen import Frozen
 from .memo import memoized
 
 __all__ = [
@@ -100,7 +100,7 @@ class MissingAssignmentError(ExprError):
 _setattr = object.__setattr__
 
 
-class ScalarExpr:
+class ScalarExpr(Frozen):
     """Base class of the six node kinds below.
 
     A node is frozen: its constructor sets its fields (named by its
@@ -115,12 +115,6 @@ class ScalarExpr:
 
     def _fields(self) -> tuple:
         raise NotImplementedError
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __hash__(self):
         h = self._hash
@@ -278,8 +272,7 @@ def _abs_term(x: ScalarExpr) -> ScalarExpr:
 # ---------------------------------------------------------------------------
 # opaque registry
 
-@dataclass(frozen=True)
-class OpaqueRule:
+class OpaqueRule(NamedTuple):
     evaluator: Callable[[float], float]
     derivative: Union[str, ScalarExpr]  # opaque name, or template in u
 
@@ -727,17 +720,18 @@ def _print_order(poly: dict, atoms) -> list:
     return sorted(poly, key=key, reverse=True)
 
 
-@dataclass(frozen=True, eq=False)
-class _NormalForm:
-    """The quotient a fold ends with (see "normal form" above)."""
+class _NormalForm(Frozen):
+    """The quotient a fold ends with (see "normal form" above): the
+    `names` of the chart it was built on, `num` and `den` as
+    {monomial: int}, the `atoms` ((atom key, offset, ScalarExpr), ...)
+    of the terms, sorted by key, and the atom `table` that fixed the
+    offsets."""
 
-    names: tuple    # of the chart it was built on
-    num: dict       # {monomial: int}
-    den: dict
-    atoms: tuple    # ((atom key, offset, ScalarExpr), ...) of the terms,
-                    # sorted by key
-    table: Optional[dict] = field(default=None, repr=False)
-                    # the atom table that fixed the offsets
+    def __init__(self, names: tuple, num: dict, den: dict, atoms: tuple,
+                 table: Optional[dict] = None):
+        d = self.__dict__
+        d["names"], d["num"], d["den"] = names, num, den
+        d["atoms"], d["table"] = atoms, table
 
     @functools.cached_property
     def _hash(self) -> int:
@@ -1249,8 +1243,7 @@ def compile_exprs(exprs: Sequence[ScalarExpr], var_order: Sequence[str],
 # ---------------------------------------------------------------------------
 # zero testing
 
-@dataclass(frozen=True)
-class ZeroCheck:
+class ZeroCheck(NamedTuple):
     """Outcome of is_zero: status is 'provably-zero', 'numerically-zero',
     or 'nonzero' (with a witness point and value)."""
 

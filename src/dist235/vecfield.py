@@ -10,12 +10,13 @@ each frame eliminated once per point.
 from __future__ import annotations
 
 import re
-from dataclasses import InitVar, dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .boxes import Box, as_fraction
+from .frozen import Frozen
 from .memo import Memo, memoized
 from .scalar import (
     _MINUS_ONE, _NF_ONE, _NF_ZERO, OpaqueRegistry, _coerce,
@@ -37,8 +38,7 @@ class DegenerateFrameError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Frozen):
     """An ordered tuple of coordinate names; the order fixes the monomial
     order of every normal form computed on the chart.  `registry` holds
     the opaque functions that expressions on the chart may apply (the
@@ -49,14 +49,11 @@ class Chart:
     `extend` hands it on with the registry, so the charts that share a
     memo share one registry; equality, hashing and `repr` ignore it."""
 
-    variables: tuple
-    registry: Optional[OpaqueRegistry] = field(default=None, repr=False)
-    memo: Memo = field(default_factory=Memo, init=False, repr=False,
-                       compare=False)
+    _key = attrgetter("variables", "registry")
 
-    def __post_init__(self):
-        names = tuple(self.variables)
-        object.__setattr__(self, "variables", names)
+    def __init__(self, variables: tuple,
+                 registry: Optional[OpaqueRegistry] = None):
+        names = tuple(variables)
         seen = set()
         for name in names:
             if not _IDENT.match(name):
@@ -64,8 +61,13 @@ class Chart:
             if name in seen:
                 raise ChartError(f"duplicate coordinate {name!r}")
             seen.add(name)
-        if self.registry is None:
-            object.__setattr__(self, "registry", default_registry())
+        d = self.__dict__
+        d["variables"] = names
+        d["registry"] = default_registry() if registry is None else registry
+        d["memo"] = Memo()
+
+    def __repr__(self):
+        return f"Chart(variables={self.variables!r})"
 
     @property
     def dimension(self) -> int:
@@ -79,7 +81,7 @@ class Chart:
 
     def extend(self, *names: str) -> "Chart":
         chart = Chart(self.variables + tuple(names), self.registry)
-        object.__setattr__(chart, "memo", self.memo)
+        chart.__dict__["memo"] = self.memo
         return chart
 
     def point(self, *values) -> dict:
@@ -111,20 +113,22 @@ def _records(chart: Chart, components, allowed=None,
     return records
 
 
-@dataclass(frozen=True)
-class _Coefficients:
+class _Coefficients(Frozen):
     """One record per chart coordinate, made by the gate `_records` from
-    the records or trees it is given, and printed as `components`."""
+    the records or trees it is given, and printed as `components`;
+    `name` labels a field."""
 
-    chart: Chart
-    records: tuple
+    _key = attrgetter("chart", "records", "name")
 
-    def __post_init__(self):
-        comps = tuple(self.records)
-        if len(comps) != self.chart.dimension:
-            raise ChartError(f"expected {self.chart.dimension} components, "
+    def __init__(self, chart: Chart, records: tuple, name: str = ""):
+        comps = tuple(records)
+        if len(comps) != chart.dimension:
+            raise ChartError(f"expected {chart.dimension} components, "
                              f"got {len(comps)}")
-        object.__setattr__(self, "records", _records(self.chart, comps))
+        d = self.__dict__
+        d["chart"] = chart
+        d["records"] = _records(chart, comps)
+        d["name"] = name
 
     @property
     def components(self) -> tuple:
@@ -139,13 +143,10 @@ class _Coefficients:
             raise ChartMismatchError(
                 "target chart does not extend this field's chart")
         pad = (_NF_ZERO,) * (chart.dimension - n)
-        return replace(self, chart=chart, records=self.records + pad)
+        return type(self)(chart, self.records + pad, self.name)
 
 
-@dataclass(frozen=True)
 class VectorField(_Coefficients):
-    name: str = ""
-
     def evaluate_at(self, point: dict) -> list:
         registry = self.chart.registry
         return [_value(nf, point, registry) for nf in self.records]
@@ -267,29 +268,28 @@ def rank_at(fields: Sequence[VectorField], point: dict) -> int:
     return PointValues(point).rank(fields)
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Frozen):
     """An ordered list of fields required to be independent at the base
     point.  `values`, when given, is a `PointValues` table at the base
     point, read instead of evaluating anew."""
 
-    chart: Chart
-    fields: tuple
-    base_point: dict = field(compare=False)
-    values: InitVar[Optional[PointValues]] = None
+    _key = attrgetter("chart", "fields")
 
-    def __post_init__(self, values):
-        object.__setattr__(self, "fields", tuple(self.fields))
-        for f in self.fields:
-            if f.chart != self.chart:
+    def __init__(self, chart: Chart, fields: tuple, base_point: dict,
+                 values: Optional[PointValues] = None):
+        fields = tuple(fields)
+        for f in fields:
+            if f.chart != chart:
                 raise ChartMismatchError("frame fields live on another chart")
         if values is None:
-            values = PointValues(self.base_point)
-        r = values.rank(self.fields)
-        if r != len(self.fields):
+            values = PointValues(base_point)
+        r = values.rank(fields)
+        if r != len(fields):
             raise DegenerateFrameError(
-                f"frame fields have rank {r} < {len(self.fields)} at the "
+                f"frame fields have rank {r} < {len(fields)} at the "
                 f"base point")
+        self.__dict__.update(chart=chart, fields=fields,
+                             base_point=base_point)
 
     @property
     def rank(self) -> int:
@@ -364,8 +364,7 @@ def symbolic_decompose(targets: Sequence[VectorField],
                  for j in range(n, width))
 
 
-@dataclass(frozen=True)
-class DistributionFlag:
+class DistributionFlag(NamedTuple):
     """Weak derived flag of a generating frame: frames of increasing rank,
     the growth vector, and whether ranks were constant on the sampled box."""
 
@@ -460,7 +459,6 @@ def derived_flag(generators: Frame, box: Optional[Box] = None,
 # ---------------------------------------------------------------------------
 # differential forms
 
-@dataclass(frozen=True)
 class OneForm(_Coefficients):
     """The coefficient of dx_i per chart variable."""
 
@@ -473,8 +471,7 @@ class OneForm(_Coefficients):
         return d
 
 
-@dataclass(frozen=True)
-class TwoForm:
+class TwoForm(NamedTuple):
     """A two-form: the record of the coefficient of dx_i ^ dx_j for each
     i < j where it is not zero."""
 

@@ -1,5 +1,6 @@
 """Command-line layer: model files, check suites, canonical reports."""
 
+import ast
 import cProfile
 import hashlib
 import json
@@ -24,6 +25,9 @@ from dist235.models import BUNDLED, ModelError, document_text, parse_model
 from dist235.scalar import parse_expr
 from dist235 import distduality
 from dist235.distduality import Distribution235, check_235
+from dist235.linalg import as_row
+from dist235.memo import Counts
+from dist235.scalar import ZeroCheck
 from dist235.vecfield import Chart, DegenerateFrameError, derived_flag
 
 from helpers import count_calls
@@ -127,6 +131,15 @@ class TestCanonicalJson:
     def test_non_string_key_rejected(self):
         with pytest.raises(TypeError):
             canonical_json({1: "a"})
+
+    @pytest.mark.parametrize("record", [
+        Counts(1, 2), ZeroCheck("provably-zero"), as_row([Fraction(1, 2)])],
+        ids=["Counts", "ZeroCheck", "Row"])
+    def test_a_tuple_record_is_no_array(self, record):
+        # only a plain list or tuple is a JSON array, so a record never
+        # enters a report positionally
+        with pytest.raises(TypeError, match="cannot serialize"):
+            canonical_json({"checks": [record]})
 
 
 # ---------------------------------------------------------------------------
@@ -1086,6 +1099,43 @@ def child_env():
 
 
 class TestRuntimeImports:
+    @pytest.mark.parametrize("model,code,paths", [
+        ("cubic-a", 2, False), ("hilbert-cartan", 0, True)])
+    def test_start_up_loads_what_the_run_needs(self, model, code, paths):
+        # every fresh process pays for what `import dist235.cli` loads:
+        # records are written by hand (no `dataclasses`, which also pulls
+        # in `inspect`), and `paths` loads only for the duality checks
+        # and `trace`, which a model whose splitting fails never reaches
+        script = (
+            "import sys\n"
+            "from dist235 import cli\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect',"
+            " 'dist235.paths') if m in sys.modules), file=sys.stderr)\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, 'dist235.paths' in sys.modules, file=sys.stderr)\n")
+        done = subprocess.run(
+            [sys.executable, "-c", script, "analyze", model, "--suite",
+             "all", "--seed", "7"],
+            env=child_env(), capture_output=True, text=True, timeout=300)
+        assert done.stderr.splitlines() == ["[]", f"{code} {paths}"]
+        assert json.loads(done.stdout)["model"]["name"] == model
+
+    def test_no_module_imports_dataclasses_or_inspect(self):
+        src = Path(conedual.__file__).parent
+        offenders = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                offenders += [(path.name, name) for name in names
+                              if name.partition(".")[0]
+                              in ("dataclasses", "inspect")]
+        assert offenders == []
+
     def test_conedual_loads_neither_cli_nor_paths(self):
         # the family sweep imports only conedual, which builds models
         # through the parser in `models`; that must not pull in the

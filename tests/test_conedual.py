@@ -264,6 +264,16 @@ class TestLagrangian:
         assert exit_code(report) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("name", ("flat-cone", "noncubic-bc"))
+    def test_annihilation_paired_once_per_suite_run(self, monkeypatch, name):
+        # the annihilation check of the build and the Lagrangian check
+        # read the family's one pairing of the contact form with zeta2;
+        # the Lagrangian check adds the pairings with zeta3 and d(alpha)
+        calls = count_calls(monkeypatch, conedual, "pair")
+        report = run_suite(load_model(name), "all", 7)
+        assert exit_code(report) == 0
+        assert len(calls) == 3
+
     def test_compliant_bc_random_constant_sections(self):
         family = builtin_model("noncubic-bc",
                                {"b": "th^3", "c": "3/2*th^4"})

@@ -216,13 +216,13 @@ def test_every_chart_sharing_a_memo_has_its_registry(monkeypatch):
     # keyed by the charts' names, serve one registry
     from test_cli import TestReportPins as pins
     charts = []
-    init = Chart.__post_init__
+    init = Chart.__init__
 
-    def recording(self):
-        init(self)
+    def recording(self, *args):
+        init(self, *args)
         charts.append(self)
 
-    monkeypatch.setattr(Chart, "__post_init__", recording)
+    monkeypatch.setattr(Chart, "__init__", recording)
     for name in BUNDLED:
         run_suite(load_model(name), "all", 7)
     for name in pins.OPAQUE:

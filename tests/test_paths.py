@@ -3,7 +3,7 @@ systems, the costate pairing, the embedded Runge-Kutta drive, constrained
 bi-extremals, trace classification, fiber lifts, and two-sided path
 cross-validation."""
 
-import dataclasses
+import copy
 import inspect
 import json
 import math
@@ -16,7 +16,8 @@ from dist235.conedual import (
     ConeFamily, build_model, builtin_model, prolong_cone,
 )
 from dist235.distduality import (
-    Distribution235, StructureError, prolong_235, solve_e,
+    Distribution235, PseudoProductStructure, StructureError, prolong_235,
+    solve_e,
 )
 from dist235 import paths, scalar
 from dist235.linalg import exact_nullspace
@@ -279,7 +280,7 @@ class TestControlSystems:
                           dynamics=dynamics)
 
     def test_fields(self):
-        assert [f.name for f in dataclasses.fields(ControlSystem)] == [
+        assert list(inspect.signature(ControlSystem).parameters) == [
             "state_chart", "control_names", "dynamics", "source"]
 
     def test_foreign_source_rejected(self):
@@ -943,8 +944,10 @@ class TestVerifyDuality:
     def test_ambiguous_side_rejected(self):
         family = flat_cone_family()
         structure = prolong_cone(family)
-        doctored = dataclasses.replace(structure,
-                                       k_field=structure.l_field)
+        doctored = PseudoProductStructure(
+            structure.z_chart, structure.e_generators, structure.l_field,
+            structure.l_field, structure.base_point, structure.box,
+            structure.flag, structure.name)
         with pytest.raises(StructureError, match="cannot decide"):
             verify_duality(doctored, cone_system(family),
                            X_CHART.origin(), 0, 0.5)
@@ -989,3 +992,20 @@ class TestVerifyDuality:
         assert rep.samples == 200
         assert rep.meta["t_end"] == 0.5
         assert rep.meta["leaf_steps"] >= 64
+
+
+def test_built_objects_are_read_only_and_copies_equal():
+    # each object is written once, by its constructor, and a shallow
+    # copy is an equal object
+    family = flat_cone_family()
+    structure = prolong_cone(family)
+    objects = [family, family.box, family.z_chart, family.alpha,
+               family.zeta(2), family.records[1], structure,
+               structure.flag.frames[0], hilbert_cartan(),
+               cone_system(family)]
+    for obj in objects:
+        with pytest.raises(AttributeError):
+            obj.name = "changed"
+        with pytest.raises(AttributeError):
+            del obj.box
+        assert copy.copy(obj) == obj

@@ -1,6 +1,5 @@
 """Vector fields, brackets, flags, forms: exact pointwise linear algebra."""
 
-import dataclasses
 import importlib
 import inspect
 import json
@@ -1103,6 +1102,20 @@ def test_no_public_function_takes_rtol():
                          "dist235.paths.integrate_biextremal"]
 
 
+def instance_attributes(cls) -> set:
+    """The attributes an instance of `cls` holds: its constructor's
+    parameters, its `_fields` (a NamedTuple's) and `__slots__`, and the
+    names its `__init__` writes into `__dict__`, read from the string
+    constants of its code."""
+    names = set(inspect.signature(cls).parameters)
+    names.update(getattr(cls, "_fields", ()), getattr(cls, "__slots__", ()))
+    code = getattr(cls.__init__, "__code__", None)
+    for const in code.co_consts if code else ():
+        names.update(c for c in (const if isinstance(const, tuple)
+                                 else (const,)) if isinstance(c, str))
+    return names
+
+
 def test_only_the_chart_carries_a_registry():
     # the opaque functions of a model travel with the chart its fields
     # live on, never as a second argument or field beside it
@@ -1115,12 +1128,8 @@ def test_only_the_chart_carries_a_registry():
                     or obj.__module__ != module.__name__
                     or issubclass(obj, Exception)):
                 continue
-            label = f"{module.__name__}.{name}.registry"
-            if "registry" in inspect.signature(obj).parameters:
-                offenders.add(label)
-            if dataclasses.is_dataclass(obj) and "registry" in {
-                    f.name for f in dataclasses.fields(obj)}:
-                offenders.add(label)
+            if "registry" in instance_attributes(obj):
+                offenders.add(f"{module.__name__}.{name}.registry")
     assert offenders == {"dist235.vecfield.Chart.registry"}
 
 
